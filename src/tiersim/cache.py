@@ -6,9 +6,18 @@ partition the ways, per-word partial-write tracking, and write-endurance
 wear. Policy is write-back + write-allocate throughout; writeback writes
 that miss are forwarded to the next level without allocating.
 
+Storage is sparse. A set's ways are built one at a time, lowest index
+first, by the first fill that lands in each; a way not yet built counts as
+invalid and unworn, so replacement picks the same victims as it would over
+a fully built set. Lookups never scan ways: each level keeps an index from
+block number to the way of its valid, unworn line, plus the set of blocks
+whose way has worn out, and `probe` and `fill` consult only those.
+
 Coherence state lives in the line's `state` field but is driven externally
 (see coherence module); standalone use via `access` treats the level as a
-plain trace-driven cache.
+plain trace-driven cache. Callers may move a valid line between MOESI
+states directly, but a line leaves the index only through `evict`,
+`invalidate` or wearing out, so nothing outside this module sets `I`.
 """
 
 from __future__ import annotations
@@ -170,8 +179,15 @@ class CacheLevel:
         self.write_mix = write_mix
         self.rng = rng or random.Random(0)
         self._stamp = 0
-        self.lines = [[CacheLine() for _ in range(geom.associativity)]
-                      for _ in range(geom.sets)]
+        self._sets = geom.sets
+        self._block_size = geom.block_size
+        # lines[s] lists set s's built ways in way order. Ways at index
+        # len(lines[s]) and above are unbuilt: invalid and unworn.
+        self.lines: list[list[CacheLine]] = [[] for _ in range(geom.sets)]
+        # The lookup path: block number -> way of its valid, unworn line,
+        # and the blocks whose way wore out (worn ways keep their tag).
+        self._resident: dict[int, int] = {}
+        self._worn_blocks: set[int] = set()
         self._region_of_way = [0] * geom.associativity
         for idx, r in enumerate(regions):
             for w in range(r.way_lo, r.way_hi):
@@ -233,16 +249,10 @@ class CacheLevel:
 
     def probe(self, addr: int) -> tuple[int, int, int | None, bool]:
         """(tag, set_index, hit way or None, worn-line tag match)."""
-        tag, set_index, _ = self.decompose(addr)
-        worn_match = False
-        for way, line in enumerate(self.lines[set_index]):
-            if line.tag != tag:
-                continue
-            if line.worn:
-                worn_match = True
-            elif line.state != I:
-                return tag, set_index, way, False
-        return tag, set_index, None, worn_match
+        block = addr // self._block_size
+        way = self._resident.get(block)
+        worn = way is None and block in self._worn_blocks
+        return block // self._sets, block % self._sets, way, worn
 
     def touch(self, set_index: int, way: int) -> None:
         self._stamp += 1
@@ -251,23 +261,35 @@ class CacheLevel:
     def select_victim(self, set_index: int) -> int | None:
         """Way to fill: first usable invalid way, else the policy's choice.
 
+        An unbuilt way is invalid, and every built way has a lower index, so
+        the next unbuilt way is chosen only when no built way is free.
         Returns None when every way of the set is worn out.
         """
-        usable = [w for w, line in enumerate(self.lines[set_index]) if not line.worn]
+        ways = self.lines[set_index]
+        for w, line in enumerate(ways):
+            if line.state == I and not line.worn:
+                return w
+        if len(ways) < self.geom.associativity:
+            return len(ways)
+        usable = [w for w, line in enumerate(ways) if not line.worn]
         if not usable:
             return None
-        for w in usable:
-            if self.lines[set_index][w].state == I:
-                return w
         if self.geom.replacement == LRU:
-            return min(usable, key=lambda w: self.lines[set_index][w].lru_stamp)
+            return min(usable, key=lambda w: ways[w].lru_stamp)
         return usable[self.rng.randrange(len(usable))]
+
+    def _unindex(self, set_index: int, line: CacheLine) -> None:
+        """Drop a valid line from the lookup index as it leaves that state."""
+        if not line.worn:
+            del self._resident[line.tag * self._sets + set_index]
 
     def evict(self, set_index: int, way: int) -> Eviction | None:
         """Invalidate a way; dirty victims come back for write-back."""
-        line = self.lines[set_index][way]
-        if line.state == I:
+        ways = self.lines[set_index]
+        if way >= len(ways) or ways[way].state == I:
             return None
+        line = ways[way]
+        self._unindex(set_index, line)
         self.evictions += 1
         out = None
         if line.state in DIRTY_STATES:
@@ -284,23 +306,30 @@ class CacheLevel:
 
     def fill(self, addr: int, state: str, data: list[int] | None = None,
              write_fill_words: int = 0, now_ps: int = 0) -> AccessResult:
-        """Install a block (miss response). write_fill_words > 0 marks a
-        write-allocate fill and charges wear for it."""
-        tag, set_index, _ = self.decompose(addr)
-        for line in self.lines[set_index]:
-            if line.worn and line.tag == tag:
-                return AccessResult(hit=False, set_index=set_index, bypass=True)
+        """Install a block that is not resident (miss response).
+        write_fill_words > 0 marks a write-allocate fill and charges wear
+        for it."""
+        block = addr // self._block_size
+        set_index = block % self._sets
+        if block in self._worn_blocks:
+            return AccessResult(hit=False, set_index=set_index, bypass=True)
         victim = self.select_victim(set_index)
         if victim is None:
             return AccessResult(hit=False, set_index=set_index, bypass=True)
-        writeback = self.evict(set_index, victim)
-        line = self.lines[set_index][victim]
+        ways = self.lines[set_index]
+        if victim == len(ways):
+            ways.append(CacheLine())
+            writeback = None
+        else:
+            writeback = self.evict(set_index, victim)
+        line = ways[victim]
         # write_count survives refills: endurance wears the physical way,
         # not the block that happens to occupy it.
-        line.tag = tag
+        line.tag = block // self._sets
         line.state = state
         line.dirty_words = 0
         line.data = list(data) if data is not None else [0] * self.geom.words_per_block
+        self._resident[block] = victim
         self.fills += 1
         self.touch(set_index, victim)
         wear = False
@@ -318,7 +347,10 @@ class CacheLevel:
         line.write_count += words if self.geom.partial_writes else 1
         self.max_write_count = max(self.max_write_count, line.write_count)
         if not line.worn and check_wear(line, self.tech_of_way(way)):
+            if line.state != I:
+                self._unindex(set_index, line)
             line.worn = True
+            self._worn_blocks.add(line.tag * self._sets + set_index)
             self.wear_events += 1
             self.worn_lines += 1
             if self.first_wear_time_ps is None:
@@ -438,8 +470,12 @@ class CacheLevel:
     def invalidate(self, set_index: int, way: int) -> None:
         """Drop a copy on a remote invalidation; ownership travels with the
         bus data, so nothing is written back."""
-        line = self.lines[set_index][way]
+        ways = self.lines[set_index]
+        if way >= len(ways):
+            return
+        line = ways[way]
         if line.state != I:
+            self._unindex(set_index, line)
             self.invalidations += 1
         line.state = I
         line.dirty_words = 0

@@ -84,7 +84,7 @@ def test_select_victim_prefers_invalid_ways():
         level = mk_level(capacity=256, block=64, ways=4, replacement=policy)
         level.access("R", 0)
         level.access("R", 64 * 4)
-        assert level.lines[0][2].state == I
+        assert all(line.state == I for line in level.lines[0][2:])
         assert level.select_victim(0) == 2
 
 
@@ -256,3 +256,100 @@ def test_lru_matches_stack_model_property(seed):
     for _ in range(2000):
         addr = rng.randrange(256) * 64
         assert level.access("R", addr).hit == ref.access(addr)
+
+
+# -- lookup index against the way scan it replaced ------------------------------
+
+def scan_probe(level, addr):
+    """Reference probe: scan every built way of the set."""
+    tag, set_index, _ = decompose_address(addr, level.geom)
+    worn_match = False
+    for way, line in enumerate(level.lines[set_index]):
+        if line.tag != tag:
+            continue
+        if line.worn:
+            worn_match = True
+        elif line.state != I:
+            return tag, set_index, way, False
+    return tag, set_index, None, worn_match
+
+
+def scan_victim(level, set_index, rng):
+    """Reference victim over all `associativity` ways, unbuilt ones invalid:
+    the first usable invalid way, else the policy over the usable list."""
+    ways = level.lines[set_index]
+    lines = [ways[w] if w < len(ways) else CacheLine()
+             for w in range(level.geom.associativity)]
+    usable = [w for w, line in enumerate(lines) if not line.worn]
+    if not usable:
+        return None
+    for w in usable:
+        if lines[w].state == I:
+            return w
+    if level.geom.replacement == LRU:
+        return min(usable, key=lambda w: lines[w].lru_stamp)
+    return usable[rng.randrange(len(usable))]
+
+
+def expected_victim(level, set_index):
+    rng = random.Random()
+    rng.setstate(level.rng.getstate())
+    return scan_victim(level, set_index, rng)
+
+
+def check_index(level, n_blocks):
+    for block in range(n_blocks):
+        addr = block * level.geom.block_size
+        assert level.probe(addr) == scan_probe(level, addr)
+    for set_index in range(level.geom.sets):
+        expect = expected_victim(level, set_index)  # before the draw
+        assert level.select_victim(set_index) == expect
+
+
+index_ops = st.lists(st.tuples(
+    st.sampled_from(["fill", "write_fill", "evict", "invalidate",
+                     "write_touch", "writeback_write"]),
+    st.integers(0, 63), st.integers(0, 63), st.integers(1, 64)),
+    max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=index_ops, set_exp=st.integers(0, 1), ways=st.integers(1, 4),
+       replacement=st.sampled_from([LRU, PSEUDO_RANDOM]),
+       partial=st.booleans(), hybrid=st.booleans(),
+       endurance=st.integers(1, 12), seed=st.integers(0, 1000))
+def test_index_matches_way_scan_property(ops, set_exp, ways, replacement,
+                                         partial, hybrid, endurance, seed):
+    from dataclasses import replace
+    sets = 1 << set_exp
+    pcram = replace(CAT["PCRAM"], endurance=endurance)
+    if hybrid and ways > 1:
+        regions = (Region(0, ways // 2, "SRAM"), Region(ways // 2, ways, "PCRAM"))
+        techs = [CAT["SRAM"], pcram]
+    else:
+        regions, techs = (), [pcram]
+    geom = CacheGeometry(capacity=sets * ways * 64, block_size=64,
+                         associativity=ways, replacement=replacement,
+                         regions=regions, partial_writes=partial)
+    level = CacheLevel("prop", geom, techs, rng=random.Random(seed))
+    n_blocks = sets * (ways + 2)   # more blocks than lines, so tags collide
+    for op, a, b, size in ops:
+        addr = (a % n_blocks) * 64
+        _, set_index, way, worn = level.probe(addr)
+        if op in ("fill", "write_fill") and way is None:
+            tag = addr // 64 // sets
+            assert worn == any(line.worn and line.tag == tag
+                               for line in level.lines[set_index])
+            victim = expected_victim(level, set_index)
+            bypass = worn or victim is None
+            res = level.fill(addr, S if op == "fill" else M,
+                             write_fill_words=0 if op == "fill" else 1 + b % 8)
+            assert res.bypass == bypass
+            assert res.way == (None if bypass else victim)
+        elif op in ("evict", "invalidate"):
+            getattr(level, op)(a % sets, b % ways)
+        elif op == "write_touch" and way is not None:
+            level.write_touch(set_index, way, b % 64, min(size, 64 - b % 64))
+        elif op == "writeback_write":
+            level.writeback_write(addr, dirty_words=b % 256)
+        check_index(level, n_blocks)
