@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiersim.engine import EventQueue, SchedulingError, cycles_for_latency, substream
 
@@ -109,3 +110,56 @@ def test_substream_is_stable_and_independent():
     assert a1 != c
     # pinned so cross-platform or interpreter drift surfaces loudly
     assert substream(0, "x").randrange(1000) == substream(0, "x").randrange(1000)
+
+
+class Uncomparable:
+    """A handler or payload that fails the run if the queue ever compares it."""
+
+    def __init__(self, run=None):
+        self.run = run
+
+    def __call__(self, payload):
+        self.run(payload)
+
+    def _refuse(self, other):
+        raise AssertionError("the event queue compared a handler or payload")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+    __hash__ = object.__hash__
+
+
+@settings(max_examples=150, deadline=None)
+@given(initial=st.lists(st.integers(0, 4), max_size=30),
+       children=st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=40),
+       t_mid=st.one_of(st.none(), st.integers(0, 8)))
+def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
+    """Events dispatch in (time, insertion index) order, whatever the ties
+    and whatever handlers schedule at `now` or later, and ties never compare
+    a handler or payload."""
+    q = EventQueue()
+    scheduled = []       # (time, insertion index) of every scheduled event
+    dispatched = []
+
+    def push(time_ps):
+        idx = len(scheduled)
+        scheduled.append((time_ps, idx))
+        q.schedule(time_ps, handler, Uncomparable(idx))
+
+    def on_event(payload):
+        idx = payload.run
+        assert q.now == scheduled[idx][0]
+        dispatched.append(scheduled[idx])
+        if idx < len(children):
+            for delay in children[idx]:
+                push(q.now + delay)
+
+    handler = Uncomparable(on_event)
+    for t in initial:
+        push(t)
+    if t_mid is not None:
+        q.run_until(t_mid)
+        assert all(t <= t_mid for t, _ in dispatched)
+        assert q.dispatched + q.pending() == len(scheduled)
+    q.run_until()
+    assert dispatched == sorted(scheduled)
+    assert q.dispatched == len(scheduled) and q.pending() == 0

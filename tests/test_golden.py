@@ -45,9 +45,22 @@ def _worn_l1() -> dict:
     return cfg
 
 
+def _dense_mesh() -> dict:
+    # fig33 spread to a 4x4 mesh of one-core clusters, with dense message
+    # traffic and no trace: links contend, which the presets' sparse traffic
+    # on a 2x2 mesh barely reaches.
+    cfg = preset("fig33")
+    cfg["cluster_grid"] = [4, 4]
+    cfg["cores_per_cluster"] = 1
+    cfg["workload"] = {"message_synthetic": {"cycles": 600, "rate": 0.05,
+                                             "payload_bytes": 64}}
+    return cfg
+
+
 CASES = {name: functools.partial(preset, name) for name in PRESET_NAMES}
 CASES["shared-writes"] = _shared_writes
 CASES["worn-l1"] = _worn_l1
+CASES["dense-mesh"] = _dense_mesh
 
 GOLDEN = {
     "fig32": "4d3bb3ac1833368fd16d262b296790d0fe666b07ebc5f5363b3141b62ade74fc",
@@ -58,6 +71,7 @@ GOLDEN = {
     "fig36": "70ec76c583f03b1e0436085f203892f05c3e2fa9fd277981713f6a7490af99a9",
     "shared-writes": "0633ac70a178cab80dc3d0f74449c5d42c0daf5de06ac3a892ed63fc1cd445a7",
     "worn-l1": "689830bbc2a6cf7fce619aa4fac1c847176d194586e52a09bd6201ed060894aa",
+    "dense-mesh": "e101bbd984ca3d6267bdc1e825243128116b6ce00cc6d8dbcf15a4d636b18e6e",
 }
 
 
@@ -77,6 +91,17 @@ def test_extra_cases_reach_what_the_presets_do_not(tmp_path):
     assert sum(lv["invalidations"] for lv in shared["levels"].values()) > 0
     worn = _report("worn-l1", tmp_path)
     assert worn["levels"]["l1d"]["wear"]["wear_events"] > 0
+    # Zero-load latency of the longest route: hops * (router + link) cycles
+    # plus one cycle per flit. A slower message waited for a busy link.
+    cfg = _dense_mesh()
+    noc = cfg["noc"]
+    longest = sum(d - 1 for d in cfg["cluster_grid"])
+    flits = 1 + -(-cfg["workload"]["message_synthetic"]["payload_bytes"]
+                  // noc["flit_width"])
+    bound_ps = (longest * (noc["router_delay"] + noc["link_latency"]) + flits) \
+        * cfg["clocks"]["noc_ps"]
+    dense = _report("dense-mesh", tmp_path)
+    assert dense["latency"]["msg"]["max_ps"] > bound_ps
 
 
 def test_golden_report_hashes(tmp_path):

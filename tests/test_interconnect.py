@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiersim.engine import EventQueue
 from tiersim.interconnect import (LOCAL, MEM_REQUEST, MEM_RESPONSE, MESSAGE,
@@ -185,6 +186,74 @@ def test_packets_conserved_mid_run():
     engine.run_until()
     assert net.injected == net.delivered == 20
     assert net.in_flight == 0
+
+
+def reference_walk(t, clock_ps, packets):
+    """Delivery times and final link bookings of `packets` ((t_inject, src,
+    dst, flits) tuples), walked hop by hop with route_next_hop/step_toward.
+
+    Every directed link (node, port) is a FIFO: a head flit that is ready
+    after the router delay departs when the link frees, holds it for one
+    cycle per flit and arrives after the link or TSV latency."""
+    engine = EventQueue()
+    link_free = {}
+    delivered = [None] * len(packets)
+
+    def hop(payload):
+        i, node = payload
+        _, _, dst, flits = packets[i]
+        port = route_next_hop(node, dst)
+        if port == LOCAL:
+            delivered[i] = engine.now + flits * clock_ps
+            return
+        latency = t.tsv_latency if port in ("+z", "-z") else t.link_latency
+        ready = engine.now + t.router_delay * clock_ps
+        depart = max(ready, link_free.get((node, port), 0))
+        link_free[(node, port)] = depart + flits * clock_ps
+        engine.schedule(depart + latency * clock_ps, hop,
+                        (i, step_toward(node, port)))
+
+    for i, (t_inject, src, _, _) in enumerate(packets):
+        engine.schedule(t_inject, hop, (i, src))
+    engine.run_until()
+    return delivered, link_free
+
+
+@st.composite
+def mesh_traffic(draw):
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            draw(st.integers(2, 3)))
+    link = draw(st.integers(1, 4))
+    tsv = draw(st.integers(1, 4).filter(lambda v: v != link))
+    t = topo(dims, link_latency=link, tsv_latency=tsv,
+             router_delay=draw(st.integers(2, 4)),
+             flit_width=draw(st.sampled_from([8, 16])))
+    clock_ps = draw(st.sampled_from([1000, 1250]))
+    node = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    packets = draw(st.lists(
+        st.tuples(st.integers(0, 12).map(lambda c: c * clock_ps), node, node,
+                  st.integers(0, 96)),
+        min_size=1, max_size=40))
+    return t, clock_ps, packets
+
+
+@settings(max_examples=150, deadline=None)
+@given(traffic=mesh_traffic())
+def test_mesh_matches_reference_walk_property(traffic):
+    """MeshNetwork delivers every packet when a hop-by-hop reference walk
+    does, and books every link the same, on 3D meshes whose TSVs are slower
+    or faster than their links, under contention."""
+    t, clock_ps, packets = traffic
+    engine = EventQueue()
+    net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
+    sent = [net.inject(t_inject, src, dst, MESSAGE, nbytes)
+            for t_inject, src, dst, nbytes in packets]
+    engine.run_until()
+    expected, link_free = reference_walk(
+        t, clock_ps, [(p.t_inject, p.src, p.dst, p.flits) for p in sent])
+    assert [p.t_deliver for p in sent] == expected
+    assert net._link_free == link_free
+    assert net.delivered == len(packets)
 
 
 def test_topology_violations():
