@@ -4,6 +4,11 @@ Time is unsigned integer picoseconds. Events with equal timestamps dispatch
 in insertion order, so a run is a pure function of (configuration, seed).
 The kernel is strictly single-threaded; parallelism only ever exists across
 independent simulations.
+
+The queue is a binary heap of plain `(time, seq, handler, payload)` tuples,
+which `heapq` compares in C. `seq` is unique per queue, so two entries
+always differ by the second field and a handler or payload is never
+compared.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
@@ -20,25 +24,15 @@ class SchedulingError(RuntimeError):
     """Raised when an event is scheduled in the simulated past."""
 
 
-@dataclass(order=True)
-class Event:
-    time: int
-    seq: int
-    handler: Callable[[Any], None] = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-
-
-@dataclass
-class RunStats:
-    dispatched: int
-    now: int
-
-
 class EventQueue:
-    """Priority queue of events ordered by (time, insertion sequence)."""
+    """Priority queue of events ordered by (time, insertion sequence).
+
+    Each heap entry is a `(time, seq, handler, payload)` tuple; `seq` is
+    unique, so ties on time are broken by insertion order and a handler or
+    payload is never compared."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self.now = 0
         self.dispatched = 0
@@ -48,7 +42,7 @@ class EventQueue:
         if time_ps < self.now:
             raise SchedulingError(
                 f"event scheduled at {time_ps} ps, before current time {self.now} ps")
-        heapq.heappush(self._heap, Event(int(time_ps), self._seq, handler, payload))
+        heapq.heappush(self._heap, (int(time_ps), self._seq, handler, payload))
         self._seq += 1
 
     def schedule_in(self, delay_ps: int, handler: Callable[[Any], None],
@@ -58,23 +52,26 @@ class EventQueue:
     def pending(self) -> int:
         return len(self._heap)
 
-    def run_until(self, t_end_ps: int | float = math.inf) -> RunStats:
-        """Dispatch every event with time <= t_end_ps in (time, seq) order.
+    def run_until(self, t_end_ps: int | float = math.inf) -> int:
+        """Dispatch every event with time <= t_end_ps in (time, seq) order
+        and return how many were dispatched.
 
         The simulated clock never decreases; when the queue drains early the
         clock still advances to t_end_ps (if finite) so that consecutive runs
         compose: run_until(t1); run_until(t2) == run_until(t2).
         """
+        heap = self._heap
+        heappop = heapq.heappop
         count = 0
-        while self._heap and self._heap[0].time <= t_end_ps:
-            ev = heapq.heappop(self._heap)
-            self.now = ev.time
-            ev.handler(ev.payload)
+        while heap and heap[0][0] <= t_end_ps:
+            time_ps, _, handler, payload = heappop(heap)
+            self.now = time_ps
+            handler(payload)
             count += 1
         if t_end_ps != math.inf and t_end_ps > self.now:
             self.now = int(t_end_ps)
         self.dispatched += count
-        return RunStats(dispatched=count, now=self.now)
+        return count
 
 
 def cycles_for_latency(latency_ns: float, clock_period_ps: int) -> int:

@@ -17,11 +17,8 @@ from fractions import Fraction
 from .engine import EventQueue
 
 MESSAGE = "message"
-MEM_REQUEST = "mem_request"
-MEM_RESPONSE = "mem_response"
 
 LOCAL = "local"
-PORTS = ("+x", "-x", "+y", "-y", "+z", "-z")
 
 
 # --- cluster bus -------------------------------------------------------------
@@ -47,8 +44,13 @@ class BusChannel:
         return max(1, -(-nbytes // self.beat_width))
 
     def request(self, t_ps: int, nbytes: int) -> tuple[int, int]:
-        """Enqueue a transfer arriving at t_ps (callers enqueue in arrival
-        order). Returns (grant time, completion time)."""
+        """Book a transfer arriving at t_ps after every transfer already
+        booked; returns (grant time, completion time).
+
+        Grants are FIFO in booking order, not in arrival order: a booking
+        can arrive earlier than one already on the channel (7.5% of fig33's
+        bus bookings do) and then waits behind it. ROADMAP item 4 tracks
+        making bookings causally ordered."""
         grant = max(t_ps, self.free_at_ps)
         hold = self.occupancy_cycles(nbytes) * self.clock_period_ps
         self.free_at_ps = grant + hold
@@ -77,17 +79,6 @@ class ClusterBus:
         return self.request.grants + self.response.grants + self.snoop.grants
 
 
-def arbitrate_channel(queue: list[tuple[int, int]], channel: BusChannel) -> list[int]:
-    """Grant a batch of queued (arrival cycle, bytes) requests in FIFO order;
-    returns the grant cycle of each. Convenience wrapper over the channel's
-    continuous-time model for cycle-level reasoning and tests."""
-    grants = []
-    for t_cycle, nbytes in queue:
-        g, _ = channel.request(t_cycle * channel.clock_period_ps, nbytes)
-        grants.append(g // channel.clock_period_ps)
-    return grants
-
-
 # --- mesh topology and analytics ---------------------------------------------
 
 
@@ -112,7 +103,9 @@ class MeshTopology:
         return out
 
     def contains(self, coord: tuple[int, int, int]) -> bool:
-        return all(0 <= c < d for c, d in zip(coord, self.dims))
+        x, y, z = coord
+        nx, ny, nz = self.dims
+        return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz
 
 
 def hop_count(src: tuple[int, int, int], dst: tuple[int, int, int],
@@ -135,13 +128,17 @@ def route_next_hop(current: tuple[int, int, int],
     return LOCAL
 
 
+_PORT_DELTA = {
+    "+x": (1, 0, 0), "-x": (-1, 0, 0),
+    "+y": (0, 1, 0), "-y": (0, -1, 0),
+    "+z": (0, 0, 1), "-z": (0, 0, -1),
+}
+
+
 def step_toward(current: tuple[int, int, int], port: str) -> tuple[int, int, int]:
     x, y, z = current
-    return {
-        "+x": (x + 1, y, z), "-x": (x - 1, y, z),
-        "+y": (x, y + 1, z), "-y": (x, y - 1, z),
-        "+z": (x, y, z + 1), "-z": (x, y, z - 1),
-    }[port]
+    dx, dy, dz = _PORT_DELTA[port]
+    return (x + dx, y + dy, z + dz)
 
 
 def _dim_mean_distance(n: int) -> Fraction:
@@ -226,19 +223,39 @@ class MeshNetwork:
         return pkt
 
     def _at_router(self, payload: tuple[Packet, tuple[int, int, int]]) -> None:
+        # One hop of XYZ routing, inlined from route_next_hop/step_toward:
+        # pick the output port, the next node and the link or TSV latency.
         pkt, node = payload
-        port = route_next_hop(node, pkt.dst)
-        now = self.engine.now
-        if port == LOCAL:
-            pkt.t_deliver = now + pkt.flits * self.clock_period_ps
+        x, y, z = node
+        dx, dy, dz = pkt.dst
+        topo = self.topo
+        clock = self.clock_period_ps
+        if x != dx:
+            if dx > x:
+                port, nxt = "+x", (x + 1, y, z)
+            else:
+                port, nxt = "-x", (x - 1, y, z)
+            hop_latency = topo.link_latency
+        elif y != dy:
+            if dy > y:
+                port, nxt = "+y", (x, y + 1, z)
+            else:
+                port, nxt = "-y", (x, y - 1, z)
+            hop_latency = topo.link_latency
+        elif z != dz:
+            if dz > z:
+                port, nxt = "+z", (x, y, z + 1)
+            else:
+                port, nxt = "-z", (x, y, z - 1)
+            hop_latency = topo.tsv_latency
+        else:
+            pkt.t_deliver = self.engine.now + pkt.flits * clock
             self.delivered += 1
             self.latency_samples_ps.append(pkt.t_deliver - pkt.t_inject)
             self.packets_delivered.append(pkt)
             return
-        hop_latency = self.topo.tsv_latency if port in ("+z", "-z") else self.topo.link_latency
-        ready = now + self.topo.router_delay * self.clock_period_ps
+        ready = self.engine.now + topo.router_delay * clock
         key = (node, port)
         depart = max(ready, self._link_free.get(key, 0))
-        self._link_free[key] = depart + pkt.flits * self.clock_period_ps
-        arrive = depart + hop_latency * self.clock_period_ps
-        self.engine.schedule(arrive, self._at_router, (pkt, step_toward(node, port)))
+        self._link_free[key] = depart + pkt.flits * clock
+        self.engine.schedule(depart + hop_latency * clock, self._at_router, (pkt, nxt))

@@ -273,7 +273,7 @@ class System:
                             self.home_coord(rec.dst_cluster), MESSAGE, rec.bytes)
         self.messages += len(records)
 
-    def run(self, t_end_ps: int | float = math.inf):
+    def run(self, t_end_ps: int | float = math.inf) -> int:
         return self.engine.run_until(t_end_ps)
 
     # -- the memory access path ---------------------------------------------------

@@ -38,8 +38,7 @@ def test_scheduling_in_the_past_is_fatal():
 
 def test_run_until_empty_queue():
     q = EventQueue()
-    stats = q.run_until(100)
-    assert stats.dispatched == 0
+    assert q.run_until(100) == 0
     assert q.now == 100
 
 
@@ -85,8 +84,8 @@ def test_conservation_scheduled_equals_dispatched_plus_pending():
     q = EventQueue()
     for t in range(10):
         q.schedule(t * 10, lambda _: None)
-    stats = q.run_until(45)
-    assert stats.dispatched + q.pending() == 10
+    dispatched = q.run_until(45)
+    assert dispatched + q.pending() == 10
 
 
 def test_cycles_for_latency_examples():

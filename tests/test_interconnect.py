@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiersim.engine import EventQueue
-from tiersim.interconnect import (LOCAL, MEM_REQUEST, MEM_RESPONSE, MESSAGE,
-                                  BusChannel, ClusterBus, MeshNetwork,
-                                  MeshTopology, arbitrate_channel, hop_count,
+from tiersim.interconnect import (LOCAL, MESSAGE, BusChannel, ClusterBus,
+                                  MeshNetwork, MeshTopology, hop_count,
                                   mean_hop_count, packetize, route_next_hop,
                                   step_toward)
 
@@ -112,8 +111,8 @@ def test_mean_hop_count_invalid_dims():
 
 def test_packetize_examples():
     assert packetize(MESSAGE, 256, 16) == (17, 17)
-    assert packetize(MEM_REQUEST, 0, 16) == (1, 1)
-    assert packetize(MEM_RESPONSE, 64, 16) == (5, 5)
+    assert packetize(MESSAGE, 0, 16) == (1, 1)
+    assert packetize(MESSAGE, 64, 16) == (5, 5)
     with pytest.raises(ValueError):
         packetize(MESSAGE, 10, 0)
 
@@ -121,9 +120,8 @@ def test_packetize_examples():
 def test_bus_channel_fifo_grants():
     # two enqueues in the same cycle: grants at t and t + occupancy
     ch = BusChannel("request", beat_width=16, clock_period_ps=1000)
-    grants = arbitrate_channel([(0, 16), (0, 16)], ch)
-    assert grants == [0, 1]
-    assert arbitrate_channel([], BusChannel("r")) == []
+    assert ch.request(0, 16) == (0, 1000)
+    assert ch.request(0, 16) == (1000, 2000)
 
 
 def test_bus_occupancy_64b_on_16b_beats():
