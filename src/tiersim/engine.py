@@ -45,10 +45,6 @@ class EventQueue:
         heapq.heappush(self._heap, (int(time_ps), self._seq, handler, payload))
         self._seq += 1
 
-    def schedule_in(self, delay_ps: int, handler: Callable[[Any], None],
-                    payload: Any = None) -> None:
-        self.schedule(self.now + int(delay_ps), handler, payload)
-
     def pending(self) -> int:
         return len(self._heap)
 

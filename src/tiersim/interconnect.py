@@ -49,7 +49,7 @@ class BusChannel:
 
         Grants are FIFO in booking order, not in arrival order: a booking
         can arrive earlier than one already on the channel (7.5% of fig33's
-        bus bookings do) and then waits behind it. ROADMAP item 4 tracks
+        bus bookings at seed 0 do) and then waits behind it. ROADMAP item 4 tracks
         making bookings causally ordered."""
         grant = max(t_ps, self.free_at_ps)
         hold = self.occupancy_cycles(nbytes) * self.clock_period_ps

@@ -114,11 +114,11 @@ def test_substream_is_stable_and_independent():
 class Uncomparable:
     """A handler or payload that fails the run if the queue ever compares it."""
 
-    def __init__(self, run=None):
-        self.run = run
+    def __init__(self, value):
+        self.value = value
 
     def __call__(self, payload):
-        self.run(payload)
+        self.value(payload)
 
     def _refuse(self, other):
         raise AssertionError("the event queue compared a handler or payload")
@@ -145,7 +145,7 @@ def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
         q.schedule(time_ps, handler, Uncomparable(idx))
 
     def on_event(payload):
-        idx = payload.run
+        idx = payload.value
         assert q.now == scheduled[idx][0]
         dispatched.append(scheduled[idx])
         if idx < len(children):
