@@ -57,10 +57,61 @@ def _dense_mesh() -> dict:
     return cfg
 
 
+def _distributed_writes() -> dict:
+    # fig35b with a distributed L2: each core's private L2 is looked up after
+    # an L1 miss, promotes its copy back up, and spills dirty victims below
+    # the bus.
+    cfg = preset("fig35b")
+    cfg["cluster_grid"] = [1, 1]
+    cfg["cores_per_cluster"] = 4
+    cfg["caches"]["l1d"]["capacity"] = 1024
+    cfg["caches"]["l2"].update(capacity=4096, associativity=4,
+                               topology="distributed")
+    cfg["workload"] = {"synthetic": {"length": 600, "hot_fraction": 0.95,
+                                     "hot_set_bytes": 4096, "hot_overlap": 0.6,
+                                     "read_fraction": 0.5, "tick_interval": 4}}
+    return cfg
+
+
+def _distributed_worn() -> dict:
+    # The worn PCRAM L1 over a distributed LRU L2: blocks promoted from the
+    # private L2 meet worn L1 ways and stay served from the L2.
+    cfg = preset("fig35b")
+    cfg["cluster_grid"] = [1, 1]
+    cfg["cores_per_cluster"] = 2
+    cfg["caches"]["l1d"] = _worn_l1()["caches"]["l1d"]
+    cfg["tech_overrides"] = {"PCRAM": {"endurance": 12}}
+    cfg["caches"]["l2"].update(capacity=4096, associativity=4,
+                               topology="distributed", replacement="lru")
+    cfg["workload"] = {"synthetic": {"length": 600, "hot_fraction": 0.9,
+                                     "hot_set_bytes": 1024, "hot_overlap": 0.5,
+                                     "read_fraction": 0.4, "tick_interval": 2}}
+    return cfg
+
+
+def _deep_writebacks() -> dict:
+    # Small shared L2 and L3 under a write-heavy hot set larger than both:
+    # write-backs miss one level and move on, and L2/L3 fills evict dirty
+    # victims that travel on down to memory.
+    cfg = preset("fig35b")
+    cfg["cluster_grid"] = [1, 1]
+    cfg["cores_per_cluster"] = 2
+    cfg["caches"]["l1d"]["capacity"] = 1024
+    cfg["caches"]["l2"].update(capacity=4096, associativity=4)
+    cfg["caches"]["l3"].update(capacity=8192, associativity=4)
+    cfg["workload"] = {"synthetic": {"length": 600, "hot_fraction": 0.8,
+                                     "hot_set_bytes": 16384, "read_fraction": 0.3,
+                                     "tick_interval": 4}}
+    return cfg
+
+
 CASES = {name: functools.partial(preset, name) for name in PRESET_NAMES}
 CASES["shared-writes"] = _shared_writes
 CASES["worn-l1"] = _worn_l1
 CASES["dense-mesh"] = _dense_mesh
+CASES["distributed-writes"] = _distributed_writes
+CASES["distributed-worn"] = _distributed_worn
+CASES["deep-writebacks"] = _deep_writebacks
 
 GOLDEN = {
     "fig32": "4d3bb3ac1833368fd16d262b296790d0fe666b07ebc5f5363b3141b62ade74fc",
@@ -72,6 +123,9 @@ GOLDEN = {
     "shared-writes": "0633ac70a178cab80dc3d0f74449c5d42c0daf5de06ac3a892ed63fc1cd445a7",
     "worn-l1": "689830bbc2a6cf7fce619aa4fac1c847176d194586e52a09bd6201ed060894aa",
     "dense-mesh": "e101bbd984ca3d6267bdc1e825243128116b6ce00cc6d8dbcf15a4d636b18e6e",
+    "distributed-writes": "ad4849eab7e1d8a95df4287a434ca3cde215ac909e0ec9be7dfe73d0fd210c45",
+    "distributed-worn": "7249b0af72958f26ba039845ddf4d3f34cd881732d501125533e9e733452d5e5",
+    "deep-writebacks": "68487073db392601261db24b2b9b00e65135b70b72a22bb3adccba28d3dc600d",
 }
 
 
@@ -102,6 +156,16 @@ def test_extra_cases_reach_what_the_presets_do_not(tmp_path):
         * cfg["clocks"]["noc_ps"]
     dense = _report("dense-mesh", tmp_path)
     assert dense["latency"]["msg"]["max_ps"] > bound_ps
+    # In distributed mode the "l2" level is the per-core private L2s.
+    dist = _report("distributed-writes", tmp_path)
+    assert dist["levels"]["l2"]["hits"] > 0
+    dist_worn = _report("distributed-worn", tmp_path)
+    assert dist_worn["levels"]["l2"]["hits"] > 0
+    assert dist_worn["levels"]["l1d"]["wear"]["wear_events"] > 0
+    deep = _report("deep-writebacks", tmp_path)
+    assert deep["levels"]["l2"]["writebacks"] > 0
+    assert deep["levels"]["l3"]["n_write"] > 0
+    assert deep["interconnect"]["memory_controllers"]["writes"] > 0
 
 
 def test_golden_report_hashes(tmp_path):
