@@ -13,9 +13,13 @@ a fully built set. Lookups never scan ways: each level keeps an index from
 block number to the way of its valid, unworn line, plus the set of blocks
 whose way has worn out, and `probe` and `fill` consult only those.
 
+The level has one API, which the simulator and the tests both drive: a
+request from above is `demand_read` (no allocation; the caller fills on a
+miss response) or `writeback_write` (merged on a hit, forwarded on a
+miss); `fill` installs a block, or returns no way when the block's way is
+worn out or every way of its set is; `write_touch` applies a write hit.
 Coherence state lives in the line's `state` field but is driven externally
-(see coherence module); standalone use via `access` treats the level as a
-plain trace-driven cache. Callers may move a valid line between MOESI
+(see coherence module). Callers may move a valid line between MOESI
 states directly, but a line leaves the index only through `evict`,
 `invalidate` or wearing out, so nothing outside this module sets `I`.
 """
@@ -151,7 +155,6 @@ class AccessResult:
     hit: bool
     set_index: int
     way: int | None = None        # hit way or filled way
-    victim_way: int | None = None
     nuca_cycles: int = 0
     bypass: bool = False          # worn line matched: forward to next level
     wear_event: bool = False
@@ -226,9 +229,6 @@ class CacheLevel:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def decompose(self, addr: int) -> tuple[int, int, int]:
-        return decompose_address(addr, self.geom)
-
     def bank_of_set(self, set_index: int) -> int:
         return set_index % self.geom.banks
 
@@ -238,9 +238,6 @@ class CacheLevel:
     def op_cycles(self, way: int, kind: str) -> int:
         region = self._region_of_way[way]
         return (self._read_cycles if kind == READ else self._write_cycles)[region]
-
-    def region_of_way(self, way: int) -> int:
-        return self._region_of_way[way]
 
     def tech_of_way(self, way: int) -> TechnologyParams:
         return self.tech_by_region[self._region_of_way[way]]
@@ -308,7 +305,9 @@ class CacheLevel:
              write_fill_words: int = 0, now_ps: int = 0) -> AccessResult:
         """Install a block that is not resident (miss response).
         write_fill_words > 0 marks a write-allocate fill and charges wear
-        for it."""
+        for it. When the block's way is worn out, or no way of the set is
+        usable, the result is a bypass with no way and the level is left
+        unchanged."""
         block = addr // self._block_size
         set_index = block % self._sets
         if block in self._worn_blocks:
@@ -336,8 +335,8 @@ class CacheLevel:
         if write_fill_words:
             wear = self._charge_write(set_index, victim, write_fill_words, now_ps)
         return AccessResult(hit=True, set_index=set_index, way=victim,
-                            victim_way=victim, writeback=writeback,
-                            wear_event=wear, data=line.data)
+                            writeback=writeback, wear_event=wear,
+                            data=line.data)
 
     # -- wear ---------------------------------------------------------------
 
@@ -368,16 +367,13 @@ class CacheLevel:
         return mask, min(last + 1, self.geom.words_per_block) - first
 
     def write_touch(self, set_index: int, way: int, offset: int, size: int,
-                    values: list[int] | None = None, now_ps: int = 0) -> bool:
-        """Apply a write hit to a resident line. Returns True on a wear event."""
+                    now_ps: int = 0) -> bool:
+        """Apply a write hit to a resident line: mark the covered words
+        dirty, touch the line and charge wear. Returns True on a wear
+        event."""
         line = self.lines[set_index][way]
         mask, count = self._words_covered(offset, size)
         line.dirty_words |= mask
-        if values is not None:
-            first = offset // WORD_SIZE
-            for k, v in enumerate(values):
-                if first + k < len(line.data):
-                    line.data[first + k] = v
         self.touch(set_index, way)
         return self._charge_write(set_index, way, count, now_ps)
 
@@ -427,45 +423,6 @@ class CacheLevel:
         return AccessResult(hit=True, set_index=set_index, way=way,
                             nuca_cycles=self.nuca_cycles(set_index),
                             wear_event=wear)
-
-    def access(self, op: str, addr: int, size: int = WORD_SIZE,
-               now_ps: int = 0) -> AccessResult:
-        """Standalone lookup-and-update: write-back write-allocate semantics
-        with immediate fill on miss (no data plumbing)."""
-        if op == "R":
-            self.n_read += 1
-        else:
-            self.n_write += 1
-        tag, set_index, way, worn = self.probe(addr)
-        _, _, offset = self.decompose(addr)
-        if way is not None:
-            self.hits += 1
-            (self.region_reads if op == "R" else self.region_writes)[
-                self._region_of_way[way]] += 1
-            wear = False
-            if op == "W":
-                wear = self.write_touch(set_index, way, offset, size, now_ps=now_ps)
-            else:
-                self.touch(set_index, way)
-            return AccessResult(hit=True, set_index=set_index, way=way,
-                                nuca_cycles=self.nuca_cycles(set_index),
-                                wear_event=wear)
-        self.misses += 1
-        (self.region_reads if op == "R" else self.region_writes)[0] += 1
-        if worn:
-            return AccessResult(hit=False, set_index=set_index, bypass=True,
-                                nuca_cycles=self.nuca_cycles(set_index))
-        mask, count = self._words_covered(offset, size)
-        filled = self.fill(addr, state=M if op == "W" else S,
-                           write_fill_words=count if op == "W" else 0,
-                           now_ps=now_ps)
-        if op == "W" and filled.way is not None:
-            self.lines[set_index][filled.way].dirty_words |= mask
-        return AccessResult(hit=False, set_index=set_index, way=filled.way,
-                            victim_way=filled.way,
-                            nuca_cycles=self.nuca_cycles(set_index),
-                            writeback=filled.writeback,
-                            wear_event=filled.wear_event, bypass=filled.bypass)
 
     def invalidate(self, set_index: int, way: int) -> None:
         """Drop a copy on a remote invalidation; ownership travels with the

@@ -204,8 +204,7 @@ class MeshNetwork:
         self._link_free: dict[tuple[tuple[int, int, int], str], int] = {}
         self.injected = 0
         self.delivered = 0
-        self.latency_samples_ps: list[int] = []
-        self.packets_delivered: list[Packet] = []
+        self.msg_samples: list[tuple[int, int]] = []   # (t_inject, t_deliver)
 
     @property
     def in_flight(self) -> int:
@@ -251,8 +250,7 @@ class MeshNetwork:
         else:
             pkt.t_deliver = self.engine.now + pkt.flits * clock
             self.delivered += 1
-            self.latency_samples_ps.append(pkt.t_deliver - pkt.t_inject)
-            self.packets_delivered.append(pkt)
+            self.msg_samples.append((pkt.t_inject, pkt.t_deliver))
             return
         ready = self.engine.now + topo.router_delay * clock
         key = (node, port)

@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
-from .cache import E, I, M, O, S, WORD_SIZE, CacheLevel, Eviction
-from .coherence import CORE_READ, CORE_WRITE, SUPPLY_OWNER, coherence_step
+from .cache import (I, M, O, S, WORD_SIZE, AccessResult, CacheLevel,
+                    CacheLine, Eviction)
+from .coherence import (CORE_READ, CORE_WRITE, SUPPLY_OWNER, StepResult,
+                        coherence_step)
 from .engine import EventQueue, substream
 from .interconnect import MESSAGE, ClusterBus, MeshNetwork
-from .memtech import READ, AccessCounters, level_energy
+from .memtech import READ, AccessCounters, area_estimate, level_energy
 from .metrics import summarize_latency, tier_power_density
 from .workload import MessageRecord, TraceRecord
 
@@ -309,19 +311,17 @@ class System:
         return base, first, last - first + 1
 
     def _apply_write(self, cluster: Cluster, line_data: list[int],
-                     addr: int, size: int) -> tuple[int, list[int]]:
-        """Write fresh values into a block image; returns (mask, values)."""
+                     addr: int, size: int) -> int:
+        """Write fresh values into a block image; returns the word mask."""
         base, first, count = self._words_of(addr, size)
         mask = 0
-        values = []
         for k in range(count):
             value = self._next_value()
-            values.append(value)
             if first + k < len(line_data):
                 line_data[first + k] = value
             mask |= 1 << (first + k)
             self._log("w", cluster.index, base + (first + k) * WORD_SIZE, value)
-        return mask, values
+        return mask
 
     def _log_read(self, cluster: Cluster, data: list[int], addr: int, size: int) -> None:
         base, first, count = self._words_of(addr, size)
@@ -344,86 +344,113 @@ class System:
             chain.append((cluster.l3, cluster.l3_tier))
         return chain
 
+    @staticmethod
+    def _read_at(level: CacheLevel, addr: int,
+                 t: int) -> tuple[AccessResult, int]:
+        """Demand read of one level arriving at t: the array is busy for the
+        bank route plus the read of the hit way (way 0 on a miss), and a hit
+        records its latency. Returns (result, t_done)."""
+        res = level.demand_read(addr)
+        start, done = level.service(
+            t, res.nuca_cycles + level.op_cycles(res.way or 0, READ))
+        if res.hit:
+            level.record_hit_latency(done - start)
+        return res, done
+
+    @staticmethod
+    def _write_at(level: CacheLevel, ev: Eviction,
+                  t: int) -> tuple[AccessResult, int]:
+        """Write-back into one level arriving at t, timed like `_read_at`
+        with a write: a hit merges in place, a miss is forwarded by the
+        caller. Returns (result, t_done)."""
+        res = level.writeback_write(ev.addr, ev.dirty_words, ev.data, now_ps=t)
+        start, done = level.service(
+            t, res.nuca_cycles + level.op_cycles(res.way or 0, WRITE))
+        if res.hit:
+            level.record_hit_latency(done - start)
+        return res, done
+
     def _writeback_down(self, cluster: Cluster, from_tier: int, ev: Eviction,
-                        t_avail: int,
-                        chain: list[tuple[CacheLevel, int]]) -> None:
+                        t: int, chain: list[tuple[CacheLevel, int]]) -> None:
         """Push a dirty victim toward memory: merge at the first level that
         holds the block, else forward all the way to the controller."""
-        t = t_avail
         prev = from_tier
         for level, tier in chain:
-            t += self._tsv_delay(prev, tier)
-            res = level.writeback_write(ev.addr, ev.dirty_words, ev.data, now_ps=t)
-            way = res.way if res.way is not None else 0
-            start, t = level.service(t, res.nuca_cycles + level.op_cycles(way, WRITE))
+            res, t = self._write_at(level, ev, t + self._tsv_delay(prev, tier))
             if res.hit:
-                level.record_hit_latency(t - start)
                 return
             prev = tier
-        _, _ = cluster.memctrl.serve(t, is_write=True)
+        cluster.memctrl.serve(t, is_write=True)
         cluster.memory.merge(ev.addr, ev.dirty_words, ev.data)
 
-    def _drop_remotes(self, cluster: Cluster, stack: Stack, addr: int,
-                      vector: list[str], new_states) -> int:
-        """Invalidate remote copies an upgrade kills; the upgrading line
-        inherits a remote owner's dirty-word responsibility (an O holder's
-        data matches every sharer's, so only the mask needs to move)."""
-        inherited = 0
-        for i, (old, new) in enumerate(zip(vector, new_states)):
+    def _writeback_across_bus(self, cluster: Cluster, stack: Stack,
+                              from_tier: int, ev: Eviction, t: int) -> None:
+        """A dirty victim leaving the stack books the request channel, then
+        is written back along the levels below the bus."""
+        _, done = cluster.bus.request.request(t, self.block_size)
+        self._writeback_down(cluster, from_tier, ev, done,
+                             self._chain_below_bus(cluster, stack, ev.addr))
+
+    def _l1_writeback(self, cluster: Cluster, stack: Stack, ev: Eviction,
+                      t: int) -> None:
+        """Dirty L1 victim: distributed stacks merge it into their private
+        L2 locally; a victim the private L2 misses, and every victim in
+        shared mode, crosses the bus."""
+        tier = stack.core_tier
+        l2p = stack.l2_private
+        if l2p is not None:
+            tier = stack.l2_tier
+            res, t = self._write_at(
+                l2p, ev, t + self._tsv_delay(stack.core_tier, tier))
+            if res.hit:
+                if ev.state == O:
+                    # The private L2 sits at the coherence point: a demoted
+                    # owner keeps O so sharers elsewhere stay legal.
+                    l2p.lines[res.set_index][res.way].state = O
+                return
+        self._writeback_across_bus(cluster, stack, tier, ev, t)
+
+    def _snoop(self, cluster: Cluster, stack: Stack, addr: int, event: str,
+               t: int) -> tuple[list[str], StepResult, int]:
+        """Head of every bus transaction: the request grant, the snoop vector
+        of the cluster's stacks, the MOESI step and the snoop grant.
+        Returns (vector, step, t_snoop_done)."""
+        bus = cluster.bus
+        _, req_done = bus.request.request(t, 8)
+        vector = [s.state(addr) for s in cluster.stacks]
+        step = coherence_step(vector, event, stack.index)
+        _, snoop_done = bus.snoop.request(req_done, 8)
+        return vector, step, snoop_done
+
+    def _upgrade(self, cluster: Cluster, stack: Stack, line: CacheLine,
+                 addr: int, t: int) -> int:
+        """Write to an S or O line: a bus upgrade with the data already
+        local. Remote copies are invalidated, `line` inherits a remote
+        owner's dirty-word responsibility (an O holder's data matches every
+        sharer's, so only the mask moves) and takes its new state. Returns
+        the snoop grant time."""
+        vector, step, t = self._snoop(cluster, stack, addr, CORE_WRITE, t)
+        for i, (old, new) in enumerate(zip(vector, step.states)):
             if i == stack.index or old == new or new != I:
                 continue
             if old == O:
                 loc = cluster.stacks[i].authoritative(addr)
                 if loc is not None:
                     level, set_index, way = loc
-                    inherited |= level.lines[set_index][way].dirty_words
+                    line.dirty_words |= level.lines[set_index][way].dirty_words
             cluster.stacks[i].drop(addr)
-        return inherited
-
-    def _private_l2_spill(self, cluster: Cluster, stack: Stack, ev: Eviction,
-                          t_avail: int) -> None:
-        """Dirty victim leaving a private L2 heads below the bus."""
-        _, done = cluster.bus.request.request(t_avail, self.block_size)
-        chain = [(cluster.l3, cluster.l3_tier)] if cluster.l3 is not None else []
-        self._writeback_down(cluster, stack.l2_tier, ev, done, chain)
-
-    def _l1_writeback(self, cluster: Cluster, stack: Stack, ev: Eviction,
-                      t_avail: int) -> None:
-        """Dirty L1 victim: distributed stacks merge into their private L2
-        locally; anything deeper (or shared mode) rides the request channel."""
-        if stack.l2_private is not None:
-            t = t_avail + self._tsv_delay(stack.core_tier, stack.l2_tier)
-            res = stack.l2_private.writeback_write(ev.addr, ev.dirty_words,
-                                                   ev.data, now_ps=t)
-            way = res.way if res.way is not None else 0
-            start, t = stack.l2_private.service(
-                t, res.nuca_cycles + stack.l2_private.op_cycles(way, WRITE))
-            if res.hit:
-                stack.l2_private.record_hit_latency(t - start)
-                if ev.state == O:
-                    # The private L2 sits at the coherence point: a demoted
-                    # owner keeps O so sharers elsewhere stay legal.
-                    stack.l2_private.lines[res.set_index][res.way].state = O
-                return
-            self._private_l2_spill(cluster, stack, ev, t)
-            return
-        _, done = cluster.bus.request.request(t_avail, self.block_size)
-        self._writeback_down(cluster, stack.core_tier, ev, done,
-                             self._chain_below_bus(cluster, stack, ev.addr))
+        line.state = step.states[stack.index]
+        return t
 
     def _bus_transaction(self, cluster: Cluster, stack: Stack, addr: int,
                          event: str, t_ready: int):
         """One serialized coherence transaction: request grant, snoop, state
         commit, and either an owner supply or a descent below the bus.
 
-        Returns (data, fill_state, t_data_ready). State and data commit now;
-        t_data_ready carries the modeled latency.
+        Returns (data, fill_state, t_data_ready, inherited_dirty). State and
+        data commit now; t_data_ready carries the modeled latency.
         """
-        bus = cluster.bus
-        _, req_done = bus.request.request(t_ready, 8)
-        vector = [s.state(addr) for s in cluster.stacks]
-        step = coherence_step(vector, event, stack.index)
-        _, snoop_done = bus.snoop.request(req_done, 8)
+        vector, step, t = self._snoop(cluster, stack, addr, event, t_ready)
 
         supplier: int | None = None
         for action in step.actions:
@@ -432,7 +459,6 @@ class System:
 
         data: list[int] | None = None
         inherited_dirty = 0
-        t = snoop_done
         if supplier is not None:
             loc = cluster.stacks[supplier].authoritative(addr)
             level, set_index, way = loc
@@ -460,233 +486,165 @@ class System:
                     level.lines[set_index][way].state = new
 
         if data is None:
+            # Read down the chain; levels that missed without a worn match
+            # take the block on the way back, and their dirty victims go on
+            # down from there.
             chain = self._chain_below_bus(cluster, stack, addr)
             fill_below: list[int] = []
             prev = stack.core_tier
-            data_tier = stack.core_tier
-            hit_below = False
             for idx, (level, tier) in enumerate(chain):
-                t += self._tsv_delay(prev, tier)
-                res = level.demand_read(addr)
-                way = res.way if res.way is not None else 0
-                start, done = level.service(
-                    t, res.nuca_cycles + level.op_cycles(way, READ))
-                t = done
+                res, t = self._read_at(level, addr,
+                                       t + self._tsv_delay(prev, tier))
                 prev = tier
                 if res.hit:
-                    level.record_hit_latency(done - start)
                     data = list(res.data)
-                    data_tier = tier
-                    hit_below = True
                     break
                 if not res.bypass:
                     fill_below.append(idx)
-            if not hit_below:
+            else:
                 _, t = cluster.memctrl.serve(t, is_write=False)
                 data = cluster.memory.read_block(addr)
-                data_tier = prev
             for idx in fill_below:
                 level, tier = chain[idx]
                 filled = level.fill(addr, state=S, data=data)
                 if filled.writeback is not None:
                     self._writeback_down(cluster, tier, filled.writeback, t,
                                          chain[idx + 1:])
-            t += self._tsv_delay(data_tier, stack.core_tier)
-        _, resp_done = bus.response.request(t, self.block_size)
+            t += self._tsv_delay(prev, stack.core_tier)
+        _, resp_done = cluster.bus.response.request(t, self.block_size)
         return data, step.states[stack.index], resp_done, inherited_dirty
+
+    def _fill_l1(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
+                 state: str, data: list[int], dirty_words: int,
+                 t: int) -> int | None:
+        """Allocate the block in L1 in `state` (a write fill charges wear),
+        write back the dirty victim, and serve the core op on the new line,
+        which takes over `dirty_words`. Returns the op's completion time, or
+        None when L1 has no usable way for the block: its way is worn out,
+        or every way of its set is."""
+        l1 = stack.l1d
+        op, addr, size = rec.op, rec.addr, rec.size
+        filled = l1.fill(addr, state=state, data=data,
+                         write_fill_words=(self._words_of(addr, size)[2]
+                                           if op == "W" else 0),
+                         now_ps=t)
+        if filled.writeback is not None:
+            self._l1_writeback(cluster, stack, filled.writeback, t)
+        if filled.way is None:
+            return None
+        line = l1.lines[filled.set_index][filled.way]
+        line.dirty_words |= dirty_words
+        if op == "R":
+            self._log_read(cluster, line.data, addr, size)
+            kind = READ
+        else:
+            line.dirty_words |= self._apply_write(cluster, line.data, addr, size)
+            kind = WRITE  # wear already charged by the write fill
+        _, done = l1.service(t, l1.op_cycles(filled.way, kind))
+        return done
 
     def _do_access(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
                    t0: int) -> int:
         addr, size = rec.addr, rec.size
         op = rec.op
         l1 = stack.l1d
-        _, set_index, way, worn = l1.probe(addr)
-        offset = addr % self.block_size
+        _, set_index, way, _ = l1.probe(addr)
 
         # L1 hit paths -------------------------------------------------------
         if way is not None:
             line = l1.lines[set_index][way]
+            l1.count_access(op, way, hit=True)
             if op == "R":
-                l1.count_access("R", way, hit=True)
                 start, done = l1.service(
                     t0, l1.nuca_cycles(set_index) + l1.op_cycles(way, READ))
                 l1.record_hit_latency(done - start)
                 l1.touch(set_index, way)
                 self._log_read(cluster, line.data, addr, size)
                 return done
-            if line.state in (M, E):
-                if line.state == E:
-                    step = coherence_step([s.state(addr) for s in cluster.stacks],
-                                          CORE_WRITE, stack.index)
-                    line.state = step.states[stack.index]  # silent E -> M
-                l1.count_access("W", way, hit=True)
-                mask, values = self._apply_write(cluster, line.data, addr, size)
-                l1.write_touch(set_index, way, offset, size, now_ps=t0)
-                start, done = l1.service(
-                    t0, l1.nuca_cycles(set_index) + l1.op_cycles(way, WRITE))
-                l1.record_hit_latency(done - start)
-                return done
-            # S or O: upgrade over the bus, data already local.
-            l1.count_access("W", way, hit=True)
-            _, probe_done = l1.service(t0, l1.op_cycles(way, READ))
-            bus = cluster.bus
-            _, req_done = bus.request.request(probe_done, 8)
-            vector = [s.state(addr) for s in cluster.stacks]
-            step = coherence_step(vector, CORE_WRITE, stack.index)
-            _, snoop_done = bus.snoop.request(req_done, 8)
-            line.dirty_words |= self._drop_remotes(cluster, stack, addr,
-                                                   vector, step.states)
-            line.state = step.states[stack.index]
+            upgrade = line.state in (S, O)
+            t = t0
+            if upgrade:
+                _, t = l1.service(t0, l1.op_cycles(way, READ))
+                t = self._upgrade(cluster, stack, line, addr, t)
+            else:
+                line.state = M  # E -> M is silent
             self._apply_write(cluster, line.data, addr, size)
-            l1.write_touch(set_index, way, offset, size, now_ps=snoop_done)
-            _, done = l1.service(snoop_done,
-                                 l1.nuca_cycles(set_index) + l1.op_cycles(way, WRITE))
+            l1.write_touch(set_index, way, addr % self.block_size, size, now_ps=t)
+            start, done = l1.service(
+                t, l1.nuca_cycles(set_index) + l1.op_cycles(way, WRITE))
+            if not upgrade:
+                l1.record_hit_latency(done - start)
             return done
 
         # L1 miss: try the stack's private L2 before the bus -----------------
         l1.count_access(op, None, hit=False)
-        _, probe_done = l1.service(t0, l1.op_cycles(0, READ))
-        t = probe_done
-
-        if stack.l2_private is not None:
-            l2p = stack.l2_private
-            _, l2_set, l2_way, _ = l2p.probe(addr)
-            if l2_way is not None:
-                return self._promote_from_private(
-                    cluster, stack, rec, t, l2_set, l2_way, worn)
-            l2p.demand_read(addr)  # counted miss probe
-            t += self._tsv_delay(stack.core_tier, stack.l2_tier)
-            _, t = l2p.service(t, l2p.nuca_cycles(l2_set) + l2p.op_cycles(0, READ))
+        _, t = l1.service(t0, l1.op_cycles(0, READ))
+        l2p = stack.l2_private
+        if l2p is not None:
+            res, t = self._read_at(
+                l2p, addr, t + self._tsv_delay(stack.core_tier, stack.l2_tier))
             t += self._tsv_delay(stack.l2_tier, stack.core_tier)
+            if res.hit:
+                return self._promote_from_private(cluster, stack, rec, t,
+                                                  res.set_index, res.way)
 
         event = CORE_READ if op == "R" else CORE_WRITE
         data, fill_state, t_data, inherited_dirty = self._bus_transaction(
             cluster, stack, addr, event, t)
 
-        if stack.l2_private is not None:
+        if l2p is not None:
             # Keep a demoted clean duplicate in the private L2 so the stack
             # can re-fetch locally after the L1 copy is evicted.
-            l2_filled = stack.l2_private.fill(addr, state=S, data=data)
-            if l2_filled.writeback is not None:
-                self._private_l2_spill(cluster, stack, l2_filled.writeback, t_data)
+            filled = l2p.fill(addr, state=S, data=data)
+            if filled.writeback is not None:
+                self._writeback_across_bus(cluster, stack, stack.l2_tier,
+                                           filled.writeback, t_data)
 
-        if worn:
-            # The L1 way for this block is worn out: serve the op without
-            # caching and push writes straight down.
-            if op == "R":
-                self._log_read(cluster, data, addr, size)
-                return t_data
-            block = list(data)
-            mask, _ = self._apply_write(cluster, block, addr, size)
-            full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
-            ev = Eviction(addr=addr - offset, dirty_words=full_mask,
-                          data=block, state=M)
-            self._l1_writeback(cluster, stack, ev, t_data)
-            return t_data
-
-        filled = l1.fill(addr, state=fill_state, data=data,
-                         write_fill_words=(self._words_of(addr, size)[2]
-                                           if op == "W" else 0),
-                         now_ps=t_data)
-        if filled.writeback is not None:
-            self._l1_writeback(cluster, stack, filled.writeback, t_data)
-        if filled.way is None:
-            # No usable way in the set: behave like the worn-bypass path.
-            if op == "R":
-                self._log_read(cluster, data, addr, size)
-                return t_data
-            block = list(data)
-            self._apply_write(cluster, block, addr, size)
+        done = self._fill_l1(cluster, stack, rec, fill_state, data,
+                             inherited_dirty, t_data)
+        if done is not None:
+            return done
+        # No usable L1 way: serve the op without caching and push a write
+        # straight down as a whole-block victim.
+        if op == "R":
+            self._log_read(cluster, data, addr, size)
+        else:
+            self._apply_write(cluster, data, addr, size)
             full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
             self._l1_writeback(cluster, stack, Eviction(
-                addr=addr - offset, dirty_words=full_mask, data=block, state=M),
-                t_data)
-            return t_data
-        line = l1.lines[filled.set_index][filled.way]
-        if op == "R":
-            self._log_read(cluster, line.data, addr, size)
-            _, done = l1.service(t_data, l1.op_cycles(filled.way, READ))
-            return done
-        mask, _ = self._apply_write(cluster, line.data, addr, size)
-        line.dirty_words |= mask | inherited_dirty
-        _, done = l1.service(t_data, l1.op_cycles(filled.way, WRITE))
-        return done
+                addr=addr - addr % self.block_size, dirty_words=full_mask,
+                data=data, state=M), t_data)
+        return t_data
 
     def _promote_from_private(self, cluster: Cluster, stack: Stack,
                               rec: TraceRecord, t: int, l2_set: int,
-                              l2_way: int, l1_worn: bool) -> int:
-        """Stack hit in the private L2: move the authoritative copy up to L1
-        (the L2 keeps a demoted clean duplicate)."""
+                              l2_way: int) -> int:
+        """Stack hit in the private L2, already read at t: move the
+        authoritative copy up to L1 (the L2 keeps a demoted clean
+        duplicate). A write first takes M, over the bus from S or O."""
         addr, size, op = rec.addr, rec.size, rec.op
-        l1 = stack.l1d
         l2p = stack.l2_private
         line = l2p.lines[l2_set][l2_way]
-        state = line.state
-
-        # The promote reads the private L2 array whatever the core op is;
-        # the write itself lands in L1 after the move.
-        l2p.demand_read(addr)
-        t += self._tsv_delay(stack.core_tier, stack.l2_tier)
-        start, done = l2p.service(
-            t, l2p.nuca_cycles(l2_set) + l2p.op_cycles(l2_way, READ))
-        l2p.record_hit_latency(done - start)
-        t = done + self._tsv_delay(stack.l2_tier, stack.core_tier)
-
-        new_state = state
         if op == "W":
-            if state in (S, O):
-                bus = cluster.bus
-                _, req_done = bus.request.request(t, 8)
-                vector = [s.state(addr) for s in cluster.stacks]
-                step = coherence_step(vector, CORE_WRITE, stack.index)
-                _, t = bus.snoop.request(req_done, 8)
-                line.dirty_words |= self._drop_remotes(cluster, stack, addr,
-                                                       vector, step.states)
-                new_state = step.states[stack.index]
+            if line.state in (S, O):
+                t = self._upgrade(cluster, stack, line, addr, t)
             else:
-                new_state = M
+                line.state = M
 
-        if l1_worn:
-            # Cannot cache in L1; operate on the private L2 line directly.
-            if op == "R":
-                l2p.touch(l2_set, l2_way)
-                self._log_read(cluster, line.data, addr, size)
-                return t
-            line.state = new_state
-            self._apply_write(cluster, line.data, addr, size)
-            l2p.write_touch(l2_set, l2_way, addr % self.block_size, size, now_ps=t)
-            return t
-
-        data = list(line.data)
-        moved_mask = line.dirty_words
-        filled = l1.fill(addr, state=new_state, data=data,
-                         write_fill_words=(self._words_of(addr, size)[2]
-                                           if op == "W" else 0),
-                         now_ps=t)
-        line.state = S
-        line.dirty_words = 0
-        if filled.writeback is not None:
-            self._l1_writeback(cluster, stack, filled.writeback, t)
-        if filled.way is None:
-            line.state = state  # promotion failed; keep authority in L2
-            line.dirty_words = moved_mask
-            if op == "R":
-                self._log_read(cluster, data, addr, size)
-                return t
-            line.state = new_state
-            self._apply_write(cluster, line.data, addr, size)
-            l2p.write_touch(l2_set, l2_way, addr % self.block_size, size, now_ps=t)
-            return t
-        l1_line = l1.lines[filled.set_index][filled.way]
-        l1_line.dirty_words |= moved_mask
-        if op == "R":
-            self._log_read(cluster, l1_line.data, addr, size)
-            _, done = l1.service(t, l1.op_cycles(filled.way, READ))
+        done = self._fill_l1(cluster, stack, rec, line.state, line.data,
+                             line.dirty_words, t)
+        if done is not None:
+            line.state = S
+            line.dirty_words = 0
             return done
-        mask, _ = self._apply_write(cluster, l1_line.data, addr, size)
-        l1_line.dirty_words |= mask  # wear already charged by the write fill
-        _, done = l1.service(t, l1.op_cycles(filled.way, WRITE))
-        return done
+        # No usable L1 way: the private L2 line keeps authority and serves
+        # the op itself.
+        if op == "R":
+            self._log_read(cluster, line.data, addr, size)
+        else:
+            self._apply_write(cluster, line.data, addr, size)
+            l2p.write_touch(l2_set, l2_way, addr % self.block_size, size, now_ps=t)
+        return t
 
     # -- coherence sweep for property tests --------------------------------------
 
@@ -770,8 +728,8 @@ class System:
                 agg["energy_nj"] += energy
                 tier_energy[tier] = tier_energy.get(tier, 0.0) + energy
                 tier_area[tier] = tier_area.get(tier, 0.0) + sum(
-                    level.region_capacity_mib(r) / level.tech_by_region[r].norm_density
-                    for r in range(len(level.regions)))
+                    area_estimate(level.region_capacity_mib(r), tech)
+                    for r, tech in enumerate(level.tech_by_region))
                 agg["n_read"] += level.n_read
                 agg["n_write"] += level.n_write
                 agg["hits"] += level.hits
@@ -838,6 +796,7 @@ class System:
         bus_totals["total_grants"] = sum(bus_totals.values())
 
         mem_latencies = [t1 - t0 for t0, t1 in self.mem_samples]
+        msg_latencies = [t1 - t0 for t0, t1 in self.noc.msg_samples]
         bucket = self.spec.histogram_bucket_ps
         report = {
             "meta": {
@@ -856,7 +815,7 @@ class System:
             },
             "latency": {
                 "mem": summarize_latency(mem_latencies, bucket).to_dict(),
-                "msg": summarize_latency(self.noc.latency_samples_ps, bucket).to_dict(),
+                "msg": summarize_latency(msg_latencies, bucket).to_dict(),
             },
             "endurance": endurance,
             "tiers": tiers,
@@ -877,6 +836,5 @@ class System:
 
     def latency_rows(self) -> list[tuple[str, int, int]]:
         rows = [("mem", t0, t1) for t0, t1 in self.mem_samples]
-        rows.extend(("msg", p.t_inject, p.t_deliver)
-                    for p in self.noc.packets_delivered)
+        rows.extend(("msg", t0, t1) for t0, t1 in self.noc.msg_samples)
         return rows

@@ -1,13 +1,35 @@
 import random
+from collections import namedtuple
 
 from hypothesis import given, settings, strategies as st
 
-from tiersim.cache import (LRU, PSEUDO_RANDOM, CacheGeometry, CacheLevel,
-                           CacheLine, I, M, Region, S, check_wear,
+from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
+                           CacheLevel, CacheLine, I, M, Region, S, check_wear,
                            compose_address, decompose_address)
 from tiersim.memtech import catalog_default
 
 CAT = catalog_default()
+
+Outcome = namedtuple("Outcome", "hit wear_event bypass")
+
+
+def access(level, op, addr, size=WORD_SIZE):
+    """One core access made through the calls the simulator makes:
+    `demand_read`, then `write_touch` on a write hit, or on a miss a `fill`
+    (a write-allocate fill for a write), which bypasses a worn way."""
+    res = level.demand_read(addr)
+    offset = addr % level.geom.block_size
+    if res.hit:
+        wear = op == "W" and level.write_touch(res.set_index, res.way,
+                                               offset, size)
+        return Outcome(True, wear, False)
+    words = 0
+    if op == "W":
+        last = min((offset + size - 1) // WORD_SIZE,
+                   level.geom.words_per_block - 1)
+        words = last - offset // WORD_SIZE + 1
+    filled = level.fill(addr, M if op == "W" else S, write_fill_words=words)
+    return Outcome(False, filled.wear_event, filled.bypass)
 
 
 def mk_level(capacity=32768, block=64, ways=2, replacement=LRU, tech="SRAM",
@@ -69,10 +91,10 @@ def test_lru_eviction_order():
     level = mk_level(capacity=128, block=64, ways=2)  # one set
     a, b, c = 0x000, 0x040 + 64 * 0, 0x080
     # all three map to set 0 of a 1-set cache
-    level.access("R", 0 * 64)
-    level.access("R", 1 * 64)
-    level.access("R", 0 * 64)
-    res = level.access("R", 2 * 64)
+    access(level, "R", 0 * 64)
+    access(level, "R", 1 * 64)
+    access(level, "R", 0 * 64)
+    res = access(level, "R", 2 * 64)
     assert not res.hit
     # way that held block 1 (the LRU one) was chosen
     tags = [line.tag for line in level.lines[0] if line.state != I]
@@ -82,8 +104,8 @@ def test_lru_eviction_order():
 def test_select_victim_prefers_invalid_ways():
     for policy in (LRU, PSEUDO_RANDOM):
         level = mk_level(capacity=256, block=64, ways=4, replacement=policy)
-        level.access("R", 0)
-        level.access("R", 64 * 4)
+        access(level, "R", 0)
+        access(level, "R", 64 * 4)
         assert all(line.state == I for line in level.lines[0][2:])
         assert level.select_victim(0) == 2
 
@@ -91,7 +113,7 @@ def test_select_victim_prefers_invalid_ways():
 def test_select_victim_lru_argmin():
     level = mk_level(capacity=256, block=64, ways=4)
     for tag in range(4):
-        level.access("R", tag * 4 * 64)
+        access(level, "R", tag * 4 * 64)
     level.lines[0][0].lru_stamp = 5
     level.lines[0][1].lru_stamp = 3
     level.lines[0][2].lru_stamp = 9
@@ -106,7 +128,7 @@ def test_pseudo_random_reproducible():
         rng = random.Random(7)
         outcome = []
         for _ in range(2000):
-            res = level.access("R", rng.randrange(64) * 256)
+            res = access(level, "R", rng.randrange(64) * 256)
             outcome.append(res.hit)
         return outcome
 
@@ -126,20 +148,20 @@ def test_nuca_bank_latency():
 
 def test_partial_writes_count_words_not_blocks():
     level = mk_level(capacity=128, block=64, ways=2, partial=True)
-    level.access("R", 0)
-    res = level.access("W", 0, size=8)
+    access(level, "R", 0)
+    res = access(level, "W", 0, size=8)
     assert res.hit
     line = level.lines[0][0]
     assert line.write_count == 1  # one 8-byte word, not 8
-    level.access("W", 0, size=64)
+    access(level, "W", 0, size=64)
     assert line.write_count == 9  # full-block write touches all 8 words
 
 
 def test_full_writes_count_once_per_access():
     level = mk_level(capacity=128, block=64, ways=2, partial=False)
-    level.access("W", 0, size=8)   # write fill
-    level.access("W", 8, size=8)   # write hit
-    level.access("W", 0, size=64)  # write hit
+    access(level, "W", 0, size=8)   # write fill
+    access(level, "W", 8, size=8)   # write hit
+    access(level, "W", 0, size=64)  # write hit
     assert level.lines[0][0].write_count == 3
 
 
@@ -156,16 +178,16 @@ def test_wear_threshold_and_sentinel():
     limited = replace(CAT["SRAM"], endurance=3)
     level = CacheLevel("t", CacheGeometry(128, 64, 2), [limited])
     for i in range(3):
-        res = level.access("W", 0)
+        res = access(level, "W", 0)
         assert not res.wear_event, f"write {i + 1} must stay ok"
-    res = level.access("W", 0)
+    res = access(level, "W", 0)
     assert res.wear_event
     assert level.worn_lines == 1
 
     unlimited = CAT["SRAM"]
     level = CacheLevel("t", CacheGeometry(128, 64, 2), [unlimited])
     for _ in range(10000):
-        level.access("W", 0)
+        access(level, "W", 0)
     assert level.worn_lines == 0
 
 
@@ -175,7 +197,7 @@ def test_wear_exactly_one_event_in_1500_write_replay():
     level = CacheLevel("t", CacheGeometry(128, 64, 2), [limited])
     events = []
     for i in range(1, 1501):
-        res = level.access("W", 0)
+        res = access(level, "W", 0)
         if res.wear_event:
             events.append(i)
     assert events == [1001]
@@ -186,21 +208,21 @@ def test_worn_line_bypasses_and_way_is_never_reused():
     from dataclasses import replace
     limited = replace(CAT["PCRAM"], endurance=2)
     level = CacheLevel("t", CacheGeometry(64, 64, 1), [limited])
-    level.access("W", 0)
-    level.access("W", 0)
-    res = level.access("W", 0)
+    access(level, "W", 0)
+    access(level, "W", 0)
+    res = access(level, "W", 0)
     assert res.wear_event
-    res = level.access("W", 0)
+    res = access(level, "W", 0)
     assert res.bypass and not res.hit
-    res = level.access("R", 64)  # different block, same single way: set is dead
+    res = access(level, "R", 64)  # different block, same single way: set is dead
     assert res.bypass
 
 
 def test_write_count_survives_refill():
     level = mk_level(capacity=64, block=64, ways=1)
-    level.access("W", 0)
-    level.access("W", 64)   # evicts block 0, same physical way
-    level.access("W", 0)
+    access(level, "W", 0)
+    access(level, "W", 64)   # evicts block 0, same physical way
+    access(level, "W", 0)
     assert level.lines[0][0].write_count == 3
 
 
@@ -208,7 +230,7 @@ def test_lru_stamps_distinct_for_valid_lines():
     level = mk_level(capacity=512, block=64, ways=8)
     rng = random.Random(0)
     for _ in range(500):
-        level.access("R", rng.randrange(32) * 64)
+        access(level, "R", rng.randrange(32) * 64)
     stamps = [line.lru_stamp for line in level.lines[0] if line.state != I]
     assert len(stamps) == len(set(stamps))
 
@@ -217,7 +239,7 @@ def test_at_most_one_valid_line_per_tag_per_set():
     level = mk_level(capacity=2048, block=64, ways=4, replacement=PSEUDO_RANDOM)
     rng = random.Random(8)
     for _ in range(5000):
-        level.access("W" if rng.random() < 0.5 else "R",
+        access(level, "W" if rng.random() < 0.5 else "R",
                      rng.randrange(64) * 64)
     for set_lines in level.lines:
         tags = [line.tag for line in set_lines if line.state != I]
@@ -255,7 +277,7 @@ def test_lru_matches_stack_model_property(seed):
     rng = random.Random(seed)
     for _ in range(2000):
         addr = rng.randrange(256) * 64
-        assert level.access("R", addr).hit == ref.access(addr)
+        assert access(level, "R", addr).hit == ref.access(addr)
 
 
 # -- lookup index against the way scan it replaced ------------------------------
