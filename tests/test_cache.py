@@ -375,3 +375,30 @@ def test_index_matches_way_scan_property(ops, set_exp, ways, replacement,
         elif op == "writeback_write":
             level.writeback_write(addr, dirty_words=b % 256)
         check_index(level, n_blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(requests=st.lists(st.tuples(st.integers(-3000, 3000), st.integers(0, 6)),
+                         max_size=40),
+       period=st.integers(1, 1500))
+def test_service_windows_are_fifo_and_busy_is_their_union(requests, period):
+    """Arrivals may repeat or go back in time; the array still books each
+    access after the one before it, and its busy time is exactly the
+    measure of the union of the windows it returned."""
+    level = CacheLevel("busy", CacheGeometry(capacity=1024, block_size=64,
+                                             associativity=2),
+                       [CAT["SRAM"]], clock_period_ps=period)
+    arrival = 0
+    windows = []
+    for delta, cycles in requests:
+        arrival = max(0, arrival + delta)
+        start, done = level.service(arrival, cycles)
+        assert start >= arrival and done - start == cycles * period
+        windows.append((start, done))
+    for (_, prev_done), (start, _) in zip(windows, windows[1:]):
+        assert start >= prev_done
+    union, reach = 0, 0
+    for start, done in sorted(windows):
+        union += max(0, done - max(start, reach))
+        reach = max(reach, done)
+    assert level.busy_ps == union
