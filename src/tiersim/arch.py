@@ -245,6 +245,8 @@ def validate_spec(spec: SystemSpec) -> list[str]:
     for name, period in spec.clocks.items():
         if period <= 0:
             out.append(f"clocks.{name}: period must be > 0 ps ({period})")
+    if spec.bus_beat_width < 1:
+        out.append(f"bus.beat_width: must be >= 1 ({spec.bus_beat_width})")
     if spec.memory_latency_ns < 0:
         out.append(f"memory_latency_ns: must be >= 0 ({spec.memory_latency_ns})")
     if not 0.0 <= spec.write_mix <= 1.0:

@@ -38,7 +38,6 @@ LRU = "lru"
 PSEUDO_RANDOM = "pseudo_random"
 
 M, O, E, S, I = "M", "O", "E", "S", "I"
-VALID_STATES = (M, O, E, S)
 DIRTY_STATES = (M, O)
 
 
@@ -82,6 +81,8 @@ class CacheGeometry:
             out.append(f"{path}.block_size: not a power of two ({self.block_size})")
         if self.associativity < 1:
             out.append(f"{path}.associativity: must be >= 1 ({self.associativity})")
+        if self.associativity < 1 or self.block_size < 1:
+            return out  # no set count to derive
         if self.capacity % (self.associativity * self.block_size) != 0:
             out.append(f"{path}.capacity: {self.capacity} not sets*ways*block_size")
             return out
@@ -134,10 +135,6 @@ class CacheLine:
     dirty_words: int = 0          # bitmask over words in the block
     worn: bool = False
     data: list[int] = field(default_factory=list)
-
-    @property
-    def valid(self) -> bool:
-        return self.state != I and not self.worn
 
 
 @dataclass
@@ -215,7 +212,6 @@ class CacheLevel:
         self.invalidations = 0
         self.hit_latency_sum_ps = 0
         self.hit_latency_samples = 0
-        self._busy_end_ps = 0
         self.busy_ps = 0
         self.free_at_ps = 0  # single-ported array: one access in service at a time
 
@@ -357,25 +353,14 @@ class CacheLevel:
             return True
         return False
 
-    def _words_covered(self, offset: int, size: int) -> tuple[int, int]:
-        """(mask, count) of block words covered by an access."""
-        first = offset // WORD_SIZE
-        last = (offset + size - 1) // WORD_SIZE
-        mask = 0
-        for w in range(first, min(last + 1, self.geom.words_per_block)):
-            mask |= 1 << w
-        return mask, min(last + 1, self.geom.words_per_block) - first
-
-    def write_touch(self, set_index: int, way: int, offset: int, size: int,
+    def write_touch(self, set_index: int, way: int, mask: int,
                     now_ps: int = 0) -> bool:
-        """Apply a write hit to a resident line: mark the covered words
-        dirty, touch the line and charge wear. Returns True on a wear
-        event."""
-        line = self.lines[set_index][way]
-        mask, count = self._words_covered(offset, size)
-        line.dirty_words |= mask
+        """Apply a write hit to a resident line: mark the words in `mask`
+        dirty, touch the line and charge wear for that many words. Returns
+        True on a wear event."""
+        self.lines[set_index][way].dirty_words |= mask
         self.touch(set_index, way)
-        return self._charge_write(set_index, way, count, now_ps)
+        return self._charge_write(set_index, way, mask.bit_count(), now_ps)
 
     # -- system-facing access paths -------------------------------------------
 
@@ -455,24 +440,18 @@ class CacheLevel:
         (self.region_reads if op == "R" else self.region_writes)[region] += 1
 
     def service(self, arrival_ps: int, cycles: int) -> tuple[int, int]:
-        """Occupy the array for an access; returns (start, done) in ps."""
+        """Occupy the array for an access, after every access already
+        booked; returns (start, done) in ps. Windows never overlap, so busy
+        time is their sum."""
         start = max(arrival_ps, self.free_at_ps)
         done = start + cycles * self.clock_period_ps
         self.free_at_ps = done
-        self.merge_busy(start, done)
+        self.busy_ps += done - start
         return start, done
 
     def record_hit_latency(self, latency_ps: int) -> None:
         self.hit_latency_sum_ps += latency_ps
         self.hit_latency_samples += 1
-
-    def merge_busy(self, start_ps: int, end_ps: int) -> None:
-        """Union of access windows; callers present windows with
-        non-decreasing start times."""
-        if end_ps <= self._busy_end_ps:
-            return
-        self.busy_ps += end_ps - max(start_ps, self._busy_end_ps)
-        self._busy_end_ps = end_ps
 
     def capacity_mib(self) -> float:
         return self.geom.capacity / (1024.0 * 1024.0)

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .engine import EventQueue
 
-MESSAGE = "message"
-
 LOCAL = "local"
 
 
@@ -163,15 +161,15 @@ def mean_hop_count(dims: tuple[int, int, int], include_self: bool = True) -> Fra
     return mean
 
 
-def packetize(kind: str, payload_bytes: int, flit_width: int) -> tuple[int, int]:
-    """(flit count, serialization cycles) for a payload: one header flit plus
-    ceil(payload / flit_width) body flits, at one flit per cycle per link."""
+def packetize(payload_bytes: int, flit_width: int) -> int:
+    """Flit count of a payload: one header flit plus ceil(payload /
+    flit_width) body flits. At one flit per cycle per link it is also the
+    serialization time in cycles."""
     if flit_width <= 0:
         raise ValueError("flit_width must be > 0")
     if payload_bytes < 0:
         raise ValueError("payload must be >= 0")
-    flits = 1 + -(-payload_bytes // flit_width)
-    return flits, flits
+    return 1 + -(-payload_bytes // flit_width)
 
 
 # --- timed mesh network --------------------------------------------------------
@@ -181,8 +179,6 @@ def packetize(kind: str, payload_bytes: int, flit_width: int) -> tuple[int, int]
 class Packet:
     src: tuple[int, int, int]
     dst: tuple[int, int, int]
-    kind: str
-    payload: int
     flits: int
     t_inject: int
     t_deliver: int | None = None
@@ -211,12 +207,12 @@ class MeshNetwork:
         return self.injected - self.delivered
 
     def inject(self, t_ps: int, src: tuple[int, int, int],
-               dst: tuple[int, int, int], kind: str, payload_bytes: int) -> Packet:
+               dst: tuple[int, int, int], payload_bytes: int) -> Packet:
         if not self.topo.contains(src) or not self.topo.contains(dst):
             raise ValueError(f"packet endpoints outside mesh {self.topo.dims}")
-        flits, _ = packetize(kind, payload_bytes, self.topo.flit_width)
-        pkt = Packet(src=src, dst=dst, kind=kind, payload=payload_bytes,
-                     flits=flits, t_inject=t_ps)
+        pkt = Packet(src=src, dst=dst,
+                     flits=packetize(payload_bytes, self.topo.flit_width),
+                     t_inject=t_ps)
         self.injected += 1
         self.engine.schedule(t_ps, self._at_router, (pkt, src))
         return pkt

@@ -148,13 +148,13 @@ def area_estimate(capacity_mib: float, params: TechnologyParams) -> float:
 # criteria reuse the dynamic-energy and standby ratings respectively.
 # Informational only: nothing in the simulation depends on scores.
 
-CRITERIA = ("dyn_energy", "standby", "heat_in_use", "heat_standby", "latency", "endurance")
-RATING_AXES = ("dyn_energy", "standby", "latency", "endurance")
-
 
 @dataclass(frozen=True)
 class ScoringMatrix:
-    """Per-level criterion weights (1..3) and per-technology ratings (0..2)."""
+    """Per-level criterion weights (1..3), in the order dynamic energy,
+    standby, heat in use, heat in standby, latency, endurance; and
+    per-technology ratings (0..2) of dynamic energy, standby, latency and
+    endurance."""
 
     weights: dict[str, tuple[int, int, int, int, int, int]]
     ratings: dict[str, tuple[int, int, int, int]]

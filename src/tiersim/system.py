@@ -18,17 +18,31 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
-from .cache import (I, M, O, S, WORD_SIZE, AccessResult, CacheLevel,
-                    CacheLine, Eviction)
+from .cache import (DIRTY_STATES, I, M, O, S, WORD_SIZE, AccessResult,
+                    CacheLevel, CacheLine, Eviction)
 from .coherence import (CORE_READ, CORE_WRITE, SUPPLY_OWNER, StepResult,
                         coherence_step)
 from .engine import EventQueue, substream
-from .interconnect import MESSAGE, ClusterBus, MeshNetwork
+from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, AccessCounters, area_estimate, level_energy
 from .metrics import summarize_latency, tier_power_density
 from .workload import MessageRecord, TraceRecord
 
 WRITE = "write"
+
+# The per-array counters a level's report entry sums over its instances.
+LEVEL_COUNTERS = ("n_read", "n_write", "hits", "misses", "fills", "evictions",
+                  "writebacks", "invalidations")
+
+
+def _wear_summary(levels: list[CacheLevel]) -> tuple[int, int, int, int | None]:
+    """Wear over several arrays: the highest write count, the summed worn
+    lines and wear events, and the earliest first wear (None if none)."""
+    firsts = [lv.first_wear_time_ps for lv in levels
+              if lv.first_wear_time_ps is not None]
+    return (max((lv.max_write_count for lv in levels), default=0),
+            sum(lv.worn_lines for lv in levels),
+            sum(lv.wear_events for lv in levels), min(firsts, default=None))
 
 
 class WorkloadError(ValueError):
@@ -148,6 +162,9 @@ class System:
         self.engine = EventQueue()
         self.block_size = spec.caches["l1d"].geometry.block_size
         self.noc = MeshNetwork(spec.noc, self.engine, spec.clocks["noc_ps"])
+        # Every cache array in build order: (level name, configured tech,
+        # array, tier). The report reads this, never the cluster fields.
+        self.levels: list[tuple[str, str, CacheLevel, int]] = []
         self.clusters = [self._build_cluster(i) for i in range(spec.n_clusters)]
         self.mem_samples: list[tuple[int, int]] = []
         self.trace_records = 0
@@ -183,17 +200,20 @@ class System:
     # -- construction -----------------------------------------------------------
 
     def _mk_level(self, name: str, cfg_name: str, cluster: int,
-                  unit: int | str) -> CacheLevel:
+                  unit: int, tier: int) -> CacheLevel:
+        """Build one cache array on `tier` and register it for the report."""
         cfg = self.spec.caches[cfg_name]
         techs = ([self.spec.catalog[r.tech] for r in cfg.geometry.regions]
                  if cfg.geometry.regions else [self.spec.catalog[cfg.tech]])
         clock_key = {"l1i": "core_ps", "l1d": "core_ps", "l2": "l2_ps",
                      "l2i": "l2_ps", "l3": "l3_ps"}[cfg_name]
-        return CacheLevel(
+        level = CacheLevel(
             name, cfg.geometry, techs,
             clock_period_ps=self.spec.clocks[clock_key],
             rng=substream(self.seed, name, cluster, unit),
             write_mix=self.spec.write_mix)
+        self.levels.append((name, cfg.tech, level, tier))
+        return level
 
     def _build_cluster(self, index: int) -> Cluster:
         spec = self.spec
@@ -209,11 +229,12 @@ class System:
                 core_id = index * spec.cores_per_cluster_total + local
                 stack = Stack(
                     index=local, core_id=core_id, core_tier=core_tier,
-                    l1i=self._mk_level("l1i", "l1i", index, local),
-                    l1d=self._mk_level("l1d", "l1d", index, local),
+                    l1i=self._mk_level("l1i", "l1i", index, local, core_tier),
+                    l1d=self._mk_level("l1d", "l1d", index, local, core_tier),
                     l2_tier=l2_tier)
                 if distributed and l2_tier is not None:
-                    stack.l2_private = self._mk_level("l2", "l2", index, local)
+                    stack.l2_private = self._mk_level("l2", "l2", index, local,
+                                                      l2_tier)
                 stacks.append(stack)
         cluster = Cluster(
             index=index, coord=coord, stacks=stacks,
@@ -225,12 +246,14 @@ class System:
             if t.kind != L2_SPLIT_ID or spec.caches.get("l2") is None:
                 continue
             if not distributed:
-                cluster.l2_shared[t.index] = self._mk_level("l2", "l2", index, t.index)
+                cluster.l2_shared[t.index] = self._mk_level(
+                    "l2", "l2", index, t.index, t.index)
             icfg = "l2i" if spec.caches.get("l2i") else "l2"
-            cluster.l2i[t.index] = self._mk_level("l2i", icfg, index, t.index)
+            cluster.l2i[t.index] = self._mk_level("l2i", icfg, index, t.index,
+                                                  t.index)
         l3_tier = spec.l3_tier()
         if l3_tier is not None and spec.caches.get("l3") is not None:
-            cluster.l3 = self._mk_level("l3", "l3", index, l3_tier)
+            cluster.l3 = self._mk_level("l3", "l3", index, l3_tier, l3_tier)
             cluster.l3_tier = l3_tier
         return cluster
 
@@ -272,7 +295,7 @@ class System:
                     raise WorkloadError(f"cluster {cid} outside the "
                                         f"{self.spec.n_clusters}-cluster system")
             self.noc.inject(rec.tick * noc_ps, self.home_coord(rec.src_cluster),
-                            self.home_coord(rec.dst_cluster), MESSAGE, rec.bytes)
+                            self.home_coord(rec.dst_cluster), rec.bytes)
         self.messages += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:
@@ -422,23 +445,39 @@ class System:
         _, snoop_done = bus.snoop.request(req_done, 8)
         return vector, step, snoop_done
 
+    @staticmethod
+    def _commit_remotes(cluster: Cluster, stack: Stack, addr: int,
+                        vector: list[str], step: StepResult) -> int:
+        """Commit a transaction's state changes to the other stacks: a copy
+        going to I is dropped, any other change lands on the stack's
+        authoritative line. Returns the dirty words of the invalidated owner
+        (old state M or O), which the requester inherits: ownership moves
+        with the data, or, on an upgrade, an O holder's data already matches
+        the requester's, so only the mask moves."""
+        inherited = 0
+        for i, (old, new) in enumerate(zip(vector, step.states)):
+            if i == stack.index or old == new:
+                continue
+            remote = cluster.stacks[i]
+            if new == I:
+                if old in DIRTY_STATES:
+                    level, set_index, way = remote.authoritative(addr)
+                    inherited |= level.lines[set_index][way].dirty_words
+                remote.drop(addr)
+            else:
+                level, set_index, way = remote.authoritative(addr)
+                level.lines[set_index][way].state = new
+        return inherited
+
     def _upgrade(self, cluster: Cluster, stack: Stack, line: CacheLine,
                  addr: int, t: int) -> int:
         """Write to an S or O line: a bus upgrade with the data already
-        local. Remote copies are invalidated, `line` inherits a remote
-        owner's dirty-word responsibility (an O holder's data matches every
-        sharer's, so only the mask moves) and takes its new state. Returns
-        the snoop grant time."""
+        local. Remote copies are invalidated, and `line` inherits a remote
+        owner's dirty words and takes its new state. Returns the snoop
+        grant time."""
         vector, step, t = self._snoop(cluster, stack, addr, CORE_WRITE, t)
-        for i, (old, new) in enumerate(zip(vector, step.states)):
-            if i == stack.index or old == new or new != I:
-                continue
-            if old == O:
-                loc = cluster.stacks[i].authoritative(addr)
-                if loc is not None:
-                    level, set_index, way = loc
-                    line.dirty_words |= level.lines[set_index][way].dirty_words
-            cluster.stacks[i].drop(addr)
+        line.dirty_words |= self._commit_remotes(cluster, stack, addr, vector,
+                                                 step)
         line.state = step.states[stack.index]
         return t
 
@@ -452,38 +491,19 @@ class System:
         """
         vector, step, t = self._snoop(cluster, stack, addr, event, t_ready)
 
-        supplier: int | None = None
+        data: list[int] | None = None
         for action in step.actions:
             if action[0] == SUPPLY_OWNER:
-                supplier = action[1]
-
-        data: list[int] | None = None
-        inherited_dirty = 0
-        if supplier is not None:
-            loc = cluster.stacks[supplier].authoritative(addr)
-            level, set_index, way = loc
-            line = level.lines[set_index][way]
-            data = list(line.data)
-            if event == CORE_WRITE:
-                # Ownership moves with the data on a BusRdX; the new owner
-                # inherits responsibility for the supplier's dirty words.
-                inherited_dirty = line.dirty_words
-            _, done = level.service(t, level.nuca_cycles(set_index)
-                                    + level.op_cycles(way, READ))
-            t = done + self._tsv_delay(cluster.stacks[supplier].core_tier,
-                                       stack.core_tier)
+                supplier = cluster.stacks[action[1]]
+                level, set_index, way = supplier.authoritative(addr)
+                data = list(level.lines[set_index][way].data)
+                _, done = level.service(t, level.nuca_cycles(set_index)
+                                        + level.op_cycles(way, READ))
+                t = done + self._tsv_delay(supplier.core_tier, stack.core_tier)
 
         # Commit remote state changes after the supplier's data is captured.
-        for i, (old, new) in enumerate(zip(vector, step.states)):
-            if i == stack.index or old == new:
-                continue
-            if new == I:
-                cluster.stacks[i].drop(addr)
-            else:
-                loc = cluster.stacks[i].authoritative(addr)
-                if loc is not None:
-                    level, set_index, way = loc
-                    level.lines[set_index][way].state = new
+        inherited_dirty = self._commit_remotes(cluster, stack, addr, vector,
+                                               step)
 
         if data is None:
             # Read down the chain; levels that missed without a worn match
@@ -568,8 +588,8 @@ class System:
                 t = self._upgrade(cluster, stack, line, addr, t)
             else:
                 line.state = M  # E -> M is silent
-            self._apply_write(cluster, line.data, addr, size)
-            l1.write_touch(set_index, way, addr % self.block_size, size, now_ps=t)
+            mask = self._apply_write(cluster, line.data, addr, size)
+            l1.write_touch(set_index, way, mask, now_ps=t)
             start, done = l1.service(
                 t, l1.nuca_cycles(set_index) + l1.op_cycles(way, WRITE))
             if not upgrade:
@@ -642,8 +662,8 @@ class System:
         if op == "R":
             self._log_read(cluster, line.data, addr, size)
         else:
-            self._apply_write(cluster, line.data, addr, size)
-            l2p.write_touch(l2_set, l2_way, addr % self.block_size, size, now_ps=t)
+            mask = self._apply_write(cluster, line.data, addr, size)
+            l2p.write_touch(l2_set, l2_way, mask, now_ps=t)
         return t
 
     # -- coherence sweep for property tests --------------------------------------
@@ -655,26 +675,6 @@ class System:
                 check_invariants([s.state(addr) for s in cluster.stacks])
 
     # -- reporting ----------------------------------------------------------------
-
-    def _level_instances(self) -> dict[str, list[tuple[CacheLevel, int]]]:
-        out: dict[str, list[tuple[CacheLevel, int]]] = {}
-        for cluster in self.clusters:
-            for stack in cluster.stacks:
-                out.setdefault("l1i", []).append((stack.l1i, stack.core_tier))
-                out.setdefault("l1d", []).append((stack.l1d, stack.core_tier))
-                if stack.l2_private is not None:
-                    out.setdefault("l2", []).append((stack.l2_private, stack.l2_tier))
-            for tier, lvl in sorted(cluster.l2_shared.items()):
-                out.setdefault("l2", []).append((lvl, tier))
-            for tier, lvl in sorted(cluster.l2i.items()):
-                out.setdefault("l2i", []).append((lvl, tier))
-            if cluster.l3 is not None:
-                out.setdefault("l3", []).append((cluster.l3, cluster.l3_tier))
-        return out
-
-    def _cfg_for_level(self, name: str):
-        key = name if name != "l2i" else ("l2i" if self.spec.caches.get("l2i") else "l2")
-        return self.spec.caches[key]
 
     @staticmethod
     def _busy_idle_ns(level: CacheLevel, duration_ns: float) -> tuple[float, float]:
@@ -697,85 +697,49 @@ class System:
     def build_report(self) -> dict:
         duration_ps = self.engine.now
         duration_ns = duration_ps / 1000.0
-        instances = self._level_instances()
+        by_name: dict[str, list[tuple[str, CacheLevel, int]]] = {}
+        for name, tech, level, tier in self.levels:
+            by_name.setdefault(name, []).append((tech, level, tier))
 
         levels: dict[str, dict] = {}
-        per_level_energy: dict[str, float] = {}
         tier_energy: dict[int, float] = {}
         tier_area: dict[int, float] = {}
-        endurance = {"max_write_count": 0, "worn_blocks": 0,
-                     "wear_events": 0, "first_wear_time_ps": None}
-
-        for name, insts in instances.items():
-            cfg = self._cfg_for_level(name)
-            agg = {
-                "instances": len(insts),
-                "tech": cfg.tech,
-                "capacity_mib_per_instance": insts[0][0].capacity_mib(),
-                "n_read": 0, "n_write": 0, "hits": 0, "misses": 0,
-                "fills": 0, "evictions": 0, "writebacks": 0, "invalidations": 0,
-                "busy_ns": 0.0, "idle_ns": 0.0, "energy_nj": 0.0,
-                "mean_hit_latency_ps": None,
-                "wear": {"max_write_count": 0, "worn_lines": 0, "wear_events": 0,
-                         "first_wear_time_ps": None},
-                "regions": [],
-            }
-            region_counts = [[0, 0] for _ in insts[0][0].regions]
-            lat_sum = 0
-            lat_n = 0
-            for level, tier in insts:
-                energy = self._instance_energy(level, duration_ns)
-                agg["energy_nj"] += energy
+        for name, insts in by_name.items():
+            arrays = [level for _, level, _ in insts]
+            ref = arrays[0]
+            energies = [self._instance_energy(lv, duration_ns) for lv in arrays]
+            busy_idle = [self._busy_idle_ns(lv, duration_ns) for lv in arrays]
+            for (_, level, tier), energy in zip(insts, energies):
                 tier_energy[tier] = tier_energy.get(tier, 0.0) + energy
                 tier_area[tier] = tier_area.get(tier, 0.0) + sum(
                     area_estimate(level.region_capacity_mib(r), tech)
                     for r, tech in enumerate(level.tech_by_region))
-                agg["n_read"] += level.n_read
-                agg["n_write"] += level.n_write
-                agg["hits"] += level.hits
-                agg["misses"] += level.misses
-                agg["fills"] += level.fills
-                agg["evictions"] += level.evictions
-                agg["writebacks"] += level.writebacks
-                agg["invalidations"] += level.invalidations
-                busy_ns, idle_ns = self._busy_idle_ns(level, duration_ns)
-                agg["busy_ns"] += busy_ns
-                agg["idle_ns"] += idle_ns
-                lat_sum += level.hit_latency_sum_ps
-                lat_n += level.hit_latency_samples
-                for r in range(len(level.regions)):
-                    region_counts[r][0] += level.region_reads[r]
-                    region_counts[r][1] += level.region_writes[r]
-                wear = agg["wear"]
-                wear["max_write_count"] = max(wear["max_write_count"],
-                                              level.max_write_count)
-                wear["worn_lines"] += level.worn_lines
-                wear["wear_events"] += level.wear_events
-                if level.first_wear_time_ps is not None:
-                    if (wear["first_wear_time_ps"] is None
-                            or level.first_wear_time_ps < wear["first_wear_time_ps"]):
-                        wear["first_wear_time_ps"] = level.first_wear_time_ps
-            ref = insts[0][0]
-            for r, region in enumerate(ref.regions):
-                agg["regions"].append({
-                    "tech": ref.tech_by_region[r].name,
+            lat_n = sum(level.hit_latency_samples for level in arrays)
+            levels[name] = {
+                "instances": len(insts),
+                "tech": insts[0][0],
+                "capacity_mib_per_instance": ref.capacity_mib(),
+                **{c: sum(getattr(level, c) for level in arrays)
+                   for c in LEVEL_COUNTERS},
+                "busy_ns": sum(busy for busy, _ in busy_idle),
+                "idle_ns": sum(idle for _, idle in busy_idle),
+                "energy_nj": sum(energies),
+                "mean_hit_latency_ps": (
+                    sum(level.hit_latency_sum_ps for level in arrays) / lat_n
+                    if lat_n else None),
+                "wear": dict(zip(("max_write_count", "worn_lines",
+                                  "wear_events", "first_wear_time_ps"),
+                                 _wear_summary(arrays))),
+                "regions": [{
+                    "tech": tech.name,
                     "capacity_mib": ref.region_capacity_mib(r),
-                    "n_read": region_counts[r][0],
-                    "n_write": region_counts[r][1],
-                })
-            if lat_n:
-                agg["mean_hit_latency_ps"] = lat_sum / lat_n
-            levels[name] = agg
-            per_level_energy[name] = agg["energy_nj"]
-            wear = agg["wear"]
-            endurance["max_write_count"] = max(endurance["max_write_count"],
-                                               wear["max_write_count"])
-            endurance["worn_blocks"] += wear["worn_lines"]
-            endurance["wear_events"] += wear["wear_events"]
-            if wear["first_wear_time_ps"] is not None:
-                if (endurance["first_wear_time_ps"] is None
-                        or wear["first_wear_time_ps"] < endurance["first_wear_time_ps"]):
-                    endurance["first_wear_time_ps"] = wear["first_wear_time_ps"]
+                    "n_read": sum(level.region_reads[r] for level in arrays),
+                    "n_write": sum(level.region_writes[r] for level in arrays),
+                } for r, tech in enumerate(ref.tech_by_region)],
+            }
+        endurance = dict(zip(
+            ("max_write_count", "worn_blocks", "wear_events", "first_wear_time_ps"),
+            _wear_summary([level for _, _, level, _ in self.levels])))
 
         tiers = []
         for t in self.spec.tier_stack:
@@ -808,8 +772,9 @@ class System:
             },
             "levels": levels,
             "energy": {
-                "total_nj": sum(per_level_energy.values()),
-                "per_level_nj": per_level_energy,
+                "total_nj": sum(lv["energy_nj"] for lv in levels.values()),
+                "per_level_nj": {name: lv["energy_nj"]
+                                 for name, lv in levels.items()},
                 "write_mix": self.spec.write_mix,
                 "standby_power_is_configurable": True,
             },

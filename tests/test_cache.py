@@ -13,22 +13,25 @@ CAT = catalog_default()
 Outcome = namedtuple("Outcome", "hit wear_event bypass")
 
 
+def word_mask(level, addr, size):
+    """Mask of the block words an access covers, as the simulator's
+    `_apply_write` returns it."""
+    offset = addr % level.geom.block_size
+    last = min((offset + size - 1) // WORD_SIZE, level.geom.words_per_block - 1)
+    return (1 << (last + 1)) - (1 << (offset // WORD_SIZE))
+
+
 def access(level, op, addr, size=WORD_SIZE):
     """One core access made through the calls the simulator makes:
     `demand_read`, then `write_touch` on a write hit, or on a miss a `fill`
     (a write-allocate fill for a write), which bypasses a worn way."""
     res = level.demand_read(addr)
-    offset = addr % level.geom.block_size
+    mask = word_mask(level, addr, size) if op == "W" else 0
     if res.hit:
-        wear = op == "W" and level.write_touch(res.set_index, res.way,
-                                               offset, size)
+        wear = op == "W" and level.write_touch(res.set_index, res.way, mask)
         return Outcome(True, wear, False)
-    words = 0
-    if op == "W":
-        last = min((offset + size - 1) // WORD_SIZE,
-                   level.geom.words_per_block - 1)
-        words = last - offset // WORD_SIZE + 1
-    filled = level.fill(addr, M if op == "W" else S, write_fill_words=words)
+    filled = level.fill(addr, M if op == "W" else S,
+                        write_fill_words=mask.bit_count())
     return Outcome(False, filled.wear_event, filled.bypass)
 
 
@@ -371,7 +374,8 @@ def test_index_matches_way_scan_property(ops, set_exp, ways, replacement,
         elif op in ("evict", "invalidate"):
             getattr(level, op)(a % sets, b % ways)
         elif op == "write_touch" and way is not None:
-            level.write_touch(set_index, way, b % 64, min(size, 64 - b % 64))
+            level.write_touch(set_index, way,
+                              word_mask(level, b % 64, min(size, 64 - b % 64)))
         elif op == "writeback_write":
             level.writeback_write(addr, dirty_words=b % 256)
         check_index(level, n_blocks)

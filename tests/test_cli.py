@@ -127,6 +127,24 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "block_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["caches.l1d.associativity",
+                                 "caches.l1d.block_size", "bus.beat_width"])
+def test_zero_divisor_exits_2_with_its_path(tmp_path, capsys, key):
+    # each of these divides a size; a zero is a located violation, not a fault
+    cfg_path = write_config(tmp_path, quick_cfg())
+    assert main(["run", "--config", cfg_path, "--set", f"{key}=0",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert f"{key}: " in capsys.readouterr().err
+    cfg = quick_cfg()
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = 0
+    assert main(["validate", "--config", write_config(tmp_path, cfg, "bad.json")]) == 2
+    assert f"{key}: " in capsys.readouterr().err
+
+
 def test_hops_output(capsys):
     assert main(["hops", "--dims", "8x8x1"]) == 0
     assert capsys.readouterr().out.strip() == "5.2500"

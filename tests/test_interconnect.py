@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiersim.engine import EventQueue
-from tiersim.interconnect import (LOCAL, MESSAGE, BusChannel, ClusterBus,
+from tiersim.interconnect import (LOCAL, BusChannel, ClusterBus,
                                   MeshNetwork, MeshTopology, hop_count,
                                   mean_hop_count, packetize, route_next_hop,
                                   step_toward)
@@ -110,11 +110,11 @@ def test_mean_hop_count_invalid_dims():
 
 
 def test_packetize_examples():
-    assert packetize(MESSAGE, 256, 16) == (17, 17)
-    assert packetize(MESSAGE, 0, 16) == (1, 1)
-    assert packetize(MESSAGE, 64, 16) == (5, 5)
+    assert packetize(256, 16) == 17
+    assert packetize(0, 16) == 1
+    assert packetize(64, 16) == 5
     with pytest.raises(ValueError):
-        packetize(MESSAGE, 10, 0)
+        packetize(10, 0)
 
 
 def test_bus_channel_fifo_grants():
@@ -147,7 +147,7 @@ def test_cluster_bus_has_three_independent_channels():
 def zero_load_latency(t, src, dst, payload):
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
-    pkt = net.inject(0, src, dst, MESSAGE, payload)
+    pkt = net.inject(0, src, dst, payload)
     engine.run_until()
     return (pkt.t_deliver - pkt.t_inject) // 1000
 
@@ -156,7 +156,7 @@ def test_zero_load_latency_formula_exact():
     # hops * (router_delay + per-hop link/TSV latency) + serialization
     t = topo((4, 4, 2), link_latency=1, tsv_latency=1, router_delay=1,
              flit_width=16)
-    flits, _ = packetize(MESSAGE, 64, 16)
+    flits = packetize(64, 16)
     for src, dst in (((0, 0, 0), (3, 2, 1)), ((1, 1, 0), (1, 1, 1)),
                      ((3, 3, 1), (0, 0, 0))):
         hops = hop_count(src, dst, t)
@@ -166,7 +166,7 @@ def test_zero_load_latency_formula_exact():
 def test_zero_load_latency_with_slow_tsv_and_router():
     t = topo((2, 2, 3), link_latency=2, tsv_latency=4, router_delay=3,
              flit_width=16)
-    flits, _ = packetize(MESSAGE, 32, 16)
+    flits = packetize(32, 16)
     got = zero_load_latency(t, (0, 0, 0), (1, 1, 2), 32)
     # 2 horizontal hops at (3+2), 2 vertical hops at (3+4), + 3 flits
     assert got == 2 * 5 + 2 * 7 + flits
@@ -177,7 +177,7 @@ def test_packets_conserved_mid_run():
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
     for i in range(20):
-        net.inject(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), MESSAGE, 64)
+        net.inject(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
     engine.run_until(4000)
     assert net.injected == net.delivered + net.in_flight
     assert net.in_flight > 0
@@ -244,7 +244,7 @@ def test_mesh_matches_reference_walk_property(traffic):
     t, clock_ps, packets = traffic
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
-    sent = [net.inject(t_inject, src, dst, MESSAGE, nbytes)
+    sent = [net.inject(t_inject, src, dst, nbytes)
             for t_inject, src, dst, nbytes in packets]
     engine.run_until()
     expected, link_free = reference_walk(
