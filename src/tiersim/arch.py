@@ -251,6 +251,9 @@ def validate_spec(spec: SystemSpec) -> list[str]:
         out.append(f"memory_latency_ns: must be >= 0 ({spec.memory_latency_ns})")
     if not 0.0 <= spec.write_mix <= 1.0:
         out.append(f"write_mix: must be in [0, 1] ({spec.write_mix})")
+    if spec.histogram_bucket_ps < 1:
+        out.append(f"report.histogram_bucket_ps: must be >= 1 "
+                   f"({spec.histogram_bucket_ps})")
     return out
 
 
@@ -316,7 +319,7 @@ def preset(name: str) -> dict:
         del cfg["workload"]["message_synthetic"]
     elif name == "fig33":
         pass
-    elif name in ("fig34", "fig35a"):
+    elif name == "fig34":
         cfg["tier_stack"] = [CORES_L1, L2_SPLIT_ID]
         cfg["caches"]["l2"] = dict(_L2_BLOCK)
     elif name == "fig35b":
@@ -333,4 +336,4 @@ def preset(name: str) -> dict:
     return cfg
 
 
-PRESET_NAMES = ("fig32", "fig33", "fig34", "fig35a", "fig35b", "fig36")
+PRESET_NAMES = ("fig32", "fig33", "fig34", "fig35b", "fig36")

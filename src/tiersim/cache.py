@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .engine import cycles_for_latency
+from .engine import FifoResource, cycles_for_latency
 from .memtech import READ, TechnologyParams
 
 WORD_SIZE = 8  # bytes per partial-write word
@@ -108,13 +108,6 @@ class CacheGeometry:
                     out.append(f"{path}.regions: way ranges must partition "
                                f"[0, {self.associativity})")
         return out
-
-
-def decompose_address(addr: int, geom: CacheGeometry) -> tuple[int, int, int]:
-    """(tag, set_index, block_offset) for a physical address."""
-    offset = addr % geom.block_size
-    block = addr // geom.block_size
-    return block // geom.sets, block % geom.sets, offset
 
 
 def compose_address(tag: int, set_index: int, offset: int, geom: CacheGeometry) -> int:
@@ -212,8 +205,7 @@ class CacheLevel:
         self.invalidations = 0
         self.hit_latency_sum_ps = 0
         self.hit_latency_samples = 0
-        self.busy_ps = 0
-        self.free_at_ps = 0  # single-ported array: one access in service at a time
+        self.port = FifoResource()  # single-ported: one access in service at a time
 
         per_region_write_ns = [
             write_mix * t.write_set_latency + (1.0 - write_mix) * t.write_reset_latency
@@ -440,14 +432,9 @@ class CacheLevel:
         (self.region_reads if op == "R" else self.region_writes)[region] += 1
 
     def service(self, arrival_ps: int, cycles: int) -> tuple[int, int]:
-        """Occupy the array for an access, after every access already
-        booked; returns (start, done) in ps. Windows never overlap, so busy
-        time is their sum."""
-        start = max(arrival_ps, self.free_at_ps)
-        done = start + cycles * self.clock_period_ps
-        self.free_at_ps = done
-        self.busy_ps += done - start
-        return start, done
+        """Occupy the array's port for an access, after every access already
+        booked; returns (start, done) in ps."""
+        return self.port.book(arrival_ps, cycles * self.clock_period_ps)
 
     def record_hit_latency(self, latency_ps: int) -> None:
         self.hit_latency_sum_ps += latency_ps

@@ -70,6 +70,29 @@ class EventQueue:
         return count
 
 
+class FifoResource:
+    """A resource that serves one booking at a time, in booking order: a
+    booking starts at max(arrival, free_at_ps) and holds the resource for
+    its hold time, so windows never overlap and busy time is their sum.
+    `book` is the one place this rule is applied."""
+
+    __slots__ = ("free_at_ps", "busy_ps", "grants")
+
+    def __init__(self) -> None:
+        self.free_at_ps = 0
+        self.busy_ps = 0
+        self.grants = 0
+
+    def book(self, arrival_ps: int, hold_ps: int) -> tuple[int, int]:
+        """Book after every booking already made; returns (start, done)."""
+        start = max(arrival_ps, self.free_at_ps)
+        done = start + hold_ps
+        self.free_at_ps = done
+        self.busy_ps += hold_ps
+        self.grants += 1
+        return start, done
+
+
 def cycles_for_latency(latency_ns: float, clock_period_ps: int) -> int:
     """Whole clock cycles covering a latency, rounding up."""
     if clock_period_ps <= 0:

@@ -11,32 +11,24 @@ Bus and NoC are disjoint fabrics; nothing ever bridges them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import EventQueue
-
-LOCAL = "local"
+from .engine import EventQueue, FifoResource
 
 
 # --- cluster bus -------------------------------------------------------------
 
-REQUEST = "request"
-RESPONSE = "response"
-SNOOP = "snoop"
 
-
-class BusChannel:
+class BusChannel(FifoResource):
     """One bus layer: FIFO grants, one transfer in flight at a time,
     occupancy of ceil(bytes / beat_width) cycles per grant."""
 
     def __init__(self, name: str, beat_width: int = 16, clock_period_ps: int = 1000):
+        super().__init__()
         self.name = name
         self.beat_width = beat_width
         self.clock_period_ps = clock_period_ps
-        self.free_at_ps = 0
-        self.grants = 0
-        self.busy_ps = 0
 
     def occupancy_cycles(self, nbytes: int) -> int:
         return max(1, -(-nbytes // self.beat_width))
@@ -49,32 +41,16 @@ class BusChannel:
         can arrive earlier than one already on the channel (7.5% of fig33's
         bus bookings at seed 0 do) and then waits behind it. ROADMAP item 4 tracks
         making bookings causally ordered."""
-        grant = max(t_ps, self.free_at_ps)
-        hold = self.occupancy_cycles(nbytes) * self.clock_period_ps
-        self.free_at_ps = grant + hold
-        self.grants += 1
-        self.busy_ps += hold
-        return grant, grant + hold
+        return self.book(t_ps, self.occupancy_cycles(nbytes) * self.clock_period_ps)
 
 
-@dataclass
 class ClusterBus:
     """CCI-style three-layered bus: requests, responses, snoops."""
 
-    beat_width: int = 16
-    clock_period_ps: int = 1000
-    request: BusChannel = field(init=False)
-    response: BusChannel = field(init=False)
-    snoop: BusChannel = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.request = BusChannel(REQUEST, self.beat_width, self.clock_period_ps)
-        self.response = BusChannel(RESPONSE, self.beat_width, self.clock_period_ps)
-        self.snoop = BusChannel(SNOOP, self.beat_width, self.clock_period_ps)
-
-    @property
-    def total_grants(self) -> int:
-        return self.request.grants + self.response.grants + self.snoop.grants
+    def __init__(self, beat_width: int = 16, clock_period_ps: int = 1000):
+        self.request = BusChannel("request", beat_width, clock_period_ps)
+        self.response = BusChannel("response", beat_width, clock_period_ps)
+        self.snoop = BusChannel("snoop", beat_width, clock_period_ps)
 
 
 # --- mesh topology and analytics ---------------------------------------------
@@ -104,39 +80,6 @@ class MeshTopology:
         x, y, z = coord
         nx, ny, nz = self.dims
         return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz
-
-
-def hop_count(src: tuple[int, int, int], dst: tuple[int, int, int],
-              topo: MeshTopology) -> int:
-    """Manhattan distance between two mesh nodes."""
-    if not topo.contains(src) or not topo.contains(dst):
-        raise ValueError(f"coordinate out of range for mesh {topo.dims}: {src} -> {dst}")
-    return sum(abs(a - b) for a, b in zip(src, dst))
-
-
-def route_next_hop(current: tuple[int, int, int],
-                   dst: tuple[int, int, int]) -> str:
-    """XYZ dimension-order routing: correct X, then Y, then Z."""
-    if current[0] != dst[0]:
-        return "+x" if dst[0] > current[0] else "-x"
-    if current[1] != dst[1]:
-        return "+y" if dst[1] > current[1] else "-y"
-    if current[2] != dst[2]:
-        return "+z" if dst[2] > current[2] else "-z"
-    return LOCAL
-
-
-_PORT_DELTA = {
-    "+x": (1, 0, 0), "-x": (-1, 0, 0),
-    "+y": (0, 1, 0), "-y": (0, -1, 0),
-    "+z": (0, 0, 1), "-z": (0, 0, -1),
-}
-
-
-def step_toward(current: tuple[int, int, int], port: str) -> tuple[int, int, int]:
-    x, y, z = current
-    dx, dy, dz = _PORT_DELTA[port]
-    return (x + dx, y + dy, z + dz)
 
 
 def _dim_mean_distance(n: int) -> Fraction:
@@ -187,9 +130,11 @@ class Packet:
 class MeshNetwork:
     """Packet-level timed mesh on the shared event queue.
 
-    Each directed link is a FIFO resource occupied for `flits` cycles per
-    packet; the head flit advances router by router, so queueing delay is the
-    only congestion effect (unbounded input buffers, no drops).
+    Each directed link `(node, port)` is a `FifoResource`, built on first
+    use and booked like the bus channels, cache arrays and memory
+    controllers: it is held for `flits` cycles per packet. The head flit
+    advances router by router, so queueing delay is the only congestion
+    effect (unbounded input buffers, no drops).
     """
 
     def __init__(self, topo: MeshTopology, engine: EventQueue,
@@ -197,7 +142,7 @@ class MeshNetwork:
         self.topo = topo
         self.engine = engine
         self.clock_period_ps = clock_period_ps
-        self._link_free: dict[tuple[tuple[int, int, int], str], int] = {}
+        self.links: dict[tuple[tuple[int, int, int], str], FifoResource] = {}
         self.injected = 0
         self.delivered = 0
         self.msg_samples: list[tuple[int, int]] = []   # (t_inject, t_deliver)
@@ -218,8 +163,9 @@ class MeshNetwork:
         return pkt
 
     def _at_router(self, payload: tuple[Packet, tuple[int, int, int]]) -> None:
-        # One hop of XYZ routing, inlined from route_next_hop/step_toward:
-        # pick the output port, the next node and the link or TSV latency.
+        # One hop of XYZ routing: pick the output port, the next node and the
+        # link or TSV latency. `reference_walk` in tests/test_interconnect.py
+        # spells the same routing out step by step and checks this against it.
         pkt, node = payload
         x, y, z = node
         dx, dy, dz = pkt.dst
@@ -249,7 +195,8 @@ class MeshNetwork:
             self.msg_samples.append((pkt.t_inject, pkt.t_deliver))
             return
         ready = self.engine.now + topo.router_delay * clock
-        key = (node, port)
-        depart = max(ready, self._link_free.get(key, 0))
-        self._link_free[key] = depart + pkt.flits * clock
+        link = self.links.get((node, port))
+        if link is None:
+            link = self.links[(node, port)] = FifoResource()
+        depart, _ = link.book(ready, pkt.flits * clock)
         self.engine.schedule(depart + hop_latency * clock, self._at_router, (pkt, nxt))

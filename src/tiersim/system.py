@@ -7,9 +7,10 @@ over a cluster-private backing store. Clusters exchange only message packets
 over the mesh NoC; the bus and the NoC are never bridged.
 
 Coherence state and data commit atomically at bus-serialization points, in
-event-dispatch order; timing comes from FIFO resource bookings (bus channels,
-cache arrays, memory controller), so latencies show queueing contention while
-the protocol itself stays a linearizable state machine.
+event-dispatch order; timing comes from one FIFO booking rule,
+`FifoResource.book`, shared by the bus channels, cache array ports, memory
+controllers and NoC links, so latencies show queueing contention while the
+protocol itself stays a linearizable state machine.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .cache import (DIRTY_STATES, I, M, O, S, WORD_SIZE, AccessResult,
                     CacheLevel, CacheLine, Eviction)
 from .coherence import (CORE_READ, CORE_WRITE, SUPPLY_OWNER, StepResult,
                         coherence_step)
-from .engine import EventQueue, substream
+from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, AccessCounters, area_estimate, level_energy
 from .metrics import summarize_latency, tier_power_density
@@ -74,20 +75,16 @@ class ClusterMemory:
 
 @dataclass
 class MemoryController:
+    """Fixed latency, one request in service at a time; reads are the
+    port's grants less the writes."""
+
     latency_ps: int
-    free_at_ps: int = 0
-    reads: int = 0
+    port: FifoResource = field(default_factory=FifoResource)
     writes: int = 0
 
     def serve(self, arrival_ps: int, is_write: bool) -> tuple[int, int]:
-        start = max(arrival_ps, self.free_at_ps)
-        done = start + self.latency_ps
-        self.free_at_ps = done
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        return start, done
+        self.writes += is_write
+        return self.port.book(arrival_ps, self.latency_ps)
 
 
 @dataclass
@@ -680,7 +677,7 @@ class System:
     def _busy_idle_ns(level: CacheLevel, duration_ns: float) -> tuple[float, float]:
         # fire-and-forget write-backs may book service slightly past the last
         # dispatched event; clamp so busy + idle = duration holds exactly
-        busy = min(level.busy_ps / 1000.0, duration_ns)
+        busy = min(level.port.busy_ps / 1000.0, duration_ns)
         return busy, duration_ns - busy
 
     def _instance_energy(self, level: CacheLevel, duration_ns: float) -> float:
@@ -792,7 +789,8 @@ class System:
                     "in_flight": self.noc.in_flight,
                 },
                 "memory_controllers": {
-                    "reads": sum(c.memctrl.reads for c in self.clusters),
+                    "reads": sum(c.memctrl.port.grants - c.memctrl.writes
+                                 for c in self.clusters),
                     "writes": sum(c.memctrl.writes for c in self.clusters),
                 },
             },

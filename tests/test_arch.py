@@ -122,6 +122,7 @@ def test_shipped_config_files_match_presets():
     import json
     import os
     base = os.path.join(os.path.dirname(__file__), "..", "configs")
+    assert sorted(os.listdir(base)) == sorted(f"{n}.json" for n in PRESET_NAMES)
     for name in PRESET_NAMES:
         with open(os.path.join(base, f"{name}.json"), encoding="utf-8") as fh:
             assert json.load(fh) == preset(name), name

@@ -1,16 +1,28 @@
 import random
 from collections import namedtuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
                            CacheLevel, CacheLine, I, M, Region, S, check_wear,
-                           compose_address, decompose_address)
+                           compose_address)
+from tiersim.engine import EventQueue, FifoResource
+from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology
 from tiersim.memtech import catalog_default
+from tiersim.system import MemoryController
 
 CAT = catalog_default()
 
 Outcome = namedtuple("Outcome", "hit wear_event bypass")
+
+
+def decompose_address(addr, geom):
+    """(tag, set_index, block_offset) for a physical address: the inverse
+    of `compose_address`, which the cache's lookups compute inline."""
+    offset = addr % geom.block_size
+    block = addr // geom.block_size
+    return block // geom.sets, block % geom.sets, offset
 
 
 def word_mask(level, addr, size):
@@ -381,28 +393,111 @@ def test_index_matches_way_scan_property(ops, set_exp, ways, replacement,
         check_index(level, n_blocks)
 
 
-@settings(max_examples=200, deadline=None)
-@given(requests=st.lists(st.tuples(st.integers(-3000, 3000), st.integers(0, 6)),
-                         max_size=40),
-       period=st.integers(1, 1500))
-def test_service_windows_are_fifo_and_busy_is_their_union(requests, period):
-    """Arrivals may repeat or go back in time; the array still books each
-    access after the one before it, and its busy time is exactly the
-    measure of the union of the windows it returned."""
-    level = CacheLevel("busy", CacheGeometry(capacity=1024, block_size=64,
-                                             associativity=2),
-                       [CAT["SRAM"]], clock_period_ps=period)
-    arrival = 0
-    windows = []
-    for delta, cycles in requests:
-        arrival = max(0, arrival + delta)
-        start, done = level.service(arrival, cycles)
-        assert start >= arrival and done - start == cycles * period
-        windows.append((start, done))
+# -- FIFO bookings: the one rule every timed resource follows --------------------
+
+def check_fifo_bookings(resource, windows):
+    """Each window starts at or after the previous one's end, the
+    resource's busy time is exactly the measure of the windows' union, and
+    it granted one booking per window."""
     for (_, prev_done), (start, _) in zip(windows, windows[1:]):
         assert start >= prev_done
     union, reach = 0, 0
     for start, done in sorted(windows):
         union += max(0, done - max(start, reach))
         reach = max(reach, done)
-    assert level.busy_ps == union
+    assert resource.busy_ps == union
+    assert resource.grants == len(windows)
+
+
+BOOKINGS = st.lists(st.tuples(st.integers(-3000, 3000), st.integers(0, 6)),
+                    max_size=40)
+
+
+def bookings(requests):
+    """(arrival, cycles) pairs whose arrivals may repeat or go back in time,
+    but never below 0."""
+    arrival = 0
+    for delta, cycles in requests:
+        arrival = max(0, arrival + delta)
+        yield arrival, cycles
+
+
+@settings(max_examples=200, deadline=None)
+@given(requests=BOOKINGS, period=st.integers(1, 1500))
+def test_service_windows_are_fifo_and_busy_is_their_union(requests, period):
+    """Arrivals may repeat or go back in time; the resource still books each
+    hold after the one before it, and its busy time is exactly the measure
+    of the union of the windows it returned."""
+    resource = FifoResource()
+    windows = []
+    for arrival, cycles in bookings(requests):
+        start, done = resource.book(arrival, cycles * period)
+        assert start >= arrival and done - start == cycles * period
+        windows.append((start, done))
+    check_fifo_bookings(resource, windows)
+
+
+def book_cache_array(requests, period):
+    level = CacheLevel("busy", CacheGeometry(capacity=1024, block_size=64,
+                                             associativity=2),
+                       [CAT["SRAM"]], clock_period_ps=period)
+    windows = []
+    for arrival, cycles in bookings(requests):
+        start, done = level.service(arrival, cycles)
+        assert start >= arrival and done - start == cycles * period
+        windows.append((start, done))
+    return level.port, windows
+
+
+def book_bus_channel(requests, period):
+    channel = BusChannel("request", beat_width=16, clock_period_ps=period)
+    windows = []
+    for arrival, cycles in bookings(requests):
+        start, done = channel.request(arrival, cycles * 16)
+        assert start >= arrival and done - start == max(1, cycles) * period
+        windows.append((start, done))
+    return channel, windows
+
+
+def book_memory_controller(requests, period):
+    ctrl = MemoryController(latency_ps=3 * period)
+    windows = []
+    for arrival, cycles in bookings(requests):
+        start, done = ctrl.serve(arrival, is_write=cycles % 2 == 1)
+        assert start >= arrival and done - start == 3 * period
+        windows.append((start, done))
+    assert ctrl.writes == sum(cycles % 2 for _, cycles in requests)
+    return ctrl.port, windows
+
+
+def book_mesh_link(requests, period):
+    """One packet per request over the single +x link of a 2x1x1 mesh.
+    The link is booked when a head flit is ready, in dispatch order, so
+    windows are read back from delivery times in that order."""
+    t = MeshTopology(dims=(2, 1, 1), link_latency=2, router_delay=1,
+                     flit_width=16)
+    engine = EventQueue()
+    net = MeshNetwork(t, engine, clock_period_ps=period)
+    sent = [net.inject(arrival, (0, 0, 0), (1, 0, 0), cycles * 16)
+            for arrival, cycles in bookings(requests)]
+    engine.run_until()
+    windows = []
+    for pkt in sorted(sent, key=lambda p: p.t_inject):   # stable: dispatch order
+        hold = pkt.flits * period
+        start = pkt.t_deliver - hold - t.link_latency * period
+        assert start >= pkt.t_inject + t.router_delay * period
+        windows.append((start, start + hold))
+    link = net.links.get(((0, 0, 0), "+x"), FifoResource())
+    return link, windows
+
+
+@pytest.mark.parametrize("book", [book_cache_array, book_bus_channel,
+                                  book_memory_controller, book_mesh_link],
+                         ids=["CacheLevel.service", "BusChannel.request",
+                              "MemoryController.serve", "mesh-link"])
+@settings(max_examples=100, deadline=None)
+@given(requests=BOOKINGS, period=st.integers(1, 1500))
+def test_every_timed_resource_books_fifo_windows(book, requests, period):
+    """Every user of the booking rule keeps its windows in booking order,
+    counts their union as busy time and grants once per booking."""
+    check_fifo_bookings(*book(requests, period))

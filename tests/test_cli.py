@@ -145,6 +145,19 @@ def test_zero_divisor_exits_2_with_its_path(tmp_path, capsys, key):
     assert f"{key}: " in capsys.readouterr().err
 
 
+def test_zero_histogram_bucket_exits_2_before_the_run(tmp_path, capsys):
+    # no preset has a report section, so only a config file reaches the key
+    cfg = preset("fig32")
+    cfg["report"] = {"histogram_bucket_ps": 0}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "report.histogram_bucket_ps: " in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--config", cfg_path]) == 2
+    assert "report.histogram_bucket_ps: " in capsys.readouterr().err
+
+
 def test_hops_output(capsys):
     assert main(["hops", "--dims", "8x8x1"]) == 0
     assert capsys.readouterr().out.strip() == "5.2500"

@@ -117,7 +117,6 @@ GOLDEN = {
     "fig32": "4d3bb3ac1833368fd16d262b296790d0fe666b07ebc5f5363b3141b62ade74fc",
     "fig33": "78c6ec28bd2e70c6a64b72227f4e4a13466653b8dc6aab6afdbb173629673143",
     "fig34": "b9f1bfe3445e64dd2e4247a1f19c8e7b105c7216aca89f197c1c329102fd65db",
-    "fig35a": "b9f1bfe3445e64dd2e4247a1f19c8e7b105c7216aca89f197c1c329102fd65db",
     "fig35b": "b3f724e937a717e849faba85fb9b5bd3fae91c72f77a0a96a1fbe57269ae1473",
     "fig36": "70ec76c583f03b1e0436085f203892f05c3e2fa9fd277981713f6a7490af99a9",
     "shared-writes": "0633ac70a178cab80dc3d0f74449c5d42c0daf5de06ac3a892ed63fc1cd445a7",
