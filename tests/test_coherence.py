@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from tiersim.coherence import (BUS_RD, BUS_RDX, CORE_READ, CORE_WRITE, EVICT,
                                INVALIDATE, SNOOP_BUSRD, SNOOP_BUSRDX,
                                SUPPLY_MEMORY, SUPPLY_OWNER, CoherenceFault,
-                               check_invariants, coherence_step)
+                               StepResult, check_invariants, coherence_step)
 
 
 def test_cold_read_gets_exclusive_from_memory():
@@ -149,3 +150,127 @@ def test_randomized_against_sequential_memory_oracle():
         # or it has been written back
         holders = [values[i] for i, s in enumerate(states) if s in "MOES"]
         assert (current in holders) or memory == current or current == 0
+
+
+# -- reference transition function ------------------------------------------
+# A plain-loop copy of the protocol, kept as the oracle for the optimized
+# `coherence_step`: both must agree on every state vector, event and
+# requester, and refuse the same vectors.
+
+def _ref_check_invariants(states):
+    n_m = states.count("M")
+    n_e = states.count("E")
+    n_o = states.count("O")
+    if n_m + n_e > 1:
+        raise CoherenceFault(f"multiple owners: {states}")
+    if n_m + n_e == 1 and any(s not in ("M", "E", "I") for s in states):
+        raise CoherenceFault(f"M/E must be exclusive: {states}")
+    if n_o > 1:
+        raise CoherenceFault(f"multiple O holders: {states}")
+    if n_o == 1 and any(s in ("M", "E") for s in states):
+        raise CoherenceFault(f"O may coexist only with S/I: {states}")
+
+
+def _ref_owner(states):
+    for prio in ("M", "O", "E"):
+        for idx, s in enumerate(states):
+            if s == prio:
+                return idx
+    return None
+
+
+def _ref_apply_busrd(states, requester, actions):
+    owner = _ref_owner([s if i != requester else "I"
+                        for i, s in enumerate(states)])
+    if owner is not None:
+        actions.append((SUPPLY_OWNER, owner))
+        if states[owner] == "M":
+            states[owner] = "O"
+        elif states[owner] == "E":
+            states[owner] = "S"
+    else:
+        actions.append((SUPPLY_MEMORY,))
+
+
+def _ref_apply_busrdx(states, requester, actions):
+    owner = _ref_owner([s if i != requester else "I"
+                        for i, s in enumerate(states)])
+    if owner is not None:
+        actions.append((SUPPLY_OWNER, owner))
+    else:
+        actions.append((SUPPLY_MEMORY,))
+    for idx, s in enumerate(states):
+        if idx != requester and s != "I":
+            actions.append((INVALIDATE, idx))
+            states[idx] = "I"
+
+
+def _ref_coherence_step(states, event, cache):
+    _ref_check_invariants(states)
+    st = list(states)
+    actions = []
+    mine = st[cache]
+    if event == CORE_READ:
+        if mine == "I":
+            actions.append((BUS_RD,))
+            _ref_apply_busrd(st, cache, actions)
+            any_other = any(s != "I" for i, s in enumerate(st) if i != cache)
+            st[cache] = "S" if any_other else "E"
+    elif event == CORE_WRITE:
+        if mine == "M":
+            pass
+        elif mine == "E":
+            st[cache] = "M"
+        else:
+            actions.append((BUS_RDX,))
+            if mine == "I":
+                _ref_apply_busrdx(st, cache, actions)
+            else:
+                for idx, s in enumerate(st):
+                    if idx != cache and s != "I":
+                        actions.append((INVALIDATE, idx))
+                        st[idx] = "I"
+            st[cache] = "M"
+    elif event == SNOOP_BUSRD:
+        _ref_apply_busrd(st, cache, actions)
+    elif event == SNOOP_BUSRDX:
+        _ref_apply_busrdx(st, cache, actions)
+    elif event == EVICT:
+        if mine in ("M", "O"):
+            actions.append(("writeback", cache))
+        st[cache] = "I"
+    _ref_check_invariants(st)
+    return StepResult(states=tuple(st), actions=tuple(actions))
+
+
+def _all_vectors(max_n=4):
+    for n in range(1, max_n + 1):
+        yield from itertools.product("MOESI", repeat=n)
+
+
+def test_step_equals_reference_on_every_vector():
+    legal = 0
+    for vector in _all_vectors():
+        try:
+            _ref_check_invariants(vector)
+        except CoherenceFault:
+            with pytest.raises(CoherenceFault):
+                check_invariants(vector)
+            with pytest.raises(CoherenceFault):
+                check_invariants(list(vector))
+            for event in (CORE_READ, CORE_WRITE, SNOOP_BUSRD, SNOOP_BUSRDX,
+                          EVICT):
+                with pytest.raises(CoherenceFault):
+                    coherence_step(list(vector), event, 0)
+            continue
+        check_invariants(vector)
+        legal += 1
+        for event in (CORE_READ, CORE_WRITE, SNOOP_BUSRD, SNOOP_BUSRDX, EVICT):
+            for cache in range(len(vector)):
+                want = _ref_coherence_step(list(vector), event, cache)
+                got = coherence_step(list(vector), event, cache)
+                assert got == want, (vector, event, cache)
+                assert coherence_step(vector, event, cache) == want
+    # Legal vectors of n caches: all S/I, or one M or E with the rest I, or
+    # one O with the rest S/I. All of them were compared, for n = 1..4.
+    assert legal == sum(2 ** n + 2 * n + n * 2 ** (n - 1) for n in range(1, 5))
