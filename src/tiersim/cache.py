@@ -11,7 +11,10 @@ first, by the first fill that lands in each; a way not yet built counts as
 invalid and unworn, so replacement picks the same victims as it would over
 a fully built set. Lookups never scan ways: each level keeps an index from
 block number to the way of its valid, unworn line, plus the set of blocks
-whose way has worn out, and `probe` and `fill` consult only those.
+whose way has worn out, and `probe` and `fill` consult only those. An
+array its cluster snoops (an L1d or a private L2) is handed that cluster's
+snoop filter and its own bit in it, and sets and clears the bit where the
+index gains and loses the block.
 
 The level has one API, which the simulator and the tests both drive: a
 request from above is `demand_read` (no allocation; the caller fills on a
@@ -159,7 +162,8 @@ class CacheLevel:
                  tech_by_region: list[TechnologyParams],
                  clock_period_ps: int = 1000,
                  rng: random.Random | None = None,
-                 write_mix: float = 0.5):
+                 write_mix: float = 0.5,
+                 snoop_filter: tuple[dict[int, int], int] | None = None):
         regions = geom.regions or (Region(0, geom.associativity, tech_by_region[0].name),)
         if len(tech_by_region) != len(regions):
             raise ValueError(f"{name}: {len(regions)} regions but "
@@ -181,6 +185,9 @@ class CacheLevel:
         # and the blocks whose way wore out (worn ways keep their tag).
         self._resident: dict[int, int] = {}
         self._worn_blocks: set[int] = set()
+        # A snooped array also keeps its bit in the cluster's map from block
+        # number to holder bits, set exactly while the block is in _resident.
+        self._holders, self._holder_bit = snoop_filter or (None, 0)
         self._region_of_way = [0] * geom.associativity
         for idx, r in enumerate(regions):
             for w in range(r.way_lo, r.way_hi):
@@ -264,9 +271,18 @@ class CacheLevel:
         return usable[self.rng.randrange(len(usable))]
 
     def _unindex(self, set_index: int, line: CacheLine) -> None:
-        """Drop a valid line from the lookup index as it leaves that state."""
-        if not line.worn:
-            del self._resident[line.tag * self._sets + set_index]
+        """Drop a valid line from the lookup index, and its bit from the
+        snoop filter, as it leaves that state."""
+        if line.worn:
+            return
+        block = line.tag * self._sets + set_index
+        del self._resident[block]
+        if self._holders is not None:
+            rest = self._holders[block] & ~self._holder_bit
+            if rest:
+                self._holders[block] = rest
+            else:
+                del self._holders[block]
 
     def evict(self, set_index: int, way: int) -> Eviction | None:
         """Invalidate a way; dirty victims come back for write-back."""
@@ -317,6 +333,8 @@ class CacheLevel:
         line.dirty_words = 0
         line.data = list(data) if data is not None else [0] * self.geom.words_per_block
         self._resident[block] = victim
+        if self._holders is not None:
+            self._holders[block] = self._holders.get(block, 0) | self._holder_bit
         self.fills += 1
         self.touch(set_index, victim)
         wear = False

@@ -44,27 +44,45 @@ def check_invariants(states: tuple[str, ...] | list[str]) -> None:
     n_o = states.count(O)
     if n_m + n_e > 1:
         raise CoherenceFault(f"multiple owners: {states}")
-    if n_m + n_e == 1 and any(s not in (M, E, I) for s in states):
+    if n_m + n_e == 1 and states.count(I) != len(states) - 1:
         raise CoherenceFault(f"M/E must be exclusive: {states}")
     if n_o > 1:
         raise CoherenceFault(f"multiple O holders: {states}")
-    if n_o == 1 and any(s in (M, E) for s in states):
+    if n_o == 1 and n_m + n_e:
         raise CoherenceFault(f"O may coexist only with S/I: {states}")
 
 
-def _owner(states: list[str]) -> int | None:
-    """Cache responsible for supplying data, if any holds it dirty or exclusive."""
+def _others(states: list[str], requester: int) -> list[str]:
+    """A copy of the vector with the requester's own entry masked to I."""
+    others = states.copy()
+    others[requester] = I
+    return others
+
+
+def _owner(others: list[str]) -> int | None:
+    """Cache responsible for supplying data, if any holds it dirty or
+    exclusive: the first M, else the first O, else the first E."""
     for prio in (M, O, E):
-        for idx, s in enumerate(states):
-            if s == prio:
-                return idx
+        if prio in others:
+            return others.index(prio)
     return None
+
+
+def _invalidate(states: list[str], others: list[str],
+                actions: list[tuple]) -> None:
+    """Every cache holding a copy in `others` invalidates it."""
+    if others.count(I) == len(others):
+        return
+    for idx, s in enumerate(others):
+        if s != I:
+            actions.append((INVALIDATE, idx))
+            states[idx] = I
 
 
 def _apply_busrd(states: list[str], requester: int,
                  actions: list[tuple]) -> None:
     """Remote caches observe a BusRd from `requester`."""
-    owner = _owner([s if i != requester else I for i, s in enumerate(states)])
+    owner = _owner(_others(states, requester))
     if owner is not None:
         actions.append((SUPPLY_OWNER, owner))
         if states[owner] == M:
@@ -80,15 +98,13 @@ def _apply_busrdx(states: list[str], requester: int,
                   actions: list[tuple]) -> None:
     """Remote caches observe a BusRdX: everyone else invalidates; a dirty or
     exclusive holder supplies the block (ownership moves with the data)."""
-    owner = _owner([s if i != requester else I for i, s in enumerate(states)])
+    others = _others(states, requester)
+    owner = _owner(others)
     if owner is not None:
         actions.append((SUPPLY_OWNER, owner))
     else:
         actions.append((SUPPLY_MEMORY,))
-    for idx, s in enumerate(states):
-        if idx != requester and s != I:
-            actions.append((INVALIDATE, idx))
-            states[idx] = I
+    _invalidate(states, others, actions)
 
 
 def coherence_step(states: tuple[str, ...] | list[str], event: str,
@@ -108,8 +124,8 @@ def coherence_step(states: tuple[str, ...] | list[str], event: str,
         if mine == I:
             actions.append((BUS_RD,))
             _apply_busrd(st, cache, actions)
-            any_other = any(s != I for i, s in enumerate(st) if i != cache)
-            st[cache] = S if any_other else E
+            # The requester is still I here, so any non-I entry is another's.
+            st[cache] = S if st.count(I) < len(st) else E
         # M/O/E/S read hits are silent.
     elif event == CORE_WRITE:
         if mine == M:
@@ -121,10 +137,7 @@ def coherence_step(states: tuple[str, ...] | list[str], event: str,
             if mine == I:
                 _apply_busrdx(st, cache, actions)
             else:  # S or O: upgrade, data already local
-                for idx, s in enumerate(st):
-                    if idx != cache and s != I:
-                        actions.append((INVALIDATE, idx))
-                        st[idx] = I
+                _invalidate(st, _others(st, cache), actions)
             st[cache] = M
     elif event == SNOOP_BUSRD:
         _apply_busrd(st, cache, actions)

@@ -6,6 +6,13 @@ tiers, an optional column-shared L3, and one fixed-latency memory controller
 over a cluster-private backing store. Clusters exchange only message packets
 over the mesh NoC; the bus and the NoC are never bridged.
 
+Each cluster keeps an exact snoop filter (the exact form of JETTY, Moshovos
+et al., HPCA 2001): a map from block number to a bitmask of the stacks whose
+L1d or private L2 holds the block valid. The arrays maintain it themselves
+where their block index changes, so a snoop asks only the stacks in the
+mask, and a block nobody holds costs one dict lookup however many stacks
+the cluster has.
+
 Coherence state and data commit atomically at bus-serialization points, in
 event-dispatch order; timing comes from one FIFO booking rule,
 `FifoResource.book`, shared by the bus channels, cache array ports, memory
@@ -21,7 +28,8 @@ from dataclasses import dataclass, field
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
 from .cache import (DIRTY_STATES, I, M, O, S, WORD_SIZE, AccessResult,
                     CacheLevel, CacheLine, Eviction)
-from .coherence import (CORE_READ, CORE_WRITE, SUPPLY_OWNER, StepResult,
+from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
+                        CoherenceFault, StepResult, check_invariants,
                         coherence_step)
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
@@ -129,12 +137,18 @@ class Stack:
 
 @dataclass
 class Cluster:
+    """One coherent domain. `holders` is its snoop filter: block number ->
+    bitmask with bit 2i set while stack i's L1d holds the block valid and
+    bit 2i+1 while its private L2 does. Only those two arrays of each stack
+    write it; a block no stack holds has no entry."""
+
     index: int
     coord: tuple[int, int]
     stacks: list[Stack]
     bus: ClusterBus
     memctrl: MemoryController
     memory: ClusterMemory
+    holders: dict[int, int] = field(default_factory=dict)
     l2_shared: dict[int, CacheLevel] = field(default_factory=dict)   # tier -> array
     l2i: dict[int, CacheLevel] = field(default_factory=dict)
     l3: CacheLevel | None = None
@@ -197,8 +211,11 @@ class System:
     # -- construction -----------------------------------------------------------
 
     def _mk_level(self, name: str, cfg_name: str, cluster: int,
-                  unit: int, tier: int) -> CacheLevel:
-        """Build one cache array on `tier` and register it for the report."""
+                  unit: int, tier: int,
+                  snoop_filter: tuple[dict[int, int], int] | None = None
+                  ) -> CacheLevel:
+        """Build one cache array on `tier` and register it for the report;
+        a snooped array gets its cluster's filter and its bit in it."""
         cfg = self.spec.caches[cfg_name]
         techs = ([self.spec.catalog[r.tech] for r in cfg.geometry.regions]
                  if cfg.geometry.regions else [self.spec.catalog[cfg.tech]])
@@ -208,7 +225,8 @@ class System:
             name, cfg.geometry, techs,
             clock_period_ps=self.spec.clocks[clock_key],
             rng=substream(self.seed, name, cluster, unit),
-            write_mix=self.spec.write_mix)
+            write_mix=self.spec.write_mix,
+            snoop_filter=snoop_filter)
         self.levels.append((name, cfg.tech, level, tier))
         return level
 
@@ -219,6 +237,7 @@ class System:
         distributed = (spec.caches.get("l2") is not None
                        and spec.caches["l2"].topology == DISTRIBUTED)
         stacks: list[Stack] = []
+        holders: dict[int, int] = {}
         for tier_pos, core_tier in enumerate(spec.core_tiers):
             l2_tier = spec.l2_tier_for_core_tier(core_tier)
             for k in range(spec.cores_per_cluster):
@@ -227,18 +246,21 @@ class System:
                 stack = Stack(
                     index=local, core_id=core_id, core_tier=core_tier,
                     l1i=self._mk_level("l1i", "l1i", index, local, core_tier),
-                    l1d=self._mk_level("l1d", "l1d", index, local, core_tier),
+                    l1d=self._mk_level("l1d", "l1d", index, local, core_tier,
+                                       (holders, 1 << 2 * local)),
                     l2_tier=l2_tier)
                 if distributed and l2_tier is not None:
-                    stack.l2_private = self._mk_level("l2", "l2", index, local,
-                                                      l2_tier)
+                    stack.l2_private = self._mk_level(
+                        "l2", "l2", index, local, l2_tier,
+                        (holders, 2 << 2 * local))
                 stacks.append(stack)
         cluster = Cluster(
             index=index, coord=coord, stacks=stacks,
             bus=ClusterBus(beat_width=spec.bus_beat_width,
                            clock_period_ps=spec.clocks["bus_ps"]),
             memctrl=MemoryController(latency_ps=int(round(spec.memory_latency_ns * 1000))),
-            memory=ClusterMemory(self.block_size))
+            memory=ClusterMemory(self.block_size),
+            holders=holders)
         for t in spec.tier_stack:
             if t.kind != L2_SPLIT_ID or spec.caches.get("l2") is None:
                 continue
@@ -433,27 +455,39 @@ class System:
     def _snoop(self, cluster: Cluster, stack: Stack, addr: int, event: str,
                t: int) -> tuple[list[str], StepResult, int]:
         """Head of every bus transaction: the request grant, the snoop vector
-        of the cluster's stacks, the MOESI step and the snoop grant.
-        Returns (vector, step, t_snoop_done)."""
+        of the cluster's stacks, the MOESI step and the snoop grant. Only
+        the stacks the snoop filter names are asked for their state; every
+        other entry is I. Returns (vector, step, t_snoop_done)."""
         bus = cluster.bus
         _, req_done = bus.request.request(t, 8)
-        vector = [s.state(addr) for s in cluster.stacks]
+        stacks = cluster.stacks
+        vector = [I] * len(stacks)
+        mask = cluster.holders.get(addr // self.block_size, 0)
+        while mask:
+            i = (mask & -mask).bit_length() - 1 >> 1
+            vector[i] = stacks[i].state(addr)
+            mask &= ~(3 << 2 * i)
         step = coherence_step(vector, event, stack.index)
         _, snoop_done = bus.snoop.request(req_done, 8)
         return vector, step, snoop_done
 
     @staticmethod
-    def _commit_remotes(cluster: Cluster, stack: Stack, addr: int,
-                        vector: list[str], step: StepResult) -> int:
+    def _commit_remotes(cluster: Cluster, addr: int, vector: list[str],
+                        step: StepResult) -> int:
         """Commit a transaction's state changes to the other stacks: a copy
         going to I is dropped, any other change lands on the stack's
-        authoritative line. Returns the dirty words of the invalidated owner
+        authoritative line. Only a supplying owner and the invalidated
+        stacks can change, so only those are visited; a BusRdX names its
+        owner as both. Returns the dirty words of the invalidated owner
         (old state M or O), which the requester inherits: ownership moves
         with the data, or, on an upgrade, an O holder's data already matches
         the requester's, so only the mask moves."""
         inherited = 0
-        for i, (old, new) in enumerate(zip(vector, step.states)):
-            if i == stack.index or old == new:
+        changed = dict.fromkeys(a[1] for a in step.actions
+                                if a[0] == SUPPLY_OWNER or a[0] == INVALIDATE)
+        for i in changed:
+            old, new = vector[i], step.states[i]
+            if old == new:
                 continue
             remote = cluster.stacks[i]
             if new == I:
@@ -473,8 +507,7 @@ class System:
         owner's dirty words and takes its new state. Returns the snoop
         grant time."""
         vector, step, t = self._snoop(cluster, stack, addr, CORE_WRITE, t)
-        line.dirty_words |= self._commit_remotes(cluster, stack, addr, vector,
-                                                 step)
+        line.dirty_words |= self._commit_remotes(cluster, addr, vector, step)
         line.state = step.states[stack.index]
         return t
 
@@ -499,8 +532,7 @@ class System:
                 t = done + self._tsv_delay(supplier.core_tier, stack.core_tier)
 
         # Commit remote state changes after the supplier's data is captured.
-        inherited_dirty = self._commit_remotes(cluster, stack, addr, vector,
-                                               step)
+        inherited_dirty = self._commit_remotes(cluster, addr, vector, step)
 
         if data is None:
             # Read down the chain; levels that missed without a worn match
@@ -666,10 +698,23 @@ class System:
     # -- coherence sweep for property tests --------------------------------------
 
     def check_coherence(self, addrs: list[int]) -> None:
-        from .coherence import check_invariants
+        """Check the MOESI invariants of each address's snoop vector, and
+        that the snoop filter's entry equals the holders a probe of every
+        stack's L1d and private L2 finds. Raises CoherenceFault."""
         for cluster in self.clusters:
             for addr in addrs:
                 check_invariants([s.state(addr) for s in cluster.stacks])
+                probed = 0
+                for stack in cluster.stacks:
+                    for bit, level in enumerate((stack.l1d, stack.l2_private)):
+                        if level is not None and level.probe(addr)[2] is not None:
+                            probed |= 1 << (2 * stack.index + bit)
+                block = addr // self.block_size
+                if cluster.holders.get(block, 0) != probed:
+                    raise CoherenceFault(
+                        f"cluster {cluster.index} block {block:#x}: snoop "
+                        f"filter {cluster.holders.get(block, 0):#b}, "
+                        f"stacks hold {probed:#b}")
 
     # -- reporting ----------------------------------------------------------------
 

@@ -2,6 +2,7 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiersim.arch import spec_from_dict, validate_spec
 from tiersim.system import System
@@ -397,3 +398,48 @@ def test_mixed_trace_and_message_workload():
     baseline.run()
     assert (report["interconnect"]["bus"]["total_grants"]
             == baseline.build_report()["interconnect"]["bus"]["total_grants"])
+
+
+def _probed_holders(cluster, blocks, block_size=64):
+    """The snoop filter rebuilt from scratch: probe every stack's L1d and
+    private L2 for every block."""
+    out = {}
+    for block in blocks:
+        mask = 0
+        for stack in cluster.stacks:
+            for bit, level in enumerate((stack.l1d, stack.l2_private)):
+                if level is not None and level.probe(block * block_size)[2] is not None:
+                    mask |= 1 << (2 * stack.index + bit)
+        if mask:
+            out[block] = mask
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(cores=st.integers(2, 4), endurance=st.integers(2, 12),
+       l2_tech=st.sampled_from(["SRAM", "PCRAM"]),
+       steps=st.lists(st.tuples(st.integers(0, 3), st.booleans(),
+                                st.integers(0, 7)), min_size=1, max_size=80))
+def test_snoop_filter_equals_a_probe_of_every_stack(cores, endurance, l2_tech,
+                                                    steps):
+    # A two-way L1d of one set in low-endurance PCRAM and a two-set private
+    # L2: eight blocks give fills, evictions, write-backs, remote
+    # invalidations and worn ways within a few dozen accesses.
+    cfg = small_cfg(cores_per_cluster=cores)
+    cfg["caches"]["l1d"] = {"capacity": 128, "block_size": 64,
+                            "associativity": 2, "tech": "PCRAM"}
+    cfg["caches"]["l2"] = {"capacity": 256, "block_size": 64,
+                           "associativity": 2, "tech": l2_tech,
+                           "topology": "distributed"}
+    cfg["tech_overrides"] = {"PCRAM": {"endurance": endurance}}
+    system = build(cfg)
+    cluster = system.clusters[0]
+    core_ps = system.spec.clocks["core_ps"]
+    for core, write, block in steps:
+        tick = system.engine.now // core_ps + 1
+        system.load_trace([TraceRecord(tick, core % cores, "W" if write else "R",
+                                       block * 64, 8)])
+        system.run()
+        assert 0 not in cluster.holders.values()
+        assert cluster.holders == _probed_holders(cluster, range(8))
+        system.check_coherence([b * 64 for b in range(8)])
