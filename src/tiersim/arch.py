@@ -100,6 +100,28 @@ class SystemSpec:
 _DEFAULT_CLOCKS = {"core_ps": 1000, "bus_ps": 1000, "noc_ps": 1000,
                    "l2_ps": 1000, "l3_ps": 1000}
 
+CACHE_LEVELS = ("l1i", "l1d", "l2", "l2i", "l3")
+
+# The keys the config and each of its sections may carry. validate_spec
+# reports any other key, so a misspelt or misplaced setting never falls back
+# to its default unnoticed.
+_TOP_KEYS = ("cluster_grid", "cores_per_cluster", "tier_stack", "noc", "bus",
+             "clocks", "memory_latency_ns", "write_mix", "caches",
+             "tech_overrides", "workload", "report")
+_SECTION_KEYS = {
+    "noc": ("dims", "link_latency", "tsv_latency", "router_delay",
+            "flit_width"),
+    "bus": ("beat_width",),
+    "clocks": tuple(_DEFAULT_CLOCKS),
+    "report": ("histogram_bucket_ps",),
+    "workload": ("trace", "synthetic", "messages", "message_synthetic"),
+    "caches": CACHE_LEVELS,
+}
+_CACHE_KEYS = ("capacity", "block_size", "associativity", "banks",
+               "replacement", "nuca_base_latency", "nuca_per_hop", "regions",
+               "partial_writes", "tech", "topology")
+_REGION_KEYS = ("ways", "tech")
+
 
 def _cache_config_from_dict(d: dict, default_tech: str = "SRAM") -> CacheConfig:
     try:
@@ -156,7 +178,7 @@ def spec_from_dict(config: dict) -> SystemSpec:
         )
         caches: dict[str, CacheConfig | None] = {}
         cache_cfg = cfg.get("caches", {})
-        for name in ("l1i", "l1d", "l2", "l2i", "l3"):
+        for name in CACHE_LEVELS:
             entry = cache_cfg.get(name)
             caches[name] = _cache_config_from_dict(entry) if entry else None
         catalog = catalog_with_overrides(cfg.get("tech_overrides"))
@@ -182,12 +204,38 @@ def spec_from_dict(config: dict) -> SystemSpec:
         raise ConfigError(f"bad config value: {exc}") from None
 
 
+def _unknown_keys(raw: dict) -> list[str]:
+    """One violation per config key that no section defines, by its dotted
+    path: the top level, noc, bus, clocks, report, workload, caches, each
+    cache entry and each of its regions."""
+    out: list[str] = []
+
+    def check(node, prefix: str, allowed: tuple[str, ...]) -> None:
+        if isinstance(node, dict):
+            out.extend(f"{prefix}{key}: unknown key" for key in node
+                       if key not in allowed)
+
+    check(raw, "", _TOP_KEYS)
+    for section, allowed in _SECTION_KEYS.items():
+        check(raw.get(section), f"{section}.", allowed)
+    caches = raw.get("caches")
+    for name in CACHE_LEVELS if isinstance(caches, dict) else ():
+        entry = caches.get(name)
+        if not isinstance(entry, dict):
+            continue
+        check(entry, f"caches.{name}.", _CACHE_KEYS)
+        regions = entry.get("regions")
+        for i, region in enumerate(regions if isinstance(regions, list) else ()):
+            check(region, f"caches.{name}.regions[{i}].", _REGION_KEYS)
+    return out
+
+
 def validate_spec(spec: SystemSpec) -> list[str]:
     """Every constraint violation in the spec, with a location path each.
 
     Violations are data, not exceptions; an empty list means buildable.
     """
-    out: list[str] = []
+    out: list[str] = _unknown_keys(spec.raw)
     gx, gy = spec.cluster_grid
     if gx < 1 or gy < 1:
         out.append(f"cluster_grid: dimensions must be >= 1 ({spec.cluster_grid})")

@@ -106,7 +106,7 @@ def _resolve_workload(config: dict, spec, seed: int):
                 cycles=int(params.pop("cycles", 1000)),
                 rate=float(params.pop("rate", 0.002)),
                 payload_bytes=int(params.pop("payload_bytes", 64)),
-                seed=seed)
+                seed=seed, **params)
     except (TypeError, ValueError) as exc:
         raise UserError(f"workload: {exc}") from None
     return trace, messages

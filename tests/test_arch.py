@@ -14,6 +14,27 @@ def test_all_presets_validate_clean():
         assert validate_spec(spec) == [], name
 
 
+def test_every_unknown_key_reported_by_its_path():
+    cfg = preset("fig35b")
+    cfg["seed"] = 1
+    cfg["noc"]["link_latncy"] = 2
+    cfg["bus"]["width"] = 8
+    cfg["clocks"]["mem_ps"] = 500
+    cfg["report"] = {"histogram_bucket_ps": 10, "bins": 4}
+    cfg["workload"]["synthetc"] = {}
+    cfg["caches"]["l4"] = {"capacity": 1024}
+    cfg["caches"]["l3"]["bank"] = 2
+    cfg["caches"]["l1d"]["regions"] = [{"ways": [0, 1], "tech": "SRAM"},
+                                       {"ways": [1, 2], "tech": "PCRAM",
+                                        "wear": 3}]
+    violations = validate_spec(spec_from_dict(cfg))
+    unknown = sorted(v for v in violations if v.endswith(": unknown key"))
+    assert unknown == sorted(f"{path}: unknown key" for path in (
+        "seed", "noc.link_latncy", "bus.width", "clocks.mem_ps",
+        "report.bins", "workload.synthetc", "caches.l4", "caches.l3.bank",
+        "caches.l1d.regions[1].wear"))
+
+
 def test_block_size_violation_reported_with_path():
     cfg = preset("fig34")
     cfg["caches"]["l2"]["block_size"] = 48

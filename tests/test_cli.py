@@ -158,6 +158,33 @@ def test_zero_histogram_bucket_exits_2_before_the_run(tmp_path, capsys):
     assert "report.histogram_bucket_ps: " in capsys.readouterr().err
 
 
+def test_unknown_key_in_config_file_exits_2_with_its_path(tmp_path, capsys):
+    cfg = preset("fig32")
+    cfg["histogram_bucket_psx"] = 5
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "histogram_bucket_psx: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--config", cfg_path]) == 2
+    assert "histogram_bucket_psx: unknown key" in capsys.readouterr().err
+
+
+def test_unknown_key_from_set_exits_2_with_its_path(tmp_path, capsys):
+    # the real key lives under report; at the top level it would do nothing
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--set", "histogram_bucket_ps=0",
+                 "--out", str(out)]) == 2
+    assert "histogram_bucket_ps: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+    # generator parameters are checked by the generator that reads them
+    assert main(["run", "--config", "fig33", "--set",
+                 "workload.message_synthetic.payload=32",
+                 "--out", str(out)]) == 2
+    assert "'payload'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hops_output(capsys):
     assert main(["hops", "--dims", "8x8x1"]) == 0
     assert capsys.readouterr().out.strip() == "5.2500"
