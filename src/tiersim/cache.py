@@ -334,7 +334,10 @@ class CacheLevel:
         line.data = list(data) if data is not None else [0] * self.geom.words_per_block
         self._resident[block] = victim
         if self._holders is not None:
-            self._holders[block] = self._holders.get(block, 0) | self._holder_bit
+            # A sole holder's entry is the level's own bit object: no new int.
+            held = self._holders.get(block)
+            self._holders[block] = (self._holder_bit if held is None
+                                    else held | self._holder_bit)
         self.fills += 1
         self.touch(set_index, victim)
         wear = False
