@@ -400,21 +400,6 @@ def test_mixed_trace_and_message_workload():
             == baseline.build_report()["interconnect"]["bus"]["total_grants"])
 
 
-def _probed_holders(cluster, blocks, block_size=64):
-    """The snoop filter rebuilt from scratch: probe every stack's L1d and
-    private L2 for every block."""
-    out = {}
-    for block in blocks:
-        mask = 0
-        for stack in cluster.stacks:
-            for bit, level in enumerate((stack.l1d, stack.l2_private)):
-                if level is not None and level.probe(block * block_size)[2] is not None:
-                    mask |= 1 << (2 * stack.index + bit)
-        if mask:
-            out[block] = mask
-    return out
-
-
 @settings(max_examples=60, deadline=None)
 @given(cores=st.integers(2, 4), endurance=st.integers(2, 12),
        l2_tech=st.sampled_from(["SRAM", "PCRAM"]),
@@ -440,6 +425,8 @@ def test_snoop_filter_equals_a_probe_of_every_stack(cores, endurance, l2_tech,
         system.load_trace([TraceRecord(tick, core % cores, "W" if write else "R",
                                        block * 64, 8)])
         system.run()
-        assert 0 not in cluster.holders.values()
-        assert cluster.holders == _probed_holders(cluster, range(8))
+        # check_coherence compares each block's entry with a probe of every
+        # stack's L1d and private L2; no other block may have an entry.
         system.check_coherence([b * 64 for b in range(8)])
+        assert set(cluster.holders) <= set(range(8))
+        assert 0 not in cluster.holders.values()
