@@ -146,6 +146,17 @@ def _cache_config_from_dict(d: dict, default_tech: str = "SRAM") -> CacheConfig:
         raise ConfigError(f"bad cache config {d!r}: {exc}") from None
 
 
+def _section(node: dict, key: str, path: str) -> dict:
+    """`node[key]` as an object, {} when absent or null; anything else is a
+    ConfigError naming its dotted path and the type it got."""
+    value = node.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object, got {type(value).__name__}")
+    return value
+
+
 def spec_from_dict(config: dict) -> SystemSpec:
     """Build a SystemSpec from a parsed JSON config dict.
 
@@ -162,8 +173,9 @@ def spec_from_dict(config: dict) -> SystemSpec:
         tiers = tuple(TierSpec(str(k), i)
                       for i, k in enumerate(cfg.get("tier_stack", [CORES_L1])))
         clocks = dict(_DEFAULT_CLOCKS)
-        clocks.update({str(k): int(v) for k, v in cfg.get("clocks", {}).items()})
-        noc_cfg = cfg.get("noc", {})
+        clocks.update({str(k): int(v)
+                       for k, v in _section(cfg, "clocks", "clocks").items()})
+        noc_cfg = _section(cfg, "noc", "noc")
         n_core_tiers = sum(1 for t in tiers if t.kind == CORES_L1) or 1
         dims = tuple(int(v) for v in noc_cfg.get(
             "dims", [grid[0], grid[1], n_core_tiers]))
@@ -177,24 +189,25 @@ def spec_from_dict(config: dict) -> SystemSpec:
             flit_width=int(noc_cfg.get("flit_width", 16)),
         )
         caches: dict[str, CacheConfig | None] = {}
-        cache_cfg = cfg.get("caches", {})
+        cache_cfg = _section(cfg, "caches", "caches")
         for name in CACHE_LEVELS:
-            entry = cache_cfg.get(name)
+            entry = _section(cache_cfg, name, f"caches.{name}")
             caches[name] = _cache_config_from_dict(entry) if entry else None
-        catalog = catalog_with_overrides(cfg.get("tech_overrides"))
+        catalog = catalog_with_overrides(
+            _section(cfg, "tech_overrides", "tech_overrides"))
         return SystemSpec(
             cluster_grid=grid,
             cores_per_cluster=int(cfg.get("cores_per_cluster", 8)),
             tier_stack=tiers,
             noc=noc,
-            bus_beat_width=int(cfg.get("bus", {}).get("beat_width", 16)),
+            bus_beat_width=int(_section(cfg, "bus", "bus").get("beat_width", 16)),
             clocks=clocks,
             memory_latency_ns=float(cfg.get("memory_latency_ns", 50.0)),
             write_mix=float(cfg.get("write_mix", 0.5)),
             caches=caches,
             catalog=catalog,
-            workload=cfg.get("workload", {}),
-            histogram_bucket_ps=int(cfg.get("report", {}).get(
+            workload=_section(cfg, "workload", "workload"),
+            histogram_bucket_ps=int(_section(cfg, "report", "report").get(
                 "histogram_bucket_ps", 1000)),
             raw=cfg,
         )
@@ -285,6 +298,17 @@ def validate_spec(spec: SystemSpec) -> list[str]:
             out.append(f"caches.{name}.topology: must be shared or distributed")
         if name != "l2" and cfg.topology != SHARED:
             out.append(f"caches.{name}.topology: only the l2 level may be distributed")
+
+    # The data images, ClusterMemory and the snoop filter's key all assume
+    # one block size per hierarchy: the L1d's.
+    l1d = spec.caches.get("l1d")
+    if l1d is not None:
+        block = l1d.geometry.block_size
+        for name in ("l2", "l2i", "l3"):
+            cfg = spec.caches.get(name)
+            if cfg is not None and cfg.geometry.block_size != block:
+                out.append(f"caches.{name}.block_size: must equal caches.l1d."
+                           f"block_size ({block}), got {cfg.geometry.block_size}")
 
     out.extend(spec.noc.violations())
     if spec.noc.dims[0] < spec.cluster_grid[0] or spec.noc.dims[1] < spec.cluster_grid[1]:

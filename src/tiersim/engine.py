@@ -9,6 +9,14 @@ The queue is a binary heap of plain `(time, seq, handler, payload)` tuples,
 which `heapq` compares in C. `seq` is unique per queue, so two entries
 always differ by the second field and a handler or payload is never
 compared.
+
+`schedule_all` schedules a batch of n events lazily. It reserves the seqs
+`base ... base+n-1` that n successive `schedule` calls in list order would
+take, and advances the counter past them, so every event scheduled later
+gets a larger seq. Only the batch's earliest undispatched event sits in the
+heap; its dispatch pushes the batch's next `(time, seq)` entry before
+calling the handler. Keys stay unique, so the dispatch order is exactly the
+one eager scheduling gives, while the heap holds only what is in flight.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable[[Any], None], Any]] = []
         self._seq = 0
+        self._reserved = 0      # batch events not yet pushed onto the heap
         self.now = 0
         self.dispatched = 0
 
@@ -45,8 +54,39 @@ class EventQueue:
         heapq.heappush(self._heap, (int(time_ps), self._seq, handler, payload))
         self._seq += 1
 
+    def schedule_all(self, times: list[int], handler: Callable[[Any], None],
+                     payloads: list[Any]) -> None:
+        """Schedule `handler(payloads[i])` at `times[i]` for every i, in the
+        order n successive `schedule` calls would give: event i takes seq
+        base + i. Only the batch's earliest undispatched event is in the
+        heap at a time."""
+        n = len(times)
+        if n == 0:
+            return
+        earliest = min(times)
+        if earliest < self.now:
+            raise SchedulingError(
+                f"event scheduled at {earliest} ps, before current time {self.now} ps")
+        base = self._seq
+        self._seq += n
+        self._reserved += n
+        order = iter(sorted(range(n), key=times.__getitem__))
+        heap = self._heap
+
+        def push_next() -> None:
+            i = next(order, None)
+            if i is not None:
+                self._reserved -= 1
+                heapq.heappush(heap, (int(times[i]), base + i, dispatch, payloads[i]))
+
+        def dispatch(payload: Any) -> None:
+            push_next()
+            handler(payload)
+
+        push_next()
+
     def pending(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + self._reserved
 
     def run_until(self, t_end_ps: int | float = math.inf) -> int:
         """Dispatch every event with time <= t_end_ps in (time, seq) order

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from .engine import EventQueue, FifoResource
 
+Coord = tuple[int, int, int]
+
 
 # --- cluster bus -------------------------------------------------------------
 
@@ -118,23 +120,15 @@ def packetize(payload_bytes: int, flit_width: int) -> int:
 # --- timed mesh network --------------------------------------------------------
 
 
-@dataclass
-class Packet:
-    src: tuple[int, int, int]
-    dst: tuple[int, int, int]
-    flits: int
-    t_inject: int
-    t_deliver: int | None = None
-
-
 class MeshNetwork:
     """Packet-level timed mesh on the shared event queue.
 
-    Each directed link `(node, port)` is a `FifoResource`, built on first
-    use and booked like the bus channels, cache arrays and memory
-    controllers: it is held for `flits` cycles per packet. The head flit
-    advances router by router, so queueing delay is the only congestion
-    effect (unbounded input buffers, no drops).
+    A packet is the plain tuple `(node, dst, flits, t_inject)`, built when
+    its injection event is dispatched. Each directed link `(node, port)` is
+    a `FifoResource`, built on first use and booked like the bus channels,
+    cache arrays and memory controllers: it is held for `flits` cycles per
+    packet. The head flit advances router by router, so queueing delay is
+    the only congestion effect (unbounded input buffers, no drops).
     """
 
     def __init__(self, topo: MeshTopology, engine: EventQueue,
@@ -142,7 +136,7 @@ class MeshNetwork:
         self.topo = topo
         self.engine = engine
         self.clock_period_ps = clock_period_ps
-        self.links: dict[tuple[tuple[int, int, int], str], FifoResource] = {}
+        self.links: dict[tuple[Coord, str], FifoResource] = {}
         self.injected = 0
         self.delivered = 0
         self.msg_samples: list[tuple[int, int]] = []   # (t_inject, t_deliver)
@@ -151,24 +145,31 @@ class MeshNetwork:
     def in_flight(self) -> int:
         return self.injected - self.delivered
 
-    def inject(self, t_ps: int, src: tuple[int, int, int],
-               dst: tuple[int, int, int], payload_bytes: int) -> Packet:
-        if not self.topo.contains(src) or not self.topo.contains(dst):
-            raise ValueError(f"packet endpoints outside mesh {self.topo.dims}")
-        pkt = Packet(src=src, dst=dst,
-                     flits=packetize(payload_bytes, self.topo.flit_width),
-                     t_inject=t_ps)
-        self.injected += 1
-        self.engine.schedule(t_ps, self._at_router, (pkt, src))
-        return pkt
+    def inject(self, messages: list[tuple[int, Coord, Coord, int]]) -> None:
+        """Inject every `(t_ps, src, dst, payload_bytes)` message. All are
+        counted as injected now; the event queue holds only the earliest
+        one not yet dispatched, and each becomes a packet at its time."""
+        contains = self.topo.contains
+        for _, src, dst, payload_bytes in messages:
+            if not contains(src) or not contains(dst):
+                raise ValueError(f"packet endpoints outside mesh {self.topo.dims}")
+            if payload_bytes < 0:
+                raise ValueError("payload must be >= 0")
+        self.injected += len(messages)
+        self.engine.schedule_all([m[0] for m in messages], self._inject, messages)
 
-    def _at_router(self, payload: tuple[Packet, tuple[int, int, int]]) -> None:
+    def _inject(self, message: tuple[int, Coord, Coord, int]) -> None:
+        t_ps, src, dst, payload_bytes = message
+        self._at_router((src, dst, packetize(payload_bytes, self.topo.flit_width),
+                         t_ps))
+
+    def _at_router(self, pkt: tuple[Coord, Coord, int, int]) -> None:
         # One hop of XYZ routing: pick the output port, the next node and the
         # link or TSV latency. `reference_walk` in tests/test_interconnect.py
         # spells the same routing out step by step and checks this against it.
-        pkt, node = payload
+        node, dst, flits, t_inject = pkt
         x, y, z = node
-        dx, dy, dz = pkt.dst
+        dx, dy, dz = dst
         topo = self.topo
         clock = self.clock_period_ps
         if x != dx:
@@ -190,13 +191,13 @@ class MeshNetwork:
                 port, nxt = "-z", (x, y, z - 1)
             hop_latency = topo.tsv_latency
         else:
-            pkt.t_deliver = self.engine.now + pkt.flits * clock
             self.delivered += 1
-            self.msg_samples.append((pkt.t_inject, pkt.t_deliver))
+            self.msg_samples.append((t_inject, self.engine.now + flits * clock))
             return
         ready = self.engine.now + topo.router_delay * clock
         link = self.links.get((node, port))
         if link is None:
             link = self.links[(node, port)] = FifoResource()
-        depart, _ = link.book(ready, pkt.flits * clock)
-        self.engine.schedule(depart + hop_latency * clock, self._at_router, (pkt, nxt))
+        depart, _ = link.book(ready, flits * clock)
+        self.engine.schedule(depart + hop_latency * clock, self._at_router,
+                             (nxt, dst, flits, t_inject))

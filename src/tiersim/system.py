@@ -290,6 +290,8 @@ class System:
                 raise WorkloadError(f"core {rec.core} outside the {self.spec.total_cores}-core system")
             if rec.size > self.block_size:
                 raise WorkloadError(f"access size {rec.size} exceeds block size {self.block_size}")
+            if rec.tick < 0:
+                raise WorkloadError(f"core {rec.core}: tick {rec.tick} is negative")
             if rec.tick < last_tick.get(rec.core, 0):
                 raise WorkloadError(f"core {rec.core}: ticks must be non-decreasing")
             last_tick[rec.core] = rec.tick
@@ -305,16 +307,20 @@ class System:
         self.trace_records += len(records)
 
     def load_messages(self, records: list[MessageRecord]) -> None:
-        if records and self.spec.n_clusters < 2:
+        n_clusters = self.spec.n_clusters
+        if records and n_clusters < 2:
             raise WorkloadError("message workload requires at least two clusters")
-        noc_ps = self.spec.clocks["noc_ps"]
         for rec in records:
             for cid in (rec.src_cluster, rec.dst_cluster):
-                if not 0 <= cid < self.spec.n_clusters:
+                if not 0 <= cid < n_clusters:
                     raise WorkloadError(f"cluster {cid} outside the "
-                                        f"{self.spec.n_clusters}-cluster system")
-            self.noc.inject(rec.tick * noc_ps, self.home_coord(rec.src_cluster),
-                            self.home_coord(rec.dst_cluster), rec.bytes)
+                                        f"{n_clusters}-cluster system")
+            if rec.tick < 0:
+                raise WorkloadError(f"message tick {rec.tick} is negative")
+        noc_ps = self.spec.clocks["noc_ps"]
+        coords = [self.home_coord(c) for c in range(n_clusters)]
+        self.noc.inject([(rec.tick * noc_ps, coords[rec.src_cluster],
+                          coords[rec.dst_cluster], rec.bytes) for rec in records])
         self.messages += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:

@@ -55,6 +55,8 @@ def parse_trace_line(line: str, lineno: int = 0) -> TraceRecord | None:
         core = int(parts[1])
     except ValueError as exc:
         raise TraceParseError(lineno, str(exc)) from None
+    if tick < 0:
+        raise TraceParseError(lineno, f"tick must be >= 0, got {tick}")
     op = parts[2].strip()
     if op not in ("R", "W"):
         raise TraceParseError(lineno, f"op must be R or W, got {op!r}")
@@ -120,6 +122,8 @@ def parse_messages(stream: TextIO) -> list[MessageRecord]:
             tick, src, dst, nbytes = (int(p) for p in parts)
         except ValueError as exc:
             raise TraceParseError(lineno, str(exc)) from None
+        if tick < 0:
+            raise TraceParseError(lineno, f"tick must be >= 0, got {tick}")
         if src == dst:
             raise TraceParseError(lineno, "src_cluster must differ from dst_cluster")
         if nbytes <= 0:

@@ -5,7 +5,7 @@ import pytest
 from tiersim.arch import (ConfigError, PRESET_NAMES, build_system, preset,
                           spec_from_dict, validate_spec)
 from tiersim.system import WorkloadError
-from tiersim.workload import MessageRecord
+from tiersim.workload import MessageRecord, TraceRecord
 
 
 def test_all_presets_validate_clean():
@@ -41,6 +41,22 @@ def test_block_size_violation_reported_with_path():
     violations = validate_spec(spec_from_dict(cfg))
     assert any("caches.l2.block_size" in v and "power of two" in v
                for v in violations)
+
+
+@pytest.mark.parametrize("preset_name, name, topology", [
+    ("fig34", "l2", "shared"), ("fig34", "l2", "distributed"),
+    ("fig34", "l2i", "shared"), ("fig35b", "l3", "shared")])
+def test_one_block_size_per_hierarchy(preset_name, name, topology):
+    # the data images, ClusterMemory and the snoop filter's key assume one
+    # block size; a valid geometry with another is still refused
+    cfg = preset(preset_name)
+    cfg["caches"]["l2"]["topology"] = topology
+    cfg["caches"].setdefault(name, dict(cfg["caches"]["l2"], topology="shared"))
+    cfg["caches"][name]["block_size"] = 128
+    assert validate_spec(spec_from_dict(cfg)) == [
+        f"caches.{name}.block_size: must equal caches.l1d.block_size (64), got 128"]
+    with pytest.raises(ConfigError):
+        build_system(spec_from_dict(cfg), seed=0)
 
 
 def test_l3_requires_adjacent_l2_tier():
@@ -132,6 +148,16 @@ def test_single_cluster_rejects_messages():
     system = build_system(spec_from_dict(preset("fig32")), seed=0)
     with pytest.raises(WorkloadError):
         system.load_messages([MessageRecord(0, 0, 1, 64)])
+
+
+def test_negative_ticks_rejected_at_load():
+    system = build_system(spec_from_dict(preset("fig33")), seed=0)
+    with pytest.raises(WorkloadError, match="negative"):
+        system.load_trace([TraceRecord(-3, 0, "R", 0x40, 8)])
+    with pytest.raises(WorkloadError, match="negative"):
+        system.load_messages([MessageRecord(0, 0, 1, 64),
+                              MessageRecord(-3, 0, 1, 64)])
+    assert system.engine.pending() == 0 and system.noc.injected == 0
 
 
 def test_unknown_preset():

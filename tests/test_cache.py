@@ -8,7 +8,7 @@ from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
                            CacheLevel, CacheLine, I, M, Region, S, check_wear,
                            compose_address)
 from tiersim.engine import EventQueue, FifoResource
-from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology
+from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology, packetize
 from tiersim.memtech import catalog_default
 from tiersim.system import MemoryController
 
@@ -478,14 +478,19 @@ def book_mesh_link(requests, period):
                      flit_width=16)
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=period)
-    sent = [net.inject(arrival, (0, 0, 0), (1, 0, 0), cycles * 16)
+    sent = [(arrival, (0, 0, 0), (1, 0, 0), cycles * 16)
             for arrival, cycles in bookings(requests)]
+    net.inject(sent)
     engine.run_until()
     windows = []
-    for pkt in sorted(sent, key=lambda p: p.t_inject):   # stable: dispatch order
-        hold = pkt.flits * period
-        start = pkt.t_deliver - hold - t.link_latency * period
-        assert start >= pkt.t_inject + t.router_delay * period
+    in_order = sorted(sent, key=lambda m: m[0])   # stable: dispatch order
+    assert len(net.msg_samples) == len(in_order)
+    for (arrival, _, _, nbytes), (t_inject, t_deliver) in zip(in_order,
+                                                              net.msg_samples):
+        assert t_inject == arrival
+        hold = packetize(nbytes, t.flit_width) * period
+        start = t_deliver - hold - t.link_latency * period
+        assert start >= t_inject + t.router_delay * period
         windows.append((start, start + hold))
     link = net.links.get(((0, 0, 0), "+x"), FifoResource())
     return link, windows

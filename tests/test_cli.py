@@ -72,6 +72,20 @@ def test_malformed_trace_file_exits_2(tmp_path, capsys):
     assert "op must be R or W" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workload, header, good, bad", [
+    ("trace", "tick,core,op,addr,size", "0,0,R,0x0,8", "-3,0,R,0x40,8"),
+    ("messages", "tick,src_cluster,dst_cluster,bytes", "0,0,1,8", "-3,0,1,64")])
+def test_negative_tick_exits_2_with_its_line(tmp_path, capsys, workload,
+                                              header, good, bad):
+    records = tmp_path / "records.csv"
+    records.write_text(f"{header}\n{good}\n{bad}\n")
+    cfg = quick_cfg()
+    cfg["workload"] = {workload: str(records)}
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "line 3: tick must be >= 0, got -3" in capsys.readouterr().err
+
+
 def test_message_workload_on_single_cluster_exits_2(tmp_path, capsys):
     cfg = quick_cfg()
     cfg["cluster_grid"] = [1, 1]
@@ -183,6 +197,26 @@ def test_unknown_key_from_set_exits_2_with_its_path(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "'payload'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("noc", "5", "int"), ("bus", "3", "int"), ("caches.l1d", "5", "int"),
+    ("clocks", "[1]", "list"), ("report", "1", "int"),
+    ("workload", '"x"', "str"), ("caches", "true", "bool")])
+def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, key, value,
+                                               kind):
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--set", f"{key}={value}",
+                 "--out", str(out)]) == 2
+    assert f"{key}: must be an object, got {kind}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_block_size_other_than_the_l1d_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", "fig34", "--set",
+                 "caches.l2.block_size=128", "--out", str(tmp_path / "r.json")]) == 2
+    assert "caches.l2.block_size: must equal caches.l1d.block_size (64), got 128" \
+        in capsys.readouterr().err
 
 
 def test_hops_output(capsys):

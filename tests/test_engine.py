@@ -127,34 +127,49 @@ class Uncomparable:
     __hash__ = object.__hash__
 
 
-@settings(max_examples=150, deadline=None)
-@given(initial=st.lists(st.integers(0, 4), max_size=30),
-       children=st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=40),
+# An operation schedules one event at a time (an int) or a batch through
+# `schedule_all` (a list of times, unsorted and with ties).
+OPERATIONS = st.one_of(st.integers(0, 4), st.lists(st.integers(0, 4), max_size=5))
+CHILD_OPERATIONS = st.one_of(st.integers(0, 3), st.lists(st.integers(0, 3), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(initial=st.lists(OPERATIONS, max_size=20),
+       children=st.lists(st.lists(CHILD_OPERATIONS, max_size=3), max_size=40),
        t_mid=st.one_of(st.none(), st.integers(0, 8)))
 def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
-    """Events dispatch in (time, insertion index) order, whatever the ties
-    and whatever handlers schedule at `now` or later, and ties never compare
-    a handler or payload."""
+    """Events dispatch in (time, insertion index) order, whatever the ties,
+    whether they were scheduled one by one or in `schedule_all` batches,
+    and whatever handlers schedule at `now` or later; a batch counts as its
+    events scheduled one by one in list order, and ties never compare a
+    handler or payload."""
     q = EventQueue()
     scheduled = []       # (time, insertion index) of every scheduled event
     dispatched = []
 
-    def push(time_ps):
-        idx = len(scheduled)
-        scheduled.append((time_ps, idx))
-        q.schedule(time_ps, handler, Uncomparable(idx))
+    def push(op, base):
+        if isinstance(op, int):
+            idx = len(scheduled)
+            scheduled.append((base + op, idx))
+            q.schedule(base + op, handler, Uncomparable(idx))
+            return
+        times = [base + delay for delay in op]
+        first = len(scheduled)
+        scheduled.extend((t, first + k) for k, t in enumerate(times))
+        q.schedule_all(times, handler,
+                       [Uncomparable(first + k) for k in range(len(times))])
 
     def on_event(payload):
         idx = payload.value
         assert q.now == scheduled[idx][0]
         dispatched.append(scheduled[idx])
         if idx < len(children):
-            for delay in children[idx]:
-                push(q.now + delay)
+            for op in children[idx]:
+                push(op, q.now)
 
     handler = Uncomparable(on_event)
-    for t in initial:
-        push(t)
+    for op in initial:
+        push(op, 0)
     if t_mid is not None:
         q.run_until(t_mid)
         assert all(t <= t_mid for t, _ in dispatched)
@@ -162,3 +177,18 @@ def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
     q.run_until()
     assert dispatched == sorted(scheduled)
     assert q.dispatched == len(scheduled) and q.pending() == 0
+
+
+def test_schedule_all_rejects_a_past_time_up_front():
+    q = EventQueue()
+    order = []
+    q.schedule(10, order.append, "A")
+    q.run_until()
+    with pytest.raises(SchedulingError):
+        q.schedule_all([12, 9, 11], order.append, ["B", "C", "D"])
+    assert q.pending() == 0
+    q.schedule_all([11, 10, 11], order.append, ["E", "F", "G"])
+    q.schedule(10, order.append, "H")
+    assert q.pending() == 4
+    q.run_until()
+    assert order == ["A", "F", "H", "E", "G"]

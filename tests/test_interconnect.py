@@ -165,9 +165,10 @@ def test_cluster_bus_has_three_independent_channels():
 def zero_load_latency(t, src, dst, payload):
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
-    pkt = net.inject(0, src, dst, payload)
+    net.inject([(0, src, dst, payload)])
     engine.run_until()
-    return (pkt.t_deliver - pkt.t_inject) // 1000
+    [(t_inject, t_deliver)] = net.msg_samples
+    return (t_deliver - t_inject) // 1000
 
 
 def test_zero_load_latency_formula_exact():
@@ -194,33 +195,38 @@ def test_packets_conserved_mid_run():
     t = topo((4, 4, 1))
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
-    for i in range(20):
-        net.inject(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
+    net.inject([(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
+                for i in range(20)])
+    assert net.injected == 20 and net.delivered == 0
     engine.run_until(4000)
     assert net.injected == net.delivered + net.in_flight
     assert net.in_flight > 0
+    # each packet in flight, injected or not yet, has exactly one event pending
+    assert engine.pending() == net.in_flight
     engine.run_until()
     assert net.injected == net.delivered == 20
     assert net.in_flight == 0
 
 
 def reference_walk(t, clock_ps, packets):
-    """Delivery times and final link bookings of `packets` ((t_inject, src,
-    dst, flits) tuples), walked hop by hop with route_next_hop/step_toward.
+    """`(t_inject, t_deliver)` of `packets` ((t_inject, src, dst, flits)
+    tuples) in the order they are delivered, and the final link bookings,
+    walked hop by hop with route_next_hop/step_toward. Every packet is
+    scheduled up front, one `schedule` call each, in list order.
 
     Every directed link (node, port) is a FIFO: a head flit that is ready
     after the router delay departs when the link frees, holds it for one
     cycle per flit and arrives after the link or TSV latency."""
     engine = EventQueue()
     link_free = {}
-    delivered = [None] * len(packets)
+    delivered = []
 
     def hop(payload):
         i, node = payload
-        _, _, dst, flits = packets[i]
+        t_inject, _, dst, flits = packets[i]
         port = route_next_hop(node, dst)
         if port == LOCAL:
-            delivered[i] = engine.now + flits * clock_ps
+            delivered.append((t_inject, engine.now + flits * clock_ps))
             return
         latency = t.tsv_latency if port in ("+z", "-z") else t.link_latency
         ready = engine.now + t.router_delay * clock_ps
@@ -256,18 +262,19 @@ def mesh_traffic(draw):
 @settings(max_examples=150, deadline=None)
 @given(traffic=mesh_traffic())
 def test_mesh_matches_reference_walk_property(traffic):
-    """MeshNetwork delivers every packet when a hop-by-hop reference walk
-    does, and books every link the same, on 3D meshes whose TSVs are slower
-    or faster than their links, under contention."""
+    """MeshNetwork delivers every packet when, and in the order, a hop-by-hop
+    reference walk that schedules every packet up front does, and books
+    every link the same, on 3D meshes whose TSVs are slower or faster than
+    their links, under contention."""
     t, clock_ps, packets = traffic
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
-    sent = [net.inject(t_inject, src, dst, nbytes)
-            for t_inject, src, dst, nbytes in packets]
+    net.inject(packets)
     engine.run_until()
     expected, link_free = reference_walk(
-        t, clock_ps, [(p.t_inject, p.src, p.dst, p.flits) for p in sent])
-    assert [p.t_deliver for p in sent] == expected
+        t, clock_ps, [(t_inject, src, dst, packetize(nbytes, t.flit_width))
+                      for t_inject, src, dst, nbytes in packets])
+    assert net.msg_samples == expected
     assert {k: link.free_at_ps for k, link in net.links.items()} == link_free
     assert net.delivered == len(packets)
 
