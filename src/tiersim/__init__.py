@@ -5,11 +5,10 @@ tiers, and pluggable memory-technology cost models."""
 __version__ = "0.1.0"
 
 from .arch import SystemSpec, build_system, preset, spec_from_dict, validate_spec
-from .memtech import (TechnologyParams, access_cost, area_estimate,
-                      catalog_default, level_energy, score_technology)
+from .memtech import TechnologyParams, area_estimate, catalog_default, level_energy
 
 __all__ = [
-    "SystemSpec", "TechnologyParams", "access_cost", "area_estimate",
-    "build_system", "catalog_default", "level_energy", "preset",
-    "score_technology", "spec_from_dict", "validate_spec", "__version__",
+    "SystemSpec", "TechnologyParams", "area_estimate", "build_system",
+    "catalog_default", "level_energy", "preset", "spec_from_dict",
+    "validate_spec", "__version__",
 ]

@@ -15,7 +15,7 @@ import copy
 import warnings
 from dataclasses import dataclass, field
 
-from .cache import LRU, PSEUDO_RANDOM, CacheGeometry, Region
+from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_with_overrides
 
@@ -60,7 +60,6 @@ class SystemSpec:
     write_mix: float = 0.5
     caches: dict[str, CacheConfig | None] = field(default_factory=dict)
     catalog: dict[str, TechnologyParams] = field(default_factory=dict)
-    workload: dict = field(default_factory=dict)
     histogram_bucket_ps: int = 1000
     raw: dict = field(default_factory=dict)
 
@@ -195,6 +194,9 @@ def spec_from_dict(config: dict) -> SystemSpec:
             caches[name] = _cache_config_from_dict(entry) if entry else None
         catalog = catalog_with_overrides(
             _section(cfg, "tech_overrides", "tech_overrides"))
+        # The CLI reads the workload from the raw config; only its type is
+        # checked here, with the other sections.
+        _section(cfg, "workload", "workload")
         return SystemSpec(
             cluster_grid=grid,
             cores_per_cluster=int(cfg.get("cores_per_cluster", 8)),
@@ -206,7 +208,6 @@ def spec_from_dict(config: dict) -> SystemSpec:
             write_mix=float(cfg.get("write_mix", 0.5)),
             caches=caches,
             catalog=catalog,
-            workload=_section(cfg, "workload", "workload"),
             histogram_bucket_ps=int(_section(cfg, "report", "report").get(
                 "histogram_bucket_ps", 1000)),
             raw=cfg,
@@ -300,10 +301,13 @@ def validate_spec(spec: SystemSpec) -> list[str]:
             out.append(f"caches.{name}.topology: only the l2 level may be distributed")
 
     # The data images, ClusterMemory and the snoop filter's key all assume
-    # one block size per hierarchy: the L1d's.
+    # one block size per hierarchy: the L1d's, which holds at least one
+    # 8-byte word.
     l1d = spec.caches.get("l1d")
     if l1d is not None:
         block = l1d.geometry.block_size
+        if block < WORD_SIZE:
+            out.append(f"caches.l1d.block_size: must be >= {WORD_SIZE} ({block})")
         for name in ("l2", "l2i", "l3"):
             cfg = spec.caches.get(name)
             if cfg is not None and cfg.geometry.block_size != block:

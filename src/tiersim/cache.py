@@ -75,7 +75,7 @@ class CacheGeometry:
 
     @property
     def words_per_block(self) -> int:
-        return max(1, self.block_size // WORD_SIZE)
+        return self.block_size // WORD_SIZE
 
     def violations(self, path: str = "geometry") -> list[str]:
         """All constraint violations, each prefixed with a location path."""
@@ -413,7 +413,7 @@ class CacheLevel:
         line.dirty_words |= dirty_words
         if data is not None:
             for w in range(self.geom.words_per_block):
-                if dirty_words >> w & 1 and w < len(line.data):
+                if dirty_words >> w & 1:
                     line.data[w] = data[w]
         self.touch(set_index, way)
         words = bin(dirty_words).count("1") or 1

@@ -142,6 +142,8 @@ def run_experiment(config: dict, seed: int, out_path: str,
 
 
 def _cmd_run(args) -> int:
+    if args.t_end is not None and args.t_end < 0:
+        raise UserError(f"--t-end: must be >= 0, got {args.t_end}")
     config = _load_config(args.config)
     for item in args.set or []:
         if "=" not in item:
@@ -224,20 +226,21 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    if args.kind == "mem":
-        records = gen_synthetic_trace(
-            cores=args.cores, length=args.length,
-            hot_fraction=args.hot_fraction, hot_set_bytes=args.hot_set_bytes,
-            seed=args.seed, read_fraction=args.read_fraction,
-            tick_interval=args.tick_interval, hot_overlap=args.hot_overlap)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_trace(records, fh)
-    else:
-        records = gen_message_traffic(
-            clusters=args.clusters, cycles=args.cycles, rate=args.rate,
-            payload_bytes=args.payload, seed=args.seed)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_messages(records, fh)
+    try:
+        if args.kind == "mem":
+            records = gen_synthetic_trace(
+                cores=args.cores, length=args.length,
+                hot_fraction=args.hot_fraction, hot_set_bytes=args.hot_set_bytes,
+                seed=args.seed, read_fraction=args.read_fraction,
+                tick_interval=args.tick_interval, hot_overlap=args.hot_overlap)
+        else:
+            records = gen_message_traffic(
+                clusters=args.clusters, cycles=args.cycles, rate=args.rate,
+                payload_bytes=args.payload, seed=args.seed)
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
+    with open(args.out, "w", encoding="utf-8") as fh:
+        (write_trace if args.kind == "mem" else write_messages)(records, fh)
     print(f"{len(records)} records written to {args.out}")
     return EXIT_OK
 
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"({', '.join(PRESET_NAMES)})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-end", type=int, default=None, dest="t_end",
-                   help="stop after this many simulated picoseconds")
+                   help="stop after this many simulated picoseconds (>= 0)")
     p.add_argument("--out", default="report.json")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config entry (dotted path)")

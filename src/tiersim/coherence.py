@@ -2,29 +2,23 @@
 invariants every bus transaction must preserve.
 
 The transition function is pure: it maps the per-cache state vector of one
-block plus an event to the successor vector and the bus actions the event
-implies. The timed simulator drives it at bus-serialization points; tests
-drive it directly against a sequential-memory reference.
+block plus a core event (a load or a store by one cache's core) to the
+successor vector and the actions the other caches take. The timed simulator
+drives it with those two events at bus-serialization points; tests drive it
+directly against a sequential-memory reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cache import DIRTY_STATES, E, I, M, O, S
+from .cache import E, I, M, O, S
 
 CORE_READ = "core_read"
 CORE_WRITE = "core_write"
-SNOOP_BUSRD = "snoop_busrd"
-SNOOP_BUSRDX = "snoop_busrdx"
-EVICT = "evict"
 
-BUS_RD = "bus_rd"
-BUS_RDX = "bus_rdx"
 SUPPLY_OWNER = "supply_owner"      # (action, owner index)
-SUPPLY_MEMORY = "supply_memory"
 INVALIDATE = "invalidate"          # (action, cache index)
-WRITEBACK = "writeback"            # (action, cache index)
 
 
 class CoherenceFault(RuntimeError):
@@ -81,7 +75,8 @@ def _invalidate(states: list[str], others: list[str],
 
 def _apply_busrd(states: list[str], requester: int,
                  actions: list[tuple]) -> None:
-    """Remote caches observe a BusRd from `requester`."""
+    """Remote caches observe a BusRd from `requester`; with no owner to
+    supply, memory does."""
     owner = _owner(_others(states, requester))
     if owner is not None:
         actions.append((SUPPLY_OWNER, owner))
@@ -90,8 +85,6 @@ def _apply_busrd(states: list[str], requester: int,
         elif states[owner] == E:
             states[owner] = S
         # O stays O and keeps supplying.
-    else:
-        actions.append((SUPPLY_MEMORY,))
 
 
 def _apply_busrdx(states: list[str], requester: int,
@@ -102,18 +95,19 @@ def _apply_busrdx(states: list[str], requester: int,
     owner = _owner(others)
     if owner is not None:
         actions.append((SUPPLY_OWNER, owner))
-    else:
-        actions.append((SUPPLY_MEMORY,))
     _invalidate(states, others, actions)
 
 
 def coherence_step(states: tuple[str, ...] | list[str], event: str,
                    cache: int) -> StepResult:
-    """Apply one event for one block and return (new states, bus actions).
+    """Apply one core event of `cache` to one block and return (new
+    states, remote actions).
 
-    Events: core_read/core_write/evict are local operations of `cache`;
-    snoop_busrd/snoop_busrdx are remote transactions initiated by `cache`
-    as observed by the other caches.
+    Events: core_read and core_write, a load and a store by `cache`'s core.
+    A read miss is a BusRd and a write from I, S or O a BusRdX, which the
+    other caches snoop; hits and the E -> M upgrade are silent. Actions
+    name the remote caches involved: (supply_owner, i) when cache i
+    supplies the data, (invalidate, i) when it drops its copy.
     """
     check_invariants(states)
     st = list(states)
@@ -122,7 +116,6 @@ def coherence_step(states: tuple[str, ...] | list[str], event: str,
 
     if event == CORE_READ:
         if mine == I:
-            actions.append((BUS_RD,))
             _apply_busrd(st, cache, actions)
             # The requester is still I here, so any non-I entry is another's.
             st[cache] = S if st.count(I) < len(st) else E
@@ -133,20 +126,11 @@ def coherence_step(states: tuple[str, ...] | list[str], event: str,
         elif mine == E:
             st[cache] = M  # silent upgrade, no bus traffic
         else:
-            actions.append((BUS_RDX,))
             if mine == I:
                 _apply_busrdx(st, cache, actions)
             else:  # S or O: upgrade, data already local
                 _invalidate(st, _others(st, cache), actions)
             st[cache] = M
-    elif event == SNOOP_BUSRD:
-        _apply_busrd(st, cache, actions)
-    elif event == SNOOP_BUSRDX:
-        _apply_busrdx(st, cache, actions)
-    elif event == EVICT:
-        if mine in DIRTY_STATES:
-            actions.append((WRITEBACK, cache))
-        st[cache] = I
     else:
         raise ValueError(f"unknown coherence event {event!r}")
 

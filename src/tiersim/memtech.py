@@ -1,5 +1,4 @@
-"""Memory technology catalog, per-access cost model, level energy model and
-the per-level technology scoring advisor.
+"""Memory technology catalog, level energy model and area estimate.
 
 All dynamic numbers are nanoseconds / nanojoules; standby power is mW per MiB
 of capacity. Endurance is writes-per-line; technologies whose endurance is
@@ -15,8 +14,6 @@ from dataclasses import dataclass, replace
 UNLIMITED = math.inf
 
 READ = "read"
-WRITE_SET = "write_set"
-WRITE_RESET = "write_reset"
 
 # mW * ns -> nJ  (1 mW = 1e-3 J/s, 1 ns = 1e-9 s, product = 1e-12 J = 1e-3 nJ)
 _MW_NS_TO_NJ = 1e-3
@@ -56,11 +53,10 @@ class TechnologyParams:
 
 @dataclass
 class AccessCounters:
-    """Read/write access counts plus busy/idle time split for one component."""
+    """Read/write access counts plus idle time for one component."""
 
     n_read: int = 0
     n_write: int = 0
-    busy_time: float = 0.0  # ns
     idle_time: float = 0.0  # ns
 
 
@@ -105,17 +101,6 @@ def catalog_with_overrides(overrides: dict[str, dict] | None) -> dict[str, Techn
     return cat
 
 
-def access_cost(params: TechnologyParams, kind: str) -> tuple[float, float]:
-    """(latency ns, energy nJ) for one access of the given kind."""
-    if kind == READ:
-        return params.read_latency, params.read_energy
-    if kind == WRITE_SET:
-        return params.write_set_latency, params.write_set_energy
-    if kind == WRITE_RESET:
-        return params.write_reset_latency, params.write_reset_energy
-    raise ValueError(f"unknown access kind {kind!r}")
-
-
 def level_energy(counters: AccessCounters, params: TechnologyParams,
                  capacity_mib: float, write_mix: float = 0.5) -> float:
     """Total energy in nJ consumed by one cache level.
@@ -139,61 +124,3 @@ def area_estimate(capacity_mib: float, params: TechnologyParams) -> float:
         raise ValueError("capacity must be > 0")
     return capacity_mib / params.norm_density
 
-
-# --- technology scoring advisor -------------------------------------------
-#
-# Weights encode how severely each requirement bears on a cache level
-# (3 severe, 2 moderate, 1 low); ratings are a coarse 0..2 discretization of
-# how well a technology meets the requirement. The in-use/standby heat
-# criteria reuse the dynamic-energy and standby ratings respectively.
-# Informational only: nothing in the simulation depends on scores.
-
-
-@dataclass(frozen=True)
-class ScoringMatrix:
-    """Per-level criterion weights (1..3), in the order dynamic energy,
-    standby, heat in use, heat in standby, latency, endurance; and
-    per-technology ratings (0..2) of dynamic energy, standby, latency and
-    endurance."""
-
-    weights: dict[str, tuple[int, int, int, int, int, int]]
-    ratings: dict[str, tuple[int, int, int, int]]
-
-    def validate(self) -> None:
-        for level, w in self.weights.items():
-            if len(w) != 6 or any(x not in (1, 2, 3) for x in w):
-                raise ValueError(f"{level}: weights must be six values in 1..3")
-        for tech, r in self.ratings.items():
-            if len(r) != 4 or any(x not in (0, 1, 2) for x in r):
-                raise ValueError(f"{tech}: ratings must be four values in 0..2")
-
-
-def default_scoring_matrix() -> ScoringMatrix:
-    return ScoringMatrix(
-        weights={
-            "L1": (3, 2, 3, 2, 3, 3),
-            "L2": (2, 2, 2, 1, 2, 2),
-            "L3": (1, 3, 1, 1, 1, 2),
-        },
-        ratings={
-            "SRAM": (1, 0, 2, 2),
-            "DRAM": (1, 0, 1, 2),
-            "eDRAM": (1, 0, 1, 2),
-            "PCRAM": (0, 2, 0, 0),
-            "MRAM": (1, 2, 1, 1),
-            "DWM": (2, 2, 1, 2),
-        },
-    )
-
-
-def score_technology(tech: str, level: str, matrix: ScoringMatrix | None = None) -> int:
-    """Weighted suitability score of a technology for a cache level."""
-    matrix = matrix or default_scoring_matrix()
-    if tech not in matrix.ratings:
-        raise KeyError(f"unknown technology {tech!r}")
-    if level not in matrix.weights:
-        raise KeyError(f"unknown level {level!r}")
-    w = matrix.weights[level]
-    dyn, standby, latency, endurance = matrix.ratings[tech]
-    per_criterion = (dyn, standby, dyn, standby, latency, endurance)
-    return sum(wi * ri for wi, ri in zip(w, per_criterion))

@@ -77,7 +77,7 @@ def recompute_level_energy(level_report: dict,
         params = catalog[region["tech"]]
         counters = AccessCounters(
             n_read=region["n_read"], n_write=region["n_write"],
-            busy_time=level_report["busy_ns"], idle_time=level_report["idle_ns"])
+            idle_time=level_report["idle_ns"])
         total += level_energy(counters, params, region["capacity_mib"], write_mix)
     return total
 

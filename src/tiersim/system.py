@@ -77,7 +77,7 @@ class ClusterMemory:
         base = self._base(addr)
         block = self._blocks.setdefault(base, [0] * self.words)
         for w in range(self.words):
-            if dirty_words >> w & 1 and w < len(data):
+            if dirty_words >> w & 1:
                 block[w] = data[w]
 
 
@@ -100,7 +100,6 @@ class Stack:
     """One core's private slice of the hierarchy: the unit that snoops."""
 
     index: int            # within the cluster
-    core_id: int          # global
     core_tier: int
     l1i: CacheLevel
     l1d: CacheLevel
@@ -143,7 +142,6 @@ class Cluster:
     write it; a block no stack holds has no entry."""
 
     index: int
-    coord: tuple[int, int]
     stacks: list[Stack]
     bus: ClusterBus
     memctrl: MemoryController
@@ -232,8 +230,6 @@ class System:
 
     def _build_cluster(self, index: int) -> Cluster:
         spec = self.spec
-        gx = spec.cluster_grid[0]
-        coord = (index % gx, index // gx)
         distributed = (spec.caches.get("l2") is not None
                        and spec.caches["l2"].topology == DISTRIBUTED)
         stacks: list[Stack] = []
@@ -242,9 +238,8 @@ class System:
             l2_tier = spec.l2_tier_for_core_tier(core_tier)
             for k in range(spec.cores_per_cluster):
                 local = tier_pos * spec.cores_per_cluster + k
-                core_id = index * spec.cores_per_cluster_total + local
                 stack = Stack(
-                    index=local, core_id=core_id, core_tier=core_tier,
+                    index=local, core_tier=core_tier,
                     l1i=self._mk_level("l1i", "l1i", index, local, core_tier),
                     l1d=self._mk_level("l1d", "l1d", index, local, core_tier,
                                        (holders, 1 << 2 * local)),
@@ -255,7 +250,7 @@ class System:
                         (holders, 2 << 2 * local))
                 stacks.append(stack)
         cluster = Cluster(
-            index=index, coord=coord, stacks=stacks,
+            index=index, stacks=stacks,
             bus=ClusterBus(beat_width=spec.bus_beat_width,
                            clock_period_ps=spec.clocks["bus_ps"]),
             memctrl=MemoryController(latency_ps=int(round(spec.memory_latency_ns * 1000))),
@@ -288,8 +283,9 @@ class System:
         for rec in records:
             if not 0 <= rec.core < self.spec.total_cores:
                 raise WorkloadError(f"core {rec.core} outside the {self.spec.total_cores}-core system")
-            if rec.size > self.block_size:
-                raise WorkloadError(f"access size {rec.size} exceeds block size {self.block_size}")
+            if not 1 <= rec.size <= self.block_size:
+                raise WorkloadError(f"access size {rec.size} outside 1..{self.block_size} "
+                                    f"(the block size)")
             if rec.tick < 0:
                 raise WorkloadError(f"core {rec.core}: tick {rec.tick} is negative")
             if rec.tick < last_tick.get(rec.core, 0):
@@ -365,8 +361,7 @@ class System:
         mask = 0
         for k in range(count):
             value = self._next_value()
-            if first + k < len(line_data):
-                line_data[first + k] = value
+            line_data[first + k] = value
             mask |= 1 << (first + k)
             self._log("w", cluster.index, base + (first + k) * WORD_SIZE, value)
         return mask
@@ -374,8 +369,8 @@ class System:
     def _log_read(self, cluster: Cluster, data: list[int], addr: int, size: int) -> None:
         base, first, count = self._words_of(addr, size)
         for k in range(count):
-            value = data[first + k] if first + k < len(data) else 0
-            self._log("r", cluster.index, base + (first + k) * WORD_SIZE, value)
+            self._log("r", cluster.index, base + (first + k) * WORD_SIZE,
+                      data[first + k])
 
     def _tsv_delay(self, tier_a: int, tier_b: int) -> int:
         return abs(tier_a - tier_b) * self._tsv_ps
@@ -732,12 +727,12 @@ class System:
         return busy, duration_ns - busy
 
     def _instance_energy(self, level: CacheLevel, duration_ns: float) -> float:
-        busy_ns, idle_ns = self._busy_idle_ns(level, duration_ns)
+        _, idle_ns = self._busy_idle_ns(level, duration_ns)
         total = 0.0
         for r, _region in enumerate(level.regions):
             counters = AccessCounters(
                 n_read=level.region_reads[r], n_write=level.region_writes[r],
-                busy_time=busy_ns, idle_time=idle_ns)
+                idle_time=idle_ns)
             total += level_energy(counters, level.tech_by_region[r],
                                   level.region_capacity_mib(r), level.write_mix)
         return total

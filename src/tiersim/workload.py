@@ -8,7 +8,7 @@ pure functions of their parameters and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .engine import substream
 
@@ -78,23 +78,26 @@ def parse_trace_line(line: str, lineno: int = 0) -> TraceRecord | None:
     return TraceRecord(tick, core, op, addr, size)
 
 
-def parse_trace(stream: TextIO) -> list[TraceRecord]:
-    """Parse a whole trace file, validating the header line."""
-    records: list[TraceRecord] = []
+def _record_lines(stream: TextIO, header: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each record line of a file whose
+    first line that is neither blank nor a `#` comment must be `header`."""
     header_seen = False
     for lineno, line in enumerate(stream, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         if not header_seen:
-            if text != TRACE_HEADER:
-                raise TraceParseError(lineno, f"missing header {TRACE_HEADER!r}")
+            if text != header:
+                raise TraceParseError(lineno, f"missing header {header!r}")
             header_seen = True
             continue
-        rec = parse_trace_line(line, lineno)
-        if rec is not None:
-            records.append(rec)
-    return records
+        yield lineno, text
+
+
+def parse_trace(stream: TextIO) -> list[TraceRecord]:
+    """Parse a whole trace file, validating the header line."""
+    return [parse_trace_line(text, lineno)
+            for lineno, text in _record_lines(stream, TRACE_HEADER)]
 
 
 def write_trace(records: Iterable[TraceRecord], stream: TextIO) -> None:
@@ -105,16 +108,7 @@ def write_trace(records: Iterable[TraceRecord], stream: TextIO) -> None:
 
 def parse_messages(stream: TextIO) -> list[MessageRecord]:
     records: list[MessageRecord] = []
-    header_seen = False
-    for lineno, line in enumerate(stream, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if not header_seen:
-            if text != MESSAGE_HEADER:
-                raise TraceParseError(lineno, f"missing header {MESSAGE_HEADER!r}")
-            header_seen = True
-            continue
+    for lineno, text in _record_lines(stream, MESSAGE_HEADER):
         parts = text.split(",")
         if len(parts) != 4:
             raise TraceParseError(lineno, f"expected 4 fields, got {len(parts)}")
@@ -158,6 +152,8 @@ def gen_synthetic_trace(cores: int, length: int, hot_fraction: float,
         raise ValueError("hot_set_bytes must be > 0")
     if not 0.0 <= hot_overlap <= 1.0:
         raise ValueError("hot_overlap must be in [0, 1]")
+    if access_size < 1:
+        raise ValueError(f"access_size must be >= 1, got {access_size}")
     space = 1 << addr_bits
     shared_base = cores * hot_set_bytes
     records: list[TraceRecord] = []
@@ -185,6 +181,8 @@ def gen_message_traffic(clusters: int, cycles: int, rate: float,
     probability `rate` per cycle to a uniformly chosen other cluster."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
+    if payload_bytes < 0:
+        raise ValueError(f"payload_bytes must be >= 0, got {payload_bytes}")
     if clusters < 2 and rate > 0.0:
         raise ValueError("message traffic needs at least two clusters")
     records: list[MessageRecord] = []

@@ -160,6 +160,14 @@ def test_negative_ticks_rejected_at_load():
     assert system.engine.pending() == 0 and system.noc.injected == 0
 
 
+def test_access_size_outside_the_block_rejected_at_load():
+    system = build_system(spec_from_dict(preset("fig32")), seed=0)
+    for size in (0, -8, 65):
+        with pytest.raises(WorkloadError, match=f"access size {size} outside 1..64"):
+            system.load_trace([TraceRecord(0, 0, "R", 0x40, size)])
+    assert system.engine.pending() == 0
+
+
 def test_unknown_preset():
     with pytest.raises(KeyError):
         preset("fig99")

@@ -106,6 +106,14 @@ def test_t_end_caps_the_run(tmp_path):
     assert noc["injected"] == noc["delivered"] + noc["in_flight"]
 
 
+def test_negative_t_end_exits_2_before_the_run(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig33", "--t-end", "-5",
+                 "--out", str(out)]) == 2
+    assert "--t-end: must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_override_equals_config_edit(tmp_path):
     base = quick_cfg()
     edited = json.loads(json.dumps(base))
@@ -210,6 +218,43 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, key, value,
                  "--out", str(out)]) == 2
     assert f"{key}: must be an object, got {kind}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("workload.synthetic.access_size", 0, "access_size must be >= 1, got 0"),
+    ("workload.synthetic.access_size", -8, "access_size must be >= 1, got -8"),
+    ("workload.message_synthetic.payload_bytes", -5,
+     "payload_bytes must be >= 0, got -5")],
+    ids=["access_size=0", "access_size=-8", "payload_bytes=-5"])
+def test_bad_generator_parameter_exits_2_with_its_key(tmp_path, capsys, key,
+                                                      value, message):
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", write_config(tmp_path, quick_cfg()),
+                 "--set", f"{key}={value}", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_trace_bad_parameter_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["gen-trace", "--kind", "msg", "--payload", "-5",
+                 "--out", str(out)]) == 2
+    assert "payload_bytes must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_block_smaller_than_a_word_exits_2(tmp_path, capsys):
+    # a 4-byte block holds no 8-byte word, so writes would mark nothing dirty
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--set",
+                 "caches.l1d.block_size=4", "--out", str(out)]) == 2
+    assert "caches.l1d.block_size: must be >= 8 (4)" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = preset("fig32")
+    cfg["caches"]["l1d"]["block_size"] = 4
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "caches.l1d.block_size: must be >= 8 (4)"]
 
 
 def test_block_size_other_than_the_l1d_exits_2(tmp_path, capsys):

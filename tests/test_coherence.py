@@ -3,17 +3,15 @@ import random
 
 import pytest
 
-from tiersim.coherence import (BUS_RD, BUS_RDX, CORE_READ, CORE_WRITE, EVICT,
-                               INVALIDATE, SNOOP_BUSRD, SNOOP_BUSRDX,
-                               SUPPLY_MEMORY, SUPPLY_OWNER, CoherenceFault,
-                               StepResult, check_invariants, coherence_step)
+from tiersim.coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
+                               CoherenceFault, StepResult, check_invariants,
+                               coherence_step)
 
 
 def test_cold_read_gets_exclusive_from_memory():
     res = coherence_step(["I", "I", "I", "I"], CORE_READ, 0)
     assert res.states == ("E", "I", "I", "I")
-    assert (BUS_RD,) in res.actions
-    assert (SUPPLY_MEMORY,) in res.actions
+    assert res.actions == ()  # no cache supplies, so memory does
 
 
 def test_read_from_modified_owner_demotes_to_owned():
@@ -27,7 +25,6 @@ def test_write_invalidates_sharers():
     assert res.states == ("M", "I")
     invalidations = [a for a in res.actions if a[0] == INVALIDATE]
     assert invalidations == [(INVALIDATE, 1)]
-    assert (BUS_RDX,) in res.actions
 
 
 def test_silent_upgrades_and_hits():
@@ -55,37 +52,14 @@ def test_owned_keeps_supplying():
 def test_write_miss_with_dirty_owner_transfers_ownership():
     res = coherence_step(["M", "I"], CORE_WRITE, 1)
     assert res.states == ("I", "M")
-    assert (SUPPLY_OWNER, 0) in res.actions
-    # ownership moved cache to cache: no writeback action
-    assert all(a[0] != "writeback" for a in res.actions)
+    # ownership moved cache to cache: the old owner supplies and drops its
+    # copy, and nothing is written back
+    assert res.actions == ((SUPPLY_OWNER, 0), (INVALIDATE, 0))
 
 
 def test_upgrade_from_owned():
     res = coherence_step(["O", "S", "S"], CORE_WRITE, 0)
     assert res.states == ("M", "I", "I")
-
-
-def test_eviction_of_dirty_states_writes_back():
-    for state in "MO":
-        res = coherence_step([state, "S" if state == "O" else "I"], EVICT, 0)
-        assert res.states[0] == "I"
-        assert ("writeback", 0) in res.actions
-    for state in "ES":
-        res = coherence_step([state, "I"], EVICT, 0)
-        assert res.states[0] == "I"
-        assert res.actions == ()
-
-
-def test_snoop_views_match_core_ops():
-    # remote caches observing a BusRd/BusRdX transition exactly as the
-    # corresponding core op would drive them; the requester's own entry is
-    # untouched (its transition belongs to the core op)
-    res = coherence_step(["M", "I"], SNOOP_BUSRD, 1)
-    assert res.states == ("O", "I")
-    assert (SUPPLY_OWNER, 0) in res.actions
-    res = coherence_step(["M", "I"], SNOOP_BUSRDX, 1)
-    assert res.states == ("I", "I")
-    assert (INVALIDATE, 0) in res.actions
 
 
 def test_invariant_checker():
@@ -127,7 +101,15 @@ def test_randomized_against_sequential_memory_oracle():
         current = 0         # the oracle: last value written anywhere
         for stepno in range(80):
             cache = rng.randrange(n)
-            event = rng.choice([CORE_READ, CORE_READ, CORE_WRITE, EVICT])
+            event = rng.choice([CORE_READ, CORE_READ, CORE_WRITE, "evict"])
+            if event == "evict":
+                # The protocol leaves eviction to the cache: an M or O line
+                # writes back, then goes to I.
+                if states[cache] in "MO":
+                    memory = values[cache]
+                states[cache] = "I"
+                values[cache] = None
+                continue
             res = coherence_step(states, event, cache)
             supplier = next((a[1] for a in res.actions if a[0] == SUPPLY_OWNER), None)
             if event == CORE_READ:
@@ -135,13 +117,9 @@ def test_randomized_against_sequential_memory_oracle():
                     values[cache] = (values[supplier] if supplier is not None
                                      else memory)
                 assert values[cache] == current, (trial, stepno, states)
-            elif event == CORE_WRITE:
+            else:
                 current += 1
                 values[cache] = current
-            else:  # EVICT
-                if ("writeback", cache) in res.actions:
-                    memory = values[cache]
-                values[cache] = None
             states = list(res.states)
             for i, s in enumerate(states):
                 if s == "I":
@@ -188,8 +166,6 @@ def _ref_apply_busrd(states, requester, actions):
             states[owner] = "O"
         elif states[owner] == "E":
             states[owner] = "S"
-    else:
-        actions.append((SUPPLY_MEMORY,))
 
 
 def _ref_apply_busrdx(states, requester, actions):
@@ -197,8 +173,6 @@ def _ref_apply_busrdx(states, requester, actions):
                         for i, s in enumerate(states)])
     if owner is not None:
         actions.append((SUPPLY_OWNER, owner))
-    else:
-        actions.append((SUPPLY_MEMORY,))
     for idx, s in enumerate(states):
         if idx != requester and s != "I":
             actions.append((INVALIDATE, idx))
@@ -212,7 +186,6 @@ def _ref_coherence_step(states, event, cache):
     mine = st[cache]
     if event == CORE_READ:
         if mine == "I":
-            actions.append((BUS_RD,))
             _ref_apply_busrd(st, cache, actions)
             any_other = any(s != "I" for i, s in enumerate(st) if i != cache)
             st[cache] = "S" if any_other else "E"
@@ -222,7 +195,6 @@ def _ref_coherence_step(states, event, cache):
         elif mine == "E":
             st[cache] = "M"
         else:
-            actions.append((BUS_RDX,))
             if mine == "I":
                 _ref_apply_busrdx(st, cache, actions)
             else:
@@ -231,14 +203,6 @@ def _ref_coherence_step(states, event, cache):
                         actions.append((INVALIDATE, idx))
                         st[idx] = "I"
             st[cache] = "M"
-    elif event == SNOOP_BUSRD:
-        _ref_apply_busrd(st, cache, actions)
-    elif event == SNOOP_BUSRDX:
-        _ref_apply_busrdx(st, cache, actions)
-    elif event == EVICT:
-        if mine in ("M", "O"):
-            actions.append(("writeback", cache))
-        st[cache] = "I"
     _ref_check_invariants(st)
     return StepResult(states=tuple(st), actions=tuple(actions))
 
@@ -258,14 +222,13 @@ def test_step_equals_reference_on_every_vector():
                 check_invariants(vector)
             with pytest.raises(CoherenceFault):
                 check_invariants(list(vector))
-            for event in (CORE_READ, CORE_WRITE, SNOOP_BUSRD, SNOOP_BUSRDX,
-                          EVICT):
+            for event in (CORE_READ, CORE_WRITE):
                 with pytest.raises(CoherenceFault):
                     coherence_step(list(vector), event, 0)
             continue
         check_invariants(vector)
         legal += 1
-        for event in (CORE_READ, CORE_WRITE, SNOOP_BUSRD, SNOOP_BUSRDX, EVICT):
+        for event in (CORE_READ, CORE_WRITE):
             for cache in range(len(vector)):
                 want = _ref_coherence_step(list(vector), event, cache)
                 got = coherence_step(list(vector), event, cache)

@@ -3,11 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tiersim.memtech import (READ, UNLIMITED, WRITE_RESET, WRITE_SET,
-                             AccessCounters, ScoringMatrix, TechnologyParams,
-                             access_cost, area_estimate, catalog_default,
-                             catalog_with_overrides, default_scoring_matrix,
-                             level_energy, score_technology)
+from tiersim.memtech import (UNLIMITED, AccessCounters, TechnologyParams,
+                             area_estimate, catalog_default,
+                             catalog_with_overrides, level_energy)
 
 
 def test_catalog_has_six_entries():
@@ -41,26 +39,11 @@ def test_unlimited_endurance_sentinel():
     assert cat["MRAM"].endurance == 1e12
 
 
-def test_access_cost_examples():
-    cat = catalog_default()
-    assert access_cost(cat["SRAM"], READ) == (3.0, 0.45)
-    assert access_cost(cat["PCRAM"], WRITE_RESET) == (43.0, 9.5)
-
-
-def test_access_cost_symmetric_when_fields_equal():
-    p = TechnologyParams("X", 2.0, 5.0, 5.0, 0.1, 0.3, 0.3, 1.0, 10, 1.0, False)
-    assert access_cost(p, WRITE_SET) == access_cost(p, WRITE_RESET)
-
-
 def test_access_cost_set_reset_differ_only_for_pcram():
     for name, p in catalog_default().items():
-        same = access_cost(p, WRITE_SET) == access_cost(p, WRITE_RESET)
+        same = (p.write_set_latency == p.write_reset_latency
+                and p.write_set_energy == p.write_reset_energy)
         assert same == (name != "PCRAM")
-
-
-def test_access_cost_unknown_kind():
-    with pytest.raises(ValueError):
-        access_cost(catalog_default()["SRAM"], "erase")
 
 
 def test_level_energy_worked_example():
@@ -112,54 +95,6 @@ def test_area_estimate_monotone_in_density():
 def test_area_estimate_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         area_estimate(0.0, catalog_default()["SRAM"])
-
-
-def test_score_sram_l1_default():
-    # weights (3,2,3,2,3,3) x ratings (dyn 1, stb 0, lat 2, end 2), heat
-    # criteria reuse dyn/standby: 3 + 0 + 3 + 0 + 6 + 6
-    assert score_technology("SRAM", "L1") == 18
-
-
-def test_score_pcram_l3_default():
-    # weights (1,3,1,1,1,2) x ratings (0,2,0,0): 0 + 6 + 0 + 2 + 0 + 0
-    assert score_technology("PCRAM", "L3") == 8
-
-
-def test_score_zero_ratings_scores_zero_everywhere():
-    matrix = default_scoring_matrix()
-    ratings = dict(matrix.ratings)
-    ratings["NULL"] = (0, 0, 0, 0)
-    matrix = ScoringMatrix(weights=matrix.weights, ratings=ratings)
-    for level in ("L1", "L2", "L3"):
-        assert score_technology("NULL", level, matrix) == 0
-
-
-def test_score_unknown_lookups():
-    with pytest.raises(KeyError):
-        score_technology("FLASH", "L1")
-    with pytest.raises(KeyError):
-        score_technology("SRAM", "L4")
-
-
-@given(bump=st.integers(0, 1), axis=st.integers(0, 3),
-       level=st.sampled_from(["L1", "L2", "L3"]))
-def test_score_monotone_in_ratings(bump, axis, level):
-    matrix = default_scoring_matrix()
-    base = matrix.ratings["MRAM"]
-    bumped = tuple(min(2, r + bump) if i == axis else r
-                   for i, r in enumerate(base))
-    ratings = dict(matrix.ratings)
-    ratings["MRAM2"] = bumped
-    matrix2 = ScoringMatrix(weights=matrix.weights, ratings=ratings)
-    assert (score_technology("MRAM2", level, matrix2)
-            >= score_technology("MRAM", level, matrix))
-
-
-def test_scoring_matrix_validation():
-    with pytest.raises(ValueError):
-        ScoringMatrix(weights={"L1": (4, 1, 1, 1, 1, 1)}, ratings={}).validate()
-    with pytest.raises(ValueError):
-        ScoringMatrix(weights={}, ratings={"X": (3, 0, 0, 0)}).validate()
 
 
 def test_catalog_overrides():
