@@ -79,9 +79,6 @@ class SystemSpec:
     def total_cores(self) -> int:
         return self.n_clusters * self.cores_per_cluster_total
 
-    def cluster_of_core(self, core: int) -> int:
-        return core // self.cores_per_cluster_total
-
     def l2_tier_for_core_tier(self, core_tier: int) -> int | None:
         """Adjacent L2 tier serving a core tier; inner neighbor wins."""
         for idx in (core_tier + 1, core_tier - 1):

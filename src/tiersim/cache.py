@@ -30,7 +30,7 @@ states directly, but a line leaves the index only through `evict`,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import FifoResource, cycles_for_latency
 from .memtech import READ, TechnologyParams
@@ -122,7 +122,7 @@ def check_wear(line: "CacheLine", params: TechnologyParams) -> bool:
     return line.write_count > params.endurance
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     tag: int = 0
     state: str = I
@@ -130,20 +130,20 @@ class CacheLine:
     write_count: int = 0
     dirty_words: int = 0          # bitmask over words in the block
     worn: bool = False
-    data: list[int] = field(default_factory=list)
+    data: list[int] | None = None  # block image, only while a fill supplied one
 
 
-@dataclass
+@dataclass(slots=True)
 class Eviction:
     """Dirty victim handed back to the caller for write-back."""
 
     addr: int
     dirty_words: int
-    data: list[int]
+    data: list[int] | None
     state: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessResult:
     hit: bool
     set_index: int
@@ -285,7 +285,9 @@ class CacheLevel:
                 del self._holders[block]
 
     def evict(self, set_index: int, way: int) -> Eviction | None:
-        """Invalidate a way; dirty victims come back for write-back."""
+        """Invalidate a way; dirty victims come back for write-back. The
+        victim takes the line's data image itself, not a copy: the line
+        drops it, and a refill gets a fresh one."""
         ways = self.lines[set_index]
         if way >= len(ways) or ways[way].state == I:
             return None
@@ -298,16 +300,17 @@ class CacheLevel:
             out = Eviction(
                 addr=compose_address(line.tag, set_index, 0, self.geom),
                 dirty_words=line.dirty_words,
-                data=list(line.data),
+                data=line.data,
                 state=line.state)
         line.state = I
         line.dirty_words = 0
-        line.data = []
+        line.data = None
         return out
 
     def fill(self, addr: int, state: str, data: list[int] | None = None,
              write_fill_words: int = 0, now_ps: int = 0) -> AccessResult:
-        """Install a block that is not resident (miss response).
+        """Install a block that is not resident (miss response). The line
+        keeps a copy of `data`, or no image when `data` is None.
         write_fill_words > 0 marks a write-allocate fill and charges wear
         for it. When the block's way is worn out, or no way of the set is
         usable, the result is a bypass with no way and the level is left
@@ -331,7 +334,7 @@ class CacheLevel:
         line.tag = block // self._sets
         line.state = state
         line.dirty_words = 0
-        line.data = list(data) if data is not None else [0] * self.geom.words_per_block
+        line.data = list(data) if data is not None else None
         self._resident[block] = victim
         if self._holders is not None:
             # A sole holder's entry is the level's own bit object: no new int.
@@ -434,7 +437,7 @@ class CacheLevel:
             self.invalidations += 1
         line.state = I
         line.dirty_words = 0
-        line.data = []
+        line.data = None
 
     # -- accounting -----------------------------------------------------------
 

@@ -125,7 +125,8 @@ class FifoResource:
 
     def book(self, arrival_ps: int, hold_ps: int) -> tuple[int, int]:
         """Book after every booking already made; returns (start, done)."""
-        start = max(arrival_ps, self.free_at_ps)
+        free_at = self.free_at_ps
+        start = arrival_ps if arrival_ps > free_at else free_at
         done = start + hold_ps
         self.free_at_ps = done
         self.busy_ps += hold_ps

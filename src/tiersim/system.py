@@ -18,6 +18,11 @@ event-dispatch order; timing comes from one FIFO booking rule,
 `FifoResource.book`, shared by the bus channels, cache array ports, memory
 controllers and NoC links, so latencies show queueing contention while the
 protocol itself stays a linearizable state machine.
+
+Block data images exist only for the data log (`record_log=True`): the
+report never holds a data value, so with the log off no line, victim or
+backing store carries data and no write draws a value. The log changes no
+timing and no report byte.
 """
 
 from __future__ import annotations
@@ -151,15 +156,16 @@ class Cluster:
     l2i: dict[int, CacheLevel] = field(default_factory=dict)
     l3: CacheLevel | None = None
     l3_tier: int | None = None
+    # (array, tier) of each shared L2 in tier order, built once l2_shared is.
+    l2_homes: tuple[tuple[CacheLevel, int], ...] = ()
 
     def l2_home(self, addr: int, block_size: int) -> tuple[CacheLevel, int] | None:
         """Home L2 array for a block: address-interleaved across L2 tiers so
         a block has exactly one shared-L2 residence per cluster."""
-        if not self.l2_shared:
+        homes = self.l2_homes
+        if not homes:
             return None
-        tiers = sorted(self.l2_shared)
-        tier = tiers[(addr // block_size) % len(tiers)]
-        return self.l2_shared[tier], tier
+        return homes[(addr // block_size) % len(homes)]
 
 
 class System:
@@ -180,6 +186,7 @@ class System:
         self.messages = 0
         self._write_seq = 0
         self.data_log: list[tuple[str, int, int, int]] | None = [] if record_log else None
+        self._core_ps = spec.clocks["core_ps"]
         self._tsv_ps = spec.noc.tsv_latency * spec.clocks["bus_ps"]
         self._assert_norma_isolation()
 
@@ -265,6 +272,8 @@ class System:
             icfg = "l2i" if spec.caches.get("l2i") else "l2"
             cluster.l2i[t.index] = self._mk_level("l2i", icfg, index, t.index,
                                                   t.index)
+        cluster.l2_homes = tuple((cluster.l2_shared[t], t)
+                                 for t in sorted(cluster.l2_shared))
         l3_tier = spec.l3_tier()
         if l3_tier is not None and spec.caches.get("l3") is not None:
             cluster.l3 = self._mk_level("l3", "l3", index, l3_tier, l3_tier)
@@ -278,28 +287,43 @@ class System:
     # -- workload ----------------------------------------------------------------
 
     def load_trace(self, records: list[TraceRecord]) -> None:
+        """Check every record, then schedule each core's first access. A
+        record must stay inside one block, name a core of the system, and
+        keep its core's ticks non-negative and non-decreasing."""
+        total_cores = self.spec.total_cores
+        per_cluster = self.spec.cores_per_cluster_total
+        block = self.block_size
         per_core: dict[int, list[TraceRecord]] = {}
-        last_tick: dict[int, int] = {}
         for rec in records:
-            if not 0 <= rec.core < self.spec.total_cores:
-                raise WorkloadError(f"core {rec.core} outside the {self.spec.total_cores}-core system")
-            if not 1 <= rec.size <= self.block_size:
-                raise WorkloadError(f"access size {rec.size} outside 1..{self.block_size} "
+            core, tick, size, addr = rec.core, rec.tick, rec.size, rec.addr
+            if not 1 <= size <= block - addr % block:
+                if 1 <= size <= block:
+                    raise WorkloadError(
+                        f"core {core} tick {tick}: access of {size} bytes at "
+                        f"{addr:#x} crosses a {block}-byte block boundary")
+                raise WorkloadError(f"access size {size} outside 1..{block} "
                                     f"(the block size)")
-            if rec.tick < 0:
-                raise WorkloadError(f"core {rec.core}: tick {rec.tick} is negative")
-            if rec.tick < last_tick.get(rec.core, 0):
-                raise WorkloadError(f"core {rec.core}: ticks must be non-decreasing")
-            last_tick[rec.core] = rec.tick
-            per_core.setdefault(rec.core, []).append(rec)
-        core_ps = self.spec.clocks["core_ps"]
-        for core, recs in per_core.items():
-            cluster = self.clusters[self.spec.cluster_of_core(core)]
-            stack = cluster.stacks[core % self.spec.cores_per_cluster_total]
-            queue = list(reversed(recs))
+            recs = per_core.get(core)
+            if recs is None:
+                # A core's number and first tick are checked once; each
+                # later tick is checked against the one before it.
+                if not 0 <= core < total_cores:
+                    raise WorkloadError(f"core {core} outside the {total_cores}-core system")
+                if tick < 0:
+                    raise WorkloadError(f"core {core}: tick {tick} is negative")
+                per_core[core] = [rec]
+            elif tick < recs[-1].tick:
+                raise WorkloadError(f"core {core}: tick {tick} is negative" if tick < 0
+                                    else f"core {core}: ticks must be non-decreasing")
+            else:
+                recs.append(rec)
+        for core, queue in per_core.items():
+            cluster = self.clusters[core // per_cluster]
+            queue.reverse()
             first = queue.pop()
-            self.engine.schedule(first.tick * core_ps, self._on_issue,
-                                 (cluster, stack, first, queue))
+            self.engine.schedule(first.tick * self._core_ps, self._on_issue,
+                                 (cluster, cluster.stacks[core % per_cluster],
+                                  first, queue))
         self.trace_records += len(records)
 
     def load_messages(self, records: list[MessageRecord]) -> None:
@@ -335,42 +359,41 @@ class System:
         if not queue:
             return
         rec = queue.pop()
-        issue = max(self.engine.now, rec.tick * self.spec.clocks["core_ps"])
+        issue = max(self.engine.now, rec.tick * self._core_ps)
         self.engine.schedule(issue, self._on_issue, (cluster, stack, rec, queue))
 
     def _next_value(self) -> int:
         self._write_seq += 1
         return self._write_seq
 
-    def _log(self, kind: str, cluster: int, word_addr: int, value: int) -> None:
-        if self.data_log is not None:
-            self.data_log.append((kind, cluster, word_addr, value))
-
     def _words_of(self, addr: int, size: int) -> tuple[int, int, int]:
-        """(block base, first word index, word count) covered by an access."""
-        base = addr - addr % self.block_size
-        first = (addr % self.block_size) // WORD_SIZE
-        last = min((addr % self.block_size + size - 1) // WORD_SIZE,
-                   self.block_size // WORD_SIZE - 1)
-        return base, first, last - first + 1
+        """(block base, first word index, word count) covered by an access,
+        which `load_trace` has checked stays inside its block."""
+        offset = addr % self.block_size
+        first = offset // WORD_SIZE
+        return addr - offset, first, (offset + size - 1) // WORD_SIZE - first + 1
 
-    def _apply_write(self, cluster: Cluster, line_data: list[int],
+    def _apply_write(self, cluster: Cluster, line_data: list[int] | None,
                      addr: int, size: int) -> int:
-        """Write fresh values into a block image; returns the word mask."""
+        """Return the word mask of a write; with the data log on, also write
+        fresh values into the block image and log them."""
         base, first, count = self._words_of(addr, size)
-        mask = 0
-        for k in range(count):
+        mask = ((1 << count) - 1) << first
+        if self.data_log is None:
+            return mask
+        for w in range(first, first + count):
             value = self._next_value()
-            line_data[first + k] = value
-            mask |= 1 << (first + k)
-            self._log("w", cluster.index, base + (first + k) * WORD_SIZE, value)
+            line_data[w] = value
+            self.data_log.append(("w", cluster.index, base + w * WORD_SIZE, value))
         return mask
 
-    def _log_read(self, cluster: Cluster, data: list[int], addr: int, size: int) -> None:
+    def _log_read(self, cluster: Cluster, data: list[int] | None, addr: int,
+                  size: int) -> None:
+        if self.data_log is None:
+            return
         base, first, count = self._words_of(addr, size)
-        for k in range(count):
-            self._log("r", cluster.index, base + (first + k) * WORD_SIZE,
-                      data[first + k])
+        for w in range(first, first + count):
+            self.data_log.append(("r", cluster.index, base + w * WORD_SIZE, data[w]))
 
     def _tsv_delay(self, tier_a: int, tier_b: int) -> int:
         return abs(tier_a - tier_b) * self._tsv_ps
@@ -424,7 +447,8 @@ class System:
                 return
             prev = tier
         cluster.memctrl.serve(t, is_write=True)
-        cluster.memory.merge(ev.addr, ev.dirty_words, ev.data)
+        if ev.data is not None:
+            cluster.memory.merge(ev.addr, ev.dirty_words, ev.data)
 
     def _writeback_across_bus(self, cluster: Cluster, stack: Stack,
                               from_tier: int, ev: Eviction, t: int) -> None:
@@ -518,16 +542,21 @@ class System:
         commit, and either an owner supply or a descent below the bus.
 
         Returns (data, fill_state, t_data_ready, inherited_dirty). State and
-        data commit now; t_data_ready carries the modeled latency.
+        data commit now; t_data_ready carries the modeled latency. `data` is
+        a copy of the block image, or None with the data log off.
         """
         vector, step, t = self._snoop(cluster, stack, addr, event, t_ready)
 
+        carry = self.data_log is not None
         data: list[int] | None = None
+        supplied = False
         for action in step.actions:
             if action[0] == SUPPLY_OWNER:
+                supplied = True
                 supplier = cluster.stacks[action[1]]
                 level, set_index, way = supplier.authoritative(addr)
-                data = list(level.lines[set_index][way].data)
+                if carry:
+                    data = list(level.lines[set_index][way].data)
                 _, done = level.service(t, level.nuca_cycles(set_index)
                                         + level.op_cycles(way, READ))
                 t = done + self._tsv_delay(supplier.core_tier, stack.core_tier)
@@ -535,7 +564,7 @@ class System:
         # Commit remote state changes after the supplier's data is captured.
         inherited_dirty = self._commit_remotes(cluster, addr, vector, step)
 
-        if data is None:
+        if not supplied:
             # Read down the chain; levels that missed without a worn match
             # take the block on the way back, and their dirty victims go on
             # down from there.
@@ -547,13 +576,15 @@ class System:
                                        t + self._tsv_delay(prev, tier))
                 prev = tier
                 if res.hit:
-                    data = list(res.data)
+                    if carry:
+                        data = list(res.data)
                     break
                 if not res.bypass:
                     fill_below.append(idx)
             else:
                 _, t = cluster.memctrl.serve(t, is_write=False)
-                data = cluster.memory.read_block(addr)
+                if carry:
+                    data = cluster.memory.read_block(addr)
             for idx in fill_below:
                 level, tier = chain[idx]
                 filled = level.fill(addr, state=S, data=data)
@@ -565,7 +596,7 @@ class System:
         return data, step.states[stack.index], resp_done, inherited_dirty
 
     def _fill_l1(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
-                 state: str, data: list[int], dirty_words: int,
+                 state: str, data: list[int] | None, dirty_words: int,
                  t: int) -> int | None:
         """Allocate the block in L1 in `state` (a write fill charges wear),
         write back the dirty victim, and serve the core op on the new line,

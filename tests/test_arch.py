@@ -168,6 +168,16 @@ def test_access_size_outside_the_block_rejected_at_load():
     assert system.engine.pending() == 0
 
 
+def test_access_crossing_a_block_boundary_rejected_at_load():
+    system = build_system(spec_from_dict(preset("fig32")), seed=0)
+    with pytest.raises(WorkloadError, match="core 0 tick 0: access of 8 bytes "
+                       "at 0x3c crosses a 64-byte block boundary"):
+        system.load_trace([TraceRecord(0, 0, "W", 0x3c, 8)])
+    assert system.engine.pending() == 0
+    system.load_trace([TraceRecord(0, 0, "W", 0x38, 8)])  # ends on the boundary
+    assert system.engine.pending() == 1
+
+
 def test_unknown_preset():
     with pytest.raises(KeyError):
         preset("fig99")

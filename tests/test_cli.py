@@ -235,6 +235,15 @@ def test_bad_generator_parameter_exits_2_with_its_key(tmp_path, capsys, key,
     assert not out.exists()
 
 
+def test_access_size_that_crosses_blocks_exits_2(tmp_path, capsys):
+    # 24-byte accesses aligned to 24 bytes: one at 0x30 would run past 0x40
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--set",
+                 "workload.synthetic.access_size=24", "--out", str(out)]) == 2
+    assert "crosses a 64-byte block boundary" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_trace_bad_parameter_exits_2(tmp_path, capsys):
     out = tmp_path / "m.csv"
     assert main(["gen-trace", "--kind", "msg", "--payload", "-5",

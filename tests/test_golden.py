@@ -13,8 +13,10 @@ import functools
 import hashlib
 import json
 
+from tiersim import cli
 from tiersim.arch import PRESET_NAMES, preset
 from tiersim.cli import run_experiment
+from tiersim.system import System
 
 
 def _shared_writes() -> dict:
@@ -186,3 +188,30 @@ def test_golden_report_hashes(tmp_path):
     listing = "\n".join(f'    "{n}": "{d}",' for n, d in digests.items())
     assert not mismatched, (f"report digests changed for {mismatched}; "
                             f"current digests of every case:\n{listing}")
+
+
+def test_data_log_changes_no_report_byte(tmp_path, monkeypatch):
+    # Block data images exist only for the data log, so turning it on must
+    # leave every digest as GOLDEN pins it for the log off. With it off, no
+    # line of any array holds an image and no backing store holds a block;
+    # the extra cases, which reach every statement of the access path
+    # between them, check that.
+    built: list[System] = []
+
+    def system_with_log(record_log):
+        def make(spec, seed=0):
+            built.append(System(spec, seed=seed, record_log=record_log))
+            return built[-1]
+        return make
+
+    monkeypatch.setattr(cli, "System", system_with_log(True))
+    for name in CASES:
+        assert _digest(_report(name, tmp_path)) == GOLDEN[name], name
+        assert bool(built.pop().data_log) == (name != "dense-mesh"), name
+    monkeypatch.setattr(cli, "System", system_with_log(False))
+    for name in set(CASES) - set(PRESET_NAMES):
+        _report(name, tmp_path)
+        quiet = built.pop()
+        for _, _, level, _ in quiet.levels:
+            assert all(line.data is None for ways in level.lines for line in ways)
+        assert all(not c.memory._blocks for c in quiet.clusters), name

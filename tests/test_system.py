@@ -112,7 +112,8 @@ def test_writeback_reaches_backing_store():
                             "associativity": 1, "tech": "SRAM"}
     cfg["caches"]["l2"] = {"capacity": 128, "block_size": 64,
                            "associativity": 1, "tech": "SRAM"}
-    system = build(cfg)
+    # the backing store holds values only while the data log is on
+    system = build(cfg, record_log=True)
     # write block 0, then march over conflicting blocks to flush it out
     records = [TraceRecord(0, 0, "W", 0x0, 8)]
     for i in range(1, 6):
