@@ -194,8 +194,7 @@ def test_data_log_changes_no_report_byte(tmp_path, monkeypatch):
     # Block data images exist only for the data log, so turning it on must
     # leave every digest as GOLDEN pins it for the log off. With it off, no
     # line of any array holds an image and no backing store holds a block;
-    # the extra cases, which reach every statement of the access path
-    # between them, check that.
+    # the extra cases, built to reach what the presets do not, check that.
     built: list[System] = []
 
     def system_with_log(record_log):
