@@ -160,6 +160,18 @@ def test_negative_ticks_rejected_at_load():
     assert system.engine.pending() == 0 and system.noc.injected == 0
 
 
+def test_first_bad_message_named_and_nothing_scheduled():
+    # The second record names cluster 9 and the third has a negative tick:
+    # the error names the first bad record, and nothing is injected.
+    system = build_system(spec_from_dict(preset("fig33")), seed=0)
+    with pytest.raises(WorkloadError,
+                       match="^cluster 9 outside the 4-cluster system$"):
+        system.load_messages([MessageRecord(0, 0, 1, 64),
+                              MessageRecord(2, 1, 9, 64),
+                              MessageRecord(-1, 0, 1, 64)])
+    assert system.engine.pending() == 0 and system.noc.injected == 0
+
+
 def test_access_size_outside_the_block_rejected_at_load():
     system = build_system(spec_from_dict(preset("fig32")), seed=0)
     for size in (0, -8, 65):

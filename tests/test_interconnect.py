@@ -208,6 +208,19 @@ def test_packets_conserved_mid_run():
     assert net.in_flight == 0
 
 
+@pytest.mark.parametrize("bad, error", [
+    ((0, (0, 0, 0), (1, 1, 0), -1), "payload must be >= 0"),
+    ((0, (0, 0, 0), (2, 0, 0), 64), "outside mesh"),
+    ((0, (0, 0, -1), (1, 0, 0), 64), "outside mesh"),
+])
+def test_bad_message_refused_before_anything_is_scheduled(bad, error):
+    engine = EventQueue()
+    net = MeshNetwork(topo((2, 2, 1)), engine, clock_period_ps=1000)
+    with pytest.raises(ValueError, match=error):
+        net.inject([(0, (0, 0, 0), (1, 1, 0), 64), bad])
+    assert engine.pending() == 0 and net.injected == 0
+
+
 def reference_walk(t, clock_ps, packets):
     """`(t_inject, t_deliver)` of `packets` ((t_inject, src, dst, flits)
     tuples) in the order they are delivered, and the final link bookings,

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from tiersim.arch import spec_from_dict, validate_spec
 from tiersim.system import System
-from tiersim.workload import MessageRecord, TraceRecord, gen_synthetic_trace
+from tiersim.workload import (MessageRecord, TraceRecord, gen_message_traffic,
+                               gen_synthetic_trace)
 
 
 def small_cfg(**overrides):
@@ -181,6 +182,25 @@ def test_message_latency_reported_and_conserved():
     noc = report["interconnect"]["noc"]
     assert noc["injected"] == noc["delivered"] == 2
     assert report["latency"]["msg"]["count"] == 2
+
+
+def test_tied_messages_inject_in_record_order():
+    """Injection order depends only on the ticks and, among equal ticks, on
+    the order of the list: a shuffled list delivers exactly as the same
+    list sorted stably by tick."""
+    cfg = small_cfg(cluster_grid=[2, 2], cores_per_cluster=1)
+    messages = gen_message_traffic(4, 40, 0.5, 64, seed=3)
+    random.Random(5).shuffle(messages)
+    in_tick_order = sorted(messages, key=lambda m: m.tick)
+    assert in_tick_order != messages
+    samples = []
+    for records in (messages, in_tick_order):
+        system = build(cfg)
+        system.load_messages(records)
+        system.run()
+        samples.append(system.noc.msg_samples)
+    assert samples[0] == samples[1]
+    assert len(samples[0]) == len(messages)
 
 
 def test_report_passes_schema_level_invariants():
