@@ -178,9 +178,11 @@ class CacheLevel:
         self._stamp = 0
         self._sets = geom.sets
         self._block_size = geom.block_size
-        # lines[s] lists set s's built ways in way order. Ways at index
-        # len(lines[s]) and above are unbuilt: invalid and unworn.
-        self.lines: list[list[CacheLine]] = [[] for _ in range(geom.sets)]
+        # lines[s] holds set s's built ways in way order. Ways at index
+        # len(lines[s]) and above are unbuilt: invalid and unworn. A set
+        # nothing was ever filled into shares the empty tuple; its first
+        # fill gives it a list of its own.
+        self.lines: list[list[CacheLine] | tuple[()]] = [()] * geom.sets
         # The lookup path: block number -> way of its valid, unworn line,
         # and the blocks whose way wore out (worn ways keep their tag).
         self._resident: dict[int, int] = {}
@@ -324,6 +326,8 @@ class CacheLevel:
             return AccessResult(hit=False, set_index=set_index, bypass=True)
         ways = self.lines[set_index]
         if victim == len(ways):
+            if not ways:
+                ways = self.lines[set_index] = []
             ways.append(CacheLine())
             writeback = None
         else:

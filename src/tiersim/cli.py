@@ -86,6 +86,15 @@ def _resolve_workload(config: dict, spec, seed: int):
                 trace = parse_trace(fh)
         elif wl.get("synthetic"):
             params = dict(wl["synthetic"])
+            # Addresses are aligned to access_size, so only a size that
+            # divides the block keeps every access inside one block.
+            size = params.get("access_size")
+            block = spec.caches["l1d"].geometry.block_size
+            if isinstance(size, int) and size >= 1 and block % size:
+                raise UserError(
+                    f"workload.synthetic.access_size: {size} does not divide the "
+                    f"{block}-byte block; an access aligned to it crosses a "
+                    f"{block}-byte block boundary")
             trace = gen_synthetic_trace(
                 cores=int(params.pop("cores", spec.total_cores)),
                 length=int(params.pop("length", 1000)),

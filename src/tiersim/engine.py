@@ -25,7 +25,7 @@ import hashlib
 import heapq
 import math
 import random
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 
 class SchedulingError(RuntimeError):
@@ -54,8 +54,8 @@ class EventQueue:
         heapq.heappush(self._heap, (int(time_ps), self._seq, handler, payload))
         self._seq += 1
 
-    def schedule_all(self, times: list[int], handler: Callable[[Any], None],
-                     payloads: list[Any]) -> None:
+    def schedule_all(self, times: Sequence[int], handler: Callable[[Any], None],
+                     payloads: Sequence[Any]) -> None:
         """Schedule `handler(payloads[i])` at `times[i]` for every i, in the
         order n successive `schedule` calls would give: event i takes seq
         base + i. Only the batch's earliest undispatched event is in the
@@ -69,21 +69,21 @@ class EventQueue:
                 f"event scheduled at {earliest} ps, before current time {self.now} ps")
         base = self._seq
         self._seq += n
-        self._reserved += n
+        self._reserved += n - 1
         order = iter(sorted(range(n), key=times.__getitem__))
         heap = self._heap
+        heappush = heapq.heappush
 
-        def push_next() -> None:
+        def dispatch(payload: Any) -> None:
+            # Push the batch's next event, then run this one's handler.
             i = next(order, None)
             if i is not None:
                 self._reserved -= 1
-                heapq.heappush(heap, (int(times[i]), base + i, dispatch, payloads[i]))
-
-        def dispatch(payload: Any) -> None:
-            push_next()
+                heappush(heap, (int(times[i]), base + i, dispatch, payloads[i]))
             handler(payload)
 
-        push_next()
+        i = next(order)
+        heappush(heap, (int(times[i]), base + i, dispatch, payloads[i]))
 
     def pending(self) -> int:
         return len(self._heap) + self._reserved

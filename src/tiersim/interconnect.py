@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .engine import EventQueue, FifoResource
 
@@ -41,7 +42,7 @@ class BusChannel(FifoResource):
 
         Grants are FIFO in booking order, not in arrival order: a booking
         can arrive earlier than one already on the channel (7.5% of fig33's
-        bus bookings at seed 0 do) and then waits behind it. ROADMAP item 4 tracks
+        bus bookings at seed 0 do) and then waits behind it. ROADMAP item 3 tracks
         making bookings causally ordered."""
         return self.book(t_ps, self.occupancy_cycles(nbytes) * self.clock_period_ps)
 
@@ -123,12 +124,14 @@ def packetize(payload_bytes: int, flit_width: int) -> int:
 class MeshNetwork:
     """Packet-level timed mesh on the shared event queue.
 
-    A packet is the plain tuple `(node, dst, flits, t_inject)`, built when
-    its injection event is dispatched. Each directed link `(node, port)` is
-    a `FifoResource`, built on first use and booked like the bus channels,
-    cache arrays and memory controllers: it is held for `flits` cycles per
-    packet. The head flit advances router by router, so queueing delay is
-    the only congestion effect (unbounded input buffers, no drops).
+    Messages are injected as parallel lists, one entry per message. A
+    packet is the plain tuple `(node, dst, flits, t_inject)`, built only
+    when its injection event is dispatched. Each directed link
+    `(node, port)` is a `FifoResource`, built on first use and booked like
+    the bus channels, cache arrays and memory controllers: it is held for
+    `flits` cycles per packet. The head flit advances router by router, so
+    queueing delay is the only congestion effect (unbounded input buffers,
+    no drops).
     """
 
     def __init__(self, topo: MeshTopology, engine: EventQueue,
@@ -145,23 +148,28 @@ class MeshNetwork:
     def in_flight(self) -> int:
         return self.injected - self.delivered
 
-    def inject(self, messages: list[tuple[int, Coord, Coord, int]]) -> None:
-        """Inject every `(t_ps, src, dst, payload_bytes)` message. All are
-        counted as injected now; the event queue holds only the earliest
-        one not yet dispatched, and each becomes a packet at its time."""
-        contains = self.topo.contains
-        for _, src, dst, payload_bytes in messages:
-            if not contains(src) or not contains(dst):
+    def inject(self, times_ps: Sequence[int], srcs: Sequence[Coord],
+               dsts: Sequence[Coord], payload_bytes: Sequence[int]) -> None:
+        """Inject message i from srcs[i] to dsts[i] at times_ps[i], carrying
+        payload_bytes[i]. Every node and payload size is checked before
+        anything is scheduled, each distinct one once; each size's flit
+        count is worked out here, not per dispatch. All messages are
+        counted as injected now; the event queue holds only the earliest one
+        not yet dispatched, and message i becomes a packet when its event is
+        dispatched."""
+        for node in {*srcs, *dsts}:
+            if not self.topo.contains(node):
                 raise ValueError(f"packet endpoints outside mesh {self.topo.dims}")
-            if payload_bytes < 0:
-                raise ValueError("payload must be >= 0")
-        self.injected += len(messages)
-        self.engine.schedule_all([m[0] for m in messages], self._inject, messages)
+        flits_of = {b: packetize(b, self.topo.flit_width)
+                    for b in set(payload_bytes)}
+        flits = [flits_of[b] for b in payload_bytes]
+        engine = self.engine
 
-    def _inject(self, message: tuple[int, Coord, Coord, int]) -> None:
-        t_ps, src, dst, payload_bytes = message
-        self._at_router((src, dst, packetize(payload_bytes, self.topo.flit_width),
-                         t_ps))
+        def inject_one(i: int) -> None:
+            self._at_router((srcs[i], dsts[i], flits[i], engine.now))
+
+        self.injected += len(times_ps)
+        engine.schedule_all(times_ps, inject_one, range(len(times_ps)))
 
     def _at_router(self, pkt: tuple[Coord, Coord, int, int]) -> None:
         # One hop of XYZ routing: pick the output port, the next node and the

@@ -327,20 +327,34 @@ class System:
         self.trace_records += len(records)
 
     def load_messages(self, records: list[MessageRecord]) -> None:
+        """Check every record, then inject all of them into the mesh, from
+        and to their clusters' home nodes. A record must name two clusters of
+        the system and a non-negative tick; the first one that does not
+        raises WorkloadError, and then nothing is injected.
+
+        The checks read whole columns; only when one fails are the records
+        walked one by one to name the first bad one."""
+        if not records:
+            return
         n_clusters = self.spec.n_clusters
-        if records and n_clusters < 2:
+        if n_clusters < 2:
             raise WorkloadError("message workload requires at least two clusters")
-        for rec in records:
-            for cid in (rec.src_cluster, rec.dst_cluster):
-                if not 0 <= cid < n_clusters:
-                    raise WorkloadError(f"cluster {cid} outside the "
-                                        f"{n_clusters}-cluster system")
-            if rec.tick < 0:
-                raise WorkloadError(f"message tick {rec.tick} is negative")
+        ticks = [rec.tick for rec in records]
+        srcs = [rec.src_cluster for rec in records]
+        dsts = [rec.dst_cluster for rec in records]
+        used = {*srcs, *dsts}
+        if min(ticks) < 0 or min(used) < 0 or max(used) >= n_clusters:
+            for rec in records:
+                for cid in (rec.src_cluster, rec.dst_cluster):
+                    if not 0 <= cid < n_clusters:
+                        raise WorkloadError(f"cluster {cid} outside the "
+                                            f"{n_clusters}-cluster system")
+                if rec.tick < 0:
+                    raise WorkloadError(f"message tick {rec.tick} is negative")
         noc_ps = self.spec.clocks["noc_ps"]
         coords = [self.home_coord(c) for c in range(n_clusters)]
-        self.noc.inject([(rec.tick * noc_ps, coords[rec.src_cluster],
-                          coords[rec.dst_cluster], rec.bytes) for rec in records])
+        self.noc.inject([t * noc_ps for t in ticks], [coords[c] for c in srcs],
+                        [coords[c] for c in dsts], [rec.bytes for rec in records])
         self.messages += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:

@@ -25,7 +25,7 @@ class TraceParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     tick: int      # earliest issue cycle, core clock
     core: int      # global core id
@@ -34,7 +34,7 @@ class TraceRecord:
     size: int      # bytes, at most one block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageRecord:
     tick: int
     src_cluster: int

@@ -480,7 +480,8 @@ def book_mesh_link(requests, period):
     net = MeshNetwork(t, engine, clock_period_ps=period)
     sent = [(arrival, (0, 0, 0), (1, 0, 0), cycles * 16)
             for arrival, cycles in bookings(requests)]
-    net.inject(sent)
+    if sent:
+        net.inject(*zip(*sent))
     engine.run_until()
     windows = []
     in_order = sorted(sent, key=lambda m: m[0])   # stable: dispatch order

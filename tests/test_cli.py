@@ -240,7 +240,9 @@ def test_access_size_that_crosses_blocks_exits_2(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--config", "fig32", "--set",
                  "workload.synthetic.access_size=24", "--out", str(out)]) == 2
-    assert "crosses a 64-byte block boundary" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "crosses a 64-byte block boundary" in err
+    assert "workload.synthetic.access_size: 24 does not divide" in err
     assert not out.exists()
 
 

@@ -165,7 +165,7 @@ def test_cluster_bus_has_three_independent_channels():
 def zero_load_latency(t, src, dst, payload):
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
-    net.inject([(0, src, dst, payload)])
+    net.inject(*zip(*[(0, src, dst, payload)]))
     engine.run_until()
     [(t_inject, t_deliver)] = net.msg_samples
     return (t_deliver - t_inject) // 1000
@@ -195,8 +195,8 @@ def test_packets_conserved_mid_run():
     t = topo((4, 4, 1))
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
-    net.inject([(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
-                for i in range(20)])
+    net.inject(*zip(*[(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
+                      for i in range(20)]))
     assert net.injected == 20 and net.delivered == 0
     engine.run_until(4000)
     assert net.injected == net.delivered + net.in_flight
@@ -217,7 +217,7 @@ def test_bad_message_refused_before_anything_is_scheduled(bad, error):
     engine = EventQueue()
     net = MeshNetwork(topo((2, 2, 1)), engine, clock_period_ps=1000)
     with pytest.raises(ValueError, match=error):
-        net.inject([(0, (0, 0, 0), (1, 1, 0), 64), bad])
+        net.inject(*zip(*[(0, (0, 0, 0), (1, 1, 0), 64), bad]))
     assert engine.pending() == 0 and net.injected == 0
 
 
@@ -282,7 +282,7 @@ def test_mesh_matches_reference_walk_property(traffic):
     t, clock_ps, packets = traffic
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
-    net.inject(packets)
+    net.inject(*zip(*packets))
     engine.run_until()
     expected, link_free = reference_walk(
         t, clock_ps, [(t_inject, src, dst, packetize(nbytes, t.flit_width))
