@@ -75,7 +75,6 @@ class EventQueue:
         heappush = heapq.heappush
 
         def dispatch(payload: Any) -> None:
-            # Push the batch's next event, then run this one's handler.
             i = next(order, None)
             if i is not None:
                 self._reserved -= 1
