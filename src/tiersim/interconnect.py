@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .engine import EventQueue, FifoResource
+from .metrics import LatencyLog
 
 Coord = tuple[int, int, int]
 
@@ -131,7 +132,8 @@ class MeshNetwork:
     the bus channels, cache arrays and memory controllers: it is held for
     `flits` cycles per packet. The head flit advances router by router, so
     queueing delay is the only congestion effect (unbounded input buffers,
-    no drops).
+    no drops). `msg_samples` logs each delivered message's injection and
+    delivery times, in delivery order.
     """
 
     def __init__(self, topo: MeshTopology, engine: EventQueue,
@@ -142,7 +144,7 @@ class MeshNetwork:
         self.links: dict[tuple[Coord, str], FifoResource] = {}
         self.injected = 0
         self.delivered = 0
-        self.msg_samples: list[tuple[int, int]] = []   # (t_inject, t_deliver)
+        self.msg_samples = LatencyLog()
 
     @property
     def in_flight(self) -> int:
@@ -200,7 +202,7 @@ class MeshNetwork:
             hop_latency = topo.tsv_latency
         else:
             self.delivered += 1
-            self.msg_samples.append((t_inject, self.engine.now + flits * clock))
+            self.msg_samples.append(t_inject, self.engine.now + flits * clock)
             return
         ready = self.engine.now + topo.router_delay * clock
         link = self.links.get((node, port))

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import time
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .memtech import AccessCounters, TechnologyParams, level_energy
 
@@ -31,27 +34,65 @@ class LatencyStats:
                 "histogram": self.histogram}
 
 
-def summarize_latency(samples: list[int], bucket_width: int = 1000) -> LatencyStats:
+# The latest start time a LatencyLog takes: a request that starts before it
+# has as long again to complete before its end leaves the int64 column.
+LATEST_START_PS = 1 << 62
+
+
+class LatencyLog:
+    """One latency sample per request, in the order they are appended, kept
+    as two int64 columns: request i started at `starts[i]` and completed at
+    `ends[i]`, in ps. A sample takes 16 bytes, where a `(start, end)` tuple
+    in a list takes about 120."""
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self) -> None:
+        self.starts = array("q")
+        self.ends = array("q")
+
+    def append(self, start_ps: int, end_ps: int) -> None:
+        self.starts.append(start_ps)
+        self.ends.append(end_ps)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.starts, self.ends)
+
+
+def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> LatencyStats:
     """Mean, nearest-rank p95, max and a fixed-width histogram of samples.
 
-    An empty sample set reports absent statistics, not zeros.
+    The statistics come from an exact count of each value, walked in
+    ascending order, so no sorted copy of the samples is built; the mean is
+    the exact integer sum over the count. An empty sample set reports
+    absent statistics, not zeros.
     """
     if bucket_width <= 0:
         raise ValueError("bucket_width must be > 0")
-    if not samples:
+    counts = Counter(samples)
+    if not counts:
         return LatencyStats(0, None, None, None, {}, bucket_width)
-    ordered = sorted(samples)
-    n = len(ordered)
+    n = sum(counts.values())
     rank = -(-95 * n // 100)  # ceil(0.95 n), nearest-rank percentile
     histogram: dict[str, int] = {}
-    for s in ordered:
-        key = str(s // bucket_width)
-        histogram[key] = histogram.get(key, 0) + 1
+    total = seen = 0
+    p95 = None
+    for value in sorted(counts):
+        count = counts[value]
+        total += value * count
+        seen += count
+        if p95 is None and seen >= rank:
+            p95 = value
+        key = str(value // bucket_width)
+        histogram[key] = histogram.get(key, 0) + count
     return LatencyStats(
         count=n,
-        mean=sum(ordered) / n,
-        p95=ordered[rank - 1],
-        max=ordered[-1],
+        mean=total / n,
+        p95=p95,
+        max=value,
         histogram=histogram,
         bucket_width=bucket_width,
     )
@@ -88,7 +129,8 @@ class ReportError(RuntimeError):
 
 def check_report_invariants(report: dict) -> None:
     """Internal consistency: energy conservation, counter balance, packet
-    conservation. Raises ReportError on the first failure."""
+    conservation, latency counts against what completed, and bus grant
+    totals. Raises ReportError on the first failure."""
     total = 0.0
     for name, level in report["levels"].items():
         if level["hits"] + level["misses"] != level["n_read"] + level["n_write"]:
@@ -99,6 +141,20 @@ def check_report_invariants(report: dict) -> None:
     noc = report["interconnect"]["noc"]
     if noc["injected"] != noc["delivered"] + noc["in_flight"]:
         raise ReportError("packet conservation violated")
+    latency = report["latency"]
+    if latency["msg"]["count"] != noc["delivered"]:
+        raise ReportError("latency.msg.count != interconnect.noc.delivered")
+    if latency["mem"]["count"] > report["meta"]["trace_records"]:
+        raise ReportError("latency.mem.count > meta.trace_records")
+    for klass, stats in latency.items():
+        if sum(stats["histogram"].values()) != stats["count"]:
+            raise ReportError(f"latency.{klass}: histogram does not sum to count")
+        if stats["p95_ps"] is not None and stats["p95_ps"] > stats["max_ps"]:
+            raise ReportError(f"latency.{klass}: p95_ps > max_ps")
+    bus = report["interconnect"]["bus"]
+    if bus["total_grants"] != (bus["request_grants"] + bus["response_grants"]
+                               + bus["snoop_grants"]):
+        raise ReportError("bus total_grants != the sum of its channels' grants")
 
 
 def emit_report(report: dict, path: str) -> None:
@@ -112,7 +168,7 @@ def emit_report(report: dict, path: str) -> None:
         fh.write("\n")
 
 
-def write_latency_csv(rows: list[tuple[str, int, int]], path: str) -> None:
+def write_latency_csv(rows: Iterable[tuple[str, int, int]], path: str) -> None:
     """Per-sample dump for external plotting: class,t_inject_ps,t_complete_ps."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("class,t_inject_ps,t_complete_ps\n")

@@ -28,7 +28,9 @@ timing and no report byte.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
 from .cache import (DIRTY_STATES, I, M, O, S, WORD_SIZE, AccessResult,
@@ -39,7 +41,8 @@ from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, AccessCounters, area_estimate, level_energy
-from .metrics import summarize_latency, tier_power_density
+from .metrics import (LATEST_START_PS, LatencyLog, summarize_latency,
+                      tier_power_density)
 from .workload import MessageRecord, TraceRecord
 
 WRITE = "write"
@@ -169,7 +172,11 @@ class Cluster:
 
 
 class System:
-    """A built, runnable system. Owns all mutable state for one simulation."""
+    """A built, runnable system. Owns all mutable state for one simulation.
+
+    `mem_samples` logs each memory access's issue time and completion time
+    when it issues, since its whole path is timed then; the mesh's
+    `msg_samples` logs each message when it is delivered."""
 
     def __init__(self, spec: SystemSpec, seed: int = 0, record_log: bool = False):
         self.spec = spec
@@ -181,7 +188,7 @@ class System:
         # array, tier). The report reads this, never the cluster fields.
         self.levels: list[tuple[str, str, CacheLevel, int]] = []
         self.clusters = [self._build_cluster(i) for i in range(spec.n_clusters)]
-        self.mem_samples: list[tuple[int, int]] = []
+        self.mem_samples = LatencyLog()
         self.trace_records = 0
         self.messages = 0
         self._write_seq = 0
@@ -289,7 +296,8 @@ class System:
     def load_trace(self, records: list[TraceRecord]) -> None:
         """Check every record, then schedule each core's first access. A
         record must stay inside one block, name a core of the system, and
-        keep its core's ticks non-negative and non-decreasing."""
+        keep its core's ticks non-negative, non-decreasing and before
+        LATEST_START_PS."""
         total_cores = self.spec.total_cores
         per_cluster = self.spec.cores_per_cluster_total
         block = self.block_size
@@ -318,6 +326,10 @@ class System:
             else:
                 recs.append(rec)
         for core, queue in per_core.items():
+            if queue[-1].tick * self._core_ps >= LATEST_START_PS:
+                raise WorkloadError(f"core {core}: tick {queue[-1].tick} starts "
+                                    f"at or after {LATEST_START_PS} ps")
+        for core, queue in per_core.items():
             cluster = self.clusters[core // per_cluster]
             queue.reverse()
             first = queue.pop()
@@ -329,8 +341,9 @@ class System:
     def load_messages(self, records: list[MessageRecord]) -> None:
         """Check every record, then inject all of them into the mesh, from
         and to their clusters' home nodes. A record must name two clusters of
-        the system and a non-negative tick; the first one that does not
-        raises WorkloadError, and then nothing is injected.
+        the system and a non-negative tick that starts before LATEST_START_PS;
+        the first one that does not raises WorkloadError, and then nothing is
+        injected.
 
         The checks read whole columns; only when one fails are the records
         walked one by one to name the first bad one."""
@@ -339,11 +352,14 @@ class System:
         n_clusters = self.spec.n_clusters
         if n_clusters < 2:
             raise WorkloadError("message workload requires at least two clusters")
+        noc_ps = self.spec.clocks["noc_ps"]
         ticks = [rec.tick for rec in records]
         srcs = [rec.src_cluster for rec in records]
         dsts = [rec.dst_cluster for rec in records]
         used = {*srcs, *dsts}
-        if min(ticks) < 0 or min(used) < 0 or max(used) >= n_clusters:
+        ordered = sorted(ticks)   # linear when the ticks are in order
+        if (ordered[0] < 0 or ordered[-1] * noc_ps >= LATEST_START_PS
+                or min(used) < 0 or max(used) >= n_clusters):
             for rec in records:
                 for cid in (rec.src_cluster, rec.dst_cluster):
                     if not 0 <= cid < n_clusters:
@@ -351,7 +367,9 @@ class System:
                                             f"{n_clusters}-cluster system")
                 if rec.tick < 0:
                     raise WorkloadError(f"message tick {rec.tick} is negative")
-        noc_ps = self.spec.clocks["noc_ps"]
+                if rec.tick * noc_ps >= LATEST_START_PS:
+                    raise WorkloadError(f"message tick {rec.tick} starts at or "
+                                        f"after {LATEST_START_PS} ps")
         coords = [self.home_coord(c) for c in range(n_clusters)]
         self.noc.inject([t * noc_ps for t in ticks], [coords[c] for c in srcs],
                         [coords[c] for c in dsts], [rec.bytes for rec in records])
@@ -365,7 +383,7 @@ class System:
     def _on_issue(self, payload) -> None:
         cluster, stack, rec, queue = payload
         t_done = self._do_access(cluster, stack, rec, self.engine.now)
-        self.mem_samples.append((self.engine.now, t_done))
+        self.mem_samples.append(self.engine.now, t_done)
         self.engine.schedule(t_done, self._on_complete, (cluster, stack, queue))
 
     def _on_complete(self, payload) -> None:
@@ -847,8 +865,7 @@ class System:
             bus_totals["snoop_grants"] += cluster.bus.snoop.grants
         bus_totals["total_grants"] = sum(bus_totals.values())
 
-        mem_latencies = [t1 - t0 for t0, t1 in self.mem_samples]
-        msg_latencies = [t1 - t0 for t0, t1 in self.noc.msg_samples]
+        mem, msg = self.mem_samples, self.noc.msg_samples
         bucket = self.spec.histogram_bucket_ps
         report = {
             "meta": {
@@ -867,8 +884,10 @@ class System:
                 "standby_power_is_configurable": True,
             },
             "latency": {
-                "mem": summarize_latency(mem_latencies, bucket).to_dict(),
-                "msg": summarize_latency(msg_latencies, bucket).to_dict(),
+                "mem": summarize_latency(map(operator.sub, mem.ends, mem.starts),
+                                         bucket).to_dict(),
+                "msg": summarize_latency(map(operator.sub, msg.ends, msg.starts),
+                                         bucket).to_dict(),
             },
             "endurance": endurance,
             "tiers": tiers,
@@ -888,7 +907,9 @@ class System:
         }
         return report
 
-    def latency_rows(self) -> list[tuple[str, int, int]]:
-        rows = [("mem", t0, t1) for t0, t1 in self.mem_samples]
-        rows.extend(("msg", t0, t1) for t0, t1 in self.noc.msg_samples)
-        return rows
+    def latency_rows(self) -> Iterator[tuple[str, int, int]]:
+        """Every latency sample as a `(class, start, end)` row: the memory
+        accesses, then the messages, each in completion order."""
+        for klass, log in (("mem", self.mem_samples), ("msg", self.noc.msg_samples)):
+            for t0, t1 in log:
+                yield klass, t0, t1

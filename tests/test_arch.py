@@ -4,6 +4,7 @@ import pytest
 
 from tiersim.arch import (ConfigError, PRESET_NAMES, build_system, preset,
                           spec_from_dict, validate_spec)
+from tiersim.metrics import LATEST_START_PS
 from tiersim.system import WorkloadError
 from tiersim.workload import MessageRecord, TraceRecord
 
@@ -158,6 +159,27 @@ def test_negative_ticks_rejected_at_load():
         system.load_messages([MessageRecord(0, 0, 1, 64),
                               MessageRecord(-3, 0, 1, 64)])
     assert system.engine.pending() == 0 and system.noc.injected == 0
+
+
+def test_ticks_past_the_latency_columns_rejected_at_load():
+    # A request's start and end are kept as int64; the first tick whose
+    # start time reaches LATEST_START_PS is refused before anything runs,
+    # and the tick before it runs to a report.
+    system = build_system(spec_from_dict(preset("fig33")), seed=0)
+    core_tick = -(-LATEST_START_PS // system.spec.clocks["core_ps"])
+    noc_tick = -(-LATEST_START_PS // system.spec.clocks["noc_ps"])
+    with pytest.raises(WorkloadError, match=f"core 1: tick {core_tick} starts"):
+        system.load_trace([TraceRecord(0, 1, "R", 0x40, 8),
+                           TraceRecord(core_tick, 1, "R", 0x80, 8)])
+    with pytest.raises(WorkloadError, match=f"message tick {noc_tick} starts"):
+        system.load_messages([MessageRecord(0, 0, 1, 64),
+                              MessageRecord(noc_tick, 0, 1, 64)])
+    assert system.engine.pending() == 0 and system.noc.injected == 0
+    system.load_trace([TraceRecord(core_tick - 1, 1, "R", 0x80, 8)])
+    system.load_messages([MessageRecord(noc_tick - 1, 0, 1, 64)])
+    system.run()
+    latency = system.build_report()["latency"]
+    assert latency["mem"]["count"] == latency["msg"]["count"] == 1
 
 
 def test_first_bad_message_named_and_nothing_scheduled():

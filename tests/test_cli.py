@@ -315,13 +315,37 @@ def test_gen_trace_messages(tmp_path):
 
 
 def test_dump_latencies(tmp_path):
-    cfg_path = write_config(tmp_path, quick_cfg())
+    """The dump has one row per completed request, the memory accesses and
+    then the messages, and each class's statistics recomputed from it are
+    the report's. A memory access is logged when it issues, so its rows'
+    start times never decrease; a message is logged when its head flit
+    arrives, so with one payload size its rows' end times never decrease."""
+    cfg = quick_cfg()
+    cfg["workload"]["message_synthetic"]["rate"] = 0.1
+    out = tmp_path / "r.json"
     dump = tmp_path / "lat.csv"
-    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r.json"),
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out),
                  "--dump-latencies", str(dump)]) == 0
-    header, *rows = dump.read_text().splitlines()
+    report = json.loads(out.read_text())
+    header, *lines = dump.read_text().splitlines()
     assert header == "class,t_inject_ps,t_complete_ps"
-    assert any(r.startswith("mem,") for r in rows)
+    rows = [(klass, int(t0), int(t1))
+            for klass, t0, t1 in (line.split(",") for line in lines)]
+    classes = [klass for klass, _, _ in rows]
+    n_mem = report["latency"]["mem"]["count"]
+    n_msg = report["latency"]["msg"]["count"]
+    assert n_mem == report["meta"]["trace_records"] > 0
+    assert n_msg == report["interconnect"]["noc"]["delivered"] > 20
+    assert classes == ["mem"] * n_mem + ["msg"] * n_msg
+    mem, msg = rows[:n_mem], rows[n_mem:]
+    assert [t0 for _, t0, _ in mem] == sorted(t0 for _, t0, _ in mem)
+    assert [t1 for _, _, t1 in msg] == sorted(t1 for _, _, t1 in msg)
+    for klass, part in (("mem", mem), ("msg", msg)):
+        latencies = sorted(t1 - t0 for _, t0, t1 in part)
+        stats = report["latency"][klass]
+        assert stats["mean_ps"] == sum(latencies) / len(latencies)
+        assert stats["p95_ps"] == latencies[-(-95 * len(latencies) // 100) - 1]
+        assert stats["max_ps"] == latencies[-1]
 
 
 def test_sweep_writes_reports_and_summary(tmp_path, monkeypatch):

@@ -192,3 +192,26 @@ def test_schedule_all_rejects_a_past_time_up_front():
     assert q.pending() == 4
     q.run_until()
     assert order == ["A", "F", "H", "E", "G"]
+
+
+@pytest.mark.parametrize("times, expected", [
+    # Times that never decrease, with ties: the batch is walked in index order.
+    ([0, 0, 3, 3, 3, 7], [0, 1, "before", 2, 3, 4, "after", 5]),
+    # One element out of order: the batch is walked in a stable sort by time.
+    ([0, 2, 5, 1, 6, 6], [0, 3, 1, "before", "after", 2, 4, 5])])
+def test_schedule_all_dispatches_as_single_schedules(times, expected):
+    def dispatch_order(batched):
+        q = EventQueue()
+        order = []
+        q.schedule(3, order.append, "before")
+        if batched:
+            q.schedule_all(times, order.append, list(range(len(times))))
+        else:
+            for i, t in enumerate(times):
+                q.schedule(t, order.append, i)
+        q.schedule(3, order.append, "after")
+        assert q.pending() == len(times) + 2
+        q.run_until()
+        return order
+
+    assert dispatch_order(batched=True) == dispatch_order(batched=False) == expected

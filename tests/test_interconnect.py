@@ -287,7 +287,7 @@ def test_mesh_matches_reference_walk_property(traffic):
     expected, link_free = reference_walk(
         t, clock_ps, [(t_inject, src, dst, packetize(nbytes, t.flit_width))
                       for t_inject, src, dst, nbytes in packets])
-    assert net.msg_samples == expected
+    assert list(net.msg_samples) == expected
     assert {k: link.free_at_ps for k, link in net.links.items()} == link_free
     assert net.delivered == len(packets)
 

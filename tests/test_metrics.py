@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tiersim.memtech import catalog_default
-from tiersim.metrics import (ReportError, check_report_invariants, emit_report,
+from tiersim.metrics import (LatencyLog, LatencyStats, ReportError,
+                             check_report_invariants, emit_report,
                              recompute_level_energy, summarize_latency,
                              tier_power_density, write_latency_csv)
 
@@ -43,6 +45,62 @@ def test_histogram_buckets():
         summarize_latency([1], bucket_width=0)
 
 
+def reference_summary(samples: list[int], bucket_width: int) -> LatencyStats:
+    """The statistics straight from a sorted copy of the samples: the mean
+    of the list, its ceil(0.95 n)-th element and its last one."""
+    if not samples:
+        return LatencyStats(0, None, None, None, {}, bucket_width)
+    ordered = sorted(samples)
+    n = len(ordered)
+    rank = -(-95 * n // 100)
+    histogram: dict[str, int] = {}
+    for s in ordered:
+        key = str(s // bucket_width)
+        histogram[key] = histogram.get(key, 0) + 1
+    return LatencyStats(n, sum(ordered) / n, ordered[rank - 1], ordered[-1],
+                        histogram, bucket_width)
+
+
+@st.composite
+def latency_samples(draw):
+    """Samples with many ties (drawn from a small pool of values, so the
+    p95 rank often falls inside a run of equal values), values on and
+    either side of bucket edges, and values large enough that the mean
+    needs the exact integer sum."""
+    bucket_width = draw(st.sampled_from([1, 7, 1000]))
+    edge = st.integers(0, 50).flatmap(
+        lambda k: st.sampled_from([k * bucket_width + d for d in (-1, 0, 1)
+                                   if k * bucket_width + d >= 0]))
+    value = st.one_of(edge, st.integers(0, 10**6), st.integers(2**52, 2**62))
+    pool = draw(st.lists(value, min_size=1, max_size=5))
+    samples = draw(st.lists(st.one_of(st.sampled_from(pool), value), max_size=80))
+    return samples, bucket_width
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=latency_samples())
+@example(case=([], 1000))
+@example(case=([1000], 1000))
+@example(case=([5] * 19 + [9], 1000))        # p95 is the last of a 19-way tie
+@example(case=([999, 1000, 1000, 2000], 1000))
+def test_summarize_latency_matches_the_sorted_list_property(case):
+    samples, bucket_width = case
+    got = summarize_latency(iter(samples), bucket_width).to_dict()
+    want = reference_summary(samples, bucket_width).to_dict()
+    assert got == want
+    assert repr(got["mean_ps"]) == repr(want["mean_ps"])   # bit for bit
+
+
+def test_latency_log_keeps_pairs_in_append_order():
+    log = LatencyLog()
+    pairs = [(5, 9), (0, 12), (5, 5), (2**62, 2**62 + 3)]
+    for t0, t1 in pairs:
+        log.append(t0, t1)
+    assert len(log) == 4
+    assert list(log) == pairs
+    assert (log.starts.itemsize, log.ends.itemsize) == (8, 8)
+
+
 def test_tier_power_density_example():
     assert tier_power_density(1000.0, 1e6, 2.0) == 0.5
     assert tier_power_density(0.0, 1e6, 2.0) == 0.0
@@ -68,14 +126,26 @@ def test_recompute_level_energy_matches_closed_form():
     assert got == pytest.approx(450 + 375 + 1000)
 
 
+def _latency_block(count, p95, max_ps, histogram):
+    return {"count": count, "mean_ps": None if count == 0 else 1.0,
+            "p95_ps": p95, "max_ps": max_ps, "bucket_width_ps": 1000,
+            "histogram": histogram}
+
+
 def _tiny_report():
     return {
+        "meta": {"trace_records": 4},
         "levels": {
             "l1d": {"hits": 6, "misses": 4, "n_read": 7, "n_write": 3,
                     "energy_nj": 5.0},
         },
         "energy": {"total_nj": 5.0},
-        "interconnect": {"noc": {"injected": 3, "delivered": 2, "in_flight": 1}},
+        "latency": {"mem": _latency_block(3, 1500, 1500, {"0": 2, "1": 1}),
+                    "msg": _latency_block(2, 2100, 2200, {"2": 2})},
+        "interconnect": {
+            "bus": {"request_grants": 3, "response_grants": 2,
+                    "snoop_grants": 1, "total_grants": 6},
+            "noc": {"injected": 3, "delivered": 2, "in_flight": 1}},
     }
 
 
@@ -93,6 +163,36 @@ def test_check_report_invariants_pass_and_fail():
     bad["interconnect"]["noc"]["in_flight"] = 0
     with pytest.raises(ReportError):
         check_report_invariants(bad)
+
+
+def _set(report, path, value):
+    *parents, leaf = path
+    for key in parents:
+        report = report[key]
+    report[leaf] = value
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("latency", "msg", "count"), 1, r"latency\.msg\.count != interconnect"),
+    (("meta", "trace_records"), 2, r"latency\.mem\.count > meta\.trace_records"),
+    (("latency", "mem", "histogram", "1"), 2, r"latency\.mem: histogram does not sum"),
+    (("latency", "msg", "p95_ps"), 2300, r"latency\.msg: p95_ps > max_ps"),
+    (("interconnect", "bus", "total_grants"), 7, "bus total_grants"),
+])
+def test_check_report_invariants_latency_and_bus(path, value, message):
+    report = _tiny_report()
+    _set(report, path, value)
+    with pytest.raises(ReportError, match=message):
+        check_report_invariants(report)
+
+
+def test_check_report_invariants_accept_empty_latency_blocks():
+    report = _tiny_report()
+    report["meta"]["trace_records"] = 0
+    report["latency"]["mem"] = _latency_block(0, None, None, {})
+    report["interconnect"]["noc"].update(injected=0, delivered=0, in_flight=0)
+    report["latency"]["msg"] = _latency_block(0, None, None, {})
+    check_report_invariants(report)
 
 
 def test_emit_report_stable_except_timestamp(tmp_path):

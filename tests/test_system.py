@@ -166,7 +166,8 @@ def test_tsv_distance_charged_per_tier():
                    TraceRecord(2000, 0, "R", 0x40, 8)]    # L1 miss, L2 hit
         system.load_trace(records)
         system.run()
-        return system.mem_samples[2][1] - system.mem_samples[2][0]
+        t0, t1 = list(system.mem_samples)[2]
+        return t1 - t0
 
     # the L2 tier is one TSV hop away; the miss path crosses down and back up
     assert l2_hit_latency(5) - l2_hit_latency(1) == 2 * 4 * 1000
@@ -198,7 +199,7 @@ def test_tied_messages_inject_in_record_order():
         system = build(cfg)
         system.load_messages(records)
         system.run()
-        samples.append(system.noc.msg_samples)
+        samples.append(list(system.noc.msg_samples))
     assert samples[0] == samples[1]
     assert len(samples[0]) == len(messages)
 
