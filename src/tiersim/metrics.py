@@ -80,7 +80,8 @@ def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> Laten
     histogram: dict[str, int] = {}
     total = seen = 0
     p95 = None
-    for value in sorted(counts):
+    values = sorted(counts)
+    for value in values:
         count = counts[value]
         total += value * count
         seen += count
@@ -92,7 +93,7 @@ def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> Laten
         count=n,
         mean=total / n,
         p95=p95,
-        max=value,
+        max=values[-1],
         histogram=histogram,
         bucket_width=bucket_width,
     )
