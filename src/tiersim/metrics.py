@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .memtech import AccessCounters, TechnologyParams, level_energy
+from .memtech import (AccessCounters, TechnologyParams, catalog_with_overrides,
+                      level_energy)
 
 
 @dataclass
@@ -128,24 +129,47 @@ class ReportError(RuntimeError):
     pass
 
 
+def _close(a: float, b: float) -> bool:
+    """Equal within 1e-9 relative, for sums of floats taken in another order."""
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+
+
 def check_report_invariants(report: dict) -> None:
-    """Internal consistency: energy conservation, counter balance, packet
-    conservation, latency counts against what completed, and bus grant
-    totals. Raises ReportError on the first failure."""
+    """Internal consistency: counter balance, each level's energy rebuilt
+    from its own counters with the catalog and write mix the report names,
+    busy plus idle time, energy conservation across levels and tiers,
+    packet conservation, latency counts against what completed, and bus
+    grant totals. Raises ReportError on the first failure."""
+    meta = report["meta"]
+    catalog = catalog_with_overrides(meta["config"].get("tech_overrides"))
+    write_mix = report["energy"]["write_mix"]
+    duration_ns = meta["duration_ps"] / 1000.0
     total = 0.0
     for name, level in report["levels"].items():
         if level["hits"] + level["misses"] != level["n_read"] + level["n_write"]:
             raise ReportError(f"{name}: hits+misses != n_read+n_write")
+        for key in ("n_read", "n_write"):
+            if sum(region[key] for region in level["regions"]) != level[key]:
+                raise ReportError(f"{name}: regions' {key} do not sum to the level's")
+        if not _close(level["busy_ns"] + level["idle_ns"],
+                      level["instances"] * duration_ns):
+            raise ReportError(f"{name}: busy_ns + idle_ns != instances * duration")
+        if not _close(recompute_level_energy(level, catalog, write_mix),
+                      level["energy_nj"]):
+            raise ReportError(f"{name}: energy_nj does not recompute from its counters")
         total += level["energy_nj"]
     if abs(total - report["energy"]["total_nj"]) > 1e-9 * max(1.0, abs(total)):
         raise ReportError("energy total does not equal the per-level sum")
+    if not _close(sum(tier["energy_nj"] for tier in report["tiers"]),
+                  report["energy"]["total_nj"]):
+        raise ReportError("tiers' energy_nj do not sum to the energy total")
     noc = report["interconnect"]["noc"]
     if noc["injected"] != noc["delivered"] + noc["in_flight"]:
         raise ReportError("packet conservation violated")
     latency = report["latency"]
     if latency["msg"]["count"] != noc["delivered"]:
         raise ReportError("latency.msg.count != interconnect.noc.delivered")
-    if latency["mem"]["count"] > report["meta"]["trace_records"]:
+    if latency["mem"]["count"] > meta["trace_records"]:
         raise ReportError("latency.mem.count > meta.trace_records")
     for klass, stats in latency.items():
         if sum(stats["histogram"].values()) != stats["count"]:

@@ -1,8 +1,11 @@
+import copy
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tiersim.arch import preset
+from tiersim.cli import run_experiment
 from tiersim.memtech import catalog_default
 from tiersim.metrics import (LatencyLog, LatencyStats, ReportError,
                              check_report_invariants, emit_report,
@@ -133,13 +136,19 @@ def _latency_block(count, p95, max_ps, histogram):
 
 
 def _tiny_report():
+    # One SRAM array busy for the whole 1 ns run: 7 reads at 0.45 nJ and 3
+    # writes at 0.75 nJ, no idle standby.
     return {
-        "meta": {"trace_records": 4},
+        "meta": {"trace_records": 4, "duration_ps": 1000, "config": {}},
         "levels": {
             "l1d": {"hits": 6, "misses": 4, "n_read": 7, "n_write": 3,
-                    "energy_nj": 5.0},
+                    "instances": 1, "busy_ns": 1.0, "idle_ns": 0.0,
+                    "energy_nj": 5.4,
+                    "regions": [{"tech": "SRAM", "capacity_mib": 0.03125,
+                                 "n_read": 7, "n_write": 3}]},
         },
-        "energy": {"total_nj": 5.0},
+        "energy": {"total_nj": 5.4, "write_mix": 0.5},
+        "tiers": [{"index": 0, "energy_nj": 5.4}],
         "latency": {"mem": _latency_block(3, 1500, 1500, {"0": 2, "1": 1}),
                     "msg": _latency_block(2, 2100, 2200, {"2": 2})},
         "interconnect": {
@@ -182,6 +191,60 @@ def _set(report, path, value):
 def test_check_report_invariants_latency_and_bus(path, value, message):
     report = _tiny_report()
     _set(report, path, value)
+    with pytest.raises(ReportError, match=message):
+        check_report_invariants(report)
+
+
+@pytest.fixture(scope="module")
+def hybrid_report(tmp_path_factory):
+    # Two clusters, a shared L2 split into SRAM and PCRAM ways, and a PCRAM
+    # read energy that only the config's tech_overrides gives.
+    cfg = preset("fig34")
+    cfg["cluster_grid"] = [2, 1]
+    cfg["cores_per_cluster"] = 2
+    cfg["caches"]["l1d"]["capacity"] = 1024
+    cfg["caches"]["l2"].update(capacity=16384, regions=[
+        {"ways": [0, 4], "tech": "SRAM"}, {"ways": [4, 16], "tech": "PCRAM"}])
+    cfg["tech_overrides"] = {"PCRAM": {"read_energy": 0.9}}
+    cfg["write_mix"] = 0.3
+    cfg["workload"] = {"synthetic": {"length": 300, "hot_fraction": 0.9,
+                                     "hot_set_bytes": 8192, "tick_interval": 2}}
+    out = tmp_path_factory.mktemp("report") / "report.json"
+    return run_experiment(cfg, seed=0, out_path=str(out))
+
+
+def test_real_report_passes_and_recomputes_with_its_own_catalog(hybrid_report):
+    check_report_invariants(hybrid_report)
+    l2 = hybrid_report["levels"]["l2"]
+    assert [r["n_read"] > 0 for r in l2["regions"]] == [True, True]
+    # The default catalog's PCRAM read energy does not rebuild the level.
+    default = recompute_level_energy(l2, catalog_default(), 0.3)
+    assert abs(default - l2["energy_nj"]) > 1e-6 * l2["energy_nj"]
+
+
+@pytest.mark.parametrize("path, change, message", [
+    (("levels", "l2", "energy_nj"), lambda v: v * (1 + 1e-8),
+     "l2: energy_nj does not recompute"),
+    (("energy", "write_mix"), lambda v: v + 0.1, "l2: energy_nj does not recompute"),
+    (("levels", "l2", "regions", 1, "n_read"), lambda v: v + 1,
+     "l2: regions' n_read do not sum"),
+    (("levels", "l1d", "regions", 0, "n_write"), lambda v: v - 1,
+     "l1d: regions' n_write do not sum"),
+    (("levels", "l1d", "busy_ns"), lambda v: v + 1.0,
+     r"l1d: busy_ns \+ idle_ns != instances \* duration"),
+    (("levels", "l2", "idle_ns"), lambda v: v * (1 - 1e-8),
+     r"l2: busy_ns \+ idle_ns"),
+    (("tiers", 1, "energy_nj"), lambda v: v + 1e-3,
+     "tiers' energy_nj do not sum to the energy total"),
+])
+def test_check_report_invariants_catch_a_corrupted_real_report(
+        hybrid_report, path, change, message):
+    report = copy.deepcopy(hybrid_report)
+    *parents, leaf = path
+    node = report
+    for key in parents:
+        node = node[key]
+    node[leaf] = change(node[leaf])
     with pytest.raises(ReportError, match=message):
         check_report_invariants(report)
 
