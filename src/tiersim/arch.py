@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
 from .interconnect import MeshTopology
@@ -50,18 +50,20 @@ class CacheConfig:
 
 @dataclass
 class SystemSpec:
-    cluster_grid: tuple[int, int] = (1, 1)
-    cores_per_cluster: int = 8
-    tier_stack: tuple[TierSpec, ...] = (TierSpec(CORES_L1, 0),)
-    noc: MeshTopology = field(default_factory=lambda: MeshTopology((1, 1, 1)))
-    bus_beat_width: int = 16
-    clocks: dict[str, int] = field(default_factory=dict)
-    memory_latency_ns: float = 50.0
-    write_mix: float = 0.5
-    caches: dict[str, CacheConfig | None] = field(default_factory=dict)
-    catalog: dict[str, TechnologyParams] = field(default_factory=dict)
-    histogram_bucket_ps: int = 1000
-    raw: dict = field(default_factory=dict)
+    """A parsed config, every field filled by `spec_from_dict`."""
+
+    cluster_grid: tuple[int, int]
+    cores_per_cluster: int
+    tier_stack: tuple[TierSpec, ...]
+    noc: MeshTopology
+    bus_beat_width: int
+    clocks: dict[str, int]
+    memory_latency_ns: float
+    write_mix: float
+    caches: dict[str, CacheConfig | None]
+    catalog: dict[str, TechnologyParams]
+    histogram_bucket_ps: int
+    raw: dict
 
     @property
     def n_clusters(self) -> int:

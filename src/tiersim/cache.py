@@ -387,34 +387,26 @@ class CacheLevel:
     def demand_read(self, addr: int) -> AccessResult:
         """Fetch request from the level above. No allocation here; the caller
         fills on the miss response."""
-        self.n_read += 1
         tag, set_index, way, worn = self.probe(addr)
-        if way is not None:
-            self.hits += 1
-            self.region_reads[self._region_of_way[way]] += 1
-            self.touch(set_index, way)
-            return AccessResult(hit=True, set_index=set_index, way=way,
-                                nuca_cycles=self.nuca_cycles(set_index),
-                                data=self.lines[set_index][way].data)
-        self.misses += 1
-        self.region_reads[0] += 1
-        return AccessResult(hit=False, set_index=set_index, bypass=worn,
-                            nuca_cycles=self.nuca_cycles(set_index))
+        self.count_access("R", way)
+        if way is None:
+            return AccessResult(hit=False, set_index=set_index, bypass=worn,
+                                nuca_cycles=self.nuca_cycles(set_index))
+        self.touch(set_index, way)
+        return AccessResult(hit=True, set_index=set_index, way=way,
+                            nuca_cycles=self.nuca_cycles(set_index),
+                            data=self.lines[set_index][way].data)
 
     def writeback_write(self, addr: int, dirty_words: int,
                         data: list[int] | None = None,
                         now_ps: int = 0) -> AccessResult:
         """Write-back arriving from the level above. Hits merge in place;
         misses (and worn lines) are forwarded, never allocated."""
-        self.n_write += 1
         tag, set_index, way, worn = self.probe(addr)
+        self.count_access("W", way)
         if way is None:
-            self.misses += 1
-            self.region_writes[0] += 1
             return AccessResult(hit=False, set_index=set_index, bypass=True,
                                 nuca_cycles=self.nuca_cycles(set_index))
-        self.hits += 1
-        self.region_writes[self._region_of_way[way]] += 1
         line = self.lines[set_index][way]
         line.state = M
         line.dirty_words |= dirty_words
@@ -445,19 +437,22 @@ class CacheLevel:
 
     # -- accounting -----------------------------------------------------------
 
-    def count_access(self, op: str, way: int | None, hit: bool) -> None:
-        """Externally driven access accounting (the coherence layer owns the
-        L1 hit/miss decision)."""
+    def count_access(self, op: str, way: int | None) -> None:
+        """Count one access, read ("R") or write ("W"): a hit on `way`,
+        charged to that way's region, or a miss (`way` None), charged to
+        region 0. Every access of the level is counted here."""
+        if way is None:
+            self.misses += 1
+            region = 0
+        else:
+            self.hits += 1
+            region = self._region_of_way[way]
         if op == "R":
             self.n_read += 1
+            self.region_reads[region] += 1
         else:
             self.n_write += 1
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        region = self._region_of_way[way] if way is not None else 0
-        (self.region_reads if op == "R" else self.region_writes)[region] += 1
+            self.region_writes[region] += 1
 
     def service(self, arrival_ps: int, cycles: int) -> tuple[int, int]:
         """Occupy the array's port for an access, after every access already

@@ -110,19 +110,25 @@ def tier_power_density(energy_nj: float, duration_ns: float, area_units: float) 
     return 1000.0 * energy_nj / duration_ns / area_units
 
 
+def regions_energy(regions: Iterable[tuple[TechnologyParams, float, int, int]],
+                   idle_ns: float, write_mix: float) -> float:
+    """Energy in nJ of a cache array from its technology regions, each given
+    as (technology, capacity in MiB, reads, writes), summed in order; every
+    region idles for idle_ns. The simulator charges each array this way,
+    and the report check rebuilds each level the same way."""
+    return sum(level_energy(AccessCounters(n_read, n_write, idle_ns), params,
+                            capacity_mib, write_mix)
+               for params, capacity_mib, n_read, n_write in regions)
+
+
 def recompute_level_energy(level_report: dict,
                            catalog: dict[str, TechnologyParams],
                            write_mix: float) -> float:
     """Rebuild a level's energy from its own reported counters (the offline
     conservation check)."""
-    total = 0.0
-    for region in level_report["regions"]:
-        params = catalog[region["tech"]]
-        counters = AccessCounters(
-            n_read=region["n_read"], n_write=region["n_write"],
-            idle_time=level_report["idle_ns"])
-        total += level_energy(counters, params, region["capacity_mib"], write_mix)
-    return total
+    return regions_energy(((catalog[r["tech"]], r["capacity_mib"], r["n_read"],
+                            r["n_write"]) for r in level_report["regions"]),
+                          level_report["idle_ns"], write_mix)
 
 
 class ReportError(RuntimeError):

@@ -40,9 +40,9 @@ from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
                         coherence_step)
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
-from .memtech import READ, AccessCounters, area_estimate, level_energy
-from .metrics import (LATEST_START_PS, LatencyLog, summarize_latency,
-                      tier_power_density)
+from .memtech import READ, area_estimate
+from .metrics import (LATEST_START_PS, LatencyLog, regions_energy,
+                      summarize_latency, tier_power_density)
 from .workload import MessageRecord, TraceRecord
 
 WRITE = "write"
@@ -105,7 +105,9 @@ class MemoryController:
 
 @dataclass
 class Stack:
-    """One core's private slice of the hierarchy: the unit that snoops."""
+    """One core's private slice of the hierarchy: the unit that snoops.
+    `snooped` holds the arrays its cluster snoops: the L1d, then the
+    private L2 when the stack has one."""
 
     index: int            # within the cluster
     core_tier: int
@@ -113,13 +115,16 @@ class Stack:
     l1d: CacheLevel
     l2_private: CacheLevel | None = None
     l2_tier: int | None = None
+    snooped: tuple[CacheLevel, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.snooped = ((self.l1d,) if self.l2_private is None
+                        else (self.l1d, self.l2_private))
 
     def authoritative(self, addr: int) -> tuple[CacheLevel, int, int] | None:
         """The line holding this block's MOESI state for the stack: the L1
         copy when valid, else the private L2 copy."""
-        for level in (self.l1d, self.l2_private):
-            if level is None:
-                continue
+        for level in self.snooped:
             _, set_index, way, _ = level.probe(addr)
             if way is not None:
                 return level, set_index, way
@@ -134,9 +139,7 @@ class Stack:
 
     def drop(self, addr: int) -> None:
         """Invalidate every copy this stack holds (remote BusRdX)."""
-        for level in (self.l1d, self.l2_private):
-            if level is None:
-                continue
+        for level in self.snooped:
             _, set_index, way, _ = level.probe(addr)
             if way is not None:
                 level.invalidate(set_index, way)
@@ -155,12 +158,16 @@ class Cluster:
     memctrl: MemoryController
     memory: ClusterMemory
     holders: dict[int, int] = field(default_factory=dict)
-    l2_shared: dict[int, CacheLevel] = field(default_factory=dict)   # tier -> array
     l2i: dict[int, CacheLevel] = field(default_factory=dict)
     l3: CacheLevel | None = None
     l3_tier: int | None = None
-    # (array, tier) of each shared L2 in tier order, built once l2_shared is.
+    # (array, tier) of each shared L2 in tier order; none when distributed.
     l2_homes: tuple[tuple[CacheLevel, int], ...] = ()
+
+    @property
+    def l2_shared(self) -> dict[int, CacheLevel]:
+        """The shared L2 arrays by tier: a view of `l2_homes`."""
+        return {tier: level for level, tier in self.l2_homes}
 
     def l2_home(self, addr: int, block_size: int) -> tuple[CacheLevel, int] | None:
         """Home L2 array for a block: address-interleaved across L2 tiers so
@@ -213,7 +220,7 @@ class System:
 
         for cluster in self.clusters:
             for component in (cluster.memory, cluster.memctrl, cluster.bus,
-                              cluster.l3, *cluster.l2_shared.values(),
+                              cluster.l3, *(l2 for l2, _ in cluster.l2_homes),
                               *cluster.l2i.values()):
                 claim(component, cluster.index)
             for stack in cluster.stacks:
@@ -252,17 +259,14 @@ class System:
             l2_tier = spec.l2_tier_for_core_tier(core_tier)
             for k in range(spec.cores_per_cluster):
                 local = tier_pos * spec.cores_per_cluster + k
-                stack = Stack(
-                    index=local, core_tier=core_tier,
-                    l1i=self._mk_level("l1i", "l1i", index, local, core_tier),
-                    l1d=self._mk_level("l1d", "l1d", index, local, core_tier,
-                                       (holders, 1 << 2 * local)),
-                    l2_tier=l2_tier)
-                if distributed and l2_tier is not None:
-                    stack.l2_private = self._mk_level(
-                        "l2", "l2", index, local, l2_tier,
-                        (holders, 2 << 2 * local))
-                stacks.append(stack)
+                l1i = self._mk_level("l1i", "l1i", index, local, core_tier)
+                l1d = self._mk_level("l1d", "l1d", index, local, core_tier,
+                                     (holders, 1 << 2 * local))
+                l2p = (self._mk_level("l2", "l2", index, local, l2_tier,
+                                      (holders, 2 << 2 * local))
+                       if distributed and l2_tier is not None else None)
+                stacks.append(Stack(index=local, core_tier=core_tier, l1i=l1i,
+                                    l1d=l1d, l2_private=l2p, l2_tier=l2_tier))
         cluster = Cluster(
             index=index, stacks=stacks,
             bus=ClusterBus(beat_width=spec.bus_beat_width,
@@ -270,17 +274,17 @@ class System:
             memctrl=MemoryController(latency_ps=int(round(spec.memory_latency_ns * 1000))),
             memory=ClusterMemory(self.block_size),
             holders=holders)
+        homes = []
         for t in spec.tier_stack:
             if t.kind != L2_SPLIT_ID or spec.caches.get("l2") is None:
                 continue
             if not distributed:
-                cluster.l2_shared[t.index] = self._mk_level(
-                    "l2", "l2", index, t.index, t.index)
+                homes.append((self._mk_level("l2", "l2", index, t.index, t.index),
+                              t.index))
             icfg = "l2i" if spec.caches.get("l2i") else "l2"
             cluster.l2i[t.index] = self._mk_level("l2i", icfg, index, t.index,
                                                   t.index)
-        cluster.l2_homes = tuple((cluster.l2_shared[t], t)
-                                 for t in sorted(cluster.l2_shared))
+        cluster.l2_homes = tuple(homes)
         l3_tier = spec.l3_tier()
         if l3_tier is not None and spec.caches.get("l3") is not None:
             cluster.l3 = self._mk_level("l3", "l3", index, l3_tier, l3_tier)
@@ -394,10 +398,6 @@ class System:
         issue = max(self.engine.now, rec.tick * self._core_ps)
         self.engine.schedule(issue, self._on_issue, (cluster, stack, rec, queue))
 
-    def _next_value(self) -> int:
-        self._write_seq += 1
-        return self._write_seq
-
     def _words_of(self, addr: int, size: int) -> tuple[int, int, int]:
         """(block base, first word index, word count) covered by an access,
         which `load_trace` has checked stays inside its block."""
@@ -405,27 +405,25 @@ class System:
         first = offset // WORD_SIZE
         return addr - offset, first, (offset + size - 1) // WORD_SIZE - first + 1
 
-    def _apply_write(self, cluster: Cluster, line_data: list[int] | None,
-                     addr: int, size: int) -> int:
-        """Return the word mask of a write; with the data log on, also write
-        fresh values into the block image and log them."""
-        base, first, count = self._words_of(addr, size)
-        mask = ((1 << count) - 1) << first
-        if self.data_log is None:
-            return mask
-        for w in range(first, first + count):
-            value = self._next_value()
-            line_data[w] = value
-            self.data_log.append(("w", cluster.index, base + w * WORD_SIZE, value))
-        return mask
-
-    def _log_read(self, cluster: Cluster, data: list[int] | None, addr: int,
-                  size: int) -> None:
-        if self.data_log is None:
-            return
-        base, first, count = self._words_of(addr, size)
-        for w in range(first, first + count):
-            self.data_log.append(("r", cluster.index, base + w * WORD_SIZE, data[w]))
+    def _core_op(self, cluster: Cluster, rec: TraceRecord,
+                 data: list[int] | None) -> int:
+        """Serve the core's op on a block image. Returns a write's word mask,
+        0 for a read. With the data log on, a read logs the words it reads,
+        and a write puts fresh values into the image and logs them."""
+        log = self.data_log
+        if rec.op == "R":
+            if log is not None:
+                base, first, count = self._words_of(rec.addr, rec.size)
+                for w in range(first, first + count):
+                    log.append(("r", cluster.index, base + w * WORD_SIZE, data[w]))
+            return 0
+        base, first, count = self._words_of(rec.addr, rec.size)
+        if log is not None:
+            for w in range(first, first + count):
+                self._write_seq += 1
+                data[w] = self._write_seq
+                log.append(("w", cluster.index, base + w * WORD_SIZE, data[w]))
+        return ((1 << count) - 1) << first
 
     def _tsv_delay(self, tier_a: int, tier_b: int) -> int:
         return abs(tier_a - tier_b) * self._tsv_ps
@@ -443,30 +441,16 @@ class System:
         return chain
 
     @staticmethod
-    def _read_at(level: CacheLevel, addr: int,
-                 t: int) -> tuple[AccessResult, int]:
-        """Demand read of one level arriving at t: the array is busy for the
-        bank route plus the read of the hit way (way 0 on a miss), and a hit
-        records its latency. Returns (result, t_done)."""
-        res = level.demand_read(addr)
+    def _book(level: CacheLevel, res: AccessResult, kind: str, t: int) -> int:
+        """Time a demand read or write-back of a level below the L1 that
+        arrived at t: the array is busy for the bank route plus the op on
+        the hit way (way 0 on a miss), and a hit records its latency.
+        Returns the done time."""
         start, done = level.service(
-            t, res.nuca_cycles + level.op_cycles(res.way or 0, READ))
+            t, res.nuca_cycles + level.op_cycles(res.way or 0, kind))
         if res.hit:
             level.record_hit_latency(done - start)
-        return res, done
-
-    @staticmethod
-    def _write_at(level: CacheLevel, ev: Eviction,
-                  t: int) -> tuple[AccessResult, int]:
-        """Write-back into one level arriving at t, timed like `_read_at`
-        with a write: a hit merges in place, a miss is forwarded by the
-        caller. Returns (result, t_done)."""
-        res = level.writeback_write(ev.addr, ev.dirty_words, ev.data, now_ps=t)
-        start, done = level.service(
-            t, res.nuca_cycles + level.op_cycles(res.way or 0, WRITE))
-        if res.hit:
-            level.record_hit_latency(done - start)
-        return res, done
+        return done
 
     def _writeback_down(self, cluster: Cluster, from_tier: int, ev: Eviction,
                         t: int, chain: list[tuple[CacheLevel, int]]) -> None:
@@ -474,7 +458,9 @@ class System:
         holds the block, else forward all the way to the controller."""
         prev = from_tier
         for level, tier in chain:
-            res, t = self._write_at(level, ev, t + self._tsv_delay(prev, tier))
+            t += self._tsv_delay(prev, tier)
+            res = level.writeback_write(ev.addr, ev.dirty_words, ev.data, now_ps=t)
+            t = self._book(level, res, WRITE, t)
             if res.hit:
                 return
             prev = tier
@@ -499,8 +485,9 @@ class System:
         l2p = stack.l2_private
         if l2p is not None:
             tier = stack.l2_tier
-            res, t = self._write_at(
-                l2p, ev, t + self._tsv_delay(stack.core_tier, tier))
+            t += self._tsv_delay(stack.core_tier, tier)
+            res = l2p.writeback_write(ev.addr, ev.dirty_words, ev.data, now_ps=t)
+            t = self._book(l2p, res, WRITE, t)
             if res.hit:
                 if ev.state == O:
                     # The private L2 sits at the coherence point: a demoted
@@ -604,8 +591,9 @@ class System:
             fill_below: list[int] = []
             prev = stack.core_tier
             for idx, (level, tier) in enumerate(chain):
-                res, t = self._read_at(level, addr,
-                                       t + self._tsv_delay(prev, tier))
+                t += self._tsv_delay(prev, tier)
+                res = level.demand_read(addr)
+                t = self._book(level, res, READ, t)
                 prev = tier
                 if res.hit:
                     if carry:
@@ -646,33 +634,28 @@ class System:
         if filled.way is None:
             return None
         line = l1.lines[filled.set_index][filled.way]
-        line.dirty_words |= dirty_words
-        if op == "R":
-            self._log_read(cluster, line.data, addr, size)
-            kind = READ
-        else:
-            line.dirty_words |= self._apply_write(cluster, line.data, addr, size)
-            kind = WRITE  # wear already charged by the write fill
-        _, done = l1.service(t, l1.op_cycles(filled.way, kind))
+        # A write's wear was already charged by the write fill.
+        line.dirty_words |= dirty_words | self._core_op(cluster, rec, line.data)
+        _, done = l1.service(t, l1.op_cycles(filled.way,
+                                             READ if op == "R" else WRITE))
         return done
 
     def _do_access(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
                    t0: int) -> int:
-        addr, size = rec.addr, rec.size
-        op = rec.op
+        addr, op = rec.addr, rec.op
         l1 = stack.l1d
         _, set_index, way, _ = l1.probe(addr)
 
         # L1 hit paths -------------------------------------------------------
         if way is not None:
             line = l1.lines[set_index][way]
-            l1.count_access(op, way, hit=True)
+            l1.count_access(op, way)
             if op == "R":
                 start, done = l1.service(
                     t0, l1.nuca_cycles(set_index) + l1.op_cycles(way, READ))
                 l1.record_hit_latency(done - start)
                 l1.touch(set_index, way)
-                self._log_read(cluster, line.data, addr, size)
+                self._core_op(cluster, rec, line.data)
                 return done
             upgrade = line.state in (S, O)
             t = t0
@@ -681,7 +664,7 @@ class System:
                 t = self._upgrade(cluster, stack, line, addr, t)
             else:
                 line.state = M  # E -> M is silent
-            mask = self._apply_write(cluster, line.data, addr, size)
+            mask = self._core_op(cluster, rec, line.data)
             l1.write_touch(set_index, way, mask, now_ps=t)
             start, done = l1.service(
                 t, l1.nuca_cycles(set_index) + l1.op_cycles(way, WRITE))
@@ -690,12 +673,13 @@ class System:
             return done
 
         # L1 miss: try the stack's private L2 before the bus -----------------
-        l1.count_access(op, None, hit=False)
+        l1.count_access(op, None)
         _, t = l1.service(t0, l1.op_cycles(0, READ))
         l2p = stack.l2_private
         if l2p is not None:
-            res, t = self._read_at(
-                l2p, addr, t + self._tsv_delay(stack.core_tier, stack.l2_tier))
+            res = l2p.demand_read(addr)
+            t = self._book(l2p, res, READ,
+                           t + self._tsv_delay(stack.core_tier, stack.l2_tier))
             t += self._tsv_delay(stack.l2_tier, stack.core_tier)
             if res.hit:
                 return self._promote_from_private(cluster, stack, rec, t,
@@ -719,10 +703,7 @@ class System:
             return done
         # No usable L1 way: serve the op without caching and push a write
         # straight down as a whole-block victim.
-        if op == "R":
-            self._log_read(cluster, data, addr, size)
-        else:
-            self._apply_write(cluster, data, addr, size)
+        if self._core_op(cluster, rec, data):
             full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
             self._l1_writeback(cluster, stack, Eviction(
                 addr=addr - addr % self.block_size, dirty_words=full_mask,
@@ -735,7 +716,7 @@ class System:
         """Stack hit in the private L2, already read at t: move the
         authoritative copy up to L1 (the L2 keeps a demoted clean
         duplicate). A write first takes M, over the bus from S or O."""
-        addr, size, op = rec.addr, rec.size, rec.op
+        addr, op = rec.addr, rec.op
         l2p = stack.l2_private
         line = l2p.lines[l2_set][l2_way]
         if op == "W":
@@ -752,10 +733,8 @@ class System:
             return done
         # No usable L1 way: the private L2 line keeps authority and serves
         # the op itself.
-        if op == "R":
-            self._log_read(cluster, line.data, addr, size)
-        else:
-            mask = self._apply_write(cluster, line.data, addr, size)
+        mask = self._core_op(cluster, rec, line.data)
+        if mask:
             l2p.write_touch(l2_set, l2_way, mask, now_ps=t)
         return t
 
@@ -770,8 +749,8 @@ class System:
                 check_invariants([s.state(addr) for s in cluster.stacks])
                 probed = 0
                 for stack in cluster.stacks:
-                    for bit, level in enumerate((stack.l1d, stack.l2_private)):
-                        if level is not None and level.probe(addr)[2] is not None:
+                    for bit, level in enumerate(stack.snooped):
+                        if level.probe(addr)[2] is not None:
                             probed |= 1 << (2 * stack.index + bit)
                 block = addr // self.block_size
                 if cluster.holders.get(block, 0) != probed:
@@ -789,17 +768,6 @@ class System:
         busy = min(level.port.busy_ps / 1000.0, duration_ns)
         return busy, duration_ns - busy
 
-    def _instance_energy(self, level: CacheLevel, duration_ns: float) -> float:
-        _, idle_ns = self._busy_idle_ns(level, duration_ns)
-        total = 0.0
-        for r, _region in enumerate(level.regions):
-            counters = AccessCounters(
-                n_read=level.region_reads[r], n_write=level.region_writes[r],
-                idle_time=idle_ns)
-            total += level_energy(counters, level.tech_by_region[r],
-                                  level.region_capacity_mib(r), level.write_mix)
-        return total
-
     def build_report(self) -> dict:
         duration_ps = self.engine.now
         duration_ns = duration_ps / 1000.0
@@ -813,13 +781,16 @@ class System:
         for name, insts in by_name.items():
             arrays = [level for _, level, _ in insts]
             ref = arrays[0]
-            energies = [self._instance_energy(lv, duration_ns) for lv in arrays]
+            region_mib = [ref.region_capacity_mib(r) for r in range(len(ref.regions))]
+            area = sum(map(area_estimate, region_mib, ref.tech_by_region))
             busy_idle = [self._busy_idle_ns(lv, duration_ns) for lv in arrays]
-            for (_, level, tier), energy in zip(insts, energies):
+            energies = [regions_energy(zip(lv.tech_by_region, region_mib,
+                                           lv.region_reads, lv.region_writes),
+                                       idle, self.spec.write_mix)
+                        for lv, (_, idle) in zip(arrays, busy_idle)]
+            for (_, _, tier), energy in zip(insts, energies):
                 tier_energy[tier] = tier_energy.get(tier, 0.0) + energy
-                tier_area[tier] = tier_area.get(tier, 0.0) + sum(
-                    area_estimate(level.region_capacity_mib(r), tech)
-                    for r, tech in enumerate(level.tech_by_region))
+                tier_area[tier] = tier_area.get(tier, 0.0) + area
             lat_n = sum(level.hit_latency_samples for level in arrays)
             levels[name] = {
                 "instances": len(insts),
@@ -838,7 +809,7 @@ class System:
                                  _wear_summary(arrays))),
                 "regions": [{
                     "tech": tech.name,
-                    "capacity_mib": ref.region_capacity_mib(r),
+                    "capacity_mib": region_mib[r],
                     "n_read": sum(level.region_reads[r] for level in arrays),
                     "n_write": sum(level.region_writes[r] for level in arrays),
                 } for r, tech in enumerate(ref.tech_by_region)],

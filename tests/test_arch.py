@@ -130,7 +130,7 @@ def test_fig36_stack_shape_and_warning():
     # each cluster: 16 stacks, two shared L2 arrays (one per l2 tier), one L3
     cluster = system.clusters[0]
     assert len(cluster.stacks) == 16
-    assert sorted(cluster.l2_shared) == [1, 3]
+    assert [tier for _, tier in cluster.l2_homes] == [1, 3]
     assert cluster.l3 is not None and cluster.l3_tier == 2
     # stacks on the outer tiers bind to their adjacent l2 tier
     assert {s.core_tier for s in cluster.stacks} == {0, 4}
