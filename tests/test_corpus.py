@@ -58,7 +58,7 @@ def _array(rng: random.Random, block: int, set_counts, ways) -> dict:
     entry = {"capacity": sets * assoc * block, "block_size": block,
              "associativity": assoc,
              "replacement": rng.choice(("lru", "pseudo_random")),
-             "tech": rng.choice(("SRAM", "SRAM", "PCRAM", "MRAM"))}
+             "tech": rng.choice(("SRAM", "SRAM", "PCRAM", "MRAM"))}  # SRAM 1 in 2
     if rng.random() < 0.5:
         entry.update(banks=rng.choice([b for b in (1, 2, 4) if sets % b == 0]),
                      nuca_base_latency=rng.randrange(3),
