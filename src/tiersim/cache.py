@@ -148,11 +148,8 @@ class AccessResult:
     hit: bool
     set_index: int
     way: int | None = None        # hit way or filled way
-    nuca_cycles: int = 0
     bypass: bool = False          # worn line matched: forward to next level
-    wear_event: bool = False
     writeback: Eviction | None = None
-    data: list[int] | None = None
 
 
 class CacheLevel:
@@ -173,7 +170,6 @@ class CacheLevel:
         self.regions = regions
         self.tech_by_region = list(tech_by_region)
         self.clock_period_ps = clock_period_ps
-        self.write_mix = write_mix
         self.rng = rng or random.Random(0)
         self._stamp = 0
         self._sets = geom.sets
@@ -207,7 +203,6 @@ class CacheLevel:
         self.writebacks = 0
         self.region_reads = [0] * len(regions)
         self.region_writes = [0] * len(regions)
-        self.wear_events = 0
         self.worn_lines = 0
         self.max_write_count = 0
         self.first_wear_time_ps: int | None = None
@@ -347,17 +342,16 @@ class CacheLevel:
                                     else held | self._holder_bit)
         self.fills += 1
         self.touch(set_index, victim)
-        wear = False
         if write_fill_words:
-            wear = self._charge_write(set_index, victim, write_fill_words, now_ps)
+            self._charge_write(set_index, victim, write_fill_words, now_ps)
         return AccessResult(hit=True, set_index=set_index, way=victim,
-                            writeback=writeback, wear_event=wear,
-                            data=line.data)
+                            writeback=writeback)
 
     # -- wear ---------------------------------------------------------------
 
-    def _charge_write(self, set_index: int, way: int, words: int, now_ps: int) -> bool:
-        """Bump write_count per the partial-write rule; True on a wear event."""
+    def _charge_write(self, set_index: int, way: int, words: int, now_ps: int) -> None:
+        """Bump write_count per the partial-write rule; a line that passes
+        its endurance wears out and counts in `worn_lines`."""
         line = self.lines[set_index][way]
         line.write_count += words if self.geom.partial_writes else 1
         self.max_write_count = max(self.max_write_count, line.write_count)
@@ -366,21 +360,17 @@ class CacheLevel:
                 self._unindex(set_index, line)
             line.worn = True
             self._worn_blocks.add(line.tag * self._sets + set_index)
-            self.wear_events += 1
             self.worn_lines += 1
             if self.first_wear_time_ps is None:
                 self.first_wear_time_ps = now_ps
-            return True
-        return False
 
     def write_touch(self, set_index: int, way: int, mask: int,
-                    now_ps: int = 0) -> bool:
+                    now_ps: int = 0) -> None:
         """Apply a write hit to a resident line: mark the words in `mask`
-        dirty, touch the line and charge wear for that many words. Returns
-        True on a wear event."""
+        dirty, touch the line and charge wear for that many words."""
         self.lines[set_index][way].dirty_words |= mask
         self.touch(set_index, way)
-        return self._charge_write(set_index, way, mask.bit_count(), now_ps)
+        self._charge_write(set_index, way, mask.bit_count(), now_ps)
 
     # -- system-facing access paths -------------------------------------------
 
@@ -390,25 +380,22 @@ class CacheLevel:
         tag, set_index, way, worn = self.probe(addr)
         self.count_access("R", way)
         if way is None:
-            return AccessResult(hit=False, set_index=set_index, bypass=worn,
-                                nuca_cycles=self.nuca_cycles(set_index))
+            return AccessResult(hit=False, set_index=set_index, bypass=worn)
         self.touch(set_index, way)
-        return AccessResult(hit=True, set_index=set_index, way=way,
-                            nuca_cycles=self.nuca_cycles(set_index),
-                            data=self.lines[set_index][way].data)
+        return AccessResult(hit=True, set_index=set_index, way=way)
 
     def writeback_write(self, addr: int, dirty_words: int,
-                        data: list[int] | None = None,
+                        data: list[int] | None = None, state: str = M,
                         now_ps: int = 0) -> AccessResult:
-        """Write-back arriving from the level above. Hits merge in place;
-        misses (and worn lines) are forwarded, never allocated."""
+        """Write-back of a dirty victim in `state` (M or O) arriving from
+        the level above. Hits merge in place and take `state`; misses (and
+        worn lines) are forwarded, never allocated."""
         tag, set_index, way, worn = self.probe(addr)
         self.count_access("W", way)
         if way is None:
-            return AccessResult(hit=False, set_index=set_index, bypass=True,
-                                nuca_cycles=self.nuca_cycles(set_index))
+            return AccessResult(hit=False, set_index=set_index, bypass=True)
         line = self.lines[set_index][way]
-        line.state = M
+        line.state = state
         line.dirty_words |= dirty_words
         if data is not None:
             for w in range(self.geom.words_per_block):
@@ -416,10 +403,8 @@ class CacheLevel:
                     line.data[w] = data[w]
         self.touch(set_index, way)
         words = bin(dirty_words).count("1") or 1
-        wear = self._charge_write(set_index, way, words, now_ps)
-        return AccessResult(hit=True, set_index=set_index, way=way,
-                            nuca_cycles=self.nuca_cycles(set_index),
-                            wear_event=wear)
+        self._charge_write(set_index, way, words, now_ps)
+        return AccessResult(hit=True, set_index=set_index, way=way)
 
     def invalidate(self, set_index: int, way: int) -> None:
         """Drop a copy on a remote invalidation; ownership travels with the

@@ -28,9 +28,8 @@ class BusChannel(FifoResource):
     """One bus layer: FIFO grants, one transfer in flight at a time,
     occupancy of ceil(bytes / beat_width) cycles per grant."""
 
-    def __init__(self, name: str, beat_width: int = 16, clock_period_ps: int = 1000):
+    def __init__(self, beat_width: int = 16, clock_period_ps: int = 1000):
         super().__init__()
-        self.name = name
         self.beat_width = beat_width
         self.clock_period_ps = clock_period_ps
 
@@ -52,9 +51,9 @@ class ClusterBus:
     """CCI-style three-layered bus: requests, responses, snoops."""
 
     def __init__(self, beat_width: int = 16, clock_period_ps: int = 1000):
-        self.request = BusChannel("request", beat_width, clock_period_ps)
-        self.response = BusChannel("response", beat_width, clock_period_ps)
-        self.snoop = BusChannel("snoop", beat_width, clock_period_ps)
+        self.request = BusChannel(beat_width, clock_period_ps)
+        self.response = BusChannel(beat_width, clock_period_ps)
+        self.snoop = BusChannel(beat_width, clock_period_ps)
 
 
 # --- mesh topology and analytics ---------------------------------------------
@@ -91,21 +90,13 @@ def _dim_mean_distance(n: int) -> Fraction:
     return Fraction(n * n * n - n, 3 * n * n)
 
 
-def mean_hop_count(dims: tuple[int, int, int], include_self: bool = True) -> Fraction:
-    """Exact average Manhattan distance over ordered (src, dst) pairs.
-
-    Self-pairs are included by default; excluding them rescales by
-    n/(n-1) with n the node count, which cancels in 2D-vs-3D ratios.
-    """
+def mean_hop_count(dims: tuple[int, int, int]) -> Fraction:
+    """Exact average Manhattan distance over ordered (src, dst) pairs,
+    self-pairs included. Excluding them rescales by n/(n-1) with n the node
+    count, which cancels in 2D-vs-3D ratios."""
     if any(d < 1 for d in dims):
         raise ValueError(f"invalid mesh dims {dims}")
-    mean = sum((_dim_mean_distance(d) for d in dims), Fraction(0))
-    if not include_self:
-        n = dims[0] * dims[1] * dims[2]
-        if n == 1:
-            raise ValueError("a 1-node mesh has no non-self pairs")
-        mean = mean * Fraction(n, n - 1)
-    return mean
+    return sum((_dim_mean_distance(d) for d in dims), Fraction(0))
 
 
 def packetize(payload_bytes: int, flit_width: int) -> int:

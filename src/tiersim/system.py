@@ -52,14 +52,16 @@ LEVEL_COUNTERS = ("n_read", "n_write", "hits", "misses", "fills", "evictions",
                   "writebacks", "invalidations")
 
 
-def _wear_summary(levels: list[CacheLevel]) -> tuple[int, int, int, int | None]:
+def _wear_summary(levels: list[CacheLevel], worn_key: str) -> dict:
     """Wear over several arrays: the highest write count, the summed worn
-    lines and wear events, and the earliest first wear (None if none)."""
+    lines under `worn_key` and again as wear events (a line wears out
+    once), and the earliest first wear (None if none)."""
     firsts = [lv.first_wear_time_ps for lv in levels
               if lv.first_wear_time_ps is not None]
-    return (max((lv.max_write_count for lv in levels), default=0),
-            sum(lv.worn_lines for lv in levels),
-            sum(lv.wear_events for lv in levels), min(firsts, default=None))
+    worn = sum(lv.worn_lines for lv in levels)
+    return {"max_write_count": max((lv.max_write_count for lv in levels), default=0),
+            worn_key: worn, "wear_events": worn,
+            "first_wear_time_ps": min(firsts, default=None)}
 
 
 class WorkloadError(ValueError):
@@ -446,55 +448,46 @@ class System:
         arrived at t: the array is busy for the bank route plus the op on
         the hit way (way 0 on a miss), and a hit records its latency.
         Returns the done time."""
-        start, done = level.service(
-            t, res.nuca_cycles + level.op_cycles(res.way or 0, kind))
+        start, done = level.service(t, level.nuca_cycles(res.set_index)
+                                    + level.op_cycles(res.way or 0, kind))
         if res.hit:
             level.record_hit_latency(done - start)
         return done
 
-    def _writeback_down(self, cluster: Cluster, from_tier: int, ev: Eviction,
-                        t: int, chain: list[tuple[CacheLevel, int]]) -> None:
-        """Push a dirty victim toward memory: merge at the first level that
-        holds the block, else forward all the way to the controller."""
-        prev = from_tier
-        for level, tier in chain:
-            t += self._tsv_delay(prev, tier)
-            res = level.writeback_write(ev.addr, ev.dirty_words, ev.data, now_ps=t)
+    def _writeback(self, cluster: Cluster, ev: Eviction, tier: int, t: int,
+                   path: list[tuple[CacheLevel, int] | None]) -> None:
+        """The one write-back walk: push a dirty victim that leaves `tier`
+        at t down `path`, whose steps are (level, tier) pairs and None for
+        the bus crossing, which books the request channel for the block.
+        The victim merges at the first level that holds the block, else it
+        goes on to the memory controller. A merged line takes the victim's
+        state, so an O victim keeps O at every level: at a private L2, the
+        coherence point, that keeps sharers elsewhere legal; below the bus
+        only dirty against clean matters."""
+        for step in path:
+            if step is None:
+                _, t = cluster.bus.request.request(t, self.block_size)
+                continue
+            level, to = step
+            t += self._tsv_delay(tier, to)
+            tier = to
+            res = level.writeback_write(ev.addr, ev.dirty_words, ev.data,
+                                        ev.state, now_ps=t)
             t = self._book(level, res, WRITE, t)
             if res.hit:
                 return
-            prev = tier
         cluster.memctrl.serve(t, is_write=True)
         if ev.data is not None:
             cluster.memory.merge(ev.addr, ev.dirty_words, ev.data)
 
-    def _writeback_across_bus(self, cluster: Cluster, stack: Stack,
-                              from_tier: int, ev: Eviction, t: int) -> None:
-        """A dirty victim leaving the stack books the request channel, then
-        is written back along the levels below the bus."""
-        _, done = cluster.bus.request.request(t, self.block_size)
-        self._writeback_down(cluster, from_tier, ev, done,
-                             self._chain_below_bus(cluster, stack, ev.addr))
-
     def _l1_writeback(self, cluster: Cluster, stack: Stack, ev: Eviction,
                       t: int) -> None:
-        """Dirty L1 victim: distributed stacks merge it into their private
-        L2 locally; a victim the private L2 misses, and every victim in
-        shared mode, crosses the bus."""
-        tier = stack.core_tier
-        l2p = stack.l2_private
-        if l2p is not None:
-            tier = stack.l2_tier
-            t += self._tsv_delay(stack.core_tier, tier)
-            res = l2p.writeback_write(ev.addr, ev.dirty_words, ev.data, now_ps=t)
-            t = self._book(l2p, res, WRITE, t)
-            if res.hit:
-                if ev.state == O:
-                    # The private L2 sits at the coherence point: a demoted
-                    # owner keeps O so sharers elsewhere stay legal.
-                    l2p.lines[res.set_index][res.way].state = O
-                return
-        self._writeback_across_bus(cluster, stack, tier, ev, t)
+        """Dirty L1 victim: a distributed stack tries its private L2
+        first; then the victim crosses the bus to the levels below it."""
+        path = [None, *self._chain_below_bus(cluster, stack, ev.addr)]
+        if stack.l2_private is not None:
+            path.insert(0, (stack.l2_private, stack.l2_tier))
+        self._writeback(cluster, ev, stack.core_tier, t, path)
 
     def _snoop(self, cluster: Cluster, stack: Stack, addr: int, event: str,
                t: int) -> tuple[list[str], StepResult, int]:
@@ -597,7 +590,7 @@ class System:
                 prev = tier
                 if res.hit:
                     if carry:
-                        data = list(res.data)
+                        data = list(level.lines[res.set_index][res.way].data)
                     break
                 if not res.bypass:
                     fill_below.append(idx)
@@ -609,8 +602,8 @@ class System:
                 level, tier = chain[idx]
                 filled = level.fill(addr, state=S, data=data)
                 if filled.writeback is not None:
-                    self._writeback_down(cluster, tier, filled.writeback, t,
-                                         chain[idx + 1:])
+                    self._writeback(cluster, filled.writeback, tier, t,
+                                    chain[idx + 1:])
             t += self._tsv_delay(prev, stack.core_tier)
         _, resp_done = cluster.bus.response.request(t, self.block_size)
         return data, step.states[stack.index], resp_done, inherited_dirty
@@ -693,9 +686,10 @@ class System:
             # Keep a demoted clean duplicate in the private L2 so the stack
             # can re-fetch locally after the L1 copy is evicted.
             filled = l2p.fill(addr, state=S, data=data)
-            if filled.writeback is not None:
-                self._writeback_across_bus(cluster, stack, stack.l2_tier,
-                                           filled.writeback, t_data)
+            ev = filled.writeback
+            if ev is not None:
+                self._writeback(cluster, ev, stack.l2_tier, t_data, [
+                    None, *self._chain_below_bus(cluster, stack, ev.addr)])
 
         done = self._fill_l1(cluster, stack, rec, fill_state, data,
                              inherited_dirty, t_data)
@@ -804,9 +798,7 @@ class System:
                 "mean_hit_latency_ps": (
                     sum(level.hit_latency_sum_ps for level in arrays) / lat_n
                     if lat_n else None),
-                "wear": dict(zip(("max_write_count", "worn_lines",
-                                  "wear_events", "first_wear_time_ps"),
-                                 _wear_summary(arrays))),
+                "wear": _wear_summary(arrays, "worn_lines"),
                 "regions": [{
                     "tech": tech.name,
                     "capacity_mib": region_mib[r],
@@ -814,9 +806,8 @@ class System:
                     "n_write": sum(level.region_writes[r] for level in arrays),
                 } for r, tech in enumerate(ref.tech_by_region)],
             }
-        endurance = dict(zip(
-            ("max_write_count", "worn_blocks", "wear_events", "first_wear_time_ps"),
-            _wear_summary([level for _, _, level, _ in self.levels])))
+        endurance = _wear_summary([level for _, _, level, _ in self.levels],
+                                  "worn_blocks")
 
         tiers = []
         for t in self.spec.tier_stack:

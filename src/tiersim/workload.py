@@ -137,10 +137,9 @@ def gen_synthetic_trace(cores: int, length: int, hot_fraction: float,
                         read_fraction: float = 2.0 / 3.0,
                         access_size: int = 8,
                         tick_interval: int = 1,
-                        hot_overlap: float = 0.0,
-                        addr_bits: int = ADDR_BITS) -> list[TraceRecord]:
+                        hot_overlap: float = 0.0) -> list[TraceRecord]:
     """Per-core hot-set memory trace: with probability hot_fraction an access
-    falls in the core's hot window, else anywhere in the space.
+    falls in the core's hot window, else anywhere below ADDR_SPACE.
 
     Hot windows are disjoint per core by default so shared-vs-distributed L2
     comparisons stay clean; hot_overlap redirects that fraction of hot
@@ -154,7 +153,6 @@ def gen_synthetic_trace(cores: int, length: int, hot_fraction: float,
         raise ValueError("hot_overlap must be in [0, 1]")
     if access_size < 1:
         raise ValueError(f"access_size must be >= 1, got {access_size}")
-    space = 1 << addr_bits
     shared_base = cores * hot_set_bytes
     records: list[TraceRecord] = []
     for core in range(cores):
@@ -167,7 +165,7 @@ def gen_synthetic_trace(cores: int, length: int, hot_fraction: float,
                 else:
                     addr = base + rng.randrange(hot_set_bytes)
             else:
-                addr = rng.randrange(space)
+                addr = rng.randrange(ADDR_SPACE)
             addr -= addr % access_size
             op = "R" if rng.random() < read_fraction else "W"
             records.append(TraceRecord(i * tick_interval, core, op, addr, access_size))

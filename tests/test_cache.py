@@ -36,15 +36,18 @@ def word_mask(level, addr, size):
 def access(level, op, addr, size=WORD_SIZE):
     """One core access made through the calls the simulator makes:
     `demand_read`, then `write_touch` on a write hit, or on a miss a `fill`
-    (a write-allocate fill for a write), which bypasses a worn way."""
+    (a write-allocate fill for a write), which bypasses a worn way. A wear
+    event is a rise in the level's `worn_lines`."""
+    worn = level.worn_lines
     res = level.demand_read(addr)
     mask = word_mask(level, addr, size) if op == "W" else 0
     if res.hit:
-        wear = op == "W" and level.write_touch(res.set_index, res.way, mask)
-        return Outcome(True, wear, False)
+        if op == "W":
+            level.write_touch(res.set_index, res.way, mask)
+        return Outcome(True, level.worn_lines > worn, False)
     filled = level.fill(addr, M if op == "W" else S,
                         write_fill_words=mask.bit_count())
-    return Outcome(False, filled.wear_event, filled.bypass)
+    return Outcome(False, level.worn_lines > worn, filled.bypass)
 
 
 def mk_level(capacity=32768, block=64, ways=2, replacement=LRU, tech="SRAM",
@@ -216,7 +219,7 @@ def test_wear_exactly_one_event_in_1500_write_replay():
         if res.wear_event:
             events.append(i)
     assert events == [1001]
-    assert level.wear_events == 1
+    assert level.worn_lines == 1
 
 
 def test_worn_line_bypasses_and_way_is_never_reused():
@@ -450,7 +453,7 @@ def book_cache_array(requests, period):
 
 
 def book_bus_channel(requests, period):
-    channel = BusChannel("request", beat_width=16, clock_period_ps=period)
+    channel = BusChannel(beat_width=16, clock_period_ps=period)
     windows = []
     for arrival, cycles in bookings(requests):
         start, done = channel.request(arrival, cycles * 16)
