@@ -221,18 +221,14 @@ class CacheLevel:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def bank_of_set(self, set_index: int) -> int:
-        return set_index % self.geom.banks
-
     def nuca_cycles(self, set_index: int) -> int:
-        return self.geom.nuca_base_latency + self.geom.nuca_per_hop * self.bank_of_set(set_index)
+        """Bank-route cycles to the set's bank, set_index % banks."""
+        geom = self.geom
+        return geom.nuca_base_latency + geom.nuca_per_hop * (set_index % geom.banks)
 
     def op_cycles(self, way: int, kind: str) -> int:
         region = self._region_of_way[way]
         return (self._read_cycles if kind == READ else self._write_cycles)[region]
-
-    def tech_of_way(self, way: int) -> TechnologyParams:
-        return self.tech_by_region[self._region_of_way[way]]
 
     # -- lookup / replacement -------------------------------------------------
 
@@ -350,12 +346,12 @@ class CacheLevel:
     # -- wear ---------------------------------------------------------------
 
     def _charge_write(self, set_index: int, way: int, words: int, now_ps: int) -> None:
-        """Bump write_count per the partial-write rule; a line that passes
-        its endurance wears out and counts in `worn_lines`."""
+        """Bump write_count per the partial-write rule; wear out past endurance."""
         line = self.lines[set_index][way]
         line.write_count += words if self.geom.partial_writes else 1
         self.max_write_count = max(self.max_write_count, line.write_count)
-        if not line.worn and check_wear(line, self.tech_of_way(way)):
+        tech = self.tech_by_region[self._region_of_way[way]]
+        if not line.worn and check_wear(line, tech):
             if line.state != I:
                 self._unindex(set_index, line)
             line.worn = True
@@ -387,9 +383,8 @@ class CacheLevel:
     def writeback_write(self, addr: int, dirty_words: int,
                         data: list[int] | None = None, state: str = M,
                         now_ps: int = 0) -> AccessResult:
-        """Write-back of a dirty victim in `state` (M or O) arriving from
-        the level above. Hits merge in place and take `state`; misses (and
-        worn lines) are forwarded, never allocated."""
+        """Write-back of a victim in `state` from the level above. Hits merge
+        in place; misses (and worn lines) are forwarded, never allocated."""
         tag, set_index, way, worn = self.probe(addr)
         self.count_access("W", way)
         if way is None:
