@@ -10,10 +10,12 @@ field a run ever writes.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator
 
 from .memtech import (AccessCounters, TechnologyParams, catalog_with_overrides,
@@ -100,6 +102,12 @@ def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> Laten
     )
 
 
+def float_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum, the same on every Python: from 3.12 on, `sum`
+    compensates float rounding, which would move report bytes."""
+    return reduce(operator.add, values, 0)
+
+
 def tier_power_density(energy_nj: float, duration_ns: float, area_units: float) -> float:
     """Average power per unit of SRAM-equivalent area, in mW per unit."""
     if duration_ns <= 0:
@@ -116,9 +124,9 @@ def regions_energy(regions: Iterable[tuple[TechnologyParams, float, int, int]],
     as (technology, capacity in MiB, reads, writes), summed in order; every
     region idles for idle_ns. The simulator charges each array this way,
     and the report check rebuilds each level the same way."""
-    return sum(level_energy(AccessCounters(n_read, n_write, idle_ns), params,
-                            capacity_mib, write_mix)
-               for params, capacity_mib, n_read, n_write in regions)
+    return float_sum(level_energy(AccessCounters(n_read, n_write, idle_ns), params,
+                                  capacity_mib, write_mix)
+                     for params, capacity_mib, n_read, n_write in regions)
 
 
 def recompute_level_energy(level_report: dict,

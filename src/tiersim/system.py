@@ -41,7 +41,7 @@ from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, area_estimate
-from .metrics import (LATEST_START_PS, LatencyLog, regions_energy,
+from .metrics import (LATEST_START_PS, LatencyLog, float_sum, regions_energy,
                       summarize_latency, tier_power_density)
 from .workload import MessageRecord, TraceRecord
 
@@ -776,7 +776,7 @@ class System:
             arrays = [level for _, level, _ in insts]
             ref = arrays[0]
             region_mib = [ref.region_capacity_mib(r) for r in range(len(ref.regions))]
-            area = sum(map(area_estimate, region_mib, ref.tech_by_region))
+            area = float_sum(map(area_estimate, region_mib, ref.tech_by_region))
             busy_idle = [self._busy_idle_ns(lv, duration_ns) for lv in arrays]
             energies = [regions_energy(zip(lv.tech_by_region, region_mib,
                                            lv.region_reads, lv.region_writes),
@@ -792,9 +792,9 @@ class System:
                 "capacity_mib_per_instance": ref.capacity_mib(),
                 **{c: sum(getattr(level, c) for level in arrays)
                    for c in LEVEL_COUNTERS},
-                "busy_ns": sum(busy for busy, _ in busy_idle),
-                "idle_ns": sum(idle for _, idle in busy_idle),
-                "energy_nj": sum(energies),
+                "busy_ns": float_sum(busy for busy, _ in busy_idle),
+                "idle_ns": float_sum(idle for _, idle in busy_idle),
+                "energy_nj": float_sum(energies),
                 "mean_hit_latency_ps": (
                     sum(level.hit_latency_sum_ps for level in arrays) / lat_n
                     if lat_n else None),
@@ -839,7 +839,7 @@ class System:
             },
             "levels": levels,
             "energy": {
-                "total_nj": sum(lv["energy_nj"] for lv in levels.values()),
+                "total_nj": float_sum(lv["energy_nj"] for lv in levels.values()),
                 "per_level_nj": {name: lv["energy_nj"]
                                  for name, lv in levels.items()},
                 "write_mix": self.spec.write_mix,
