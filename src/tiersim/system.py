@@ -183,9 +183,9 @@ class Cluster:
 class System:
     """A built, runnable system. Owns all mutable state for one simulation.
 
-    `mem_samples` logs each memory access's issue time and completion time
-    when it issues, since its whole path is timed then; the mesh's
-    `msg_samples` logs each message when it is delivered."""
+    `mem_samples` logs each memory access's issue and completion times
+    when it completes, and the mesh's `msg_samples` logs each message when
+    it is delivered, so a run stopped early counts only what finished."""
 
     def __init__(self, spec: SystemSpec, seed: int = 0, record_log: bool = False):
         self.spec = spec
@@ -389,11 +389,12 @@ class System:
     def _on_issue(self, payload) -> None:
         cluster, stack, rec, queue = payload
         t_done = self._do_access(cluster, stack, rec, self.engine.now)
-        self.mem_samples.append(self.engine.now, t_done)
-        self.engine.schedule(t_done, self._on_complete, (cluster, stack, queue))
+        self.engine.schedule(t_done, self._on_complete,
+                             (cluster, stack, queue, self.engine.now))
 
     def _on_complete(self, payload) -> None:
-        cluster, stack, queue = payload
+        cluster, stack, queue, t_issue = payload
+        self.mem_samples.append(t_issue, self.engine.now)
         if not queue:
             return
         rec = queue.pop()

@@ -106,6 +106,21 @@ def test_t_end_caps_the_run(tmp_path):
     assert noc["injected"] == noc["delivered"] + noc["in_flight"]
 
 
+def test_t_end_counts_only_completed_accesses(tmp_path):
+    # A memory access is logged when it completes, so a run stopped early
+    # reports no access that would have finished after the stop.
+    t_end = 200_000
+    out, dump = tmp_path / "r.json", tmp_path / "lat.csv"
+    assert main(["run", "--config", write_config(tmp_path, quick_cfg()),
+                 "--t-end", str(t_end), "--out", str(out),
+                 "--dump-latencies", str(dump)]) == 0
+    report = json.loads(out.read_text())
+    ends = [int(line.split(",")[2]) for line in dump.read_text().splitlines()
+            if line.startswith("mem,")]
+    assert len(ends) == report["latency"]["mem"]["count"] > 0
+    assert max(ends) <= t_end == report["meta"]["duration_ps"]
+
+
 def test_negative_t_end_exits_2_before_the_run(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--config", "fig33", "--t-end", "-5",
@@ -317,9 +332,9 @@ def test_gen_trace_messages(tmp_path):
 def test_dump_latencies(tmp_path):
     """The dump has one row per completed request, the memory accesses and
     then the messages, and each class's statistics recomputed from it are
-    the report's. A memory access is logged when it issues, so its rows'
-    start times never decrease; a message is logged when its head flit
-    arrives, so with one payload size its rows' end times never decrease."""
+    the report's. A memory access is logged when it completes, and a
+    message when its last flit arrives, so each class's end times never
+    decrease."""
     cfg = quick_cfg()
     cfg["workload"]["message_synthetic"]["rate"] = 0.1
     out = tmp_path / "r.json"
@@ -338,7 +353,7 @@ def test_dump_latencies(tmp_path):
     assert n_msg == report["interconnect"]["noc"]["delivered"] > 20
     assert classes == ["mem"] * n_mem + ["msg"] * n_msg
     mem, msg = rows[:n_mem], rows[n_mem:]
-    assert [t0 for _, t0, _ in mem] == sorted(t0 for _, t0, _ in mem)
+    assert [t1 for _, _, t1 in mem] == sorted(t1 for _, _, t1 in mem)
     assert [t1 for _, _, t1 in msg] == sorted(t1 for _, _, t1 in msg)
     for klass, part in (("mem", mem), ("msg", msg)):
         latencies = sorted(t1 - t0 for _, t0, t1 in part)
