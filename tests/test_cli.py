@@ -239,8 +239,10 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, key, value,
     ("workload.synthetic.access_size", 0, "access_size must be >= 1, got 0"),
     ("workload.synthetic.access_size", -8, "access_size must be >= 1, got -8"),
     ("workload.message_synthetic.payload_bytes", -5,
-     "payload_bytes must be >= 0, got -5")],
-    ids=["access_size=0", "access_size=-8", "payload_bytes=-5"])
+     "payload_bytes must be >= 0, got -5"),
+    # The generator draws from the 48-bit space that parse_trace accepts.
+    ("workload.synthetic.addr_bits", 60, "'addr_bits'")],
+    ids=["access_size=0", "access_size=-8", "payload_bytes=-5", "addr_bits=60"])
 def test_bad_generator_parameter_exits_2_with_its_key(tmp_path, capsys, key,
                                                       value, message):
     out = tmp_path / "r.json"

@@ -257,6 +257,24 @@ def test_worn_l1_way_bypasses_but_stays_correct():
     assert report["levels"]["l1d"]["wear"]["worn_lines"] == 1
 
 
+@pytest.mark.xfail(strict=True, reason="an L1d write hit that wears its line "
+                   "out leaves the dirty words in the worn way, and nothing "
+                   "writes them back; the fix moves report digests")
+def test_write_hit_that_wears_the_line_keeps_its_data():
+    # The fourth write passes the endurance of 3 on an L1d hit: the line
+    # leaves the index still in M, so the read misses and fetches the stale
+    # block from memory.
+    cfg = small_cfg(cores_per_cluster=1)
+    cfg["caches"]["l1d"] = {"capacity": 64, "block_size": 64,
+                            "associativity": 1, "tech": "PCRAM"}
+    cfg["tech_overrides"] = {"PCRAM": {"endurance": 3}}
+    system = build(cfg, record_log=True)
+    system.load_trace([TraceRecord(i, 0, "W", 0x0, 8) for i in range(4)]
+                      + [TraceRecord(4, 0, "R", 0x0, 8)])
+    system.run()
+    assert system.data_log[-1] == ("r", 0, 0x0, 4)
+
+
 def test_distributed_l2_keeps_local_hits_off_the_bus():
     shared = small_cfg()
     dist = copy.deepcopy(shared)
