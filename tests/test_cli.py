@@ -334,9 +334,9 @@ def test_gen_trace_messages(tmp_path):
 def test_dump_latencies(tmp_path):
     """The dump has one row per completed request, the memory accesses and
     then the messages, and each class's statistics recomputed from it are
-    the report's. A memory access is logged when it completes, and a
-    message when its last flit arrives, so each class's end times never
-    decrease."""
+    the report's. A memory access is logged when it completes, so its
+    rows' end times never decrease; a message is logged when its head flit
+    arrives, so with one payload size its rows' end times never decrease."""
     cfg = quick_cfg()
     cfg["workload"]["message_synthetic"]["rate"] = 0.1
     out = tmp_path / "r.json"
