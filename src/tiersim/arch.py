@@ -12,12 +12,14 @@ only inter-cluster path is message packets on the NoC.
 from __future__ import annotations
 
 import copy
+import inspect
 import warnings
 from dataclasses import dataclass
 
 from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_with_overrides
+from .workload import gen_message_traffic, gen_synthetic_trace
 
 CORES_L1 = "cores_l1"
 L2_SPLIT_ID = "l2_split_id"
@@ -119,6 +121,12 @@ _CACHE_KEYS = ("capacity", "block_size", "associativity", "banks",
                "replacement", "nuca_base_latency", "nuca_per_hop", "regions",
                "partial_writes", "tech", "topology")
 _REGION_KEYS = ("ways", "tech")
+# A generator section's keys are its generator's parameters, less the seed,
+# which comes from the run.
+_GENERATOR_KEYS = {
+    section: tuple(p for p in inspect.signature(gen).parameters if p != "seed")
+    for section, gen in (("synthetic", gen_synthetic_trace),
+                         ("message_synthetic", gen_message_traffic))}
 
 
 def _cache_config_from_dict(d: dict, default_tech: str = "SRAM") -> CacheConfig:
@@ -219,8 +227,8 @@ def spec_from_dict(config: dict) -> SystemSpec:
 
 def _unknown_keys(raw: dict) -> list[str]:
     """One violation per config key that no section defines, by its dotted
-    path: the top level, noc, bus, clocks, report, workload, caches, each
-    cache entry and each of its regions."""
+    path: the top level, noc, bus, clocks, report, workload and its
+    generator sections, caches, each cache entry and each of its regions."""
     out: list[str] = []
 
     def check(node, prefix: str, allowed: tuple[str, ...]) -> None:
@@ -231,6 +239,10 @@ def _unknown_keys(raw: dict) -> list[str]:
     check(raw, "", _TOP_KEYS)
     for section, allowed in _SECTION_KEYS.items():
         check(raw.get(section), f"{section}.", allowed)
+    workload = raw.get("workload")
+    for section in _GENERATOR_KEYS if isinstance(workload, dict) else ():
+        check(workload.get(section), f"workload.{section}.",
+              _GENERATOR_KEYS[section])
     caches = raw.get("caches")
     for name in CACHE_LEVELS if isinstance(caches, dict) else ():
         entry = caches.get(name)

@@ -100,8 +100,7 @@ def _resolve_workload(config: dict, spec, seed: int):
                 length=int(params.pop("length", 1000)),
                 hot_fraction=float(params.pop("hot_fraction", 0.9)),
                 hot_set_bytes=int(params.pop("hot_set_bytes", 8192)),
-                seed=seed,
-                **{k: v for k, v in params.items()})
+                seed=seed, **params)
         if wl.get("messages"):
             path = wl["messages"]
             if not os.path.exists(path):

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
-from .cache import (DIRTY_STATES, I, M, O, S, WORD_SIZE, AccessResult,
-                    CacheLevel, CacheLine, Eviction)
+from .cache import (DIRTY_STATES, I, M, O, S, WORD_SIZE, CacheLevel,
+                    CacheLine, Eviction)
 from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
                         CoherenceFault, StepResult, check_invariants,
                         coherence_step)
@@ -105,11 +105,18 @@ class MemoryController:
         return self.port.book(arrival_ps, self.latency_ps)
 
 
+# A block's way down from a core: (array, tier) steps from the L1d, with
+# None where it crosses the bus.
+Path = tuple[tuple[CacheLevel, int] | None, ...]
+
+
 @dataclass
 class Stack:
     """One core's private slice of the hierarchy: the unit that snoops.
     `snooped` holds the arrays its cluster snoops: the L1d, then the
-    private L2 when the stack has one."""
+    private L2 when the stack has one. `paths` holds the stack's way down,
+    `(l1d, l2p?, None, home?, l3?)`: one path per shared-L2 home in tier
+    order, or a single path when the cluster has no shared L2."""
 
     index: int            # within the cluster
     core_tier: int
@@ -117,6 +124,7 @@ class Stack:
     l1d: CacheLevel
     l2_private: CacheLevel | None = None
     l2_tier: int | None = None
+    paths: tuple[Path, ...] = ()
     snooped: tuple[CacheLevel, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -162,7 +170,6 @@ class Cluster:
     holders: dict[int, int] = field(default_factory=dict)
     l2i: dict[int, CacheLevel] = field(default_factory=dict)
     l3: CacheLevel | None = None
-    l3_tier: int | None = None
     # (array, tier) of each shared L2 in tier order; none when distributed.
     l2_homes: tuple[tuple[CacheLevel, int], ...] = ()
 
@@ -170,14 +177,6 @@ class Cluster:
     def l2_shared(self) -> dict[int, CacheLevel]:
         """The shared L2 arrays by tier: a view of `l2_homes`."""
         return {tier: level for level, tier in self.l2_homes}
-
-    def l2_home(self, addr: int, block_size: int) -> tuple[CacheLevel, int] | None:
-        """Home L2 array for a block: address-interleaved across L2 tiers so
-        a block has exactly one shared-L2 residence per cluster."""
-        homes = self.l2_homes
-        if not homes:
-            return None
-        return homes[(addr // block_size) % len(homes)]
 
 
 class System:
@@ -288,9 +287,15 @@ class System:
                                                   t.index)
         cluster.l2_homes = tuple(homes)
         l3_tier = spec.l3_tier()
+        l3 = ()
         if l3_tier is not None and spec.caches.get("l3") is not None:
             cluster.l3 = self._mk_level("l3", "l3", index, l3_tier, l3_tier)
-            cluster.l3_tier = l3_tier
+            l3 = ((cluster.l3, l3_tier),)
+        for stack in stacks:
+            # The stack's snooped arrays on their tiers, then the bus.
+            top = (*zip(stack.snooped, (stack.core_tier, stack.l2_tier)), None)
+            stack.paths = (tuple((*top, home, *l3) for home in homes)
+                           or ((*top, *l3),))
         return cluster
 
     def home_coord(self, cluster_index: int) -> tuple[int, int, int]:
@@ -431,41 +436,38 @@ class System:
     def _tsv_delay(self, tier_a: int, tier_b: int) -> int:
         return abs(tier_a - tier_b) * self._tsv_ps
 
-    def _chain_below_bus(self, cluster: Cluster, stack: Stack,
-                         addr: int) -> list[tuple[CacheLevel, int]]:
-        """Cache levels the bus-side of a request descends through, in order."""
-        chain: list[tuple[CacheLevel, int]] = []
-        if stack.l2_private is None:
-            home = cluster.l2_home(addr, self.block_size)
-            if home is not None:
-                chain.append(home)
-        if cluster.l3 is not None:
-            chain.append((cluster.l3, cluster.l3_tier))
-        return chain
+    def _path(self, stack: Stack, addr: int) -> Path:
+        """The stack's path for a block: the one through the block's
+        shared-L2 home, which interleaves homes by block number, so a block
+        has exactly one shared-L2 residence per cluster."""
+        paths = stack.paths
+        return paths[addr // self.block_size % len(paths)]
 
     @staticmethod
-    def _book(level: CacheLevel, res: AccessResult, kind: str, t: int) -> int:
-        """Time a demand read or write-back of a level below the L1 that
-        arrived at t: the array is busy for the bank route plus the op on
-        the hit way (way 0 on a miss), and a hit records its latency.
-        Returns the done time."""
-        start, done = level.service(t, level.nuca_cycles(res.set_index)
-                                    + level.op_cycles(res.way or 0, kind))
-        if res.hit:
+    def _book(level: CacheLevel, set_index: int, way: int | None, kind: str,
+              t: int, record: bool) -> int:
+        """Book an access that reaches its line through the banks and
+        arrives at t: the array is busy for the bank route plus the op on
+        `way` (way 0 on a miss), and with `record` the service time is a
+        hit-latency sample. Returns the done time."""
+        start, done = level.service(t, level.nuca_cycles(set_index)
+                                    + level.op_cycles(way or 0, kind))
+        if record:
             level.record_hit_latency(done - start)
         return done
 
-    def _writeback(self, cluster: Cluster, ev: Eviction, tier: int, t: int,
-                   path: list[tuple[CacheLevel, int] | None]) -> None:
-        """The one write-back walk: push a dirty victim that leaves `tier`
-        at t down `path`, whose steps are (level, tier) pairs and None for
-        the bus crossing, which books the request channel for the block.
-        The victim merges at the first level that holds the block, else it
-        goes on to the memory controller. A merged line takes the victim's
-        state, so an O victim keeps O at every level: at a private L2, the
-        coherence point, that keeps sharers elsewhere legal; below the bus
-        only dirty against clean matters."""
-        for step in path:
+    def _writeback(self, cluster: Cluster, ev: Eviction, path: Path, k: int,
+                   t: int) -> None:
+        """The one write-back walk: a dirty victim that leaves the array of
+        `path[k]` at t walks the rest of `path`, and the bus crossing books
+        the request channel for the block. The victim merges at the first
+        array that holds the block, else it goes on to the memory
+        controller. A merged line takes the victim's state, so an O victim
+        keeps O at every level: at a private L2, the coherence point, that
+        keeps sharers elsewhere legal; below the bus only dirty against
+        clean matters."""
+        tier = path[k][1]
+        for step in path[k + 1:]:
             if step is None:
                 _, t = cluster.bus.request.request(t, self.block_size)
                 continue
@@ -474,21 +476,12 @@ class System:
             tier = to
             res = level.writeback_write(ev.addr, ev.dirty_words, ev.data,
                                         ev.state, now_ps=t)
-            t = self._book(level, res, WRITE, t)
+            t = self._book(level, res.set_index, res.way, WRITE, t, res.hit)
             if res.hit:
                 return
         cluster.memctrl.serve(t, is_write=True)
         if ev.data is not None:
             cluster.memory.merge(ev.addr, ev.dirty_words, ev.data)
-
-    def _l1_writeback(self, cluster: Cluster, stack: Stack, ev: Eviction,
-                      t: int) -> None:
-        """Dirty L1 victim: a distributed stack tries its private L2
-        first; then the victim crosses the bus to the levels below it."""
-        path = [None, *self._chain_below_bus(cluster, stack, ev.addr)]
-        if stack.l2_private is not None:
-            path.insert(0, (stack.l2_private, stack.l2_tier))
-        self._writeback(cluster, ev, stack.core_tier, t, path)
 
     def _snoop(self, cluster: Cluster, stack: Stack, addr: int, event: str,
                t: int) -> tuple[list[str], StepResult, int]:
@@ -538,12 +531,16 @@ class System:
                 level.lines[set_index][way].state = new
         return inherited
 
-    def _upgrade(self, cluster: Cluster, stack: Stack, line: CacheLine,
-                 addr: int, t: int) -> int:
-        """Write to an S or O line: a bus upgrade with the data already
-        local. Remote copies are invalidated, and `line` inherits a remote
-        owner's dirty words and takes its new state. Returns the snoop
-        grant time."""
+    def _to_m(self, cluster: Cluster, stack: Stack, line: CacheLine,
+              addr: int, t: int) -> int:
+        """Take a valid line to M for a write at t: silently from E or M,
+        and from S or O by a bus upgrade with the data already local. The
+        upgrade invalidates the remote copies, and `line` inherits a remote
+        owner's dirty words and takes its new state. Returns the time the
+        write may go on: t, or the upgrade's snoop grant."""
+        if line.state not in (S, O):
+            line.state = M
+            return t
         vector, step, t = self._snoop(cluster, stack, addr, CORE_WRITE, t)
         line.dirty_words |= self._commit_remotes(cluster, addr, vector, step)
         line.state = step.states[stack.index]
@@ -570,41 +567,39 @@ class System:
                 level, set_index, way = supplier.authoritative(addr)
                 if carry:
                     data = list(level.lines[set_index][way].data)
-                _, done = level.service(t, level.nuca_cycles(set_index)
-                                        + level.op_cycles(way, READ))
-                t = done + self._tsv_delay(supplier.core_tier, stack.core_tier)
+                t = (self._book(level, set_index, way, READ, t, False)
+                     + self._tsv_delay(supplier.core_tier, stack.core_tier))
 
         # Commit remote state changes after the supplier's data is captured.
         inherited_dirty = self._commit_remotes(cluster, addr, vector, step)
 
         if not supplied:
-            # Read down the chain; levels that missed without a worn match
-            # take the block on the way back, and their dirty victims go on
-            # down from there.
-            chain = self._chain_below_bus(cluster, stack, addr)
+            # Read down the path below the bus; arrays that missed without a
+            # worn match take the block on the way back, and their dirty
+            # victims walk on down from there.
+            path = self._path(stack, addr)
             fill_below: list[int] = []
             prev = stack.core_tier
-            for idx, (level, tier) in enumerate(chain):
+            for k in range(path.index(None) + 1, len(path)):
+                level, tier = path[k]
                 t += self._tsv_delay(prev, tier)
                 res = level.demand_read(addr)
-                t = self._book(level, res, READ, t)
+                t = self._book(level, res.set_index, res.way, READ, t, res.hit)
                 prev = tier
                 if res.hit:
                     if carry:
                         data = list(level.lines[res.set_index][res.way].data)
                     break
                 if not res.bypass:
-                    fill_below.append(idx)
+                    fill_below.append(k)
             else:
                 _, t = cluster.memctrl.serve(t, is_write=False)
                 if carry:
                     data = cluster.memory.read_block(addr)
-            for idx in fill_below:
-                level, tier = chain[idx]
-                filled = level.fill(addr, state=S, data=data)
+            for k in fill_below:
+                filled = path[k][0].fill(addr, state=S, data=data)
                 if filled.writeback is not None:
-                    self._writeback(cluster, filled.writeback, tier, t,
-                                    chain[idx + 1:])
+                    self._writeback(cluster, filled.writeback, path, k, t)
             t += self._tsv_delay(prev, stack.core_tier)
         _, resp_done = cluster.bus.response.request(t, self.block_size)
         return data, step.states[stack.index], resp_done, inherited_dirty
@@ -623,8 +618,9 @@ class System:
                          write_fill_words=(self._words_of(addr, size)[2]
                                            if op == "W" else 0),
                          now_ps=t)
-        if filled.writeback is not None:
-            self._l1_writeback(cluster, stack, filled.writeback, t)
+        ev = filled.writeback
+        if ev is not None:
+            self._writeback(cluster, ev, self._path(stack, ev.addr), 0, t)
         if filled.way is None:
             return None
         line = l1.lines[filled.set_index][filled.way]
@@ -645,26 +641,18 @@ class System:
             line = l1.lines[set_index][way]
             l1.count_access(op, way)
             if op == "R":
-                start, done = l1.service(
-                    t0, l1.nuca_cycles(set_index) + l1.op_cycles(way, READ))
-                l1.record_hit_latency(done - start)
+                done = self._book(l1, set_index, way, READ, t0, True)
                 l1.touch(set_index, way)
                 self._core_op(cluster, rec, line.data)
                 return done
+            # A bus upgrade first reads the line, without the bank route,
+            # and the write hit then records no hit-latency sample.
             upgrade = line.state in (S, O)
-            t = t0
-            if upgrade:
-                _, t = l1.service(t0, l1.op_cycles(way, READ))
-                t = self._upgrade(cluster, stack, line, addr, t)
-            else:
-                line.state = M  # E -> M is silent
+            t = l1.service(t0, l1.op_cycles(way, READ))[1] if upgrade else t0
+            t = self._to_m(cluster, stack, line, addr, t)
             mask = self._core_op(cluster, rec, line.data)
             l1.write_touch(set_index, way, mask, now_ps=t)
-            start, done = l1.service(
-                t, l1.nuca_cycles(set_index) + l1.op_cycles(way, WRITE))
-            if not upgrade:
-                l1.record_hit_latency(done - start)
-            return done
+            return self._book(l1, set_index, way, WRITE, t, not upgrade)
 
         # L1 miss: try the stack's private L2 before the bus -----------------
         l1.count_access(op, None)
@@ -672,8 +660,9 @@ class System:
         l2p = stack.l2_private
         if l2p is not None:
             res = l2p.demand_read(addr)
-            t = self._book(l2p, res, READ,
-                           t + self._tsv_delay(stack.core_tier, stack.l2_tier))
+            t = self._book(l2p, res.set_index, res.way, READ,
+                           t + self._tsv_delay(stack.core_tier, stack.l2_tier),
+                           res.hit)
             t += self._tsv_delay(stack.l2_tier, stack.core_tier)
             if res.hit:
                 return self._promote_from_private(cluster, stack, rec, t,
@@ -686,11 +675,10 @@ class System:
         if l2p is not None:
             # Keep a demoted clean duplicate in the private L2 so the stack
             # can re-fetch locally after the L1 copy is evicted.
-            filled = l2p.fill(addr, state=S, data=data)
-            ev = filled.writeback
+            ev = l2p.fill(addr, state=S, data=data).writeback
             if ev is not None:
-                self._writeback(cluster, ev, stack.l2_tier, t_data, [
-                    None, *self._chain_below_bus(cluster, stack, ev.addr)])
+                self._writeback(cluster, ev, self._path(stack, ev.addr), 1,
+                                t_data)
 
         done = self._fill_l1(cluster, stack, rec, fill_state, data,
                              inherited_dirty, t_data)
@@ -700,9 +688,9 @@ class System:
         # straight down as a whole-block victim.
         if self._core_op(cluster, rec, data):
             full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
-            self._l1_writeback(cluster, stack, Eviction(
+            self._writeback(cluster, Eviction(
                 addr=addr - addr % self.block_size, dirty_words=full_mask,
-                data=data, state=M), t_data)
+                data=data, state=M), self._path(stack, addr), 0, t_data)
         return t_data
 
     def _promote_from_private(self, cluster: Cluster, stack: Stack,
@@ -715,10 +703,7 @@ class System:
         l2p = stack.l2_private
         line = l2p.lines[l2_set][l2_way]
         if op == "W":
-            if line.state in (S, O):
-                t = self._upgrade(cluster, stack, line, addr, t)
-            else:
-                line.state = M
+            t = self._to_m(cluster, stack, line, addr, t)
 
         done = self._fill_l1(cluster, stack, rec, line.state, line.data,
                              line.dirty_words, t)

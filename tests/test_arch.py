@@ -131,7 +131,9 @@ def test_fig36_stack_shape_and_warning():
     cluster = system.clusters[0]
     assert len(cluster.stacks) == 16
     assert [tier for _, tier in cluster.l2_homes] == [1, 3]
-    assert cluster.l3 is not None and cluster.l3_tier == 2
+    assert cluster.l3 is not None
+    assert {path[-1] for s in cluster.stacks for path in s.paths} == {
+        (cluster.l3, 2)}
     # stacks on the outer tiers bind to their adjacent l2 tier
     assert {s.core_tier for s in cluster.stacks} == {0, 4}
     for s in cluster.stacks:

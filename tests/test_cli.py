@@ -214,11 +214,12 @@ def test_unknown_key_from_set_exits_2_with_its_path(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "histogram_bucket_ps: unknown key" in capsys.readouterr().err
     assert not out.exists()
-    # generator parameters are checked by the generator that reads them
+    # so are generator parameters, by the generator section's path
     assert main(["run", "--config", "fig33", "--set",
                  "workload.message_synthetic.payload=32",
                  "--out", str(out)]) == 2
-    assert "'payload'" in capsys.readouterr().err
+    assert ("workload.message_synthetic.payload: unknown key"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -241,8 +242,12 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, key, value,
     ("workload.message_synthetic.payload_bytes", -5,
      "payload_bytes must be >= 0, got -5"),
     # The generator draws from the 48-bit space that parse_trace accepts.
-    ("workload.synthetic.addr_bits", 60, "'addr_bits'")],
-    ids=["access_size=0", "access_size=-8", "payload_bytes=-5", "addr_bits=60"])
+    ("workload.synthetic.addr_bits", 60,
+     "workload.synthetic.addr_bits: unknown key"),
+    ("workload.message_synthetic.burst", 4,
+     "workload.message_synthetic.burst: unknown key")],
+    ids=["access_size=0", "access_size=-8", "payload_bytes=-5", "addr_bits=60",
+         "burst=4"])
 def test_bad_generator_parameter_exits_2_with_its_key(tmp_path, capsys, key,
                                                       value, message):
     out = tmp_path / "r.json"
@@ -250,6 +255,19 @@ def test_bad_generator_parameter_exits_2_with_its_key(tmp_path, capsys, key,
                  "--set", f"{key}={value}", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [("synthetic", "addr_bits"),
+                                          ("message_synthetic", "seed")])
+def test_validate_reports_an_unknown_generator_key(tmp_path, capsys, section,
+                                                   key):
+    # A generator section takes its generator's parameters, but not the seed,
+    # which comes from the run.
+    cfg = quick_cfg()
+    cfg["workload"][section][key] = 1
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"workload.{section}.{key}: unknown key"]
 
 
 def test_access_size_that_crosses_blocks_exits_2(tmp_path, capsys):

@@ -372,14 +372,23 @@ def test_fig36_l2_homing_spreads_blocks_across_tiers():
     cfg = preset("fig36")
     cfg["cluster_grid"] = [1, 1]
     del cfg["workload"]
+    distributed = copy.deepcopy(cfg)
+    distributed["caches"]["l2"]["topology"] = "distributed"
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         system = build(cfg)
-    cluster = system.clusters[0]
+        private = build(distributed)
+    stack = system.clusters[0].stacks[0]
     # consecutive blocks alternate home tiers, so both l2 tiers carry traffic
-    tiers = [cluster.l2_home(b * 64, 64)[1] for b in range(8)]
+    tiers = [system._path(stack, b * 64)[2][1] for b in range(8)]
     assert tiers == [1, 3, 1, 3, 1, 3, 1, 3]
+    # a distributed stack has no shared home: one path through its own L2
+    cluster = private.clusters[0]
+    for s in cluster.stacks:
+        assert s.paths == (((s.l1d, s.core_tier), (s.l2_private, s.l2_tier),
+                            None, (cluster.l3, 2)),)
+        assert {private._path(s, b * 64) for b in range(8)} == set(s.paths)
 
 
 def test_distributed_l2_with_l3_passes_the_data_oracle():
