@@ -2,8 +2,9 @@
 
     python3 scripts/check_digests.py
 
-Re-runs each golden case (`CASES` against `GOLDEN` in tests/test_golden.py)
-and each corpus case (`corpus()` against tests/corpus_digests.json in
+Re-runs each golden case (`CASES` against `GOLDEN` in tests/test_golden.py),
+each `--t-end` report and latency dump (`T_END_GOLDEN` there), and each
+corpus case (`corpus()` against tests/corpus_digests.json in
 tests/test_corpus.py), with the data log off and then on, prints every
 digest that moved, and exits 1 if any did, else 0. It needs only the
 standard library, so it checks the digests on any Python the simulator
@@ -40,8 +41,11 @@ def moved_digests(tmp: Path) -> tuple[list[str], int]:
             cli.System = functools.partial(System, record_log=record_log)
             golden = {name: test_golden._digest(test_golden._report(name, tmp))
                       for name in test_golden.CASES}
+            t_end = {name: test_golden._t_end_digests(name, tmp)
+                     for name in test_golden.T_END_GOLDEN}
             corpus = test_corpus.digests(str(tmp / "report.json"))
             for suite, got, pinned in (("golden", golden, test_golden.GOLDEN),
+                                       ("t-end", t_end, test_golden.T_END_GOLDEN),
                                        ("corpus", corpus, pinned_corpus)):
                 for name in sorted(got.keys() | pinned.keys()):
                     checked += 1

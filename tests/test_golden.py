@@ -143,6 +143,20 @@ GOLDEN = {
 }
 
 
+# `tiersim run --config P --seed 2 --t-end 700000 --dump-latencies CSV`: the
+# sha256 of the report, less meta.timestamp, and of the CSV, for a run that
+# stops while accesses are still in flight.
+T_END_PS = 700_000
+T_END_GOLDEN = {
+    "fig33": ("49d5035977c55e4cddf476a9aacb4d43580d85a8d81be9459d0ee59ddd9ea7a6",
+              "df05ddfee2d88eedad4a8ecda670bcef3fd91da3fe241aa45d067fbedabc6f44"),
+    "fig35b": ("1031598ece8ccc6f6877a9208dcf241818591ad81b7bb64decaad7ad1c70b09f",
+               "3e823c3a6402eecf490e3facba1145ddc7382ac28379d594bc0d841a3d3d95d5"),
+    "fig36": ("87c101ad0da684b3d5106523c7b39393d0b0066266da78a5bbd14eb1576e5cd7",
+              "f0e1c3fafc45007ca4190afbbb820b1dc7111cad18d635c1fd5431ba3a49bdba"),
+}
+
+
 def _report(name: str, tmp_path) -> dict:
     return run_experiment(CASES[name](), seed=0, out_path=str(tmp_path / f"{name}.json"))
 
@@ -152,6 +166,14 @@ def _digest(report: dict) -> str:
     report["meta"] = {k: v for k, v in report["meta"].items() if k != "timestamp"}
     text = json.dumps(report, indent=2, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _t_end_digests(name: str, tmp_path) -> tuple[str, str]:
+    dump = tmp_path / f"{name}-t-end.csv"
+    report = run_experiment(preset(name), seed=2,
+                            out_path=str(tmp_path / f"{name}-t-end.json"),
+                            t_end_ps=T_END_PS, dump_latencies=str(dump))
+    return _digest(report), hashlib.sha256(dump.read_bytes()).hexdigest()
 
 
 def test_extra_cases_reach_what_the_presets_do_not(tmp_path):
@@ -188,6 +210,13 @@ def test_golden_report_hashes(tmp_path):
     listing = "\n".join(f'    "{n}": "{d}",' for n, d in digests.items())
     assert not mismatched, (f"report digests changed for {mismatched}; "
                             f"current digests of every case:\n{listing}")
+
+
+def test_t_end_report_and_latency_dump_hashes(tmp_path):
+    digests = {name: _t_end_digests(name, tmp_path) for name in T_END_GOLDEN}
+    listing = "\n".join(f'    "{n}": {d},' for n, d in digests.items())
+    assert digests == T_END_GOLDEN, (f"--t-end digests changed; current "
+                                     f"digests of every case:\n{listing}")
 
 
 def test_data_log_changes_no_report_byte(tmp_path, monkeypatch):
