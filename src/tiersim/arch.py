@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_with_overrides
-from .workload import gen_message_traffic, gen_synthetic_trace
+from .workload import Probability, gen_message_traffic, gen_synthetic_trace
 
 CORES_L1 = "cores_l1"
 L2_SPLIT_ID = "l2_split_id"
@@ -122,9 +122,12 @@ _CACHE_KEYS = ("capacity", "block_size", "associativity", "banks",
                "partial_writes", "tech", "topology")
 _REGION_KEYS = ("ways", "tech")
 # A generator section's keys are its generator's parameters, less the seed,
-# which comes from the run.
-_GENERATOR_KEYS = {
-    section: tuple(p for p in inspect.signature(gen).parameters if p != "seed")
+# which comes from the run, each with its annotation: the rule its value
+# must follow (`_bad_generator_values`).
+_GENERATOR_PARAMS = {
+    section: {name: p.annotation for name, p
+              in inspect.signature(gen, eval_str=True).parameters.items()
+              if name != "seed"}
     for section, gen in (("synthetic", gen_synthetic_trace),
                          ("message_synthetic", gen_message_traffic))}
 
@@ -240,9 +243,9 @@ def _unknown_keys(raw: dict) -> list[str]:
     for section, allowed in _SECTION_KEYS.items():
         check(raw.get(section), f"{section}.", allowed)
     workload = raw.get("workload")
-    for section in _GENERATOR_KEYS if isinstance(workload, dict) else ():
+    for section in _GENERATOR_PARAMS if isinstance(workload, dict) else ():
         check(workload.get(section), f"workload.{section}.",
-              _GENERATOR_KEYS[section])
+              tuple(_GENERATOR_PARAMS[section]))
     caches = raw.get("caches")
     for name in CACHE_LEVELS if isinstance(caches, dict) else ():
         entry = caches.get(name)
@@ -255,12 +258,34 @@ def _unknown_keys(raw: dict) -> list[str]:
     return out
 
 
+def _bad_generator_values(raw: dict) -> list[str]:
+    """One violation per generator parameter whose value breaks the rule its
+    annotation states, by its dotted path: an `int` parameter takes an
+    integer, a `Probability` a number in [0, 1]."""
+    out: list[str] = []
+    workload = raw.get("workload")
+    for section, params in (_GENERATOR_PARAMS.items()
+                            if isinstance(workload, dict) else ()):
+        node = workload.get(section)
+        for key, value in node.items() if isinstance(node, dict) else ():
+            kind = params.get(key)
+            number = (isinstance(value, (int, float))
+                      and not isinstance(value, bool))
+            if kind is int and not (number and isinstance(value, int)):
+                out.append(f"workload.{section}.{key}: must be an integer, "
+                           f"got {value!r}")
+            elif kind is Probability and not (number and 0 <= value <= 1):
+                out.append(f"workload.{section}.{key}: must be a number in "
+                           f"[0, 1], got {value!r}")
+    return out
+
+
 def validate_spec(spec: SystemSpec) -> list[str]:
     """Every constraint violation in the spec, with a location path each.
 
     Violations are data, not exceptions; an empty list means buildable.
     """
-    out: list[str] = _unknown_keys(spec.raw)
+    out: list[str] = _unknown_keys(spec.raw) + _bad_generator_values(spec.raw)
     gx, gy = spec.cluster_grid
     if gx < 1 or gy < 1:
         out.append(f"cluster_grid: dimensions must be >= 1 ({spec.cluster_grid})")

@@ -96,10 +96,10 @@ def _resolve_workload(config: dict, spec, seed: int):
                     f"{block}-byte block; an access aligned to it crosses a "
                     f"{block}-byte block boundary")
             trace = gen_synthetic_trace(
-                cores=int(params.pop("cores", spec.total_cores)),
-                length=int(params.pop("length", 1000)),
-                hot_fraction=float(params.pop("hot_fraction", 0.9)),
-                hot_set_bytes=int(params.pop("hot_set_bytes", 8192)),
+                cores=params.pop("cores", spec.total_cores),
+                length=params.pop("length", 1000),
+                hot_fraction=params.pop("hot_fraction", 0.9),
+                hot_set_bytes=params.pop("hot_set_bytes", 8192),
                 seed=seed, **params)
         if wl.get("messages"):
             path = wl["messages"]
@@ -110,10 +110,10 @@ def _resolve_workload(config: dict, spec, seed: int):
         elif wl.get("message_synthetic"):
             params = dict(wl["message_synthetic"])
             messages = gen_message_traffic(
-                clusters=int(params.pop("clusters", spec.n_clusters)),
-                cycles=int(params.pop("cycles", 1000)),
-                rate=float(params.pop("rate", 0.002)),
-                payload_bytes=int(params.pop("payload_bytes", 64)),
+                clusters=params.pop("clusters", spec.n_clusters),
+                cycles=params.pop("cycles", 1000),
+                rate=params.pop("rate", 0.002),
+                payload_bytes=params.pop("payload_bytes", 64),
                 seed=seed, **params)
     except (TypeError, ValueError) as exc:
         raise UserError(f"workload: {exc}") from None

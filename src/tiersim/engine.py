@@ -20,6 +20,15 @@ one eager scheduling gives, while the heap holds only what is in flight.
 A batch whose times never decrease, as generated message traffic always
 is, is walked in index order; any other batch is walked in a stable sort
 of its indices by time.
+
+A system keeps one queue per cluster and one for the mesh, because no
+cluster shares state with another or with the messages. A handler may run
+an event in place instead of scheduling it when `runs_next` says it would
+be dispatched next whatever happens: it falls within the current
+`run_until` end and strictly before the heap's head (or the heap is
+empty). The handler sets `now` to the event's time and goes on, so the
+order of effects is the one scheduling gives. `dispatched` and the counts
+`run_until` returns cover only events that went through the heap.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ class EventQueue:
         self._reserved = 0      # batch events not yet pushed onto the heap
         self.now = 0
         self.dispatched = 0
+        self._until: int | float = -math.inf   # the current run's end
 
     def schedule(self, time_ps: int, handler: Callable[[Any], None],
                  payload: Any = None) -> None:
@@ -92,6 +102,13 @@ class EventQueue:
         i = next(order)
         heappush(heap, (int(times[i]), base + i, dispatch, payloads[i]))
 
+    def runs_next(self, time_ps: int) -> bool:
+        """Whether an event scheduled now at time_ps would be the next one
+        dispatched: it is within the current run's end and strictly before
+        every pending event, so a handler may run it in place."""
+        heap = self._heap
+        return time_ps <= self._until and (not heap or time_ps < heap[0][0])
+
     def pending(self) -> int:
         return len(self._heap) + self._reserved
 
@@ -105,6 +122,7 @@ class EventQueue:
         """
         heap = self._heap
         heappop = heapq.heappop
+        self._until = t_end_ps
         count = 0
         while heap and heap[0][0] <= t_end_ps:
             time_ps, _, handler, payload = heappop(heap)

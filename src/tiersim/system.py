@@ -157,10 +157,11 @@ class Stack:
 
 @dataclass
 class Cluster:
-    """One coherent domain. `holders` is its snoop filter: block number ->
-    bitmask with bit 2i set while stack i's L1d holds the block valid and
-    bit 2i+1 while its private L2 does. Only those two arrays of each stack
-    write it; a block no stack holds has no entry."""
+    """One coherent domain, simulated on its own event queue `engine`.
+    `holders` is its snoop filter: block number -> bitmask with bit 2i set
+    while stack i's L1d holds the block valid and bit 2i+1 while its
+    private L2 does. Only those two arrays of each stack write it; a block
+    no stack holds has no entry."""
 
     index: int
     stacks: list[Stack]
@@ -168,6 +169,7 @@ class Cluster:
     memctrl: MemoryController
     memory: ClusterMemory
     holders: dict[int, int] = field(default_factory=dict)
+    engine: EventQueue = field(default_factory=EventQueue)
     l2i: dict[int, CacheLevel] = field(default_factory=dict)
     l3: CacheLevel | None = None
     # (array, tier) of each shared L2 in tier order; none when distributed.
@@ -182,9 +184,11 @@ class Cluster:
 class System:
     """A built, runnable system. Owns all mutable state for one simulation.
 
+    Each cluster runs on its own event queue, and the mesh on `engine`.
     `mem_samples` logs each memory access's issue and completion times
-    when it completes, and the mesh's `msg_samples` logs each message when
-    it is delivered, so a run stopped early counts only what finished."""
+    when it completes, one cluster's run after another, and the mesh's
+    `msg_samples` logs each message when it is delivered, so a run stopped
+    early counts only what finished."""
 
     def __init__(self, spec: SystemSpec, seed: int = 0, record_log: bool = False):
         self.spec = spec
@@ -220,8 +224,9 @@ class System:
                     f"{owner} and {cluster_index}")
 
         for cluster in self.clusters:
-            for component in (cluster.memory, cluster.memctrl, cluster.bus,
-                              cluster.l3, *(l2 for l2, _ in cluster.l2_homes),
+            for component in (cluster.engine, cluster.memory, cluster.memctrl,
+                              cluster.bus, cluster.l3,
+                              *(l2 for l2, _ in cluster.l2_homes),
                               *cluster.l2i.values()):
                 claim(component, cluster.index)
             for stack in cluster.stacks:
@@ -344,9 +349,10 @@ class System:
             cluster = self.clusters[core // per_cluster]
             queue.reverse()
             first = queue.pop()
-            self.engine.schedule(first.tick * self._core_ps, self._on_issue,
-                                 (cluster, cluster.stacks[core % per_cluster],
-                                  first, queue))
+            t_first = first.tick * self._core_ps
+            cluster.engine.schedule(t_first, self._on_core,
+                                    (cluster, cluster.stacks[core % per_cluster],
+                                     first, queue, t_first))
         self.trace_records += len(records)
 
     def load_messages(self, records: list[MessageRecord]) -> None:
@@ -387,24 +393,45 @@ class System:
         self.messages += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:
-        return self.engine.run_until(t_end_ps)
+        """Run each cluster's queue to t_end_ps in cluster order, then the
+        mesh's, and return the events they dispatched. No cluster shares
+        state with another or with the mesh, so the order moves no result."""
+        return (sum(c.engine.run_until(t_end_ps) for c in self.clusters)
+                + self.engine.run_until(t_end_ps))
 
     # -- the memory access path ---------------------------------------------------
 
-    def _on_issue(self, payload) -> None:
-        cluster, stack, rec, queue = payload
-        t_done = self._do_access(cluster, stack, rec, self.engine.now)
-        self.engine.schedule(t_done, self._on_complete,
-                             (cluster, stack, queue, self.engine.now))
-
-    def _on_complete(self, payload) -> None:
-        cluster, stack, queue, t_issue = payload
-        self.mem_samples.append(t_issue, self.engine.now)
-        if not queue:
-            return
-        rec = queue.pop()
-        issue = max(self.engine.now, rec.tick * self._core_ps)
-        self.engine.schedule(issue, self._on_issue, (cluster, stack, rec, queue))
+    def _on_core(self, payload) -> None:
+        """A core's event: `(cluster, stack, rec, queue, t_issue)` issues
+        `rec` at t_issue, or with `rec` None logs the access issued at
+        t_issue as complete now. The core then goes on through its records:
+        a completion is logged at its done time, and the next record issues
+        at max(that time, its tick). Each step runs in place while the
+        cluster's queue says it runs next (`EventQueue.runs_next`), with the
+        queue's `now` moved to it; the first that does not is scheduled."""
+        cluster, stack, rec, queue, t_issue = payload
+        engine = cluster.engine
+        runs_next = engine.runs_next
+        log = self.mem_samples.append
+        core_ps = self._core_ps
+        while True:
+            if rec is not None:
+                t_done = self._do_access(cluster, stack, rec, t_issue)
+                if not runs_next(t_done):
+                    engine.schedule(t_done, self._on_core,
+                                    (cluster, stack, None, queue, t_issue))
+                    return
+                engine.now = t_done
+            log(t_issue, engine.now)
+            if not queue:
+                return
+            rec = queue.pop()
+            t_issue = max(engine.now, rec.tick * core_ps)
+            if not runs_next(t_issue):
+                engine.schedule(t_issue, self._on_core,
+                                (cluster, stack, rec, queue, t_issue))
+                return
+            engine.now = t_issue
 
     def _words_of(self, addr: int, size: int) -> tuple[int, int, int]:
         """(block base, first word index, word count) covered by an access,
@@ -749,7 +776,8 @@ class System:
         return busy, duration_ns - busy
 
     def build_report(self) -> dict:
-        duration_ps = self.engine.now
+        duration_ps = max(q.now for q in (self.engine,
+                                          *(c.engine for c in self.clusters)))
         duration_ns = duration_ps / 1000.0
         by_name: dict[str, list[tuple[str, CacheLevel, int]]] = {}
         for name, tech, level, tier in self.levels:
@@ -857,7 +885,11 @@ class System:
 
     def latency_rows(self) -> Iterator[tuple[str, int, int]]:
         """Every latency sample as a `(class, start, end)` row: the memory
-        accesses, then the messages, each in completion order."""
-        for klass, log in (("mem", self.mem_samples), ("msg", self.noc.msg_samples)):
-            for t0, t1 in log:
-                yield klass, t0, t1
+        accesses, then the messages, each in completion order. The memory
+        rows of the clusters' runs are merged by a stable sort on the end
+        time, so accesses of different clusters that end together go in
+        cluster order."""
+        for t0, t1 in sorted(self.mem_samples, key=operator.itemgetter(1)):
+            yield "mem", t0, t1
+        for t0, t1 in self.noc.msg_samples:
+            yield "msg", t0, t1

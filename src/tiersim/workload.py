@@ -8,7 +8,7 @@ pure functions of their parameters and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NewType, TextIO
 
 from .engine import substream
 
@@ -17,6 +17,11 @@ MESSAGE_HEADER = "tick,src_cluster,dst_cluster,bytes"
 
 ADDR_BITS = 48
 ADDR_SPACE = 1 << ADDR_BITS
+
+# A generator parameter that is a probability, in [0, 1]. The config check
+# (`tiersim.arch`) reads each parameter's rule from the annotations: an
+# `int` takes an integer, a `Probability` a number in [0, 1].
+Probability = NewType("Probability", float)
 
 
 class TraceParseError(ValueError):
@@ -132,12 +137,12 @@ def write_messages(records: Iterable[MessageRecord], stream: TextIO) -> None:
         stream.write(f"{r.tick},{r.src_cluster},{r.dst_cluster},{r.bytes}\n")
 
 
-def gen_synthetic_trace(cores: int, length: int, hot_fraction: float,
+def gen_synthetic_trace(cores: int, length: int, hot_fraction: Probability,
                         hot_set_bytes: int, seed: int, *,
-                        read_fraction: float = 2.0 / 3.0,
+                        read_fraction: Probability = 2.0 / 3.0,
                         access_size: int = 8,
                         tick_interval: int = 1,
-                        hot_overlap: float = 0.0) -> list[TraceRecord]:
+                        hot_overlap: Probability = 0.0) -> list[TraceRecord]:
     """Per-core hot-set memory trace: with probability hot_fraction an access
     falls in the core's hot window, else anywhere below ADDR_SPACE.
 
@@ -145,12 +150,13 @@ def gen_synthetic_trace(cores: int, length: int, hot_fraction: float,
     comparisons stay clean; hot_overlap redirects that fraction of hot
     accesses to a window shared by every core.
     """
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in [0, 1]")
+    for name, value in (("hot_fraction", hot_fraction),
+                        ("read_fraction", read_fraction),
+                        ("hot_overlap", hot_overlap)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1]")
     if hot_set_bytes <= 0:
         raise ValueError("hot_set_bytes must be > 0")
-    if not 0.0 <= hot_overlap <= 1.0:
-        raise ValueError("hot_overlap must be in [0, 1]")
     if access_size < 1:
         raise ValueError(f"access_size must be >= 1, got {access_size}")
     shared_base = cores * hot_set_bytes
@@ -173,7 +179,7 @@ def gen_synthetic_trace(cores: int, length: int, hot_fraction: float,
     return records
 
 
-def gen_message_traffic(clusters: int, cycles: int, rate: float,
+def gen_message_traffic(clusters: int, cycles: int, rate: Probability,
                         payload_bytes: int, seed: int) -> list[MessageRecord]:
     """Bernoulli message injection: each cluster independently injects with
     probability `rate` per cycle to a uniformly chosen other cluster."""

@@ -9,6 +9,12 @@ from tiersim.system import WorkloadError
 from tiersim.workload import MessageRecord, TraceRecord
 
 
+def pending(system) -> int:
+    """Events waiting on the mesh's queue and on every cluster's."""
+    return system.engine.pending() + sum(c.engine.pending()
+                                         for c in system.clusters)
+
+
 def test_all_presets_validate_clean():
     for name in PRESET_NAMES:
         spec = spec_from_dict(preset(name))
@@ -160,7 +166,7 @@ def test_negative_ticks_rejected_at_load():
     with pytest.raises(WorkloadError, match="negative"):
         system.load_messages([MessageRecord(0, 0, 1, 64),
                               MessageRecord(-3, 0, 1, 64)])
-    assert system.engine.pending() == 0 and system.noc.injected == 0
+    assert pending(system) == 0 and system.noc.injected == 0
 
 
 def test_ticks_past_the_latency_columns_rejected_at_load():
@@ -176,7 +182,7 @@ def test_ticks_past_the_latency_columns_rejected_at_load():
     with pytest.raises(WorkloadError, match=f"message tick {noc_tick} starts"):
         system.load_messages([MessageRecord(0, 0, 1, 64),
                               MessageRecord(noc_tick, 0, 1, 64)])
-    assert system.engine.pending() == 0 and system.noc.injected == 0
+    assert pending(system) == 0 and system.noc.injected == 0
     system.load_trace([TraceRecord(core_tick - 1, 1, "R", 0x80, 8)])
     system.load_messages([MessageRecord(noc_tick - 1, 0, 1, 64)])
     system.run()
@@ -193,7 +199,7 @@ def test_first_bad_message_named_and_nothing_scheduled():
         system.load_messages([MessageRecord(0, 0, 1, 64),
                               MessageRecord(2, 1, 9, 64),
                               MessageRecord(-1, 0, 1, 64)])
-    assert system.engine.pending() == 0 and system.noc.injected == 0
+    assert pending(system) == 0 and system.noc.injected == 0
 
 
 def test_access_size_outside_the_block_rejected_at_load():
@@ -201,7 +207,7 @@ def test_access_size_outside_the_block_rejected_at_load():
     for size in (0, -8, 65):
         with pytest.raises(WorkloadError, match=f"access size {size} outside 1..64"):
             system.load_trace([TraceRecord(0, 0, "R", 0x40, size)])
-    assert system.engine.pending() == 0
+    assert pending(system) == 0
 
 
 def test_access_crossing_a_block_boundary_rejected_at_load():
@@ -209,9 +215,9 @@ def test_access_crossing_a_block_boundary_rejected_at_load():
     with pytest.raises(WorkloadError, match="core 0 tick 0: access of 8 bytes "
                        "at 0x3c crosses a 64-byte block boundary"):
         system.load_trace([TraceRecord(0, 0, "W", 0x3c, 8)])
-    assert system.engine.pending() == 0
+    assert pending(system) == 0
     system.load_trace([TraceRecord(0, 0, "W", 0x38, 8)])  # ends on the boundary
-    assert system.engine.pending() == 1
+    assert pending(system) == 1
 
 
 def test_unknown_preset():

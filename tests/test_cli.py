@@ -270,6 +270,33 @@ def test_validate_reports_an_unknown_generator_key(tmp_path, capsys, section,
         f"workload.{section}.{key}: unknown key"]
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("synthetic.access_size", "8.0", "must be an integer, got 8.0"),
+    ("synthetic.tick_interval", "1.5", "must be an integer, got 1.5"),
+    ("synthetic.length", "true", "must be an integer, got True"),
+    ("message_synthetic.cycles", "10.5", "must be an integer, got 10.5"),
+    ("synthetic.read_fraction", "2", "must be a number in [0, 1], got 2"),
+    ("message_synthetic.rate", '"0.1"', "must be a number in [0, 1], got '0.1'")],
+    ids=["access_size", "tick_interval", "length", "cycles", "read_fraction",
+         "rate"])
+def test_generator_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys,
+                                                            key, value, rule):
+    # Each generator parameter's annotation states its rule: an int takes an
+    # integer, a Probability a number in [0, 1]. Both run and validate
+    # refuse a value that breaks it, by its dotted path, before any run.
+    message = f"workload.{key}: {rule}"
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", write_config(tmp_path, quick_cfg()),
+                 "--set", f"workload.{key}={value}", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    cfg = quick_cfg()
+    section, name = key.split(".")
+    cfg["workload"][section][name] = json.loads(value)
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_access_size_that_crosses_blocks_exits_2(tmp_path, capsys):
     # 24-byte accesses aligned to 24 bytes: one at 0x30 would run past 0x40
     out = tmp_path / "r.json"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tiersim.engine import EventQueue, SchedulingError, cycles_for_latency, substream
 
@@ -133,19 +133,26 @@ OPERATIONS = st.one_of(st.integers(0, 4), st.lists(st.integers(0, 4), max_size=5
 CHILD_OPERATIONS = st.one_of(st.integers(0, 3), st.lists(st.integers(0, 3), max_size=4))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(initial=st.lists(OPERATIONS, max_size=20),
        children=st.lists(st.lists(CHILD_OPERATIONS, max_size=3), max_size=40),
-       t_mid=st.one_of(st.none(), st.integers(0, 8)))
-def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
+       t_mid=st.one_of(st.none(), st.integers(0, 8)),
+       in_place=st.booleans())
+# An event run in place must stay within a run that ends mid-way.
+@example(initial=[0], children=[[1]], t_mid=0, in_place=True)
+def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid,
+                                                    in_place):
     """Events dispatch in (time, insertion index) order, whatever the ties,
     whether they were scheduled one by one or in `schedule_all` batches,
     and whatever handlers schedule at `now` or later; a batch counts as its
     events scheduled one by one in list order, and ties never compare a
-    handler or payload."""
+    handler or payload. With `in_place`, a handler runs its last single
+    event itself whenever `runs_next` allows, as the system's access
+    handler does, and the order of effects is still the same."""
     q = EventQueue()
     scheduled = []       # (time, insertion index) of every scheduled event
     dispatched = []
+    ran_in_place = 0
 
     def push(op, base):
         if isinstance(op, int):
@@ -160,12 +167,26 @@ def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
                        [Uncomparable(first + k) for k in range(len(times))])
 
     def on_event(payload):
+        nonlocal ran_in_place
         idx = payload.value
-        assert q.now == scheduled[idx][0]
-        dispatched.append(scheduled[idx])
-        if idx < len(children):
-            for op in children[idx]:
+        while True:
+            assert q.now == scheduled[idx][0]
+            dispatched.append(scheduled[idx])
+            ops = children[idx] if idx < len(children) else []
+            for op in ops[:-1]:
                 push(op, q.now)
+            if not ops:
+                return
+            last = ops[-1]
+            if not (in_place and isinstance(last, int)
+                    and q.runs_next(q.now + last)):
+                push(last, q.now)
+                return
+            # The event takes the next insertion index and runs here.
+            idx = len(scheduled)
+            scheduled.append((q.now + last, idx))
+            q.now += last
+            ran_in_place += 1
 
     handler = Uncomparable(on_event)
     for op in initial:
@@ -173,10 +194,25 @@ def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
     if t_mid is not None:
         q.run_until(t_mid)
         assert all(t <= t_mid for t, _ in dispatched)
-        assert q.dispatched + q.pending() == len(scheduled)
+        assert q.dispatched + ran_in_place + q.pending() == len(scheduled)
     q.run_until()
     assert dispatched == sorted(scheduled)
-    assert q.dispatched == len(scheduled) and q.pending() == 0
+    assert q.dispatched + ran_in_place == len(scheduled) and q.pending() == 0
+
+
+def test_runs_next_is_strictly_before_the_head_and_within_the_run():
+    q = EventQueue()
+    seen = []
+
+    def probe(_):
+        seen.append([t for t in range(q.now, 13) if q.runs_next(t)])
+
+    for t in (4, 6, 10):
+        q.schedule(t, probe)
+    assert not q.runs_next(0)    # no run has started
+    q.run_until(8)               # the heads are 6, then 10; the run ends at 8
+    q.run_until()                # the heap is empty and the run has no end
+    assert seen == [[4, 5], [6, 7, 8], [10, 11, 12]]
 
 
 def test_schedule_all_rejects_a_past_time_up_front():

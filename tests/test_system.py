@@ -1,11 +1,12 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiersim.arch import spec_from_dict, validate_spec
-from tiersim.system import System
+from tiersim.arch import preset, spec_from_dict, validate_spec
+from tiersim.system import LEVEL_COUNTERS, System
 from tiersim.workload import (MessageRecord, TraceRecord, gen_message_traffic,
                                gen_synthetic_trace)
 
@@ -105,6 +106,93 @@ def test_cluster_memory_isolation_by_construction():
     assert len(stores) == len(system.clusters)
     ctrls = {id(c.memctrl) for c in system.clusters}
     assert len(ctrls) == len(system.clusters)
+
+
+def _independence_fig36() -> dict:
+    cfg = preset("fig36")
+    cfg["workload"]["synthetic"]["length"] = 150
+    return cfg
+
+
+def _independence_distributed() -> dict:
+    # Two clusters whose cores send half their hot accesses to a window they
+    # share and write half the time, over private L2s: snoops, supplies,
+    # invalidations and spills.
+    cfg = preset("fig35b")
+    cfg["cluster_grid"] = [2, 1]
+    cfg["cores_per_cluster"] = 4
+    cfg["caches"]["l1d"]["capacity"] = 1024
+    cfg["caches"]["l2"].update(capacity=4096, associativity=4,
+                               topology="distributed")
+    cfg["workload"] = {
+        "synthetic": {"length": 300, "hot_fraction": 0.95, "hot_set_bytes": 4096,
+                      "hot_overlap": 0.5, "read_fraction": 0.5, "tick_interval": 3},
+        "message_synthetic": {"cycles": 2000, "rate": 0.01, "payload_bytes": 64}}
+    return cfg
+
+
+def _cluster_state(cluster) -> tuple:
+    """Everything a cluster's part of a run leaves in its arrays, bus
+    channels, memory controller and snoop filter."""
+    def booked(resource):
+        return resource.busy_ps, resource.grants, resource.free_at_ps
+
+    arrays = [a for s in cluster.stacks for a in (s.l1i, s.l1d, s.l2_private)
+              if a is not None]
+    arrays += [l2 for l2, _ in cluster.l2_homes] + list(cluster.l2i.values())
+    arrays += [cluster.l3] if cluster.l3 is not None else []
+    bus = cluster.bus
+    return ([(*(getattr(a, c) for c in LEVEL_COUNTERS), a.region_reads,
+              a.region_writes, a.hit_latency_sum_ps, a.hit_latency_samples,
+              a.worn_lines, a.max_write_count, booked(a.port)) for a in arrays],
+            [booked(channel) for channel in (bus.request, bus.response, bus.snoop)],
+            booked(cluster.memctrl.port), cluster.memctrl.writes,
+            dict(cluster.holders))
+
+
+@pytest.mark.parametrize("make_cfg", [_independence_fig36, _independence_distributed],
+                         ids=["fig36", "distributed"])
+def test_each_cluster_runs_alone_as_in_the_full_run(make_cfg):
+    # Clusters share no state with each other or with the mesh, which is
+    # what lets each run on its own queue: a cluster's records run alone
+    # leave its state and its latency samples as the full run does, the
+    # messages alone give the full run's message samples, and the full run
+    # lasts as long as its longest part.
+    cfg = make_cfg()
+    spec = spec_from_dict(cfg)
+    trace = gen_synthetic_trace(cores=spec.total_cores, seed=3,
+                                **cfg["workload"]["synthetic"])
+    messages = gen_message_traffic(clusters=spec.n_clusters, seed=3,
+                                   **cfg["workload"]["message_synthetic"])
+    full = build(cfg, seed=3)
+    full.load_trace(trace)
+    full.load_messages(messages)
+    full.run()
+    assert len(full.noc.msg_samples) == len(messages) > 0
+    # System.run runs the clusters one after another, so each cluster's
+    # samples are one stretch of the full run's log, in cluster order.
+    full_samples = list(full.mem_samples)
+    per_cluster = spec.cores_per_cluster_total
+    ends = []
+    for cluster in full.clusters:
+        alone = build(cfg, seed=3)
+        alone.load_trace([r for r in trace
+                          if r.core // per_cluster == cluster.index])
+        alone.run()
+        assert (_cluster_state(alone.clusters[cluster.index])
+                == _cluster_state(cluster)), cluster.index
+        n = len(alone.mem_samples)
+        assert n == len(trace) // spec.n_clusters
+        assert Counter(alone.mem_samples) == Counter(full_samples[:n])
+        del full_samples[:n]
+        ends.append(alone.build_report()["meta"]["duration_ps"])
+    assert full_samples == []
+    mesh = build(cfg, seed=3)
+    mesh.load_messages(messages)
+    mesh.run()
+    assert list(mesh.noc.msg_samples) == list(full.noc.msg_samples)
+    ends.append(mesh.build_report()["meta"]["duration_ps"])
+    assert full.build_report()["meta"]["duration_ps"] == max(ends)
 
 
 def test_writeback_reaches_backing_store():
@@ -470,7 +558,7 @@ def test_snoop_filter_equals_a_probe_of_every_stack(cores, endurance, l2_tech,
     cluster = system.clusters[0]
     core_ps = system.spec.clocks["core_ps"]
     for core, write, block in steps:
-        tick = system.engine.now // core_ps + 1
+        tick = cluster.engine.now // core_ps + 1
         system.load_trace([TraceRecord(tick, core % cores, "W" if write else "R",
                                        block * 64, 8)])
         system.run()
