@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .engine import FifoResource, cycles_for_latency
-from .memtech import READ, TechnologyParams
+from .memtech import READ, WRITE, TechnologyParams
 
 WORD_SIZE = 8  # bytes per partial-write word
 
@@ -218,6 +218,12 @@ class CacheLevel:
                              for t in tech_by_region]
         self._write_cycles = [cycles_for_latency(ns, clock_period_ps)
                               for ns in per_region_write_ns]
+        # The booking tables, read on every routed access: bank-route cycles
+        # by bank, and op cycles by kind and way, from the rule above.
+        self.route_cycles = [self.nuca_cycles(b) for b in range(geom.banks)]
+        self.way_cycles = {kind: [self.op_cycles(w, kind)
+                                  for w in range(geom.associativity)]
+                           for kind in (READ, WRITE)}
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -434,14 +440,16 @@ class CacheLevel:
             self.n_write += 1
             self.region_writes[region] += 1
 
-    def service(self, arrival_ps: int, cycles: int) -> tuple[int, int]:
+    def service(self, arrival_ps: int, cycles: int,
+                record: bool = False) -> tuple[int, int]:
         """Occupy the array's port for an access, after every access already
-        booked; returns (start, done) in ps."""
-        return self.port.book(arrival_ps, cycles * self.clock_period_ps)
-
-    def record_hit_latency(self, latency_ps: int) -> None:
-        self.hit_latency_sum_ps += latency_ps
-        self.hit_latency_samples += 1
+        booked; returns (start, done) in ps. With `record` the service time,
+        done - start, is a hit-latency sample."""
+        start, done = self.port.book(arrival_ps, cycles * self.clock_period_ps)
+        if record:
+            self.hit_latency_sum_ps += done - start
+            self.hit_latency_samples += 1
+        return start, done
 
     def capacity_mib(self) -> float:
         return self.geom.capacity / (1024.0 * 1024.0)

@@ -32,6 +32,7 @@ class BusChannel(FifoResource):
         super().__init__()
         self.beat_width = beat_width
         self.clock_period_ps = clock_period_ps
+        self._hold_ps: dict[int, int] = {}  # transfer size -> hold time
 
     def occupancy_cycles(self, nbytes: int) -> int:
         return max(1, -(-nbytes // self.beat_width))
@@ -43,8 +44,13 @@ class BusChannel(FifoResource):
         Grants are FIFO in booking order, not in arrival order: a booking
         can arrive earlier than one already on the channel (7.5% of fig33's
         bus bookings at seed 0 do) and then waits behind it. ROADMAP item 3 tracks
-        making bookings causally ordered."""
-        return self.book(t_ps, self.occupancy_cycles(nbytes) * self.clock_period_ps)
+        making bookings causally ordered. The hold time is computed once
+        per transfer size: only 8 bytes and the block size occur."""
+        hold = self._hold_ps.get(nbytes)
+        if hold is None:
+            hold = self._hold_ps[nbytes] = (self.occupancy_cycles(nbytes)
+                                            * self.clock_period_ps)
+        return self.book(t_ps, hold)
 
 
 class ClusterBus:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 UNLIMITED = math.inf
 
 READ = "read"
+WRITE = "write"
 
 # mW * ns -> nJ  (1 mW = 1e-3 J/s, 1 ns = 1e-9 s, product = 1e-12 J = 1e-3 nJ)
 _MW_NS_TO_NJ = 1e-3

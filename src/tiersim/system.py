@@ -40,12 +40,10 @@ from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
                         coherence_step)
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
-from .memtech import READ, area_estimate
+from .memtech import READ, WRITE, area_estimate
 from .metrics import (LATEST_START_PS, LatencyLog, float_sum, regions_energy,
                       summarize_latency, tier_power_density)
 from .workload import MessageRecord, TraceRecord
-
-WRITE = "write"
 
 # The per-array counters a level's report entry sums over its instances.
 LEVEL_COUNTERS = ("n_read", "n_write", "hits", "misses", "fills", "evictions",
@@ -477,11 +475,9 @@ class System:
         arrives at t: the array is busy for the bank route plus the op on
         `way` (way 0 on a miss), and with `record` the service time is a
         hit-latency sample. Returns the done time."""
-        start, done = level.service(t, level.nuca_cycles(set_index)
-                                    + level.op_cycles(way or 0, kind))
-        if record:
-            level.record_hit_latency(done - start)
-        return done
+        return level.service(
+            t, level.route_cycles[set_index % len(level.route_cycles)]
+            + level.way_cycles[kind][way or 0], record)[1]
 
     def _writeback(self, cluster: Cluster, ev: Eviction, path: Path, k: int,
                    t: int) -> None:
@@ -653,8 +649,8 @@ class System:
         line = l1.lines[filled.set_index][filled.way]
         # A write's wear was already charged by the write fill.
         line.dirty_words |= dirty_words | self._core_op(cluster, rec, line.data)
-        _, done = l1.service(t, l1.op_cycles(filled.way,
-                                             READ if op == "R" else WRITE))
+        _, done = l1.service(
+            t, l1.way_cycles[READ if op == "R" else WRITE][filled.way])
         return done
 
     def _do_access(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
@@ -675,7 +671,7 @@ class System:
             # A bus upgrade first reads the line, without the bank route,
             # and the write hit then records no hit-latency sample.
             upgrade = line.state in (S, O)
-            t = l1.service(t0, l1.op_cycles(way, READ))[1] if upgrade else t0
+            t = l1.service(t0, l1.way_cycles[READ][way])[1] if upgrade else t0
             t = self._to_m(cluster, stack, line, addr, t)
             mask = self._core_op(cluster, rec, line.data)
             l1.write_touch(set_index, way, mask, now_ps=t)
@@ -683,7 +679,7 @@ class System:
 
         # L1 miss: try the stack's private L2 before the bus -----------------
         l1.count_access(op, None)
-        _, t = l1.service(t0, l1.op_cycles(0, READ))
+        _, t = l1.service(t0, l1.way_cycles[READ][0])
         l2p = stack.l2_private
         if l2p is not None:
             res = l2p.demand_read(addr)
