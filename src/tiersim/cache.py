@@ -170,7 +170,9 @@ class CacheLevel:
         self.regions = regions
         self.tech_by_region = list(tech_by_region)
         self.clock_period_ps = clock_period_ps
-        self.rng = rng or random.Random(0)
+        # Only pseudo-random replacement draws; an LRU level keeps no rng.
+        self.rng = rng or (random.Random(0) if geom.replacement == PSEUDO_RANDOM
+                           else None)
         self._stamp = 0
         self._sets = geom.sets
         self._block_size = geom.block_size

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
-from .cache import (DIRTY_STATES, I, M, O, S, WORD_SIZE, CacheLevel,
-                    CacheLine, Eviction)
+from .cache import (DIRTY_STATES, I, M, O, PSEUDO_RANDOM, S, WORD_SIZE,
+                    CacheLevel, CacheLine, Eviction)
 from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
                         CoherenceFault, StepResult, check_invariants,
                         coherence_step)
@@ -247,7 +247,8 @@ class System:
         level = CacheLevel(
             name, cfg.geometry, techs,
             clock_period_ps=self.spec.clocks[clock_key],
-            rng=substream(self.seed, name, cluster, unit),
+            rng=(substream(self.seed, name, cluster, unit)
+                 if cfg.geometry.replacement == PSEUDO_RANDOM else None),
             write_mix=self.spec.write_mix,
             snoop_filter=snoop_filter)
         self.levels.append((name, cfg.tech, level, tier))
