@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_with_overrides
-from .workload import Probability, gen_message_traffic, gen_synthetic_trace
+from .workload import (CoreCount, Count, Probability, gen_message_traffic,
+                       gen_synthetic_trace)
 
 CORES_L1 = "cores_l1"
 L2_SPLIT_ID = "l2_split_id"
@@ -258,10 +259,12 @@ def _unknown_keys(raw: dict) -> list[str]:
     return out
 
 
-def _bad_generator_values(raw: dict) -> list[str]:
+def _bad_generator_values(raw: dict, total_cores: int) -> list[str]:
     """One violation per generator parameter whose value breaks the rule its
     annotation states, by its dotted path: an `int` parameter takes an
-    integer, a `Probability` a number in [0, 1]."""
+    integer, a `Count` an integer >= 0, a `CoreCount` an integer from 1 to
+    `total_cores` (unchecked while the system has no cores, which is its
+    own violation), and a `Probability` a number in [0, 1]."""
     out: list[str] = []
     workload = raw.get("workload")
     for section, params in (_GENERATOR_PARAMS.items()
@@ -269,14 +272,21 @@ def _bad_generator_values(raw: dict) -> list[str]:
         node = workload.get(section)
         for key, value in node.items() if isinstance(node, dict) else ():
             kind = params.get(key)
+            path = f"workload.{section}.{key}"
             number = (isinstance(value, (int, float))
                       and not isinstance(value, bool))
-            if kind is int and not (number and isinstance(value, int)):
-                out.append(f"workload.{section}.{key}: must be an integer, "
-                           f"got {value!r}")
+            if (kind in (int, Count, CoreCount)
+                    and not (number and isinstance(value, int))):
+                out.append(f"{path}: must be an integer, got {value!r}")
+            elif kind is Count and value < 0:
+                out.append(f"{path}: must be >= 0, got {value}")
+            elif (kind is CoreCount and total_cores >= 1
+                  and not 1 <= value <= total_cores):
+                out.append(f"{path}: must be from 1 to the system's "
+                           f"{total_cores} cores, got {value}")
             elif kind is Probability and not (number and 0 <= value <= 1):
-                out.append(f"workload.{section}.{key}: must be a number in "
-                           f"[0, 1], got {value!r}")
+                out.append(f"{path}: must be a number in [0, 1], "
+                           f"got {value!r}")
     return out
 
 
@@ -285,7 +295,8 @@ def validate_spec(spec: SystemSpec) -> list[str]:
 
     Violations are data, not exceptions; an empty list means buildable.
     """
-    out: list[str] = _unknown_keys(spec.raw) + _bad_generator_values(spec.raw)
+    out: list[str] = (_unknown_keys(spec.raw)
+                      + _bad_generator_values(spec.raw, spec.total_cores))
     gx, gy = spec.cluster_grid
     if gx < 1 or gy < 1:
         out.append(f"cluster_grid: dimensions must be >= 1 ({spec.cluster_grid})")

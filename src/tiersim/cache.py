@@ -153,7 +153,15 @@ class AccessResult:
 
 
 class CacheLevel:
-    """One cache array instance with counters for reporting."""
+    """One cache array instance with counters for reporting.
+
+    The latency rule lives in `nuca_cycles` (bank route) and `op_cycles`
+    (read or write on a way's region). The access path reads it from two
+    tables filled from those once, at construction: `route_cycles[bank]`
+    and `way_cycles[kind][way]`. A booking is one `service` call, which
+    holds the port for the cycles given and, with `record`, takes the
+    service time as a hit-latency sample.
+    """
 
     def __init__(self, name: str, geom: CacheGeometry,
                  tech_by_region: list[TechnologyParams],
@@ -220,8 +228,8 @@ class CacheLevel:
                              for t in tech_by_region]
         self._write_cycles = [cycles_for_latency(ns, clock_period_ps)
                               for ns in per_region_write_ns]
-        # The booking tables, read on every routed access: bank-route cycles
-        # by bank, and op cycles by kind and way, from the rule above.
+        # The booking tables: bank-route cycles by bank, op cycles by kind
+        # and way.
         self.route_cycles = [self.nuca_cycles(b) for b in range(geom.banks)]
         self.way_cycles = {kind: [self.op_cycles(w, kind)
                                   for w in range(geom.associativity)]

@@ -18,9 +18,12 @@ MESSAGE_HEADER = "tick,src_cluster,dst_cluster,bytes"
 ADDR_BITS = 48
 ADDR_SPACE = 1 << ADDR_BITS
 
-# A generator parameter that is a probability, in [0, 1]. The config check
-# (`tiersim.arch`) reads each parameter's rule from the annotations: an
-# `int` takes an integer, a `Probability` a number in [0, 1].
+# Kinds of generator parameter. The config check (`tiersim.arch`) reads
+# each parameter's rule from its annotation: an `int` takes an integer, a
+# `Count` an integer >= 0, a `CoreCount` an integer from 1 to the system's
+# total core count, and a `Probability` a number in [0, 1].
+Count = NewType("Count", int)
+CoreCount = NewType("CoreCount", int)
 Probability = NewType("Probability", float)
 
 
@@ -137,11 +140,12 @@ def write_messages(records: Iterable[MessageRecord], stream: TextIO) -> None:
         stream.write(f"{r.tick},{r.src_cluster},{r.dst_cluster},{r.bytes}\n")
 
 
-def gen_synthetic_trace(cores: int, length: int, hot_fraction: Probability,
-                        hot_set_bytes: int, seed: int, *,
+def gen_synthetic_trace(cores: CoreCount, length: Count,
+                        hot_fraction: Probability, hot_set_bytes: int,
+                        seed: int, *,
                         read_fraction: Probability = 2.0 / 3.0,
                         access_size: int = 8,
-                        tick_interval: int = 1,
+                        tick_interval: Count = 1,
                         hot_overlap: Probability = 0.0) -> list[TraceRecord]:
     """Per-core hot-set memory trace: with probability hot_fraction an access
     falls in the core's hot window, else anywhere below ADDR_SPACE.
@@ -179,7 +183,7 @@ def gen_synthetic_trace(cores: int, length: int, hot_fraction: Probability,
     return records
 
 
-def gen_message_traffic(clusters: int, cycles: int, rate: Probability,
+def gen_message_traffic(clusters: int, cycles: Count, rate: Probability,
                         payload_bytes: int, seed: int) -> list[MessageRecord]:
     """Bernoulli message injection: each cluster independently injects with
     probability `rate` per cycle to a uniformly chosen other cluster."""

@@ -9,8 +9,8 @@ from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
                            compose_address)
 from tiersim.engine import EventQueue, FifoResource
 from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology, packetize
-from tiersim.memtech import catalog_default
-from tiersim.system import MemoryController
+from tiersim.memtech import READ, WRITE, catalog_default
+from tiersim.system import MemoryController, System
 
 CAT = catalog_default()
 
@@ -162,6 +162,34 @@ def test_nuca_bank_latency():
     for set_index in range(64):
         assert level.nuca_cycles(set_index) == 2 + set_index % 8
     assert level.nuca_cycles(3) == 5
+
+
+def test_booking_tables_follow_the_latency_rule():
+    # The tables a routed booking reads are filled from nuca_cycles and
+    # op_cycles, on an array whose banks and regions all cost differently.
+    level = mk_level(capacity=64 * 64 * 4, block=64, ways=4, banks=8,
+                     nuca_base=2, nuca_hop=3,
+                     regions=(Region(0, 2, "SRAM"), Region(2, 4, "PCRAM")))
+    assert len(level.route_cycles) == level.geom.banks == 8
+    for set_index in range(level.geom.sets):
+        assert level.route_cycles[set_index % 8] == level.nuca_cycles(set_index)
+    for kind in (READ, WRITE):
+        assert [level.way_cycles[kind][w] for w in range(4)] == [
+            level.op_cycles(w, kind) for w in range(4)]
+    assert level.way_cycles[WRITE][0] != level.way_cycles[WRITE][3]
+
+    period = level.clock_period_ps
+    level.service(0, 50)  # the port is busy until 50 cycles
+    for set_index, way, kind, record in ((13, 3, WRITE, True),
+                                         (6, None, READ, False),
+                                         (2, 1, READ, True)):
+        samples, total = level.hit_latency_samples, level.hit_latency_sum_ps
+        start = max(1000, level.port.free_at_ps)
+        done = System._book(level, set_index, way, kind, 1000, record)
+        assert done - start == period * (level.nuca_cycles(set_index)
+                                          + level.op_cycles(way or 0, kind))
+        assert level.hit_latency_samples == samples + record
+        assert level.hit_latency_sum_ps == total + record * (done - start)
 
 
 def test_partial_writes_count_words_not_blocks():

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from tiersim import cli
 from tiersim.arch import preset
 from tiersim.cli import main, sweep_seed
 
@@ -295,6 +296,49 @@ def test_generator_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys,
     cfg["workload"][section][name] = json.loads(value)
     assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("synthetic.length", -5, "must be >= 0, got -5"),
+    ("synthetic.tick_interval", -1, "must be >= 0, got -1"),
+    ("message_synthetic.cycles", -3, "must be >= 0, got -3"),
+    ("synthetic.cores", -1, "must be from 1 to the system's 4 cores, got -1"),
+    ("synthetic.cores", 0, "must be from 1 to the system's 4 cores, got 0"),
+    ("synthetic.cores", 5, "must be from 1 to the system's 4 cores, got 5")],
+    ids=["length", "tick_interval", "cycles", "cores=-1", "cores=0",
+         "cores=5"])
+def test_generator_value_out_of_range_exits_2_before_generating(
+        tmp_path, capsys, monkeypatch, key, value, rule):
+    # A Count takes an integer >= 0, a CoreCount one from 1 to the system's
+    # cores (quick_cfg has 4). Both run and validate refuse a value out of
+    # range by its dotted path, and run refuses it before it generates.
+    def generate(*args, **kwargs):
+        raise AssertionError("a workload was generated")
+
+    monkeypatch.setattr(cli, "gen_synthetic_trace", generate)
+    monkeypatch.setattr(cli, "gen_message_traffic", generate)
+    message = f"workload.{key}: {rule}"
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", write_config(tmp_path, quick_cfg()),
+                 "--set", f"workload.{key}={value}", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    cfg = quick_cfg()
+    section, name = key.split(".")
+    cfg["workload"][section][name] = value
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_generator_values_at_the_ends_of_their_ranges_are_valid(tmp_path,
+                                                                capsys):
+    cfg = quick_cfg()
+    cfg["workload"]["synthetic"].update(cores=4, length=0, tick_interval=0)
+    cfg["workload"]["message_synthetic"]["cycles"] = 0
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+    cfg["workload"]["synthetic"]["cores"] = 1
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_access_size_that_crosses_blocks_exits_2(tmp_path, capsys):

@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from tiersim.coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
-                               CoherenceFault, StepResult, check_invariants,
-                               coherence_step)
+from tiersim import coherence
+from tiersim.coherence import (CORE_READ, CORE_WRITE, INVALIDATE, MEMO_SIZE,
+                               SUPPLY_OWNER, CoherenceFault, StepResult,
+                               check_invariants, coherence_step)
 
 
 def test_cold_read_gets_exclusive_from_memory():
@@ -237,3 +239,36 @@ def test_step_equals_reference_on_every_vector():
     # Legal vectors of n caches: all S/I, or one M or E with the rest I, or
     # one O with the rest S/I. All of them were compared, for n = 1..4.
     assert legal == sum(2 ** n + 2 * n + n * 2 ** (n - 1) for n in range(1, 5))
+
+
+# -- the memo around the transition -------------------------------------------
+
+def test_bad_vector_raises_on_every_call():
+    # An exception is never stored, so a repeated bad input is checked again.
+    for _ in range(2):
+        with pytest.raises(CoherenceFault):
+            coherence_step(["M", "M"], CORE_READ, 0)
+
+
+def test_list_and_tuple_of_the_same_states_give_the_same_result():
+    as_list = coherence_step(["S", "O", "I"], CORE_WRITE, 0)
+    as_tuple = coherence_step(("S", "O", "I"), CORE_WRITE, 0)
+    assert as_list is as_tuple
+    assert as_list == StepResult(states=("M", "I", "I"),
+                                 actions=((INVALIDATE, 1),))
+
+
+def test_memo_stays_within_its_bound():
+    vectors = itertools.product("SI", repeat=9)  # 512 legal vectors
+    for vector in itertools.islice(vectors, MEMO_SIZE + 100):
+        coherence_step(vector, CORE_READ, 0)
+        assert coherence._transition.cache_info().currsize <= MEMO_SIZE
+    assert coherence._transition.cache_info().currsize == MEMO_SIZE
+
+
+def test_a_shared_result_cannot_be_changed():
+    res = coherence_step(["I", "I"], CORE_READ, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.states = ("M", "I")
+    assert not hasattr(res, "__dict__")
+    assert coherence_step(["I", "I"], CORE_READ, 0).states == ("E", "I")
