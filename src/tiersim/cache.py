@@ -228,8 +228,6 @@ class CacheLevel:
                              for t in tech_by_region]
         self._write_cycles = [cycles_for_latency(ns, clock_period_ps)
                               for ns in per_region_write_ns]
-        # The booking tables: bank-route cycles by bank, op cycles by kind
-        # and way.
         self.route_cycles = [self.nuca_cycles(b) for b in range(geom.banks)]
         self.way_cycles = {kind: [self.op_cycles(w, kind)
                                   for w in range(geom.associativity)]
