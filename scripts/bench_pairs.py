@@ -75,7 +75,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, statistics.median(values), q3
+    return q1, q2, q3
 
 
 def summarize(pairs: list[tuple[dict, dict]]) -> None:
@@ -107,14 +107,15 @@ def main(argv: list[str]) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
+    pairs: list[tuple[dict, dict]] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        trees = {}
-        for side, commit in (("base", args.base), ("head", args.head)):
-            trees[side] = Path(tmp) / side
-            print(f"{side} {extract(commit, trees[side])}")
-        print(f"workload {args.workload} seed {args.seed} pairs {args.pairs}")
-        pairs: list[tuple[dict, dict]] = []
         try:
+            trees = {}
+            for side, commit in (("base", args.base), ("head", args.head)):
+                trees[side] = Path(tmp) / side
+                print(f"{side} {extract(commit, trees[side])}")
+            print(f"workload {args.workload} seed {args.seed} "
+                  f"pairs {args.pairs}")
             for i in range(args.pairs):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 reps = {side: run_rep(trees[side], args.workload, args.seed)
@@ -123,7 +124,7 @@ def main(argv: list[str]) -> int:
                 print(f"pair {i + 1:2d} ({order[0]} first): " + "  ".join(
                     f"{m} {reps['base'][m]:.6g} -> {reps['head'][m]:.6g}"
                     for m, _, _ in METRICS), flush=True)
-        except RuntimeError as exc:
+        except (RuntimeError, subprocess.CalledProcessError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
