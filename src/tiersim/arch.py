@@ -12,15 +12,14 @@ only inter-cluster path is message packets on the NoC.
 from __future__ import annotations
 
 import copy
-import inspect
 import warnings
 from dataclasses import dataclass
 
 from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_with_overrides
-from .workload import (CoreCount, Count, Probability, gen_message_traffic,
-                       gen_synthetic_trace)
+from .workload import (argument_problems, gen_message_traffic,
+                       gen_synthetic_trace, generator_parameters)
 
 CORES_L1 = "cores_l1"
 L2_SPLIT_ID = "l2_split_id"
@@ -123,14 +122,9 @@ _CACHE_KEYS = ("capacity", "block_size", "associativity", "banks",
                "partial_writes", "tech", "topology")
 _REGION_KEYS = ("ways", "tech")
 # A generator section's keys are its generator's parameters, less the seed,
-# which comes from the run, each with its annotation: the rule its value
-# must follow (`_bad_generator_values`).
-_GENERATOR_PARAMS = {
-    section: {name: p.annotation for name, p
-              in inspect.signature(gen, eval_str=True).parameters.items()
-              if name != "seed"}
-    for section, gen in (("synthetic", gen_synthetic_trace),
-                         ("message_synthetic", gen_message_traffic))}
+# which comes from the run.
+GENERATORS = {"synthetic": gen_synthetic_trace,
+              "message_synthetic": gen_message_traffic}
 
 
 def _cache_config_from_dict(d: dict, default_tech: str = "SRAM") -> CacheConfig:
@@ -205,9 +199,11 @@ def spec_from_dict(config: dict) -> SystemSpec:
             caches[name] = _cache_config_from_dict(entry) if entry else None
         catalog = catalog_with_overrides(
             _section(cfg, "tech_overrides", "tech_overrides"))
-        # The CLI reads the workload from the raw config; only its type is
-        # checked here, with the other sections.
-        _section(cfg, "workload", "workload")
+        # The CLI reads the workload from the raw config; only the types of
+        # its sections are checked here, with the other sections.
+        workload = _section(cfg, "workload", "workload")
+        for section in GENERATORS:
+            _section(workload, section, f"workload.{section}")
         return SystemSpec(
             cluster_grid=grid,
             cores_per_cluster=int(cfg.get("cores_per_cluster", 8)),
@@ -244,9 +240,9 @@ def _unknown_keys(raw: dict) -> list[str]:
     for section, allowed in _SECTION_KEYS.items():
         check(raw.get(section), f"{section}.", allowed)
     workload = raw.get("workload")
-    for section in _GENERATOR_PARAMS if isinstance(workload, dict) else ():
+    for section, gen in GENERATORS.items() if isinstance(workload, dict) else ():
         check(workload.get(section), f"workload.{section}.",
-              tuple(_GENERATOR_PARAMS[section]))
+              tuple(generator_parameters(gen)))
     caches = raw.get("caches")
     for name in CACHE_LEVELS if isinstance(caches, dict) else ():
         entry = caches.get(name)
@@ -259,34 +255,41 @@ def _unknown_keys(raw: dict) -> list[str]:
     return out
 
 
-def _bad_generator_values(raw: dict, total_cores: int) -> list[str]:
-    """One violation per generator parameter whose value breaks the rule its
-    annotation states, by its dotted path: an `int` parameter takes an
-    integer, a `Count` an integer >= 0, a `CoreCount` an integer from 1 to
-    `total_cores` (unchecked while the system has no cores, which is its
-    own violation), and a `Probability` a number in [0, 1]."""
+def generator_arguments(spec: SystemSpec, section: str) -> dict:
+    """The arguments, less the seed, of a workload generator section: its
+    keys over the defaults, where `cores` and `clusters` are the system's."""
+    if section == "synthetic":
+        defaults = {"cores": spec.total_cores, "length": 1000,
+                    "hot_fraction": 0.9, "hot_set_bytes": 8192}
+    else:
+        defaults = {"clusters": spec.n_clusters, "cycles": 1000,
+                    "rate": 0.002, "payload_bytes": 64}
+    return defaults | spec.raw["workload"][section]
+
+
+def _workload_violations(spec: SystemSpec) -> list[str]:
+    """One violation per record file beside its generator section, per
+    generator argument that breaks its rule, and for an `access_size` that
+    does not divide the L1d block (accesses aligned to it cross blocks)."""
     out: list[str] = []
-    workload = raw.get("workload")
-    for section, params in (_GENERATOR_PARAMS.items()
-                            if isinstance(workload, dict) else ()):
-        node = workload.get(section)
-        for key, value in node.items() if isinstance(node, dict) else ():
-            kind = params.get(key)
-            path = f"workload.{section}.{key}"
-            number = (isinstance(value, (int, float))
-                      and not isinstance(value, bool))
-            if (kind in (int, Count, CoreCount)
-                    and not (number and isinstance(value, int))):
-                out.append(f"{path}: must be an integer, got {value!r}")
-            elif kind is Count and value < 0:
-                out.append(f"{path}: must be >= 0, got {value}")
-            elif (kind is CoreCount and total_cores >= 1
-                  and not 1 <= value <= total_cores):
-                out.append(f"{path}: must be from 1 to the system's "
-                           f"{total_cores} cores, got {value}")
-            elif kind is Probability and not (number and 0 <= value <= 1):
-                out.append(f"{path}: must be a number in [0, 1], "
-                           f"got {value!r}")
+    workload = spec.raw.get("workload") or {}
+    for records, section in (("trace", "synthetic"),
+                             ("messages", "message_synthetic")):
+        if workload.get(records) and workload.get(section):
+            out.append(f"workload: choose either {records} or {section}, not both")
+        if workload.get(section):
+            args = generator_arguments(spec, section)
+            out.extend(f"workload.{section}.{name}: {problem}" for name, problem
+                       in argument_problems(GENERATORS[section], args,
+                                            spec.total_cores, spec.n_clusters))
+    size = (workload.get("synthetic") or {}).get("access_size")
+    l1d = spec.caches.get("l1d")
+    if (l1d is not None and isinstance(size, int) and size >= 1
+            and l1d.geometry.block_size % size):
+        block = l1d.geometry.block_size
+        out.append(f"workload.synthetic.access_size: {size} does not divide "
+                   f"the {block}-byte block; an access aligned to it crosses "
+                   f"a {block}-byte block boundary")
     return out
 
 
@@ -295,8 +298,7 @@ def validate_spec(spec: SystemSpec) -> list[str]:
 
     Violations are data, not exceptions; an empty list means buildable.
     """
-    out: list[str] = (_unknown_keys(spec.raw)
-                      + _bad_generator_values(spec.raw, spec.total_cores))
+    out: list[str] = _unknown_keys(spec.raw) + _workload_violations(spec)
     gx, gy = spec.cluster_grid
     if gx < 1 or gy < 1:
         out.append(f"cluster_grid: dimensions must be >= 1 ({spec.cluster_grid})")

@@ -15,13 +15,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .arch import (PRESET_NAMES, ConfigError, preset, spec_from_dict,
-                   validate_spec, warn_on_build)
+from .arch import (PRESET_NAMES, ConfigError, generator_arguments, preset,
+                   spec_from_dict, validate_spec, warn_on_build)
 from .interconnect import mean_hop_count
 from .metrics import check_report_invariants, emit_report, write_latency_csv
 from .system import System, WorkloadError
-from .workload import (gen_message_traffic, gen_synthetic_trace, parse_messages,
-                       parse_trace, write_messages, write_trace)
+from .workload import (gen_message_traffic, gen_synthetic_trace,
+                       generator_parameters, parse_messages, parse_trace,
+                       write_messages, write_trace)
 
 EXIT_OK = 0
 EXIT_FAULT = 1
@@ -64,59 +65,33 @@ def apply_override(config: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _resolve_workload(config: dict, spec, seed: int):
-    """Trace and message record lists from the config's workload section.
-
-    Anything wrong here (missing files, malformed records, bad generator
-    parameters) is the user's to fix, so it surfaces as UserError.
-    """
-    wl = config.get("workload", {}) or {}
-    trace = []
-    messages = []
-    if wl.get("trace") and wl.get("synthetic"):
-        raise UserError("workload: choose either trace or synthetic, not both")
-    if wl.get("messages") and wl.get("message_synthetic"):
-        raise UserError("workload: choose either messages or message_synthetic, not both")
+def _read_records(workload: dict, key: str, parse) -> list:
+    """The records of the file `workload[key]` names; a file that cannot be
+    read or holds a bad record is a UserError naming both."""
     try:
-        if wl.get("trace"):
-            path = wl["trace"]
-            if not os.path.exists(path):
-                raise UserError(f"trace file not found: {path}")
-            with open(path, "r", encoding="utf-8") as fh:
-                trace = parse_trace(fh)
-        elif wl.get("synthetic"):
-            params = dict(wl["synthetic"])
-            # Addresses are aligned to access_size, so only a size that
-            # divides the block keeps every access inside one block.
-            size = params.get("access_size")
-            block = spec.caches["l1d"].geometry.block_size
-            if isinstance(size, int) and size >= 1 and block % size:
-                raise UserError(
-                    f"workload.synthetic.access_size: {size} does not divide the "
-                    f"{block}-byte block; an access aligned to it crosses a "
-                    f"{block}-byte block boundary")
-            trace = gen_synthetic_trace(
-                cores=params.pop("cores", spec.total_cores),
-                length=params.pop("length", 1000),
-                hot_fraction=params.pop("hot_fraction", 0.9),
-                hot_set_bytes=params.pop("hot_set_bytes", 8192),
-                seed=seed, **params)
-        if wl.get("messages"):
-            path = wl["messages"]
-            if not os.path.exists(path):
-                raise UserError(f"message file not found: {path}")
-            with open(path, "r", encoding="utf-8") as fh:
-                messages = parse_messages(fh)
-        elif wl.get("message_synthetic"):
-            params = dict(wl["message_synthetic"])
-            messages = gen_message_traffic(
-                clusters=params.pop("clusters", spec.n_clusters),
-                cycles=params.pop("cycles", 1000),
-                rate=params.pop("rate", 0.002),
-                payload_bytes=params.pop("payload_bytes", 64),
-                seed=seed, **params)
-    except (TypeError, ValueError) as exc:
-        raise UserError(f"workload: {exc}") from None
+        with open(workload[key], "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except (OSError, ValueError) as exc:
+        raise UserError(f"workload.{key}: {workload[key]}: "
+                        f"{getattr(exc, 'strerror', exc)}") from None
+
+
+def _resolve_workload(config: dict, spec, seed: int):
+    """Trace and message record lists from the config's workload section,
+    which `validate_spec` has checked, generator arguments included: only
+    reading a record file can fail here, as a UserError."""
+    wl = config.get("workload") or {}
+    trace, messages = [], []
+    if wl.get("trace"):
+        trace = _read_records(wl, "trace", parse_trace)
+    elif wl.get("synthetic"):
+        trace = gen_synthetic_trace(
+            seed=seed, **generator_arguments(spec, "synthetic"))
+    if wl.get("messages"):
+        messages = _read_records(wl, "messages", parse_messages)
+    elif wl.get("message_synthetic"):
+        messages = gen_message_traffic(
+            seed=seed, **generator_arguments(spec, "message_synthetic"))
     return trace, messages
 
 
@@ -234,21 +209,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
+    gen, write = ((gen_synthetic_trace, write_trace) if args.kind == "mem"
+                  else (gen_message_traffic, write_messages))
+    params = generator_parameters(gen)
     try:
-        if args.kind == "mem":
-            records = gen_synthetic_trace(
-                cores=args.cores, length=args.length,
-                hot_fraction=args.hot_fraction, hot_set_bytes=args.hot_set_bytes,
-                seed=args.seed, read_fraction=args.read_fraction,
-                tick_interval=args.tick_interval, hot_overlap=args.hot_overlap)
-        else:
-            records = gen_message_traffic(
-                clusters=args.clusters, cycles=args.cycles, rate=args.rate,
-                payload_bytes=args.payload, seed=args.seed)
+        records = gen(seed=args.seed, **{name: value for name, value
+                                         in vars(args).items() if name in params})
     except ValueError as exc:
         raise UserError(str(exc)) from None
     with open(args.out, "w", encoding="utf-8") as fh:
-        (write_trace if args.kind == "mem" else write_messages)(records, fh)
+        write(records, fh)
     print(f"{len(records)} records written to {args.out}")
     return EXIT_OK
 
@@ -311,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, default=4)
     p.add_argument("--cycles", type=int, default=1000)
     p.add_argument("--rate", type=float, default=0.002)
-    p.add_argument("--payload", type=int, default=64)
+    p.add_argument("--payload", type=int, default=64, dest="payload_bytes")
     p.set_defaults(func=_cmd_gen_trace)
 
     p = sub.add_parser("hops", help="print the mean hop count of a mesh")

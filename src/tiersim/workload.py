@@ -7,6 +7,8 @@ pure functions of their parameters and seed.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NewType, TextIO
 
@@ -18,13 +20,51 @@ MESSAGE_HEADER = "tick,src_cluster,dst_cluster,bytes"
 ADDR_BITS = 48
 ADDR_SPACE = 1 << ADDR_BITS
 
-# Kinds of generator parameter. The config check (`tiersim.arch`) reads
-# each parameter's rule from its annotation: an `int` takes an integer, a
-# `Count` an integer >= 0, a `CoreCount` an integer from 1 to the system's
-# total core count, and a `Probability` a number in [0, 1].
+# Kinds of generator parameter. A parameter's annotation is its only rule,
+# applied by `argument_problems`: an `int` takes an integer, a `Count` an
+# integer >= 0, a `Size` one >= 1, a `CoreCount` one from 1 to the system's
+# total core count, a `ClusterCount` one from 2 to the system's cluster
+# count, and a `Probability` a number in [0, 1].
 Count = NewType("Count", int)
+Size = NewType("Size", int)
 CoreCount = NewType("CoreCount", int)
+ClusterCount = NewType("ClusterCount", int)
 Probability = NewType("Probability", float)
+# The integer kinds, each with its least value.
+_LEAST = {int: None, Count: 0, Size: 1, CoreCount: 1, ClusterCount: 2}
+
+
+@functools.cache
+def generator_parameters(gen) -> dict[str, object]:
+    """A generator's parameters, less the seed, each with its annotation."""
+    return {name: p.annotation for name, p
+            in inspect.signature(gen, eval_str=True).parameters.items()
+            if name != "seed"}
+
+
+def argument_problems(gen, args: dict, cores: int = 0,
+                      clusters: int = 0) -> list[tuple[str, str]]:
+    """(parameter, problem) for each of `gen`'s parameters in `args` whose
+    value breaks its rule; other names are left to the caller. A system's
+    `cores` and `clusters`, where >= 1, bound the counts from above."""
+    rules = generator_parameters(gen)
+    bounds = {CoreCount: (cores, "cores"), ClusterCount: (clusters, "clusters")}
+    out: list[tuple[str, str]] = []
+    for name, value in args.items():
+        kind = rules.get(name)
+        least = _LEAST.get(kind)
+        most, unit = bounds.get(kind, (0, ""))
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind is Probability and not (number and 0 <= value <= 1):
+            out.append((name, f"must be a number in [0, 1], got {value!r}"))
+        elif kind in _LEAST and not (number and isinstance(value, int)):
+            out.append((name, f"must be an integer, got {value!r}"))
+        elif most >= 1 and not least <= value <= most:
+            out.append((name, f"must be from {least} to the system's {most} "
+                              f"{unit}, got {value}"))
+        elif least is not None and value < least:
+            out.append((name, f"must be >= {least}, got {value}"))
+    return out
 
 
 class TraceParseError(ValueError):
@@ -141,10 +181,10 @@ def write_messages(records: Iterable[MessageRecord], stream: TextIO) -> None:
 
 
 def gen_synthetic_trace(cores: CoreCount, length: Count,
-                        hot_fraction: Probability, hot_set_bytes: int,
+                        hot_fraction: Probability, hot_set_bytes: Size,
                         seed: int, *,
                         read_fraction: Probability = 2.0 / 3.0,
-                        access_size: int = 8,
+                        access_size: Size = 8,
                         tick_interval: Count = 1,
                         hot_overlap: Probability = 0.0) -> list[TraceRecord]:
     """Per-core hot-set memory trace: with probability hot_fraction an access
@@ -154,15 +194,8 @@ def gen_synthetic_trace(cores: CoreCount, length: Count,
     comparisons stay clean; hot_overlap redirects that fraction of hot
     accesses to a window shared by every core.
     """
-    for name, value in (("hot_fraction", hot_fraction),
-                        ("read_fraction", read_fraction),
-                        ("hot_overlap", hot_overlap)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1]")
-    if hot_set_bytes <= 0:
-        raise ValueError("hot_set_bytes must be > 0")
-    if access_size < 1:
-        raise ValueError(f"access_size must be >= 1, got {access_size}")
+    for name, problem in argument_problems(gen_synthetic_trace, locals()):
+        raise ValueError(f"{name} {problem}")
     shared_base = cores * hot_set_bytes
     records: list[TraceRecord] = []
     for core in range(cores):
@@ -183,16 +216,13 @@ def gen_synthetic_trace(cores: CoreCount, length: Count,
     return records
 
 
-def gen_message_traffic(clusters: int, cycles: Count, rate: Probability,
-                        payload_bytes: int, seed: int) -> list[MessageRecord]:
+def gen_message_traffic(clusters: ClusterCount, cycles: Count,
+                        rate: Probability, payload_bytes: Size,
+                        seed: int) -> list[MessageRecord]:
     """Bernoulli message injection: each cluster independently injects with
     probability `rate` per cycle to a uniformly chosen other cluster."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
-    if payload_bytes < 0:
-        raise ValueError(f"payload_bytes must be >= 0, got {payload_bytes}")
-    if clusters < 2 and rate > 0.0:
-        raise ValueError("message traffic needs at least two clusters")
+    for name, problem in argument_problems(gen_message_traffic, locals()):
+        raise ValueError(f"{name} {problem}")
     records: list[MessageRecord] = []
     rngs = [substream(seed, "msg", c) for c in range(clusters)]
     for tick in range(cycles):

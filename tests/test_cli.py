@@ -238,10 +238,12 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, key, value,
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("workload.synthetic.access_size", 0, "access_size must be >= 1, got 0"),
-    ("workload.synthetic.access_size", -8, "access_size must be >= 1, got -8"),
+    ("workload.synthetic.access_size", 0,
+     "workload.synthetic.access_size: must be >= 1, got 0"),
+    ("workload.synthetic.access_size", -8,
+     "workload.synthetic.access_size: must be >= 1, got -8"),
     ("workload.message_synthetic.payload_bytes", -5,
-     "payload_bytes must be >= 0, got -5"),
+     "workload.message_synthetic.payload_bytes: must be >= 1, got -5"),
     # The generator draws from the 48-bit space that parse_trace accepts.
     ("workload.synthetic.addr_bits", 60,
      "workload.synthetic.addr_bits: unknown key"),
@@ -333,12 +335,65 @@ def test_generator_value_out_of_range_exits_2_before_generating(
 def test_generator_values_at_the_ends_of_their_ranges_are_valid(tmp_path,
                                                                 capsys):
     cfg = quick_cfg()
-    cfg["workload"]["synthetic"].update(cores=4, length=0, tick_interval=0)
-    cfg["workload"]["message_synthetic"]["cycles"] = 0
+    cfg["workload"]["synthetic"].update(cores=4, length=0, tick_interval=0,
+                                        hot_set_bytes=1, access_size=1)
+    cfg["workload"]["message_synthetic"].update(cycles=0, payload_bytes=1,
+                                                clusters=2)
     assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
     cfg["workload"]["synthetic"]["cores"] = 1
     assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+    # quick_cfg has 2 clusters; on a 2x2 grid, 2 and 4 are both ends
+    cfg["cluster_grid"] = [2, 2]
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+    cfg["workload"]["message_synthetic"]["clusters"] = 4
+    assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("config, key, value, line", [
+    ("fig32", "workload.synthetic.access_size", 24,
+     "workload.synthetic.access_size: 24 does not divide the 64-byte block; "
+     "an access aligned to it crosses a 64-byte block boundary"),
+    ("fig32", "workload.trace", "trace.csv",
+     "workload: choose either trace or synthetic, not both"),
+    ("fig32", "workload.message_synthetic",
+     {"cycles": 200, "rate": 0.002, "payload_bytes": 64},
+     "workload.message_synthetic.clusters: must be from 2 to the system's 1 "
+     "clusters, got 1"),
+    ("fig33", "workload.message_synthetic.clusters", 99,
+     "workload.message_synthetic.clusters: must be from 2 to the system's 4 "
+     "clusters, got 99"),
+    ("fig33", "workload.synthetic.hot_set_bytes", 0,
+     "workload.synthetic.hot_set_bytes: must be >= 1, got 0"),
+    ("fig33", "workload.message_synthetic.payload_bytes", -5,
+     "workload.message_synthetic.payload_bytes: must be >= 1, got -5"),
+    ("fig33", "workload.synthetic.access_size", 0,
+     "workload.synthetic.access_size: must be >= 1, got 0"),
+    ("fig33", "workload.message_synthetic.clusters", 1,
+     "workload.message_synthetic.clusters: must be from 2 to the system's 4 "
+     "clusters, got 1")],
+    ids=["access_size=24", "trace-and-synthetic", "messages-on-one-cluster",
+         "clusters=99", "hot_set_bytes=0", "payload_bytes=-5", "access_size=0",
+         "clusters=1"])
+def test_workload_setting_is_refused_by_validate_and_before_run_generates(
+        tmp_path, capsys, monkeypatch, config, key, value, line):
+    # validate and run apply one rule per workload setting: each exits 2 with
+    # the same line, by its dotted path, and run refuses before it generates.
+    def generate(*args, **kwargs):
+        raise AssertionError("a workload was generated")
+
+    monkeypatch.setattr(cli, "gen_synthetic_trace", generate)
+    monkeypatch.setattr(cli, "gen_message_traffic", generate)
+    cfg = preset(config)
+    cli.apply_override(cfg, key, value)
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration:", f"  {line}"]
+    assert not out.exists()
 
 
 def test_access_size_that_crosses_blocks_exits_2(tmp_path, capsys):
@@ -356,7 +411,23 @@ def test_gen_trace_bad_parameter_exits_2(tmp_path, capsys):
     out = tmp_path / "m.csv"
     assert main(["gen-trace", "--kind", "msg", "--payload", "-5",
                  "--out", str(out)]) == 2
-    assert "payload_bytes must be >= 0, got -5" in capsys.readouterr().err
+    assert "payload_bytes must be >= 1, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flag, value, message", [
+    ("msg", "--payload", "0", "payload_bytes must be >= 1, got 0"),
+    ("msg", "--clusters", "1", "clusters must be >= 2, got 1"),
+    ("mem", "--cores", "0", "cores must be >= 1, got 0")],
+    ids=["payload=0", "clusters=1", "cores=0"])
+def test_gen_trace_writes_only_what_run_can_read(tmp_path, capsys, kind, flag,
+                                                 value, message):
+    # gen-trace hands its flags to the generator, which applies each
+    # parameter's rule, so it writes no file that run would refuse.
+    out = tmp_path / "records.csv"
+    assert main(["gen-trace", "--kind", kind, flag, value,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
