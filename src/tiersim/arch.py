@@ -283,10 +283,8 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
                        in argument_problems(GENERATORS[section], args,
                                             spec.total_cores, spec.n_clusters))
     size = (workload.get("synthetic") or {}).get("access_size")
-    l1d = spec.caches.get("l1d")
-    if (l1d is not None and isinstance(size, int) and size >= 1
-            and l1d.geometry.block_size % size):
-        block = l1d.geometry.block_size
+    block = spec.caches["l1d"].geometry.block_size if spec.caches.get("l1d") else 0
+    if isinstance(size, int) and size >= 1 and block % size:
         out.append(f"workload.synthetic.access_size: {size} does not divide "
                    f"the {block}-byte block; an access aligned to it crosses "
                    f"a {block}-byte block boundary")

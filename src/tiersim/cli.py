@@ -76,11 +76,11 @@ def _read_records(workload: dict, key: str, parse) -> list:
                         f"{getattr(exc, 'strerror', exc)}") from None
 
 
-def _resolve_workload(config: dict, spec, seed: int):
+def _resolve_workload(spec, seed: int):
     """Trace and message record lists from the config's workload section,
     which `validate_spec` has checked, generator arguments included: only
     reading a record file can fail here, as a UserError."""
-    wl = config.get("workload") or {}
+    wl = spec.raw.get("workload") or {}
     trace, messages = [], []
     if wl.get("trace"):
         trace = _read_records(wl, "trace", parse_trace)
@@ -107,7 +107,7 @@ def run_experiment(config: dict, seed: int, out_path: str,
     violations = validate_spec(spec)
     if violations:
         raise UserError("invalid configuration:\n  " + "\n  ".join(violations))
-    trace, messages = _resolve_workload(config, spec, seed)
+    trace, messages = _resolve_workload(spec, seed)
     warn_on_build(spec)
     system = System(spec, seed=seed)
     try:

@@ -7,7 +7,6 @@ pure functions of their parameters and seed.
 
 from __future__ import annotations
 
-import functools
 import inspect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NewType, TextIO
@@ -34,7 +33,6 @@ Probability = NewType("Probability", float)
 _LEAST = {int: None, Count: 0, Size: 1, CoreCount: 1, ClusterCount: 2}
 
 
-@functools.cache
 def generator_parameters(gen) -> dict[str, object]:
     """A generator's parameters, less the seed, each with its annotation."""
     return {name: p.annotation for name, p
