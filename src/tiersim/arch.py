@@ -123,7 +123,7 @@ _CACHE_KEYS = ("capacity", "block_size", "associativity", "banks",
 _REGION_KEYS = ("ways", "tech")
 # A generator section's keys are its generator's parameters, less the seed,
 # which comes from the run.
-GENERATORS = {"synthetic": gen_synthetic_trace,
+_GENERATORS = {"synthetic": gen_synthetic_trace,
               "message_synthetic": gen_message_traffic}
 
 
@@ -202,7 +202,7 @@ def spec_from_dict(config: dict) -> SystemSpec:
         # The CLI reads the workload from the raw config; only the types of
         # its sections are checked here, with the other sections.
         workload = _section(cfg, "workload", "workload")
-        for section in GENERATORS:
+        for section in _GENERATORS:
             _section(workload, section, f"workload.{section}")
         return SystemSpec(
             cluster_grid=grid,
@@ -240,7 +240,7 @@ def _unknown_keys(raw: dict) -> list[str]:
     for section, allowed in _SECTION_KEYS.items():
         check(raw.get(section), f"{section}.", allowed)
     workload = raw.get("workload")
-    for section, gen in GENERATORS.items() if isinstance(workload, dict) else ():
+    for section, gen in _GENERATORS.items() if isinstance(workload, dict) else ():
         check(workload.get(section), f"workload.{section}.",
               tuple(generator_parameters(gen)))
     caches = raw.get("caches")
@@ -280,7 +280,7 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
         if workload.get(section):
             args = generator_arguments(spec, section)
             out.extend(f"workload.{section}.{name}: {problem}" for name, problem
-                       in argument_problems(GENERATORS[section], args,
+                       in argument_problems(_GENERATORS[section], args,
                                             spec.total_cores, spec.n_clusters))
     size = (workload.get("synthetic") or {}).get("access_size")
     block = spec.caches["l1d"].geometry.block_size if spec.caches.get("l1d") else 0
