@@ -19,7 +19,8 @@ from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_with_overrides
 from .workload import (argument_problems, gen_message_traffic,
-                       gen_synthetic_trace, generator_parameters)
+                       gen_synthetic_trace, generator_parameters,
+                       hot_window_problem)
 
 CORES_L1 = "cores_l1"
 L2_SPLIT_ID = "l2_split_id"
@@ -268,20 +269,32 @@ def generator_arguments(spec: SystemSpec, section: str) -> dict:
 
 
 def _workload_violations(spec: SystemSpec) -> list[str]:
-    """One violation per record file beside its generator section, per
-    generator argument that breaks its rule, and for an `access_size` that
-    does not divide the L1d block (accesses aligned to it cross blocks)."""
+    """One violation per record file that is not a path or sits beside its
+    generator section, per generator argument that breaks its rule, for hot
+    windows past the address space, and for an `access_size` that does not
+    divide the L1d block (accesses aligned to it cross blocks). A key that
+    is present and not null counts, whatever its value, so an empty
+    generator section generates with its defaults."""
     out: list[str] = []
     workload = spec.raw.get("workload") or {}
     for records, section in (("trace", "synthetic"),
                              ("messages", "message_synthetic")):
-        if workload.get(records) and workload.get(section):
+        path = workload.get(records)
+        if path is not None and not (isinstance(path, str) and path):
+            out.append(f"workload.{records}: must be a file path, got {path!r}")
+        if workload.get(section) is None:
+            continue
+        if path is not None:
             out.append(f"workload: choose either {records} or {section}, not both")
-        if workload.get(section):
-            args = generator_arguments(spec, section)
-            out.extend(f"workload.{section}.{name}: {problem}" for name, problem
-                       in argument_problems(_GENERATORS[section], args,
-                                            spec.total_cores, spec.n_clusters))
+        args = generator_arguments(spec, section)
+        problems = argument_problems(_GENERATORS[section], args,
+                                     spec.total_cores, spec.n_clusters)
+        if section == "synthetic" and not problems:
+            window = hot_window_problem(args["cores"], args["hot_set_bytes"],
+                                        args.get("hot_overlap", 0.0))
+            problems = [("hot_set_bytes", window)] if window else []
+        out.extend(f"workload.{section}.{name}: {problem}"
+                   for name, problem in problems)
     size = (workload.get("synthetic") or {}).get("access_size")
     block = spec.caches["l1d"].geometry.block_size if spec.caches.get("l1d") else 0
     if isinstance(size, int) and size >= 1 and block % size:

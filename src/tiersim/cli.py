@@ -79,17 +79,19 @@ def _read_records(workload: dict, key: str, parse) -> list:
 def _resolve_workload(spec, seed: int):
     """Trace and message record lists from the config's workload section,
     which `validate_spec` has checked, generator arguments included: only
-    reading a record file can fail here, as a UserError."""
+    reading a record file can fail here, as a UserError. A key that is
+    present and not null counts, as in `validate_spec`, so an empty
+    generator section generates with its defaults."""
     wl = spec.raw.get("workload") or {}
     trace, messages = [], []
-    if wl.get("trace"):
+    if wl.get("trace") is not None:
         trace = _read_records(wl, "trace", parse_trace)
-    elif wl.get("synthetic"):
+    elif wl.get("synthetic") is not None:
         trace = gen_synthetic_trace(
             seed=seed, **generator_arguments(spec, "synthetic"))
-    if wl.get("messages"):
+    if wl.get("messages") is not None:
         messages = _read_records(wl, "messages", parse_messages)
-    elif wl.get("message_synthetic"):
+    elif wl.get("message_synthetic") is not None:
         messages = gen_message_traffic(
             seed=seed, **generator_arguments(spec, "message_synthetic"))
     return trace, messages

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .engine import EventQueue, FifoResource
 from .metrics import LatencyLog
 
 Coord = tuple[int, int, int]
+Step = tuple[FifoResource, int]   # a directed link and its hop latency in ps
 
 
 # --- cluster bus -------------------------------------------------------------
@@ -122,15 +123,20 @@ def packetize(payload_bytes: int, flit_width: int) -> int:
 class MeshNetwork:
     """Packet-level timed mesh on the shared event queue.
 
-    Messages are injected as parallel lists, one entry per message. A
-    packet is the plain tuple `(node, dst, flits, t_inject)`, built only
-    when its injection event is dispatched. Each directed link
-    `(node, port)` is a `FifoResource`, built on first use and booked like
-    the bus channels, cache arrays and memory controllers: it is held for
-    `flits` cycles per packet. The head flit advances router by router, so
-    queueing delay is the only congestion effect (unbounded input buffers,
-    no drops). `msg_samples` logs each delivered message's injection and
-    delivery times, in delivery order.
+    Messages are injected as parallel lists, one entry per message. Each
+    distinct (src, dst) pair has one XYZ route, built by `_route` when the
+    first of its packets is dispatched: a tuple of `(link, hop_ps)` steps,
+    one per directed link, shared by every route that crosses the link.
+    Each link `(node, port)` in `links` is a `FifoResource`, created when
+    the first route that crosses it is built and booked like the bus
+    channels, cache arrays and memory controllers: it is held for one cycle
+    per flit of each packet. A packet is the plain tuple `(steps, hold_ps,
+    t_inject)`, with `steps` an iterator over its route; it is built when
+    its injection event is dispatched and reused from hop to hop. The head
+    flit advances router by router, so queueing delay is the only
+    congestion effect (unbounded input buffers, no drops). `msg_samples`
+    logs each delivered message's injection and delivery times, in
+    delivery order.
     """
 
     def __init__(self, topo: MeshTopology, engine: EventQueue,
@@ -139,6 +145,9 @@ class MeshNetwork:
         self.engine = engine
         self.clock_period_ps = clock_period_ps
         self.links: dict[tuple[Coord, str], FifoResource] = {}
+        self._routes: dict[tuple[Coord, Coord], tuple[Step, ...]] = {}
+        self._steps: dict[tuple[Coord, str], Step] = {}
+        self._router_ps = topo.router_delay * clock_period_ps
         self.injected = 0
         self.delivered = 0
         self.msg_samples = LatencyLog()
@@ -151,60 +160,63 @@ class MeshNetwork:
                dsts: Sequence[Coord], payload_bytes: Sequence[int]) -> None:
         """Inject message i from srcs[i] to dsts[i] at times_ps[i], carrying
         payload_bytes[i]. Every node and payload size is checked before
-        anything is scheduled, each distinct one once; each size's flit
-        count is worked out here, not per dispatch. All messages are
-        counted as injected now; the event queue holds only the earliest one
-        not yet dispatched, and message i becomes a packet when its event is
-        dispatched."""
+        anything is scheduled, each distinct one once; each size's link
+        hold time (one cycle per flit) is worked out here, not per
+        dispatch. All messages are counted as injected now; the event queue
+        holds only the earliest one not yet dispatched. When message i's
+        event is dispatched, its pair's route is looked up, or built, and
+        the message becomes a packet at its source router."""
         for node in {*srcs, *dsts}:
             if not self.topo.contains(node):
                 raise ValueError(f"packet endpoints outside mesh {self.topo.dims}")
-        flits_of = {b: packetize(b, self.topo.flit_width)
-                    for b in set(payload_bytes)}
-        flits = [flits_of[b] for b in payload_bytes]
+        clock = self.clock_period_ps
+        hold_of = {b: packetize(b, self.topo.flit_width) * clock
+                   for b in set(payload_bytes)}
+        holds = [hold_of[b] for b in payload_bytes]
         engine = self.engine
+        routes = self._routes
 
         def inject_one(i: int) -> None:
-            self._at_router((srcs[i], dsts[i], flits[i], engine.now))
+            pair = (srcs[i], dsts[i])
+            route = routes.get(pair)
+            if route is None:
+                route = routes[pair] = self._route(*pair)
+            self._at_router((iter(route), holds[i], engine.now))
 
         self.injected += len(times_ps)
         engine.schedule_all(times_ps, inject_one, range(len(times_ps)))
 
-    def _at_router(self, pkt: tuple[Coord, Coord, int, int]) -> None:
-        # One hop of XYZ routing: pick the output port, the next node and the
-        # link or TSV latency. `reference_walk` in tests/test_interconnect.py
-        # spells the same routing out step by step and checks this against it.
-        node, dst, flits, t_inject = pkt
-        x, y, z = node
-        dx, dy, dz = dst
+    def _route(self, src: Coord, dst: Coord) -> tuple[Step, ...]:
+        """XYZ dimension-order routing: the steps that correct x, then y,
+        then z, one hop at a time."""
         topo = self.topo
-        clock = self.clock_period_ps
-        if x != dx:
-            if dx > x:
-                port, nxt = "+x", (x + 1, y, z)
-            else:
-                port, nxt = "-x", (x - 1, y, z)
-            hop_latency = topo.link_latency
-        elif y != dy:
-            if dy > y:
-                port, nxt = "+y", (x, y + 1, z)
-            else:
-                port, nxt = "-y", (x, y - 1, z)
-            hop_latency = topo.link_latency
-        elif z != dz:
-            if dz > z:
-                port, nxt = "+z", (x, y, z + 1)
-            else:
-                port, nxt = "-z", (x, y, z - 1)
-            hop_latency = topo.tsv_latency
-        else:
+        node = list(src)
+        route = []
+        for axis, name in enumerate("xyz"):
+            latency = topo.tsv_latency if name == "z" else topo.link_latency
+            while node[axis] != dst[axis]:
+                sign = 1 if dst[axis] > node[axis] else -1
+                key = (tuple(node), ("+" if sign > 0 else "-") + name)
+                step = self._steps.get(key)
+                if step is None:
+                    link = self.links[key] = FifoResource()
+                    step = self._steps[key] = (
+                        link, latency * self.clock_period_ps)
+                route.append(step)
+                node[axis] += sign
+        return tuple(route)
+
+    def _at_router(self, pkt: tuple[Iterator[Step], int, int]) -> None:
+        # The head flit at a router: book the route's next link after the
+        # router delay and arrive at the next router after its latency, or
+        # deliver once the route is used up.
+        steps, hold_ps, t_inject = pkt
+        step = next(steps, None)
+        engine = self.engine
+        if step is None:
             self.delivered += 1
-            self.msg_samples.append(t_inject, self.engine.now + flits * clock)
+            self.msg_samples.append(t_inject, engine.now + hold_ps)
             return
-        ready = self.engine.now + topo.router_delay * clock
-        link = self.links.get((node, port))
-        if link is None:
-            link = self.links[(node, port)] = FifoResource()
-        depart, _ = link.book(ready, flits * clock)
-        self.engine.schedule(depart + hop_latency * clock, self._at_router,
-                             (nxt, dst, flits, t_inject))
+        link, hop_ps = step
+        depart, _ = link.book(engine.now + self._router_ps, hold_ps)
+        engine.schedule(depart + hop_ps, self._at_router, pkt)

@@ -65,6 +65,20 @@ def argument_problems(gen, args: dict, cores: int = 0,
     return out
 
 
+def hot_window_problem(cores: int, hot_set_bytes: int,
+                       hot_overlap: float) -> str | None:
+    """Why `gen_synthetic_trace`'s hot windows would not all lie below
+    ADDR_SPACE, or None. Core c's window starts at c * hot_set_bytes, and
+    the window every core shares, used when hot_overlap > 0, at
+    cores * hot_set_bytes; each is hot_set_bytes long."""
+    windows = cores + (hot_overlap > 0)
+    most = ADDR_SPACE // windows
+    if hot_set_bytes > most:
+        return (f"must be at most {most}, so that {windows} hot windows fit "
+                f"in the {ADDR_BITS}-bit address space, got {hot_set_bytes}")
+    return None
+
+
 class TraceParseError(ValueError):
     def __init__(self, lineno: int, message: str) -> None:
         super().__init__(f"line {lineno}: {message}")
@@ -194,6 +208,9 @@ def gen_synthetic_trace(cores: CoreCount, length: Count,
     """
     for name, problem in argument_problems(gen_synthetic_trace, locals()):
         raise ValueError(f"{name} {problem}")
+    problem = hot_window_problem(cores, hot_set_bytes, hot_overlap)
+    if problem:
+        raise ValueError(f"hot_set_bytes {problem}")
     shared_base = cores * hot_set_bytes
     records: list[TraceRecord] = []
     for core in range(cores):

@@ -371,10 +371,30 @@ def test_generator_values_at_the_ends_of_their_ranges_are_valid(tmp_path,
      "workload.synthetic.access_size: must be >= 1, got 0"),
     ("fig33", "workload.message_synthetic.clusters", 1,
      "workload.message_synthetic.clusters: must be from 2 to the system's 4 "
-     "clusters, got 1")],
+     "clusters, got 1"),
+    ("fig32", "workload", {"trace": 7},
+     "workload.trace: must be a file path, got 7"),
+    ("fig33", "workload", {"messages": ["m.csv"]},
+     "workload.messages: must be a file path, got ['m.csv']"),
+    ("fig32", "workload", {"trace": "trace.csv", "synthetic": {}},
+     "workload: choose either trace or synthetic, not both"),
+    ("fig32", "workload.message_synthetic", {},
+     "workload.message_synthetic.clusters: must be from 2 to the system's 1 "
+     "clusters, got 1"),
+    ("fig32", "workload.synthetic.hot_set_bytes", 10**15,
+     "workload.synthetic.hot_set_bytes: must be at most 35184372088832, so "
+     "that 8 hot windows fit in the 48-bit address space, got "
+     "1000000000000000"),
+    ("fig32", "workload.synthetic",
+     {"hot_set_bytes": 35184372088832, "hot_overlap": 0.5},
+     "workload.synthetic.hot_set_bytes: must be at most 31274997412295, so "
+     "that 9 hot windows fit in the 48-bit address space, got "
+     "35184372088832")],
     ids=["access_size=24", "trace-and-synthetic", "messages-on-one-cluster",
          "clusters=99", "hot_set_bytes=0", "payload_bytes=-5", "access_size=0",
-         "clusters=1"])
+         "clusters=1", "trace=7", "messages=list", "trace-and-empty-synthetic",
+         "empty-messages-on-one-cluster", "hot-windows-past-48-bits",
+         "shared-hot-window-past-48-bits"])
 def test_workload_setting_is_refused_by_validate_and_before_run_generates(
         tmp_path, capsys, monkeypatch, config, key, value, line):
     # validate and run apply one rule per workload setting: each exits 2 with
@@ -394,6 +414,33 @@ def test_workload_setting_is_refused_by_validate_and_before_run_generates(
     assert capsys.readouterr().err.splitlines() == [
         "error: invalid configuration:", f"  {line}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, defaults, count", [
+    ("synthetic",
+     {"cores": 4, "length": 1000, "hot_fraction": 0.9, "hot_set_bytes": 8192},
+     lambda report: report["meta"]["trace_records"]),
+    ("message_synthetic",
+     {"clusters": 2, "cycles": 1000, "rate": 0.002, "payload_bytes": 64},
+     lambda report: report["interconnect"]["noc"]["injected"])],
+    ids=["synthetic", "message_synthetic"])
+def test_empty_generator_section_runs_with_its_defaults(tmp_path, section,
+                                                        defaults, count):
+    # docs/config-format.md gives every generator field a default, so an
+    # empty section generates records with them, exactly as the section
+    # that spells the defaults out does; only the echoed config differs.
+    path = write_config(tmp_path, quick_cfg())
+    reports = []
+    for value in ({}, defaults):
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", path, "--set",
+                     f"workload.{section}={json.dumps(value)}",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["meta"]["timestamp"], report["meta"]["config"]
+        reports.append(report)
+    assert count(reports[0]) > 0
+    assert reports[0] == reports[1]
 
 
 def test_access_size_that_crosses_blocks_exits_2(tmp_path, capsys):
@@ -418,8 +465,11 @@ def test_gen_trace_bad_parameter_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("kind, flag, value, message", [
     ("msg", "--payload", "0", "payload_bytes must be >= 1, got 0"),
     ("msg", "--clusters", "1", "clusters must be >= 2, got 1"),
-    ("mem", "--cores", "0", "cores must be >= 1, got 0")],
-    ids=["payload=0", "clusters=1", "cores=0"])
+    ("mem", "--cores", "0", "cores must be >= 1, got 0"),
+    ("mem", "--hot-set-bytes", "1000000000000000",
+     "hot_set_bytes must be at most 35184372088832, so that 8 hot windows "
+     "fit in the 48-bit address space, got 1000000000000000")],
+    ids=["payload=0", "clusters=1", "cores=0", "hot-windows-past-48-bits"])
 def test_gen_trace_writes_only_what_run_can_read(tmp_path, capsys, kind, flag,
                                                  value, message):
     # gen-trace hands its flags to the generator, which applies each

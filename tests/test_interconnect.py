@@ -8,9 +8,9 @@ from tiersim.engine import EventQueue
 from tiersim.interconnect import (BusChannel, ClusterBus, MeshNetwork,
                                   MeshTopology, mean_hop_count, packetize)
 
-# Reference XYZ routing, one step at a time. `MeshNetwork._at_router`
-# inlines the same decisions; the tests below walk routes with these and
-# check the network against the walk.
+# Reference XYZ routing, one step at a time. `MeshNetwork._route` builds
+# each route from the same decisions; the tests below walk routes with these
+# and check the network against the walk.
 
 LOCAL = "local"
 
@@ -288,6 +288,53 @@ def test_mesh_matches_reference_walk_property(traffic):
     assert list(net.msg_samples) == expected
     assert {k: link.free_at_ps for k, link in net.links.items()} == link_free
     assert net.delivered == len(packets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(traffic=mesh_traffic(), data=st.data())
+def test_mesh_run_split_anywhere_matches_one_run_property(traffic, data):
+    """Stopping the run at any time and resuming it gives the same
+    deliveries and link bookings as one run: a packet stopped mid-route
+    resumes from the step it had reached."""
+    t, clock_ps, packets = traffic
+    runs = []
+    for stops in ([], [data.draw(st.integers(0, 40 * clock_ps), label="t")]):
+        engine = EventQueue()
+        net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
+        net.inject(*zip(*packets))
+        for stop in stops:
+            engine.run_until(stop)
+        engine.run_until()
+        runs.append((list(net.msg_samples), net.delivered,
+                     {k: link.free_at_ps for k, link in net.links.items()}))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == len(packets)
+
+
+def test_router_handler_runs_once_per_hop_and_once_to_deliver(monkeypatch):
+    # perfbench counts hops as calls of `_at_router` less deliveries, so a
+    # packet must call it once per link it crosses and once more at its
+    # destination, whatever dimensions its route corrects.
+    calls = []
+    original = MeshNetwork._at_router
+
+    def counted(self, pkt):
+        calls.append(pkt)
+        original(self, pkt)
+
+    monkeypatch.setattr(MeshNetwork, "_at_router", counted)
+    routes = [((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (3, 0, 0)),
+              ((3, 2, 1), (0, 2, 1)), ((1, 0, 0), (1, 2, 0)),
+              ((2, 2, 0), (2, 2, 1)), ((3, 0, 1), (0, 2, 0)),
+              ((0, 2, 1), (3, 0, 0))]
+    for src, dst in routes:
+        engine = EventQueue()
+        net = MeshNetwork(topo((4, 3, 2)), engine, clock_period_ps=1000)
+        calls.clear()
+        net.inject([0, 0], [src, src], [dst, dst], [64, 0])
+        engine.run_until()
+        assert len(calls) == 2 * (manhattan(src, dst) + 1), (src, dst)
+        assert net.delivered == 2
 
 
 def test_topology_violations():

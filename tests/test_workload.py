@@ -4,10 +4,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tiersim.workload import (MESSAGE_HEADER, TRACE_HEADER, MessageRecord,
-                              TraceParseError, TraceRecord, gen_message_traffic,
-                              gen_synthetic_trace, parse_messages, parse_trace,
-                              parse_trace_line, write_messages, write_trace)
+from tiersim.workload import (ADDR_SPACE, MESSAGE_HEADER, TRACE_HEADER,
+                              MessageRecord, TraceParseError, TraceRecord,
+                              gen_message_traffic, gen_synthetic_trace,
+                              parse_messages, parse_trace, parse_trace_line,
+                              write_messages, write_trace)
 
 
 def test_parse_trace_line_example():
@@ -154,3 +155,23 @@ def test_generator_parameter_validation():
         gen_message_traffic(4, 10, 2.0, 64, seed=0)
     with pytest.raises(ValueError):
         gen_message_traffic(1, 10, 0.5, 64, seed=0)
+
+
+@pytest.mark.parametrize("cores, hot_overlap", [(1, 0.0), (3, 0.0), (3, 1.0)])
+def test_hot_windows_stay_in_the_address_space(cores, hot_overlap):
+    # Every hot window, the shared one included when hot_overlap > 0, must
+    # lie below ADDR_SPACE, or the trace would hold addresses that
+    # parse_trace_line refuses. At the largest window size the top window
+    # ends exactly at ADDR_SPACE; one byte more is refused.
+    windows = cores + (hot_overlap > 0)
+    most = ADDR_SPACE // windows
+    trace = gen_synthetic_trace(cores, 200, 1.0, most, seed=5,
+                                hot_overlap=hot_overlap)
+    assert max(r.addr for r in trace) >= (windows - 1) * most
+    assert all(parse_trace_line(f"{r.tick},{r.core},{r.op},0x{r.addr:x},"
+                                f"{r.size}") == r for r in trace)
+    with pytest.raises(ValueError, match=f"hot_set_bytes must be at most "
+                                         f"{most}, so that {windows} hot "
+                                         f"windows fit in the 48-bit"):
+        gen_synthetic_trace(cores, 200, 1.0, most + 1, seed=5,
+                            hot_overlap=hot_overlap)
