@@ -13,20 +13,23 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cached_property
+from typing import Any, Literal, get_args, get_origin
 
-from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry, Region
+from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry
 from .interconnect import MeshTopology
-from .memtech import TechnologyParams, catalog_with_overrides
-from .workload import (argument_problems, gen_message_traffic,
-                       gen_synthetic_trace, generator_parameters,
-                       hot_window_problem)
+from .memtech import TechnologyParams, catalog_default, catalog_with_overrides
+from .workload import (NUMBER_KINDS, NonNegative, Probability, Size,
+                       field_kinds, gen_message_traffic, gen_synthetic_trace,
+                       generator_parameters, hot_window_problem,
+                       kind_problems, start_time_problem)
 
 CORES_L1 = "cores_l1"
 L2_SPLIT_ID = "l2_split_id"
 L3_UNIFIED = "l3_unified"
 MEMORY = "memory"
-TIER_KINDS = (CORES_L1, L2_SPLIT_ID, L3_UNIFIED, MEMORY)
+TierKind = Literal[CORES_L1, L2_SPLIT_ID, L3_UNIFIED, MEMORY]
 
 SHARED = "shared"
 DISTRIBUTED = "distributed"
@@ -35,38 +38,45 @@ GIC_CORE_LIMIT = 8
 
 
 class ConfigError(ValueError):
-    """Malformed configuration structure (wrong types, unknown fields)."""
+    """A config no spec can be built from (see `_typed`)."""
 
 
 @dataclass(frozen=True)
 class TierSpec:
-    kind: str
+    kind: TierKind
     index: int
 
 
 @dataclass(frozen=True)
-class CacheConfig:
-    geometry: CacheGeometry
-    tech: str
-    topology: str = SHARED   # shared per cluster, or distributed per core
+class CacheConfig(CacheGeometry):
+    """A cache level: its geometry, its arrays' technology and topology."""
+
+    tech: str = "SRAM"
+    topology: Literal[SHARED, DISTRIBUTED] = SHARED  # or one array per core
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SystemSpec:
-    """A parsed config, every field filled by `spec_from_dict`."""
+    """A parsed config. Each field a config sets as one value takes an
+    annotation that is that value's only rule, and a default that is the
+    config's; `_SCALARS` gives the key each sits at."""
 
-    cluster_grid: tuple[int, int]
-    cores_per_cluster: int
-    tier_stack: tuple[TierSpec, ...]
     noc: MeshTopology
-    bus_beat_width: int
-    clocks: dict[str, int]
-    memory_latency_ns: float
-    write_mix: float
     caches: dict[str, CacheConfig | None]
-    catalog: dict[str, TechnologyParams]
-    histogram_bucket_ps: int
+    clocks: dict[str, Size]
     raw: dict
+    cluster_grid: tuple[Size, Size] = (1, 1)
+    cores_per_cluster: Size = 8
+    tier_stack: tuple[TierSpec, ...] = (TierSpec(CORES_L1, 0),)
+    bus_beat_width: Size = 16
+    memory_latency_ns: NonNegative = 50.0
+    write_mix: Probability = 0.5
+    histogram_bucket_ps: Size = 1000
+
+    @cached_property
+    def catalog(self) -> dict[str, TechnologyParams]:
+        """The default catalog with the config's tech_overrides applied."""
+        return catalog_with_overrides(self.raw.get("tech_overrides"))
 
     @property
     def n_clusters(self) -> int:
@@ -103,52 +113,39 @@ _DEFAULT_CLOCKS = {"core_ps": 1000, "bus_ps": 1000, "noc_ps": 1000,
 
 CACHE_LEVELS = ("l1i", "l1d", "l2", "l2i", "l3")
 
-# The keys the config and each of its sections may carry. validate_spec
-# reports any other key, so a misspelt or misplaced setting never falls back
-# to its default unnoticed.
-_TOP_KEYS = ("cluster_grid", "cores_per_cluster", "tier_stack", "noc", "bus",
-             "clocks", "memory_latency_ns", "write_mix", "caches",
-             "tech_overrides", "workload", "report")
-_SECTION_KEYS = {
-    "noc": ("dims", "link_latency", "tsv_latency", "router_delay",
-            "flit_width"),
-    "bus": ("beat_width",),
-    "clocks": tuple(_DEFAULT_CLOCKS),
-    "report": ("histogram_bucket_ps",),
-    "workload": ("trace", "synthetic", "messages", "message_synthetic"),
-    "caches": CACHE_LEVELS,
-}
-_CACHE_KEYS = ("capacity", "block_size", "associativity", "banks",
-               "replacement", "nuca_base_latency", "nuca_per_hop", "regions",
-               "partial_writes", "tech", "topology")
-_REGION_KEYS = ("ways", "tech")
+# The dotted config key of each SystemSpec field that a config sets as one
+# value.
+_SCALARS = {"cluster_grid": "cluster_grid",
+            "cores_per_cluster": "cores_per_cluster",
+            "bus_beat_width": "bus.beat_width",
+            "memory_latency_ns": "memory_latency_ns",
+            "write_mix": "write_mix",
+            "histogram_bucket_ps": "report.histogram_bucket_ps"}
 # A generator section's keys are its generator's parameters, less the seed,
 # which comes from the run.
 _GENERATORS = {"synthetic": gen_synthetic_trace,
               "message_synthetic": gen_message_traffic}
 
 
-def _cache_config_from_dict(d: dict, default_tech: str = "SRAM") -> CacheConfig:
-    try:
-        regions = tuple(
-            Region(int(r["ways"][0]), int(r["ways"][1]), str(r["tech"]))
-            for r in d.get("regions", []))
-        geom = CacheGeometry(
-            capacity=int(d["capacity"]),
-            block_size=int(d.get("block_size", 64)),
-            associativity=int(d.get("associativity", 2)),
-            banks=int(d.get("banks", 1)),
-            replacement=str(d.get("replacement", LRU)),
-            nuca_base_latency=int(d.get("nuca_base_latency", 0)),
-            nuca_per_hop=int(d.get("nuca_per_hop", 0)),
-            regions=regions,
-            partial_writes=bool(d.get("partial_writes", False)),
-        )
-        topology = str(d.get("topology", SHARED))
-        return CacheConfig(geometry=geom, tech=str(d.get("tech", default_tech)),
-                           topology=topology)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ConfigError(f"bad cache config {d!r}: {exc}") from None
+def _config_kinds() -> dict:
+    """The kind of each config key, a section's as a dict of its keys'
+    kinds; `tech_overrides` and the workload's entries have checks of
+    their own. validate_spec reports any other key, so a misspelt or
+    misplaced setting never falls back to its default unnoticed."""
+    spec = field_kinds(SystemSpec)
+    kinds = {"tier_stack": tuple[TierKind, ...], "noc": MeshTopology,
+             "bus": {}, "report": {},
+             "clocks": dict.fromkeys(_DEFAULT_CLOCKS, get_args(spec["clocks"])[1]),
+             "caches": dict.fromkeys(CACHE_LEVELS, CacheConfig),
+             "tech_overrides": Any,
+             "workload": dict.fromkeys(("trace", "messages", *_GENERATORS), Any)}
+    for name, path in _SCALARS.items():
+        section, _, key = path.rpartition(".")
+        (kinds[section] if section else kinds)[key] = spec[name]
+    return kinds
+
+
+_CONFIG_KINDS = _config_kinds()
 
 
 def _section(node: dict, key: str, path: str) -> dict:
@@ -162,98 +159,96 @@ def _section(node: dict, key: str, path: str) -> dict:
     return value
 
 
+def _typed(kind, value, path: str):
+    """`value` as a field of kind `kind` stores it: an object under a
+    dataclass kind as that dataclass, less the keys it has no field for, a
+    list under a tuple kind as a tuple, each item typed in turn, and an
+    integer that keeps its number kind as a float. Any other value is kept
+    as given for validate_spec to check; an object or a list of the wrong
+    shape, or without a field that has no default, is a ConfigError."""
+    if is_dataclass(kind):
+        node = _section({path: value}, path, path)
+        for f in fields(kind):
+            if f.default is MISSING and f.name not in node:
+                raise ConfigError(f"{path}.{f.name}: required")
+        kinds = field_kinds(kind)
+        return kind(**{key: _typed(kinds[key], item, f"{path}.{key}")
+                       for key, item in node.items() if key in kinds})
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        any_length = args[-1] is Ellipsis
+        if not (isinstance(value, (list, tuple))
+                and (any_length or len(value) == len(args))):
+            raise ConfigError(f"{path}: must be a list"
+                              f"{'' if any_length else f' of {len(args)}'}, "
+                              f"got {value!r}")
+        return tuple(_typed(args[0] if any_length else args[i], item,
+                            f"{path}[{i}]") for i, item in enumerate(value))
+    if (kind in NUMBER_KINDS and isinstance(value, int)
+            and not kind_problems(kind, value)):
+        return float(value)
+    return value
+
+
 def spec_from_dict(config: dict) -> SystemSpec:
     """Build a SystemSpec from a parsed JSON config dict.
 
-    Structural problems raise ConfigError; semantic constraints are left
-    to validate_spec so every violation can be reported at once.
+    A config no spec can be built from raises ConfigError. Every value is
+    stored as `_typed` keeps it, nothing cast or truncated, so that
+    validate_spec can report each value that breaks its kind by its path
+    before it applies any rule across fields.
     """
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = copy.deepcopy(config)
-    try:
-        grid = tuple(int(v) for v in cfg.get("cluster_grid", [1, 1]))
-        if len(grid) != 2:
-            raise ConfigError("cluster_grid must be [X, Y]")
-        tiers = tuple(TierSpec(str(k), i)
-                      for i, k in enumerate(cfg.get("tier_stack", [CORES_L1])))
-        clocks = dict(_DEFAULT_CLOCKS)
-        clocks.update({str(k): int(v)
-                       for k, v in _section(cfg, "clocks", "clocks").items()})
-        noc_cfg = _section(cfg, "noc", "noc")
-        n_core_tiers = sum(1 for t in tiers if t.kind == CORES_L1) or 1
-        dims = tuple(int(v) for v in noc_cfg.get(
-            "dims", [grid[0], grid[1], n_core_tiers]))
-        if len(dims) != 3:
-            raise ConfigError("noc.dims must be [X, Y, Z]")
-        noc = MeshTopology(
-            dims=dims,
-            link_latency=int(noc_cfg.get("link_latency", 1)),
-            tsv_latency=int(noc_cfg.get("tsv_latency", 1)),
-            router_delay=int(noc_cfg.get("router_delay", 1)),
-            flit_width=int(noc_cfg.get("flit_width", 16)),
-        )
-        caches: dict[str, CacheConfig | None] = {}
-        cache_cfg = _section(cfg, "caches", "caches")
-        for name in CACHE_LEVELS:
-            entry = _section(cache_cfg, name, f"caches.{name}")
-            caches[name] = _cache_config_from_dict(entry) if entry else None
-        catalog = catalog_with_overrides(
-            _section(cfg, "tech_overrides", "tech_overrides"))
-        # The CLI reads the workload from the raw config; only the types of
-        # its sections are checked here, with the other sections.
-        workload = _section(cfg, "workload", "workload")
-        for section in _GENERATORS:
-            _section(workload, section, f"workload.{section}")
-        return SystemSpec(
-            cluster_grid=grid,
-            cores_per_cluster=int(cfg.get("cores_per_cluster", 8)),
-            tier_stack=tiers,
-            noc=noc,
-            bus_beat_width=int(_section(cfg, "bus", "bus").get("beat_width", 16)),
-            clocks=clocks,
-            memory_latency_ns=float(cfg.get("memory_latency_ns", 50.0)),
-            write_mix=float(cfg.get("write_mix", 0.5)),
-            caches=caches,
-            catalog=catalog,
-            histogram_bucket_ps=int(_section(cfg, "report", "report").get(
-                "histogram_bucket_ps", 1000)),
-            raw=cfg,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    kinds = field_kinds(SystemSpec)
+    given = {}
+    for name, path in _SCALARS.items():
+        section, _, key = path.rpartition(".")
+        node = _section(cfg, section, section) if section else cfg
+        if key in node:
+            given[name] = _typed(kinds[name], node[key], path)
+    if "tier_stack" in cfg:
+        given["tier_stack"] = tuple(TierSpec(kind, i) for i, kind in enumerate(
+            _typed(_CONFIG_KINDS["tier_stack"], cfg["tier_stack"], "tier_stack")))
+    # The mesh defaults to the cluster grid, one layer per core tier.
+    tiers = [t.kind for t in given.get("tier_stack", SystemSpec.tier_stack)]
+    dims = [*given.get("cluster_grid", SystemSpec.cluster_grid),
+            tiers.count(CORES_L1) or 1]
+    noc = _typed(MeshTopology, {"dims": dims, **_section(cfg, "noc", "noc")},
+                 "noc")
+    clocks = _section(cfg, "clocks", "clocks")
+    cache_cfg = _section(cfg, "caches", "caches")
+    caches = {}
+    for name in CACHE_LEVELS:
+        entry = _section(cache_cfg, name, f"caches.{name}")
+        caches[name] = _typed(CacheConfig, entry, f"caches.{name}") if entry else None
+    overrides = _section(cfg, "tech_overrides", "tech_overrides")
+    for name in overrides:
+        _section(overrides, name, f"tech_overrides.{name}")
+    # The CLI reads the workload from the raw config; only the types of
+    # its sections are checked here, with the other sections.
+    workload = _section(cfg, "workload", "workload")
+    for section in _GENERATORS:
+        _section(workload, section, f"workload.{section}")
+    return SystemSpec(noc=noc, caches=caches, raw=cfg, clocks={
+        name: clocks.get(name, period) for name, period in _DEFAULT_CLOCKS.items()},
+        **given)
 
 
-def _unknown_keys(raw: dict) -> list[str]:
-    """One violation per config key that no section defines, by its dotted
-    path: the top level, noc, bus, clocks, report, workload and its
-    generator sections, caches, each cache entry and each of its regions."""
-    out: list[str] = []
-
-    def check(node, prefix: str, allowed: tuple[str, ...]) -> None:
-        if isinstance(node, dict):
-            out.extend(f"{prefix}{key}: unknown key" for key in node
-                       if key not in allowed)
-
-    check(raw, "", _TOP_KEYS)
-    for section, allowed in _SECTION_KEYS.items():
-        check(raw.get(section), f"{section}.", allowed)
-    workload = raw.get("workload")
-    for section, gen in _GENERATORS.items() if isinstance(workload, dict) else ():
-        check(workload.get(section), f"workload.{section}.",
-              tuple(generator_parameters(gen)))
-    caches = raw.get("caches")
-    for name in CACHE_LEVELS if isinstance(caches, dict) else ():
-        entry = caches.get(name)
-        if not isinstance(entry, dict):
-            continue
-        check(entry, f"caches.{name}.", _CACHE_KEYS)
-        regions = entry.get("regions")
-        for i, region in enumerate(regions if isinstance(regions, list) else ()):
-            check(region, f"caches.{name}.regions[{i}].", _REGION_KEYS)
-    return out
+def _config_violations(raw: dict) -> list[str]:
+    """One violation per key that no section of the config defines, per
+    value that breaks its kind, and per field a new technology leaves out,
+    each by its dotted path."""
+    found = kind_problems(_CONFIG_KINDS, raw)
+    tech = {name: kind for name, kind in field_kinds(TechnologyParams).items()
+            if name != "name"}
+    for name, entry in (raw.get("tech_overrides") or {}).items():
+        found += kind_problems(tech, entry, f"tech_overrides.{name}")
+        if name not in catalog_default():
+            found += [(f"tech_overrides.{name}.{key}", "required")
+                      for key in tech if key not in (entry or {})]
+    return [f"{path}: {problem}" for path, problem in found]
 
 
 def generator_arguments(spec: SystemSpec, section: str) -> dict:
@@ -270,11 +265,12 @@ def generator_arguments(spec: SystemSpec, section: str) -> dict:
 
 def _workload_violations(spec: SystemSpec) -> list[str]:
     """One violation per record file that is not a path or sits beside its
-    generator section, per generator argument that breaks its rule, for hot
-    windows past the address space, and for an `access_size` that does not
-    divide the L1d block (accesses aligned to it cross blocks). A key that
-    is present and not null counts, whatever its value, so an empty
-    generator section generates with its defaults."""
+    generator section, per generator key that is unknown or breaks its
+    rule, for hot windows past the address space or a last record that
+    starts too late, and for an `access_size` that does not divide the L1d
+    block (accesses aligned to it cross blocks). A key that is present and
+    not null counts, whatever its value, so an empty generator section
+    generates with its defaults."""
     out: list[str] = []
     workload = spec.raw.get("workload") or {}
     for records, section in (("trace", "synthetic"),
@@ -287,16 +283,21 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
         if path is not None:
             out.append(f"workload: choose either {records} or {section}, not both")
         args = generator_arguments(spec, section)
-        problems = argument_problems(_GENERATORS[section], args,
-                                     spec.total_cores, spec.n_clusters)
+        rules = generator_parameters(_GENERATORS[section])
+        del rules["seed"]
+        problems = kind_problems(rules, args, f"workload.{section}",
+                                 spec.total_cores, spec.n_clusters)
         if section == "synthetic" and not problems:
-            window = hot_window_problem(args["cores"], args["hot_set_bytes"],
-                                        args.get("hot_overlap", 0.0))
-            problems = [("hot_set_bytes", window)] if window else []
-        out.extend(f"workload.{section}.{name}: {problem}"
-                   for name, problem in problems)
+            problems = [(f"workload.synthetic.{key}", problem) for key, problem in (
+                ("hot_set_bytes", hot_window_problem(
+                    args["cores"], args["hot_set_bytes"],
+                    args.get("hot_overlap", 0.0))),
+                ("tick_interval", start_time_problem(
+                    args["length"], args.get("tick_interval", 1),
+                    spec.clocks["core_ps"]))) if problem]
+        out.extend(f"{key}: {problem}" for key, problem in problems)
     size = (workload.get("synthetic") or {}).get("access_size")
-    block = spec.caches["l1d"].geometry.block_size if spec.caches.get("l1d") else 0
+    block = spec.caches["l1d"].block_size if spec.caches.get("l1d") else 0
     if isinstance(size, int) and size >= 1 and block % size:
         out.append(f"workload.synthetic.access_size: {size} does not divide "
                    f"the {block}-byte block; an access aligned to it crosses "
@@ -305,21 +306,22 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
 
 
 def validate_spec(spec: SystemSpec) -> list[str]:
-    """Every constraint violation in the spec, with a location path each.
+    """Every constraint violation in the spec, with a location path each:
+    each key no section defines and each value that breaks its kind, or,
+    when there is none, each rule across fields that the spec breaks.
 
     Violations are data, not exceptions; an empty list means buildable.
     """
-    out: list[str] = _unknown_keys(spec.raw) + _workload_violations(spec)
-    gx, gy = spec.cluster_grid
-    if gx < 1 or gy < 1:
-        out.append(f"cluster_grid: dimensions must be >= 1 ({spec.cluster_grid})")
-    if spec.cores_per_cluster < 1:
-        out.append(f"cores_per_cluster: must be >= 1 ({spec.cores_per_cluster})")
+    out = _config_violations(spec.raw)
+    if out:
+        return out
+    try:  # built only now, once every override keeps its kind
+        catalog = spec.catalog
+    except ValueError as exc:  # a non-volatile technology with standby power
+        return [f"tech_overrides.{exc}"]
+    out = _workload_violations(spec)
 
     kinds = [t.kind for t in spec.tier_stack]
-    for i, kind in enumerate(kinds):
-        if kind not in TIER_KINDS:
-            out.append(f"tier_stack[{i}]: unknown tier kind {kind!r}")
     if CORES_L1 not in kinds:
         out.append("tier_stack: at least one cores_l1 tier is required")
     for i, kind in enumerate(kinds):
@@ -349,14 +351,12 @@ def validate_spec(spec: SystemSpec) -> list[str]:
     for name, cfg in spec.caches.items():
         if cfg is None:
             continue
-        out.extend(cfg.geometry.violations(f"caches.{name}"))
-        if cfg.tech not in spec.catalog:
+        out.extend(cfg.violations(f"caches.{name}"))
+        if cfg.tech not in catalog:
             out.append(f"caches.{name}.tech: unknown technology {cfg.tech!r}")
-        for r in cfg.geometry.regions:
-            if r.tech not in spec.catalog:
+        for r in cfg.regions:
+            if r.tech not in catalog:
                 out.append(f"caches.{name}.regions: unknown technology {r.tech!r}")
-        if cfg.topology not in (SHARED, DISTRIBUTED):
-            out.append(f"caches.{name}.topology: must be shared or distributed")
         if name != "l2" and cfg.topology != SHARED:
             out.append(f"caches.{name}.topology: only the l2 level may be distributed")
 
@@ -365,31 +365,18 @@ def validate_spec(spec: SystemSpec) -> list[str]:
     # 8-byte word.
     l1d = spec.caches.get("l1d")
     if l1d is not None:
-        block = l1d.geometry.block_size
+        block = l1d.block_size
         if block < WORD_SIZE:
             out.append(f"caches.l1d.block_size: must be >= {WORD_SIZE} ({block})")
         for name in ("l2", "l2i", "l3"):
             cfg = spec.caches.get(name)
-            if cfg is not None and cfg.geometry.block_size != block:
+            if cfg is not None and cfg.block_size != block:
                 out.append(f"caches.{name}.block_size: must equal caches.l1d."
-                           f"block_size ({block}), got {cfg.geometry.block_size}")
+                           f"block_size ({block}), got {cfg.block_size}")
 
-    out.extend(spec.noc.violations())
     if spec.noc.dims[0] < spec.cluster_grid[0] or spec.noc.dims[1] < spec.cluster_grid[1]:
         out.append(f"noc.dims: mesh {spec.noc.dims} smaller than cluster grid "
                    f"{spec.cluster_grid}")
-    for name, period in spec.clocks.items():
-        if period <= 0:
-            out.append(f"clocks.{name}: period must be > 0 ps ({period})")
-    if spec.bus_beat_width < 1:
-        out.append(f"bus.beat_width: must be >= 1 ({spec.bus_beat_width})")
-    if spec.memory_latency_ns < 0:
-        out.append(f"memory_latency_ns: must be >= 0 ({spec.memory_latency_ns})")
-    if not 0.0 <= spec.write_mix <= 1.0:
-        out.append(f"write_mix: must be in [0, 1] ({spec.write_mix})")
-    if spec.histogram_bucket_ps < 1:
-        out.append(f"report.histogram_bucket_ps: must be >= 1 "
-                   f"({spec.histogram_bucket_ps})")
     return out
 
 

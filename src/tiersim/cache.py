@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Literal
 
 from .engine import FifoResource, cycles_for_latency
 from .memtech import READ, WRITE, TechnologyParams
+from .workload import Count, Size
 
 WORD_SIZE = 8  # bytes per partial-write word
 
@@ -50,23 +52,25 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Region:
-    """Contiguous way range [way_lo, way_hi) backed by one technology."""
+    """Contiguous way range [ways[0], ways[1]) backed by one technology."""
 
-    way_lo: int
-    way_hi: int
+    ways: tuple[Count, Count]
     tech: str
 
 
 @dataclass(frozen=True)
 class CacheGeometry:
-    capacity: int                 # bytes
-    block_size: int               # bytes
-    associativity: int            # ways
-    banks: int = 1
-    replacement: str = LRU
-    nuca_base_latency: int = 0    # cycles, bank-routing cost at the controller
-    nuca_per_hop: int = 0         # cycles per bank of distance
-    regions: tuple[Region, ...] = ()   # empty means single implicit region
+    """An array's shape. Each field's annotation is its only rule as a
+    config value, and its default the config's."""
+
+    capacity: Size                    # bytes
+    block_size: Size = 64             # bytes
+    associativity: Size = 2           # ways
+    banks: Size = 1
+    replacement: Literal[LRU, PSEUDO_RANDOM] = LRU
+    nuca_base_latency: Count = 0      # cycles, bank-routing cost at the controller
+    nuca_per_hop: Count = 0           # cycles per bank of distance
+    regions: tuple[Region, ...] = ()  # empty means single implicit region
     partial_writes: bool = False
 
     @property
@@ -78,38 +82,23 @@ class CacheGeometry:
         return self.block_size // WORD_SIZE
 
     def violations(self, path: str = "geometry") -> list[str]:
-        """All constraint violations, each prefixed with a location path."""
+        """Each rule across fields it breaks, by path; its fields keep their kinds."""
         out = []
         if not _is_pow2(self.block_size):
             out.append(f"{path}.block_size: not a power of two ({self.block_size})")
-        if self.associativity < 1:
-            out.append(f"{path}.associativity: must be >= 1 ({self.associativity})")
-        if self.associativity < 1 or self.block_size < 1:
-            return out  # no set count to derive
         if self.capacity % (self.associativity * self.block_size) != 0:
             out.append(f"{path}.capacity: {self.capacity} not sets*ways*block_size")
             return out
         if not _is_pow2(self.sets):
             out.append(f"{path}.capacity: derived set count {self.sets} not a power of two")
-        if self.banks < 1 or self.sets % self.banks != 0:
+        if self.sets % self.banks != 0:
             out.append(f"{path}.banks: {self.banks} does not divide {self.sets} sets")
-        if self.replacement not in (LRU, PSEUDO_RANDOM):
-            out.append(f"{path}.replacement: unknown policy {self.replacement!r}")
-        if self.nuca_base_latency < 0 or self.nuca_per_hop < 0:
-            out.append(f"{path}.nuca: latencies must be >= 0")
-        if self.regions:
-            cover = sorted(self.regions, key=lambda r: r.way_lo)
-            expect = 0
-            for r in cover:
-                if r.way_lo != expect or r.way_hi <= r.way_lo:
-                    out.append(f"{path}.regions: way ranges must partition "
-                               f"[0, {self.associativity})")
-                    break
-                expect = r.way_hi
-            else:
-                if expect != self.associativity:
-                    out.append(f"{path}.regions: way ranges must partition "
-                               f"[0, {self.associativity})")
+        expect = 0   # where the next region must start; -1 once one does not
+        for lo, hi in sorted(r.ways for r in self.regions):
+            expect = hi if lo == expect and hi > lo else -1
+        if self.regions and expect != self.associativity:
+            out.append(f"{path}.regions: way ranges must partition "
+                       f"[0, {self.associativity})")
         return out
 
 
@@ -169,7 +158,8 @@ class CacheLevel:
                  rng: random.Random | None = None,
                  write_mix: float = 0.5,
                  snoop_filter: tuple[dict[int, int], int] | None = None):
-        regions = geom.regions or (Region(0, geom.associativity, tech_by_region[0].name),)
+        regions = geom.regions or (Region((0, geom.associativity),
+                                          tech_by_region[0].name),)
         if len(tech_by_region) != len(regions):
             raise ValueError(f"{name}: {len(regions)} regions but "
                              f"{len(tech_by_region)} technology records")
@@ -198,7 +188,7 @@ class CacheLevel:
         self._holders, self._holder_bit = snoop_filter or (None, 0)
         self._region_of_way = [0] * geom.associativity
         for idx, r in enumerate(regions):
-            for w in range(r.way_lo, r.way_hi):
+            for w in range(*r.ways):
                 self._region_of_way[w] = idx
 
         # Reporting counters. n_read/n_write count accesses (demand reads,
@@ -464,5 +454,5 @@ class CacheLevel:
 
     def region_capacity_mib(self, region_index: int) -> float:
         r = self.regions[region_index]
-        frac = (r.way_hi - r.way_lo) / self.geom.associativity
+        frac = (r.ways[1] - r.ways[0]) / self.geom.associativity
         return self.capacity_mib() * frac

@@ -100,12 +100,9 @@ def _resolve_workload(spec, seed: int):
 def run_experiment(config: dict, seed: int, out_path: str,
                    t_end_ps: int | None = None,
                    dump_latencies: str | None = None) -> dict:
-    """Validate, build, simulate and write one report. Raises UserError for
-    anything exit-2-worthy."""
-    try:
-        spec = spec_from_dict(config)
-    except ConfigError as exc:
-        raise UserError(str(exc)) from None
+    """Validate, build, simulate and write one report. Raises UserError or
+    ConfigError for anything exit-2-worthy."""
+    spec = spec_from_dict(config)
     violations = validate_spec(spec)
     if violations:
         raise UserError("invalid configuration:\n  " + "\n  ".join(violations))
@@ -196,12 +193,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args.config)
-    try:
-        spec = spec_from_dict(config)
-    except ConfigError as exc:
-        raise UserError(str(exc)) from None
-    violations = validate_spec(spec)
+    violations = validate_spec(spec_from_dict(_load_config(args.config)))
     if violations:
         for v in violations:
             print(v, file=sys.stderr)
@@ -215,8 +207,8 @@ def _cmd_gen_trace(args) -> int:
                   else (gen_message_traffic, write_messages))
     params = generator_parameters(gen)
     try:
-        records = gen(seed=args.seed, **{name: value for name, value
-                                         in vars(args).items() if name in params})
+        records = gen(**{name: value for name, value in vars(args).items()
+                         if name in params})
     except ValueError as exc:
         raise UserError(str(exc)) from None
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -297,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UserError as exc:
+    except (UserError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # runtime fault

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 from .engine import EventQueue, FifoResource
 from .metrics import LatencyLog
+from .workload import Size
 
 Coord = tuple[int, int, int]
 Step = tuple[FifoResource, int]   # a directed link and its hop latency in ps
@@ -68,23 +69,14 @@ class ClusterBus:
 
 @dataclass(frozen=True)
 class MeshTopology:
-    dims: tuple[int, int, int]
-    link_latency: int = 1     # cycles per horizontal hop
-    tsv_latency: int = 1      # cycles per vertical hop
-    router_delay: int = 1     # cycles per router traversal
-    flit_width: int = 16      # bytes
+    """A mesh's shape and timing. Each field's annotation is its only rule
+    as a config value, and its default the config's."""
 
-    def violations(self, path: str = "noc") -> list[str]:
-        out = []
-        if any(d < 1 for d in self.dims):
-            out.append(f"{path}.dims: all dimensions must be >= 1 ({self.dims})")
-        if self.link_latency < 1 or self.tsv_latency < 1:
-            out.append(f"{path}: link/TSV latencies must be >= 1 cycle")
-        if self.router_delay < 1:
-            out.append(f"{path}.router_delay: must be >= 1 ({self.router_delay})")
-        if self.flit_width < 1:
-            out.append(f"{path}.flit_width: must be >= 1 ({self.flit_width})")
-        return out
+    dims: tuple[Size, Size, Size]
+    link_latency: Size = 1    # cycles per horizontal hop
+    tsv_latency: Size = 1     # cycles per vertical hop
+    router_delay: Size = 1    # cycles per router traversal
+    flit_width: Size = 16     # bytes
 
     def contains(self, coord: tuple[int, int, int]) -> bool:
         x, y, z = coord
@@ -127,16 +119,16 @@ class MeshNetwork:
     distinct (src, dst) pair has one XYZ route, built by `_route` when the
     first of its packets is dispatched: a tuple of `(link, hop_ps)` steps,
     one per directed link, shared by every route that crosses the link.
-    Each link `(node, port)` in `links` is a `FifoResource`, created when
-    the first route that crosses it is built and booked like the bus
-    channels, cache arrays and memory controllers: it is held for one cycle
-    per flit of each packet. A packet is the plain tuple `(steps, hold_ps,
-    t_inject)`, with `steps` an iterator over its route; it is built when
-    its injection event is dispatched and reused from hop to hop. The head
-    flit advances router by router, so queueing delay is the only
-    congestion effect (unbounded input buffers, no drops). `msg_samples`
-    logs each delivered message's injection and delivery times, in
-    delivery order.
+    `_steps` keeps the step of each link `(node, port)`. Its link is a
+    `FifoResource`, created when the first route that crosses it is built
+    and booked like the bus channels, cache arrays and memory controllers:
+    it is held for one cycle per flit of each packet. A packet is the plain
+    tuple `(steps, hold_ps, t_inject)`, with `steps` an iterator over its
+    route; it is built when its injection event is dispatched and reused
+    from hop to hop. The head flit advances router by router, so queueing
+    delay is the only congestion effect (unbounded input buffers, no
+    drops). `msg_samples` logs each delivered message's injection and
+    delivery times, in delivery order.
     """
 
     def __init__(self, topo: MeshTopology, engine: EventQueue,
@@ -144,7 +136,6 @@ class MeshNetwork:
         self.topo = topo
         self.engine = engine
         self.clock_period_ps = clock_period_ps
-        self.links: dict[tuple[Coord, str], FifoResource] = {}
         self._routes: dict[tuple[Coord, Coord], tuple[Step, ...]] = {}
         self._steps: dict[tuple[Coord, str], Step] = {}
         self._router_ps = topo.router_delay * clock_period_ps
@@ -199,9 +190,8 @@ class MeshNetwork:
                 key = (tuple(node), ("+" if sign > 0 else "-") + name)
                 step = self._steps.get(key)
                 if step is None:
-                    link = self.links[key] = FifoResource()
                     step = self._steps[key] = (
-                        link, latency * self.clock_period_ps)
+                        FifoResource(), latency * self.clock_period_ps)
                 route.append(step)
                 node[axis] += sign
         return tuple(route)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .workload import Endurance, NonNegative, Positive
+
 # Sentinel for write endurance that can never be exhausted (1e16+ class parts).
 UNLIMITED = math.inf
 
@@ -22,34 +24,24 @@ _MW_NS_TO_NJ = 1e-3
 
 @dataclass(frozen=True)
 class TechnologyParams:
-    """One memory technology's latency/energy/standby/endurance/density record."""
+    """One memory technology's latency/energy/standby/endurance/density
+    record. Each field's annotation is its only rule as a config value."""
 
     name: str
-    read_latency: float          # ns
-    write_set_latency: float     # ns
-    write_reset_latency: float   # ns
-    read_energy: float           # nJ per access
-    write_set_energy: float      # nJ per access
-    write_reset_energy: float    # nJ per access
-    standby_power_per_mib: float  # mW per MiB of capacity
-    endurance: float             # max writes per line; UNLIMITED for 1e16+ parts
-    norm_density: float          # relative to SRAM = 1
+    read_latency: Positive          # ns
+    write_set_latency: Positive     # ns
+    write_reset_latency: Positive   # ns
+    read_energy: NonNegative        # nJ per access
+    write_set_energy: NonNegative   # nJ per access
+    write_reset_energy: NonNegative  # nJ per access
+    standby_power_per_mib: NonNegative  # mW per MiB of capacity
+    endurance: Endurance            # max writes per line; UNLIMITED for 1e16+ parts
+    norm_density: Positive          # relative to SRAM = 1
     non_volatile: bool
 
     def validate(self) -> None:
-        if not (self.read_latency > 0 and self.write_set_latency > 0
-                and self.write_reset_latency > 0):
-            raise ValueError(f"{self.name}: latencies must be > 0")
-        if min(self.read_energy, self.write_set_energy, self.write_reset_energy) < 0:
-            raise ValueError(f"{self.name}: energies must be >= 0")
-        if self.standby_power_per_mib < 0:
-            raise ValueError(f"{self.name}: standby power must be >= 0")
         if self.non_volatile and self.standby_power_per_mib != 0:
             raise ValueError(f"{self.name}: non-volatile implies zero standby power")
-        if not self.endurance >= 1:
-            raise ValueError(f"{self.name}: endurance must be >= 1")
-        if not self.norm_density > 0:
-            raise ValueError(f"{self.name}: norm_density must be > 0")
 
 
 @dataclass
@@ -84,14 +76,13 @@ def catalog_with_overrides(overrides: dict[str, dict] | None) -> dict[str, Techn
 
     Override keys mirror TechnologyParams field names. endurance accepts the
     string "unlimited". Unknown technology names define new entries, which
-    must then supply every field.
+    must then supply every field. A non-volatile entry with standby power
+    raises ValueError; the fields' own rules are applied by validate_spec.
     """
     cat = catalog_default()
     for name, fields in (overrides or {}).items():
-        fields = dict(fields)
-        if isinstance(fields.get("endurance"), str):
-            if fields["endurance"] != "unlimited":
-                raise ValueError(f"{name}: bad endurance literal {fields['endurance']!r}")
+        fields = dict(fields or {})
+        if fields.get("endurance") == "unlimited":
             fields["endurance"] = UNLIMITED
         if name in cat:
             params = replace(cat[name], **fields)

@@ -37,11 +37,6 @@ class LatencyStats:
                 "histogram": self.histogram}
 
 
-# The latest start time a LatencyLog takes: a request that starts before it
-# has as long again to complete before its end leaves the int64 column.
-LATEST_START_PS = 1 << 62
-
-
 class LatencyLog:
     """One latency sample per request, in the order they are appended, kept
     as two int64 columns: request i started at `starts[i]` and completed at

@@ -36,14 +36,13 @@ from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
 from .cache import (DIRTY_STATES, I, M, O, PSEUDO_RANDOM, S, WORD_SIZE,
                     CacheLevel, CacheLine, Eviction)
 from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
-                        CoherenceFault, StepResult, check_invariants,
-                        coherence_step)
+                        StepResult, coherence_step)
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, WRITE, area_estimate
-from .metrics import (LATEST_START_PS, LatencyLog, float_sum, regions_energy,
-                      summarize_latency, tier_power_density)
-from .workload import MessageRecord, TraceRecord
+from .metrics import (LatencyLog, float_sum, regions_energy, summarize_latency,
+                      tier_power_density)
+from .workload import LATEST_START_PS, MessageRecord, TraceRecord
 
 # The per-array counters a level's report entry sums over its instances.
 LEVEL_COUNTERS = ("n_read", "n_write", "hits", "misses", "fills", "evictions",
@@ -192,7 +191,7 @@ class System:
         self.spec = spec
         self.seed = seed
         self.engine = EventQueue()
-        self.block_size = spec.caches["l1d"].geometry.block_size
+        self.block_size = spec.caches["l1d"].block_size
         self.noc = MeshNetwork(spec.noc, self.engine, spec.clocks["noc_ps"])
         # Every cache array in build order: (level name, configured tech,
         # array, tier). The report reads this, never the cluster fields.
@@ -240,15 +239,15 @@ class System:
         """Build one cache array on `tier` and register it for the report;
         a snooped array gets its cluster's filter and its bit in it."""
         cfg = self.spec.caches[cfg_name]
-        techs = ([self.spec.catalog[r.tech] for r in cfg.geometry.regions]
-                 if cfg.geometry.regions else [self.spec.catalog[cfg.tech]])
+        techs = ([self.spec.catalog[r.tech] for r in cfg.regions]
+                 if cfg.regions else [self.spec.catalog[cfg.tech]])
         clock_key = {"l1i": "core_ps", "l1d": "core_ps", "l2": "l2_ps",
                      "l2i": "l2_ps", "l3": "l3_ps"}[cfg_name]
         level = CacheLevel(
-            name, cfg.geometry, techs,
+            name, cfg, techs,
             clock_period_ps=self.spec.clocks[clock_key],
             rng=(substream(self.seed, name, cluster, unit)
-                 if cfg.geometry.replacement == PSEUDO_RANDOM else None),
+                 if cfg.replacement == PSEUDO_RANDOM else None),
             write_mix=self.spec.write_mix,
             snoop_filter=snoop_filter)
         self.levels.append((name, cfg.tech, level, tier))
@@ -741,27 +740,6 @@ class System:
         if mask:
             l2p.write_touch(l2_set, l2_way, mask, now_ps=t)
         return t
-
-    # -- coherence sweep for property tests --------------------------------------
-
-    def check_coherence(self, addrs: list[int]) -> None:
-        """Check the MOESI invariants of each address's snoop vector, and
-        that the snoop filter's entry equals the holders a probe of every
-        stack's L1d and private L2 finds. Raises CoherenceFault."""
-        for cluster in self.clusters:
-            for addr in addrs:
-                check_invariants([s.state(addr) for s in cluster.stacks])
-                probed = 0
-                for stack in cluster.stacks:
-                    for bit, level in enumerate(stack.snooped):
-                        if level.probe(addr)[2] is not None:
-                            probed |= 1 << (2 * stack.index + bit)
-                block = addr // self.block_size
-                if cluster.holders.get(block, 0) != probed:
-                    raise CoherenceFault(
-                        f"cluster {cluster.index} block {block:#x}: snoop "
-                        f"filter {cluster.holders.get(block, 0):#b}, "
-                        f"stacks hold {probed:#b}")
 
     # -- reporting ----------------------------------------------------------------
 

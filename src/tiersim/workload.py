@@ -1,4 +1,5 @@
-"""Trace ingestion and synthetic workload generators.
+"""Trace ingestion, synthetic workload generators, and the kinds of value
+that config keys and generator parameters take.
 
 Memory traces are CSV `tick,core,op,addr,size` with a mandatory header line;
 message traces are CSV `tick,src_cluster,dst_cluster,bytes`. Generators are
@@ -7,9 +8,14 @@ pure functions of their parameters and seed.
 
 from __future__ import annotations
 
+import functools
 import inspect
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NewType, TextIO
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, is_dataclass
+from types import MappingProxyType
+from typing import (Any, Iterable, Iterator, Literal, NewType, TextIO,
+                    get_args, get_origin, get_type_hints)
 
 from .engine import substream
 
@@ -19,50 +25,104 @@ MESSAGE_HEADER = "tick,src_cluster,dst_cluster,bytes"
 ADDR_BITS = 48
 ADDR_SPACE = 1 << ADDR_BITS
 
-# Kinds of generator parameter. A parameter's annotation is its only rule,
-# applied by `argument_problems`: an `int` takes an integer, a `Count` an
-# integer >= 0, a `Size` one >= 1, a `CoreCount` one from 1 to the system's
-# total core count, a `ClusterCount` one from 2 to the system's cluster
-# count, and a `Probability` a number in [0, 1].
+# The latest time a record may start: a request that starts before it has
+# as long again to complete before its end leaves a LatencyLog's int64 column.
+LATEST_START_PS = 1 << 62
+
+# Kinds of value. The annotation of a generator parameter, or of a field of
+# a config dataclass, is its only rule, applied by `kind_problems`: an `int`
+# takes an integer, a `Count` an integer >= 0, a `Size` one >= 1, a
+# `CoreCount` one from 1 to the system's total core count, a `ClusterCount`
+# one from 2 to the system's cluster count; a `Probability` a number in
+# [0, 1], a `Positive` a finite one > 0, a `NonNegative` a finite one >= 0
+# and an `Endurance` one >= 1 or "unlimited"; a `bool` true or false, a `str`
+# a string, a `Literal` one of its names, and `Any` anything, checked
+# elsewhere.
 Count = NewType("Count", int)
 Size = NewType("Size", int)
 CoreCount = NewType("CoreCount", int)
 ClusterCount = NewType("ClusterCount", int)
 Probability = NewType("Probability", float)
+Positive = NewType("Positive", float)
+NonNegative = NewType("NonNegative", float)
+Endurance = NewType("Endurance", float)
 # The integer kinds, each with its least value.
 _LEAST = {int: None, Count: 0, Size: 1, CoreCount: 1, ClusterCount: 2}
+# The number kinds, each with its rule as text and as a test.
+NUMBER_KINDS = {Probability: ("a number in [0, 1]", lambda v: 0 <= v <= 1),
+                Positive: ("a finite number > 0", lambda v: 0 < v < math.inf),
+                NonNegative: ("a finite number >= 0",
+                              lambda v: 0 <= v < math.inf),
+                Endurance: ('a number >= 1 or "unlimited"', lambda v: v >= 1)}
 
 
 def generator_parameters(gen) -> dict[str, object]:
-    """A generator's parameters, less the seed, each with its annotation."""
+    """A generator's parameters, each with its annotation."""
     return {name: p.annotation for name, p
-            in inspect.signature(gen, eval_str=True).parameters.items()
-            if name != "seed"}
+            in inspect.signature(gen, eval_str=True).parameters.items()}
 
 
-def argument_problems(gen, args: dict, cores: int = 0,
-                      clusters: int = 0) -> list[tuple[str, str]]:
-    """(parameter, problem) for each of `gen`'s parameters in `args` whose
-    value breaks its rule; other names are left to the caller. A system's
-    `cores` and `clusters`, where >= 1, bound the counts from above."""
-    rules = generator_parameters(gen)
-    bounds = {CoreCount: (cores, "cores"), ClusterCount: (clusters, "clusters")}
-    out: list[tuple[str, str]] = []
-    for name, value in args.items():
-        kind = rules.get(name)
-        least = _LEAST.get(kind)
-        most, unit = bounds.get(kind, (0, ""))
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if kind is Probability and not (number and 0 <= value <= 1):
-            out.append((name, f"must be a number in [0, 1], got {value!r}"))
-        elif kind in _LEAST and not (number and isinstance(value, int)):
-            out.append((name, f"must be an integer, got {value!r}"))
-        elif most >= 1 and not least <= value <= most:
-            out.append((name, f"must be from {least} to the system's {most} "
-                              f"{unit}, got {value}"))
-        elif least is not None and value < least:
-            out.append((name, f"must be >= {least}, got {value}"))
-    return out
+@functools.cache
+def field_kinds(cls) -> Mapping[str, object]:
+    """A dataclass's fields, each with its annotation. Every caller shares
+    the one read-only mapping, worked out once per class."""
+    return MappingProxyType(get_type_hints(cls))
+
+
+def kind_problems(kind, value, path: str = "", cores: int = 0,
+                  clusters: int = 0) -> list[tuple[str, str]]:
+    """(path, problem) for each way `value` breaks `kind`. A dataclass or
+    a dict of named kinds takes an object, or null for absent, without keys
+    it does not name; a tuple kind takes a list of its length. A key is at
+    `path.key` and an item at `path[i]`. A system's `cores` and `clusters`,
+    where >= 1, bound the counts from above."""
+    if is_dataclass(kind):
+        kind = field_kinds(kind)
+    if isinstance(kind, Mapping):
+        out: list[tuple[str, str]] = []
+        for key, item in (value or {}).items():
+            where = f"{path}.{key}" if path else key
+            out += (kind_problems(kind[key], item, where, cores, clusters)
+                    if key in kind else [(where, "unknown key")])
+        return out
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return [problem for i, (k, item) in enumerate(zip(kinds, value))
+                for problem in kind_problems(k, item, f"{path}[{i}]", cores,
+                                             clusters)]
+    problem = _scalar_problem(kind, value, cores, clusters)
+    return [(path, problem)] if problem else []
+
+
+def _scalar_problem(kind, value, cores: int, clusters: int) -> str | None:
+    """How `value` breaks the scalar kind `kind`, or None."""
+    if kind is Any:
+        return None
+    if get_origin(kind) is Literal:
+        names = get_args(kind)
+        return None if value in names else (
+            f"must be one of {', '.join(map(repr, names))}, got {value!r}")
+    if kind in (bool, str):
+        return None if isinstance(value, kind) else (
+            f"must be {'true or false' if kind is bool else 'a string'}, "
+            f"got {value!r}")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind in NUMBER_KINDS:
+        rule, test = NUMBER_KINDS[kind]
+        if number and test(value) or kind is Endurance and value == "unlimited":
+            return None
+        return f"must be {rule}, got {value!r}"
+    least = _LEAST[kind]
+    most, unit = {CoreCount: (cores, "cores"),
+                  ClusterCount: (clusters, "clusters")}.get(kind, (0, ""))
+    if not (number and isinstance(value, int)):
+        return f"must be an integer, got {value!r}"
+    if most >= 1 and not least <= value <= most:
+        return f"must be from {least} to the system's {most} {unit}, got {value}"
+    if least is not None and value < least:
+        return f"must be >= {least}, got {value}"
+    return None
 
 
 def hot_window_problem(cores: int, hot_set_bytes: int,
@@ -76,6 +136,20 @@ def hot_window_problem(cores: int, hot_set_bytes: int,
     if hot_set_bytes > most:
         return (f"must be at most {most}, so that {windows} hot windows fit "
                 f"in the {ADDR_BITS}-bit address space, got {hot_set_bytes}")
+    return None
+
+
+def start_time_problem(length: int, tick_interval: int,
+                       core_ps: int) -> str | None:
+    """Why the last of a core's `length` records from `gen_synthetic_trace`,
+    at tick (length - 1) * tick_interval, would start at or after
+    LATEST_START_PS on a core clock of `core_ps` ps, or None."""
+    if length < 2:
+        return None
+    most = (LATEST_START_PS - 1) // ((length - 1) * core_ps)
+    if tick_interval > most:
+        return (f"must be at most {most}, so that each core's last record "
+                f"starts before {LATEST_START_PS} ps, got {tick_interval}")
     return None
 
 
@@ -206,7 +280,8 @@ def gen_synthetic_trace(cores: CoreCount, length: Count,
     comparisons stay clean; hot_overlap redirects that fraction of hot
     accesses to a window shared by every core.
     """
-    for name, problem in argument_problems(gen_synthetic_trace, locals()):
+    for name, problem in kind_problems(generator_parameters(gen_synthetic_trace),
+                                       locals()):
         raise ValueError(f"{name} {problem}")
     problem = hot_window_problem(cores, hot_set_bytes, hot_overlap)
     if problem:
@@ -236,7 +311,8 @@ def gen_message_traffic(clusters: ClusterCount, cycles: Count,
                         seed: int) -> list[MessageRecord]:
     """Bernoulli message injection: each cluster independently injects with
     probability `rate` per cycle to a uniformly chosen other cluster."""
-    for name, problem in argument_problems(gen_message_traffic, locals()):
+    for name, problem in kind_problems(generator_parameters(gen_message_traffic),
+                                       locals()):
         raise ValueError(f"{name} {problem}")
     records: list[MessageRecord] = []
     rngs = [substream(seed, "msg", c) for c in range(clusters)]

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import check_coherence, replay_data_log
 
 from tiersim.arch import spec_from_dict, validate_spec
 from tiersim.cache import S, CacheGeometry, CacheLevel
@@ -135,16 +136,8 @@ def test_acceptance_3_coherence_oracle():
     system.load_trace(records)
     system.run()
 
-    flat = {}
-    reads = 0
-    for kind, cluster, word_addr, value in system.data_log:
-        if kind == "w":
-            flat[word_addr] = value
-        else:
-            reads += 1
-            assert flat.get(word_addr, 0) == value, \
-                f"read of {word_addr:#x} returned {value}"
-    system.check_coherence(blocks)
+    reads = replay_data_log(system)
+    check_coherence(system, blocks)
     elapsed = time.time() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE 3 PASS: {reads} reads match the sequential-memory "

@@ -4,9 +4,8 @@ import pytest
 
 from tiersim.arch import (ConfigError, PRESET_NAMES, build_system, preset,
                           spec_from_dict, validate_spec)
-from tiersim.metrics import LATEST_START_PS
 from tiersim.system import WorkloadError
-from tiersim.workload import MessageRecord, TraceRecord
+from tiersim.workload import LATEST_START_PS, MessageRecord, TraceRecord
 
 
 def pending(system) -> int:

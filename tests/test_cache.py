@@ -4,6 +4,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiersim.arch import preset, spec_from_dict, validate_spec
 from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
                            CacheLevel, CacheLine, I, M, Region, S, check_wear,
                            compose_address)
@@ -94,14 +95,21 @@ def test_roundtrip_bulk_random():
 
 
 def test_geometry_violations():
-    assert CacheGeometry(capacity=32768, block_size=64, associativity=2).violations() == []
-    bad = CacheGeometry(capacity=32768, block_size=48, associativity=2)
-    assert any("block_size" in v for v in bad.violations())
-    bad = CacheGeometry(capacity=32768, block_size=64, associativity=2, banks=3)
-    assert any("banks" in v for v in bad.violations())
-    bad = CacheGeometry(capacity=32768, block_size=64, associativity=4,
-                        regions=(Region(0, 2, "SRAM"), Region(3, 4, "PCRAM")))
-    assert any("regions" in v for v in bad.violations())
+    # Each rule across a geometry's fields is a validate_spec violation at
+    # its key's path; fig32's l1d has 32 KiB in 2 ways of 64-byte blocks.
+    def violations(**entry):
+        cfg = preset("fig32")
+        cfg["caches"]["l1d"].update(entry)
+        return validate_spec(spec_from_dict(cfg))
+
+    assert violations() == []
+    assert ("caches.l1d.block_size: not a power of two (48)"
+            in violations(block_size=48))
+    assert violations(banks=3) == [
+        "caches.l1d.banks: 3 does not divide 256 sets"]
+    assert violations(associativity=4, regions=[
+        {"ways": [0, 2], "tech": "SRAM"}, {"ways": [3, 4], "tech": "PCRAM"}]) == [
+        "caches.l1d.regions: way ranges must partition [0, 4)"]
 
 
 def test_lru_eviction_order():
@@ -169,7 +177,7 @@ def test_booking_tables_follow_the_latency_rule():
     # op_cycles, on an array whose banks and regions all cost differently.
     level = mk_level(capacity=64 * 64 * 4, block=64, ways=4, banks=8,
                      nuca_base=2, nuca_hop=3,
-                     regions=(Region(0, 2, "SRAM"), Region(2, 4, "PCRAM")))
+                     regions=(Region((0, 2), "SRAM"), Region((2, 4), "PCRAM")))
     assert len(level.route_cycles) == level.geom.banks == 8
     for set_index in range(level.geom.sets):
         assert level.route_cycles[set_index % 8] == level.nuca_cycles(set_index)
@@ -392,7 +400,8 @@ def test_index_matches_way_scan_property(ops, set_exp, ways, replacement,
     sets = 1 << set_exp
     pcram = replace(CAT["PCRAM"], endurance=endurance)
     if hybrid and ways > 1:
-        regions = (Region(0, ways // 2, "SRAM"), Region(ways // 2, ways, "PCRAM"))
+        regions = (Region((0, ways // 2), "SRAM"),
+                   Region((ways // 2, ways), "PCRAM"))
         techs = [CAT["SRAM"], pcram]
     else:
         regions, techs = (), [pcram]
@@ -524,7 +533,7 @@ def book_mesh_link(requests, period):
         start = t_deliver - hold - t.link_latency * period
         assert start >= t_inject + t.router_delay * period
         windows.append((start, start + hold))
-    link = net.links.get(((0, 0, 0), "+x"), FifoResource())
+    link, _ = net._steps.get(((0, 0, 0), "+x"), (FifoResource(), 0))
     return link, windows
 
 

@@ -389,12 +389,16 @@ def test_generator_values_at_the_ends_of_their_ranges_are_valid(tmp_path,
      {"hot_set_bytes": 35184372088832, "hot_overlap": 0.5},
      "workload.synthetic.hot_set_bytes: must be at most 31274997412295, so "
      "that 9 hot windows fit in the 48-bit address space, got "
-     "35184372088832")],
+     "35184372088832"),
+    ("fig32", "workload.synthetic", {"length": 3, "tick_interval": 10**18},
+     "workload.synthetic.tick_interval: must be at most 2305843009213693, so "
+     "that each core's last record starts before 4611686018427387904 ps, got "
+     "1000000000000000000")],
     ids=["access_size=24", "trace-and-synthetic", "messages-on-one-cluster",
          "clusters=99", "hot_set_bytes=0", "payload_bytes=-5", "access_size=0",
          "clusters=1", "trace=7", "messages=list", "trace-and-empty-synthetic",
          "empty-messages-on-one-cluster", "hot-windows-past-48-bits",
-         "shared-hot-window-past-48-bits"])
+         "shared-hot-window-past-48-bits", "last-record-starts-too-late"])
 def test_workload_setting_is_refused_by_validate_and_before_run_generates(
         tmp_path, capsys, monkeypatch, config, key, value, line):
     # validate and run apply one rule per workload setting: each exits 2 with
@@ -414,6 +418,77 @@ def test_workload_setting_is_refused_by_validate_and_before_run_generates(
     assert capsys.readouterr().err.splitlines() == [
         "error: invalid configuration:", f"  {line}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("cores_per_cluster", 2.5, "cores_per_cluster: must be an integer, got 2.5"),
+    ("cores_per_cluster", "abc",
+     "cores_per_cluster: must be an integer, got 'abc'"),
+    ("cluster_grid", [1.9, 1], "cluster_grid[0]: must be an integer, got 1.9"),
+    ("noc.link_latency", 1.5, "noc.link_latency: must be an integer, got 1.5"),
+    ("clocks.core_ps", 1000.7,
+     "clocks.core_ps: must be an integer, got 1000.7"),
+    ("caches.l1d.associativity", True,
+     "caches.l1d.associativity: must be an integer, got True"),
+    ("caches.l1d.capacity", "32768",
+     "caches.l1d.capacity: must be an integer, got '32768'"),
+    ("caches.l1d.partial_writes", "no",
+     "caches.l1d.partial_writes: must be true or false, got 'no'"),
+    ("caches.l1d.regions", [{"ways": [0, 1.5], "tech": "SRAM"}],
+     "caches.l1d.regions[0].ways[1]: must be an integer, got 1.5"),
+    ("write_mix", True, "write_mix: must be a number in [0, 1], got True"),
+    ("tech_overrides", {"SRAM": {"endurance": True}},
+     'tech_overrides.SRAM.endurance: must be a number >= 1 or "unlimited", '
+     'got True'),
+    ("tech_overrides", {"SRAM": {"non_volatile": "no"}},
+     "tech_overrides.SRAM.non_volatile: must be true or false, got 'no'"),
+    ("tech_overrides", {"SRAM": {"read_latency": "3"}},
+     "tech_overrides.SRAM.read_latency: must be a finite number > 0, got '3'"),
+    ("memory_latency_ns", float("inf"),
+     "memory_latency_ns: must be a finite number >= 0, got inf")],
+    ids=["cores_per_cluster=2.5", "cores_per_cluster=abc", "cluster_grid",
+         "link_latency", "core_ps", "associativity", "capacity",
+         "partial_writes", "region-ways", "write_mix", "endurance",
+         "non_volatile", "read_latency", "memory_latency_ns=inf"])
+def test_system_setting_that_breaks_its_kind_is_refused_before_anything_is_built(
+        tmp_path, capsys, monkeypatch, key, value, line):
+    # Each system key's annotation is its only rule: validate and run refuse
+    # a value that breaks it with the same line, by its dotted path, and run
+    # builds nothing; no value is cast or truncated into another.
+    def build(*args, **kwargs):
+        raise AssertionError("something was built")
+
+    for name in ("System", "gen_synthetic_trace", "gen_message_traffic"):
+        monkeypatch.setattr(cli, name, build)
+    cfg = preset("fig32")
+    cli.apply_override(cfg, key, value)
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration:", f"  {line}"]
+    assert not out.exists()
+
+
+def test_int_and_float_spellings_give_the_same_report(tmp_path):
+    # A number field stores its value as a float once its rule passes, so
+    # energy.write_mix reads the same however the config spells it; only
+    # the echoed config differs.
+    reports = []
+    for write_mix, latency in ((1, 50), (1.0, 50.0)):
+        cfg = preset("fig32")
+        cfg.update(write_mix=write_mix, memory_latency_ns=latency)
+        cfg["workload"]["synthetic"]["length"] = 50
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["meta"]["timestamp"], report["meta"]["config"]
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["energy"]["write_mix"] == 1.0
 
 
 @pytest.mark.parametrize("section, defaults, count", [

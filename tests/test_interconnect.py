@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiersim.arch import preset, spec_from_dict, validate_spec
 from tiersim.engine import EventQueue
 from tiersim.interconnect import (BusChannel, ClusterBus, MeshNetwork,
                                   MeshTopology, mean_hop_count, packetize)
@@ -286,7 +287,7 @@ def test_mesh_matches_reference_walk_property(traffic):
         t, clock_ps, [(t_inject, src, dst, packetize(nbytes, t.flit_width))
                       for t_inject, src, dst, nbytes in packets])
     assert list(net.msg_samples) == expected
-    assert {k: link.free_at_ps for k, link in net.links.items()} == link_free
+    assert {k: link.free_at_ps for k, (link, _) in net._steps.items()} == link_free
     assert net.delivered == len(packets)
 
 
@@ -306,7 +307,7 @@ def test_mesh_run_split_anywhere_matches_one_run_property(traffic, data):
             engine.run_until(stop)
         engine.run_until()
         runs.append((list(net.msg_samples), net.delivered,
-                     {k: link.free_at_ps for k, link in net.links.items()}))
+                     {k: link.free_at_ps for k, (link, _) in net._steps.items()}))
     assert runs[0] == runs[1]
     assert runs[0][1] == len(packets)
 
@@ -338,10 +339,17 @@ def test_router_handler_runs_once_per_hop_and_once_to_deliver(monkeypatch):
 
 
 def test_topology_violations():
-    assert topo((4, 4, 1)).violations() == []
-    assert any("dims" in v for v in topo((0, 4, 1)).violations())
-    assert any("router_delay" in v
-               for v in topo((2, 2, 1), router_delay=0).violations())
+    # Each mesh field keeps its kind, or validate_spec reports it at its
+    # path; fig33 has a 2x2 cluster grid.
+    def violations(**noc):
+        cfg = preset("fig33")
+        cfg["noc"].update(noc)
+        return validate_spec(spec_from_dict(cfg))
+
+    assert violations(dims=[4, 4, 1]) == []
+    assert violations(dims=[0, 4, 1]) == ["noc.dims[0]: must be >= 1, got 0"]
+    assert violations(router_delay=0) == [
+        "noc.router_delay: must be >= 1, got 0"]
 
 
 def test_dimension_order_channel_dependencies_acyclic():

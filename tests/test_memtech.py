@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tiersim.arch import preset, spec_from_dict, validate_spec
 from tiersim.memtech import (UNLIMITED, AccessCounters, TechnologyParams,
                              area_estimate, catalog_default,
                              catalog_with_overrides, level_energy)
+from tiersim.workload import kind_problems
 
 
 def test_catalog_has_six_entries():
@@ -13,6 +15,7 @@ def test_catalog_has_six_entries():
     assert sorted(cat) == ["DRAM", "DWM", "MRAM", "PCRAM", "SRAM", "eDRAM"]
     for params in cat.values():
         params.validate()
+        assert kind_problems(TechnologyParams, vars(params)) == []
 
 
 def test_catalog_midpoints():
@@ -124,7 +127,16 @@ def test_catalog_accepts_fully_specified_new_technology():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        TechnologyParams("B", 0.0, 1, 1, 0.1, 0.1, 0.1, 0.0, 1, 1.0, True).validate()
-    with pytest.raises(ValueError):
-        TechnologyParams("B", 1, 1, 1, 0.1, 0.1, 0.1, 0.0, 0, 1.0, True).validate()
+    # Each field of a technology keeps its kind, or validate_spec reports it
+    # at its path under tech_overrides.
+    cfg = preset("fig32")
+    cfg["tech_overrides"] = {"B": dict(zip(
+        ["read_latency", "write_set_latency", "write_reset_latency",
+         "read_energy", "write_set_energy", "write_reset_energy",
+         "standby_power_per_mib", "endurance", "norm_density",
+         "non_volatile"],
+        [0.0, 1, 1, 0.1, 0.1, 0.1, 0.0, 0, 1.0, True]))}
+    assert validate_spec(spec_from_dict(cfg)) == [
+        "tech_overrides.B.read_latency: must be a finite number > 0, got 0.0",
+        'tech_overrides.B.endurance: must be a number >= 1 or "unlimited", '
+        'got 0']

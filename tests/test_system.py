@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import check_coherence, replay_data_log
 
 from tiersim.arch import preset, spec_from_dict, validate_spec
 from tiersim.system import LEVEL_COUNTERS, System
@@ -90,13 +91,10 @@ def test_norma_clusters_never_share_data():
     ]
     system.load_trace(records)
     system.run()
-    per_cluster = {}
-    for kind, cluster, word, value in system.data_log:
-        if kind == "w":
-            per_cluster[cluster] = value
-        else:
-            assert value == per_cluster[cluster]
-    assert per_cluster[0] != per_cluster[1]
+    assert replay_data_log(system) == 2
+    # the clusters wrote different values, so each read its own cluster's
+    assert len({value for kind, _, _, value in system.data_log
+                if kind == "w"}) == 2
     assert len({id(c.memory) for c in system.clusters}) == 2
 
 
@@ -335,12 +333,7 @@ def test_worn_l1_way_bypasses_but_stays_correct():
     records.append(TraceRecord(10, 0, "R", 0x0, 8))
     system.load_trace(records)
     system.run()
-    mem = {}
-    for kind, cluster, word, value in system.data_log:
-        if kind == "w":
-            mem[word] = value
-        else:
-            assert value == mem.get(word, 0)
+    assert replay_data_log(system) == 1
     report = system.build_report()
     assert report["levels"]["l1d"]["wear"]["worn_lines"] == 1
 
@@ -444,12 +437,7 @@ def test_partial_write_mask_propagates_through_writebacks():
     ]
     system.load_trace(records)
     system.run()
-    flat = {}
-    for kind, cluster, word, value in system.data_log:
-        if kind == "w":
-            flat[word] = value
-        else:
-            assert value == flat.get(word, 0), hex(word)
+    assert replay_data_log(system) == 4
     block = system.clusters[0].memory.read_block(0)
     assert block[0] != 0 and block[3] != 0
     assert block[1] == block[2] == 0  # untouched words stayed clean
@@ -492,16 +480,8 @@ def test_distributed_l2_with_l3_passes_the_data_oracle():
     system = build(cfg, record_log=True)
     system.load_trace(shared_random_trace(4, 8000, 64, seed=13, write_p=0.5))
     system.run()
-    flat = {}
-    reads = 0
-    for kind, cluster, word, value in system.data_log:
-        if kind == "w":
-            flat[word] = value
-        else:
-            reads += 1
-            assert value == flat.get(word, 0), hex(word)
-    assert reads > 1000
-    system.check_coherence([b * 64 for b in range(64)])
+    assert replay_data_log(system) > 1000
+    check_coherence(system, [b * 64 for b in range(64)])
 
 
 def test_empty_workload_run_is_well_formed():
@@ -564,6 +544,6 @@ def test_snoop_filter_equals_a_probe_of_every_stack(cores, endurance, l2_tech,
         system.run()
         # check_coherence compares each block's entry with a probe of every
         # stack's L1d and private L2; no other block may have an entry.
-        system.check_coherence([b * 64 for b in range(8)])
+        check_coherence(system, [b * 64 for b in range(8)])
         assert set(cluster.holders) <= set(range(8))
         assert 0 not in cluster.holders.values()
