@@ -133,10 +133,10 @@ def _config_kinds() -> dict:
     their own. validate_spec reports any other key, so a misspelt or
     misplaced setting never falls back to its default unnoticed."""
     spec = field_kinds(SystemSpec)
-    kinds = {"tier_stack": tuple[TierKind, ...], "noc": MeshTopology,
-             "bus": {}, "report": {},
+    kinds = {"tier_stack": tuple[TierKind, ...],
+             "noc": field_kinds(MeshTopology), "bus": {}, "report": {},
              "clocks": dict.fromkeys(_DEFAULT_CLOCKS, get_args(spec["clocks"])[1]),
-             "caches": dict.fromkeys(CACHE_LEVELS, CacheConfig),
+             "caches": dict.fromkeys(CACHE_LEVELS, field_kinds(CacheConfig)),
              "tech_overrides": Any,
              "workload": dict.fromkeys(("trace", "messages", *_GENERATORS), Any)}
     for name, path in _SCALARS.items():
@@ -146,6 +146,8 @@ def _config_kinds() -> dict:
 
 
 _CONFIG_KINDS = _config_kinds()
+_OVERRIDE_KINDS = {name: kind for name, kind
+                   in field_kinds(TechnologyParams).items() if name != "name"}
 
 
 def _section(node: dict, key: str, path: str) -> dict:
@@ -241,13 +243,11 @@ def _config_violations(raw: dict) -> list[str]:
     value that breaks its kind, and per field a new technology leaves out,
     each by its dotted path."""
     found = kind_problems(_CONFIG_KINDS, raw)
-    tech = {name: kind for name, kind in field_kinds(TechnologyParams).items()
-            if name != "name"}
     for name, entry in (raw.get("tech_overrides") or {}).items():
-        found += kind_problems(tech, entry, f"tech_overrides.{name}")
+        found += kind_problems(_OVERRIDE_KINDS, entry, f"tech_overrides.{name}")
         if name not in catalog_default():
             found += [(f"tech_overrides.{name}.{key}", "required")
-                      for key in tech if key not in (entry or {})]
+                      for key in _OVERRIDE_KINDS if key not in (entry or {})]
     return [f"{path}: {problem}" for path, problem in found]
 
 

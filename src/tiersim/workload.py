@@ -14,8 +14,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, is_dataclass
 from types import MappingProxyType
-from typing import (Any, Iterable, Iterator, Literal, NewType, TextIO,
-                    get_args, get_origin, get_type_hints)
+from typing import (Any, Iterable, Iterator, NewType, TextIO, get_args,
+                    get_origin, get_type_hints)
 
 from .engine import substream
 
@@ -64,8 +64,7 @@ def generator_parameters(gen) -> dict[str, object]:
 
 @functools.cache
 def field_kinds(cls) -> Mapping[str, object]:
-    """A dataclass's fields, each with its annotation. Every caller shares
-    the one read-only mapping, worked out once per class."""
+    """A dataclass's fields and annotations, worked out once, shared read-only."""
     return MappingProxyType(get_type_hints(cls))
 
 
@@ -78,7 +77,7 @@ def kind_problems(kind, value, path: str = "", cores: int = 0,
     where >= 1, bound the counts from above."""
     if is_dataclass(kind):
         kind = field_kinds(kind)
-    if isinstance(kind, Mapping):
+    if isinstance(kind, (dict, MappingProxyType)):
         out: list[tuple[str, str]] = []
         for key, item in (value or {}).items():
             where = f"{path}.{key}" if path else key
@@ -97,32 +96,32 @@ def kind_problems(kind, value, path: str = "", cores: int = 0,
 
 def _scalar_problem(kind, value, cores: int, clusters: int) -> str | None:
     """How `value` breaks the scalar kind `kind`, or None."""
-    if kind is Any:
-        return None
-    if get_origin(kind) is Literal:
-        names = get_args(kind)
-        return None if value in names else (
-            f"must be one of {', '.join(map(repr, names))}, got {value!r}")
-    if kind in (bool, str):
-        return None if isinstance(value, kind) else (
-            f"must be {'true or false' if kind is bool else 'a string'}, "
-            f"got {value!r}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind in _LEAST:
+        least = _LEAST[kind]
+        most, unit = {CoreCount: (cores, "cores"),
+                      ClusterCount: (clusters, "clusters")}.get(kind, (0, ""))
+        if not (number and isinstance(value, int)):
+            return f"must be an integer, got {value!r}"
+        if most >= 1 and not least <= value <= most:
+            return f"must be from {least} to the system's {most} {unit}, got {value}"
+        if least is not None and value < least:
+            return f"must be >= {least}, got {value}"
+        return None
     if kind in NUMBER_KINDS:
         rule, test = NUMBER_KINDS[kind]
         if number and test(value) or kind is Endurance and value == "unlimited":
             return None
         return f"must be {rule}, got {value!r}"
-    least = _LEAST[kind]
-    most, unit = {CoreCount: (cores, "cores"),
-                  ClusterCount: (clusters, "clusters")}.get(kind, (0, ""))
-    if not (number and isinstance(value, int)):
-        return f"must be an integer, got {value!r}"
-    if most >= 1 and not least <= value <= most:
-        return f"must be from {least} to the system's {most} {unit}, got {value}"
-    if least is not None and value < least:
-        return f"must be >= {least}, got {value}"
-    return None
+    if kind in (bool, str):
+        return None if isinstance(value, kind) else (
+            f"must be {'true or false' if kind is bool else 'a string'}, "
+            f"got {value!r}")
+    if kind is Any:
+        return None
+    names = get_args(kind)  # the names a Literal allows
+    return None if value in names else (
+        f"must be one of {', '.join(map(repr, names))}, got {value!r}")
 
 
 def hot_window_problem(cores: int, hot_set_bytes: int,
