@@ -130,12 +130,11 @@ def test_params_validation():
     # Each field of a technology keeps its kind, or validate_spec reports it
     # at its path under tech_overrides.
     cfg = preset("fig32")
-    cfg["tech_overrides"] = {"B": dict(zip(
-        ["read_latency", "write_set_latency", "write_reset_latency",
-         "read_energy", "write_set_energy", "write_reset_energy",
-         "standby_power_per_mib", "endurance", "norm_density",
-         "non_volatile"],
-        [0.0, 1, 1, 0.1, 0.1, 0.1, 0.0, 0, 1.0, True]))}
+    cfg["tech_overrides"] = {"B": {
+        "read_latency": 0.0, "write_set_latency": 1, "write_reset_latency": 1,
+        "read_energy": 0.1, "write_set_energy": 0.1, "write_reset_energy": 0.1,
+        "standby_power_per_mib": 0.0, "endurance": 0, "norm_density": 1.0,
+        "non_volatile": True}}
     assert validate_spec(spec_from_dict(cfg)) == [
         "tech_overrides.B.read_latency: must be a finite number > 0, got 0.0",
         'tech_overrides.B.endurance: must be a number >= 1 or "unlimited", '
