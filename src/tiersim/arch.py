@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
+from inspect import signature
+from types import UnionType
 from typing import Any, Literal, get_args, get_origin
 
 from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry
@@ -42,12 +44,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class TierSpec:
-    kind: TierKind
-    index: int
-
-
-@dataclass(frozen=True)
 class CacheConfig(CacheGeometry):
     """A cache level: its geometry, its arrays' technology and topology."""
 
@@ -55,28 +51,75 @@ class CacheConfig(CacheGeometry):
     topology: Literal[SHARED, DISTRIBUTED] = SHARED  # or one array per core
 
 
+@dataclass(frozen=True)
+class BusConfig:
+    beat_width: Size = 16  # bytes per beat on all three channels
+
+
+@dataclass(frozen=True)
+class ClocksConfig:
+    """Each clock domain's period, in ps."""
+
+    core_ps: Size = 1000
+    bus_ps: Size = 1000
+    noc_ps: Size = 1000
+    l2_ps: Size = 1000
+    l3_ps: Size = 1000
+
+
+@dataclass(frozen=True)
+class CachesConfig:
+    """Each cache level, None where the config leaves it out."""
+
+    l1i: CacheConfig | None = None
+    l1d: CacheConfig | None = None
+    l2: CacheConfig | None = None
+    l2i: CacheConfig | None = None
+    l3: CacheConfig | None = None
+
+
+@dataclass(frozen=True)
+class ReportConfig:
+    histogram_bucket_ps: Size = 1000
+
+
+@dataclass(frozen=True)
+class WorkloadConfig:
+    """A record file or a generator section each for the memory accesses
+    and the messages. validate_spec checks that a file is a path, and a
+    section's keys against its generator's parameters."""
+
+    trace: Any = None
+    synthetic: dict[str, Any] | None = None
+    messages: Any = None
+    message_synthetic: dict[str, Any] | None = None
+
+
 @dataclass(kw_only=True)
 class SystemSpec:
-    """A parsed config. Each field a config sets as one value takes an
-    annotation that is that value's only rule, and a default that is the
-    config's; `_SCALARS` gives the key each sits at."""
+    """A parsed config, laid out as the config is: each field holds the key
+    of its name and each section is a dataclass of its own, whose fields
+    hold the section's keys. Each annotation is its key's only rule, and
+    each default the key's default. `raw` is the config as given."""
 
-    noc: MeshTopology
-    caches: dict[str, CacheConfig | None]
-    clocks: dict[str, Size]
-    raw: dict
     cluster_grid: tuple[Size, Size] = (1, 1)
     cores_per_cluster: Size = 8
-    tier_stack: tuple[TierSpec, ...] = (TierSpec(CORES_L1, 0),)
-    bus_beat_width: Size = 16
+    tier_stack: tuple[TierKind, ...] = (CORES_L1,)
+    noc: MeshTopology
+    bus: BusConfig = BusConfig()
+    clocks: ClocksConfig = ClocksConfig()
     memory_latency_ns: NonNegative = 50.0
     write_mix: Probability = 0.5
-    histogram_bucket_ps: Size = 1000
+    caches: CachesConfig = CachesConfig()
+    tech_overrides: dict[str, dict[str, Any] | None] = field(default_factory=dict)
+    report: ReportConfig = ReportConfig()
+    workload: WorkloadConfig = WorkloadConfig()
+    raw = None  # not a field, so not a key
 
     @cached_property
     def catalog(self) -> dict[str, TechnologyParams]:
         """The default catalog with the config's tech_overrides applied."""
-        return catalog_with_overrides(self.raw.get("tech_overrides"))
+        return catalog_with_overrides(self.tech_overrides)
 
     @property
     def n_clusters(self) -> int:
@@ -84,7 +127,7 @@ class SystemSpec:
 
     @property
     def core_tiers(self) -> list[int]:
-        return [t.index for t in self.tier_stack if t.kind == CORES_L1]
+        return [i for i, kind in enumerate(self.tier_stack) if kind == CORES_L1]
 
     @property
     def cores_per_cluster_total(self) -> int:
@@ -97,63 +140,26 @@ class SystemSpec:
     def l2_tier_for_core_tier(self, core_tier: int) -> int | None:
         """Adjacent L2 tier serving a core tier; inner neighbor wins."""
         for idx in (core_tier + 1, core_tier - 1):
-            if 0 <= idx < len(self.tier_stack) and self.tier_stack[idx].kind == L2_SPLIT_ID:
+            if 0 <= idx < len(self.tier_stack) and self.tier_stack[idx] == L2_SPLIT_ID:
                 return idx
         return None
 
     def l3_tier(self) -> int | None:
-        for t in self.tier_stack:
-            if t.kind == L3_UNIFIED:
-                return t.index
-        return None
+        stack = self.tier_stack
+        return stack.index(L3_UNIFIED) if L3_UNIFIED in stack else None
 
 
-_DEFAULT_CLOCKS = {"core_ps": 1000, "bus_ps": 1000, "noc_ps": 1000,
-                   "l2_ps": 1000, "l3_ps": 1000}
-
-CACHE_LEVELS = ("l1i", "l1d", "l2", "l2i", "l3")
-
-# The dotted config key of each SystemSpec field that a config sets as one
-# value.
-_SCALARS = {"cluster_grid": "cluster_grid",
-            "cores_per_cluster": "cores_per_cluster",
-            "bus_beat_width": "bus.beat_width",
-            "memory_latency_ns": "memory_latency_ns",
-            "write_mix": "write_mix",
-            "histogram_bucket_ps": "report.histogram_bucket_ps"}
 # A generator section's keys are its generator's parameters, less the seed,
 # which comes from the run.
 _GENERATORS = {"synthetic": gen_synthetic_trace,
               "message_synthetic": gen_message_traffic}
-
-
-def _config_kinds() -> dict:
-    """The kind of each config key, a section's as a dict of its keys'
-    kinds; `tech_overrides` and the workload's entries have checks of
-    their own. validate_spec reports any other key, so a misspelt or
-    misplaced setting never falls back to its default unnoticed."""
-    spec = field_kinds(SystemSpec)
-    kinds = {"tier_stack": tuple[TierKind, ...],
-             "noc": field_kinds(MeshTopology), "bus": {}, "report": {},
-             "clocks": dict.fromkeys(_DEFAULT_CLOCKS, get_args(spec["clocks"])[1]),
-             "caches": dict.fromkeys(CACHE_LEVELS, field_kinds(CacheConfig)),
-             "tech_overrides": Any,
-             "workload": dict.fromkeys(("trace", "messages", *_GENERATORS), Any)}
-    for name, path in _SCALARS.items():
-        section, _, key = path.rpartition(".")
-        (kinds[section] if section else kinds)[key] = spec[name]
-    return kinds
-
-
-_CONFIG_KINDS = _config_kinds()
 _OVERRIDE_KINDS = {name: kind for name, kind
                    in field_kinds(TechnologyParams).items() if name != "name"}
 
 
-def _section(node: dict, key: str, path: str) -> dict:
-    """`node[key]` as an object, {} when absent or null; anything else is a
-    ConfigError naming its dotted path and the type it got."""
-    value = node.get(key)
+def _object(value, path: str) -> dict:
+    """`value` as an object, {} when null; anything else is a ConfigError
+    naming its dotted path and the type it got."""
     if value is None:
         return {}
     if not isinstance(value, dict):
@@ -163,20 +169,32 @@ def _section(node: dict, key: str, path: str) -> dict:
 
 def _typed(kind, value, path: str):
     """`value` as a field of kind `kind` stores it: an object under a
-    dataclass kind as that dataclass, less the keys it has no field for, a
-    list under a tuple kind as a tuple, each item typed in turn, and an
-    integer that keeps its number kind as a float. Any other value is kept
-    as given for validate_spec to check; an object or a list of the wrong
+    dataclass kind as that dataclass, less the keys it has no field for,
+    under a `dict[str, X]` kind as a dict of Xs, a list under a tuple kind
+    as a tuple, each item typed in turn, and an integer that keeps its
+    number kind as a float. Under `X | None`, null is None, and so is an
+    object without keys where X is a dataclass. Any other value is kept as
+    given for validate_spec to check; an object or a list of the wrong
     shape, or without a field that has no default, is a ConfigError."""
+    origin = get_origin(kind)
+    if origin is UnionType:
+        kind = get_args(kind)[0]
+        if value is None or (value == {} and is_dataclass(kind)):
+            return None
+        origin = get_origin(kind)
+    if origin is dict:
+        return {key: _typed(get_args(kind)[1], item, f"{path}.{key}")
+                for key, item in _object(value, path).items()}
     if is_dataclass(kind):
-        node = _section({path: value}, path, path)
+        node = _object(value, path)
+        prefix = f"{path}." if path else ""
         for f in fields(kind):
-            if f.default is MISSING and f.name not in node:
-                raise ConfigError(f"{path}.{f.name}: required")
-        kinds = field_kinds(kind)
-        return kind(**{key: _typed(kinds[key], item, f"{path}.{key}")
-                       for key, item in node.items() if key in kinds})
-    if get_origin(kind) is tuple:
+            if (f.default is MISSING and f.default_factory is MISSING
+                    and f.name not in node):
+                raise ConfigError(f"{prefix}{f.name}: required")
+        return kind(**{key: _typed(k, node[key], prefix + key)
+                       for key, k in field_kinds(kind).items() if key in node})
+    if origin is tuple:
         args = get_args(kind)
         any_length = args[-1] is Ellipsis
         if not (isinstance(value, (list, tuple))
@@ -203,47 +221,23 @@ def spec_from_dict(config: dict) -> SystemSpec:
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = copy.deepcopy(config)
-    kinds = field_kinds(SystemSpec)
-    given = {}
-    for name, path in _SCALARS.items():
-        section, _, key = path.rpartition(".")
-        node = _section(cfg, section, section) if section else cfg
-        if key in node:
-            given[name] = _typed(kinds[name], node[key], path)
-    if "tier_stack" in cfg:
-        given["tier_stack"] = tuple(TierSpec(kind, i) for i, kind in enumerate(
-            _typed(_CONFIG_KINDS["tier_stack"], cfg["tier_stack"], "tier_stack")))
     # The mesh defaults to the cluster grid, one layer per core tier.
-    tiers = [t.kind for t in given.get("tier_stack", SystemSpec.tier_stack)]
-    dims = [*given.get("cluster_grid", SystemSpec.cluster_grid),
-            tiers.count(CORES_L1) or 1]
-    noc = _typed(MeshTopology, {"dims": dims, **_section(cfg, "noc", "noc")},
-                 "noc")
-    clocks = _section(cfg, "clocks", "clocks")
-    cache_cfg = _section(cfg, "caches", "caches")
-    caches = {}
-    for name in CACHE_LEVELS:
-        entry = _section(cache_cfg, name, f"caches.{name}")
-        caches[name] = _typed(CacheConfig, entry, f"caches.{name}") if entry else None
-    overrides = _section(cfg, "tech_overrides", "tech_overrides")
-    for name in overrides:
-        _section(overrides, name, f"tech_overrides.{name}")
-    # The CLI reads the workload from the raw config; only the types of
-    # its sections are checked here, with the other sections.
-    workload = _section(cfg, "workload", "workload")
-    for section in _GENERATORS:
-        _section(workload, section, f"workload.{section}")
-    return SystemSpec(noc=noc, caches=caches, raw=cfg, clocks={
-        name: clocks.get(name, period) for name, period in _DEFAULT_CLOCKS.items()},
-        **given)
+    grid, tiers = (_typed(field_kinds(SystemSpec)[key],
+                          cfg.get(key, getattr(SystemSpec, key)), key)
+                   for key in ("cluster_grid", "tier_stack"))
+    noc = {"dims": [*grid, tiers.count(CORES_L1) or 1],
+           **_object(cfg.get("noc"), "noc")}
+    spec = _typed(SystemSpec, {**cfg, "noc": noc}, "")
+    spec.raw = cfg
+    return spec
 
 
-def _config_violations(raw: dict) -> list[str]:
+def _config_violations(spec: SystemSpec) -> list[str]:
     """One violation per key that no section of the config defines, per
     value that breaks its kind, and per field a new technology leaves out,
     each by its dotted path."""
-    found = kind_problems(_CONFIG_KINDS, raw)
-    for name, entry in (raw.get("tech_overrides") or {}).items():
+    found = kind_problems(SystemSpec, spec.raw)
+    for name, entry in spec.tech_overrides.items():
         found += kind_problems(_OVERRIDE_KINDS, entry, f"tech_overrides.{name}")
         if name not in catalog_default():
             found += [(f"tech_overrides.{name}.{key}", "required")
@@ -252,15 +246,14 @@ def _config_violations(raw: dict) -> list[str]:
 
 
 def generator_arguments(spec: SystemSpec, section: str) -> dict:
-    """The arguments, less the seed, of a workload generator section: its
-    keys over the defaults, where `cores` and `clusters` are the system's."""
-    if section == "synthetic":
-        defaults = {"cores": spec.total_cores, "length": 1000,
-                    "hot_fraction": 0.9, "hot_set_bytes": 8192}
-    else:
-        defaults = {"clusters": spec.n_clusters, "cycles": 1000,
-                    "rate": 0.002, "payload_bytes": 64}
-    return defaults | spec.raw["workload"][section]
+    """The arguments, less the seed, that a workload generator section
+    calls its generator with: the section's keys over the generator's
+    defaults, where `cores` and `clusters` default to the system's."""
+    params = signature(_GENERATORS[section]).parameters.values()
+    system = ({"cores": spec.total_cores} if section == "synthetic"
+              else {"clusters": spec.n_clusters})
+    return ({p.name: p.default for p in params if p.default is not p.empty}
+            | system | getattr(spec.workload, section))
 
 
 def _workload_violations(spec: SystemSpec) -> list[str]:
@@ -272,32 +265,31 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
     not null counts, whatever its value, so an empty generator section
     generates with its defaults."""
     out: list[str] = []
-    workload = spec.raw.get("workload") or {}
+    workload = spec.workload
     for records, section in (("trace", "synthetic"),
                              ("messages", "message_synthetic")):
-        path = workload.get(records)
+        path = getattr(workload, records)
         if path is not None and not (isinstance(path, str) and path):
             out.append(f"workload.{records}: must be a file path, got {path!r}")
-        if workload.get(section) is None:
+        if getattr(workload, section) is None:
             continue
         if path is not None:
             out.append(f"workload: choose either {records} or {section}, not both")
         args = generator_arguments(spec, section)
-        rules = generator_parameters(_GENERATORS[section])
+        rules = dict(generator_parameters(_GENERATORS[section]))
         del rules["seed"]
         problems = kind_problems(rules, args, f"workload.{section}",
                                  spec.total_cores, spec.n_clusters)
         if section == "synthetic" and not problems:
             problems = [(f"workload.synthetic.{key}", problem) for key, problem in (
                 ("hot_set_bytes", hot_window_problem(
-                    args["cores"], args["hot_set_bytes"],
-                    args.get("hot_overlap", 0.0))),
+                    args["cores"], args["hot_set_bytes"], args["hot_overlap"])),
                 ("tick_interval", start_time_problem(
-                    args["length"], args.get("tick_interval", 1),
-                    spec.clocks["core_ps"]))) if problem]
+                    args["length"], args["tick_interval"],
+                    spec.clocks.core_ps))) if problem]
         out.extend(f"{key}: {problem}" for key, problem in problems)
-    size = (workload.get("synthetic") or {}).get("access_size")
-    block = spec.caches["l1d"].block_size if spec.caches.get("l1d") else 0
+    size = (workload.synthetic or {}).get("access_size")
+    block = spec.caches.l1d.block_size if spec.caches.l1d else 0
     if isinstance(size, int) and size >= 1 and block % size:
         out.append(f"workload.synthetic.access_size: {size} does not divide "
                    f"the {block}-byte block; an access aligned to it crosses "
@@ -312,7 +304,7 @@ def validate_spec(spec: SystemSpec) -> list[str]:
 
     Violations are data, not exceptions; an empty list means buildable.
     """
-    out = _config_violations(spec.raw)
+    out = _config_violations(spec)
     if out:
         return out
     try:  # built only now, once every override keeps its kind
@@ -321,7 +313,7 @@ def validate_spec(spec: SystemSpec) -> list[str]:
         return [f"tech_overrides.{exc}"]
     out = _workload_violations(spec)
 
-    kinds = [t.kind for t in spec.tier_stack]
+    kinds = spec.tier_stack
     if CORES_L1 not in kinds:
         out.append("tier_stack: at least one cores_l1 tier is required")
     for i, kind in enumerate(kinds):
@@ -335,20 +327,20 @@ def validate_spec(spec: SystemSpec) -> list[str]:
 
     has_l2_tier = L2_SPLIT_ID in kinds
     has_l3_tier = L3_UNIFIED in kinds
-    if spec.caches.get("l1i") is None:
+    if spec.caches.l1i is None:
         out.append("caches.l1i: required")
-    if spec.caches.get("l1d") is None:
+    if spec.caches.l1d is None:
         out.append("caches.l1d: required")
-    if has_l2_tier and spec.caches.get("l2") is None:
+    if has_l2_tier and spec.caches.l2 is None:
         out.append("caches.l2: required when the tier stack has an l2_split_id tier")
-    if not has_l2_tier and spec.caches.get("l2") is not None:
+    if not has_l2_tier and spec.caches.l2 is not None:
         out.append("caches.l2: configured but no l2_split_id tier in the stack")
-    if has_l3_tier and spec.caches.get("l3") is None:
+    if has_l3_tier and spec.caches.l3 is None:
         out.append("caches.l3: required when the tier stack has an l3_unified tier")
-    if not has_l3_tier and spec.caches.get("l3") is not None:
+    if not has_l3_tier and spec.caches.l3 is not None:
         out.append("caches.l3: configured but no l3_unified tier in the stack")
 
-    for name, cfg in spec.caches.items():
+    for name, cfg in vars(spec.caches).items():
         if cfg is None:
             continue
         out.extend(cfg.violations(f"caches.{name}"))
@@ -363,13 +355,13 @@ def validate_spec(spec: SystemSpec) -> list[str]:
     # The data images, ClusterMemory and the snoop filter's key all assume
     # one block size per hierarchy: the L1d's, which holds at least one
     # 8-byte word.
-    l1d = spec.caches.get("l1d")
+    l1d = spec.caches.l1d
     if l1d is not None:
         block = l1d.block_size
         if block < WORD_SIZE:
             out.append(f"caches.l1d.block_size: must be >= {WORD_SIZE} ({block})")
         for name in ("l2", "l2i", "l3"):
-            cfg = spec.caches.get(name)
+            cfg = getattr(spec.caches, name)
             if cfg is not None and cfg.block_size != block:
                 out.append(f"caches.{name}.block_size: must equal caches.l1d."
                            f"block_size ({block}), got {cfg.block_size}")
@@ -409,7 +401,7 @@ def _base_preset() -> dict:
         "noc": {"link_latency": 1, "tsv_latency": 1, "router_delay": 1,
                 "flit_width": 16},
         "bus": {"beat_width": 16},
-        "clocks": dict(_DEFAULT_CLOCKS),
+        "clocks": asdict(ClocksConfig()),
         "memory_latency_ns": 50.0,
         "write_mix": 0.5,
         "caches": {
@@ -460,3 +452,7 @@ def preset(name: str) -> dict:
 
 
 PRESET_NAMES = ("fig32", "fig33", "fig34", "fig35b", "fig36")
+
+# A preset checked at import works out the kinds its keys and generator
+# sections take, so that the first config a process reads costs no more.
+validate_spec(spec_from_dict(preset("fig36")))

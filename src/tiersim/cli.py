@@ -65,14 +65,14 @@ def apply_override(config: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _read_records(workload: dict, key: str, parse) -> list:
-    """The records of the file `workload[key]` names; a file that cannot be
-    read or holds a bad record is a UserError naming both."""
+def _read_records(key: str, path: str, parse) -> list:
+    """The records of the file at `path`, set by `workload.key`; a file
+    that cannot be read or holds a bad record is a UserError naming both."""
     try:
-        with open(workload[key], "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return parse(fh)
     except (OSError, ValueError) as exc:
-        raise UserError(f"workload.{key}: {workload[key]}: "
+        raise UserError(f"workload.{key}: {path}: "
                         f"{getattr(exc, 'strerror', exc)}") from None
 
 
@@ -82,16 +82,16 @@ def _resolve_workload(spec, seed: int):
     reading a record file can fail here, as a UserError. A key that is
     present and not null counts, as in `validate_spec`, so an empty
     generator section generates with its defaults."""
-    wl = spec.raw.get("workload") or {}
+    wl = spec.workload
     trace, messages = [], []
-    if wl.get("trace") is not None:
-        trace = _read_records(wl, "trace", parse_trace)
-    elif wl.get("synthetic") is not None:
+    if wl.trace is not None:
+        trace = _read_records("trace", wl.trace, parse_trace)
+    elif wl.synthetic is not None:
         trace = gen_synthetic_trace(
             seed=seed, **generator_arguments(spec, "synthetic"))
-    if wl.get("messages") is not None:
-        messages = _read_records(wl, "messages", parse_messages)
-    elif wl.get("message_synthetic") is not None:
+    if wl.messages is not None:
+        messages = _read_records("messages", wl.messages, parse_messages)
+    elif wl.message_synthetic is not None:
         messages = gen_message_traffic(
             seed=seed, **generator_arguments(spec, "message_synthetic"))
     return trace, messages
@@ -108,13 +108,17 @@ def run_experiment(config: dict, seed: int, out_path: str,
         raise UserError("invalid configuration:\n  " + "\n  ".join(violations))
     trace, messages = _resolve_workload(spec, seed)
     warn_on_build(spec)
-    system = System(spec, seed=seed)
     try:
+        system = System(spec, seed=seed)
         system.load_trace(trace)
         system.load_messages(messages)
+        system.run(t_end_ps if t_end_ps is not None else float("inf"))
     except WorkloadError as exc:
         raise UserError(str(exc)) from None
-    system.run(t_end_ps if t_end_ps is not None else float("inf"))
+    except OverflowError:  # a time that an int64 latency column cannot hold
+        raise UserError(f"a request ends past {(1 << 63) - 1} ps, the int64 "
+                        f"time limit; lower memory_latency_ns, a clock "
+                        f"period or the ticks") from None
     report = system.build_report()
     check_report_invariants(report)
     emit_report(report, out_path)
@@ -260,22 +264,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("gen-trace", help="generate synthetic workloads")
+    # A generator flag left out takes its generator's default.
+    p = sub.add_parser("gen-trace", help="generate synthetic workloads",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--kind", choices=("mem", "msg"), default="mem")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cores", type=int, default=8)
-    p.add_argument("--length", type=int, default=1000)
-    p.add_argument("--hot-fraction", type=float, default=0.9, dest="hot_fraction")
-    p.add_argument("--hot-set-bytes", type=int, default=8192, dest="hot_set_bytes")
-    p.add_argument("--read-fraction", type=float, default=2.0 / 3.0,
-                   dest="read_fraction")
-    p.add_argument("--tick-interval", type=int, default=1, dest="tick_interval")
-    p.add_argument("--hot-overlap", type=float, default=0.0, dest="hot_overlap")
+    p.add_argument("--length", type=int)
+    p.add_argument("--hot-fraction", type=float)
+    p.add_argument("--hot-set-bytes", type=int)
+    p.add_argument("--read-fraction", type=float)
+    p.add_argument("--tick-interval", type=int)
+    p.add_argument("--hot-overlap", type=float)
     p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--cycles", type=int, default=1000)
-    p.add_argument("--rate", type=float, default=0.002)
-    p.add_argument("--payload", type=int, default=64, dest="payload_bytes")
+    p.add_argument("--cycles", type=int)
+    p.add_argument("--rate", type=float)
+    p.add_argument("--payload", type=int, dest="payload_bytes")
     p.set_defaults(func=_cmd_gen_trace)
 
     p = sub.add_parser("hops", help="print the mean hop count of a mesh")

@@ -14,27 +14,11 @@ import operator
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
 
 from .memtech import (AccessCounters, TechnologyParams, catalog_with_overrides,
                       level_energy)
-
-
-@dataclass
-class LatencyStats:
-    count: int
-    mean: float | None
-    p95: int | None
-    max: int | None
-    histogram: dict[str, int]
-    bucket_width: int
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "mean_ps": self.mean, "p95_ps": self.p95,
-                "max_ps": self.max, "bucket_width_ps": self.bucket_width,
-                "histogram": self.histogram}
 
 
 class LatencyLog:
@@ -60,8 +44,8 @@ class LatencyLog:
         return zip(self.starts, self.ends)
 
 
-def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> LatencyStats:
-    """Mean, nearest-rank p95, max and a fixed-width histogram of samples.
+def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> dict:
+    """Count, mean, nearest-rank p95, max and a fixed-width histogram of samples.
 
     The statistics come from an exact count of each value, walked in
     ascending order, so no sorted copy of the samples is built; the mean is
@@ -71,8 +55,6 @@ def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> Laten
     if bucket_width <= 0:
         raise ValueError("bucket_width must be > 0")
     counts = Counter(samples)
-    if not counts:
-        return LatencyStats(0, None, None, None, {}, bucket_width)
     n = sum(counts.values())
     rank = -(-95 * n // 100)  # ceil(0.95 n), nearest-rank percentile
     histogram: dict[str, int] = {}
@@ -87,14 +69,9 @@ def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> Laten
             p95 = value
         key = str(value // bucket_width)
         histogram[key] = histogram.get(key, 0) + count
-    return LatencyStats(
-        count=n,
-        mean=total / n,
-        p95=p95,
-        max=values[-1],
-        histogram=histogram,
-        bucket_width=bucket_width,
-    )
+    return {"count": n, "mean_ps": total / n if n else None, "p95_ps": p95,
+            "max_ps": values[-1] if n else None,
+            "bucket_width_ps": bucket_width, "histogram": histogram}
 
 
 def float_sum(values: Iterable[float]) -> float:

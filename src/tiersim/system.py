@@ -191,8 +191,8 @@ class System:
         self.spec = spec
         self.seed = seed
         self.engine = EventQueue()
-        self.block_size = spec.caches["l1d"].block_size
-        self.noc = MeshNetwork(spec.noc, self.engine, spec.clocks["noc_ps"])
+        self.block_size = spec.caches.l1d.block_size
+        self.noc = MeshNetwork(spec.noc, self.engine, spec.clocks.noc_ps)
         # Every cache array in build order: (level name, configured tech,
         # array, tier). The report reads this, never the cluster fields.
         self.levels: list[tuple[str, str, CacheLevel, int]] = []
@@ -202,8 +202,8 @@ class System:
         self.messages = 0
         self._write_seq = 0
         self.data_log: list[tuple[str, int, int, int]] | None = [] if record_log else None
-        self._core_ps = spec.clocks["core_ps"]
-        self._tsv_ps = spec.noc.tsv_latency * spec.clocks["bus_ps"]
+        self._core_ps = spec.clocks.core_ps
+        self._tsv_ps = spec.noc.tsv_latency * spec.clocks.bus_ps
         self._assert_norma_isolation()
 
     def _assert_norma_isolation(self) -> None:
@@ -238,14 +238,14 @@ class System:
                   ) -> CacheLevel:
         """Build one cache array on `tier` and register it for the report;
         a snooped array gets its cluster's filter and its bit in it."""
-        cfg = self.spec.caches[cfg_name]
+        cfg = getattr(self.spec.caches, cfg_name)
         techs = ([self.spec.catalog[r.tech] for r in cfg.regions]
                  if cfg.regions else [self.spec.catalog[cfg.tech]])
         clock_key = {"l1i": "core_ps", "l1d": "core_ps", "l2": "l2_ps",
                      "l2i": "l2_ps", "l3": "l3_ps"}[cfg_name]
         level = CacheLevel(
             name, cfg, techs,
-            clock_period_ps=self.spec.clocks[clock_key],
+            clock_period_ps=getattr(self.spec.clocks, clock_key),
             rng=(substream(self.seed, name, cluster, unit)
                  if cfg.replacement == PSEUDO_RANDOM else None),
             write_mix=self.spec.write_mix,
@@ -255,8 +255,8 @@ class System:
 
     def _build_cluster(self, index: int) -> Cluster:
         spec = self.spec
-        distributed = (spec.caches.get("l2") is not None
-                       and spec.caches["l2"].topology == DISTRIBUTED)
+        distributed = (spec.caches.l2 is not None
+                       and spec.caches.l2.topology == DISTRIBUTED)
         stacks: list[Stack] = []
         holders: dict[int, int] = {}
         for tier_pos, core_tier in enumerate(spec.core_tiers):
@@ -273,25 +273,24 @@ class System:
                                     l1d=l1d, l2_private=l2p, l2_tier=l2_tier))
         cluster = Cluster(
             index=index, stacks=stacks,
-            bus=ClusterBus(beat_width=spec.bus_beat_width,
-                           clock_period_ps=spec.clocks["bus_ps"]),
+            bus=ClusterBus(beat_width=spec.bus.beat_width,
+                           clock_period_ps=spec.clocks.bus_ps),
             memctrl=MemoryController(latency_ps=int(round(spec.memory_latency_ns * 1000))),
             memory=ClusterMemory(self.block_size),
             holders=holders)
         homes = []
-        for t in spec.tier_stack:
-            if t.kind != L2_SPLIT_ID or spec.caches.get("l2") is None:
+        for tier, kind in enumerate(spec.tier_stack):
+            if kind != L2_SPLIT_ID or spec.caches.l2 is None:
                 continue
             if not distributed:
-                homes.append((self._mk_level("l2", "l2", index, t.index, t.index),
-                              t.index))
-            icfg = "l2i" if spec.caches.get("l2i") else "l2"
-            cluster.l2i[t.index] = self._mk_level("l2i", icfg, index, t.index,
-                                                  t.index)
+                homes.append((self._mk_level("l2", "l2", index, tier, tier),
+                              tier))
+            icfg = "l2i" if spec.caches.l2i else "l2"
+            cluster.l2i[tier] = self._mk_level("l2i", icfg, index, tier, tier)
         cluster.l2_homes = tuple(homes)
         l3_tier = spec.l3_tier()
         l3 = ()
-        if l3_tier is not None and spec.caches.get("l3") is not None:
+        if l3_tier is not None and spec.caches.l3 is not None:
             cluster.l3 = self._mk_level("l3", "l3", index, l3_tier, l3_tier)
             l3 = ((cluster.l3, l3_tier),)
         for stack in stacks:
@@ -367,7 +366,7 @@ class System:
         n_clusters = self.spec.n_clusters
         if n_clusters < 2:
             raise WorkloadError("message workload requires at least two clusters")
-        noc_ps = self.spec.clocks["noc_ps"]
+        noc_ps = self.spec.clocks.noc_ps
         ticks = [rec.tick for rec in records]
         srcs = [rec.src_cluster for rec in records]
         dsts = [rec.dst_cluster for rec in records]
@@ -799,13 +798,13 @@ class System:
                                   "worn_blocks")
 
         tiers = []
-        for t in self.spec.tier_stack:
-            area = tier_area.get(t.index, 0.0)
-            energy = tier_energy.get(t.index, 0.0)
+        for tier, kind in enumerate(self.spec.tier_stack):
+            area = tier_area.get(tier, 0.0)
+            energy = tier_energy.get(tier, 0.0)
             density = None
             if area > 0 and duration_ns > 0:
                 density = tier_power_density(energy, duration_ns, area)
-            tiers.append({"index": t.index, "kind": t.kind, "area_units": area,
+            tiers.append({"index": tier, "kind": kind, "area_units": area,
                           "energy_nj": energy,
                           "power_density_mw_per_unit": density})
 
@@ -817,7 +816,7 @@ class System:
         bus_totals["total_grants"] = sum(bus_totals.values())
 
         mem, msg = self.mem_samples, self.noc.msg_samples
-        bucket = self.spec.histogram_bucket_ps
+        bucket = self.spec.report.histogram_bucket_ps
         report = {
             "meta": {
                 "seed": self.seed,
@@ -836,9 +835,9 @@ class System:
             },
             "latency": {
                 "mem": summarize_latency(map(operator.sub, mem.ends, mem.starts),
-                                         bucket).to_dict(),
+                                         bucket),
                 "msg": summarize_latency(map(operator.sub, msg.ends, msg.starts),
-                                         bucket).to_dict(),
+                                         bucket),
             },
             "endurance": endurance,
             "tiers": tiers,

@@ -13,7 +13,7 @@ import inspect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, is_dataclass
-from types import MappingProxyType
+from types import MappingProxyType, UnionType
 from typing import (Any, Iterable, Iterator, NewType, TextIO, get_args,
                     get_origin, get_type_hints)
 
@@ -56,10 +56,12 @@ NUMBER_KINDS = {Probability: ("a number in [0, 1]", lambda v: 0 <= v <= 1),
                 Endurance: ('a number >= 1 or "unlimited"', lambda v: v >= 1)}
 
 
-def generator_parameters(gen) -> dict[str, object]:
-    """A generator's parameters, each with its annotation."""
-    return {name: p.annotation for name, p
-            in inspect.signature(gen, eval_str=True).parameters.items()}
+@functools.cache
+def generator_parameters(gen) -> Mapping[str, object]:
+    """A generator's parameters and annotations, worked out once, shared
+    read-only."""
+    params = inspect.signature(gen, eval_str=True).parameters
+    return MappingProxyType({name: p.annotation for name, p in params.items()})
 
 
 @functools.cache
@@ -72,9 +74,18 @@ def kind_problems(kind, value, path: str = "", cores: int = 0,
                   clusters: int = 0) -> list[tuple[str, str]]:
     """(path, problem) for each way `value` breaks `kind`. A dataclass or
     a dict of named kinds takes an object, or null for absent, without keys
-    it does not name; a tuple kind takes a list of its length. A key is at
+    it does not name; a `dict[str, X]` an object, or null, of Xs; `X | None`
+    null or an X; and a tuple kind a list of its length. A key is at
     `path.key` and an item at `path[i]`. A system's `cores` and `clusters`,
     where >= 1, bound the counts from above."""
+    origin = get_origin(kind)
+    if origin is UnionType:
+        if value is None:
+            return []
+        kind = get_args(kind)[0]
+        origin = get_origin(kind)
+    if origin is dict:
+        kind = dict.fromkeys(value or {}, get_args(kind)[1])
     if is_dataclass(kind):
         kind = field_kinds(kind)
     if isinstance(kind, (dict, MappingProxyType)):
@@ -84,7 +95,7 @@ def kind_problems(kind, value, path: str = "", cores: int = 0,
             out += (kind_problems(kind[key], item, where, cores, clusters)
                     if key in kind else [(where, "unknown key")])
         return out
-    if get_origin(kind) is tuple:
+    if origin is tuple:
         args = get_args(kind)
         kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
         return [problem for i, (k, item) in enumerate(zip(kinds, value))
@@ -265,9 +276,9 @@ def write_messages(records: Iterable[MessageRecord], stream: TextIO) -> None:
         stream.write(f"{r.tick},{r.src_cluster},{r.dst_cluster},{r.bytes}\n")
 
 
-def gen_synthetic_trace(cores: CoreCount, length: Count,
-                        hot_fraction: Probability, hot_set_bytes: Size,
-                        seed: int, *,
+def gen_synthetic_trace(cores: CoreCount, length: Count = 1000,
+                        hot_fraction: Probability = 0.9,
+                        hot_set_bytes: Size = 8192, *, seed: int,
                         read_fraction: Probability = 2.0 / 3.0,
                         access_size: Size = 8,
                         tick_interval: Count = 1,
@@ -305,9 +316,9 @@ def gen_synthetic_trace(cores: CoreCount, length: Count,
     return records
 
 
-def gen_message_traffic(clusters: ClusterCount, cycles: Count,
-                        rate: Probability, payload_bytes: Size,
-                        seed: int) -> list[MessageRecord]:
+def gen_message_traffic(clusters: ClusterCount, cycles: Count = 1000,
+                        rate: Probability = 0.002, payload_bytes: Size = 64,
+                        *, seed: int) -> list[MessageRecord]:
     """Bernoulli message injection: each cluster independently injects with
     probability `rate` per cycle to a uniformly chosen other cluster."""
     for name, problem in kind_problems(generator_parameters(gen_message_traffic),

@@ -206,7 +206,7 @@ def test_acceptance_5_congestion_property():
     for seed in seeds:
         lat = []
         for rate in rates:
-            msgs = gen_message_traffic(64, 2000, rate, payload, seed)
+            msgs = gen_message_traffic(64, 2000, rate, payload, seed=seed)
             system = _build(cfg, seed=seed)
             system.load_messages(msgs)
             system.run()

@@ -1,11 +1,21 @@
+import json
+import re
 import warnings
+from dataclasses import is_dataclass
+from pathlib import Path
+from typing import get_args
 
 import pytest
 
-from tiersim.arch import (ConfigError, PRESET_NAMES, build_system, preset,
-                          spec_from_dict, validate_spec)
+from tiersim.arch import (ConfigError, PRESET_NAMES, SystemSpec, build_system,
+                          preset, spec_from_dict, validate_spec)
+from tiersim.memtech import TechnologyParams
 from tiersim.system import WorkloadError
-from tiersim.workload import LATEST_START_PS, MessageRecord, TraceRecord
+from tiersim.workload import (LATEST_START_PS, NUMBER_KINDS, MessageRecord,
+                              TraceRecord, field_kinds, gen_message_traffic,
+                              gen_synthetic_trace, generator_parameters)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pending(system) -> int:
@@ -125,7 +135,7 @@ def test_fig33_build_counts():
 
 def test_fig36_stack_shape_and_warning():
     spec = spec_from_dict(preset("fig36"))
-    assert [t.kind for t in spec.tier_stack] == [
+    assert list(spec.tier_stack) == [
         "cores_l1", "l2_split_id", "l3_unified", "l2_split_id", "cores_l1"]
     assert spec.cores_per_cluster_total == 16
     with warnings.catch_warnings(record=True) as caught:
@@ -173,8 +183,8 @@ def test_ticks_past_the_latency_columns_rejected_at_load():
     # start time reaches LATEST_START_PS is refused before anything runs,
     # and the tick before it runs to a report.
     system = build_system(spec_from_dict(preset("fig33")), seed=0)
-    core_tick = -(-LATEST_START_PS // system.spec.clocks["core_ps"])
-    noc_tick = -(-LATEST_START_PS // system.spec.clocks["noc_ps"])
+    core_tick = -(-LATEST_START_PS // system.spec.clocks.core_ps)
+    noc_tick = -(-LATEST_START_PS // system.spec.clocks.noc_ps)
     with pytest.raises(WorkloadError, match=f"core 1: tick {core_tick} starts"):
         system.load_trace([TraceRecord(0, 1, "R", 0x40, 8),
                            TraceRecord(core_tick, 1, "R", 0x80, 8)])
@@ -246,3 +256,71 @@ def test_custom_technology_usable_in_cache_config():
     spec = spec_from_dict(cfg)
     assert validate_spec(spec) == []
     build_system(spec, seed=0)
+
+
+def config_leaves(node, path=()):
+    """(path, value) for each value of a parsed JSON config that is neither
+    an object nor a list; a path holds keys and list indices."""
+    if not isinstance(node, (dict, list)):
+        yield path, node
+        return
+    for key, item in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from config_leaves(item, (*path, key))
+
+
+def spec_at(node, path):
+    for key in path:
+        node = node[key] if isinstance(node, (dict, tuple)) else getattr(node, key)
+    return node
+
+
+@pytest.mark.parametrize("config", [
+    *(preset(name) for name in PRESET_NAMES),
+    *(json.loads(path.read_text()) for path in sorted(ROOT.glob("configs/*.json"))),
+    dict(preset("fig32"), write_mix=1, memory_latency_ns=50)],
+    ids=[*PRESET_NAMES, *(path.stem + ".json"
+                          for path in sorted(ROOT.glob("configs/*.json"))),
+         "int-numbers"])
+def test_the_spec_holds_each_config_value_at_its_key(config):
+    # SystemSpec is laid out as the config is: each value reads back from
+    # the spec at its own path, a number kind's integer as its float.
+    spec = spec_from_dict(config)
+    for path, value in config_leaves(config):
+        owner = spec_at(spec, path[:-1])
+        got = spec_at(owner, path[-1:])
+        number = (is_dataclass(owner)
+                  and field_kinds(type(owner))[path[-1]] in NUMBER_KINDS)
+        assert got == value and type(got) is (float if number else type(value)), path
+
+
+def kind_names(kind):
+    """The field names of a dataclass kind, and of each dataclass its
+    fields' kinds hold, down to the last."""
+    if is_dataclass(kind):
+        for name, item in field_kinds(kind).items():
+            yield name
+            yield from kind_names(item)
+    for arg in get_args(kind):
+        yield from kind_names(arg)
+
+
+def test_every_config_key_is_named_in_the_docs():
+    doc = (ROOT / "docs" / "config-format.md").read_text(encoding="utf-8")
+    names = {*kind_names(SystemSpec), *field_kinds(TechnologyParams),
+             *generator_parameters(gen_synthetic_trace),
+             *generator_parameters(gen_message_traffic)}
+    assert "caches" in names and "beat_width" in names and "ways" in names
+    assert sorted(name for name in names
+                  if not re.search(rf"\b{name}\b", doc)) == []
+
+
+def test_empty_cache_entry_counts_as_absent():
+    cfg = preset("fig33")
+    cfg["caches"]["l2"] = {}
+    spec = spec_from_dict(cfg)
+    assert spec.caches.l2 is None
+    assert validate_spec(spec) == []
+    cfg = preset("fig34")
+    cfg["caches"]["l2"] = {}
+    assert validate_spec(spec_from_dict(cfg)) == [
+        "caches.l2: required when the tier stack has an l2_split_id tier"]

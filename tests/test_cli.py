@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -6,6 +7,8 @@ import pytest
 from tiersim import cli
 from tiersim.arch import preset
 from tiersim.cli import main, sweep_seed
+from tiersim.workload import (gen_message_traffic, gen_synthetic_trace,
+                              write_messages, write_trace)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -614,6 +617,41 @@ def test_gen_trace_messages(tmp_path):
     lines = msg_path.read_text().splitlines()
     assert lines[0] == "tick,src_cluster,dst_cluster,bytes"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("kind, gen, write, system", [
+    ("mem", gen_synthetic_trace, write_trace, {"cores": 8}),
+    ("msg", gen_message_traffic, write_messages, {"clusters": 4})],
+    ids=["mem", "msg"])
+def test_gen_trace_flag_left_out_takes_its_generators_default(
+        tmp_path, capsys, kind, gen, write, system):
+    # Only --cores 8, --clusters 4 and --seed 0 are gen-trace's own; every
+    # other flag left out is left to the generator's signature.
+    out = tmp_path / "records.csv"
+    assert main(["gen-trace", "--kind", kind, "--out", str(out)]) == 0
+    records = gen(seed=0, **system)
+    assert capsys.readouterr().out == f"{len(records)} records written to {out}\n"
+    want = io.StringIO()
+    write(records, want)
+    assert out.read_text() == want.getvalue()
+    assert kind == "msg" or len(records) == 8 * 1000
+
+
+@pytest.mark.parametrize("latency", ["1e15", "1e300"])
+def test_latency_past_the_int64_time_limit_exits_2(tmp_path, capsys, latency):
+    # 1e15 ns is 1e18 ps, below LATEST_START_PS, but the misses queue at the
+    # memory controller until a request would end past the int64 limit.
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--set",
+                 "workload.synthetic.length=3", "--set",
+                 f"memory_latency_ns={latency}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: a request ends past {2**63 - 1} ps, the int64 time limit; "
+        f"lower memory_latency_ns, a clock period or the ticks"]
+    assert not out.exists()
+    assert main(["run", "--config", "fig32", "--set",
+                 "workload.synthetic.length=3", "--set",
+                 "memory_latency_ns=1e12", "--out", str(out)]) == 0
 
 
 def test_dump_latencies(tmp_path):

@@ -536,7 +536,7 @@ def test_snoop_filter_equals_a_probe_of_every_stack(cores, endurance, l2_tech,
     cfg["tech_overrides"] = {"PCRAM": {"endurance": endurance}}
     system = build(cfg)
     cluster = system.clusters[0]
-    core_ps = system.spec.clocks["core_ps"]
+    core_ps = system.spec.clocks.core_ps
     for core, write, block in steps:
         tick = cluster.engine.now // core_ps + 1
         system.load_trace([TraceRecord(tick, core % cores, "W" if write else "R",
