@@ -274,16 +274,19 @@ def spec_at(node, path):
     return node
 
 
-@pytest.mark.parametrize("config", [
-    *(preset(name) for name in PRESET_NAMES),
-    *(json.loads(path.read_text()) for path in sorted(ROOT.glob("configs/*.json"))),
-    dict(preset("fig32"), write_mix=1, memory_latency_ns=50)],
-    ids=[*PRESET_NAMES, *(path.stem + ".json"
-                          for path in sorted(ROOT.glob("configs/*.json"))),
-         "int-numbers"])
-def test_the_spec_holds_each_config_value_at_its_key(config):
+# Each preset, each shipped config file, and a config that gives number
+# kinds as integers.
+CONFIGS = {**{name: preset(name) for name in PRESET_NAMES},
+           **{path.name: json.loads(path.read_text(encoding="utf-8"))
+              for path in sorted(ROOT.glob("configs/*.json"))},
+           "int-numbers": dict(preset("fig32"), write_mix=1, memory_latency_ns=50)}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_the_spec_holds_each_config_value_at_its_key(name):
     # SystemSpec is laid out as the config is: each value reads back from
     # the spec at its own path, a number kind's integer as its float.
+    config = CONFIGS[name]
     spec = spec_from_dict(config)
     for path, value in config_leaves(config):
         owner = spec_at(spec, path[:-1])
