@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from inspect import signature
-from types import UnionType
-from typing import Any, Literal, get_args, get_origin
+from typing import Any, Literal
 
 from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_default, catalog_with_overrides
-from .workload import (NUMBER_KINDS, NonNegative, Probability, Size,
+from .workload import (ConfigError, NonNegative, Probability, Size,
                        field_kinds, gen_message_traffic, gen_synthetic_trace,
-                       generator_parameters, hot_window_problem,
-                       kind_problems, start_time_problem)
+                       hot_window_problem, kind_problems, start_time_problem,
+                       typed)
 
 CORES_L1 = "cores_l1"
 L2_SPLIT_ID = "l2_split_id"
@@ -37,10 +36,6 @@ SHARED = "shared"
 DISTRIBUTED = "distributed"
 
 GIC_CORE_LIMIT = 8
-
-
-class ConfigError(ValueError):
-    """A config no spec can be built from (see `_typed`)."""
 
 
 @dataclass(frozen=True)
@@ -100,12 +95,13 @@ class SystemSpec:
     """A parsed config, laid out as the config is: each field holds the key
     of its name and each section is a dataclass of its own, whose fields
     hold the section's keys. Each annotation is its key's only rule, and
-    each default the key's default. `raw` is the config as given."""
+    each default the key's default. `raw` is the config as given, and
+    `problems` the (path, problem) pairs its kinds found in it."""
 
     cluster_grid: tuple[Size, Size] = (1, 1)
     cores_per_cluster: Size = 8
     tier_stack: tuple[TierKind, ...] = (CORES_L1,)
-    noc: MeshTopology
+    noc: MeshTopology = MeshTopology()
     bus: BusConfig = BusConfig()
     clocks: ClocksConfig = ClocksConfig()
     memory_latency_ns: NonNegative = 50.0
@@ -114,7 +110,13 @@ class SystemSpec:
     tech_overrides: dict[str, dict[str, Any] | None] = field(default_factory=dict)
     report: ReportConfig = ReportConfig()
     workload: WorkloadConfig = WorkloadConfig()
-    raw = None  # not a field, so not a key
+    raw, problems = None, ()  # not fields, so not keys
+
+    def __post_init__(self) -> None:
+        # The mesh defaults to the cluster grid, one layer per core tier.
+        if self.noc.dims is None:
+            self.noc = replace(self.noc, dims=(*self.cluster_grid,
+                                               len(self.core_tiers) or 1))
 
     @cached_property
     def catalog(self) -> dict[str, TechnologyParams]:
@@ -157,78 +159,20 @@ _OVERRIDE_KINDS = {name: kind for name, kind
                    in field_kinds(TechnologyParams).items() if name != "name"}
 
 
-def _object(value, path: str) -> dict:
-    """`value` as an object, {} when null; anything else is a ConfigError
-    naming its dotted path and the type it got."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object, got {type(value).__name__}")
-    return value
-
-
-def _typed(kind, value, path: str):
-    """`value` as a field of kind `kind` stores it: an object under a
-    dataclass kind as that dataclass, less the keys it has no field for,
-    under a `dict[str, X]` kind as a dict of Xs, a list under a tuple kind
-    as a tuple, each item typed in turn, and an integer that keeps its
-    number kind as a float. Under `X | None`, null is None, and so is an
-    object without keys where X is a dataclass. Any other value is kept as
-    given for validate_spec to check; an object or a list of the wrong
-    shape, or without a field that has no default, is a ConfigError."""
-    origin = get_origin(kind)
-    if origin is UnionType:
-        kind = get_args(kind)[0]
-        if value is None or (value == {} and is_dataclass(kind)):
-            return None
-        origin = get_origin(kind)
-    if origin is dict:
-        return {key: _typed(get_args(kind)[1], item, f"{path}.{key}")
-                for key, item in _object(value, path).items()}
-    if is_dataclass(kind):
-        node = _object(value, path)
-        prefix = f"{path}." if path else ""
-        for f in fields(kind):
-            if (f.default is MISSING and f.default_factory is MISSING
-                    and f.name not in node):
-                raise ConfigError(f"{prefix}{f.name}: required")
-        return kind(**{key: _typed(k, node[key], prefix + key)
-                       for key, k in field_kinds(kind).items() if key in node})
-    if origin is tuple:
-        args = get_args(kind)
-        any_length = args[-1] is Ellipsis
-        if not (isinstance(value, (list, tuple))
-                and (any_length or len(value) == len(args))):
-            raise ConfigError(f"{path}: must be a list"
-                              f"{'' if any_length else f' of {len(args)}'}, "
-                              f"got {value!r}")
-        return tuple(_typed(args[0] if any_length else args[i], item,
-                            f"{path}[{i}]") for i, item in enumerate(value))
-    if (kind in NUMBER_KINDS and isinstance(value, int)
-            and not kind_problems(kind, value)):
-        return float(value)
-    return value
-
-
 def spec_from_dict(config: dict) -> SystemSpec:
     """Build a SystemSpec from a parsed JSON config dict.
 
     A config no spec can be built from raises ConfigError. Every value is
-    stored as `_typed` keeps it, nothing cast or truncated, so that
-    validate_spec can report each value that breaks its kind by its path
-    before it applies any rule across fields.
+    stored as `typed` keeps it, nothing cast or truncated, and each value
+    that breaks its kind is kept in `problems` by its path, so that
+    validate_spec reports them before it applies any rule across fields.
     """
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = copy.deepcopy(config)
-    # The mesh defaults to the cluster grid, one layer per core tier.
-    grid, tiers = (_typed(field_kinds(SystemSpec)[key],
-                          cfg.get(key, getattr(SystemSpec, key)), key)
-                   for key in ("cluster_grid", "tier_stack"))
-    noc = {"dims": [*grid, tiers.count(CORES_L1) or 1],
-           **_object(cfg.get("noc"), "noc")}
-    spec = _typed(SystemSpec, {**cfg, "noc": noc}, "")
-    spec.raw = cfg
+    problems: list[tuple[str, str]] = []
+    spec = typed(SystemSpec, cfg, "", problems)
+    spec.raw, spec.problems = cfg, problems
     return spec
 
 
@@ -236,7 +180,7 @@ def _config_violations(spec: SystemSpec) -> list[str]:
     """One violation per key that no section of the config defines, per
     value that breaks its kind, and per field a new technology leaves out,
     each by its dotted path."""
-    found = kind_problems(SystemSpec, spec.raw)
+    found = list(spec.problems)
     for name, entry in spec.tech_overrides.items():
         found += kind_problems(_OVERRIDE_KINDS, entry, f"tech_overrides.{name}")
         if name not in catalog_default():
@@ -276,7 +220,7 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
         if path is not None:
             out.append(f"workload: choose either {records} or {section}, not both")
         args = generator_arguments(spec, section)
-        rules = dict(generator_parameters(_GENERATORS[section]))
+        rules = dict(field_kinds(_GENERATORS[section]))
         del rules["seed"]
         problems = kind_problems(rules, args, f"workload.{section}",
                                  spec.total_cores, spec.n_clusters)

@@ -20,9 +20,9 @@ from .arch import (PRESET_NAMES, ConfigError, generator_arguments, preset,
 from .interconnect import mean_hop_count
 from .metrics import check_report_invariants, emit_report, write_latency_csv
 from .system import System, WorkloadError
-from .workload import (gen_message_traffic, gen_synthetic_trace,
-                       generator_parameters, parse_messages, parse_trace,
-                       write_messages, write_trace)
+from .workload import (field_kinds, gen_message_traffic, gen_synthetic_trace,
+                       parse_messages, parse_trace, write_messages,
+                       write_trace)
 
 EXIT_OK = 0
 EXIT_FAULT = 1
@@ -209,7 +209,10 @@ def _cmd_validate(args) -> int:
 def _cmd_gen_trace(args) -> int:
     gen, write = ((gen_synthetic_trace, write_trace) if args.kind == "mem"
                   else (gen_message_traffic, write_messages))
-    params = generator_parameters(gen)
+    params = field_kinds(gen)
+    for name, flag in args.flags.items():
+        if name in vars(args) and name not in params:
+            raise UserError(f"{flag}: not a parameter of --kind {args.kind}")
     try:
         records = gen(**{name: value for name, value in vars(args).items()
                          if name in params})
@@ -264,24 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_validate)
 
-    # A generator flag left out takes its generator's default.
+    # A generator flag left out takes its generator's default, and one
+    # given that is not a parameter of the --kind's generator is refused.
     p = sub.add_parser("gen-trace", help="generate synthetic workloads",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--kind", choices=("mem", "msg"), default="mem")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cores", type=int, default=8)
-    p.add_argument("--length", type=int)
-    p.add_argument("--hot-fraction", type=float)
-    p.add_argument("--hot-set-bytes", type=int)
-    p.add_argument("--read-fraction", type=float)
-    p.add_argument("--tick-interval", type=int)
-    p.add_argument("--hot-overlap", type=float)
+    flags = [p.add_argument("--length", type=int),
+             p.add_argument("--hot-fraction", type=float),
+             p.add_argument("--hot-set-bytes", type=int),
+             p.add_argument("--read-fraction", type=float),
+             p.add_argument("--tick-interval", type=int),
+             p.add_argument("--hot-overlap", type=float)]
     p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--cycles", type=int)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--payload", type=int, dest="payload_bytes")
-    p.set_defaults(func=_cmd_gen_trace)
+    flags += [p.add_argument("--cycles", type=int),
+              p.add_argument("--rate", type=float),
+              p.add_argument("--payload", type=int, dest="payload_bytes")]
+    p.set_defaults(func=_cmd_gen_trace, flags={
+        flag.dest: flag.option_strings[0] for flag in flags})
 
     p = sub.add_parser("hops", help="print the mean hop count of a mesh")
     p.add_argument("--dims", required=True, help="mesh extents as XxYxZ")

@@ -70,9 +70,10 @@ class ClusterBus:
 @dataclass(frozen=True)
 class MeshTopology:
     """A mesh's shape and timing. Each field's annotation is its only rule
-    as a config value, and its default the config's."""
+    as a config value, and its default the config's; a SystemSpec fills in
+    the default `dims` from its cluster grid and core tiers."""
 
-    dims: tuple[Size, Size, Size]
+    dims: tuple[Size, Size, Size] | None = None
     link_latency: Size = 1    # cycles per horizontal hop
     tsv_latency: Size = 1     # cycles per vertical hop
     router_delay: Size = 1    # cycles per router traversal

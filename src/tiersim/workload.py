@@ -9,10 +9,9 @@ pure functions of their parameters and seed.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from types import MappingProxyType, UnionType
 from typing import (Any, Iterable, Iterator, NewType, TextIO, get_args,
                     get_origin, get_type_hints)
@@ -30,7 +29,7 @@ ADDR_SPACE = 1 << ADDR_BITS
 LATEST_START_PS = 1 << 62
 
 # Kinds of value. The annotation of a generator parameter, or of a field of
-# a config dataclass, is its only rule, applied by `kind_problems`: an `int`
+# a config dataclass, is its only rule, applied by `typed`: an `int`
 # takes an integer, a `Count` an integer >= 0, a `Size` one >= 1, a
 # `CoreCount` one from 1 to the system's total core count, a `ClusterCount`
 # one from 2 to the system's cluster count; a `Probability` a number in
@@ -56,53 +55,86 @@ NUMBER_KINDS = {Probability: ("a number in [0, 1]", lambda v: 0 <= v <= 1),
                 Endurance: ('a number >= 1 or "unlimited"', lambda v: v >= 1)}
 
 
-@functools.cache
-def generator_parameters(gen) -> Mapping[str, object]:
-    """A generator's parameters and annotations, worked out once, shared
-    read-only."""
-    params = inspect.signature(gen, eval_str=True).parameters
-    return MappingProxyType({name: p.annotation for name, p in params.items()})
+class ConfigError(ValueError):
+    """A config no spec can be built from (see `typed`)."""
 
 
 @functools.cache
-def field_kinds(cls) -> Mapping[str, object]:
-    """A dataclass's fields and annotations, worked out once, shared read-only."""
-    return MappingProxyType(get_type_hints(cls))
+def field_kinds(owner) -> Mapping[str, object]:
+    """The annotations of a dataclass's fields or of a function's
+    parameters, worked out once, shared read-only."""
+    kinds = get_type_hints(owner)
+    kinds.pop("return", None)
+    return MappingProxyType(kinds)
+
+
+def typed(kind, value, path: str, problems: list[tuple[str, str]],
+          cores: int = 0, clusters: int = 0):
+    """`value` as a field of kind `kind` stores it, with (path, problem)
+    appended to `problems` for each key `kind` does not name and each value
+    that breaks its kind, in the config's order. A dataclass, or a dict of
+    named kinds, takes an object, null being {}, and stores its dataclass,
+    or a dict; a `dict[str, X]` takes an object of Xs; `X | None` null, as
+    None, or an X, and an object without keys counts as null where X is a
+    dataclass; a tuple kind a list of its length, as a tuple. Any other
+    value is kept as given, except that an integer that keeps a number kind
+    is stored as a float. A key is at `path.key` and an item at `path[i]`.
+    A system's `cores` and `clusters`, where >= 1, bound the counts from
+    above. A section that is not an object, a list of the wrong length, or
+    an object without a field that has no default is a ConfigError."""
+    origin = get_origin(kind)
+    if origin is UnionType:
+        kind = get_args(kind)[0]
+        if value is None or (value == {} and is_dataclass(kind)):
+            return None
+        origin = get_origin(kind)
+    if origin is dict or is_dataclass(kind) or isinstance(kind, Mapping):
+        if not isinstance(value, dict | None):
+            raise ConfigError(f"{path}: must be an object, "
+                              f"got {type(value).__name__}")
+        value = value or {}
+        kinds = (dict.fromkeys(value, get_args(kind)[1]) if origin is dict
+                 else field_kinds(kind) if is_dataclass(kind) else kind)
+        at = f"{path}." if path else ""
+        for f in fields(kind) if is_dataclass(kind) else ():
+            if (f.default is MISSING and f.default_factory is MISSING
+                    and f.name not in value):
+                raise ConfigError(f"{at}{f.name}: required")
+        out = {}
+        for key, item in value.items():
+            where = f"{at}{key}"
+            if key in kinds:
+                out[key] = typed(kinds[key], item, where, problems, cores,
+                                 clusters)
+            else:
+                problems.append((where, "unknown key"))
+        return kind(**out) if is_dataclass(kind) else out
+    if origin is tuple:
+        args = get_args(kind)
+        any_length = args[-1] is Ellipsis
+        if not (isinstance(value, (list, tuple))
+                and (any_length or len(value) == len(args))):
+            raise ConfigError(f"{path}: must be a list"
+                              f"{'' if any_length else f' of {len(args)}'}, "
+                              f"got {value!r}")
+        return tuple(typed(args[0] if any_length else args[i], item,
+                           f"{path}[{i}]", problems, cores, clusters)
+                     for i, item in enumerate(value))
+    problem = _scalar_problem(kind, value, cores, clusters)
+    if problem:
+        problems.append((path, problem))
+    elif kind in NUMBER_KINDS and isinstance(value, int):
+        return float(value)
+    return value
 
 
 def kind_problems(kind, value, path: str = "", cores: int = 0,
                   clusters: int = 0) -> list[tuple[str, str]]:
-    """(path, problem) for each way `value` breaks `kind`. A dataclass or
-    a dict of named kinds takes an object, or null for absent, without keys
-    it does not name; a `dict[str, X]` an object, or null, of Xs; `X | None`
-    null or an X; and a tuple kind a list of its length. A key is at
-    `path.key` and an item at `path[i]`. A system's `cores` and `clusters`,
-    where >= 1, bound the counts from above."""
-    origin = get_origin(kind)
-    if origin is UnionType:
-        if value is None:
-            return []
-        kind = get_args(kind)[0]
-        origin = get_origin(kind)
-    if origin is dict:
-        kind = dict.fromkeys(value or {}, get_args(kind)[1])
-    if is_dataclass(kind):
-        kind = field_kinds(kind)
-    if isinstance(kind, (dict, MappingProxyType)):
-        out: list[tuple[str, str]] = []
-        for key, item in (value or {}).items():
-            where = f"{path}.{key}" if path else key
-            out += (kind_problems(kind[key], item, where, cores, clusters)
-                    if key in kind else [(where, "unknown key")])
-        return out
-    if origin is tuple:
-        args = get_args(kind)
-        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
-        return [problem for i, (k, item) in enumerate(zip(kinds, value))
-                for problem in kind_problems(k, item, f"{path}[{i}]", cores,
-                                             clusters)]
-    problem = _scalar_problem(kind, value, cores, clusters)
-    return [(path, problem)] if problem else []
+    """(path, problem) for each way `value` breaks `kind`, as `typed`
+    finds them."""
+    problems: list[tuple[str, str]] = []
+    typed(kind, value, path, problems, cores, clusters)
+    return problems
 
 
 def _scalar_problem(kind, value, cores: int, clusters: int) -> str | None:
@@ -166,7 +198,6 @@ def start_time_problem(length: int, tick_interval: int,
 class TraceParseError(ValueError):
     def __init__(self, lineno: int, message: str) -> None:
         super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,7 +321,7 @@ def gen_synthetic_trace(cores: CoreCount, length: Count = 1000,
     comparisons stay clean; hot_overlap redirects that fraction of hot
     accesses to a window shared by every core.
     """
-    for name, problem in kind_problems(generator_parameters(gen_synthetic_trace),
+    for name, problem in kind_problems(field_kinds(gen_synthetic_trace),
                                        locals()):
         raise ValueError(f"{name} {problem}")
     problem = hot_window_problem(cores, hot_set_bytes, hot_overlap)
@@ -321,7 +352,7 @@ def gen_message_traffic(clusters: ClusterCount, cycles: Count = 1000,
                         *, seed: int) -> list[MessageRecord]:
     """Bernoulli message injection: each cluster independently injects with
     probability `rate` per cycle to a uniformly chosen other cluster."""
-    for name, problem in kind_problems(generator_parameters(gen_message_traffic),
+    for name, problem in kind_problems(field_kinds(gen_message_traffic),
                                        locals()):
         raise ValueError(f"{name} {problem}")
     records: list[MessageRecord] = []

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import warnings
@@ -6,6 +7,7 @@ from pathlib import Path
 from typing import get_args
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiersim.arch import (ConfigError, PRESET_NAMES, SystemSpec, build_system,
                           preset, spec_from_dict, validate_spec)
@@ -13,7 +15,7 @@ from tiersim.memtech import TechnologyParams
 from tiersim.system import WorkloadError
 from tiersim.workload import (LATEST_START_PS, NUMBER_KINDS, MessageRecord,
                               TraceRecord, field_kinds, gen_message_traffic,
-                              gen_synthetic_trace, generator_parameters)
+                              gen_synthetic_trace)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +124,24 @@ def test_config_structure_error_raises():
         spec_from_dict({"cluster_grid": [2]})
     with pytest.raises(ConfigError):
         spec_from_dict({"caches": {"l1d": {"block_size": 64}}})
+    # the config is walked in its own order, so the first section that is
+    # not an object is named, whatever the order of the spec's fields
+    with pytest.raises(ConfigError, match="^report: must be an object, got int$"):
+        spec_from_dict({"report": 1, "bus": 2})
+    with pytest.raises(ConfigError, match="^bus: must be an object, got int$"):
+        spec_from_dict({"bus": 2, "report": 1})
+
+
+@pytest.mark.parametrize("noc", [{}, {"dims": None}, None],
+                         ids=["left-out", "null", "null-noc"])
+def test_mesh_defaults_to_the_cluster_grid_and_core_tiers(noc):
+    cfg = preset("fig36")  # a 2 x 2 grid with two core tiers
+    cfg["noc"] = noc
+    spec = spec_from_dict(cfg)
+    assert spec.noc.dims == (2, 2, 2)
+    assert validate_spec(spec) == []
+    cfg["tier_stack"] = ["l2_split_id"]  # no core tier: still one layer
+    assert spec_from_dict(cfg).noc.dims == (2, 2, 1)
 
 
 def test_fig33_build_counts():
@@ -310,8 +330,8 @@ def kind_names(kind):
 def test_every_config_key_is_named_in_the_docs():
     doc = (ROOT / "docs" / "config-format.md").read_text(encoding="utf-8")
     names = {*kind_names(SystemSpec), *field_kinds(TechnologyParams),
-             *generator_parameters(gen_synthetic_trace),
-             *generator_parameters(gen_message_traffic)}
+             *field_kinds(gen_synthetic_trace),
+             *field_kinds(gen_message_traffic)}
     assert "caches" in names and "beat_width" in names and "ways" in names
     assert sorted(name for name in names
                   if not re.search(rf"\b{name}\b", doc)) == []
@@ -327,3 +347,65 @@ def test_empty_cache_entry_counts_as_absent():
     cfg["caches"]["l2"] = {}
     assert validate_spec(spec_from_dict(cfg)) == [
         "caches.l2: required when the tier stack has an l2_split_id tier"]
+
+
+def config_paths(node, path=()):
+    """The path of each key and list item of a parsed JSON config."""
+    for key, item in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield (*path, key)
+        if isinstance(item, (dict, list)):
+            yield from config_paths(item, (*path, key))
+
+
+def config_holds(config, dotted: str) -> bool:
+    """Whether a config holds a path such as `caches.l1d.regions[0].ways`."""
+    node = config
+    for key in re.findall(r"[^.[\]]+|\[\d+\]", dotted):
+        if isinstance(node, list) and key[0] == "[" and int(key[1:-1]) < len(node):
+            node = node[int(key[1:-1])]
+        elif isinstance(node, dict) and key in node:
+            node = node[key]
+        else:
+            return False
+    return True
+
+
+ODD_VALUES = (None, True, False, 0, -1, 1.9, 2.5, "x", "", [], [1], [1, 2, 3],
+              {}, {"a": 1}, 10**30, -0.0, [1.9, 1])
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset with one to eight of its keys or list items set to an odd
+    value, or keys renamed."""
+    cfg = preset(draw(st.sampled_from(PRESET_NAMES)))
+    for _ in range(draw(st.integers(1, 8))):
+        *path, key = draw(st.sampled_from(list(config_paths(cfg))))
+        node = cfg
+        for step in path:
+            node = node[step]
+        if isinstance(node, dict) and draw(st.booleans()):
+            node[f"{key}_x"] = node.pop(key)
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    return cfg
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(mutated_presets())
+def test_each_kind_problem_is_reported_once_at_a_path_the_config_holds(cfg):
+    # The config is walked once: a value is reported where it is, and a
+    # default worked out from it (the mesh's dims) is not walked again.
+    try:
+        spec = spec_from_dict(cfg)
+    except ConfigError:
+        return
+    paths = [path for path, _, problem in
+             (line.partition(": ") for line in validate_spec(spec))
+             if problem == "unknown key" or problem.startswith("must be ")]
+    assert len(set(paths)) == len(paths), paths
+    # a generator's cores and clusters, left out, are the system's counts,
+    # which a broken tier stack or grid can put out of range
+    assert [path for path in paths if not config_holds(cfg, path) and path
+            not in ("workload.synthetic.cores",
+                    "workload.message_synthetic.clusters")] == []

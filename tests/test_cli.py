@@ -559,6 +559,21 @@ def test_gen_trace_writes_only_what_run_can_read(tmp_path, capsys, kind, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, flags, line", [
+    ("msg", ["--length", "5", "--hot-fraction", "7"],
+     "error: --length: not a parameter of --kind msg"),
+    ("mem", ["--rate", "7", "--cycles", "3"],
+     "error: --cycles: not a parameter of --kind mem")],
+    ids=["mem-flags-with-msg", "msg-flags-with-mem"])
+def test_gen_trace_flag_of_the_other_kind_exits_2(tmp_path, capsys, kind,
+                                                  flags, line):
+    # a flag the --kind's generator has no parameter for would be ignored
+    out = tmp_path / "records.csv"
+    assert main(["gen-trace", "--kind", kind, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 def test_block_smaller_than_a_word_exits_2(tmp_path, capsys):
     # a 4-byte block holds no 8-byte word, so writes would mark nothing dirty
     out = tmp_path / "r.json"
