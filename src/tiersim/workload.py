@@ -1,5 +1,5 @@
 """Trace ingestion, synthetic workload generators, and the kinds of value
-that config keys and generator parameters take.
+that config keys and generator parameters take, applied by `typed`.
 
 Memory traces are CSV `tick,core,op,addr,size` with a mandatory header line;
 message traces are CSV `tick,src_cluster,dst_cluster,bytes`. Generators are
