@@ -207,7 +207,8 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
     starts too late, and for an `access_size` that does not divide the L1d
     block (accesses aligned to it cross blocks). A key that is present and
     not null counts, whatever its value, so an empty generator section
-    generates with its defaults."""
+    generates with its defaults. Without a core tier the synthetic rules
+    are not applied: the tier-stack rule names the cause."""
     out: list[str] = []
     workload = spec.workload
     for records, section in (("trace", "synthetic"),
@@ -219,6 +220,8 @@ def _workload_violations(spec: SystemSpec) -> list[str]:
             continue
         if path is not None:
             out.append(f"workload: choose either {records} or {section}, not both")
+        if section == "synthetic" and not spec.core_tiers:
+            continue
         args = generator_arguments(spec, section)
         rules = dict(field_kinds(_GENERATORS[section]))
         del rules["seed"]

@@ -16,11 +16,15 @@ array its cluster snoops (an L1d or a private L2) is handed that cluster's
 snoop filter and its own bit in it, and sets and clears the bit where the
 index gains and loses the block.
 
-The level has one API, which the simulator and the tests both drive: a
-request from above is `demand_read` (no allocation; the caller fills on a
-miss response) or `writeback_write` (merged on a hit, forwarded on a
-miss); `fill` installs a block, or returns no way when the block's way is
-worn out or every way of its set is; `write_touch` applies a write hit.
+The level has one API, which the simulator and the tests both drive, and
+its calls return tuples: `probe` gives `(set_index, way)`, `way` None on
+a miss. A request from above is `demand_read` (no allocation; the caller
+fills on a miss response) or `writeback_write` (merged on a hit,
+forwarded on a miss); each counts the access and returns as `probe` does.
+`fill` installs a block and returns `(set_index, way, victim)`, `victim`
+the dirty `Eviction` or None; it refuses a block whose way is worn out,
+or whose set has no usable way, with way None and the level unchanged.
+`write_touch` applies a write hit.
 Coherence state lives in the line's `state` field but is driven externally
 (see coherence module). Callers may move a valid line between MOESI
 states directly, but a line leaves the index only through `evict`,
@@ -132,15 +136,6 @@ class Eviction:
     state: str
 
 
-@dataclass(slots=True)
-class AccessResult:
-    hit: bool
-    set_index: int
-    way: int | None = None        # hit way or filled way
-    bypass: bool = False          # worn line matched: forward to next level
-    writeback: Eviction | None = None
-
-
 class CacheLevel:
     """One cache array instance with counters for reporting.
 
@@ -157,7 +152,8 @@ class CacheLevel:
                  clock_period_ps: int = 1000,
                  rng: random.Random | None = None,
                  write_mix: float = 0.5,
-                 snoop_filter: tuple[dict[int, int], int] | None = None):
+                 snoop_filter: tuple[dict[int, int], int] | None = None,
+                 tier: int = 0):
         regions = geom.regions or (Region((0, geom.associativity),
                                           tech_by_region[0].name),)
         if len(tech_by_region) != len(regions):
@@ -165,6 +161,7 @@ class CacheLevel:
                              f"{len(tech_by_region)} technology records")
         self.name = name
         self.geom = geom
+        self.tier = tier  # its tier in the stack; 0 for an array built alone
         self.regions = regions
         self.tech_by_region = list(tech_by_region)
         self.clock_period_ps = clock_period_ps
@@ -236,12 +233,10 @@ class CacheLevel:
 
     # -- lookup / replacement -------------------------------------------------
 
-    def probe(self, addr: int) -> tuple[int, int, int | None, bool]:
-        """(tag, set_index, hit way or None, worn-line tag match)."""
+    def probe(self, addr: int) -> tuple[int, int | None]:
+        """(set_index, hit way or None)."""
         block = addr // self._block_size
-        way = self._resident.get(block)
-        worn = way is None and block in self._worn_blocks
-        return block // self._sets, block % self._sets, way, worn
+        return block % self._sets, self._resident.get(block)
 
     def touch(self, set_index: int, way: int) -> None:
         self._stamp += 1
@@ -305,47 +300,44 @@ class CacheLevel:
         return out
 
     def fill(self, addr: int, state: str, data: list[int] | None = None,
-             write_fill_words: int = 0, now_ps: int = 0) -> AccessResult:
-        """Install a block that is not resident (miss response). The line
-        keeps a copy of `data`, or no image when `data` is None.
-        write_fill_words > 0 marks a write-allocate fill and charges wear
-        for it. When the block's way is worn out, or no way of the set is
-        usable, the result is a bypass with no way and the level is left
-        unchanged."""
+             write_fill_words: int = 0, now_ps: int = 0
+             ) -> tuple[int, int | None, Eviction | None]:
+        """Install a block that is not resident (miss response), or refuse
+        it as the module docstring says. The line keeps a copy of `data`,
+        or no image when `data` is None. write_fill_words > 0 marks a
+        write-allocate fill and charges wear for it."""
         block = addr // self._block_size
         set_index = block % self._sets
-        if block in self._worn_blocks:
-            return AccessResult(hit=False, set_index=set_index, bypass=True)
-        victim = self.select_victim(set_index)
-        if victim is None:
-            return AccessResult(hit=False, set_index=set_index, bypass=True)
+        way = (None if block in self._worn_blocks
+               else self.select_victim(set_index))
+        if way is None:
+            return set_index, None, None
         ways = self.lines[set_index]
-        if victim == len(ways):
+        if way == len(ways):
             if not ways:
                 ways = self.lines[set_index] = []
             ways.append(CacheLine())
-            writeback = None
+            victim = None
         else:
-            writeback = self.evict(set_index, victim)
-        line = ways[victim]
+            victim = self.evict(set_index, way)
+        line = ways[way]
         # write_count survives refills: endurance wears the physical way,
         # not the block that happens to occupy it.
         line.tag = block // self._sets
         line.state = state
         line.dirty_words = 0
         line.data = list(data) if data is not None else None
-        self._resident[block] = victim
+        self._resident[block] = way
         if self._holders is not None:
             # A sole holder's entry is the level's own bit object: no new int.
             held = self._holders.get(block)
             self._holders[block] = (self._holder_bit if held is None
                                     else held | self._holder_bit)
         self.fills += 1
-        self.touch(set_index, victim)
+        self.touch(set_index, way)
         if write_fill_words:
-            self._charge_write(set_index, victim, write_fill_words, now_ps)
-        return AccessResult(hit=True, set_index=set_index, way=victim,
-                            writeback=writeback)
+            self._charge_write(set_index, way, write_fill_words, now_ps)
+        return set_index, way, victim
 
     # -- wear ---------------------------------------------------------------
 
@@ -374,25 +366,24 @@ class CacheLevel:
 
     # -- system-facing access paths -------------------------------------------
 
-    def demand_read(self, addr: int) -> AccessResult:
+    def demand_read(self, addr: int) -> tuple[int, int | None]:
         """Fetch request from the level above. No allocation here; the caller
         fills on the miss response."""
-        tag, set_index, way, worn = self.probe(addr)
+        set_index, way = self.probe(addr)
         self.count_access("R", way)
-        if way is None:
-            return AccessResult(hit=False, set_index=set_index, bypass=worn)
-        self.touch(set_index, way)
-        return AccessResult(hit=True, set_index=set_index, way=way)
+        if way is not None:
+            self.touch(set_index, way)
+        return set_index, way
 
     def writeback_write(self, addr: int, dirty_words: int,
                         data: list[int] | None = None, state: str = M,
-                        now_ps: int = 0) -> AccessResult:
+                        now_ps: int = 0) -> tuple[int, int | None]:
         """Write-back of a victim in `state` from the level above. Hits merge
         in place; misses (and worn lines) are forwarded, never allocated."""
-        tag, set_index, way, worn = self.probe(addr)
+        set_index, way = self.probe(addr)
         self.count_access("W", way)
         if way is None:
-            return AccessResult(hit=False, set_index=set_index, bypass=True)
+            return set_index, None
         line = self.lines[set_index][way]
         line.state = state
         line.dirty_words |= dirty_words
@@ -401,9 +392,8 @@ class CacheLevel:
                 if dirty_words >> w & 1:
                     line.data[w] = data[w]
         self.touch(set_index, way)
-        words = bin(dirty_words).count("1") or 1
-        self._charge_write(set_index, way, words, now_ps)
-        return AccessResult(hit=True, set_index=set_index, way=way)
+        self._charge_write(set_index, way, dirty_words.bit_count() or 1, now_ps)
+        return set_index, way
 
     def invalidate(self, set_index: int, way: int) -> None:
         """Drop a copy on a remote invalidation; ownership travels with the

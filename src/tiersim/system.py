@@ -102,9 +102,9 @@ class MemoryController:
         return self.port.book(arrival_ps, self.latency_ps)
 
 
-# A block's way down from a core: (array, tier) steps from the L1d, with
-# None where it crosses the bus.
-Path = tuple[tuple[CacheLevel, int] | None, ...]
+# A block's way down from a core: its arrays from the L1d, with None where
+# it crosses the bus.
+Path = tuple[CacheLevel | None, ...]
 
 
 @dataclass
@@ -120,7 +120,6 @@ class Stack:
     l1i: CacheLevel
     l1d: CacheLevel
     l2_private: CacheLevel | None = None
-    l2_tier: int | None = None
     paths: tuple[Path, ...] = ()
     snooped: tuple[CacheLevel, ...] = field(init=False)
 
@@ -132,7 +131,7 @@ class Stack:
         """The line holding this block's MOESI state for the stack: the L1
         copy when valid, else the private L2 copy."""
         for level in self.snooped:
-            _, set_index, way, _ = level.probe(addr)
+            set_index, way = level.probe(addr)
             if way is not None:
                 return level, set_index, way
         return None
@@ -147,7 +146,7 @@ class Stack:
     def drop(self, addr: int) -> None:
         """Invalidate every copy this stack holds (remote BusRdX)."""
         for level in self.snooped:
-            _, set_index, way, _ = level.probe(addr)
+            set_index, way = level.probe(addr)
             if way is not None:
                 level.invalidate(set_index, way)
 
@@ -169,13 +168,13 @@ class Cluster:
     engine: EventQueue = field(default_factory=EventQueue)
     l2i: dict[int, CacheLevel] = field(default_factory=dict)
     l3: CacheLevel | None = None
-    # (array, tier) of each shared L2 in tier order; none when distributed.
-    l2_homes: tuple[tuple[CacheLevel, int], ...] = ()
+    # Each shared L2 in tier order; none when distributed.
+    l2_homes: tuple[CacheLevel, ...] = ()
 
     @property
     def l2_shared(self) -> dict[int, CacheLevel]:
         """The shared L2 arrays by tier: a view of `l2_homes`."""
-        return {tier: level for level, tier in self.l2_homes}
+        return {level.tier: level for level in self.l2_homes}
 
 
 class System:
@@ -193,9 +192,9 @@ class System:
         self.engine = EventQueue()
         self.block_size = spec.caches.l1d.block_size
         self.noc = MeshNetwork(spec.noc, self.engine, spec.clocks.noc_ps)
-        # Every cache array in build order: (level name, configured tech,
-        # array, tier). The report reads this, never the cluster fields.
-        self.levels: list[tuple[str, str, CacheLevel, int]] = []
+        # Every cache array in build order. The report reads this, never
+        # the cluster fields.
+        self.levels: list[CacheLevel] = []
         self.clusters = [self._build_cluster(i) for i in range(spec.n_clusters)]
         self.mem_samples = LatencyLog()
         self.trace_records = 0
@@ -223,7 +222,7 @@ class System:
         for cluster in self.clusters:
             for component in (cluster.engine, cluster.memory, cluster.memctrl,
                               cluster.bus, cluster.l3,
-                              *(l2 for l2, _ in cluster.l2_homes),
+                              *cluster.l2_homes,
                               *cluster.l2i.values()):
                 claim(component, cluster.index)
             for stack in cluster.stacks:
@@ -249,8 +248,8 @@ class System:
             rng=(substream(self.seed, name, cluster, unit)
                  if cfg.replacement == PSEUDO_RANDOM else None),
             write_mix=self.spec.write_mix,
-            snoop_filter=snoop_filter)
-        self.levels.append((name, cfg.tech, level, tier))
+            snoop_filter=snoop_filter, tier=tier)
+        self.levels.append(level)
         return level
 
     def _build_cluster(self, index: int) -> Cluster:
@@ -270,7 +269,7 @@ class System:
                                       (holders, 2 << 2 * local))
                        if distributed and l2_tier is not None else None)
                 stacks.append(Stack(index=local, core_tier=core_tier, l1i=l1i,
-                                    l1d=l1d, l2_private=l2p, l2_tier=l2_tier))
+                                    l1d=l1d, l2_private=l2p))
         cluster = Cluster(
             index=index, stacks=stacks,
             bus=ClusterBus(beat_width=spec.bus.beat_width,
@@ -283,8 +282,7 @@ class System:
             if kind != L2_SPLIT_ID or spec.caches.l2 is None:
                 continue
             if not distributed:
-                homes.append((self._mk_level("l2", "l2", index, tier, tier),
-                              tier))
+                homes.append(self._mk_level("l2", "l2", index, tier, tier))
             icfg = "l2i" if spec.caches.l2i else "l2"
             cluster.l2i[tier] = self._mk_level("l2i", icfg, index, tier, tier)
         cluster.l2_homes = tuple(homes)
@@ -292,10 +290,9 @@ class System:
         l3 = ()
         if l3_tier is not None and spec.caches.l3 is not None:
             cluster.l3 = self._mk_level("l3", "l3", index, l3_tier, l3_tier)
-            l3 = ((cluster.l3, l3_tier),)
+            l3 = (cluster.l3,)
         for stack in stacks:
-            # The stack's snooped arrays on their tiers, then the bus.
-            top = (*zip(stack.snooped, (stack.core_tier, stack.l2_tier)), None)
+            top = (*stack.snooped, None)
             stack.paths = (tuple((*top, home, *l3) for home in homes)
                            or ((*top, *l3),))
         return cluster
@@ -488,18 +485,17 @@ class System:
         keeps O at every level: at a private L2, the coherence point, that
         keeps sharers elsewhere legal; below the bus only dirty against
         clean matters."""
-        tier = path[k][1]
-        for step in path[k + 1:]:
-            if step is None:
+        tier = path[k].tier
+        for level in path[k + 1:]:
+            if level is None:
                 _, t = cluster.bus.request.request(t, self.block_size)
                 continue
-            level, to = step
-            t += self._tsv_delay(tier, to)
-            tier = to
-            res = level.writeback_write(ev.addr, ev.dirty_words, ev.data,
-                                        ev.state, now_ps=t)
-            t = self._book(level, res.set_index, res.way, WRITE, t, res.hit)
-            if res.hit:
+            t += self._tsv_delay(tier, level.tier)
+            tier = level.tier
+            set_index, way = level.writeback_write(ev.addr, ev.dirty_words,
+                                                   ev.data, ev.state, now_ps=t)
+            t = self._book(level, set_index, way, WRITE, t, way is not None)
+            if way is not None:
                 return
         cluster.memctrl.serve(t, is_write=True)
         if ev.data is not None:
@@ -596,33 +592,32 @@ class System:
         inherited_dirty = self._commit_remotes(cluster, addr, vector, step)
 
         if not supplied:
-            # Read down the path below the bus; arrays that missed without a
-            # worn match take the block on the way back, and their dirty
-            # victims walk on down from there.
+            # Read down the path below the bus. Every array the read missed
+            # is offered the block on the way back, in path order (`fill`
+            # refuses a worn way), and its dirty victim walks on down.
             path = self._path(stack, addr)
-            fill_below: list[int] = []
-            prev = stack.core_tier
-            for k in range(path.index(None) + 1, len(path)):
-                level, tier = path[k]
-                t += self._tsv_delay(prev, tier)
-                res = level.demand_read(addr)
-                t = self._book(level, res.set_index, res.way, READ, t, res.hit)
-                prev = tier
-                if res.hit:
+            below = path.index(None) + 1
+            tier = stack.core_tier
+            for k in range(below, len(path)):
+                level = path[k]
+                t += self._tsv_delay(tier, level.tier)
+                tier = level.tier
+                set_index, way = level.demand_read(addr)
+                t = self._book(level, set_index, way, READ, t, way is not None)
+                if way is not None:
                     if carry:
-                        data = list(level.lines[res.set_index][res.way].data)
+                        data = list(level.lines[set_index][way].data)
                     break
-                if not res.bypass:
-                    fill_below.append(k)
             else:
+                k = len(path)
                 _, t = cluster.memctrl.serve(t, is_write=False)
                 if carry:
                     data = cluster.memory.read_block(addr)
-            for k in fill_below:
-                filled = path[k][0].fill(addr, state=S, data=data)
-                if filled.writeback is not None:
-                    self._writeback(cluster, filled.writeback, path, k, t)
-            t += self._tsv_delay(prev, stack.core_tier)
+            for j in range(below, k):
+                victim = path[j].fill(addr, state=S, data=data)[2]
+                if victim is not None:
+                    self._writeback(cluster, victim, path, j, t)
+            t += self._tsv_delay(tier, stack.core_tier)
         _, resp_done = cluster.bus.response.request(t, self.block_size)
         return data, step.states[stack.index], resp_done, inherited_dirty
 
@@ -636,27 +631,24 @@ class System:
         or every way of its set is."""
         l1 = stack.l1d
         op, addr, size = rec.op, rec.addr, rec.size
-        filled = l1.fill(addr, state=state, data=data,
-                         write_fill_words=(self._words_of(addr, size)[2]
-                                           if op == "W" else 0),
-                         now_ps=t)
-        ev = filled.writeback
+        set_index, way, ev = l1.fill(
+            addr, state=state, data=data,
+            write_fill_words=self._words_of(addr, size)[2] if op == "W" else 0,
+            now_ps=t)
         if ev is not None:
             self._writeback(cluster, ev, self._path(stack, ev.addr), 0, t)
-        if filled.way is None:
+        if way is None:
             return None
-        line = l1.lines[filled.set_index][filled.way]
+        line = l1.lines[set_index][way]
         # A write's wear was already charged by the write fill.
         line.dirty_words |= dirty_words | self._core_op(cluster, rec, line.data)
-        _, done = l1.service(
-            t, l1.way_cycles[READ if op == "R" else WRITE][filled.way])
-        return done
+        return l1.service(t, l1.way_cycles[READ if op == "R" else WRITE][way])[1]
 
     def _do_access(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
                    t0: int) -> int:
         addr, op = rec.addr, rec.op
         l1 = stack.l1d
-        _, set_index, way, _ = l1.probe(addr)
+        set_index, way = l1.probe(addr)
 
         # L1 hit paths -------------------------------------------------------
         if way is not None:
@@ -681,14 +673,14 @@ class System:
         _, t = l1.service(t0, l1.way_cycles[READ][0])
         l2p = stack.l2_private
         if l2p is not None:
-            res = l2p.demand_read(addr)
-            t = self._book(l2p, res.set_index, res.way, READ,
-                           t + self._tsv_delay(stack.core_tier, stack.l2_tier),
-                           res.hit)
-            t += self._tsv_delay(stack.l2_tier, stack.core_tier)
-            if res.hit:
+            set_index, way = l2p.demand_read(addr)
+            t = self._book(l2p, set_index, way, READ,
+                           t + self._tsv_delay(stack.core_tier, l2p.tier),
+                           way is not None)
+            t += self._tsv_delay(l2p.tier, stack.core_tier)
+            if way is not None:
                 return self._promote_from_private(cluster, stack, rec, t,
-                                                  res.set_index, res.way)
+                                                  set_index, way)
 
         event = CORE_READ if op == "R" else CORE_WRITE
         data, fill_state, t_data, inherited_dirty = self._bus_transaction(
@@ -697,7 +689,7 @@ class System:
         if l2p is not None:
             # Keep a demoted clean duplicate in the private L2 so the stack
             # can re-fetch locally after the L1 copy is evicted.
-            ev = l2p.fill(addr, state=S, data=data).writeback
+            ev = l2p.fill(addr, state=S, data=data)[2]
             if ev is not None:
                 self._writeback(cluster, ev, self._path(stack, ev.addr), 1,
                                 t_data)
@@ -753,15 +745,14 @@ class System:
         duration_ps = max(q.now for q in (self.engine,
                                           *(c.engine for c in self.clusters)))
         duration_ns = duration_ps / 1000.0
-        by_name: dict[str, list[tuple[str, CacheLevel, int]]] = {}
-        for name, tech, level, tier in self.levels:
-            by_name.setdefault(name, []).append((tech, level, tier))
+        by_name: dict[str, list[CacheLevel]] = {}
+        for level in self.levels:
+            by_name.setdefault(level.name, []).append(level)
 
         levels: dict[str, dict] = {}
         tier_energy: dict[int, float] = {}
         tier_area: dict[int, float] = {}
-        for name, insts in by_name.items():
-            arrays = [level for _, level, _ in insts]
+        for name, arrays in by_name.items():
             ref = arrays[0]
             region_mib = [ref.region_capacity_mib(r) for r in range(len(ref.regions))]
             area = float_sum(map(area_estimate, region_mib, ref.tech_by_region))
@@ -770,13 +761,14 @@ class System:
                                            lv.region_reads, lv.region_writes),
                                        idle, self.spec.write_mix)
                         for lv, (_, idle) in zip(arrays, busy_idle)]
-            for (_, _, tier), energy in zip(insts, energies):
+            for level, energy in zip(arrays, energies):
+                tier = level.tier
                 tier_energy[tier] = tier_energy.get(tier, 0.0) + energy
                 tier_area[tier] = tier_area.get(tier, 0.0) + area
             lat_n = sum(level.hit_latency_samples for level in arrays)
             levels[name] = {
-                "instances": len(insts),
-                "tech": insts[0][0],
+                "instances": len(arrays),
+                "tech": ref.geom.tech,
                 "capacity_mib_per_instance": ref.capacity_mib(),
                 **{c: sum(getattr(level, c) for level in arrays)
                    for c in LEVEL_COUNTERS},
@@ -794,8 +786,7 @@ class System:
                     "n_write": sum(level.region_writes[r] for level in arrays),
                 } for r, tech in enumerate(ref.tech_by_region)],
             }
-        endurance = _wear_summary([level for _, _, level, _ in self.levels],
-                                  "worn_blocks")
+        endurance = _wear_summary(self.levels, "worn_blocks")
 
         tiers = []
         for tier, kind in enumerate(self.spec.tier_stack):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from types import MappingProxyType, UnionType
@@ -153,7 +154,8 @@ def _scalar_problem(kind, value, cores: int, clusters: int) -> str | None:
         return None
     if kind in NUMBER_KINDS:
         rule, test = NUMBER_KINDS[kind]
-        if number and test(value) or kind is Endurance and value == "unlimited":
+        fits = not isinstance(value, int) or abs(value) <= sys.float_info.max
+        if number and fits and test(value) or kind is Endurance and value == "unlimited":
             return None
         return f"must be {rule}, got {value!r}"
     if kind in (bool, str):

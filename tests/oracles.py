@@ -15,7 +15,7 @@ def check_coherence(system, addrs: list[int]) -> None:
             probed = 0
             for stack in cluster.stacks:
                 for bit, level in enumerate(stack.snooped):
-                    if level.probe(addr)[2] is not None:
+                    if level.probe(addr)[1] is not None:
                         probed |= 1 << (2 * stack.index + bit)
             block = addr // system.block_size
             if cluster.holders.get(block, 0) != probed:

@@ -174,7 +174,7 @@ def test_acceptance_4_lru_oracle():
     for _ in range(n):
         addr = rng.randrange(4096) * 64
         # The simulator's read path: demand_read, then a fill on a miss.
-        hit = level.demand_read(addr).hit
+        hit = level.demand_read(addr)[1] is not None
         if not hit:
             level.fill(addr, S)
         if hit == ref.access(addr):

@@ -119,6 +119,29 @@ def test_bad_clock_and_write_mix():
     assert any("write_mix" in v for v in violations)
 
 
+@pytest.mark.parametrize("tier_stack", [[], ["memory"]], ids=["empty", "memory"])
+def test_a_stack_without_cores_is_reported_by_the_tier_stack_rule_only(
+        tier_stack):
+    # With no core tier the generator has no cores; the cause is named once.
+    cfg = preset("fig32")
+    cfg["tier_stack"] = tier_stack
+    assert validate_spec(spec_from_dict(cfg)) == [
+        "tier_stack: at least one cores_l1 tier is required"]
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("memory_latency_ns", 10**400,
+     f"memory_latency_ns: must be a finite number >= 0, got {10**400}"),
+    ("tech_overrides", {"PCRAM": {"endurance": 10**400}},
+     f'tech_overrides.PCRAM.endurance: must be a number >= 1 or "unlimited", '
+     f'got {10**400}')], ids=["memory_latency_ns", "endurance"])
+def test_an_integer_past_the_float_range_breaks_its_number_kind(key, value,
+                                                                 line):
+    cfg = preset("fig32")
+    cfg[key] = value
+    assert validate_spec(spec_from_dict(cfg)) == [line]
+
+
 def test_config_structure_error_raises():
     with pytest.raises(ConfigError):
         spec_from_dict({"cluster_grid": [2]})
@@ -165,14 +188,16 @@ def test_fig36_stack_shape_and_warning():
     # each cluster: 16 stacks, two shared L2 arrays (one per l2 tier), one L3
     cluster = system.clusters[0]
     assert len(cluster.stacks) == 16
-    assert [tier for _, tier in cluster.l2_homes] == [1, 3]
-    assert cluster.l3 is not None
+    assert [l2.tier for l2 in cluster.l2_homes] == [1, 3]
+    assert cluster.l3 is not None and cluster.l3.tier == 2
     assert {path[-1] for s in cluster.stacks for path in s.paths} == {
-        (cluster.l3, 2)}
+        cluster.l3}
     # stacks on the outer tiers bind to their adjacent l2 tier
     assert {s.core_tier for s in cluster.stacks} == {0, 4}
     for s in cluster.stacks:
-        assert s.l2_tier == (1 if s.core_tier == 0 else 3)
+        assert s.l1d.tier == s.l1i.tier == s.core_tier
+        assert spec.l2_tier_for_core_tier(s.core_tier) == (
+            1 if s.core_tier == 0 else 3)
 
 
 def test_build_rejects_invalid_spec():
@@ -404,8 +429,7 @@ def test_each_kind_problem_is_reported_once_at_a_path_the_config_holds(cfg):
              (line.partition(": ") for line in validate_spec(spec))
              if problem == "unknown key" or problem.startswith("must be ")]
     assert len(set(paths)) == len(paths), paths
-    # a generator's cores and clusters, left out, are the system's counts,
-    # which a broken tier stack or grid can put out of range
-    assert [path for path in paths if not config_holds(cfg, path) and path
-            not in ("workload.synthetic.cores",
-                    "workload.message_synthetic.clusters")] == []
+    # a message generator's clusters, left out, are the system's count,
+    # which a one-cluster grid puts out of range
+    assert [path for path in paths if not config_holds(cfg, path)
+            and path != "workload.message_synthetic.clusters"] == []

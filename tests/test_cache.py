@@ -28,7 +28,7 @@ def decompose_address(addr, geom):
 
 def word_mask(level, addr, size):
     """Mask of the block words an access covers, as the simulator's
-    `_apply_write` returns it."""
+    `System._core_op` returns it for a write."""
     offset = addr % level.geom.block_size
     last = min((offset + size - 1) // WORD_SIZE, level.geom.words_per_block - 1)
     return (1 << (last + 1)) - (1 << (offset // WORD_SIZE))
@@ -40,15 +40,15 @@ def access(level, op, addr, size=WORD_SIZE):
     (a write-allocate fill for a write), which bypasses a worn way. A wear
     event is a rise in the level's `worn_lines`."""
     worn = level.worn_lines
-    res = level.demand_read(addr)
+    set_index, way = level.demand_read(addr)
     mask = word_mask(level, addr, size) if op == "W" else 0
-    if res.hit:
+    if way is not None:
         if op == "W":
-            level.write_touch(res.set_index, res.way, mask)
+            level.write_touch(set_index, way, mask)
         return Outcome(True, level.worn_lines > worn, False)
-    filled = level.fill(addr, M if op == "W" else S,
-                        write_fill_words=mask.bit_count())
-    return Outcome(False, level.worn_lines > worn, filled.bypass)
+    _, way, _ = level.fill(addr, M if op == "W" else S,
+                           write_fill_words=mask.bit_count())
+    return Outcome(False, level.worn_lines > worn, way is None)
 
 
 def mk_level(capacity=32768, block=64, ways=2, replacement=LRU, tech="SRAM",
@@ -272,6 +272,31 @@ def test_worn_line_bypasses_and_way_is_never_reused():
     assert res.bypass
 
 
+def test_fill_refuses_a_worn_block_even_with_a_free_way():
+    # Below the bus every array a read missed is offered the block, so this
+    # refusal alone keeps a worn way from being refilled.
+    from dataclasses import replace
+    holders = {}
+    level = CacheLevel("t", CacheGeometry(256, 64, 2),   # 2 sets of 2 ways
+                       [replace(CAT["PCRAM"], endurance=1)],
+                       snoop_filter=(holders, 4))
+    level.fill(64, S)                       # block 1, set 1
+    set_index, way, _ = level.fill(0, M, write_fill_words=1)
+    level.write_touch(set_index, way, 1)    # the second write wears it out
+    assert level.worn_lines == 1 and level.select_victim(0) == 1
+
+    def state():
+        return (level.fills, holders.copy(),
+                [level.probe(block * 64) for block in range(8)],
+                [(line.tag, line.state, line.worn)
+                 for ways in level.lines for line in ways])
+
+    before = state()
+    assert before[1] == {1: 4}
+    assert level.fill(0, S) == (0, None, None)
+    assert state() == before
+
+
 def test_write_count_survives_refill():
     level = mk_level(capacity=64, block=64, ways=1)
     access(level, "W", 0)
@@ -337,7 +362,8 @@ def test_lru_matches_stack_model_property(seed):
 # -- lookup index against the way scan it replaced ------------------------------
 
 def scan_probe(level, addr):
-    """Reference probe: scan every built way of the set."""
+    """Reference probe: scan every built way of the set. Returns
+    (set_index, hit way or None, worn-line tag match)."""
     tag, set_index, _ = decompose_address(addr, level.geom)
     worn_match = False
     for way, line in enumerate(level.lines[set_index]):
@@ -346,8 +372,8 @@ def scan_probe(level, addr):
         if line.worn:
             worn_match = True
         elif line.state != I:
-            return tag, set_index, way, False
-    return tag, set_index, None, worn_match
+            return set_index, way, False
+    return set_index, None, worn_match
 
 
 def scan_victim(level, set_index, rng):
@@ -376,7 +402,7 @@ def expected_victim(level, set_index):
 def check_index(level, n_blocks):
     for block in range(n_blocks):
         addr = block * level.geom.block_size
-        assert level.probe(addr) == scan_probe(level, addr)
+        assert level.probe(addr) == scan_probe(level, addr)[:2]
     for set_index in range(level.geom.sets):
         expect = expected_victim(level, set_index)  # before the draw
         assert level.select_victim(set_index) == expect
@@ -412,17 +438,14 @@ def test_index_matches_way_scan_property(ops, set_exp, ways, replacement,
     n_blocks = sets * (ways + 2)   # more blocks than lines, so tags collide
     for op, a, b, size in ops:
         addr = (a % n_blocks) * 64
-        _, set_index, way, worn = level.probe(addr)
+        set_index, way = level.probe(addr)
         if op in ("fill", "write_fill") and way is None:
-            tag = addr // 64 // sets
-            assert worn == any(line.worn and line.tag == tag
-                               for line in level.lines[set_index])
+            worn = scan_probe(level, addr)[2]
             victim = expected_victim(level, set_index)
-            bypass = worn or victim is None
-            res = level.fill(addr, S if op == "fill" else M,
-                             write_fill_words=0 if op == "fill" else 1 + b % 8)
-            assert res.bypass == bypass
-            assert res.way == (None if bypass else victim)
+            refused = worn or victim is None
+            filled = level.fill(addr, S if op == "fill" else M,
+                                write_fill_words=0 if op == "fill" else 1 + b % 8)
+            assert filled[:2] == (set_index, None if refused else victim)
         elif op in ("evict", "invalidate"):
             getattr(level, op)(a % sets, b % ways)
         elif op == "write_touch" and way is not None:

@@ -669,6 +669,17 @@ def test_latency_past_the_int64_time_limit_exits_2(tmp_path, capsys, latency):
                  "memory_latency_ns=1e12", "--out", str(out)]) == 0
 
 
+def test_integer_past_the_float_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--set",
+                 "workload.synthetic.length=3", "--set",
+                 f"memory_latency_ns={10**400}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration:",
+        f"  memory_latency_ns: must be a finite number >= 0, got {10**400}"]
+    assert not out.exists()
+
+
 def test_dump_latencies(tmp_path):
     """The dump has one row per completed request, the memory accesses and
     then the messages, and each class's statistics recomputed from it are

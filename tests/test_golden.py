@@ -240,6 +240,6 @@ def test_data_log_changes_no_report_byte(tmp_path, monkeypatch):
     for name in set(CASES) - set(PRESET_NAMES):
         _report(name, tmp_path)
         quiet = built.pop()
-        for _, _, level, _ in quiet.levels:
+        for level in quiet.levels:
             assert all(line.data is None for ways in level.lines for line in ways)
         assert all(not c.memory._blocks for c in quiet.clusters), name

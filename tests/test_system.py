@@ -137,7 +137,7 @@ def _cluster_state(cluster) -> tuple:
 
     arrays = [a for s in cluster.stacks for a in (s.l1i, s.l1d, s.l2_private)
               if a is not None]
-    arrays += [l2 for l2, _ in cluster.l2_homes] + list(cluster.l2i.values())
+    arrays += [*cluster.l2_homes, *cluster.l2i.values()]
     arrays += [cluster.l3] if cluster.l3 is not None else []
     bus = cluster.bus
     return ([(*(getattr(a, c) for c in LEVEL_COUNTERS), a.region_reads,
@@ -457,13 +457,14 @@ def test_fig36_l2_homing_spreads_blocks_across_tiers():
         private = build(distributed)
     stack = system.clusters[0].stacks[0]
     # consecutive blocks alternate home tiers, so both l2 tiers carry traffic
-    tiers = [system._path(stack, b * 64)[2][1] for b in range(8)]
+    tiers = [system._path(stack, b * 64)[2].tier for b in range(8)]
     assert tiers == [1, 3, 1, 3, 1, 3, 1, 3]
     # a distributed stack has no shared home: one path through its own L2
     cluster = private.clusters[0]
     for s in cluster.stacks:
-        assert s.paths == (((s.l1d, s.core_tier), (s.l2_private, s.l2_tier),
-                            None, (cluster.l3, 2)),)
+        assert s.paths == ((s.l1d, s.l2_private, None, cluster.l3),)
+        assert (s.l1d.tier, s.l2_private.tier, cluster.l3.tier) == (
+            s.core_tier, 1 if s.core_tier == 0 else 3, 2)
         assert {private._path(s, b * 64) for b in range(8)} == set(s.paths)
 
 
