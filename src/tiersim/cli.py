@@ -9,20 +9,20 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Iterable
 
-from .arch import (PRESET_NAMES, ConfigError, generator_arguments, preset,
-                   spec_from_dict, validate_spec, warn_on_build)
+from .arch import (PRESET_NAMES, ConfigError, SystemSpec, generator_arguments,
+                   preset, spec_from_dict, validate_spec, warn_on_build)
 from .interconnect import mean_hop_count
 from .metrics import check_report_invariants, emit_report, write_latency_csv
 from .system import System, WorkloadError
-from .workload import (field_kinds, gen_message_traffic, gen_synthetic_trace,
-                       parse_messages, parse_trace, write_messages,
-                       write_trace)
+from .workload import (core_streams, field_kinds, gen_message_traffic,
+                       gen_synthetic_trace, parse_messages, parse_trace,
+                       write_messages, write_trace)
 
 EXIT_OK = 0
 EXIT_FAULT = 1
@@ -31,6 +31,14 @@ EXIT_USER = 2
 
 class UserError(Exception):
     """Anything the user can fix: bad flags, bad config, missing files."""
+
+
+class InvalidConfig(UserError):
+    """A config whose spec breaks rules: one located line per violation."""
+
+    def __init__(self, violations: list[str]) -> None:
+        super().__init__("invalid configuration:\n  " + "\n  ".join(violations))
+        self.violations = violations
 
 
 def _load_config(path: str) -> dict:
@@ -65,6 +73,38 @@ def apply_override(config: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _set_overrides(items: list[str] | None) -> list[tuple[str, object]]:
+    """The (dotted key, value) of each `--set KEY=VALUE`."""
+    pairs = []
+    for item in items or []:
+        if "=" not in item:
+            raise UserError(f"--set expects key=value, got {item!r}")
+        key, _, value = item.partition("=")
+        pairs.append((key, _parse_value(value)))
+    return pairs
+
+
+def checked_spec(config: dict) -> SystemSpec:
+    """The spec of `config`, which must break no rule of `validate_spec`;
+    one that does raises InvalidConfig."""
+    spec = spec_from_dict(config)
+    violations = validate_spec(spec)
+    if violations:
+        raise InvalidConfig(violations)
+    return spec
+
+
+def preflight(path: str, overrides: Iterable[tuple[str, object]]) -> dict:
+    """The config that `path` names, a file or a preset, with each (dotted
+    key, value) of `overrides` applied, once its spec is built and checked:
+    the one way `run`, `sweep` and `validate` read a config."""
+    config = _load_config(path)
+    for key, value in overrides:
+        apply_override(config, key, value)
+    checked_spec(config)
+    return config
+
+
 def _read_records(key: str, path: str, parse) -> list:
     """The records of the file at `path`, set by `workload.key`; a file
     that cannot be read or holds a bad record is a UserError naming both."""
@@ -76,25 +116,29 @@ def _read_records(key: str, path: str, parse) -> list:
                         f"{getattr(exc, 'strerror', exc)}") from None
 
 
-def _resolve_workload(spec, seed: int):
-    """Trace and message record lists from the config's workload section,
-    which `validate_spec` has checked, generator arguments included: only
-    reading a record file can fail here, as a UserError. A key that is
-    present and not null counts, as in `validate_spec`, so an empty
-    generator section generates with its defaults."""
+def _load_workload(system: System, spec: SystemSpec, seed: int) -> None:
+    """Load the config's workload section, which `validate_spec` has
+    checked, generator arguments included, into `system`: only reading a
+    record file can fail here, as a UserError, or loading a record, as a
+    WorkloadError. A generated trace is not built: each core takes its
+    records from its own stream as it runs, and `validate_spec`'s rules
+    guarantee what `load_trace` would check of them. A key that is present
+    and not null counts, as in `validate_spec`, so an empty generator
+    section generates with its defaults."""
     wl = spec.workload
-    trace, messages = [], []
+    messages = []
     if wl.trace is not None:
-        trace = _read_records("trace", wl.trace, parse_trace)
+        system.load_trace(_read_records("trace", wl.trace, parse_trace))
     elif wl.synthetic is not None:
-        trace = gen_synthetic_trace(
-            seed=seed, **generator_arguments(spec, "synthetic"))
+        args = generator_arguments(spec, "synthetic")
+        system.start_cores(dict(enumerate(core_streams(seed=seed, **args))),
+                           args["cores"] * args["length"])
     if wl.messages is not None:
         messages = _read_records("messages", wl.messages, parse_messages)
     elif wl.message_synthetic is not None:
         messages = gen_message_traffic(
             seed=seed, **generator_arguments(spec, "message_synthetic"))
-    return trace, messages
+    system.load_messages(messages)
 
 
 def run_experiment(config: dict, seed: int, out_path: str,
@@ -102,16 +146,11 @@ def run_experiment(config: dict, seed: int, out_path: str,
                    dump_latencies: str | None = None) -> dict:
     """Validate, build, simulate and write one report. Raises UserError or
     ConfigError for anything exit-2-worthy."""
-    spec = spec_from_dict(config)
-    violations = validate_spec(spec)
-    if violations:
-        raise UserError("invalid configuration:\n  " + "\n  ".join(violations))
-    trace, messages = _resolve_workload(spec, seed)
+    spec = checked_spec(config)
     warn_on_build(spec)
     try:
         system = System(spec, seed=seed)
-        system.load_trace(trace)
-        system.load_messages(messages)
+        _load_workload(system, spec, seed)
         system.run(t_end_ps if t_end_ps is not None else float("inf"))
     except WorkloadError as exc:
         raise UserError(str(exc)) from None
@@ -130,12 +169,7 @@ def run_experiment(config: dict, seed: int, out_path: str,
 def _cmd_run(args) -> int:
     if args.t_end is not None and args.t_end < 0:
         raise UserError(f"--t-end: must be >= 0, got {args.t_end}")
-    config = _load_config(args.config)
-    for item in args.set or []:
-        if "=" not in item:
-            raise UserError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        apply_override(config, key, _parse_value(value))
+    config = preflight(args.config, _set_overrides(args.set))
     run_experiment(config, seed=args.seed, out_path=args.out,
                    t_end_ps=args.t_end, dump_latencies=args.dump_latencies)
     print(f"report written to {args.out}")
@@ -164,14 +198,12 @@ def _sweep_one(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    base = _load_config(args.config)
     values = [_parse_value(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise UserError("sweep needs at least one value")
     jobs = []
     for index, value in enumerate(values):
-        config = copy.deepcopy(base)
-        apply_override(config, args.param, value)
+        config = preflight(args.config, [(args.param, value)])
         subdir = os.path.join(args.out_dir, str(value).replace(os.sep, "_"))
         os.makedirs(subdir, exist_ok=True)
         jobs.append((config, sweep_seed(args.seed, index),
@@ -197,9 +229,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    violations = validate_spec(spec_from_dict(_load_config(args.config)))
-    if violations:
-        for v in violations:
+    try:
+        preflight(args.config, _set_overrides(args.set))
+    except InvalidConfig as exc:
+        for v in exc.violations:
             print(v, file=sys.stderr)
         return EXIT_USER
     print("configuration valid")
@@ -265,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a config without simulating")
     p.add_argument("--config", required=True)
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override a config entry (dotted path)")
     p.set_defaults(func=_cmd_validate)
 
     # A generator flag left out takes its generator's default, and one

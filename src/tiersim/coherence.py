@@ -58,8 +58,6 @@ def check_invariants(states: tuple[str, ...] | list[str]) -> None:
         raise CoherenceFault(f"M/E must be exclusive: {states}")
     if n_o > 1:
         raise CoherenceFault(f"multiple O holders: {states}")
-    if n_o == 1 and n_m + n_e:
-        raise CoherenceFault(f"O may coexist only with S/I: {states}")
 
 
 def _others(states: list[str], requester: int) -> list[str]:

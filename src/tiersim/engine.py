@@ -10,16 +10,18 @@ which `heapq` compares in C. `seq` is unique per queue, so two entries
 always differ by the second field and a handler or payload is never
 compared.
 
-`schedule_all` schedules a batch of n events lazily. It reserves the seqs
-`base ... base+n-1` that n successive `schedule` calls in list order would
-take, and advances the counter past them, so every event scheduled later
-gets a larger seq. Only the batch's earliest undispatched event sits in the
-heap; its dispatch pushes the batch's next `(time, seq)` entry before
-calling the handler. Keys stay unique, so the dispatch order is exactly the
-one eager scheduling gives, while the heap holds only what is in flight.
-A batch whose times never decrease, as generated message traffic always
-is, is walked in index order; any other batch is walked in a stable sort
-of its indices by time.
+`schedule_all` schedules a batch of n events that an iterator yields in
+time order, and reads each from the iterator only when the one before it
+is dispatched. It reserves the seqs `base ... base+n-1` that n successive
+`schedule` calls in that order would take, and advances the counter past
+them, so every event scheduled later gets a larger seq. Only the batch's
+earliest undispatched event sits in the heap; its dispatch pulls and
+pushes the batch's next `(time, seq)` entry before calling the handler.
+Keys stay unique, so the dispatch order is exactly the one eager
+scheduling gives, while neither the heap nor the queue keeps anything per
+event of the batch. A caller whose events are not in time order sorts
+them first, stably, which gives the order scheduling them one by one in
+their first order would.
 
 A system keeps one queue per cluster and one for the mesh, because no
 cluster shares state with another or with the messages. A handler may run
@@ -37,7 +39,7 @@ import hashlib
 import heapq
 import math
 import random
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable
 
 
 class SchedulingError(RuntimeError):
@@ -67,40 +69,43 @@ class EventQueue:
         heapq.heappush(self._heap, (int(time_ps), self._seq, handler, payload))
         self._seq += 1
 
-    def schedule_all(self, times: Sequence[int], handler: Callable[[Any], None],
-                     payloads: Sequence[Any]) -> None:
-        """Schedule `handler(payloads[i])` at `times[i]` for every i, in the
-        order n successive `schedule` calls would give: event i takes seq
-        base + i. Only the batch's earliest undispatched event is in the
-        heap at a time."""
-        n = len(times)
-        if n == 0:
+    def schedule_all(self, events: Iterable[tuple[int, Any]], count: int,
+                     handler: Callable[[Any], None]) -> None:
+        """Schedule `handler(payload)` at `time` for each of the `count`
+        `(time, payload)` pairs of `events`, whose times never decrease, as
+        `count` successive `schedule` calls would: the i-th takes seq
+        base + i. Each pair is read when the one before it is dispatched,
+        so only the batch's earliest undispatched event is in the heap. A
+        first time in the past raises SchedulingError before anything is
+        scheduled, and a time before the one ahead of it raises it when it
+        is read."""
+        if count == 0:
             return
-        # Timsort is linear on sorted input, so this checks an in-order
-        # batch at C speed and spares it the index sort.
-        ordered = sorted(times)
-        if ordered[0] < self.now:
+        events = iter(events)
+        time_ps, payload = next(events)
+        if time_ps < self.now:
             raise SchedulingError(
-                f"event scheduled at {ordered[0]} ps, before current time {self.now} ps")
-        if ordered == times:
-            order = iter(range(n))
-        else:
-            order = iter(sorted(range(n), key=times.__getitem__))
+                f"event scheduled at {time_ps} ps, before current time {self.now} ps")
         base = self._seq
-        self._seq += n
-        self._reserved += n - 1
+        self._seq += count
+        self._reserved += count - 1
         heap = self._heap
         heappush = heapq.heappush
+        rest = zip(range(base + 1, base + count), events)
 
         def dispatch(payload: Any) -> None:
-            i = next(order, None)
-            if i is not None:
+            entry = next(rest, None)
+            if entry is not None:
+                seq, (time_ps, next_payload) = entry
+                if time_ps < self.now:
+                    raise SchedulingError(
+                        f"batch event at {time_ps} ps comes after one at "
+                        f"{self.now} ps")
                 self._reserved -= 1
-                heappush(heap, (int(times[i]), base + i, dispatch, payloads[i]))
+                heappush(heap, (int(time_ps), seq, dispatch, next_payload))
             handler(payload)
 
-        i = next(order)
-        heappush(heap, (int(times[i]), base + i, dispatch, payloads[i]))
+        heappush(heap, (int(time_ps), base, dispatch, payload))
 
     def runs_next(self, time_ps: int) -> bool:
         """Whether an event scheduled now at time_ps would be the next one

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .engine import EventQueue, FifoResource
 from .metrics import LatencyLog
@@ -116,17 +116,18 @@ def packetize(payload_bytes: int, flit_width: int) -> int:
 class MeshNetwork:
     """Packet-level timed mesh on the shared event queue.
 
-    Messages are injected as parallel lists, one entry per message. Each
-    distinct (src, dst) pair has one XYZ route, built by `_route` when the
-    first of its packets is dispatched: a tuple of `(link, hop_ps)` steps,
+    A message becomes a packet when `send` puts it on its source router,
+    and the mesh keeps nothing per message beyond its packet in flight.
+    `injected` counts the messages loaded onto the queue, sent or not, and
+    `delivered` those delivered. Each distinct (src, dst) pair has one XYZ
+    route, built by `_route` when the first of its packets is sent: a tuple of `(link, hop_ps)` steps,
     one per directed link, shared by every route that crosses the link.
     `_steps` keeps the step of each link `(node, port)`. Its link is a
     `FifoResource`, created when the first route that crosses it is built
     and booked like the bus channels, cache arrays and memory controllers:
     it is held for one cycle per flit of each packet. A packet is the plain
     tuple `(steps, hold_ps, t_inject)`, with `steps` an iterator over its
-    route; it is built when its injection event is dispatched and reused
-    from hop to hop. The head flit advances router by router, so queueing
+    route; it is built when it is sent and reused from hop to hop. The head flit advances router by router, so queueing
     delay is the only congestion effect (unbounded input buffers, no
     drops). `msg_samples` logs each delivered message's injection and
     delivery times, in delivery order.
@@ -139,6 +140,7 @@ class MeshNetwork:
         self.clock_period_ps = clock_period_ps
         self._routes: dict[tuple[Coord, Coord], tuple[Step, ...]] = {}
         self._steps: dict[tuple[Coord, str], Step] = {}
+        self._hold_ps: dict[int, int] = {}   # payload size -> link hold time
         self._router_ps = topo.router_delay * clock_period_ps
         self.injected = 0
         self.delivered = 0
@@ -148,35 +150,23 @@ class MeshNetwork:
     def in_flight(self) -> int:
         return self.injected - self.delivered
 
-    def inject(self, times_ps: Sequence[int], srcs: Sequence[Coord],
-               dsts: Sequence[Coord], payload_bytes: Sequence[int]) -> None:
-        """Inject message i from srcs[i] to dsts[i] at times_ps[i], carrying
-        payload_bytes[i]. Every node and payload size is checked before
-        anything is scheduled, each distinct one once; each size's link
-        hold time (one cycle per flit) is worked out here, not per
-        dispatch. All messages are counted as injected now; the event queue
-        holds only the earliest one not yet dispatched. When message i's
-        event is dispatched, its pair's route is looked up, or built, and
-        the message becomes a packet at its source router."""
-        for node in {*srcs, *dsts}:
-            if not self.topo.contains(node):
+    def send(self, src: Coord, dst: Coord, payload_bytes: int) -> None:
+        """Put a packet of payload_bytes from src to dst on src's router
+        now. The pair's route is built, and both nodes checked, when its
+        first packet is sent, and each payload size's link hold time (one
+        cycle per flit) is worked out when it is first sent."""
+        pair = (src, dst)
+        route = self._routes.get(pair)
+        if route is None:
+            if not (self.topo.contains(src) and self.topo.contains(dst)):
                 raise ValueError(f"packet endpoints outside mesh {self.topo.dims}")
-        clock = self.clock_period_ps
-        hold_of = {b: packetize(b, self.topo.flit_width) * clock
-                   for b in set(payload_bytes)}
-        holds = [hold_of[b] for b in payload_bytes]
-        engine = self.engine
-        routes = self._routes
-
-        def inject_one(i: int) -> None:
-            pair = (srcs[i], dsts[i])
-            route = routes.get(pair)
-            if route is None:
-                route = routes[pair] = self._route(*pair)
-            self._at_router((iter(route), holds[i], engine.now))
-
-        self.injected += len(times_ps)
-        engine.schedule_all(times_ps, inject_one, range(len(times_ps)))
+            route = self._routes[pair] = self._route(src, dst)
+        hold_ps = self._hold_ps.get(payload_bytes)
+        if hold_ps is None:
+            hold_ps = self._hold_ps[payload_bytes] = (
+                packetize(payload_bytes, self.topo.flit_width)
+                * self.clock_period_ps)
+        self._at_router((iter(route), hold_ps, self.engine.now))
 
     def _route(self, src: Coord, dst: Coord) -> tuple[Step, ...]:
         """XYZ dimension-order routing: the steps that correct x, then y,

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import islice
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
 from .cache import (DIRTY_STATES, I, M, O, PSEUDO_RANDOM, S, WORD_SIZE,
@@ -304,12 +305,11 @@ class System:
     # -- workload ----------------------------------------------------------------
 
     def load_trace(self, records: list[TraceRecord]) -> None:
-        """Check every record, then schedule each core's first access. A
+        """Check every record, then start each core on its own records. A
         record must stay inside one block, name a core of the system, and
         keep its core's ticks non-negative, non-decreasing and before
         LATEST_START_PS."""
         total_cores = self.spec.total_cores
-        per_cluster = self.spec.cores_per_cluster_total
         block = self.block_size
         per_core: dict[int, list[TraceRecord]] = {}
         for rec in records:
@@ -339,37 +339,54 @@ class System:
             if queue[-1].tick * self._core_ps >= LATEST_START_PS:
                 raise WorkloadError(f"core {core}: tick {queue[-1].tick} starts "
                                     f"at or after {LATEST_START_PS} ps")
-        for core, queue in per_core.items():
+        self.start_cores({core: iter(queue) for core, queue in per_core.items()},
+                         len(records))
+
+    def start_cores(self, streams: Mapping[int, Iterator[TraceRecord]],
+                    count: int) -> None:
+        """Schedule each core's first record, and let the core take the
+        rest from its stream as it runs; `count` is the records of all the
+        streams together. Each core's records must be what `load_trace`
+        accepts, which nothing here checks again."""
+        per_cluster = self.spec.cores_per_cluster_total
+        for core, stream in streams.items():
+            first = next(stream, None)
+            if first is None:
+                continue
             cluster = self.clusters[core // per_cluster]
-            queue.reverse()
-            first = queue.pop()
             t_first = first.tick * self._core_ps
             cluster.engine.schedule(t_first, self._on_core,
                                     (cluster, cluster.stacks[core % per_cluster],
-                                     first, queue, t_first))
-        self.trace_records += len(records)
+                                     first, stream, t_first))
+        self.trace_records += count
 
     def load_messages(self, records: list[MessageRecord]) -> None:
-        """Check every record, then inject all of them into the mesh, from
-        and to their clusters' home nodes. A record must name two clusters of
-        the system and a non-negative tick that starts before LATEST_START_PS;
-        the first one that does not raises WorkloadError, and then nothing is
-        injected.
+        """Check every record, then schedule each to be sent from its
+        cluster's home node to the other's. A record must name two clusters
+        of the system and a non-negative tick that starts before
+        LATEST_START_PS; the first one that does not raises WorkloadError,
+        and then nothing is scheduled.
 
-        The checks read whole columns; only when one fails are the records
-        walked one by one to name the first bad one."""
+        The checks read the tick column and the set of cluster ids, which
+        are dropped before anything is scheduled; only when one fails are
+        the records walked one by one to name the first bad one. The mesh's
+        queue then reads each record when the one before it is sent, in a
+        stable sort by tick, so `records` must stay as it is until the run
+        is over."""
         if not records:
             return
         n_clusters = self.spec.n_clusters
         if n_clusters < 2:
             raise WorkloadError("message workload requires at least two clusters")
         noc_ps = self.spec.clocks.noc_ps
-        ticks = [rec.tick for rec in records]
-        srcs = [rec.src_cluster for rec in records]
-        dsts = [rec.dst_cluster for rec in records]
-        used = {*srcs, *dsts}
-        ordered = sorted(ticks)   # linear when the ticks are in order
-        if (ordered[0] < 0 or ordered[-1] * noc_ps >= LATEST_START_PS
+        tick_of = operator.attrgetter("tick")
+        ticks = list(map(tick_of, records))
+        in_order = all(map(operator.le, ticks, islice(ticks, 1, None)))
+        first, last = min(ticks), max(ticks)
+        del ticks
+        used = set(map(operator.attrgetter("src_cluster"), records))
+        used.update(map(operator.attrgetter("dst_cluster"), records))
+        if (first < 0 or last * noc_ps >= LATEST_START_PS
                 or min(used) < 0 or max(used) >= n_clusters):
             for rec in records:
                 for cid in (rec.src_cluster, rec.dst_cluster):
@@ -381,9 +398,17 @@ class System:
                 if rec.tick * noc_ps >= LATEST_START_PS:
                     raise WorkloadError(f"message tick {rec.tick} starts at or "
                                         f"after {LATEST_START_PS} ps")
-        coords = [self.home_coord(c) for c in range(n_clusters)]
-        self.noc.inject([t * noc_ps for t in ticks], [coords[c] for c in srcs],
-                        [coords[c] for c in dsts], [rec.bytes for rec in records])
+        if not in_order:
+            records = sorted(records, key=tick_of)
+        homes = [self.home_coord(c) for c in range(n_clusters)]
+        send = self.noc.send
+
+        def inject(rec: MessageRecord) -> None:
+            send(homes[rec.src_cluster], homes[rec.dst_cluster], rec.bytes)
+
+        self.engine.schedule_all(((rec.tick * noc_ps, rec) for rec in records),
+                                 len(records), inject)
+        self.noc.injected += len(records)
         self.messages += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:
@@ -396,14 +421,14 @@ class System:
     # -- the memory access path ---------------------------------------------------
 
     def _on_core(self, payload) -> None:
-        """A core's event: `(cluster, stack, rec, queue, t_issue)` issues
+        """A core's event: `(cluster, stack, rec, stream, t_issue)` issues
         `rec` at t_issue, or with `rec` None logs the access issued at
-        t_issue as complete now. The core then goes on through its records:
-        a completion is logged at its done time, and the next record issues
-        at max(that time, its tick). Each step runs in place while the
+        t_issue as complete now. The core then goes on through the records
+        it takes from `stream`: a completion is logged at its done time, and
+        the next record issues at max(that time, its tick). Each step runs in place while the
         cluster's queue says it runs next (`EventQueue.runs_next`), with the
         queue's `now` moved to it; the first that does not is scheduled."""
-        cluster, stack, rec, queue, t_issue = payload
+        cluster, stack, rec, stream, t_issue = payload
         engine = cluster.engine
         runs_next = engine.runs_next
         log = self.mem_samples.append
@@ -413,17 +438,17 @@ class System:
                 t_done = self._do_access(cluster, stack, rec, t_issue)
                 if not runs_next(t_done):
                     engine.schedule(t_done, self._on_core,
-                                    (cluster, stack, None, queue, t_issue))
+                                    (cluster, stack, None, stream, t_issue))
                     return
                 engine.now = t_done
             log(t_issue, engine.now)
-            if not queue:
+            rec = next(stream, None)
+            if rec is None:
                 return
-            rec = queue.pop()
             t_issue = max(engine.now, rec.tick * core_ps)
             if not runs_next(t_issue):
                 engine.schedule(t_issue, self._on_core,
-                                (cluster, stack, rec, queue, t_issue))
+                                (cluster, stack, rec, stream, t_issue))
                 return
             engine.now = t_issue
 

@@ -13,6 +13,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from itertools import chain
 from types import MappingProxyType, UnionType
 from typing import (Any, Iterable, Iterator, NewType, TextIO, get_args,
                     get_origin, get_type_hints)
@@ -317,21 +318,35 @@ def gen_synthetic_trace(cores: CoreCount, length: Count = 1000,
                         tick_interval: Count = 1,
                         hot_overlap: Probability = 0.0) -> list[TraceRecord]:
     """Per-core hot-set memory trace: with probability hot_fraction an access
-    falls in the core's hot window, else anywhere below ADDR_SPACE.
+    falls in the core's hot window, else anywhere below ADDR_SPACE. The
+    records of every core's `core_streams` stream, sorted by (tick, core).
 
     Hot windows are disjoint per core by default so shared-vs-distributed L2
     comparisons stay clean; hot_overlap redirects that fraction of hot
     accesses to a window shared by every core.
     """
+    arguments = dict(locals())
     for name, problem in kind_problems(field_kinds(gen_synthetic_trace),
-                                       locals()):
+                                       arguments):
         raise ValueError(f"{name} {problem}")
     problem = hot_window_problem(cores, hot_set_bytes, hot_overlap)
     if problem:
         raise ValueError(f"hot_set_bytes {problem}")
+    return sorted(chain.from_iterable(core_streams(**arguments)),
+                  key=lambda r: (r.tick, r.core))
+
+
+def core_streams(cores: int, length: int, hot_fraction: float,
+                 hot_set_bytes: int, seed: int, read_fraction: float,
+                 access_size: int, tick_interval: int,
+                 hot_overlap: float) -> list[Iterator[TraceRecord]]:
+    """One generator per core of the records `gen_synthetic_trace` gives
+    it, in tick order, each drawing from the core's own substream only as
+    it is advanced. Nothing here checks the arguments: they must keep the
+    rules `gen_synthetic_trace` checks."""
     shared_base = cores * hot_set_bytes
-    records: list[TraceRecord] = []
-    for core in range(cores):
+
+    def records(core: int) -> Iterator[TraceRecord]:
         rng = substream(seed, "trace", core)
         base = core * hot_set_bytes
         for i in range(length):
@@ -344,9 +359,9 @@ def gen_synthetic_trace(cores: CoreCount, length: Count = 1000,
                 addr = rng.randrange(ADDR_SPACE)
             addr -= addr % access_size
             op = "R" if rng.random() < read_fraction else "W"
-            records.append(TraceRecord(i * tick_interval, core, op, addr, access_size))
-    records.sort(key=lambda r: (r.tick, r.core))
-    return records
+            yield TraceRecord(i * tick_interval, core, op, addr, access_size)
+
+    return [records(core) for core in range(cores)]
 
 
 def gen_message_traffic(clusters: ClusterCount, cycles: Count = 1000,

@@ -13,6 +13,8 @@ from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology, packetiz
 from tiersim.memtech import READ, WRITE, catalog_default
 from tiersim.system import MemoryController, System
 
+from test_interconnect import inject
+
 CAT = catalog_default()
 
 Outcome = namedtuple("Outcome", "hit wear_event bypass")
@@ -544,7 +546,7 @@ def book_mesh_link(requests, period):
     sent = [(arrival, (0, 0, 0), (1, 0, 0), cycles * 16)
             for arrival, cycles in bookings(requests)]
     if sent:
-        net.inject(*zip(*sent))
+        inject(net, *zip(*sent))
     engine.run_until()
     windows = []
     in_order = sorted(sent, key=lambda m: m[0])   # stable: dispatch order

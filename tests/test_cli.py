@@ -320,8 +320,8 @@ def test_generator_value_out_of_range_exits_2_before_generating(
     def generate(*args, **kwargs):
         raise AssertionError("a workload was generated")
 
-    monkeypatch.setattr(cli, "gen_synthetic_trace", generate)
-    monkeypatch.setattr(cli, "gen_message_traffic", generate)
+    for name in ("gen_synthetic_trace", "core_streams", "gen_message_traffic"):
+        monkeypatch.setattr(cli, name, generate)
     message = f"workload.{key}: {rule}"
     out = tmp_path / "r.json"
     assert main(["run", "--config", write_config(tmp_path, quick_cfg()),
@@ -409,8 +409,8 @@ def test_workload_setting_is_refused_by_validate_and_before_run_generates(
     def generate(*args, **kwargs):
         raise AssertionError("a workload was generated")
 
-    monkeypatch.setattr(cli, "gen_synthetic_trace", generate)
-    monkeypatch.setattr(cli, "gen_message_traffic", generate)
+    for name in ("gen_synthetic_trace", "core_streams", "gen_message_traffic"):
+        monkeypatch.setattr(cli, name, generate)
     cfg = preset(config)
     cli.apply_override(cfg, key, value)
     path = write_config(tmp_path, cfg)
@@ -461,7 +461,8 @@ def test_system_setting_that_breaks_its_kind_is_refused_before_anything_is_built
     def build(*args, **kwargs):
         raise AssertionError("something was built")
 
-    for name in ("System", "gen_synthetic_trace", "gen_message_traffic"):
+    for name in ("System", "gen_synthetic_trace", "core_streams",
+                 "gen_message_traffic"):
         monkeypatch.setattr(cli, name, build)
     cfg = preset("fig32")
     cli.apply_override(cfg, key, value)

@@ -128,7 +128,8 @@ class Uncomparable:
 
 
 # An operation schedules one event at a time (an int) or a batch through
-# `schedule_all` (a list of times, unsorted and with ties).
+# `schedule_all` (a list of times, unsorted and with ties, which goes in a
+# stable sort by time, as `System.load_messages` sorts its records).
 OPERATIONS = st.one_of(st.integers(0, 4), st.lists(st.integers(0, 4), max_size=5))
 CHILD_OPERATIONS = st.one_of(st.integers(0, 3), st.lists(st.integers(0, 3), max_size=4))
 
@@ -163,8 +164,7 @@ def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid,
         times = [base + delay for delay in op]
         first = len(scheduled)
         scheduled.extend((t, first + k) for k, t in enumerate(times))
-        q.schedule_all(times, handler,
-                       [Uncomparable(first + k) for k in range(len(times))])
+        q.schedule_all(in_time_order(times, first), len(times), handler)
 
     def on_event(payload):
         nonlocal ran_in_place
@@ -200,6 +200,13 @@ def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid,
     assert q.dispatched + ran_in_place == len(scheduled) and q.pending() == 0
 
 
+def in_time_order(times, first=0):
+    """`(time, payload)` pairs for a batch whose event k is at times[k], in
+    a stable sort by time; event k's payload is Uncomparable(first + k)."""
+    return ((times[k], Uncomparable(first + k))
+            for k in sorted(range(len(times)), key=times.__getitem__))
+
+
 def test_runs_next_is_strictly_before_the_head_and_within_the_run():
     q = EventQueue()
     seen = []
@@ -221,19 +228,33 @@ def test_schedule_all_rejects_a_past_time_up_front():
     q.schedule(10, order.append, "A")
     q.run_until()
     with pytest.raises(SchedulingError):
-        q.schedule_all([12, 9, 11], order.append, ["B", "C", "D"])
+        q.schedule_all(iter([(9, "C"), (11, "D"), (12, "B")]), 3, order.append)
     assert q.pending() == 0
-    q.schedule_all([11, 10, 11], order.append, ["E", "F", "G"])
+    q.schedule_all(iter([(10, "F"), (11, "E"), (11, "G")]), 3, order.append)
     q.schedule(10, order.append, "H")
     assert q.pending() == 4
     q.run_until()
     assert order == ["A", "F", "H", "E", "G"]
 
 
+def test_schedule_all_refuses_a_time_before_the_one_ahead_of_it():
+    # Each event of a batch is read when the one before it is dispatched,
+    # so a time out of order is refused then, before that dispatch's
+    # handler runs.
+    q = EventQueue()
+    order = []
+    q.schedule_all(iter([(2, "A"), (5, "B"), (4, "C")]), 3, order.append)
+    q.run_until(3)
+    assert order == ["A"]
+    with pytest.raises(SchedulingError):
+        q.run_until()
+    assert order == ["A"]
+
+
 @pytest.mark.parametrize("times, expected", [
     # Times that never decrease, with ties: the batch is walked in index order.
     ([0, 0, 3, 3, 3, 7], [0, 1, "before", 2, 3, 4, "after", 5]),
-    # One element out of order: the batch is walked in a stable sort by time.
+    # One element out of order: the batch goes in a stable sort by time.
     ([0, 2, 5, 1, 6, 6], [0, 3, 1, "before", "after", 2, 4, 5])])
 def test_schedule_all_dispatches_as_single_schedules(times, expected):
     def dispatch_order(batched):
@@ -241,7 +262,9 @@ def test_schedule_all_dispatches_as_single_schedules(times, expected):
         order = []
         q.schedule(3, order.append, "before")
         if batched:
-            q.schedule_all(times, order.append, list(range(len(times))))
+            q.schedule_all(((times[i], i) for i in
+                            sorted(range(len(times)), key=times.__getitem__)),
+                           len(times), order.append)
         else:
             for i, t in enumerate(times):
                 q.schedule(t, order.append, i)

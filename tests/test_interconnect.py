@@ -22,6 +22,18 @@ _PORT_DELTA = {
 }
 
 
+def inject(net, times, srcs, dsts, sizes):
+    """Schedule message i from srcs[i] to dsts[i] at times[i], carrying
+    sizes[i] bytes, on the mesh's queue as `System.load_messages` does:
+    counted as injected now, and sent in a stable sort by time, each read
+    when the one before it is sent."""
+    order = sorted(range(len(times)), key=times.__getitem__)
+    net.injected += len(order)
+    net.engine.schedule_all(
+        ((times[i], (srcs[i], dsts[i], sizes[i])) for i in order),
+        len(order), lambda msg: net.send(*msg))
+
+
 def route_next_hop(current, dst):
     """XYZ dimension-order routing: correct X, then Y, then Z."""
     if current[0] != dst[0]:
@@ -164,7 +176,7 @@ def test_cluster_bus_has_three_independent_channels():
 def zero_load_latency(t, src, dst, payload):
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
-    net.inject(*zip(*[(0, src, dst, payload)]))
+    inject(net, [0], [src], [dst], [payload])
     engine.run_until()
     [(t_inject, t_deliver)] = net.msg_samples
     return (t_deliver - t_inject) // 1000
@@ -194,8 +206,8 @@ def test_packets_conserved_mid_run():
     t = topo((4, 4, 1))
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=1000)
-    net.inject(*zip(*[(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
-                      for i in range(20)]))
+    inject(net, *zip(*[(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
+                       for i in range(20)]))
     assert net.injected == 20 and net.delivered == 0
     engine.run_until(4000)
     assert net.injected == net.delivered + net.in_flight
@@ -213,11 +225,16 @@ def test_packets_conserved_mid_run():
     ((0, (0, 0, -1), (1, 0, 0), 64), "outside mesh"),
 ])
 def test_bad_message_refused_before_anything_is_scheduled(bad, error):
+    # A packet's nodes are checked when its pair's route is first built,
+    # and its size when that size is first sent; either refusal comes
+    # before the packet books a link or schedules a hop.
     engine = EventQueue()
     net = MeshNetwork(topo((2, 2, 1)), engine, clock_period_ps=1000)
+    _, src, dst, nbytes = bad
     with pytest.raises(ValueError, match=error):
-        net.inject(*zip(*[(0, (0, 0, 0), (1, 1, 0), 64), bad]))
+        net.send(src, dst, nbytes)
     assert engine.pending() == 0 and net.injected == 0
+    assert all(link.grants == 0 for link, _ in net._steps.values())
 
 
 def reference_walk(t, clock_ps, packets):
@@ -281,7 +298,7 @@ def test_mesh_matches_reference_walk_property(traffic):
     t, clock_ps, packets = traffic
     engine = EventQueue()
     net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
-    net.inject(*zip(*packets))
+    inject(net, *zip(*packets))
     engine.run_until()
     expected, link_free = reference_walk(
         t, clock_ps, [(t_inject, src, dst, packetize(nbytes, t.flit_width))
@@ -302,7 +319,7 @@ def test_mesh_run_split_anywhere_matches_one_run_property(traffic, data):
     for stops in ([], [data.draw(st.integers(0, 40 * clock_ps), label="t")]):
         engine = EventQueue()
         net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
-        net.inject(*zip(*packets))
+        inject(net, *zip(*packets))
         for stop in stops:
             engine.run_until(stop)
         engine.run_until()
@@ -332,7 +349,7 @@ def test_router_handler_runs_once_per_hop_and_once_to_deliver(monkeypatch):
         engine = EventQueue()
         net = MeshNetwork(topo((4, 3, 2)), engine, clock_period_ps=1000)
         calls.clear()
-        net.inject([0, 0], [src, src], [dst, dst], [64, 0])
+        inject(net, [0, 0], [src, src], [dst, dst], [64, 0])
         engine.run_until()
         assert len(calls) == 2 * (manhattan(src, dst) + 1), (src, dst)
         assert net.delivered == 2
