@@ -84,7 +84,7 @@ def _set_overrides(items: list[str] | None) -> list[tuple[str, object]]:
     return pairs
 
 
-def checked_spec(config: dict) -> SystemSpec:
+def _checked_spec(config: dict) -> SystemSpec:
     """The spec of `config`, which must break no rule of `validate_spec`;
     one that does raises InvalidConfig."""
     spec = spec_from_dict(config)
@@ -94,14 +94,14 @@ def checked_spec(config: dict) -> SystemSpec:
     return spec
 
 
-def preflight(path: str, overrides: Iterable[tuple[str, object]]) -> dict:
+def _preflight(path: str, overrides: Iterable[tuple[str, object]]) -> dict:
     """The config that `path` names, a file or a preset, with each (dotted
     key, value) of `overrides` applied, once its spec is built and checked:
     the one way `run`, `sweep` and `validate` read a config."""
     config = _load_config(path)
     for key, value in overrides:
         apply_override(config, key, value)
-    checked_spec(config)
+    _checked_spec(config)
     return config
 
 
@@ -146,7 +146,7 @@ def run_experiment(config: dict, seed: int, out_path: str,
                    dump_latencies: str | None = None) -> dict:
     """Validate, build, simulate and write one report. Raises UserError or
     ConfigError for anything exit-2-worthy."""
-    spec = checked_spec(config)
+    spec = _checked_spec(config)
     warn_on_build(spec)
     try:
         system = System(spec, seed=seed)
@@ -169,7 +169,7 @@ def run_experiment(config: dict, seed: int, out_path: str,
 def _cmd_run(args) -> int:
     if args.t_end is not None and args.t_end < 0:
         raise UserError(f"--t-end: must be >= 0, got {args.t_end}")
-    config = preflight(args.config, _set_overrides(args.set))
+    config = _preflight(args.config, _set_overrides(args.set))
     run_experiment(config, seed=args.seed, out_path=args.out,
                    t_end_ps=args.t_end, dump_latencies=args.dump_latencies)
     print(f"report written to {args.out}")
@@ -203,7 +203,7 @@ def _cmd_sweep(args) -> int:
         raise UserError("sweep needs at least one value")
     jobs = []
     for index, value in enumerate(values):
-        config = preflight(args.config, [(args.param, value)])
+        config = _preflight(args.config, [(args.param, value)])
         subdir = os.path.join(args.out_dir, str(value).replace(os.sep, "_"))
         os.makedirs(subdir, exist_ok=True)
         jobs.append((config, sweep_seed(args.seed, index),
@@ -230,7 +230,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        preflight(args.config, _set_overrides(args.set))
+        _preflight(args.config, _set_overrides(args.set))
     except InvalidConfig as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)

@@ -120,16 +120,17 @@ class MeshNetwork:
     and the mesh keeps nothing per message beyond its packet in flight.
     `injected` counts the messages loaded onto the queue, sent or not, and
     `delivered` those delivered. Each distinct (src, dst) pair has one XYZ
-    route, built by `_route` when the first of its packets is sent: a tuple of `(link, hop_ps)` steps,
-    one per directed link, shared by every route that crosses the link.
-    `_steps` keeps the step of each link `(node, port)`. Its link is a
-    `FifoResource`, created when the first route that crosses it is built
-    and booked like the bus channels, cache arrays and memory controllers:
-    it is held for one cycle per flit of each packet. A packet is the plain
-    tuple `(steps, hold_ps, t_inject)`, with `steps` an iterator over its
-    route; it is built when it is sent and reused from hop to hop. The head flit advances router by router, so queueing
-    delay is the only congestion effect (unbounded input buffers, no
-    drops). `msg_samples` logs each delivered message's injection and
+    route, built by `_route` when the first of its packets is sent: a tuple
+    of `(link, hop_ps)` steps, one per directed link, shared by every route
+    that crosses the link. `_steps` keeps the step of each link
+    `(node, port)`. Its link is a `FifoResource`, created when the first
+    route that crosses it is built and booked like the bus channels, cache
+    arrays and memory controllers: it is held for one cycle per flit of
+    each packet. A packet is the plain tuple `(steps, hold_ps, t_inject)`,
+    with `steps` an iterator over its route; it is built when it is sent
+    and reused from hop to hop. The head flit advances router by router, so
+    queueing delay is the only congestion effect (unbounded input buffers,
+    no drops). `msg_samples` logs each delivered message's injection and
     delivery times, in delivery order.
     """
 

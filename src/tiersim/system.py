@@ -182,10 +182,16 @@ class System:
     """A built, runnable system. Owns all mutable state for one simulation.
 
     Each cluster runs on its own event queue, and the mesh on `engine`.
-    `mem_samples` logs each memory access's issue and completion times
-    when it completes, one cluster's run after another, and the mesh's
-    `msg_samples` logs each message when it is delivered, so a run stopped
-    early counts only what finished."""
+    A memory workload comes in one of two ways, and either way each core
+    takes its records from its own stream as it runs: `load_trace` checks
+    a list of records and starts each core on its share of it, while
+    `start_cores` starts cores on streams that are known to be good, such
+    as generated ones, without reading them first. `load_messages` checks
+    its records and leaves them in place; the mesh's queue reads each one
+    when it injects it. `mem_samples` logs each memory access's issue and
+    completion times when it completes, one cluster's run after another,
+    and the mesh's `msg_samples` logs each message when it is delivered,
+    so a run stopped early counts only what finished."""
 
     def __init__(self, spec: SystemSpec, seed: int = 0, record_log: bool = False):
         self.spec = spec
@@ -339,8 +345,13 @@ class System:
             if queue[-1].tick * self._core_ps >= LATEST_START_PS:
                 raise WorkloadError(f"core {core}: tick {queue[-1].tick} starts "
                                     f"at or after {LATEST_START_PS} ps")
-        self.start_cores({core: iter(queue) for core, queue in per_core.items()},
-                         len(records))
+        for queue in per_core.values():
+            # A core pops its records off its list, which lets each go as
+            # it is taken; the None put below them ends the core's stream.
+            queue.append(None)
+            queue.reverse()
+        self.start_cores({core: iter(queue.pop, None)
+                          for core, queue in per_core.items()}, len(records))
 
     def start_cores(self, streams: Mapping[int, Iterator[TraceRecord]],
                     count: int) -> None:
@@ -425,9 +436,10 @@ class System:
         `rec` at t_issue, or with `rec` None logs the access issued at
         t_issue as complete now. The core then goes on through the records
         it takes from `stream`: a completion is logged at its done time, and
-        the next record issues at max(that time, its tick). Each step runs in place while the
-        cluster's queue says it runs next (`EventQueue.runs_next`), with the
-        queue's `now` moved to it; the first that does not is scheduled."""
+        the next record issues at max(that time, its tick). Each step runs
+        in place while the cluster's queue says it runs next
+        (`EventQueue.runs_next`), with the queue's `now` moved to it; the
+        first that does not is scheduled."""
         cluster, stack, rec, stream, t_issue = payload
         engine = cluster.engine
         runs_next = engine.runs_next

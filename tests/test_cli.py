@@ -476,6 +476,165 @@ def test_system_setting_that_breaks_its_kind_is_refused_before_anything_is_built
     assert not out.exists()
 
 
+FIG36_L3 = preset("fig36")["caches"]["l3"]
+
+
+@pytest.mark.parametrize("config, key, value, line", [
+    ("fig36", "caches.l1i", None, "caches.l1i: required"),
+    ("fig36", "caches.l1d", None, "caches.l1d: required"),
+    ("fig36", "caches.l3", None,
+     "caches.l3: required when the tier stack has an l3_unified tier"),
+    ("fig32", "caches.l3", FIG36_L3,
+     "caches.l3: configured but no l3_unified tier in the stack"),
+    ("fig36", "tier_stack", ["l3_unified", "l2_split_id", "cores_l1",
+                             "l2_split_id", "l3_unified"],
+     "tier_stack: at most one l3_unified tier is supported"),
+    ("fig36", "caches.l1d.regions", [{"ways": [0, 2], "tech": "XRAM"}],
+     "caches.l1d.regions: unknown technology 'XRAM'"),
+    ("fig36", "caches.l3.topology", "distributed",
+     "caches.l3.topology: only the l2 level may be distributed"),
+    ("fig36", "noc.dims", [1, 2, 5],
+     "noc.dims: mesh (1, 2, 5) smaller than cluster grid (2, 2)"),
+    ("fig36", "tech_overrides", {"MRAM": {"standby_power_per_mib": 1.0}},
+     "tech_overrides.MRAM: non-volatile implies zero standby power"),
+    ("fig36", "caches.l1d.capacity", 3 * 2 * 64,
+     "caches.l1d.capacity: derived set count 3 not a power of two")],
+    ids=["l1i-required", "l1d-required", "l3-required", "l3-without-tier",
+         "two-l3-tiers", "region-tech", "l3-distributed", "mesh-too-small",
+         "non-volatile-standby", "sets-not-pow2"])
+def test_rule_across_fields_exits_2_from_validate_and_run(
+        tmp_path, capsys, config, key, value, line):
+    # Each rule validate_spec applies across fields gives its one line from
+    # validate, and the same line under run's header, with exit 2.
+    cfg = preset(config)
+    cli.apply_override(cfg, key, value)
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration:", f"  {line}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[1, 2]", "error: config root must be a JSON object"),
+    ('{"a": ', "error: config is not valid JSON: Expecting value: line 1 "
+               "column 7 (char 6)")], ids=["root-not-object", "not-json"])
+def test_config_file_that_is_no_config_exits_2_from_validate_and_run(
+        tmp_path, capsys, text, line):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("item, line", [
+    ("cores_per_cluster.x=1",
+     "error: override path 'cores_per_cluster.x' does not resolve in the config"),
+    ("caches.l9.size=1",
+     "error: override path 'caches.l9.size' does not resolve in the config"),
+    ("novalue", "error: --set expects key=value, got 'novalue'")],
+    ids=["past-a-value", "missing-section", "no-equals"])
+def test_bad_set_exits_2_from_validate_and_run(tmp_path, capsys, item, line):
+    assert main(["validate", "--config", "fig32", "--set", item]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--set", item,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
+def test_validate_applies_set_as_run_does(tmp_path, capsys):
+    # validate reads the config through the same preflight as run: a --set
+    # that breaks its key's kind gives run's located line, and one that
+    # keeps every rule is valid.
+    line = "cores_per_cluster: must be an integer, got 2.5"
+    assert main(["validate", "--config", "fig32",
+                 "--set", "cores_per_cluster=2.5"]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert main(["run", "--config", "fig32", "--set", "cores_per_cluster=2.5",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration:", f"  {line}"]
+    assert main(["validate", "--config", "fig36",
+                 "--set", "workload.synthetic.length=4000"]) == 0
+    assert capsys.readouterr().out == "configuration valid\n"
+
+
+@pytest.mark.parametrize("workload, line, message", [
+    ("trace", "1,0,R,0x40", "expected 5 fields, got 4"),
+    ("trace", "x,0,R,0x40,8", "invalid literal for int() with base 10: 'x'"),
+    ("trace", "1,0,R,0xzz,8", "bad hex address '0xzz'"),
+    ("trace", "1,0,R,0x40,y", "invalid literal for int() with base 10: 'y'"),
+    ("trace", "1,0,R,0x1000000000000,8", "address exceeds 48 bits"),
+    ("messages", "1,0,1", "expected 4 fields, got 3"),
+    ("messages", "1,0,z,64", "invalid literal for int() with base 10: 'z'")],
+    ids=["trace-fields", "trace-tick", "trace-hex", "trace-size",
+         "trace-48-bits", "messages-fields", "messages-value"])
+def test_record_file_line_that_does_not_parse_exits_2(tmp_path, capsys,
+                                                      workload, line, message):
+    header = {"trace": "tick,core,op,addr,size",
+              "messages": "tick,src_cluster,dst_cluster,bytes"}[workload]
+    records = tmp_path / "records.csv"
+    records.write_text(f"{header}\n{line}\n")
+    cfg = preset("fig33")
+    cfg["workload"] = {workload: str(records)}
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: workload.{workload}: {records}: line 2: {message}"]
+    assert not out.exists()
+
+
+def test_record_the_system_refuses_exits_2(tmp_path, capsys):
+    # A record that parses but that the system cannot run is refused by
+    # the system's load, as a user error.
+    records = tmp_path / "trace.csv"
+    records.write_text("tick,core,op,addr,size\n0,99,R,0x40,8\n")
+    cfg = preset("fig32")
+    cfg["workload"] = {"trace": str(records)}
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: core 99 outside the 8-core system"]
+    assert not out.exists()
+
+
+def test_generated_trace_costs_memory_per_core_not_per_record(tmp_path):
+    """A generated trace is drawn per core as the run goes on, so a longer
+    one costs only what the run keeps per access: its latency sample. With
+    every access in its core's hot set, the cache state stays the same
+    size, and the peak grows by under 48 bytes per added record."""
+    import tracemalloc
+
+    def peak(length):
+        cfg = preset("fig32")
+        cfg["workload"]["synthetic"].update(length=length, hot_fraction=1.0)
+        tracemalloc.start()
+        try:
+            report = cli.run_experiment(cfg, seed=0,
+                                        out_path=str(tmp_path / "r.json"))
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    peak(300)   # the first run imports and caches what every run shares
+    short, _ = peak(300)
+    long, report = peak(1500)
+    added = 8 * (1500 - 300)
+    assert report["meta"]["trace_records"] == 8 * 1500
+    assert report["latency"]["mem"]["count"] == 8 * 1500
+    assert long - short < 48 * added
+
+
 def test_int_and_float_spellings_give_the_same_report(tmp_path):
     # A number field stores its value as a float once its rule passes, so
     # energy.write_mix reads the same however the config spells it; only

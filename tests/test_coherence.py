@@ -76,8 +76,11 @@ def test_invariant_checker():
         check_invariants(["E", "S"])
     with pytest.raises(CoherenceFault):
         check_invariants(["O", "O"])
-    with pytest.raises(CoherenceFault):
-        check_invariants(["O", "E"])
+    # An O beside an M or E breaks the exclusivity of the M or E, so no
+    # rule of its own is needed to refuse it.
+    for states in (["O", "E"], ["O", "M"], ["S", "M", "O"]):
+        with pytest.raises(CoherenceFault, match="M/E must be exclusive"):
+            check_invariants(states)
 
 
 def test_bad_input_state_aborts():

@@ -290,6 +290,54 @@ def test_tied_messages_inject_in_record_order():
     assert len(samples[0]) == len(messages)
 
 
+def mesh_of_one_core_clusters(grid):
+    """fig33's system spread to a grid of one-core clusters, as the
+    benchmark's mesh-messages workload spreads it to 8x8."""
+    cfg = preset("fig33")
+    del cfg["workload"]
+    cfg["cluster_grid"] = [grid, grid]
+    cfg["cores_per_cluster"] = 1
+    return cfg
+
+
+def test_reversed_messages_report_as_their_stable_sort_by_tick():
+    """load_messages sorts records whose ticks are out of order stably by
+    tick, so a reversed list, whose equal ticks run backwards, gives the
+    report of that sort."""
+    cfg = mesh_of_one_core_clusters(4)
+    reversed_messages = gen_message_traffic(16, 300, 0.2, 64, seed=4)[::-1]
+    in_tick_order = sorted(reversed_messages, key=lambda m: m.tick)
+    assert len({m.tick for m in in_tick_order}) < len(in_tick_order)
+    reports = []
+    for records in (reversed_messages, in_tick_order):
+        system = build(cfg)
+        system.load_messages(records)
+        system.run()
+        reports.append(system.build_report())
+    assert reports[0] == reports[1]
+    assert reports[0]["interconnect"]["noc"]["delivered"] == len(in_tick_order)
+
+
+def test_loaded_messages_keep_nothing_per_message():
+    """Loading builds only the columns its checks read and drops them
+    before anything is scheduled; the mesh's queue then reads each record
+    when the one before it is sent. So loading keeps under 64 KiB, however
+    many messages there are, and peaks under 48 bytes per message."""
+    import tracemalloc
+    system = build(mesh_of_one_core_clusters(8))
+    messages = gen_message_traffic(64, 5000, 0.05, 64, seed=1)
+    assert len(messages) > 15000
+    tracemalloc.start()
+    try:
+        system.load_messages(messages)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+    assert peak < 48 * len(messages)
+    assert system.engine.pending() == system.noc.in_flight == len(messages)
+
+
 def test_report_passes_schema_level_invariants():
     from tiersim.metrics import check_report_invariants
     system = build(small_cfg())
