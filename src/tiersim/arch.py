@@ -1,5 +1,7 @@
-"""Architecture assembly: parse and validate system configs, ship the
+"""Architecture assembly: parse and validate system configs, read the
 paper-figure presets, and hand validated specs to the simulator builder.
+The presets are the JSON files shipped in the package's `presets`
+directory, one per figure, in the config format any file uses.
 
 A system is a 2D grid of NORMA clusters joined by a mesh NoC. Each cluster
 is one coherent UMA domain: cores with private L1s on one or more core
@@ -12,13 +14,15 @@ only inter-cluster path is message packets on the NoC.
 from __future__ import annotations
 
 import copy
+import json
+import os
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from inspect import signature
 from typing import Any, Literal
 
-from .cache import LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry
+from .cache import WORD_SIZE, CacheGeometry
 from .interconnect import MeshTopology
 from .memtech import TechnologyParams, catalog_default, catalog_with_overrides
 from .workload import (ConfigError, NonNegative, Probability, Size,
@@ -339,66 +343,20 @@ def build_system(spec: SystemSpec, seed: int = 0):
 
 # --- presets mirroring the reference figures ----------------------------------
 
-
-def _base_preset() -> dict:
-    return {
-        "cluster_grid": [2, 2],
-        "cores_per_cluster": 8,
-        "tier_stack": [CORES_L1],
-        "noc": {"link_latency": 1, "tsv_latency": 1, "router_delay": 1,
-                "flit_width": 16},
-        "bus": {"beat_width": 16},
-        "clocks": asdict(ClocksConfig()),
-        "memory_latency_ns": 50.0,
-        "write_mix": 0.5,
-        "caches": {
-            "l1i": {"capacity": 32768, "block_size": 64, "associativity": 2,
-                    "replacement": LRU, "tech": "SRAM"},
-            "l1d": {"capacity": 32768, "block_size": 64, "associativity": 2,
-                    "replacement": LRU, "tech": "SRAM"},
-        },
-        "workload": {
-            "synthetic": {"length": 2000, "hot_fraction": 0.9,
-                          "hot_set_bytes": 8192, "tick_interval": 4},
-            "message_synthetic": {"cycles": 2000, "rate": 0.002,
-                                  "payload_bytes": 64},
-        },
-    }
-
-
-_L2_BLOCK = {"capacity": 1048576, "block_size": 64, "associativity": 16,
-             "replacement": PSEUDO_RANDOM, "tech": "SRAM", "topology": SHARED}
-_L3_BLOCK = {"capacity": 4194304, "block_size": 64, "associativity": 16,
-             "replacement": PSEUDO_RANDOM, "tech": "SRAM",
-             "banks": 4, "nuca_base_latency": 2, "nuca_per_hop": 1}
+_PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
+PRESET_NAMES = tuple(sorted(name.removesuffix(".json")
+                            for name in os.listdir(_PRESET_DIR)
+                            if name.endswith(".json")))
 
 
 def preset(name: str) -> dict:
-    """Config dict for one of the shipped figure presets."""
-    cfg = _base_preset()
-    if name == "fig32":
-        cfg["cluster_grid"] = [1, 1]
-        del cfg["workload"]["message_synthetic"]
-    elif name == "fig33":
-        pass
-    elif name == "fig34":
-        cfg["tier_stack"] = [CORES_L1, L2_SPLIT_ID]
-        cfg["caches"]["l2"] = dict(_L2_BLOCK)
-    elif name == "fig35b":
-        cfg["tier_stack"] = [CORES_L1, L2_SPLIT_ID, L3_UNIFIED]
-        cfg["caches"]["l2"] = dict(_L2_BLOCK)
-        cfg["caches"]["l3"] = dict(_L3_BLOCK)
-    elif name == "fig36":
-        cfg["tier_stack"] = [CORES_L1, L2_SPLIT_ID, L3_UNIFIED,
-                             L2_SPLIT_ID, CORES_L1]
-        cfg["caches"]["l2"] = dict(_L2_BLOCK)
-        cfg["caches"]["l3"] = dict(_L3_BLOCK)
-    else:
+    """Config dict for one of the shipped figure presets: the file
+    presets/<name>.json, parsed afresh on every call."""
+    if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r}")
-    return cfg
+    with open(os.path.join(_PRESET_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
-
-PRESET_NAMES = ("fig32", "fig33", "fig34", "fig35b", "fig36")
 
 # A preset checked at import works out the kinds its keys and generator
 # sections take, so that the first config a process reads costs no more.

@@ -139,12 +139,14 @@ class Eviction:
 class CacheLevel:
     """One cache array instance with counters for reporting.
 
-    The latency rule lives in `nuca_cycles` (bank route) and `op_cycles`
-    (read or write on a way's region). The access path reads it from two
-    tables filled from those once, at construction: `route_cycles[bank]`
-    and `way_cycles[kind][way]`. A booking is one `service` call, which
-    holds the port for the cycles given and, with `record`, takes the
-    service time as a hit-latency sample.
+    The latency rule is two tables, built once from the geometry and the
+    technologies: `route_cycles[bank]`, the bank route of
+    `nuca_base_latency + nuca_per_hop * bank` cycles, and
+    `way_cycles[kind][way]`, a read or write on the way's region in
+    cycles of the array's clock, a write at the `write_mix` of set and
+    reset latencies. A booking is one `service` call, which holds the port
+    for the cycles given and, with `record`, takes the service time as a
+    hit-latency sample.
     """
 
     def __init__(self, name: str, geom: CacheGeometry,
@@ -208,28 +210,15 @@ class CacheLevel:
         self.hit_latency_samples = 0
         self.port = FifoResource()  # single-ported: one access in service at a time
 
-        per_region_write_ns = [
-            write_mix * t.write_set_latency + (1.0 - write_mix) * t.write_reset_latency
-            for t in tech_by_region]
-        self._read_cycles = [cycles_for_latency(t.read_latency, clock_period_ps)
-                             for t in tech_by_region]
-        self._write_cycles = [cycles_for_latency(ns, clock_period_ps)
-                              for ns in per_region_write_ns]
-        self.route_cycles = [self.nuca_cycles(b) for b in range(geom.banks)]
-        self.way_cycles = {kind: [self.op_cycles(w, kind)
-                                  for w in range(geom.associativity)]
-                           for kind in (READ, WRITE)}
-
-    # -- geometry helpers ---------------------------------------------------
-
-    def nuca_cycles(self, set_index: int) -> int:
-        """Bank-route cycles to the set's bank, set_index % banks."""
-        geom = self.geom
-        return geom.nuca_base_latency + geom.nuca_per_hop * (set_index % geom.banks)
-
-    def op_cycles(self, way: int, kind: str) -> int:
-        region = self._region_of_way[way]
-        return (self._read_cycles if kind == READ else self._write_cycles)[region]
+        self.route_cycles = [geom.nuca_base_latency + geom.nuca_per_hop * bank
+                             for bank in range(geom.banks)]
+        read = [cycles_for_latency(t.read_latency, clock_period_ps)
+                for t in tech_by_region]
+        write = [cycles_for_latency(write_mix * t.write_set_latency
+                                    + (1.0 - write_mix) * t.write_reset_latency,
+                                    clock_period_ps) for t in tech_by_region]
+        self.way_cycles = {READ: [read[r] for r in self._region_of_way],
+                           WRITE: [write[r] for r in self._region_of_way]}
 
     # -- lookup / replacement -------------------------------------------------
 

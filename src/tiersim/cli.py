@@ -41,16 +41,24 @@ class InvalidConfig(UserError):
         self.violations = violations
 
 
+def _open(flag: str, path: str, mode: str = "r"):
+    """The file at `path`, which the user named with `flag` (a CLI flag or
+    a config key), opened in `mode`; a path that cannot be opened in that
+    mode is a UserError naming both."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UserError(f"{flag}: {path}: {exc.strerror}") from None
+
+
 def _load_config(path: str) -> dict:
     if path in PRESET_NAMES:
         return preset(path)
-    if not os.path.exists(path):
-        raise UserError(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with _open("--config", path) as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UserError(f"config is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise UserError(f"config is not valid JSON: {exc}") from None
 
 
 def _parse_value(text: str):
@@ -108,12 +116,12 @@ def _preflight(path: str, overrides: Iterable[tuple[str, object]]) -> dict:
 def _read_records(key: str, path: str, parse) -> list:
     """The records of the file at `path`, set by `workload.key`; a file
     that cannot be read or holds a bad record is a UserError naming both."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with _open(f"workload.{key}", path) as fh:
+        try:
             return parse(fh)
-    except (OSError, ValueError) as exc:
-        raise UserError(f"workload.{key}: {path}: "
-                        f"{getattr(exc, 'strerror', exc)}") from None
+        except (OSError, ValueError) as exc:
+            raise UserError(f"workload.{key}: {path}: "
+                            f"{getattr(exc, 'strerror', exc)}") from None
 
 
 def _load_workload(system: System, spec: SystemSpec, seed: int) -> None:
@@ -160,9 +168,11 @@ def run_experiment(config: dict, seed: int, out_path: str,
                         f"period or the ticks") from None
     report = system.build_report()
     check_report_invariants(report)
-    emit_report(report, out_path)
+    with _open("--out", out_path, "w") as fh:
+        emit_report(report, fh)
     if dump_latencies:
-        write_latency_csv(system.latency_rows(), dump_latencies)
+        with _open("--dump-latencies", dump_latencies, "w") as fh:
+            write_latency_csv(system.latency_rows(), fh)
     return report
 
 
@@ -205,7 +215,10 @@ def _cmd_sweep(args) -> int:
     for index, value in enumerate(values):
         config = _preflight(args.config, [(args.param, value)])
         subdir = os.path.join(args.out_dir, str(value).replace(os.sep, "_"))
-        os.makedirs(subdir, exist_ok=True)
+        try:
+            os.makedirs(subdir, exist_ok=True)
+        except OSError as exc:
+            raise UserError(f"--out-dir: {subdir}: {exc.strerror}") from None
         jobs.append((config, sweep_seed(args.seed, index),
                      os.path.join(subdir, "report.json")))
     workers = int(os.environ.get("TIERSIM_THREADS", "0")) or min(
@@ -219,7 +232,7 @@ def _cmd_sweep(args) -> int:
     headline = ["value", "seed", "duration_ps", "energy_total_nj",
                 "mem_mean_latency_ps", "msg_mean_latency_ps",
                 "worn_blocks", "bus_grants"]
-    with open(summary, "w", encoding="utf-8") as fh:
+    with _open("--out-dir", summary, "w") as fh:
         fh.write(args.param + "," + ",".join(headline[1:]) + "\n")
         for value, row in zip(values, rows):
             fh.write(",".join(str(x) for x in
@@ -251,7 +264,7 @@ def _cmd_gen_trace(args) -> int:
                          if name in params})
     except ValueError as exc:
         raise UserError(str(exc)) from None
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _open("--out", args.out, "w") as fh:
         write(records, fh)
     print(f"{len(records)} records written to {args.out}")
     return EXIT_OK

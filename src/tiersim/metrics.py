@@ -15,7 +15,7 @@ import time
 from array import array
 from collections import Counter
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .memtech import (AccessCounters, TechnologyParams, catalog_with_overrides,
                       level_energy)
@@ -168,20 +168,19 @@ def check_report_invariants(report: dict) -> None:
         raise ReportError("bus total_grants != the sum of its channels' grants")
 
 
-def emit_report(report: dict, path: str) -> None:
-    """Write the report as JSON with stable key order; only meta.timestamp
-    varies between identical runs."""
+def emit_report(report: dict, fh: TextIO) -> None:
+    """Write the report to `fh` as JSON with stable key order; only
+    meta.timestamp varies between identical runs."""
     out = dict(report)
     out["meta"] = dict(report.get("meta", {}))
     out["meta"]["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json.dump(out, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
-def write_latency_csv(rows: Iterable[tuple[str, int, int]], path: str) -> None:
-    """Per-sample dump for external plotting: class,t_inject_ps,t_complete_ps."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("class,t_inject_ps,t_complete_ps\n")
-        for klass, t0, t1 in rows:
-            fh.write(f"{klass},{t0},{t1}\n")
+def write_latency_csv(rows: Iterable[tuple[str, int, int]], fh: TextIO) -> None:
+    """Per-sample dump to `fh` for external plotting:
+    class,t_inject_ps,t_complete_ps."""
+    fh.write("class,t_inject_ps,t_complete_ps\n")
+    for klass, t0, t1 in rows:
+        fh.write(f"{klass},{t0},{t1}\n")

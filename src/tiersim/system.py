@@ -205,7 +205,6 @@ class System:
         self.clusters = [self._build_cluster(i) for i in range(spec.n_clusters)]
         self.mem_samples = LatencyLog()
         self.trace_records = 0
-        self.messages = 0
         self._write_seq = 0
         self.data_log: list[tuple[str, int, int, int]] | None = [] if record_log else None
         self._core_ps = spec.clocks.core_ps
@@ -420,7 +419,6 @@ class System:
         self.engine.schedule_all(((rec.tick * noc_ps, rec) for rec in records),
                                  len(records), inject)
         self.noc.injected += len(records)
-        self.messages += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:
         """Run each cluster's queue to t_end_ps in cluster order, then the
@@ -851,7 +849,7 @@ class System:
                 "duration_ps": duration_ps,
                 "config": self.spec.raw,
                 "trace_records": self.trace_records,
-                "messages": self.messages,
+                "messages": self.noc.injected,
             },
             "levels": levels,
             "energy": {

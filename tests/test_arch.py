@@ -275,18 +275,26 @@ def test_access_crossing_a_block_boundary_rejected_at_load():
 
 
 def test_unknown_preset():
-    with pytest.raises(KeyError):
-        preset("fig99")
+    # a name is checked against PRESET_NAMES before any path is built
+    for name in ("fig99", "fig32.json", "../presets/fig32", ""):
+        with pytest.raises(KeyError):
+            preset(name)
 
 
-def test_shipped_config_files_match_presets():
-    import json
-    import os
-    base = os.path.join(os.path.dirname(__file__), "..", "configs")
-    assert sorted(os.listdir(base)) == sorted(f"{n}.json" for n in PRESET_NAMES)
+def test_each_preset_is_a_fresh_parse_of_its_shipped_file():
+    presets = ROOT / "src" / "tiersim" / "presets"
+    assert PRESET_NAMES == ("fig32", "fig33", "fig34", "fig35b", "fig36")
+    assert sorted(p.name for p in presets.iterdir()) == [
+        f"{name}.json" for name in PRESET_NAMES]
     for name in PRESET_NAMES:
-        with open(os.path.join(base, f"{name}.json"), encoding="utf-8") as fh:
-            assert json.load(fh) == preset(name), name
+        shipped = json.loads((presets / f"{name}.json").read_text(encoding="utf-8"))
+        first = preset(name)
+        assert first == shipped, name
+        # a caller may change what it got: the next call parses the file again
+        first["caches"]["l1d"]["capacity"] = 1
+        first["workload"].clear()
+        first["extra"] = True
+        assert preset(name) == shipped, name
 
 
 def test_custom_technology_usable_in_cache_config():
@@ -319,11 +327,8 @@ def spec_at(node, path):
     return node
 
 
-# Each preset, each shipped config file, and a config that gives number
-# kinds as integers.
+# Each preset, and a config that gives number kinds as integers.
 CONFIGS = {**{name: preset(name) for name in PRESET_NAMES},
-           **{path.name: json.loads(path.read_text(encoding="utf-8"))
-              for path in sorted(ROOT.glob("configs/*.json"))},
            "int-numbers": dict(preset("fig32"), write_mix=1, memory_latency_ns=50)}
 
 

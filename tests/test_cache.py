@@ -8,7 +8,7 @@ from tiersim.arch import preset, spec_from_dict, validate_spec
 from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
                            CacheLevel, CacheLine, I, M, Region, S, check_wear,
                            compose_address)
-from tiersim.engine import EventQueue, FifoResource
+from tiersim.engine import EventQueue, FifoResource, cycles_for_latency
 from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology, packetize
 from tiersim.memtech import READ, WRITE, catalog_default
 from tiersim.system import MemoryController, System
@@ -169,26 +169,33 @@ def test_nuca_bank_latency():
     level = mk_level(capacity=64 * 64, block=64, ways=1, banks=8,
                      nuca_base=2, nuca_hop=1)
     assert level.geom.sets == 64
-    for set_index in range(64):
-        assert level.nuca_cycles(set_index) == 2 + set_index % 8
-    assert level.nuca_cycles(3) == 5
+    assert level.route_cycles == [2 + bank for bank in range(8)]
 
 
 def test_booking_tables_follow_the_latency_rule():
-    # The tables a routed booking reads are filled from nuca_cycles and
-    # op_cycles, on an array whose banks and regions all cost differently.
-    level = mk_level(capacity=64 * 64 * 4, block=64, ways=4, banks=8,
-                     nuca_base=2, nuca_hop=3,
-                     regions=(Region((0, 2), "SRAM"), Region((2, 4), "PCRAM")))
-    assert len(level.route_cycles) == level.geom.banks == 8
-    for set_index in range(level.geom.sets):
-        assert level.route_cycles[set_index % 8] == level.nuca_cycles(set_index)
-    for kind in (READ, WRITE):
-        assert [level.way_cycles[kind][w] for w in range(4)] == [
-            level.op_cycles(w, kind) for w in range(4)]
+    # The tables a routed booking reads hold the rule the README states, on
+    # an array whose banks and regions all cost differently: bank b routes
+    # in nuca_base_latency + nuca_per_hop * b cycles, and a way reads in its
+    # region's read latency and writes in the write mix of its set and
+    # reset latencies, each in whole cycles of the array's clock.
+    regions = (Region((0, 2), "SRAM"), Region((2, 4), "PCRAM"))
+    geom = CacheGeometry(capacity=64 * 64 * 4, block_size=64, associativity=4,
+                         banks=8, nuca_base_latency=2, nuca_per_hop=3,
+                         regions=regions)
+    period, mix = 700, 0.25
+    level = CacheLevel("test", geom, [CAT[r.tech] for r in regions],
+                       clock_period_ps=period, write_mix=mix)
+    assert level.route_cycles == [2 + 3 * bank for bank in range(8)]
+    for way in range(4):
+        tech = CAT[regions[way // 2].tech]
+        write_ns = (mix * tech.write_set_latency
+                    + (1 - mix) * tech.write_reset_latency)
+        assert level.way_cycles[READ][way] == cycles_for_latency(
+            tech.read_latency, period)
+        assert level.way_cycles[WRITE][way] == cycles_for_latency(
+            write_ns, period)
     assert level.way_cycles[WRITE][0] != level.way_cycles[WRITE][3]
 
-    period = level.clock_period_ps
     level.service(0, 50)  # the port is busy until 50 cycles
     for set_index, way, kind, record in ((13, 3, WRITE, True),
                                          (6, None, READ, False),
@@ -196,10 +203,20 @@ def test_booking_tables_follow_the_latency_rule():
         samples, total = level.hit_latency_samples, level.hit_latency_sum_ps
         start = max(1000, level.port.free_at_ps)
         done = System._book(level, set_index, way, kind, 1000, record)
-        assert done - start == period * (level.nuca_cycles(set_index)
-                                          + level.op_cycles(way or 0, kind))
+        assert done - start == period * (2 + 3 * (set_index % 8)
+                                         + level.way_cycles[kind][way or 0])
         assert level.hit_latency_samples == samples + record
         assert level.hit_latency_sum_ps == total + record * (done - start)
+
+
+def test_a_technology_per_region_is_required():
+    geom = CacheGeometry(capacity=64 * 64 * 4, block_size=64, associativity=4,
+                         regions=(Region((0, 2), "SRAM"), Region((2, 4), "PCRAM")))
+    for techs in ([CAT["SRAM"]], [CAT["SRAM"]] * 3):
+        with pytest.raises(ValueError, match="2 regions but"):
+            CacheLevel("test", geom, techs)
+    with pytest.raises(ValueError, match="1 regions but 2"):
+        CacheLevel("test", CacheGeometry(capacity=1024), [CAT["SRAM"]] * 2)
 
 
 def test_partial_writes_count_words_not_blocks():

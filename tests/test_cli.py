@@ -66,6 +66,44 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+# A path named on the command line that cannot be opened as its flag asks:
+# under a missing directory, under a file, or a directory for a file.
+UNOPENABLE = {
+    "run --out": lambda d, cfg: [
+        "run", "--config", cfg, "--out", str(d / "no" / "r.json")],
+    "run --dump-latencies": lambda d, cfg: [
+        "run", "--config", cfg, "--out", str(d / "r.json"),
+        "--dump-latencies", str(d / "no" / "d.csv")],
+    "gen-trace --out": lambda d, cfg: [
+        "gen-trace", "--length", "2", "--out", str(d / "no" / "t.csv")],
+    "sweep --out-dir": lambda d, cfg: [
+        "sweep", "--config", cfg, "--param", "caches.l1d.tech",
+        "--values", "SRAM", "--out-dir", str(d / "config.json" / "s")],
+    "run --config": lambda d, cfg: [
+        "run", "--config", str(d), "--out", str(d / "r.json")],
+}
+
+
+@pytest.mark.parametrize("case", UNOPENABLE)
+def test_a_path_that_cannot_be_opened_exits_2(tmp_path, capsys, case):
+    argv = UNOPENABLE[case](tmp_path, write_config(tmp_path, quick_cfg()))
+    flag = case.split()[1]
+    path = argv[argv.index(flag) + 1]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: {path}")
+
+
+def test_run_of_an_empty_synthetic_trace_reports_nothing(tmp_path):
+    # every core's stream is empty, so no core is started
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", "fig32", "--out", str(out),
+                 "--set", "workload.synthetic.length=0"]) == 0
+    report = json.loads(out.read_text())
+    assert report["meta"]["trace_records"] == 0
+    assert report["latency"]["mem"]["count"] == 0
+    assert report["meta"]["duration_ps"] == 0
+
+
 def test_malformed_trace_file_exits_2(tmp_path, capsys):
     trace = tmp_path / "bad.csv"
     trace.write_text("tick,core,op,addr,size\n1,0,X,0x40,8\n")
@@ -887,6 +925,19 @@ def test_sweep_writes_reports_and_summary(tmp_path, monkeypatch):
     summary = (out_dir / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("caches.l1d.tech,")
     assert len(summary) == 4
+
+
+def test_sweep_of_one_value_runs_in_process_by_default(tmp_path, monkeypatch):
+    # Without TIERSIM_THREADS the pool is capped at the job count, so one
+    # value starts no pool.
+    monkeypatch.delenv("TIERSIM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, quick_cfg()),
+                 "--param", "caches.l1d.tech", "--values", "MRAM",
+                 "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "MRAM" / "report.json").exists()
+    assert len((out_dir / "summary.csv").read_text().splitlines()) == 2
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys):

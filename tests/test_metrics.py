@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 
 import pytest
@@ -260,23 +261,22 @@ def test_check_report_invariants_accept_empty_latency_blocks():
     check_report_invariants(report)
 
 
-def test_emit_report_stable_except_timestamp(tmp_path):
+def test_emit_report_stable_except_timestamp():
     report = _tiny_report()
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    emit_report(report, str(a))
-    emit_report(report, str(b))
-    da = json.loads(a.read_text())
-    db = json.loads(b.read_text())
+    a, b = io.StringIO(), io.StringIO()
+    emit_report(report, a)
+    emit_report(report, b)
+    da = json.loads(a.getvalue())
+    db = json.loads(b.getvalue())
     da["meta"].pop("timestamp")
     db["meta"].pop("timestamp")
     assert da == db
-    lines_a = [l for l in a.read_text().splitlines() if "timestamp" not in l]
-    lines_b = [l for l in b.read_text().splitlines() if "timestamp" not in l]
+    lines_a = [l for l in a.getvalue().splitlines() if "timestamp" not in l]
+    lines_b = [l for l in b.getvalue().splitlines() if "timestamp" not in l]
     assert lines_a == lines_b
 
 
-def test_latency_csv_format(tmp_path):
-    path = tmp_path / "lat.csv"
-    write_latency_csv([("mem", 0, 10), ("msg", 5, 25)], str(path))
-    assert path.read_text() == "class,t_inject_ps,t_complete_ps\nmem,0,10\nmsg,5,25\n"
+def test_latency_csv_format():
+    out = io.StringIO()
+    write_latency_csv([("mem", 0, 10), ("msg", 5, 25)], out)
+    assert out.getvalue() == "class,t_inject_ps,t_complete_ps\nmem,0,10\nmsg,5,25\n"
