@@ -327,8 +327,11 @@ def spec_at(node, path):
     return node
 
 
-# Each preset, and a config that gives number kinds as integers.
+# Each preset, each shipped preset file parsed straight from disk, and a
+# config that gives number kinds as integers.
 CONFIGS = {**{name: preset(name) for name in PRESET_NAMES},
+           **{path.name: json.loads(path.read_text(encoding="utf-8"))
+              for path in sorted(ROOT.glob("src/tiersim/presets/*.json"))},
            "int-numbers": dict(preset("fig32"), write_mix=1, memory_latency_ns=50)}
 
 
