@@ -59,6 +59,8 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise UserError(f"config is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise UserError(f"--config: {path}: {exc}") from None
 
 
 def _parse_value(text: str):

@@ -152,36 +152,390 @@ class Stack:
                 level.invalidate(set_index, way)
 
 
-@dataclass
 class Cluster:
-    """One coherent domain, simulated on its own event queue `engine`.
-    `holders` is its snoop filter: block number -> bitmask with bit 2i set
+    """One coherent domain, simulated on its own event queue `engine`, and
+    the access path through it. It builds its own bus, memory controller,
+    backing store, queue and snoop filter; `System` builds fresh arrays for
+    it into `stacks`, `l2_homes`, `l2i` and `l3`. So no two clusters share
+    a part.
+
+    `holders` is the snoop filter: block number -> bitmask with bit 2i set
     while stack i's L1d holds the block valid and bit 2i+1 while its
     private L2 does. Only those two arrays of each stack write it; a block
-    no stack holds has no entry."""
+    no stack holds has no entry.
 
-    index: int
-    stacks: list[Stack]
-    bus: ClusterBus
-    memctrl: MemoryController
-    memory: ClusterMemory
-    holders: dict[int, int] = field(default_factory=dict)
-    engine: EventQueue = field(default_factory=EventQueue)
-    l2i: dict[int, CacheLevel] = field(default_factory=dict)
-    l3: CacheLevel | None = None
-    # Each shared L2 in tier order; none when distributed.
-    l2_homes: tuple[CacheLevel, ...] = ()
+    Each completed access appends its issue and completion times to
+    `mem_samples`, the log the cluster is handed. With `record_log`,
+    `data_log` gets an `(op, word address, value)` entry for each word a
+    core reads ("r") or writes ("w"). Cluster i of n writes the values
+    i+1, i+1+n, i+1+2n, …, so no two clusters write the same value."""
+
+    def __init__(self, spec: SystemSpec, index: int, mem_samples: LatencyLog,
+                 record_log: bool):
+        self.index = index
+        self.block_size = spec.caches.l1d.block_size
+        self._core_ps = spec.clocks.core_ps
+        self._tsv_ps = spec.noc.tsv_latency * spec.clocks.bus_ps
+        self.stacks: list[Stack] = []
+        self.holders: dict[int, int] = {}
+        self.bus = ClusterBus(beat_width=spec.bus.beat_width,
+                              clock_period_ps=spec.clocks.bus_ps)
+        self.memctrl = MemoryController(
+            latency_ps=int(round(spec.memory_latency_ns * 1000)))
+        self.memory = ClusterMemory(self.block_size)
+        self.engine = EventQueue()
+        self.l2i: dict[int, CacheLevel] = {}
+        self.l3: CacheLevel | None = None
+        # Each shared L2 in tier order; none when distributed.
+        self.l2_homes: tuple[CacheLevel, ...] = ()
+        self.mem_samples = mem_samples
+        self.data_log: list[tuple[str, int, int]] | None = [] if record_log else None
+        self._next_write = index + 1
+        self._write_step = spec.n_clusters
 
     @property
     def l2_shared(self) -> dict[int, CacheLevel]:
         """The shared L2 arrays by tier: a view of `l2_homes`."""
         return {level.tier: level for level in self.l2_homes}
 
+    # -- the memory access path ---------------------------------------------------
+
+    def _on_core(self, payload) -> None:
+        """A core's event: `(stack, rec, stream, t_issue)` issues `rec` at
+        t_issue, or with `rec` None logs the access issued at t_issue as
+        complete now. The core then goes on through the records it takes
+        from `stream`: a completion is logged at its done time, and the next
+        record issues at max(that time, its tick). Each step runs in place
+        while the queue says it runs next (`EventQueue.runs_next`), with the
+        queue's `now` moved to it; the first that does not is scheduled."""
+        stack, rec, stream, t_issue = payload
+        engine = self.engine
+        runs_next = engine.runs_next
+        log = self.mem_samples.append
+        core_ps = self._core_ps
+        while True:
+            if rec is not None:
+                t_done = self._do_access(stack, rec, t_issue)
+                if not runs_next(t_done):
+                    engine.schedule(t_done, self._on_core,
+                                    (stack, None, stream, t_issue))
+                    return
+                engine.now = t_done
+            log(t_issue, engine.now)
+            rec = next(stream, None)
+            if rec is None:
+                return
+            t_issue = max(engine.now, rec.tick * core_ps)
+            if not runs_next(t_issue):
+                engine.schedule(t_issue, self._on_core,
+                                (stack, rec, stream, t_issue))
+                return
+            engine.now = t_issue
+
+    def _words_of(self, addr: int, size: int) -> tuple[int, int, int]:
+        """(block base, first word index, word count) covered by an access,
+        which `load_trace` has checked stays inside its block."""
+        offset = addr % self.block_size
+        first = offset // WORD_SIZE
+        return addr - offset, first, (offset + size - 1) // WORD_SIZE - first + 1
+
+    def _core_op(self, rec: TraceRecord, data: list[int] | None) -> int:
+        """Serve the core's op on a block image. Returns a write's word mask,
+        0 for a read. With the data log on, a read logs the words it reads,
+        and a write puts fresh values into the image and logs them."""
+        log = self.data_log
+        if rec.op == "R":
+            if log is not None:
+                base, first, count = self._words_of(rec.addr, rec.size)
+                for w in range(first, first + count):
+                    log.append(("r", base + w * WORD_SIZE, data[w]))
+            return 0
+        base, first, count = self._words_of(rec.addr, rec.size)
+        if log is not None:
+            for w in range(first, first + count):
+                data[w] = self._next_write
+                self._next_write += self._write_step
+                log.append(("w", base + w * WORD_SIZE, data[w]))
+        return ((1 << count) - 1) << first
+
+    def _tsv_delay(self, tier_a: int, tier_b: int) -> int:
+        return abs(tier_a - tier_b) * self._tsv_ps
+
+    def _path(self, stack: Stack, addr: int) -> Path:
+        """The stack's path for a block: the one through the block's
+        shared-L2 home, which interleaves homes by block number, so a block
+        has exactly one shared-L2 residence per cluster."""
+        paths = stack.paths
+        return paths[addr // self.block_size % len(paths)]
+
+    @staticmethod
+    def _book(level: CacheLevel, set_index: int, way: int | None, kind: str,
+              t: int, record: bool) -> int:
+        """Book an access that reaches its line through the banks and
+        arrives at t: the array is busy for the bank route plus the op on
+        `way` (way 0 on a miss), and with `record` the service time is a
+        hit-latency sample. Returns the done time."""
+        return level.service(
+            t, level.route_cycles[set_index % len(level.route_cycles)]
+            + level.way_cycles[kind][way or 0], record)[1]
+
+    def _writeback(self, ev: Eviction, path: Path, k: int, t: int) -> None:
+        """The one write-back walk: a dirty victim that leaves the array of
+        `path[k]` at t walks the rest of `path`, and the bus crossing books
+        the request channel for the block. The victim merges at the first
+        array that holds the block, else it goes on to the memory
+        controller. A merged line takes the victim's state, so an O victim
+        keeps O at every level: at a private L2, the coherence point, that
+        keeps sharers elsewhere legal; below the bus only dirty against
+        clean matters."""
+        tier = path[k].tier
+        for level in path[k + 1:]:
+            if level is None:
+                _, t = self.bus.request.request(t, self.block_size)
+                continue
+            t += self._tsv_delay(tier, level.tier)
+            tier = level.tier
+            set_index, way = level.writeback_write(ev.addr, ev.dirty_words,
+                                                   ev.data, ev.state, now_ps=t)
+            t = self._book(level, set_index, way, WRITE, t, way is not None)
+            if way is not None:
+                return
+        self.memctrl.serve(t, is_write=True)
+        if ev.data is not None:
+            self.memory.merge(ev.addr, ev.dirty_words, ev.data)
+
+    def _snoop(self, stack: Stack, addr: int, event: str,
+               t: int) -> tuple[list[str], StepResult, int]:
+        """Head of every bus transaction: the request grant, the snoop vector
+        of the cluster's stacks, the MOESI step and the snoop grant. Only
+        the stacks the snoop filter names are asked for their state; every
+        other entry is I. Returns (vector, step, t_snoop_done)."""
+        bus = self.bus
+        _, req_done = bus.request.request(t, 8)
+        stacks = self.stacks
+        vector = [I] * len(stacks)
+        mask = self.holders.get(addr // self.block_size, 0)
+        while mask:
+            i = (mask & -mask).bit_length() - 1 >> 1
+            vector[i] = stacks[i].state(addr)
+            mask &= ~(3 << 2 * i)
+        step = coherence_step(vector, event, stack.index)
+        _, snoop_done = bus.snoop.request(req_done, 8)
+        return vector, step, snoop_done
+
+    def _commit_remotes(self, addr: int, vector: list[str],
+                        step: StepResult) -> int:
+        """Commit a transaction's state changes to the other stacks: a copy
+        going to I is dropped, any other change lands on the stack's
+        authoritative line. Only a supplying owner and the invalidated
+        stacks can change, so only those are visited; a BusRdX names its
+        owner as both. Returns the dirty words of the invalidated owner
+        (old state M or O), which the requester inherits: ownership moves
+        with the data, or, on an upgrade, an O holder's data already matches
+        the requester's, so only the mask moves."""
+        inherited = 0
+        changed = dict.fromkeys(a[1] for a in step.actions
+                                if a[0] == SUPPLY_OWNER or a[0] == INVALIDATE)
+        for i in changed:
+            old, new = vector[i], step.states[i]
+            if old == new:
+                continue
+            remote = self.stacks[i]
+            if new == I:
+                if old in DIRTY_STATES:
+                    level, set_index, way = remote.authoritative(addr)
+                    inherited |= level.lines[set_index][way].dirty_words
+                remote.drop(addr)
+            else:
+                level, set_index, way = remote.authoritative(addr)
+                level.lines[set_index][way].state = new
+        return inherited
+
+    def _to_m(self, stack: Stack, line: CacheLine, addr: int, t: int) -> int:
+        """Take a valid line to M for a write at t: silently from E or M,
+        and from S or O by a bus upgrade with the data already local. The
+        upgrade invalidates the remote copies, and `line` inherits a remote
+        owner's dirty words and takes its new state. Returns the time the
+        write may go on: t, or the upgrade's snoop grant."""
+        if line.state not in (S, O):
+            line.state = M
+            return t
+        vector, step, t = self._snoop(stack, addr, CORE_WRITE, t)
+        line.dirty_words |= self._commit_remotes(addr, vector, step)
+        line.state = step.states[stack.index]
+        return t
+
+    def _bus_transaction(self, stack: Stack, addr: int, event: str,
+                         t_ready: int):
+        """One serialized coherence transaction: request grant, snoop, state
+        commit, and either an owner supply or a descent below the bus.
+
+        Returns (data, fill_state, t_data_ready, inherited_dirty). State and
+        data commit now; t_data_ready carries the modeled latency. `data` is
+        a copy of the block image, or None with the data log off.
+        """
+        vector, step, t = self._snoop(stack, addr, event, t_ready)
+
+        carry = self.data_log is not None
+        data: list[int] | None = None
+        supplied = False
+        for action in step.actions:
+            if action[0] == SUPPLY_OWNER:
+                supplied = True
+                supplier = self.stacks[action[1]]
+                level, set_index, way = supplier.authoritative(addr)
+                if carry:
+                    data = list(level.lines[set_index][way].data)
+                t = (self._book(level, set_index, way, READ, t, False)
+                     + self._tsv_delay(supplier.core_tier, stack.core_tier))
+
+        # Commit remote state changes after the supplier's data is captured.
+        inherited_dirty = self._commit_remotes(addr, vector, step)
+
+        if not supplied:
+            # Read down the path below the bus. Every array the read missed
+            # is offered the block on the way back, in path order (`fill`
+            # refuses a worn way), and its dirty victim walks on down.
+            path = self._path(stack, addr)
+            below = path.index(None) + 1
+            tier = stack.core_tier
+            for k in range(below, len(path)):
+                level = path[k]
+                t += self._tsv_delay(tier, level.tier)
+                tier = level.tier
+                set_index, way = level.demand_read(addr)
+                t = self._book(level, set_index, way, READ, t, way is not None)
+                if way is not None:
+                    if carry:
+                        data = list(level.lines[set_index][way].data)
+                    break
+            else:
+                k = len(path)
+                _, t = self.memctrl.serve(t, is_write=False)
+                if carry:
+                    data = self.memory.read_block(addr)
+            for j in range(below, k):
+                victim = path[j].fill(addr, state=S, data=data)[2]
+                if victim is not None:
+                    self._writeback(victim, path, j, t)
+            t += self._tsv_delay(tier, stack.core_tier)
+        _, resp_done = self.bus.response.request(t, self.block_size)
+        return data, step.states[stack.index], resp_done, inherited_dirty
+
+    def _fill_l1(self, stack: Stack, rec: TraceRecord, state: str,
+                 data: list[int] | None, dirty_words: int, t: int) -> int | None:
+        """Allocate the block in L1 in `state` (a write fill charges wear),
+        write back the dirty victim, and serve the core op on the new line,
+        which takes over `dirty_words`. Returns the op's completion time, or
+        None when L1 has no usable way for the block: its way is worn out,
+        or every way of its set is."""
+        l1 = stack.l1d
+        op, addr, size = rec.op, rec.addr, rec.size
+        set_index, way, ev = l1.fill(
+            addr, state=state, data=data,
+            write_fill_words=self._words_of(addr, size)[2] if op == "W" else 0,
+            now_ps=t)
+        if ev is not None:
+            self._writeback(ev, self._path(stack, ev.addr), 0, t)
+        if way is None:
+            return None
+        line = l1.lines[set_index][way]
+        # A write's wear was already charged by the write fill.
+        line.dirty_words |= dirty_words | self._core_op(rec, line.data)
+        return l1.service(t, l1.way_cycles[READ if op == "R" else WRITE][way])[1]
+
+    def _do_access(self, stack: Stack, rec: TraceRecord, t0: int) -> int:
+        addr, op = rec.addr, rec.op
+        l1 = stack.l1d
+        set_index, way = l1.probe(addr)
+
+        # L1 hit paths -------------------------------------------------------
+        if way is not None:
+            line = l1.lines[set_index][way]
+            l1.count_access(op, way)
+            if op == "R":
+                done = self._book(l1, set_index, way, READ, t0, True)
+                l1.touch(set_index, way)
+                self._core_op(rec, line.data)
+                return done
+            # A bus upgrade first reads the line, without the bank route,
+            # and the write hit then records no hit-latency sample.
+            upgrade = line.state in (S, O)
+            t = l1.service(t0, l1.way_cycles[READ][way])[1] if upgrade else t0
+            t = self._to_m(stack, line, addr, t)
+            mask = self._core_op(rec, line.data)
+            l1.write_touch(set_index, way, mask, now_ps=t)
+            return self._book(l1, set_index, way, WRITE, t, not upgrade)
+
+        # L1 miss: try the stack's private L2 before the bus -----------------
+        l1.count_access(op, None)
+        _, t = l1.service(t0, l1.way_cycles[READ][0])
+        l2p = stack.l2_private
+        if l2p is not None:
+            set_index, way = l2p.demand_read(addr)
+            t = self._book(l2p, set_index, way, READ,
+                           t + self._tsv_delay(stack.core_tier, l2p.tier),
+                           way is not None)
+            t += self._tsv_delay(l2p.tier, stack.core_tier)
+            if way is not None:
+                return self._promote_from_private(stack, rec, t, set_index, way)
+
+        event = CORE_READ if op == "R" else CORE_WRITE
+        data, fill_state, t_data, inherited_dirty = self._bus_transaction(
+            stack, addr, event, t)
+
+        if l2p is not None:
+            # Keep a demoted clean duplicate in the private L2 so the stack
+            # can re-fetch locally after the L1 copy is evicted.
+            ev = l2p.fill(addr, state=S, data=data)[2]
+            if ev is not None:
+                self._writeback(ev, self._path(stack, ev.addr), 1, t_data)
+
+        done = self._fill_l1(stack, rec, fill_state, data, inherited_dirty,
+                             t_data)
+        if done is not None:
+            return done
+        # No usable L1 way: serve the op without caching and push a write
+        # straight down as a whole-block victim.
+        if self._core_op(rec, data):
+            full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
+            self._writeback(Eviction(
+                addr=addr - addr % self.block_size, dirty_words=full_mask,
+                data=data, state=M), self._path(stack, addr), 0, t_data)
+        return t_data
+
+    def _promote_from_private(self, stack: Stack, rec: TraceRecord, t: int,
+                              l2_set: int, l2_way: int) -> int:
+        """Stack hit in the private L2, already read at t: move the
+        authoritative copy up to L1 (the L2 keeps a demoted clean
+        duplicate). A write first takes M, over the bus from S or O."""
+        addr, op = rec.addr, rec.op
+        l2p = stack.l2_private
+        line = l2p.lines[l2_set][l2_way]
+        if op == "W":
+            t = self._to_m(stack, line, addr, t)
+
+        done = self._fill_l1(stack, rec, line.state, line.data,
+                             line.dirty_words, t)
+        if done is not None:
+            line.state = S
+            line.dirty_words = 0
+            return done
+        # No usable L1 way: the private L2 line keeps authority and serves
+        # the op itself.
+        mask = self._core_op(rec, line.data)
+        if mask:
+            l2p.write_touch(l2_set, l2_way, mask, now_ps=t)
+        return t
+
 
 class System:
     """A built, runnable system. Owns all mutable state for one simulation.
 
-    Each cluster runs on its own event queue, and the mesh on `engine`.
+    `System` builds the clusters and the mesh, loads the workload, runs
+    the clusters' queues and then the mesh's, and builds the report; the
+    access path is `Cluster`'s. Each cluster runs on its own event queue,
+    and the mesh on `engine`.
     A memory workload comes in one of two ways, and either way each core
     takes its records from its own stream as it runs: `load_trace` checks
     a list of records and starts each core on its share of it, while
@@ -202,38 +556,10 @@ class System:
         # Every cache array in build order. The report reads this, never
         # the cluster fields.
         self.levels: list[CacheLevel] = []
-        self.clusters = [self._build_cluster(i) for i in range(spec.n_clusters)]
         self.mem_samples = LatencyLog()
+        self.clusters = [self._build_cluster(i, record_log)
+                         for i in range(spec.n_clusters)]
         self.trace_records = 0
-        self._write_seq = 0
-        self.data_log: list[tuple[str, int, int, int]] | None = [] if record_log else None
-        self._core_ps = spec.clocks.core_ps
-        self._tsv_ps = spec.noc.tsv_latency * spec.clocks.bus_ps
-        self._assert_norma_isolation()
-
-    def _assert_norma_isolation(self) -> None:
-        """No data path may exist between cluster address spaces: every
-        stateful memory-side component must belong to exactly one cluster."""
-        seen: dict[int, int] = {}
-
-        def claim(obj, cluster_index):
-            if obj is None:
-                return
-            owner = seen.setdefault(id(obj), cluster_index)
-            if owner != cluster_index:
-                raise RuntimeError(
-                    f"NORMA violation: component shared between clusters "
-                    f"{owner} and {cluster_index}")
-
-        for cluster in self.clusters:
-            for component in (cluster.engine, cluster.memory, cluster.memctrl,
-                              cluster.bus, cluster.l3,
-                              *cluster.l2_homes,
-                              *cluster.l2i.values()):
-                claim(component, cluster.index)
-            for stack in cluster.stacks:
-                for component in (stack.l1i, stack.l1d, stack.l2_private):
-                    claim(component, cluster.index)
 
     # -- construction -----------------------------------------------------------
 
@@ -258,12 +584,12 @@ class System:
         self.levels.append(level)
         return level
 
-    def _build_cluster(self, index: int) -> Cluster:
+    def _build_cluster(self, index: int, record_log: bool) -> Cluster:
         spec = self.spec
+        cluster = Cluster(spec, index, self.mem_samples, record_log)
         distributed = (spec.caches.l2 is not None
                        and spec.caches.l2.topology == DISTRIBUTED)
-        stacks: list[Stack] = []
-        holders: dict[int, int] = {}
+        stacks, holders = cluster.stacks, cluster.holders
         for tier_pos, core_tier in enumerate(spec.core_tiers):
             l2_tier = spec.l2_tier_for_core_tier(core_tier)
             for k in range(spec.cores_per_cluster):
@@ -276,13 +602,6 @@ class System:
                        if distributed and l2_tier is not None else None)
                 stacks.append(Stack(index=local, core_tier=core_tier, l1i=l1i,
                                     l1d=l1d, l2_private=l2p))
-        cluster = Cluster(
-            index=index, stacks=stacks,
-            bus=ClusterBus(beat_width=spec.bus.beat_width,
-                           clock_period_ps=spec.clocks.bus_ps),
-            memctrl=MemoryController(latency_ps=int(round(spec.memory_latency_ns * 1000))),
-            memory=ClusterMemory(self.block_size),
-            holders=holders)
         homes = []
         for tier, kind in enumerate(spec.tier_stack):
             if kind != L2_SPLIT_ID or spec.caches.l2 is None:
@@ -340,8 +659,9 @@ class System:
                                     else f"core {core}: ticks must be non-decreasing")
             else:
                 recs.append(rec)
+        core_ps = self.spec.clocks.core_ps
         for core, queue in per_core.items():
-            if queue[-1].tick * self._core_ps >= LATEST_START_PS:
+            if queue[-1].tick * core_ps >= LATEST_START_PS:
                 raise WorkloadError(f"core {core}: tick {queue[-1].tick} starts "
                                     f"at or after {LATEST_START_PS} ps")
         for queue in per_core.values():
@@ -359,14 +679,15 @@ class System:
         streams together. Each core's records must be what `load_trace`
         accepts, which nothing here checks again."""
         per_cluster = self.spec.cores_per_cluster_total
+        core_ps = self.spec.clocks.core_ps
         for core, stream in streams.items():
             first = next(stream, None)
             if first is None:
                 continue
             cluster = self.clusters[core // per_cluster]
-            t_first = first.tick * self._core_ps
-            cluster.engine.schedule(t_first, self._on_core,
-                                    (cluster, cluster.stacks[core % per_cluster],
+            t_first = first.tick * core_ps
+            cluster.engine.schedule(t_first, cluster._on_core,
+                                    (cluster.stacks[core % per_cluster],
                                      first, stream, t_first))
         self.trace_records += count
 
@@ -426,346 +747,6 @@ class System:
         state with another or with the mesh, so the order moves no result."""
         return (sum(c.engine.run_until(t_end_ps) for c in self.clusters)
                 + self.engine.run_until(t_end_ps))
-
-    # -- the memory access path ---------------------------------------------------
-
-    def _on_core(self, payload) -> None:
-        """A core's event: `(cluster, stack, rec, stream, t_issue)` issues
-        `rec` at t_issue, or with `rec` None logs the access issued at
-        t_issue as complete now. The core then goes on through the records
-        it takes from `stream`: a completion is logged at its done time, and
-        the next record issues at max(that time, its tick). Each step runs
-        in place while the cluster's queue says it runs next
-        (`EventQueue.runs_next`), with the queue's `now` moved to it; the
-        first that does not is scheduled."""
-        cluster, stack, rec, stream, t_issue = payload
-        engine = cluster.engine
-        runs_next = engine.runs_next
-        log = self.mem_samples.append
-        core_ps = self._core_ps
-        while True:
-            if rec is not None:
-                t_done = self._do_access(cluster, stack, rec, t_issue)
-                if not runs_next(t_done):
-                    engine.schedule(t_done, self._on_core,
-                                    (cluster, stack, None, stream, t_issue))
-                    return
-                engine.now = t_done
-            log(t_issue, engine.now)
-            rec = next(stream, None)
-            if rec is None:
-                return
-            t_issue = max(engine.now, rec.tick * core_ps)
-            if not runs_next(t_issue):
-                engine.schedule(t_issue, self._on_core,
-                                (cluster, stack, rec, stream, t_issue))
-                return
-            engine.now = t_issue
-
-    def _words_of(self, addr: int, size: int) -> tuple[int, int, int]:
-        """(block base, first word index, word count) covered by an access,
-        which `load_trace` has checked stays inside its block."""
-        offset = addr % self.block_size
-        first = offset // WORD_SIZE
-        return addr - offset, first, (offset + size - 1) // WORD_SIZE - first + 1
-
-    def _core_op(self, cluster: Cluster, rec: TraceRecord,
-                 data: list[int] | None) -> int:
-        """Serve the core's op on a block image. Returns a write's word mask,
-        0 for a read. With the data log on, a read logs the words it reads,
-        and a write puts fresh values into the image and logs them."""
-        log = self.data_log
-        if rec.op == "R":
-            if log is not None:
-                base, first, count = self._words_of(rec.addr, rec.size)
-                for w in range(first, first + count):
-                    log.append(("r", cluster.index, base + w * WORD_SIZE, data[w]))
-            return 0
-        base, first, count = self._words_of(rec.addr, rec.size)
-        if log is not None:
-            for w in range(first, first + count):
-                self._write_seq += 1
-                data[w] = self._write_seq
-                log.append(("w", cluster.index, base + w * WORD_SIZE, data[w]))
-        return ((1 << count) - 1) << first
-
-    def _tsv_delay(self, tier_a: int, tier_b: int) -> int:
-        return abs(tier_a - tier_b) * self._tsv_ps
-
-    def _path(self, stack: Stack, addr: int) -> Path:
-        """The stack's path for a block: the one through the block's
-        shared-L2 home, which interleaves homes by block number, so a block
-        has exactly one shared-L2 residence per cluster."""
-        paths = stack.paths
-        return paths[addr // self.block_size % len(paths)]
-
-    @staticmethod
-    def _book(level: CacheLevel, set_index: int, way: int | None, kind: str,
-              t: int, record: bool) -> int:
-        """Book an access that reaches its line through the banks and
-        arrives at t: the array is busy for the bank route plus the op on
-        `way` (way 0 on a miss), and with `record` the service time is a
-        hit-latency sample. Returns the done time."""
-        return level.service(
-            t, level.route_cycles[set_index % len(level.route_cycles)]
-            + level.way_cycles[kind][way or 0], record)[1]
-
-    def _writeback(self, cluster: Cluster, ev: Eviction, path: Path, k: int,
-                   t: int) -> None:
-        """The one write-back walk: a dirty victim that leaves the array of
-        `path[k]` at t walks the rest of `path`, and the bus crossing books
-        the request channel for the block. The victim merges at the first
-        array that holds the block, else it goes on to the memory
-        controller. A merged line takes the victim's state, so an O victim
-        keeps O at every level: at a private L2, the coherence point, that
-        keeps sharers elsewhere legal; below the bus only dirty against
-        clean matters."""
-        tier = path[k].tier
-        for level in path[k + 1:]:
-            if level is None:
-                _, t = cluster.bus.request.request(t, self.block_size)
-                continue
-            t += self._tsv_delay(tier, level.tier)
-            tier = level.tier
-            set_index, way = level.writeback_write(ev.addr, ev.dirty_words,
-                                                   ev.data, ev.state, now_ps=t)
-            t = self._book(level, set_index, way, WRITE, t, way is not None)
-            if way is not None:
-                return
-        cluster.memctrl.serve(t, is_write=True)
-        if ev.data is not None:
-            cluster.memory.merge(ev.addr, ev.dirty_words, ev.data)
-
-    def _snoop(self, cluster: Cluster, stack: Stack, addr: int, event: str,
-               t: int) -> tuple[list[str], StepResult, int]:
-        """Head of every bus transaction: the request grant, the snoop vector
-        of the cluster's stacks, the MOESI step and the snoop grant. Only
-        the stacks the snoop filter names are asked for their state; every
-        other entry is I. Returns (vector, step, t_snoop_done)."""
-        bus = cluster.bus
-        _, req_done = bus.request.request(t, 8)
-        stacks = cluster.stacks
-        vector = [I] * len(stacks)
-        mask = cluster.holders.get(addr // self.block_size, 0)
-        while mask:
-            i = (mask & -mask).bit_length() - 1 >> 1
-            vector[i] = stacks[i].state(addr)
-            mask &= ~(3 << 2 * i)
-        step = coherence_step(vector, event, stack.index)
-        _, snoop_done = bus.snoop.request(req_done, 8)
-        return vector, step, snoop_done
-
-    @staticmethod
-    def _commit_remotes(cluster: Cluster, addr: int, vector: list[str],
-                        step: StepResult) -> int:
-        """Commit a transaction's state changes to the other stacks: a copy
-        going to I is dropped, any other change lands on the stack's
-        authoritative line. Only a supplying owner and the invalidated
-        stacks can change, so only those are visited; a BusRdX names its
-        owner as both. Returns the dirty words of the invalidated owner
-        (old state M or O), which the requester inherits: ownership moves
-        with the data, or, on an upgrade, an O holder's data already matches
-        the requester's, so only the mask moves."""
-        inherited = 0
-        changed = dict.fromkeys(a[1] for a in step.actions
-                                if a[0] == SUPPLY_OWNER or a[0] == INVALIDATE)
-        for i in changed:
-            old, new = vector[i], step.states[i]
-            if old == new:
-                continue
-            remote = cluster.stacks[i]
-            if new == I:
-                if old in DIRTY_STATES:
-                    level, set_index, way = remote.authoritative(addr)
-                    inherited |= level.lines[set_index][way].dirty_words
-                remote.drop(addr)
-            else:
-                level, set_index, way = remote.authoritative(addr)
-                level.lines[set_index][way].state = new
-        return inherited
-
-    def _to_m(self, cluster: Cluster, stack: Stack, line: CacheLine,
-              addr: int, t: int) -> int:
-        """Take a valid line to M for a write at t: silently from E or M,
-        and from S or O by a bus upgrade with the data already local. The
-        upgrade invalidates the remote copies, and `line` inherits a remote
-        owner's dirty words and takes its new state. Returns the time the
-        write may go on: t, or the upgrade's snoop grant."""
-        if line.state not in (S, O):
-            line.state = M
-            return t
-        vector, step, t = self._snoop(cluster, stack, addr, CORE_WRITE, t)
-        line.dirty_words |= self._commit_remotes(cluster, addr, vector, step)
-        line.state = step.states[stack.index]
-        return t
-
-    def _bus_transaction(self, cluster: Cluster, stack: Stack, addr: int,
-                         event: str, t_ready: int):
-        """One serialized coherence transaction: request grant, snoop, state
-        commit, and either an owner supply or a descent below the bus.
-
-        Returns (data, fill_state, t_data_ready, inherited_dirty). State and
-        data commit now; t_data_ready carries the modeled latency. `data` is
-        a copy of the block image, or None with the data log off.
-        """
-        vector, step, t = self._snoop(cluster, stack, addr, event, t_ready)
-
-        carry = self.data_log is not None
-        data: list[int] | None = None
-        supplied = False
-        for action in step.actions:
-            if action[0] == SUPPLY_OWNER:
-                supplied = True
-                supplier = cluster.stacks[action[1]]
-                level, set_index, way = supplier.authoritative(addr)
-                if carry:
-                    data = list(level.lines[set_index][way].data)
-                t = (self._book(level, set_index, way, READ, t, False)
-                     + self._tsv_delay(supplier.core_tier, stack.core_tier))
-
-        # Commit remote state changes after the supplier's data is captured.
-        inherited_dirty = self._commit_remotes(cluster, addr, vector, step)
-
-        if not supplied:
-            # Read down the path below the bus. Every array the read missed
-            # is offered the block on the way back, in path order (`fill`
-            # refuses a worn way), and its dirty victim walks on down.
-            path = self._path(stack, addr)
-            below = path.index(None) + 1
-            tier = stack.core_tier
-            for k in range(below, len(path)):
-                level = path[k]
-                t += self._tsv_delay(tier, level.tier)
-                tier = level.tier
-                set_index, way = level.demand_read(addr)
-                t = self._book(level, set_index, way, READ, t, way is not None)
-                if way is not None:
-                    if carry:
-                        data = list(level.lines[set_index][way].data)
-                    break
-            else:
-                k = len(path)
-                _, t = cluster.memctrl.serve(t, is_write=False)
-                if carry:
-                    data = cluster.memory.read_block(addr)
-            for j in range(below, k):
-                victim = path[j].fill(addr, state=S, data=data)[2]
-                if victim is not None:
-                    self._writeback(cluster, victim, path, j, t)
-            t += self._tsv_delay(tier, stack.core_tier)
-        _, resp_done = cluster.bus.response.request(t, self.block_size)
-        return data, step.states[stack.index], resp_done, inherited_dirty
-
-    def _fill_l1(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
-                 state: str, data: list[int] | None, dirty_words: int,
-                 t: int) -> int | None:
-        """Allocate the block in L1 in `state` (a write fill charges wear),
-        write back the dirty victim, and serve the core op on the new line,
-        which takes over `dirty_words`. Returns the op's completion time, or
-        None when L1 has no usable way for the block: its way is worn out,
-        or every way of its set is."""
-        l1 = stack.l1d
-        op, addr, size = rec.op, rec.addr, rec.size
-        set_index, way, ev = l1.fill(
-            addr, state=state, data=data,
-            write_fill_words=self._words_of(addr, size)[2] if op == "W" else 0,
-            now_ps=t)
-        if ev is not None:
-            self._writeback(cluster, ev, self._path(stack, ev.addr), 0, t)
-        if way is None:
-            return None
-        line = l1.lines[set_index][way]
-        # A write's wear was already charged by the write fill.
-        line.dirty_words |= dirty_words | self._core_op(cluster, rec, line.data)
-        return l1.service(t, l1.way_cycles[READ if op == "R" else WRITE][way])[1]
-
-    def _do_access(self, cluster: Cluster, stack: Stack, rec: TraceRecord,
-                   t0: int) -> int:
-        addr, op = rec.addr, rec.op
-        l1 = stack.l1d
-        set_index, way = l1.probe(addr)
-
-        # L1 hit paths -------------------------------------------------------
-        if way is not None:
-            line = l1.lines[set_index][way]
-            l1.count_access(op, way)
-            if op == "R":
-                done = self._book(l1, set_index, way, READ, t0, True)
-                l1.touch(set_index, way)
-                self._core_op(cluster, rec, line.data)
-                return done
-            # A bus upgrade first reads the line, without the bank route,
-            # and the write hit then records no hit-latency sample.
-            upgrade = line.state in (S, O)
-            t = l1.service(t0, l1.way_cycles[READ][way])[1] if upgrade else t0
-            t = self._to_m(cluster, stack, line, addr, t)
-            mask = self._core_op(cluster, rec, line.data)
-            l1.write_touch(set_index, way, mask, now_ps=t)
-            return self._book(l1, set_index, way, WRITE, t, not upgrade)
-
-        # L1 miss: try the stack's private L2 before the bus -----------------
-        l1.count_access(op, None)
-        _, t = l1.service(t0, l1.way_cycles[READ][0])
-        l2p = stack.l2_private
-        if l2p is not None:
-            set_index, way = l2p.demand_read(addr)
-            t = self._book(l2p, set_index, way, READ,
-                           t + self._tsv_delay(stack.core_tier, l2p.tier),
-                           way is not None)
-            t += self._tsv_delay(l2p.tier, stack.core_tier)
-            if way is not None:
-                return self._promote_from_private(cluster, stack, rec, t,
-                                                  set_index, way)
-
-        event = CORE_READ if op == "R" else CORE_WRITE
-        data, fill_state, t_data, inherited_dirty = self._bus_transaction(
-            cluster, stack, addr, event, t)
-
-        if l2p is not None:
-            # Keep a demoted clean duplicate in the private L2 so the stack
-            # can re-fetch locally after the L1 copy is evicted.
-            ev = l2p.fill(addr, state=S, data=data)[2]
-            if ev is not None:
-                self._writeback(cluster, ev, self._path(stack, ev.addr), 1,
-                                t_data)
-
-        done = self._fill_l1(cluster, stack, rec, fill_state, data,
-                             inherited_dirty, t_data)
-        if done is not None:
-            return done
-        # No usable L1 way: serve the op without caching and push a write
-        # straight down as a whole-block victim.
-        if self._core_op(cluster, rec, data):
-            full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
-            self._writeback(cluster, Eviction(
-                addr=addr - addr % self.block_size, dirty_words=full_mask,
-                data=data, state=M), self._path(stack, addr), 0, t_data)
-        return t_data
-
-    def _promote_from_private(self, cluster: Cluster, stack: Stack,
-                              rec: TraceRecord, t: int, l2_set: int,
-                              l2_way: int) -> int:
-        """Stack hit in the private L2, already read at t: move the
-        authoritative copy up to L1 (the L2 keeps a demoted clean
-        duplicate). A write first takes M, over the bus from S or O."""
-        addr, op = rec.addr, rec.op
-        l2p = stack.l2_private
-        line = l2p.lines[l2_set][l2_way]
-        if op == "W":
-            t = self._to_m(cluster, stack, line, addr, t)
-
-        done = self._fill_l1(cluster, stack, rec, line.state, line.data,
-                             line.dirty_words, t)
-        if done is not None:
-            line.state = S
-            line.dirty_words = 0
-            return done
-        # No usable L1 way: the private L2 line keeps authority and serves
-        # the op itself.
-        mask = self._core_op(cluster, rec, line.data)
-        if mask:
-            l2p.write_touch(l2_set, l2_way, mask, now_ps=t)
-        return t
 
     # -- reporting ----------------------------------------------------------------
 

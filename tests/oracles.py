@@ -1,6 +1,6 @@
-"""Oracles that tests check a finished run against, kept out of the
-simulator: the MOESI invariants and the snoop filter of every cluster, and
-a sequential memory that replays the data log."""
+"""Oracles that tests check a system against, kept out of the simulator:
+the MOESI invariants and the snoop filter of every cluster, a sequential
+memory that replays each cluster's data log, and the clusters' isolation."""
 
 from tiersim.coherence import CoherenceFault, check_invariants
 
@@ -26,18 +26,39 @@ def check_coherence(system, addrs: list[int]) -> None:
 
 
 def replay_data_log(system) -> int:
-    """Replay a run's data log on a sequential memory: each cluster has its
-    own address space, in which a word reads 0 until it is written. Asserts
-    that every read returns the last value written to its word, and returns
-    the number of reads."""
-    memory: dict[tuple[int, int], int] = {}
+    """Replay each cluster's data log on a sequential memory of its own, in
+    which a word reads 0 until it is written. Asserts that every read
+    returns the last value written to its word, and returns the number of
+    reads."""
     reads = 0
-    for kind, cluster, word, value in system.data_log:
-        if kind == "w":
-            memory[cluster, word] = value
-        else:
-            reads += 1
-            assert memory.get((cluster, word), 0) == value, (
-                f"cluster {cluster} read {value} at {word:#x}, expected "
-                f"{memory.get((cluster, word), 0)}")
+    for cluster in system.clusters:
+        memory: dict[int, int] = {}
+        for kind, word, value in cluster.data_log:
+            if kind == "w":
+                memory[word] = value
+            else:
+                reads += 1
+                assert memory.get(word, 0) == value, (
+                    f"cluster {cluster.index} read {value} at {word:#x}, "
+                    f"expected {memory.get(word, 0)}")
     return reads
+
+
+def check_norma_isolation(system) -> None:
+    """Check that no stateful memory-side part belongs to two clusters: a
+    cluster's queue, backing store, memory controller, bus, snoop filter
+    and cache arrays are its own (NORMA: no data path between cluster
+    address spaces)."""
+    owner: dict[int, int] = {}
+    for cluster in system.clusters:
+        parts = [cluster.engine, cluster.memory, cluster.memctrl, cluster.bus,
+                 cluster.holders, cluster.l3, *cluster.l2_homes,
+                 *cluster.l2i.values()]
+        for stack in cluster.stacks:
+            parts += [stack.l1i, stack.l1d, stack.l2_private]
+        for part in parts:
+            if part is not None:
+                first = owner.setdefault(id(part), cluster.index)
+                assert first == cluster.index, (
+                    f"{type(part).__name__} shared between clusters {first} "
+                    f"and {cluster.index}")

@@ -557,13 +557,17 @@ def test_rule_across_fields_exits_2_from_validate_and_run(
 
 
 @pytest.mark.parametrize("text, line", [
-    ("[1, 2]", "error: config root must be a JSON object"),
-    ('{"a": ', "error: config is not valid JSON: Expecting value: line 1 "
-               "column 7 (char 6)")], ids=["root-not-object", "not-json"])
+    (b"[1, 2]", "error: config root must be a JSON object"),
+    (b'{"a": ', "error: config is not valid JSON: Expecting value: line 1 "
+                "column 7 (char 6)"),
+    (b"\xff\xfe{}", "error: --config: {path}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte")],
+    ids=["root-not-object", "not-json", "not-utf-8"])
 def test_config_file_that_is_no_config_exits_2_from_validate_and_run(
         tmp_path, capsys, text, line):
     path = tmp_path / "config.json"
-    path.write_text(text)
+    path.write_bytes(text)
+    line = line.format(path=path)
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [line]
     assert main(["run", "--config", str(path),

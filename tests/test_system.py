@@ -1,10 +1,11 @@
 import copy
+import functools
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import check_coherence, replay_data_log
+from oracles import check_coherence, check_norma_isolation, replay_data_log
 
 from tiersim.arch import preset, spec_from_dict, validate_spec
 from tiersim.system import LEVEL_COUNTERS, System
@@ -27,6 +28,21 @@ def small_cfg(**overrides):
         },
     }
     cfg.update(overrides)
+    return cfg
+
+
+def distributed_l3_cfg(**overrides):
+    """small_cfg with a distributed L2, a private L2 per stack, and a
+    banked L3 on its own tier."""
+    cfg = small_cfg(**overrides)
+    cfg["tier_stack"] = ["cores_l1", "l2_split_id", "l3_unified"]
+    cfg["caches"]["l2"] = {"capacity": 2048, "block_size": 64,
+                           "associativity": 2, "tech": "MRAM",
+                           "topology": "distributed"}
+    cfg["caches"]["l3"] = {"capacity": 16384, "block_size": 64,
+                           "associativity": 4, "tech": "PCRAM",
+                           "banks": 4, "nuca_base_latency": 2,
+                           "nuca_per_hop": 1}
     return cfg
 
 
@@ -93,17 +109,18 @@ def test_norma_clusters_never_share_data():
     system.run()
     assert replay_data_log(system) == 2
     # the clusters wrote different values, so each read its own cluster's
-    assert len({value for kind, _, _, value in system.data_log
-                if kind == "w"}) == 2
+    assert len({value for c in system.clusters
+                for kind, _, value in c.data_log if kind == "w"}) == 2
     assert len({id(c.memory) for c in system.clusters}) == 2
 
 
 def test_cluster_memory_isolation_by_construction():
-    system = build(small_cfg(cluster_grid=[2, 2], cores_per_cluster=2))
-    stores = {id(c.memory) for c in system.clusters}
-    assert len(stores) == len(system.clusters)
-    ctrls = {id(c.memctrl) for c in system.clusters}
-    assert len(ctrls) == len(system.clusters)
+    # With a shared L2 each cluster has shared homes and L2i arrays; with a
+    # distributed L2 each stack has a private L2, and each cluster an L3.
+    for make_cfg in (small_cfg, distributed_l3_cfg):
+        system = build(make_cfg(cluster_grid=[2, 2], cores_per_cluster=2))
+        assert len(system.clusters) == 4
+        check_norma_isolation(system)
 
 
 def _independence_fig36() -> dict:
@@ -192,6 +209,45 @@ def test_each_cluster_runs_alone_as_in_the_full_run(make_cfg):
     ends.append(mesh.build_report()["meta"]["duration_ps"])
     assert full.build_report()["meta"]["duration_ps"] == max(ends)
 
+
+
+SLICED = {"fig36": _independence_fig36, "distributed": _independence_distributed}
+
+
+@functools.cache
+def _whole_run(name):
+    """A config of SLICED, its seed-3 trace and messages, and the report
+    and latency rows of their run in one piece."""
+    cfg = SLICED[name]()
+    spec = spec_from_dict(cfg)
+    trace = gen_synthetic_trace(cores=spec.total_cores, seed=3,
+                                **cfg["workload"]["synthetic"])
+    messages = gen_message_traffic(clusters=spec.n_clusters, seed=3,
+                                   **cfg["workload"]["message_synthetic"])
+    whole = build(cfg, seed=3)
+    whole.load_trace(trace)
+    whole.load_messages(messages)
+    whole.run()
+    return cfg, trace, messages, whole.build_report(), list(whole.latency_rows())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(SLICED)), data=st.data())
+def test_a_run_cut_into_slices_reports_as_the_whole_run(name, data):
+    # run(t1); ...; run(tk); run() gives the whole run's report and latency
+    # rows. The cuts stay below the whole run's duration: a cut past the
+    # last event moves duration_ps to the cut, as --t-end does.
+    cfg, trace, messages, report, rows = _whole_run(name)
+    cuts = data.draw(st.lists(st.integers(0, report["meta"]["duration_ps"] - 1),
+                              min_size=1, max_size=400))
+    system = build(cfg, seed=3)
+    system.load_trace(trace)
+    system.load_messages(messages)
+    for cut in sorted(cuts):
+        system.run(cut)
+    system.run()
+    assert system.build_report() == report
+    assert list(system.latency_rows()) == rows
 
 def test_writeback_reaches_backing_store():
     cfg = small_cfg()
@@ -401,7 +457,7 @@ def test_write_hit_that_wears_the_line_keeps_its_data():
     system.load_trace([TraceRecord(i, 0, "W", 0x0, 8) for i in range(4)]
                       + [TraceRecord(4, 0, "R", 0x0, 8)])
     system.run()
-    assert system.data_log[-1] == ("r", 0, 0x0, 4)
+    assert system.clusters[0].data_log[-1] == ("r", 0x0, 4)
 
 
 def test_distributed_l2_keeps_local_hits_off_the_bus():
@@ -505,7 +561,8 @@ def test_fig36_l2_homing_spreads_blocks_across_tiers():
         private = build(distributed)
     stack = system.clusters[0].stacks[0]
     # consecutive blocks alternate home tiers, so both l2 tiers carry traffic
-    tiers = [system._path(stack, b * 64)[2].tier for b in range(8)]
+    tiers = [system.clusters[0]._path(stack, b * 64)[2].tier
+             for b in range(8)]
     assert tiers == [1, 3, 1, 3, 1, 3, 1, 3]
     # a distributed stack has no shared home: one path through its own L2
     cluster = private.clusters[0]
@@ -513,20 +570,11 @@ def test_fig36_l2_homing_spreads_blocks_across_tiers():
         assert s.paths == ((s.l1d, s.l2_private, None, cluster.l3),)
         assert (s.l1d.tier, s.l2_private.tier, cluster.l3.tier) == (
             s.core_tier, 1 if s.core_tier == 0 else 3, 2)
-        assert {private._path(s, b * 64) for b in range(8)} == set(s.paths)
+        assert {cluster._path(s, b * 64) for b in range(8)} == set(s.paths)
 
 
 def test_distributed_l2_with_l3_passes_the_data_oracle():
-    cfg = small_cfg()
-    cfg["tier_stack"] = ["cores_l1", "l2_split_id", "l3_unified"]
-    cfg["caches"]["l2"] = {"capacity": 2048, "block_size": 64,
-                           "associativity": 2, "tech": "MRAM",
-                           "topology": "distributed"}
-    cfg["caches"]["l3"] = {"capacity": 16384, "block_size": 64,
-                           "associativity": 4, "tech": "PCRAM",
-                           "banks": 4, "nuca_base_latency": 2,
-                           "nuca_per_hop": 1}
-    system = build(cfg, record_log=True)
+    system = build(distributed_l3_cfg(), record_log=True)
     system.load_trace(shared_random_trace(4, 8000, 64, seed=13, write_p=0.5))
     system.run()
     assert replay_data_log(system) > 1000
