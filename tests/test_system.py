@@ -165,24 +165,36 @@ def _cluster_state(cluster) -> tuple:
             dict(cluster.holders))
 
 
-@pytest.mark.parametrize("make_cfg", [_independence_fig36, _independence_distributed],
-                         ids=["fig36", "distributed"])
-def test_each_cluster_runs_alone_as_in_the_full_run(make_cfg):
-    # Clusters share no state with each other or with the mesh, which is
-    # what lets each run on its own queue: a cluster's records run alone
-    # leave its state and its latency samples as the full run does, the
-    # messages alone give the full run's message samples, and the full run
-    # lasts as long as its longest part.
-    cfg = make_cfg()
+INDEPENDENCE = {"fig36": _independence_fig36,
+                "distributed": _independence_distributed}
+
+
+@functools.cache
+def _whole_run(name):
+    """A config of INDEPENDENCE, its seed-3 trace and messages, and the
+    system that ran them in one piece. Callers only read the system."""
+    cfg = INDEPENDENCE[name]()
     spec = spec_from_dict(cfg)
     trace = gen_synthetic_trace(cores=spec.total_cores, seed=3,
                                 **cfg["workload"]["synthetic"])
     messages = gen_message_traffic(clusters=spec.n_clusters, seed=3,
                                    **cfg["workload"]["message_synthetic"])
-    full = build(cfg, seed=3)
-    full.load_trace(trace)
-    full.load_messages(messages)
-    full.run()
+    whole = build(cfg, seed=3)
+    whole.load_trace(trace)
+    whole.load_messages(messages)
+    whole.run()
+    return cfg, trace, messages, whole
+
+
+@pytest.mark.parametrize("name", INDEPENDENCE)
+def test_each_cluster_runs_alone_as_in_the_full_run(name):
+    # Clusters share no state with each other or with the mesh, which is
+    # what lets each run on its own queue: a cluster's records run alone
+    # leave its state and its latency samples as the full run does, the
+    # messages alone give the full run's message samples, and the full run
+    # lasts as long as its longest part.
+    cfg, trace, messages, full = _whole_run(name)
+    spec = full.spec
     assert len(full.noc.msg_samples) == len(messages) > 0
     # System.run runs the clusters one after another, so each cluster's
     # samples are one stretch of the full run's log, in cluster order.
@@ -210,34 +222,14 @@ def test_each_cluster_runs_alone_as_in_the_full_run(make_cfg):
     assert full.build_report()["meta"]["duration_ps"] == max(ends)
 
 
-
-SLICED = {"fig36": _independence_fig36, "distributed": _independence_distributed}
-
-
-@functools.cache
-def _whole_run(name):
-    """A config of SLICED, its seed-3 trace and messages, and the report
-    and latency rows of their run in one piece."""
-    cfg = SLICED[name]()
-    spec = spec_from_dict(cfg)
-    trace = gen_synthetic_trace(cores=spec.total_cores, seed=3,
-                                **cfg["workload"]["synthetic"])
-    messages = gen_message_traffic(clusters=spec.n_clusters, seed=3,
-                                   **cfg["workload"]["message_synthetic"])
-    whole = build(cfg, seed=3)
-    whole.load_trace(trace)
-    whole.load_messages(messages)
-    whole.run()
-    return cfg, trace, messages, whole.build_report(), list(whole.latency_rows())
-
-
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(name=st.sampled_from(sorted(SLICED)), data=st.data())
+@given(name=st.sampled_from(list(INDEPENDENCE)), data=st.data())
 def test_a_run_cut_into_slices_reports_as_the_whole_run(name, data):
     # run(t1); ...; run(tk); run() gives the whole run's report and latency
     # rows. The cuts stay below the whole run's duration: a cut past the
     # last event moves duration_ps to the cut, as --t-end does.
-    cfg, trace, messages, report, rows = _whole_run(name)
+    cfg, trace, messages, whole = _whole_run(name)
+    report = whole.build_report()
     cuts = data.draw(st.lists(st.integers(0, report["meta"]["duration_ps"] - 1),
                               min_size=1, max_size=400))
     system = build(cfg, seed=3)
@@ -247,7 +239,8 @@ def test_a_run_cut_into_slices_reports_as_the_whole_run(name, data):
         system.run(cut)
     system.run()
     assert system.build_report() == report
-    assert list(system.latency_rows()) == rows
+    assert list(system.latency_rows()) == list(whole.latency_rows())
+
 
 def test_writeback_reaches_backing_store():
     cfg = small_cfg()
