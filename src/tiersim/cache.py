@@ -146,7 +146,7 @@ class CacheLevel:
     cycles of the array's clock, a write at the `write_mix` of set and
     reset latencies. A booking is one `service` call, which holds the port
     for the cycles given and, with `record`, takes the service time as a
-    hit-latency sample.
+    hit-latency sample; `book` adds the bank route.
     """
 
     def __init__(self, name: str, geom: CacheGeometry,
@@ -427,6 +427,14 @@ class CacheLevel:
             self.hit_latency_sum_ps += done - start
             self.hit_latency_samples += 1
         return start, done
+
+    def book(self, set_index: int, way: int | None, kind: str, t: int,
+             record: bool) -> int:
+        """`service` at t for an access that reaches its line through the
+        banks: the bank route, then op `kind` on `way` (way 0 on a miss)."""
+        return self.service(
+            t, self.route_cycles[set_index % len(self.route_cycles)]
+            + self.way_cycles[kind][way or 0], record)[1]
 
     def capacity_mib(self) -> float:
         return self.geom.capacity / (1024.0 * 1024.0)

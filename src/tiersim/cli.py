@@ -155,21 +155,36 @@ def run_experiment(config: dict, seed: int, out_path: str,
                    t_end_ps: int | None = None,
                    dump_latencies: str | None = None) -> dict:
     """Validate, build, simulate and write one report. Raises UserError or
-    ConfigError for anything exit-2-worthy."""
+    ConfigError for anything exit-2-worthy. Each output path is checked
+    before the run, and a failed run leaves the paths as they were."""
     spec = _checked_spec(config)
     warn_on_build(spec)
+    outputs = {"--out": out_path}
+    if dump_latencies:
+        outputs["--dump-latencies"] = dump_latencies
+    new = {path for path in outputs.values() if not os.path.lexists(path)}
     try:
+        for flag, path in outputs.items():
+            _open(flag, path, "a").close()  # "a" truncates nothing
+        if dump_latencies and os.path.isfile(out_path) and os.path.samefile(
+                out_path, dump_latencies):
+            raise UserError(f"--out and --dump-latencies both name {out_path}")
         system = System(spec, seed=seed)
         _load_workload(system, spec, seed)
         system.run(t_end_ps if t_end_ps is not None else float("inf"))
+        report = system.build_report()
+        check_report_invariants(report)
+        new.clear()  # the run is good: keep the files the check made
     except WorkloadError as exc:
         raise UserError(str(exc)) from None
     except OverflowError:  # a time that an int64 latency column cannot hold
         raise UserError(f"a request ends past {(1 << 63) - 1} ps, the int64 "
                         f"time limit; lower memory_latency_ns, a clock "
                         f"period or the ticks") from None
-    report = system.build_report()
-    check_report_invariants(report)
+    finally:
+        for path in new:  # one the check could not open was never made
+            if os.path.lexists(path):
+                os.unlink(path)
     with _open("--out", out_path, "w") as fh:
         emit_report(report, fh)
     if dump_latencies:

@@ -4,7 +4,8 @@ Each cluster is one coherent UMA domain: per-core L1 stacks snooping over a
 three-channel bus, shared (or per-core distributed) L2 arrays on their cache
 tiers, an optional column-shared L3, and one fixed-latency memory controller
 over a cluster-private backing store. Clusters exchange only message packets
-over the mesh NoC; the bus and the NoC are never bridged.
+over the mesh NoC; the bus and the NoC are never bridged. A `Cluster` builds,
+starts and runs itself; `System` adds the mesh, the loaders and the report.
 
 Each cluster keeps an exact snoop filter (the exact form of JETTY, Moshovos
 et al., HPCA 2001): a map from block number to a bitmask of the stacks whose
@@ -154,10 +155,10 @@ class Stack:
 
 class Cluster:
     """One coherent domain, simulated on its own event queue `engine`, and
-    the access path through it. It builds its own bus, memory controller,
-    backing store, queue and snoop filter; `System` builds fresh arrays for
-    it into `stacks`, `l2_homes`, `l2i` and `l3`. So no two clusters share
-    a part.
+    the access path through it. It builds all of itself, so no two clusters
+    share a part, and `start` puts a core's records on its queue, so it runs
+    without a `System`. `levels` holds its arrays in build order: each
+    stack's L1i, L1d and private L2, each L2 tier's shared L2 and L2i, the L3.
 
     `holders` is the snoop filter: block number -> bitmask with bit 2i set
     while stack i's L1d holds the block valid and bit 2i+1 while its
@@ -170,13 +171,12 @@ class Cluster:
     core reads ("r") or writes ("w"). Cluster i of n writes the values
     i+1, i+1+n, i+1+2n, …, so no two clusters write the same value."""
 
-    def __init__(self, spec: SystemSpec, index: int, mem_samples: LatencyLog,
-                 record_log: bool):
+    def __init__(self, spec: SystemSpec, index: int, seed: int,
+                 mem_samples: LatencyLog, record_log: bool):
         self.index = index
         self.block_size = spec.caches.l1d.block_size
         self._core_ps = spec.clocks.core_ps
         self._tsv_ps = spec.noc.tsv_latency * spec.clocks.bus_ps
-        self.stacks: list[Stack] = []
         self.holders: dict[int, int] = {}
         self.bus = ClusterBus(beat_width=spec.bus.beat_width,
                               clock_period_ps=spec.clocks.bus_ps)
@@ -184,14 +184,75 @@ class Cluster:
             latency_ps=int(round(spec.memory_latency_ns * 1000)))
         self.memory = ClusterMemory(self.block_size)
         self.engine = EventQueue()
-        self.l2i: dict[int, CacheLevel] = {}
-        self.l3: CacheLevel | None = None
-        # Each shared L2 in tier order; none when distributed.
-        self.l2_homes: tuple[CacheLevel, ...] = ()
         self.mem_samples = mem_samples
         self.data_log: list[tuple[str, int, int]] | None = [] if record_log else None
         self._next_write = index + 1
         self._write_step = spec.n_clusters
+        self.levels: list[CacheLevel] = []
+
+        def array(name: str, unit: int, tier: int,
+                  holder_bit: int = 0) -> CacheLevel:
+            """A fresh cache array on `tier`, added to `levels`; a snooped
+            array gets its bit in the snoop filter. An L2i with no config
+            of its own is built as the L2 is."""
+            cfg = (getattr(spec.caches, name)
+                   or (spec.caches.l2 if name == "l2i" else None))
+            techs = ([spec.catalog[r.tech] for r in cfg.regions]
+                     if cfg.regions else [spec.catalog[cfg.tech]])
+            clock_key = {"l1i": "core_ps", "l1d": "core_ps", "l2": "l2_ps",
+                         "l2i": "l2_ps", "l3": "l3_ps"}[name]
+            level = CacheLevel(
+                name, cfg, techs,
+                clock_period_ps=getattr(spec.clocks, clock_key),
+                rng=(substream(seed, name, index, unit)
+                     if cfg.replacement == PSEUDO_RANDOM else None),
+                write_mix=spec.write_mix,
+                snoop_filter=(self.holders, holder_bit) if holder_bit else None,
+                tier=tier)
+            self.levels.append(level)
+            return level
+
+        distributed = (spec.caches.l2 is not None
+                       and spec.caches.l2.topology == DISTRIBUTED)
+        self.stacks: list[Stack] = []
+        for tier_pos, core_tier in enumerate(spec.core_tiers):
+            l2_tier = spec.l2_tier_for_core_tier(core_tier)
+            for k in range(spec.cores_per_cluster):
+                local = tier_pos * spec.cores_per_cluster + k
+                l1i = array("l1i", local, core_tier)
+                l1d = array("l1d", local, core_tier, 1 << 2 * local)
+                l2p = (array("l2", local, l2_tier, 2 << 2 * local)
+                       if distributed and l2_tier is not None else None)
+                self.stacks.append(Stack(index=local, core_tier=core_tier,
+                                         l1i=l1i, l1d=l1d, l2_private=l2p))
+        homes = []
+        self.l2i: dict[int, CacheLevel] = {}
+        for tier, kind in enumerate(spec.tier_stack):
+            if kind != L2_SPLIT_ID or spec.caches.l2 is None:
+                continue
+            if not distributed:
+                homes.append(array("l2", tier, tier))
+            self.l2i[tier] = array("l2i", tier, tier)
+        # Each shared L2 in tier order; none when distributed.
+        self.l2_homes: tuple[CacheLevel, ...] = tuple(homes)
+        l3_tier = spec.l3_tier()
+        l3 = ((array("l3", l3_tier, l3_tier),)
+              if l3_tier is not None and spec.caches.l3 is not None else ())
+        self.l3 = l3[0] if l3 else None
+        for stack in self.stacks:
+            top = (*stack.snooped, None)
+            stack.paths = (tuple((*top, home, *l3) for home in homes)
+                           or ((*top, *l3),))
+
+    def start(self, local: int, stream: Iterator[TraceRecord]) -> None:
+        """Schedule the first record of `stream` on stack `local`'s core,
+        which takes the rest from the stream as it runs; an empty stream
+        starts nothing."""
+        first = next(stream, None)
+        if first is not None:
+            t_first = first.tick * self._core_ps
+            self.engine.schedule(t_first, self._on_core,
+                                 (self.stacks[local], first, stream, t_first))
 
     @property
     def l2_shared(self) -> dict[int, CacheLevel]:
@@ -268,17 +329,6 @@ class Cluster:
         paths = stack.paths
         return paths[addr // self.block_size % len(paths)]
 
-    @staticmethod
-    def _book(level: CacheLevel, set_index: int, way: int | None, kind: str,
-              t: int, record: bool) -> int:
-        """Book an access that reaches its line through the banks and
-        arrives at t: the array is busy for the bank route plus the op on
-        `way` (way 0 on a miss), and with `record` the service time is a
-        hit-latency sample. Returns the done time."""
-        return level.service(
-            t, level.route_cycles[set_index % len(level.route_cycles)]
-            + level.way_cycles[kind][way or 0], record)[1]
-
     def _writeback(self, ev: Eviction, path: Path, k: int, t: int) -> None:
         """The one write-back walk: a dirty victim that leaves the array of
         `path[k]` at t walks the rest of `path`, and the bus crossing books
@@ -297,7 +347,7 @@ class Cluster:
             tier = level.tier
             set_index, way = level.writeback_write(ev.addr, ev.dirty_words,
                                                    ev.data, ev.state, now_ps=t)
-            t = self._book(level, set_index, way, WRITE, t, way is not None)
+            t = level.book(set_index, way, WRITE, t, way is not None)
             if way is not None:
                 return
         self.memctrl.serve(t, is_write=True)
@@ -386,7 +436,7 @@ class Cluster:
                 level, set_index, way = supplier.authoritative(addr)
                 if carry:
                     data = list(level.lines[set_index][way].data)
-                t = (self._book(level, set_index, way, READ, t, False)
+                t = (level.book(set_index, way, READ, t, False)
                      + self._tsv_delay(supplier.core_tier, stack.core_tier))
 
         # Commit remote state changes after the supplier's data is captured.
@@ -404,7 +454,7 @@ class Cluster:
                 t += self._tsv_delay(tier, level.tier)
                 tier = level.tier
                 set_index, way = level.demand_read(addr)
-                t = self._book(level, set_index, way, READ, t, way is not None)
+                t = level.book(set_index, way, READ, t, way is not None)
                 if way is not None:
                     if carry:
                         data = list(level.lines[set_index][way].data)
@@ -454,7 +504,7 @@ class Cluster:
             line = l1.lines[set_index][way]
             l1.count_access(op, way)
             if op == "R":
-                done = self._book(l1, set_index, way, READ, t0, True)
+                done = l1.book(set_index, way, READ, t0, True)
                 l1.touch(set_index, way)
                 self._core_op(rec, line.data)
                 return done
@@ -465,7 +515,7 @@ class Cluster:
             t = self._to_m(stack, line, addr, t)
             mask = self._core_op(rec, line.data)
             l1.write_touch(set_index, way, mask, now_ps=t)
-            return self._book(l1, set_index, way, WRITE, t, not upgrade)
+            return l1.book(set_index, way, WRITE, t, not upgrade)
 
         # L1 miss: try the stack's private L2 before the bus -----------------
         l1.count_access(op, None)
@@ -473,9 +523,9 @@ class Cluster:
         l2p = stack.l2_private
         if l2p is not None:
             set_index, way = l2p.demand_read(addr)
-            t = self._book(l2p, set_index, way, READ,
-                           t + self._tsv_delay(stack.core_tier, l2p.tier),
-                           way is not None)
+            t = l2p.book(set_index, way, READ,
+                         t + self._tsv_delay(stack.core_tier, l2p.tier),
+                         way is not None)
             t += self._tsv_delay(l2p.tier, stack.core_tier)
             if way is not None:
                 return self._promote_from_private(stack, rec, t, set_index, way)
@@ -532,10 +582,10 @@ class Cluster:
 class System:
     """A built, runnable system. Owns all mutable state for one simulation.
 
-    `System` builds the clusters and the mesh, loads the workload, runs
-    the clusters' queues and then the mesh's, and builds the report; the
-    access path is `Cluster`'s. Each cluster runs on its own event queue,
-    and the mesh on `engine`.
+    `System` makes the clusters, which build themselves, and the mesh,
+    loads the workload, routes each core to its cluster, runs the clusters'
+    queues and then the mesh's, and builds the report from their arrays.
+    Each cluster runs on its own event queue, and the mesh on `engine`.
     A memory workload comes in one of two ways, and either way each core
     takes its records from its own stream as it runs: `load_trace` checks
     a list of records and starts each core on its share of it, while
@@ -553,78 +603,10 @@ class System:
         self.engine = EventQueue()
         self.block_size = spec.caches.l1d.block_size
         self.noc = MeshNetwork(spec.noc, self.engine, spec.clocks.noc_ps)
-        # Every cache array in build order. The report reads this, never
-        # the cluster fields.
-        self.levels: list[CacheLevel] = []
         self.mem_samples = LatencyLog()
-        self.clusters = [self._build_cluster(i, record_log)
+        self.clusters = [Cluster(spec, i, seed, self.mem_samples, record_log)
                          for i in range(spec.n_clusters)]
         self.trace_records = 0
-
-    # -- construction -----------------------------------------------------------
-
-    def _mk_level(self, name: str, cfg_name: str, cluster: int,
-                  unit: int, tier: int,
-                  snoop_filter: tuple[dict[int, int], int] | None = None
-                  ) -> CacheLevel:
-        """Build one cache array on `tier` and register it for the report;
-        a snooped array gets its cluster's filter and its bit in it."""
-        cfg = getattr(self.spec.caches, cfg_name)
-        techs = ([self.spec.catalog[r.tech] for r in cfg.regions]
-                 if cfg.regions else [self.spec.catalog[cfg.tech]])
-        clock_key = {"l1i": "core_ps", "l1d": "core_ps", "l2": "l2_ps",
-                     "l2i": "l2_ps", "l3": "l3_ps"}[cfg_name]
-        level = CacheLevel(
-            name, cfg, techs,
-            clock_period_ps=getattr(self.spec.clocks, clock_key),
-            rng=(substream(self.seed, name, cluster, unit)
-                 if cfg.replacement == PSEUDO_RANDOM else None),
-            write_mix=self.spec.write_mix,
-            snoop_filter=snoop_filter, tier=tier)
-        self.levels.append(level)
-        return level
-
-    def _build_cluster(self, index: int, record_log: bool) -> Cluster:
-        spec = self.spec
-        cluster = Cluster(spec, index, self.mem_samples, record_log)
-        distributed = (spec.caches.l2 is not None
-                       and spec.caches.l2.topology == DISTRIBUTED)
-        stacks, holders = cluster.stacks, cluster.holders
-        for tier_pos, core_tier in enumerate(spec.core_tiers):
-            l2_tier = spec.l2_tier_for_core_tier(core_tier)
-            for k in range(spec.cores_per_cluster):
-                local = tier_pos * spec.cores_per_cluster + k
-                l1i = self._mk_level("l1i", "l1i", index, local, core_tier)
-                l1d = self._mk_level("l1d", "l1d", index, local, core_tier,
-                                     (holders, 1 << 2 * local))
-                l2p = (self._mk_level("l2", "l2", index, local, l2_tier,
-                                      (holders, 2 << 2 * local))
-                       if distributed and l2_tier is not None else None)
-                stacks.append(Stack(index=local, core_tier=core_tier, l1i=l1i,
-                                    l1d=l1d, l2_private=l2p))
-        homes = []
-        for tier, kind in enumerate(spec.tier_stack):
-            if kind != L2_SPLIT_ID or spec.caches.l2 is None:
-                continue
-            if not distributed:
-                homes.append(self._mk_level("l2", "l2", index, tier, tier))
-            icfg = "l2i" if spec.caches.l2i else "l2"
-            cluster.l2i[tier] = self._mk_level("l2i", icfg, index, tier, tier)
-        cluster.l2_homes = tuple(homes)
-        l3_tier = spec.l3_tier()
-        l3 = ()
-        if l3_tier is not None and spec.caches.l3 is not None:
-            cluster.l3 = self._mk_level("l3", "l3", index, l3_tier, l3_tier)
-            l3 = (cluster.l3,)
-        for stack in stacks:
-            top = (*stack.snooped, None)
-            stack.paths = (tuple((*top, home, *l3) for home in homes)
-                           or ((*top, *l3),))
-        return cluster
-
-    def home_coord(self, cluster_index: int) -> tuple[int, int, int]:
-        gx = self.spec.cluster_grid[0]
-        return (cluster_index % gx, cluster_index // gx, 0)
 
     # -- workload ----------------------------------------------------------------
 
@@ -674,21 +656,13 @@ class System:
 
     def start_cores(self, streams: Mapping[int, Iterator[TraceRecord]],
                     count: int) -> None:
-        """Schedule each core's first record, and let the core take the
-        rest from its stream as it runs; `count` is the records of all the
+        """Start each core, numbered across the system, on its stream in
+        its cluster (`Cluster.start`); `count` is the records of all the
         streams together. Each core's records must be what `load_trace`
         accepts, which nothing here checks again."""
         per_cluster = self.spec.cores_per_cluster_total
-        core_ps = self.spec.clocks.core_ps
         for core, stream in streams.items():
-            first = next(stream, None)
-            if first is None:
-                continue
-            cluster = self.clusters[core // per_cluster]
-            t_first = first.tick * core_ps
-            cluster.engine.schedule(t_first, cluster._on_core,
-                                    (cluster.stacks[core % per_cluster],
-                                     first, stream, t_first))
+            self.clusters[core // per_cluster].start(core % per_cluster, stream)
         self.trace_records += count
 
     def load_messages(self, records: list[MessageRecord]) -> None:
@@ -731,7 +705,8 @@ class System:
                                         f"after {LATEST_START_PS} ps")
         if not in_order:
             records = sorted(records, key=tick_of)
-        homes = [self.home_coord(c) for c in range(n_clusters)]
+        gx = self.spec.cluster_grid[0]
+        homes = [(c % gx, c // gx, 0) for c in range(n_clusters)]
         send = self.noc.send
 
         def inject(rec: MessageRecord) -> None:
@@ -761,8 +736,9 @@ class System:
         duration_ps = max(q.now for q in (self.engine,
                                           *(c.engine for c in self.clusters)))
         duration_ns = duration_ps / 1000.0
+        all_levels = [lv for c in self.clusters for lv in c.levels]
         by_name: dict[str, list[CacheLevel]] = {}
-        for level in self.levels:
+        for level in all_levels:
             by_name.setdefault(level.name, []).append(level)
 
         levels: dict[str, dict] = {}
@@ -802,7 +778,7 @@ class System:
                     "n_write": sum(level.region_writes[r] for level in arrays),
                 } for r, tech in enumerate(ref.tech_by_region)],
             }
-        endurance = _wear_summary(self.levels, "worn_blocks")
+        endurance = _wear_summary(all_levels, "worn_blocks")
 
         tiers = []
         for tier, kind in enumerate(self.spec.tier_stack):

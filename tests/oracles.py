@@ -48,17 +48,22 @@ def check_norma_isolation(system) -> None:
     """Check that no stateful memory-side part belongs to two clusters: a
     cluster's queue, backing store, memory controller, bus, snoop filter
     and cache arrays are its own (NORMA: no data path between cluster
-    address spaces)."""
+    address spaces). The arrays its paths use must be exactly `levels`,
+    in build order, so none escapes the check or the report."""
     owner: dict[int, int] = {}
     for cluster in system.clusters:
-        parts = [cluster.engine, cluster.memory, cluster.memctrl, cluster.bus,
-                 cluster.holders, cluster.l3, *cluster.l2_homes,
-                 *cluster.l2i.values()]
-        for stack in cluster.stacks:
-            parts += [stack.l1i, stack.l1d, stack.l2_private]
-        for part in parts:
-            if part is not None:
-                first = owner.setdefault(id(part), cluster.index)
-                assert first == cluster.index, (
-                    f"{type(part).__name__} shared between clusters {first} "
-                    f"and {cluster.index}")
+        used = [a for s in cluster.stacks
+                for a in (s.l1i, s.l1d, s.l2_private)]
+        homes = cluster.l2_homes or (None,) * len(cluster.l2i)
+        used += [a for pair in zip(homes, cluster.l2i.values()) for a in pair]
+        used = [a for a in (*used, cluster.l3) if a is not None]
+        assert list(map(id, used)) == list(map(id, cluster.levels)), (
+            f"cluster {cluster.index}: its paths' arrays are not its levels")
+        assert {id(a) for s in cluster.stacks for p in s.paths for a in p
+                if a is not None} <= set(map(id, cluster.levels))
+        for part in (cluster.engine, cluster.memory, cluster.memctrl,
+                     cluster.bus, cluster.holders, *cluster.levels):
+            first = owner.setdefault(id(part), cluster.index)
+            assert first == cluster.index, (
+                f"{type(part).__name__} shared between clusters {first} "
+                f"and {cluster.index}")

@@ -11,7 +11,7 @@ from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
 from tiersim.engine import EventQueue, FifoResource, cycles_for_latency
 from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology, packetize
 from tiersim.memtech import READ, WRITE, catalog_default
-from tiersim.system import Cluster, MemoryController
+from tiersim.system import MemoryController
 
 from test_interconnect import inject
 
@@ -202,7 +202,7 @@ def test_booking_tables_follow_the_latency_rule():
                                          (2, 1, READ, True)):
         samples, total = level.hit_latency_samples, level.hit_latency_sum_ps
         start = max(1000, level.port.free_at_ps)
-        done = Cluster._book(level, set_index, way, kind, 1000, record)
+        done = level.book(set_index, way, kind, 1000, record)
         assert done - start == period * (2 + 3 * (set_index % 8)
                                          + level.way_cycles[kind][way or 0])
         assert level.hit_latency_samples == samples + record

@@ -67,10 +67,13 @@ def test_missing_config_exits_2(tmp_path, capsys):
 
 
 # A path named on the command line that cannot be opened as its flag asks:
-# under a missing directory, under a file, or a directory for a file.
+# under a missing directory, under a file, a directory for a file, or empty.
 UNOPENABLE = {
     "run --out": lambda d, cfg: [
         "run", "--config", cfg, "--out", str(d / "no" / "r.json")],
+    "run --out directory": lambda d, cfg: [
+        "run", "--config", cfg, "--out", str(d)],
+    "run --out empty": lambda d, cfg: ["run", "--config", cfg, "--out", ""],
     "run --dump-latencies": lambda d, cfg: [
         "run", "--config", cfg, "--out", str(d / "r.json"),
         "--dump-latencies", str(d / "no" / "d.csv")],
@@ -85,12 +88,17 @@ UNOPENABLE = {
 
 
 @pytest.mark.parametrize("case", UNOPENABLE)
-def test_a_path_that_cannot_be_opened_exits_2(tmp_path, capsys, case):
+def test_a_path_that_cannot_be_opened_exits_2(tmp_path, capsys, monkeypatch,
+                                              case):
+    # It fails before anything is simulated, and leaves no file behind.
+    monkeypatch.setattr(cli.System, "run",
+                        lambda *args: pytest.fail("the system ran"))
     argv = UNOPENABLE[case](tmp_path, write_config(tmp_path, quick_cfg()))
     flag = case.split()[1]
     path = argv[argv.index(flag) + 1]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: {path}")
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_run_of_an_empty_synthetic_trace_reports_nothing(tmp_path):
@@ -857,18 +865,51 @@ def test_gen_trace_flag_left_out_takes_its_generators_default(
 @pytest.mark.parametrize("latency", ["1e15", "1e300"])
 def test_latency_past_the_int64_time_limit_exits_2(tmp_path, capsys, latency):
     # 1e15 ns is 1e18 ps, below LATEST_START_PS, but the misses queue at the
-    # memory controller until a request would end past the int64 limit.
+    # memory controller until a request would end past the int64 limit. The
+    # failed run writes no report and leaves one already there as it was,
+    # with no other file beside it.
     out = tmp_path / "r.json"
-    assert main(["run", "--config", "fig32", "--set",
-                 "workload.synthetic.length=3", "--set",
-                 f"memory_latency_ns={latency}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: a request ends past {2**63 - 1} ps, the int64 time limit; "
-        f"lower memory_latency_ns, a clock period or the ticks"]
-    assert not out.exists()
-    assert main(["run", "--config", "fig32", "--set",
-                 "workload.synthetic.length=3", "--set",
-                 "memory_latency_ns=1e12", "--out", str(out)]) == 0
+    argv = ["run", "--config", "fig32", "--set", "workload.synthetic.length=3",
+            "--out", str(out), "--dump-latencies", str(tmp_path / "d.csv")]
+    for earlier in (None, b"an earlier report\n"):
+        if earlier is not None:
+            out.write_bytes(earlier)
+        assert main([*argv, "--set", f"memory_latency_ns={latency}"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: a request ends past {2**63 - 1} ps, the int64 time "
+            f"limit; lower memory_latency_ns, a clock period or the ticks"]
+        assert os.listdir(tmp_path) == ([] if earlier is None else ["r.json"])
+        assert earlier is None or out.read_bytes() == earlier
+    assert main([*argv, "--set", "memory_latency_ns=1e12"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "r.json"]
+
+
+def test_one_path_for_report_and_dump_exits_2(tmp_path, capsys, monkeypatch):
+    # The report and the dump would overwrite each other, so naming one
+    # file twice, here once through a link, is refused before the run.
+    monkeypatch.setattr(cli.System, "run",
+                        lambda *args: pytest.fail("the system ran"))
+    out = tmp_path / "r.out"
+    (tmp_path / "link").symlink_to(out)
+    assert main(["run", "--config", "fig32", "--out", str(out),
+                 "--dump-latencies", str(tmp_path / "link")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out and --dump-latencies both name {out}\n")
+    assert os.listdir(tmp_path) == ["link"]
+
+
+def test_outputs_are_written_through_their_paths(tmp_path):
+    # A device takes both outputs, and a link's target takes the report,
+    # while the link stays a link.
+    target = tmp_path / "r.json"
+    target.write_text("an earlier report\n")
+    (tmp_path / "link").symlink_to(target)
+    for out in (os.devnull, str(tmp_path / "link")):
+        assert main(["run", "--config", "fig32", "--set",
+                     "workload.synthetic.length=3", "--out", out,
+                     "--dump-latencies", os.devnull]) == 0
+    assert (tmp_path / "link").is_symlink()
+    assert json.loads(target.read_text())["meta"]
 
 
 def test_integer_past_the_float_range_exits_2(tmp_path, capsys):

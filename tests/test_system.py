@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 import random
 from collections import Counter
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import check_coherence, check_norma_isolation, replay_data_log
 
 from tiersim.arch import preset, spec_from_dict, validate_spec
-from tiersim.system import LEVEL_COUNTERS, System
+from tiersim.metrics import LatencyLog
+from tiersim.system import LEVEL_COUNTERS, Cluster, System
 from tiersim.workload import (MessageRecord, TraceRecord, gen_message_traffic,
                                gen_synthetic_trace)
 
@@ -152,14 +154,11 @@ def _cluster_state(cluster) -> tuple:
     def booked(resource):
         return resource.busy_ps, resource.grants, resource.free_at_ps
 
-    arrays = [a for s in cluster.stacks for a in (s.l1i, s.l1d, s.l2_private)
-              if a is not None]
-    arrays += [*cluster.l2_homes, *cluster.l2i.values()]
-    arrays += [cluster.l3] if cluster.l3 is not None else []
     bus = cluster.bus
     return ([(*(getattr(a, c) for c in LEVEL_COUNTERS), a.region_reads,
               a.region_writes, a.hit_latency_sum_ps, a.hit_latency_samples,
-              a.worn_lines, a.max_write_count, booked(a.port)) for a in arrays],
+              a.worn_lines, a.max_write_count, booked(a.port))
+             for a in cluster.levels],
             [booked(channel) for channel in (bus.request, bus.response, bus.snoop)],
             booked(cluster.memctrl.port), cluster.memctrl.writes,
             dict(cluster.holders))
@@ -189,10 +188,11 @@ def _whole_run(name):
 @pytest.mark.parametrize("name", INDEPENDENCE)
 def test_each_cluster_runs_alone_as_in_the_full_run(name):
     # Clusters share no state with each other or with the mesh, which is
-    # what lets each run on its own queue: a cluster's records run alone
-    # leave its state and its latency samples as the full run does, the
-    # messages alone give the full run's message samples, and the full run
-    # lasts as long as its longest part.
+    # what lets each run on its own queue: a cluster built and started on
+    # its records with no System leaves its state and its latency samples
+    # as its part of the full run does, the messages alone give the full
+    # run's message samples, and the full run lasts as long as its longest
+    # part.
     cfg, trace, messages, full = _whole_run(name)
     spec = full.spec
     assert len(full.noc.msg_samples) == len(messages) > 0
@@ -202,17 +202,21 @@ def test_each_cluster_runs_alone_as_in_the_full_run(name):
     per_cluster = spec.cores_per_cluster_total
     ends = []
     for cluster in full.clusters:
-        alone = build(cfg, seed=3)
-        alone.load_trace([r for r in trace
-                          if r.core // per_cluster == cluster.index])
-        alone.run()
-        assert (_cluster_state(alone.clusters[cluster.index])
-                == _cluster_state(cluster)), cluster.index
-        n = len(alone.mem_samples)
+        samples = LatencyLog()
+        alone = Cluster(spec, cluster.index, 3, samples, record_log=False)
+        per_core = {}
+        for rec in trace:
+            if rec.core // per_cluster == cluster.index:
+                per_core.setdefault(rec.core % per_cluster, []).append(rec)
+        for local, recs in per_core.items():
+            alone.start(local, iter(recs))
+        alone.engine.run_until(math.inf)
+        assert _cluster_state(alone) == _cluster_state(cluster), cluster.index
+        n = len(samples)
         assert n == len(trace) // spec.n_clusters
-        assert Counter(alone.mem_samples) == Counter(full_samples[:n])
+        assert Counter(samples) == Counter(full_samples[:n])
         del full_samples[:n]
-        ends.append(alone.build_report()["meta"]["duration_ps"])
+        ends.append(alone.engine.now)
     assert full_samples == []
     mesh = build(cfg, seed=3)
     mesh.load_messages(messages)
