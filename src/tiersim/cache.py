@@ -190,13 +190,10 @@ class CacheLevel:
             for w in range(*r.ways):
                 self._region_of_way[w] = idx
 
-        # Reporting counters. n_read/n_write count accesses (demand reads,
-        # core reads/writes, writeback writes); fills are responses, not
-        # accesses, so energy recomputes from these counts alone.
-        self.n_read = 0
-        self.n_write = 0
+        # Reporting counters. region_reads/region_writes count each access
+        # (demand read, core read or write, writeback write) by region; fills
+        # are responses, not accesses, so energy recomputes from these alone.
         self.hits = 0
-        self.misses = 0
         self.fills = 0
         self.evictions = 0
         self.writebacks = 0
@@ -403,19 +400,13 @@ class CacheLevel:
     def count_access(self, op: str, way: int | None) -> None:
         """Count one access, read ("R") or write ("W"): a hit on `way`,
         charged to that way's region, or a miss (`way` None), charged to
-        region 0. Every access of the level is counted here."""
+        region 0. Every access of the level is counted here, once."""
         if way is None:
-            self.misses += 1
             region = 0
         else:
             self.hits += 1
             region = self._region_of_way[way]
-        if op == "R":
-            self.n_read += 1
-            self.region_reads[region] += 1
-        else:
-            self.n_write += 1
-            self.region_writes[region] += 1
+        (self.region_reads if op == "R" else self.region_writes)[region] += 1
 
     def service(self, arrival_ps: int, cycles: int,
                 record: bool = False) -> tuple[int, int]:
@@ -436,10 +427,19 @@ class CacheLevel:
             t, self.route_cycles[set_index % len(self.route_cycles)]
             + self.way_cycles[kind][way or 0], record)[1]
 
-    def capacity_mib(self) -> float:
-        return self.geom.capacity / (1024.0 * 1024.0)
-
-    def region_capacity_mib(self, region_index: int) -> float:
-        r = self.regions[region_index]
-        frac = (r.ways[1] - r.ways[0]) / self.geom.associativity
-        return self.capacity_mib() * frac
+    def snapshot(self) -> dict:
+        """What the report reads of the array, as plain values: each region
+        as (technology name, capacity in MiB, reads, writes), the port's
+        busy time, and the counters and wear it keeps."""
+        mib = self.geom.capacity / (1024.0 * 1024.0)
+        ways = self.geom.associativity
+        regions = zip(self.tech_by_region, self.regions, self.region_reads,
+                      self.region_writes)
+        return {"name": self.name, "tier": self.tier, "tech": self.geom.tech,
+                "capacity_mib": mib, "busy_ps": self.port.busy_ps,
+                "regions": [(t.name, mib * ((r.ways[1] - r.ways[0]) / ways), n_r, n_w)
+                            for t, r, n_r, n_w in regions],
+                **{key: getattr(self, key) for key in (
+                    "hits", "fills", "evictions", "writebacks", "invalidations",
+                    "hit_latency_sum_ps", "hit_latency_samples", "worn_lines",
+                    "max_write_count", "first_wear_time_ps")}}

@@ -228,10 +228,14 @@ def _cmd_sweep(args) -> int:
     values = [_parse_value(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise UserError("sweep needs at least one value")
+    names = [str(value).replace(os.sep, "_") for value in values]
+    if len(set(names)) < len(names):
+        raise UserError(f"--values: {args.values}: two values share a report "
+                        f"directory under {args.out_dir} ({os.sep} becomes _)")
     jobs = []
     for index, value in enumerate(values):
         config = _preflight(args.config, [(args.param, value)])
-        subdir = os.path.join(args.out_dir, str(value).replace(os.sep, "_"))
+        subdir = os.path.join(args.out_dir, names[index])
         try:
             os.makedirs(subdir, exist_ok=True)
         except OSError as exc:

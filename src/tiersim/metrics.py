@@ -1,5 +1,5 @@
 """Latency statistics, the per-level energy roll-up, the per-tier power
-density proxy, and JSON report emission.
+density proxy, the report of per-cluster snapshots, and its JSON emission.
 
 The report is self-recomputing: it carries every counter, capacity and
 technology name needed to rebuild the energy totals offline from the
@@ -17,8 +17,12 @@ from collections import Counter
 from functools import reduce
 from typing import Iterable, Iterator, TextIO
 
-from .memtech import (AccessCounters, TechnologyParams, catalog_with_overrides,
-                      level_energy)
+from .memtech import (AccessCounters, TechnologyParams, area_estimate,
+                      catalog_with_overrides, level_energy)
+
+# The counters a level's report entry sums over its arrays' snapshots; its
+# n_read, n_write and misses follow from the regions' counts and the hits.
+LEVEL_COUNTERS = ("hits", "fills", "evictions", "writebacks", "invalidations")
 
 
 class LatencyLog:
@@ -45,7 +49,8 @@ class LatencyLog:
 
 
 def summarize_latency(samples: Iterable[int], bucket_width: int = 1000) -> dict:
-    """Count, mean, nearest-rank p95, max and a fixed-width histogram of samples.
+    """Count, mean, nearest-rank p95, max and a fixed-width histogram of
+    samples, given as the values or as a Counter of them.
 
     The statistics come from an exact count of each value, walked in
     ascending order, so no sorted copy of the samples is built; the mean is
@@ -94,7 +99,7 @@ def regions_energy(regions: Iterable[tuple[TechnologyParams, float, int, int]],
                    idle_ns: float, write_mix: float) -> float:
     """Energy in nJ of a cache array from its technology regions, each given
     as (technology, capacity in MiB, reads, writes), summed in order; every
-    region idles for idle_ns. The simulator charges each array this way,
+    region idles for idle_ns. `build_report` charges each array this way,
     and the report check rebuilds each level the same way."""
     return float_sum(level_energy(AccessCounters(n_read, n_write, idle_ns), params,
                                   capacity_mib, write_mix)
@@ -109,6 +114,106 @@ def recompute_level_energy(level_report: dict,
     return regions_energy(((catalog[r["tech"]], r["capacity_mib"], r["n_read"],
                             r["n_write"]) for r in level_report["regions"]),
                           level_report["idle_ns"], write_mix)
+
+
+def _wear_summary(levels: list[dict], worn_key: str) -> dict:
+    """Wear over several arrays' snapshots: the highest write count, the
+    summed worn lines under `worn_key` and again as wear events (a line
+    wears out once), and the earliest first wear (None if none)."""
+    firsts = [lv["first_wear_time_ps"] for lv in levels
+              if lv["first_wear_time_ps"] is not None]
+    worn = sum(lv["worn_lines"] for lv in levels)
+    return {"max_write_count": max((lv["max_write_count"] for lv in levels), default=0),
+            worn_key: worn, "wear_events": worn,
+            "first_wear_time_ps": min(firsts, default=None)}
+
+
+def build_report(spec, seed: int, trace_records: int,
+                 clusters: list[dict], noc: dict, mem_latencies: Counter,
+                 msg_latencies: Counter) -> dict:
+    """The report of a run, from plain values alone: the `SystemSpec` and
+    seed it ran, the trace records it loaded, each cluster's
+    `Cluster.snapshot()` in cluster order, the mesh's `now`, `injected`,
+    `delivered` and `in_flight`, and a Counter each of memory and message
+    latencies in ps. Arrays of one name, and each tier's energy, are summed
+    in cluster order and then in `levels` order, so every float adds in
+    one order."""
+    duration_ps = max([noc["now"], *(c["now"] for c in clusters)])
+    duration_ns = duration_ps / 1000.0
+    catalog, write_mix = spec.catalog, spec.write_mix
+    all_levels = [lv for c in clusters for lv in c["levels"]]
+    by_name: dict[str, list[dict]] = {}
+    for level in all_levels:
+        by_name.setdefault(level["name"], []).append(level)
+
+    levels: dict[str, dict] = {}
+    tier_energy = dict.fromkeys(range(len(spec.tier_stack)), 0.0)
+    tier_area = dict(tier_energy)
+    for name, arrays in by_name.items():
+        ref = arrays[0]
+        area = float_sum(area_estimate(mib, catalog[tech])
+                         for tech, mib, _, _ in ref["regions"])
+        # Fire-and-forget write-backs may book service slightly past the last
+        # dispatched event; clamp so busy + idle = duration holds exactly.
+        busy = [min(lv["busy_ps"] / 1000.0, duration_ns) for lv in arrays]
+        energies = [regions_energy(((catalog[tech], mib, n_read, n_write)
+                                    for tech, mib, n_read, n_write in lv["regions"]),
+                                   duration_ns - b, write_mix)
+                    for lv, b in zip(arrays, busy)]
+        for level, energy in zip(arrays, energies):
+            tier_energy[level["tier"]] += energy
+            tier_area[level["tier"]] += area
+        regions = [{"tech": tech, "capacity_mib": mib,
+                    "n_read": sum(lv["regions"][r][2] for lv in arrays),
+                    "n_write": sum(lv["regions"][r][3] for lv in arrays)}
+                   for r, (tech, mib, _, _) in enumerate(ref["regions"])]
+        n_read = sum(region["n_read"] for region in regions)
+        n_write = sum(region["n_write"] for region in regions)
+        counts = {c: sum(lv[c] for lv in arrays) for c in LEVEL_COUNTERS}
+        lat_n = sum(lv["hit_latency_samples"] for lv in arrays)
+        levels[name] = {
+            "instances": len(arrays),
+            "tech": ref["tech"],
+            "capacity_mib_per_instance": ref["capacity_mib"],
+            "n_read": n_read, "n_write": n_write,
+            "misses": n_read + n_write - counts["hits"], **counts,
+            "busy_ns": float_sum(busy),
+            "idle_ns": float_sum(duration_ns - b for b in busy),
+            "energy_nj": float_sum(energies),
+            "mean_hit_latency_ps": (
+                sum(lv["hit_latency_sum_ps"] for lv in arrays) / lat_n
+                if lat_n else None),
+            "wear": _wear_summary(arrays, "worn_lines"),
+            "regions": regions,
+        }
+
+    tiers = [{"index": tier, "kind": kind, "area_units": tier_area[tier],
+              "energy_nj": tier_energy[tier],
+              "power_density_mw_per_unit": (
+                  tier_power_density(tier_energy[tier], duration_ns, tier_area[tier])
+                  if tier_area[tier] > 0 and duration_ns > 0 else None)}
+             for tier, kind in enumerate(spec.tier_stack)]
+
+    bus = {key: sum(c["bus"][key] for c in clusters) for key in clusters[0]["bus"]}
+    bus["total_grants"] = sum(bus.values())
+    bucket = spec.report.histogram_bucket_ps
+    return {
+        "meta": {"seed": seed, "duration_ps": duration_ps, "config": spec.raw,
+                 "trace_records": trace_records, "messages": noc["injected"]},
+        "levels": levels,
+        "energy": {"total_nj": float_sum(lv["energy_nj"] for lv in levels.values()),
+                   "per_level_nj": {name: lv["energy_nj"] for name, lv in levels.items()},
+                   "write_mix": write_mix, "standby_power_is_configurable": True},
+        "latency": {"mem": summarize_latency(mem_latencies, bucket),
+                    "msg": summarize_latency(msg_latencies, bucket)},
+        "endurance": _wear_summary(all_levels, "worn_blocks"),
+        "tiers": tiers,
+        "interconnect": {
+            "bus": bus,
+            "noc": {key: noc[key] for key in ("injected", "delivered", "in_flight")},
+            "memory_controllers": {key: sum(c["memory_controller"][key] for c in clusters)
+                                   for key in ("reads", "writes")}},
+    }
 
 
 class ReportError(RuntimeError):

@@ -5,7 +5,8 @@ three-channel bus, shared (or per-core distributed) L2 arrays on their cache
 tiers, an optional column-shared L3, and one fixed-latency memory controller
 over a cluster-private backing store. Clusters exchange only message packets
 over the mesh NoC; the bus and the NoC are never bridged. A `Cluster` builds,
-starts and runs itself; `System` adds the mesh, the loaders and the report.
+starts and runs itself; `System` adds the mesh and the loaders. The report is
+`metrics.build_report` of the clusters' snapshots and the mesh's counts.
 
 Each cluster keeps an exact snoop filter (the exact form of JETTY, Moshovos
 et al., HPCA 2001): a map from block number to a bitmask of the stacks whose
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import islice
@@ -41,27 +43,9 @@ from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
                         StepResult, coherence_step)
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
-from .memtech import READ, WRITE, area_estimate
-from .metrics import (LatencyLog, float_sum, regions_energy, summarize_latency,
-                      tier_power_density)
+from .memtech import READ, WRITE
+from .metrics import LatencyLog, build_report
 from .workload import LATEST_START_PS, MessageRecord, TraceRecord
-
-# The per-array counters a level's report entry sums over its instances.
-LEVEL_COUNTERS = ("n_read", "n_write", "hits", "misses", "fills", "evictions",
-                  "writebacks", "invalidations")
-
-
-def _wear_summary(levels: list[CacheLevel], worn_key: str) -> dict:
-    """Wear over several arrays: the highest write count, the summed worn
-    lines under `worn_key` and again as wear events (a line wears out
-    once), and the earliest first wear (None if none)."""
-    firsts = [lv.first_wear_time_ps for lv in levels
-              if lv.first_wear_time_ps is not None]
-    worn = sum(lv.worn_lines for lv in levels)
-    return {"max_write_count": max((lv.max_write_count for lv in levels), default=0),
-            worn_key: worn, "wear_events": worn,
-            "first_wear_time_ps": min(firsts, default=None)}
-
 
 class WorkloadError(ValueError):
     """Workload records inconsistent with the system being simulated."""
@@ -253,6 +237,18 @@ class Cluster:
             t_first = first.tick * self._core_ps
             self.engine.schedule(t_first, self._on_core,
                                  (self.stacks[local], first, stream, t_first))
+
+    def snapshot(self) -> dict:
+        """What the report reads of the cluster, as plain values: its
+        queue's time, its arrays' snapshots in `levels` order, its bus
+        channels' grants, and its memory controller's reads and writes."""
+        memctrl = self.memctrl
+        return {"now": self.engine.now,
+                "levels": [level.snapshot() for level in self.levels],
+                "bus": {f"{ch}_grants": getattr(self.bus, ch).grants
+                        for ch in ("request", "response", "snoop")},
+                "memory_controller": {"reads": memctrl.port.grants - memctrl.writes,
+                                      "writes": memctrl.writes}}
 
     @property
     def l2_shared(self) -> dict[int, CacheLevel]:
@@ -584,7 +580,8 @@ class System:
 
     `System` makes the clusters, which build themselves, and the mesh,
     loads the workload, routes each core to its cluster, runs the clusters'
-    queues and then the mesh's, and builds the report from their arrays.
+    queues and then the mesh's, and builds the report as
+    `metrics.build_report` of the clusters' snapshots (`Cluster.snapshot`).
     Each cluster runs on its own event queue, and the mesh on `engine`.
     A memory workload comes in one of two ways, and either way each core
     takes its records from its own stream as it runs: `load_trace` checks
@@ -723,122 +720,17 @@ class System:
         return (sum(c.engine.run_until(t_end_ps) for c in self.clusters)
                 + self.engine.run_until(t_end_ps))
 
-    # -- reporting ----------------------------------------------------------------
-
-    @staticmethod
-    def _busy_idle_ns(level: CacheLevel, duration_ns: float) -> tuple[float, float]:
-        # fire-and-forget write-backs may book service slightly past the last
-        # dispatched event; clamp so busy + idle = duration holds exactly
-        busy = min(level.port.busy_ps / 1000.0, duration_ns)
-        return busy, duration_ns - busy
-
     def build_report(self) -> dict:
-        duration_ps = max(q.now for q in (self.engine,
-                                          *(c.engine for c in self.clusters)))
-        duration_ns = duration_ps / 1000.0
-        all_levels = [lv for c in self.clusters for lv in c.levels]
-        by_name: dict[str, list[CacheLevel]] = {}
-        for level in all_levels:
-            by_name.setdefault(level.name, []).append(level)
-
-        levels: dict[str, dict] = {}
-        tier_energy: dict[int, float] = {}
-        tier_area: dict[int, float] = {}
-        for name, arrays in by_name.items():
-            ref = arrays[0]
-            region_mib = [ref.region_capacity_mib(r) for r in range(len(ref.regions))]
-            area = float_sum(map(area_estimate, region_mib, ref.tech_by_region))
-            busy_idle = [self._busy_idle_ns(lv, duration_ns) for lv in arrays]
-            energies = [regions_energy(zip(lv.tech_by_region, region_mib,
-                                           lv.region_reads, lv.region_writes),
-                                       idle, self.spec.write_mix)
-                        for lv, (_, idle) in zip(arrays, busy_idle)]
-            for level, energy in zip(arrays, energies):
-                tier = level.tier
-                tier_energy[tier] = tier_energy.get(tier, 0.0) + energy
-                tier_area[tier] = tier_area.get(tier, 0.0) + area
-            lat_n = sum(level.hit_latency_samples for level in arrays)
-            levels[name] = {
-                "instances": len(arrays),
-                "tech": ref.geom.tech,
-                "capacity_mib_per_instance": ref.capacity_mib(),
-                **{c: sum(getattr(level, c) for level in arrays)
-                   for c in LEVEL_COUNTERS},
-                "busy_ns": float_sum(busy for busy, _ in busy_idle),
-                "idle_ns": float_sum(idle for _, idle in busy_idle),
-                "energy_nj": float_sum(energies),
-                "mean_hit_latency_ps": (
-                    sum(level.hit_latency_sum_ps for level in arrays) / lat_n
-                    if lat_n else None),
-                "wear": _wear_summary(arrays, "worn_lines"),
-                "regions": [{
-                    "tech": tech.name,
-                    "capacity_mib": region_mib[r],
-                    "n_read": sum(level.region_reads[r] for level in arrays),
-                    "n_write": sum(level.region_writes[r] for level in arrays),
-                } for r, tech in enumerate(ref.tech_by_region)],
-            }
-        endurance = _wear_summary(all_levels, "worn_blocks")
-
-        tiers = []
-        for tier, kind in enumerate(self.spec.tier_stack):
-            area = tier_area.get(tier, 0.0)
-            energy = tier_energy.get(tier, 0.0)
-            density = None
-            if area > 0 and duration_ns > 0:
-                density = tier_power_density(energy, duration_ns, area)
-            tiers.append({"index": tier, "kind": kind, "area_units": area,
-                          "energy_nj": energy,
-                          "power_density_mw_per_unit": density})
-
-        bus_totals = {"request_grants": 0, "response_grants": 0, "snoop_grants": 0}
-        for cluster in self.clusters:
-            bus_totals["request_grants"] += cluster.bus.request.grants
-            bus_totals["response_grants"] += cluster.bus.response.grants
-            bus_totals["snoop_grants"] += cluster.bus.snoop.grants
-        bus_totals["total_grants"] = sum(bus_totals.values())
-
-        mem, msg = self.mem_samples, self.noc.msg_samples
-        bucket = self.spec.report.histogram_bucket_ps
-        report = {
-            "meta": {
-                "seed": self.seed,
-                "duration_ps": duration_ps,
-                "config": self.spec.raw,
-                "trace_records": self.trace_records,
-                "messages": self.noc.injected,
-            },
-            "levels": levels,
-            "energy": {
-                "total_nj": float_sum(lv["energy_nj"] for lv in levels.values()),
-                "per_level_nj": {name: lv["energy_nj"]
-                                 for name, lv in levels.items()},
-                "write_mix": self.spec.write_mix,
-                "standby_power_is_configurable": True,
-            },
-            "latency": {
-                "mem": summarize_latency(map(operator.sub, mem.ends, mem.starts),
-                                         bucket),
-                "msg": summarize_latency(map(operator.sub, msg.ends, msg.starts),
-                                         bucket),
-            },
-            "endurance": endurance,
-            "tiers": tiers,
-            "interconnect": {
-                "bus": bus_totals,
-                "noc": {
-                    "injected": self.noc.injected,
-                    "delivered": self.noc.delivered,
-                    "in_flight": self.noc.in_flight,
-                },
-                "memory_controllers": {
-                    "reads": sum(c.memctrl.port.grants - c.memctrl.writes
-                                 for c in self.clusters),
-                    "writes": sum(c.memctrl.writes for c in self.clusters),
-                },
-            },
-        }
-        return report
+        """The report: `metrics.build_report` of the clusters' snapshots,
+        the mesh's time and packet counts, and the latency samples."""
+        mem, msg, noc = self.mem_samples, self.noc.msg_samples, self.noc
+        return build_report(
+            self.spec, self.seed, self.trace_records,
+            [c.snapshot() for c in self.clusters],
+            {"now": self.engine.now, "injected": noc.injected,
+             "delivered": noc.delivered, "in_flight": noc.in_flight},
+            Counter(map(operator.sub, mem.ends, mem.starts)),
+            Counter(map(operator.sub, msg.ends, msg.starts)))
 
     def latency_rows(self) -> Iterator[tuple[str, int, int]]:
         """Every latency sample as a `(class, start, end)` row: the memory

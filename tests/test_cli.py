@@ -997,6 +997,21 @@ def test_sweep_unresolvable_param_exits_2(tmp_path):
                  "--values", "1,2", "--out-dir", str(tmp_path / "s")]) == 2
 
 
+@pytest.mark.parametrize("values", ["3,3", "a/b,a_b"])
+def test_sweep_values_that_share_a_directory_exit_2_before_any_run(
+        tmp_path, capsys, monkeypatch, values):
+    # Two values whose report directories are one would have two runs write
+    # one report: the sweep refuses them before it makes any directory.
+    monkeypatch.setenv("TIERSIM_THREADS", "1")
+    monkeypatch.setattr(cli, "run_experiment", None)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", "fig32", "--param",
+                 "workload.synthetic.length", "--values", values,
+                 "--out-dir", str(out_dir)]) == 2
+    assert "two values share a report directory" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_parallel_matches_sequential(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, quick_cfg())
 

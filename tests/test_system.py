@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import check_coherence, check_norma_isolation, replay_data_log
 
 from tiersim.arch import preset, spec_from_dict, validate_spec
-from tiersim.metrics import LatencyLog
-from tiersim.system import LEVEL_COUNTERS, Cluster, System
+from tiersim.metrics import LatencyLog, build_report, check_report_invariants
+from tiersim.system import Cluster, System
 from tiersim.workload import (MessageRecord, TraceRecord, gen_message_traffic,
                                gen_synthetic_trace)
 
@@ -149,19 +149,16 @@ def _independence_distributed() -> dict:
 
 
 def _cluster_state(cluster) -> tuple:
-    """Everything a cluster's part of a run leaves in its arrays, bus
-    channels, memory controller and snoop filter."""
+    """Everything a cluster's part of a run leaves: its snapshot, the
+    bookings of its array ports, bus channels and memory controller, and
+    its snoop filter."""
     def booked(resource):
         return resource.busy_ps, resource.grants, resource.free_at_ps
 
     bus = cluster.bus
-    return ([(*(getattr(a, c) for c in LEVEL_COUNTERS), a.region_reads,
-              a.region_writes, a.hit_latency_sum_ps, a.hit_latency_samples,
-              a.worn_lines, a.max_write_count, booked(a.port))
-             for a in cluster.levels],
+    return (cluster.snapshot(), [booked(a.port) for a in cluster.levels],
             [booked(channel) for channel in (bus.request, bus.response, bus.snoop)],
-            booked(cluster.memctrl.port), cluster.memctrl.writes,
-            dict(cluster.holders))
+            booked(cluster.memctrl.port), dict(cluster.holders))
 
 
 INDEPENDENCE = {"fig36": _independence_fig36,
@@ -244,6 +241,94 @@ def test_a_run_cut_into_slices_reports_as_the_whole_run(name, data):
     system.run()
     assert system.build_report() == report
     assert list(system.latency_rows()) == list(whole.latency_rows())
+
+
+def _hybrid_distributed() -> dict:
+    # The distributed config with each private L2 split into an SRAM and a
+    # PCRAM region, so a level has more than one region to sum over.
+    cfg = _independence_distributed()
+    cfg["caches"]["l2"]["regions"] = [{"ways": [0, 1], "tech": "SRAM"},
+                                      {"ways": [1, 4], "tech": "PCRAM"}]
+    return cfg
+
+
+SHAPES = {"fig36": functools.partial(preset, "fig36"),
+          "distributed": _hybrid_distributed}
+
+
+@functools.cache
+def _shape(name):
+    """The spec of a SHAPES config and its freshly built clusters'
+    snapshots: the shape a report is built from."""
+    system = build(SHAPES[name]())
+    return system.spec, [c.snapshot() for c in system.clusters]
+
+
+LATENCIES = st.dictionaries(st.integers(0, 10**7), st.integers(1, 50),
+                            max_size=20).map(Counter)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(list(SHAPES)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0, 1, 1000, 10**9]), data=st.data())
+def test_build_report_sums_made_up_snapshots(name, seed, scale, data):
+    # build_report reads only its arguments, so made-up counters in the
+    # shape of a real system's snapshots give a report that passes its own
+    # checks, with each count the sum over the snapshots. Busy times reach
+    # twice the run's duration, which the report clamps to it.
+    spec, shape = _shape(name)
+    nows = data.draw(st.lists(st.integers(0, 10**9), min_size=len(shape) + 1,
+                              max_size=len(shape) + 1))
+    duration = max(nows)
+    rng = random.Random(seed)
+
+    def counts(*keys):
+        return {key: rng.randint(0, scale) for key in keys}
+
+    clusters = []
+    for snap, now in zip(shape, nows):
+        levels = []
+        for lv in snap["levels"]:
+            regions = [(tech, mib, rng.randint(0, scale), rng.randint(0, scale))
+                       for tech, mib, _, _ in lv["regions"]]
+            levels.append({
+                **lv, "regions": regions,
+                "hits": rng.randint(0, sum(r[2] + r[3] for r in regions)),
+                "busy_ps": rng.randint(0, 2 * duration),
+                "first_wear_time_ps": rng.choice([None, rng.randint(0, duration)]),
+                **counts("fills", "evictions", "writebacks", "invalidations",
+                         "hit_latency_sum_ps", "hit_latency_samples",
+                         "worn_lines", "max_write_count")})
+        clusters.append({"now": now, "levels": levels, "bus": counts(*snap["bus"]),
+                         "memory_controller": counts("reads", "writes")})
+    mem, msg = data.draw(LATENCIES), data.draw(LATENCIES)
+    delivered, in_flight = msg.total(), data.draw(st.integers(0, 5))
+    report = build_report(
+        spec, 3, mem.total() + data.draw(st.integers(0, 5)), clusters,
+        {"now": nows[-1], "injected": delivered + in_flight,
+         "delivered": delivered, "in_flight": in_flight}, mem, msg)
+
+    check_report_invariants(report)
+    assert report["meta"]["duration_ps"] == duration
+    arrays = [lv for c in clusters for lv in c["levels"]]
+    for level_name, level in report["levels"].items():
+        mine = [lv for lv in arrays if lv["name"] == level_name]
+        assert level["instances"] == len(mine)
+        reads = sum(r[2] for lv in mine for r in lv["regions"])
+        writes = sum(r[3] for lv in mine for r in lv["regions"])
+        hits = sum(lv["hits"] for lv in mine)
+        assert (level["n_read"], level["n_write"], level["misses"]) == (
+            reads, writes, reads + writes - hits)
+        for key in ("hits", "fills", "evictions", "writebacks", "invalidations"):
+            assert level[key] == sum(lv[key] for lv in mine), key
+        assert level["wear"]["worn_lines"] == sum(lv["worn_lines"] for lv in mine)
+        assert level["busy_ns"] >= 0 and level["idle_ns"] >= 0
+    interconnect = report["interconnect"]
+    for key in clusters[0]["bus"]:
+        assert interconnect["bus"][key] == sum(c["bus"][key] for c in clusters)
+    for key in ("reads", "writes"):
+        assert interconnect["memory_controllers"][key] == sum(
+            c["memory_controller"][key] for c in clusters)
 
 
 def test_writeback_reaches_backing_store():
@@ -392,7 +477,6 @@ def test_loaded_messages_keep_nothing_per_message():
 
 
 def test_report_passes_schema_level_invariants():
-    from tiersim.metrics import check_report_invariants
     system = build(small_cfg())
     system.load_trace(gen_synthetic_trace(4, 400, 0.9, 2048, seed=2))
     system.run()
