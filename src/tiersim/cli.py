@@ -232,9 +232,10 @@ def _cmd_sweep(args) -> int:
     if len(set(names)) < len(names):
         raise UserError(f"--values: {args.values}: two values share a report "
                         f"directory under {args.out_dir} ({os.sep} becomes _)")
+    # Every value passes its preflight before any directory is made.
+    configs = [_preflight(args.config, [(args.param, value)]) for value in values]
     jobs = []
-    for index, value in enumerate(values):
-        config = _preflight(args.config, [(args.param, value)])
+    for index, config in enumerate(configs):
         subdir = os.path.join(args.out_dir, names[index])
         try:
             os.makedirs(subdir, exist_ok=True)

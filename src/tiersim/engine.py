@@ -5,36 +5,46 @@ in insertion order, so a run is a pure function of (configuration, seed).
 The kernel is strictly single-threaded; parallelism only ever exists across
 independent simulations.
 
-The queue is a binary heap of plain `(time, seq, handler, payload)` tuples,
-which `heapq` compares in C. `seq` is unique per queue, so two entries
-always differ by the second field and a handler or payload is never
-compared.
+The queue keeps a heap of the distinct pending times, and for each time
+a FIFO bucket of `(seq, handler, payload)` entries in seq order, where
+`seq` counts the events a queue has been given. An event at a time that
+already has a bucket is appended to it, so a run whose events share
+their times pays one heap push and pop per time, not per event.
+`run_until` takes the heap's least time and dispatches its bucket from
+the front, including events scheduled at `now` while the bucket runs.
+The time stays on the heap until its bucket's last event is taken, so
+while events at `now` remain, `now` is the heap's head; an event
+scheduled at `now` after that opens a new bucket. `seq` is unique per
+queue, so neither the heap nor a bucket ever compares a handler or
+payload.
 
 `schedule_all` schedules a batch of n events that an iterator yields in
 time order, and reads each from the iterator only when the one before it
 is dispatched. It reserves the seqs `base ... base+n-1` that n successive
 `schedule` calls in that order would take, and advances the counter past
 them, so every event scheduled later gets a larger seq. Only the batch's
-earliest undispatched event sits in the heap; its dispatch pulls and
-pushes the batch's next `(time, seq)` entry before calling the handler.
-Keys stay unique, so the dispatch order is exactly the one eager
-scheduling gives, while neither the heap nor the queue keeps anything per
-event of the batch. A caller whose events are not in time order sorts
-them first, stably, which gives the order scheduling them one by one in
-their first order would.
+earliest undispatched event sits in a bucket; its dispatch reads the
+batch's next event and inserts it into its time's bucket at its seq's
+place, which may be the bucket being dispatched, before calling the
+handler. The dispatch order is exactly the one eager scheduling gives,
+while the queue keeps nothing per event of the batch. A caller whose
+events are not in time order sorts them first, stably, which gives the
+order scheduling them one by one in their first order would.
 
 A system keeps one queue per cluster and one for the mesh, because no
 cluster shares state with another or with the messages. A handler may run
 an event in place instead of scheduling it when `runs_next` says it would
 be dispatched next whatever happens: it falls within the current
 `run_until` end and strictly before the heap's head (or the heap is
-empty). The handler sets `now` to the event's time and goes on, so the
-order of effects is the one scheduling gives. `dispatched` and the counts
-`run_until` returns cover only events that went through the heap.
+empty), which also means no event at `now` is left to dispatch. The
+handler sets `now` to the event's time and goes on, so the order of
+effects is the one scheduling gives. `dispatched` and the counts
+`run_until` returns cover only events that went through a bucket.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import math
@@ -47,16 +57,15 @@ class SchedulingError(RuntimeError):
 
 
 class EventQueue:
-    """Priority queue of events ordered by (time, insertion sequence).
-
-    Each heap entry is a `(time, seq, handler, payload)` tuple; `seq` is
-    unique, so ties on time are broken by insertion order and a handler or
-    payload is never compared."""
+    """Events ordered by (time, insertion sequence): a heap of the distinct
+    pending times, and for each a FIFO bucket of `(seq, handler, payload)`
+    entries in seq order."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callable[[Any], None], Any]] = []
+        self._times: list[int] = []     # heap of the times that have a bucket
+        self._buckets: dict[int, list[tuple[int, Callable[[Any], None], Any]]] = {}
         self._seq = 0
-        self._reserved = 0      # batch events not yet pushed onto the heap
+        self._reserved = 0      # batch events not yet read into a bucket
         self.now = 0
         self.dispatched = 0
         self._until: int | float = -math.inf   # the current run's end
@@ -66,8 +75,22 @@ class EventQueue:
         if time_ps < self.now:
             raise SchedulingError(
                 f"event scheduled at {time_ps} ps, before current time {self.now} ps")
-        heapq.heappush(self._heap, (int(time_ps), self._seq, handler, payload))
+        bucket = self._buckets.get(time_ps)
+        if bucket is None:
+            self._buckets[time_ps] = [(self._seq, handler, payload)]
+            heapq.heappush(self._times, time_ps)
+        else:
+            bucket.append((self._seq, handler, payload))
         self._seq += 1
+
+    def _insert(self, time_ps: int, entry: tuple) -> None:
+        """Put a batch event into its time's bucket at its seq's place."""
+        bucket = self._buckets.get(time_ps)
+        if bucket is None:
+            self._buckets[time_ps] = [entry]
+            heapq.heappush(self._times, time_ps)
+        else:
+            bisect.insort(bucket, entry)
 
     def schedule_all(self, events: Iterable[tuple[int, Any]], count: int,
                      handler: Callable[[Any], None]) -> None:
@@ -75,7 +98,7 @@ class EventQueue:
         `(time, payload)` pairs of `events`, whose times never decrease, as
         `count` successive `schedule` calls would: the i-th takes seq
         base + i. Each pair is read when the one before it is dispatched,
-        so only the batch's earliest undispatched event is in the heap. A
+        so only the batch's earliest undispatched event is in a bucket. A
         first time in the past raises SchedulingError before anything is
         scheduled, and a time before the one ahead of it raises it when it
         is read."""
@@ -89,8 +112,6 @@ class EventQueue:
         base = self._seq
         self._seq += count
         self._reserved += count - 1
-        heap = self._heap
-        heappush = heapq.heappush
         rest = zip(range(base + 1, base + count), events)
 
         def dispatch(payload: Any) -> None:
@@ -102,20 +123,22 @@ class EventQueue:
                         f"batch event at {time_ps} ps comes after one at "
                         f"{self.now} ps")
                 self._reserved -= 1
-                heappush(heap, (int(time_ps), seq, dispatch, next_payload))
+                self._insert(time_ps, (seq, dispatch, next_payload))
             handler(payload)
 
-        heappush(heap, (int(time_ps), base, dispatch, payload))
+        self._insert(time_ps, (base, dispatch, payload))
 
     def runs_next(self, time_ps: int) -> bool:
         """Whether an event scheduled now at time_ps would be the next one
         dispatched: it is within the current run's end and strictly before
-        every pending event, so a handler may run it in place."""
-        heap = self._heap
-        return time_ps <= self._until and (not heap or time_ps < heap[0][0])
+        every pending time, `now` included while events at `now` remain,
+        so a handler may run it in place."""
+        times = self._times
+        return time_ps <= self._until and (not times or time_ps < times[0])
 
     def pending(self) -> int:
-        return len(self._heap) + self._reserved
+        """Events scheduled and not yet dispatched, counted between runs."""
+        return sum(map(len, self._buckets.values())) + self._reserved
 
     def run_until(self, t_end_ps: int | float = math.inf) -> int:
         """Dispatch every event with time <= t_end_ps in (time, seq) order
@@ -125,15 +148,33 @@ class EventQueue:
         clock still advances to t_end_ps (if finite) so that consecutive runs
         compose: run_until(t1); run_until(t2) == run_until(t2).
         """
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
         heappop = heapq.heappop
         self._until = t_end_ps
         count = 0
-        while heap and heap[0][0] <= t_end_ps:
-            time_ps, _, handler, payload = heappop(heap)
-            self.now = time_ps
+        while times and times[0] <= t_end_ps:
+            self.now = time_ps = times[0]
+            bucket = buckets[time_ps]
+            i = 0
+            try:
+                while True:
+                    _, handler, payload = bucket[i]
+                    i += 1
+                    if i == len(bucket):
+                        break
+                    handler(payload)
+            except BaseException:
+                # A handler raised: the events its time has dispatched leave
+                # the bucket, so the rest stay pending.
+                del bucket[:i]
+                raise
+            # The time's last event: the time leaves the heap before it runs,
+            # so its handler's `runs_next` looks past it.
+            heappop(times)
+            del buckets[time_ps]
+            count += i
             handler(payload)
-            count += 1
         if t_end_ps != math.inf and t_end_ps > self.now:
             self.now = int(t_end_ps)
         self.dispatched += count

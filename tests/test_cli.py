@@ -1012,6 +1012,20 @@ def test_sweep_values_that_share_a_directory_exit_2_before_any_run(
     assert not out_dir.exists()
 
 
+def test_sweep_bad_later_value_exits_2_before_any_directory(
+        tmp_path, capsys, monkeypatch):
+    # A good value ahead of a bad one gets no directory: every value passes
+    # its preflight before the sweep makes any.
+    monkeypatch.setattr(cli, "run_experiment", None)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", "fig32", "--param",
+                 "workload.synthetic.length", "--values", "3,abc",
+                 "--out-dir", str(out_dir)]) == 2
+    assert ("workload.synthetic.length: must be an integer, got 'abc'"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_sweep_parallel_matches_sequential(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, quick_cfg())
 

@@ -274,3 +274,66 @@ def test_schedule_all_dispatches_as_single_schedules(times, expected):
         return order
 
     assert dispatch_order(batched=True) == dispatch_order(batched=False) == expected
+
+
+@pytest.mark.parametrize("held, expected", [
+    # "b" is read from its batch while "a" is dispatched, into a new bucket
+    # at 5 ...
+    (False, [("a", []), ("b", [5, 6]), ("c", [7, 8])]),
+    # ... or into the bucket at 5 that still holds "x", ahead of it.
+    (True, [("a", []), ("b", []), ("x", [5, 6]), ("c", [7, 8])])])
+def test_runs_next_waits_for_every_event_left_at_now(held, expected):
+    q = EventQueue()
+    seen = []
+
+    def probe(tag):
+        seen.append((tag, [t for t in range(q.now, 9) if q.runs_next(t)]))
+
+    q.schedule_all(iter([(5, "a"), (5, "b")]), 2, probe)
+    if held:
+        q.schedule(5, probe, "x")
+    q.schedule(7, probe, "c")
+    q.run_until()
+    assert seen == expected
+
+
+@pytest.mark.parametrize("t_mid", [0, 3, 4, 7])
+def test_dispatched_plus_pending_is_conserved_across_a_cut_run(t_mid):
+    # Shared times, a batch whose later events are still unread at the
+    # cut, and handlers that schedule at `now` and later.
+    q = EventQueue()
+    scheduled = 0
+
+    def spawn(depth):
+        nonlocal scheduled
+        if depth < 2:
+            q.schedule(q.now, spawn, depth + 1)
+            q.schedule(q.now + 3, spawn, depth + 1)
+            scheduled += 2
+
+    for t in (0, 0, 4):
+        q.schedule(t, spawn, 0)
+    q.schedule_all(iter([(0, 0), (4, 0), (4, 1)]), 3, spawn)
+    scheduled += 6
+    q.run_until(t_mid)
+    assert q.dispatched > 0
+    assert q.dispatched + q.pending() == scheduled
+    q.run_until()
+    assert q.dispatched == scheduled and q.pending() == 0
+
+
+def test_a_handler_that_raises_leaves_the_events_after_it_pending():
+    q = EventQueue()
+    order = []
+
+    def fail(_):
+        raise ValueError("handler failed")
+
+    q.schedule(5, fail)
+    q.schedule(5, order.append, "b")
+    q.schedule(6, order.append, "c")
+    with pytest.raises(ValueError):
+        q.run_until()
+    assert q.pending() == 2 and not q.runs_next(5)
+    q.run_until()
+    assert order == ["b", "c"]

@@ -572,6 +572,26 @@ def test_determinism_identical_reports():
     assert run_once() == run_once()
 
 
+@pytest.mark.parametrize("name, rate, events, mesh_events", [
+    ("fig33", 0.05, 4728, 963),
+    ("fig36", None, 7613, 39)])
+def test_queues_dispatch_a_pinned_number_of_events(name, rate, events,
+                                                   mesh_events):
+    # A queue that stops allowing in-place steps moves no report byte, but
+    # it dispatches more events: these are the counts with today's steps.
+    cfg = preset(name)
+    cfg["workload"]["synthetic"]["length"] = 200
+    if rate is not None:
+        cfg["workload"]["message_synthetic"]["rate"] = rate
+    spec = spec_from_dict(cfg)
+    system = build(cfg, seed=5)
+    system.load_trace(gen_synthetic_trace(cores=spec.total_cores, seed=5,
+                                          **cfg["workload"]["synthetic"]))
+    system.load_messages(gen_message_traffic(
+        clusters=spec.n_clusters, seed=5, **cfg["workload"]["message_synthetic"]))
+    assert (system.run(), system.engine.dispatched) == (events, mesh_events)
+
+
 def test_tier_area_conserved_across_region_refactor():
     plain = small_cfg()
     split = copy.deepcopy(plain)
