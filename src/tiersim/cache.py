@@ -18,9 +18,10 @@ index gains and loses the block.
 
 The level has one API, which the simulator and the tests both drive, and
 its calls return tuples: `probe` gives `(set_index, way)`, `way` None on
-a miss. A request from above is `demand_read` (no allocation; the caller
-fills on a miss response) or `writeback_write` (merged on a hit,
-forwarded on a miss); each counts the access and returns as `probe` does.
+a miss. A request from above, or a core's read, is `demand_read` (no
+allocation; the caller fills on a miss response); a write-back from above
+is `writeback_write` (merged on a hit, forwarded on a miss); each counts
+the access and returns as `probe` does.
 `fill` installs a block and returns `(set_index, way, victim)`, `victim`
 the dirty `Eviction` or None; it refuses a block whose way is worn out,
 or whose set has no usable way, with way None and the level unchanged.
@@ -144,9 +145,10 @@ class CacheLevel:
     `nuca_base_latency + nuca_per_hop * bank` cycles, and
     `way_cycles[kind][way]`, a read or write on the way's region in
     cycles of the array's clock, a write at the `write_mix` of set and
-    reset latencies. A booking is one `service` call, which holds the port
-    for the cycles given and, with `record`, takes the service time as a
-    hit-latency sample; `book` adds the bank route.
+    reset latencies. `service` is the unrouted booking: it holds the port
+    for the cycles given. `book` adds the bank route, books the port
+    itself in one `FifoResource.book` call and, with `record`, takes the
+    service time as a hit-latency sample.
     """
 
     def __init__(self, name: str, geom: CacheGeometry,
@@ -320,7 +322,8 @@ class CacheLevel:
             self._holders[block] = (self._holder_bit if held is None
                                     else held | self._holder_bit)
         self.fills += 1
-        self.touch(set_index, way)
+        self._stamp += 1
+        line.lru_stamp = self._stamp
         if write_fill_words:
             self._charge_write(set_index, way, write_fill_words, now_ps)
         return set_index, way, victim
@@ -346,19 +349,28 @@ class CacheLevel:
                     now_ps: int = 0) -> None:
         """Apply a write hit to a resident line: mark the words in `mask`
         dirty, touch the line and charge wear for that many words."""
-        self.lines[set_index][way].dirty_words |= mask
-        self.touch(set_index, way)
+        line = self.lines[set_index][way]
+        line.dirty_words |= mask
+        self._stamp += 1
+        line.lru_stamp = self._stamp
         self._charge_write(set_index, way, mask.bit_count(), now_ps)
 
     # -- system-facing access paths -------------------------------------------
 
     def demand_read(self, addr: int) -> tuple[int, int | None]:
         """Fetch request from the level above. No allocation here; the caller
-        fills on the miss response."""
-        set_index, way = self.probe(addr)
-        self.count_access("R", way)
-        if way is not None:
-            self.touch(set_index, way)
+        fills on the miss response. It looks up the line as `probe` does,
+        counts the read and stamps the LRU order as `touch` does."""
+        block = addr // self._block_size
+        set_index = block % self._sets
+        way = self._resident.get(block)
+        if way is None:
+            self.region_reads[0] += 1
+        else:
+            self.hits += 1
+            self.region_reads[self._region_of_way[way]] += 1
+            self._stamp += 1
+            self.lines[set_index][way].lru_stamp = self._stamp
         return set_index, way
 
     def writeback_write(self, addr: int, dirty_words: int,
@@ -367,7 +379,7 @@ class CacheLevel:
         """Write-back of a victim in `state` from the level above. Hits merge
         in place; misses (and worn lines) are forwarded, never allocated."""
         set_index, way = self.probe(addr)
-        self.count_access("W", way)
+        self.count_access(way)
         if way is None:
             return set_index, None
         line = self.lines[set_index][way]
@@ -397,35 +409,35 @@ class CacheLevel:
 
     # -- accounting -----------------------------------------------------------
 
-    def count_access(self, op: str, way: int | None) -> None:
-        """Count one access, read ("R") or write ("W"): a hit on `way`,
-        charged to that way's region, or a miss (`way` None), charged to
-        region 0. Every access of the level is counted here, once."""
+    def count_access(self, way: int | None) -> None:
+        """Count one write: a hit on `way`, charged to that way's region, or
+        a miss (`way` None), charged to region 0. A read is counted, by the
+        same rule, in `demand_read`."""
         if way is None:
-            region = 0
+            self.region_writes[0] += 1
         else:
             self.hits += 1
-            region = self._region_of_way[way]
-        (self.region_reads if op == "R" else self.region_writes)[region] += 1
+            self.region_writes[self._region_of_way[way]] += 1
 
-    def service(self, arrival_ps: int, cycles: int,
-                record: bool = False) -> tuple[int, int]:
+    def service(self, arrival_ps: int, cycles: int) -> tuple[int, int]:
         """Occupy the array's port for an access, after every access already
-        booked; returns (start, done) in ps. With `record` the service time,
-        done - start, is a hit-latency sample."""
-        start, done = self.port.book(arrival_ps, cycles * self.clock_period_ps)
-        if record:
-            self.hit_latency_sum_ps += done - start
-            self.hit_latency_samples += 1
-        return start, done
+        booked; returns (start, done) in ps."""
+        return self.port.book(arrival_ps, cycles * self.clock_period_ps)
 
     def book(self, set_index: int, way: int | None, kind: str, t: int,
              record: bool) -> int:
-        """`service` at t for an access that reaches its line through the
-        banks: the bank route, then op `kind` on `way` (way 0 on a miss)."""
-        return self.service(
-            t, self.route_cycles[set_index % len(self.route_cycles)]
-            + self.way_cycles[kind][way or 0], record)[1]
+        """Book the port at t, as `service` would, for an access that
+        reaches its line through the banks: the bank route, then op `kind`
+        on `way` (way 0 on a miss). Returns the done time; with `record` the
+        service time, done - start, is a hit-latency sample."""
+        route = self.route_cycles
+        start, done = self.port.book(
+            t, (route[set_index % len(route)] + self.way_cycles[kind][way or 0])
+            * self.clock_period_ps)
+        if record:
+            self.hit_latency_sum_ps += done - start
+            self.hit_latency_samples += 1
+        return done
 
     def snapshot(self) -> dict:
         """What the report reads of the array, as plain values: each region

@@ -45,6 +45,7 @@ MEMO_SIZE = 256
 class StepResult:
     states: tuple[str, ...]
     actions: tuple[tuple, ...]
+    remotes: tuple[int, ...]  # the other caches whose state changes
 
 
 def check_invariants(states: tuple[str, ...] | list[str]) -> None:
@@ -121,8 +122,10 @@ def coherence_step(states: tuple[str, ...] | list[str], event: str,
     A read miss is a BusRd and a write from I, S or O a BusRdX, which the
     other caches snoop; hits and the E -> M upgrade are silent. Actions
     name the remote caches involved: (supply_owner, i) when cache i
-    supplies the data, (invalidate, i) when it drops its copy. A list and
-    a tuple of the same states give the same (shared, frozen) result.
+    supplies the data, (invalidate, i) when it drops its copy; `remotes`
+    lists, in index order, the caches other than `cache` whose state those
+    actions change. A list and a tuple of the same states give the same
+    (shared, frozen) result.
     """
     return _transition(tuple(states), event, cache)
 
@@ -156,4 +159,5 @@ def _transition(states: tuple[str, ...], event: str, cache: int) -> StepResult:
         raise ValueError(f"unknown coherence event {event!r}")
 
     check_invariants(st)
-    return StepResult(states=tuple(st), actions=tuple(actions))
+    return StepResult(tuple(st), tuple(actions), tuple(
+        i for i, old in enumerate(states) if i != cache and old != st[i]))

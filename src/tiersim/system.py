@@ -34,13 +34,13 @@ import operator
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
 from .cache import (DIRTY_STATES, I, M, O, PSEUDO_RANDOM, S, WORD_SIZE,
                     CacheLevel, CacheLine, Eviction)
-from .coherence import (CORE_READ, CORE_WRITE, INVALIDATE, SUPPLY_OWNER,
-                        StepResult, coherence_step)
+from .coherence import (CORE_READ, CORE_WRITE, SUPPLY_OWNER, StepResult,
+                        coherence_step)
 from .engine import EventQueue, FifoResource, substream
 from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, WRITE
@@ -268,7 +268,8 @@ class Cluster:
         stack, rec, stream, t_issue = payload
         engine = self.engine
         runs_next = engine.runs_next
-        log = self.mem_samples.append
+        log_start = self.mem_samples.starts.append
+        log_end = self.mem_samples.ends.append
         core_ps = self._core_ps
         while True:
             if rec is not None:
@@ -278,7 +279,8 @@ class Cluster:
                                     (stack, None, stream, t_issue))
                     return
                 engine.now = t_done
-            log(t_issue, engine.now)
+            log_start(t_issue)
+            log_end(engine.now)
             rec = next(stream, None)
             if rec is None:
                 return
@@ -315,9 +317,6 @@ class Cluster:
                 log.append(("w", base + w * WORD_SIZE, data[w]))
         return ((1 << count) - 1) << first
 
-    def _tsv_delay(self, tier_a: int, tier_b: int) -> int:
-        return abs(tier_a - tier_b) * self._tsv_ps
-
     def _path(self, stack: Stack, addr: int) -> Path:
         """The stack's path for a block: the one through the block's
         shared-L2 home, which interleaves homes by block number, so a block
@@ -339,7 +338,7 @@ class Cluster:
             if level is None:
                 _, t = self.bus.request.request(t, self.block_size)
                 continue
-            t += self._tsv_delay(tier, level.tier)
+            t += abs(tier - level.tier) * self._tsv_ps
             tier = level.tier
             set_index, way = level.writeback_write(ev.addr, ev.dirty_words,
                                                    ev.data, ev.state, now_ps=t)
@@ -373,22 +372,17 @@ class Cluster:
                         step: StepResult) -> int:
         """Commit a transaction's state changes to the other stacks: a copy
         going to I is dropped, any other change lands on the stack's
-        authoritative line. Only a supplying owner and the invalidated
-        stacks can change, so only those are visited; a BusRdX names its
-        owner as both. Returns the dirty words of the invalidated owner
-        (old state M or O), which the requester inherits: ownership moves
-        with the data, or, on an upgrade, an O holder's data already matches
-        the requester's, so only the mask moves."""
+        authoritative line. Only the stacks in the step's `remotes` change,
+        so only those are visited. Returns the dirty words of the
+        invalidated owner (old state M or O), which the requester inherits:
+        ownership moves with the data, or, on an upgrade, an O holder's data
+        already matches the requester's, so only the mask moves."""
         inherited = 0
-        changed = dict.fromkeys(a[1] for a in step.actions
-                                if a[0] == SUPPLY_OWNER or a[0] == INVALIDATE)
-        for i in changed:
-            old, new = vector[i], step.states[i]
-            if old == new:
-                continue
+        for i in step.remotes:
+            new = step.states[i]
             remote = self.stacks[i]
             if new == I:
-                if old in DIRTY_STATES:
+                if vector[i] in DIRTY_STATES:
                     level, set_index, way = remote.authoritative(addr)
                     inherited |= level.lines[set_index][way].dirty_words
                 remote.drop(addr)
@@ -433,7 +427,7 @@ class Cluster:
                 if carry:
                     data = list(level.lines[set_index][way].data)
                 t = (level.book(set_index, way, READ, t, False)
-                     + self._tsv_delay(supplier.core_tier, stack.core_tier))
+                     + abs(supplier.core_tier - stack.core_tier) * self._tsv_ps)
 
         # Commit remote state changes after the supplier's data is captured.
         inherited_dirty = self._commit_remotes(addr, vector, step)
@@ -447,7 +441,7 @@ class Cluster:
             tier = stack.core_tier
             for k in range(below, len(path)):
                 level = path[k]
-                t += self._tsv_delay(tier, level.tier)
+                t += abs(tier - level.tier) * self._tsv_ps
                 tier = level.tier
                 set_index, way = level.demand_read(addr)
                 t = level.book(set_index, way, READ, t, way is not None)
@@ -464,7 +458,7 @@ class Cluster:
                 victim = path[j].fill(addr, state=S, data=data)[2]
                 if victim is not None:
                     self._writeback(victim, path, j, t)
-            t += self._tsv_delay(tier, stack.core_tier)
+            t += abs(tier - stack.core_tier) * self._tsv_ps
         _, resp_done = self.bus.response.request(t, self.block_size)
         return data, step.states[stack.index], resp_done, inherited_dirty
 
@@ -493,17 +487,20 @@ class Cluster:
     def _do_access(self, stack: Stack, rec: TraceRecord, t0: int) -> int:
         addr, op = rec.addr, rec.op
         l1 = stack.l1d
-        set_index, way = l1.probe(addr)
 
-        # L1 hit paths -------------------------------------------------------
+        # L1 hit paths; a miss is counted on region 0 ----------------------
+        if op == "R":
+            set_index, way = l1.demand_read(addr)
+            if way is not None:
+                done = l1.book(set_index, way, READ, t0, True)
+                if self.data_log is not None:
+                    self._core_op(rec, l1.lines[set_index][way].data)
+                return done
+        else:
+            set_index, way = l1.probe(addr)
+            l1.count_access(way)
         if way is not None:
             line = l1.lines[set_index][way]
-            l1.count_access(op, way)
-            if op == "R":
-                done = l1.book(set_index, way, READ, t0, True)
-                l1.touch(set_index, way)
-                self._core_op(rec, line.data)
-                return done
             # A bus upgrade first reads the line, without the bank route,
             # and the write hit then records no hit-latency sample.
             upgrade = line.state in (S, O)
@@ -514,15 +511,12 @@ class Cluster:
             return l1.book(set_index, way, WRITE, t, not upgrade)
 
         # L1 miss: try the stack's private L2 before the bus -----------------
-        l1.count_access(op, None)
         _, t = l1.service(t0, l1.way_cycles[READ][0])
         l2p = stack.l2_private
         if l2p is not None:
             set_index, way = l2p.demand_read(addr)
-            t = l2p.book(set_index, way, READ,
-                         t + self._tsv_delay(stack.core_tier, l2p.tier),
-                         way is not None)
-            t += self._tsv_delay(l2p.tier, stack.core_tier)
+            tsv = abs(stack.core_tier - l2p.tier) * self._tsv_ps
+            t = l2p.book(set_index, way, READ, t + tsv, way is not None) + tsv
             if way is not None:
                 return self._promote_from_private(stack, rec, t, set_index, way)
 
@@ -644,11 +638,10 @@ class System:
                 raise WorkloadError(f"core {core}: tick {queue[-1].tick} starts "
                                     f"at or after {LATEST_START_PS} ps")
         for queue in per_core.values():
-            # A core pops its records off its list, which lets each go as
-            # it is taken; the None put below them ends the core's stream.
-            queue.append(None)
+            # A core pops its records off its reversed list, which lets each
+            # go as it is taken, once per record the list holds.
             queue.reverse()
-        self.start_cores({core: iter(queue.pop, None)
+        self.start_cores({core: map(list.pop, repeat(queue, len(queue)))
                           for core, queue in per_core.items()}, len(records))
 
     def start_cores(self, streams: Mapping[int, Iterator[TraceRecord]],

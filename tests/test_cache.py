@@ -537,6 +537,29 @@ def book_cache_array(requests, period):
     return level.port, windows
 
 
+def book_cache_array_routed(requests, period):
+    """`CacheLevel.book`, which books the port itself. A request's cycles
+    pick its set (the bank route is 2 + set % 4 cycles) and its op, and an
+    odd one records its service time as a hit-latency sample."""
+    level = CacheLevel("routed", CacheGeometry(capacity=1024, block_size=64,
+                                               associativity=2, banks=4,
+                                               nuca_base_latency=2,
+                                               nuca_per_hop=1),
+                       [CAT["SRAM"]], clock_period_ps=period)
+    windows, recorded = [], []
+    for arrival, cycles in bookings(requests):
+        kind = (READ, WRITE)[cycles % 2]
+        hold = (2 + cycles % 4 + level.way_cycles[kind][0]) * period
+        done = level.book(cycles, None, kind, arrival, cycles % 2 == 1)
+        assert done - hold >= arrival
+        windows.append((done - hold, done))
+        if cycles % 2:
+            recorded.append(hold)
+    assert level.hit_latency_samples == len(recorded)
+    assert level.hit_latency_sum_ps == sum(recorded)
+    return level.port, windows
+
+
 def book_bus_channel(requests, period):
     channel = BusChannel(beat_width=16, clock_period_ps=period)
     windows = []
@@ -585,10 +608,12 @@ def book_mesh_link(requests, period):
     return link, windows
 
 
-@pytest.mark.parametrize("book", [book_cache_array, book_bus_channel,
-                                  book_memory_controller, book_mesh_link],
-                         ids=["CacheLevel.service", "BusChannel.request",
-                              "MemoryController.serve", "mesh-link"])
+@pytest.mark.parametrize("book", [book_cache_array, book_cache_array_routed,
+                                  book_bus_channel, book_memory_controller,
+                                  book_mesh_link],
+                         ids=["CacheLevel.service", "CacheLevel.book",
+                              "BusChannel.request", "MemoryController.serve",
+                              "mesh-link"])
 @settings(max_examples=100, deadline=None)
 @given(requests=BOOKINGS, period=st.integers(1, 1500))
 def test_every_timed_resource_books_fifo_windows(book, requests, period):

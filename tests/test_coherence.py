@@ -209,7 +209,11 @@ def _ref_coherence_step(states, event, cache):
                         st[idx] = "I"
             st[cache] = "M"
     _ref_check_invariants(st)
-    return StepResult(states=tuple(st), actions=tuple(actions))
+    # The caches a supply or invalidate action changes, from the actions
+    # and the two vectors: the step derives them from the vectors alone.
+    remotes = sorted({i for _, i in actions if states[i] != st[i]})
+    return StepResult(states=tuple(st), actions=tuple(actions),
+                      remotes=tuple(remotes))
 
 
 def _all_vectors(max_n=4):
@@ -258,7 +262,7 @@ def test_list_and_tuple_of_the_same_states_give_the_same_result():
     as_tuple = coherence_step(("S", "O", "I"), CORE_WRITE, 0)
     assert as_list is as_tuple
     assert as_list == StepResult(states=("M", "I", "I"),
-                                 actions=((INVALIDATE, 1),))
+                                 actions=((INVALIDATE, 1),), remotes=(1,))
 
 
 def test_memo_stays_within_its_bound():
