@@ -10,18 +10,19 @@ Storage is sparse. A set's ways are built one at a time, lowest index
 first, by the first fill that lands in each; a way not yet built counts as
 invalid and unworn, so replacement picks the same victims as it would over
 a fully built set. Lookups never scan ways: each level keeps an index from
-block number to the way of its valid, unworn line, plus the set of blocks
-whose way has worn out, and `probe` and `fill` consult only those. An
-array its cluster snoops (an L1d or a private L2) is handed that cluster's
-snoop filter and its own bit in it, and sets and clears the bit where the
-index gains and loses the block.
+block number to the way of its valid, unworn line (`resident`), plus the
+set of blocks whose way has worn out, and lookups and `fill` consult only
+those. An array its cluster snoops (an L1d or a private L2) is handed that
+cluster's snoop filter and its own bit in it, and sets and clears the bit
+where the index gains and loses the block.
 
 The level has one API, which the simulator and the tests both drive, and
 its calls return tuples: `probe` gives `(set_index, way)`, `way` None on
 a miss. A request from above, or a core's read, is `demand_read` (no
-allocation; the caller fills on a miss response); a write-back from above
-is `writeback_write` (merged on a hit, forwarded on a miss); each counts
-the access and returns as `probe` does.
+allocation; the caller fills on a miss response); a core's write is
+`demand_write`; a write-back from above is `writeback_write` (merged on a
+hit, forwarded on a miss); each counts the access and returns as `probe`
+does.
 `fill` installs a block and returns `(set_index, way, victim)`, `victim`
 the dirty `Eviction` or None; it refuses a block whose way is worn out,
 or whose set has no usable way, with way None and the level unchanged.
@@ -173,7 +174,7 @@ class CacheLevel:
         self.rng = rng or (random.Random(0) if geom.replacement == PSEUDO_RANDOM
                            else None)
         self._stamp = 0
-        self._sets = geom.sets
+        self.sets = geom.sets
         self._block_size = geom.block_size
         # lines[s] holds set s's built ways in way order. Ways at index
         # len(lines[s]) and above are unbuilt: invalid and unworn. A set
@@ -182,10 +183,10 @@ class CacheLevel:
         self.lines: list[list[CacheLine] | tuple[()]] = [()] * geom.sets
         # The lookup path: block number -> way of its valid, unworn line,
         # and the blocks whose way wore out (worn ways keep their tag).
-        self._resident: dict[int, int] = {}
+        self.resident: dict[int, int] = {}
         self._worn_blocks: set[int] = set()
         # A snooped array also keeps its bit in the cluster's map from block
-        # number to holder bits, set exactly while the block is in _resident.
+        # number to holder bits, set exactly while the block is in resident.
         self._holders, self._holder_bit = snoop_filter or (None, 0)
         self._region_of_way = [0] * geom.associativity
         for idx, r in enumerate(regions):
@@ -224,7 +225,7 @@ class CacheLevel:
     def probe(self, addr: int) -> tuple[int, int | None]:
         """(set_index, hit way or None)."""
         block = addr // self._block_size
-        return block % self._sets, self._resident.get(block)
+        return block % self.sets, self.resident.get(block)
 
     def touch(self, set_index: int, way: int) -> None:
         self._stamp += 1
@@ -255,8 +256,8 @@ class CacheLevel:
         snoop filter, as it leaves that state."""
         if line.worn:
             return
-        block = line.tag * self._sets + set_index
-        del self._resident[block]
+        block = line.tag * self.sets + set_index
+        del self.resident[block]
         if self._holders is not None:
             rest = self._holders[block] & ~self._holder_bit
             if rest:
@@ -295,7 +296,7 @@ class CacheLevel:
         or no image when `data` is None. write_fill_words > 0 marks a
         write-allocate fill and charges wear for it."""
         block = addr // self._block_size
-        set_index = block % self._sets
+        set_index = block % self.sets
         way = (None if block in self._worn_blocks
                else self.select_victim(set_index))
         if way is None:
@@ -311,11 +312,11 @@ class CacheLevel:
         line = ways[way]
         # write_count survives refills: endurance wears the physical way,
         # not the block that happens to occupy it.
-        line.tag = block // self._sets
+        line.tag = block // self.sets
         line.state = state
         line.dirty_words = 0
         line.data = list(data) if data is not None else None
-        self._resident[block] = way
+        self.resident[block] = way
         if self._holders is not None:
             # A sole holder's entry is the level's own bit object: no new int.
             held = self._holders.get(block)
@@ -340,7 +341,7 @@ class CacheLevel:
             if line.state != I:
                 self._unindex(set_index, line)
             line.worn = True
-            self._worn_blocks.add(line.tag * self._sets + set_index)
+            self._worn_blocks.add(line.tag * self.sets + set_index)
             self.worn_lines += 1
             if self.first_wear_time_ps is None:
                 self.first_wear_time_ps = now_ps
@@ -362,8 +363,8 @@ class CacheLevel:
         fills on the miss response. It looks up the line as `probe` does,
         counts the read and stamps the LRU order as `touch` does."""
         block = addr // self._block_size
-        set_index = block % self._sets
-        way = self._resident.get(block)
+        set_index = block % self.sets
+        way = self.resident.get(block)
         if way is None:
             self.region_reads[0] += 1
         else:
@@ -373,13 +374,22 @@ class CacheLevel:
             self.lines[set_index][way].lru_stamp = self._stamp
         return set_index, way
 
+    def demand_write(self, addr: int) -> tuple[int, int | None]:
+        """A core's write, or a write-back merge. It looks up the line as
+        `probe` does and counts the write: a hit on its way's region, a miss
+        on region 0. The caller applies the write and stamps the line."""
+        block = addr // self._block_size
+        way = self.resident.get(block)
+        self.hits += way is not None
+        self.region_writes[0 if way is None else self._region_of_way[way]] += 1
+        return block % self.sets, way
+
     def writeback_write(self, addr: int, dirty_words: int,
                         data: list[int] | None = None, state: str = M,
                         now_ps: int = 0) -> tuple[int, int | None]:
         """Write-back of a victim in `state` from the level above. Hits merge
         in place; misses (and worn lines) are forwarded, never allocated."""
-        set_index, way = self.probe(addr)
-        self.count_access(way)
+        set_index, way = self.demand_write(addr)
         if way is None:
             return set_index, None
         line = self.lines[set_index][way]
@@ -408,16 +418,6 @@ class CacheLevel:
         line.data = None
 
     # -- accounting -----------------------------------------------------------
-
-    def count_access(self, way: int | None) -> None:
-        """Count one write: a hit on `way`, charged to that way's region, or
-        a miss (`way` None), charged to region 0. A read is counted, by the
-        same rule, in `demand_read`."""
-        if way is None:
-            self.region_writes[0] += 1
-        else:
-            self.hits += 1
-            self.region_writes[self._region_of_way[way]] += 1
 
     def service(self, arrival_ps: int, cycles: int) -> tuple[int, int]:
         """Occupy the array's port for an access, after every access already

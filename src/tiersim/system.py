@@ -9,11 +9,11 @@ starts and runs itself; `System` adds the mesh and the loaders. The report is
 `metrics.build_report` of the clusters' snapshots and the mesh's counts.
 
 Each cluster keeps an exact snoop filter (the exact form of JETTY, Moshovos
-et al., HPCA 2001): a map from block number to a bitmask of the stacks whose
-L1d or private L2 holds the block valid. The arrays maintain it themselves
-where their block index changes, so a snoop asks only the stacks in the
-mask, and a block nobody holds costs one dict lookup however many stacks
-the cluster has.
+et al., HPCA 2001), which the arrays maintain where their block index
+changes. It is the bus's directory: a transaction reads each holder's line
+from the filter's bits and that array's index, runs the MOESI step on the
+holders' states alone and commits to the lines it found, so a block nobody
+holds costs one dict lookup however many stacks the cluster has.
 
 Coherence state and data commit atomically at bus-serialization points, in
 event-dispatch order; timing comes from one FIFO booking rule,
@@ -129,12 +129,12 @@ class Stack:
         level, set_index, way = loc
         return level.lines[set_index][way].state
 
-    def drop(self, addr: int) -> None:
-        """Invalidate every copy this stack holds (remote BusRdX)."""
+    def drop(self, block: int) -> None:
+        """Invalidate every copy this stack holds of a block (remote BusRdX)."""
         for level in self.snooped:
-            set_index, way = level.probe(addr)
+            way = level.resident.get(block)
             if way is not None:
-                level.invalidate(set_index, way)
+                level.invalidate(block % level.sets, way)
 
 
 class Cluster:
@@ -146,8 +146,7 @@ class Cluster:
 
     `holders` is the snoop filter: block number -> bitmask with bit 2i set
     while stack i's L1d holds the block valid and bit 2i+1 while its
-    private L2 does. Only those two arrays of each stack write it; a block
-    no stack holds has no entry.
+    private L2 does; a block no stack holds has no entry.
 
     Each completed access appends its issue and completion times to
     `mem_samples`, the log the cluster is handed. With `record_log`,
@@ -350,45 +349,56 @@ class Cluster:
             self.memory.merge(ev.addr, ev.dirty_words, ev.data)
 
     def _snoop(self, stack: Stack, addr: int, event: str,
-               t: int) -> tuple[list[str], StepResult, int]:
-        """Head of every bus transaction: the request grant, the snoop vector
-        of the cluster's stacks, the MOESI step and the snoop grant. Only
-        the stacks the snoop filter names are asked for their state; every
-        other entry is I. Returns (vector, step, t_snoop_done)."""
+               t: int) -> tuple[list[tuple | None], StepResult, int, int]:
+        """Head of every bus transaction: the request grant, the MOESI step
+        on the states of the block's holders alone, in stack order, and the
+        snoop grant. Each holder is (stack, array, set, way) of its line: its
+        L1d's when its bit 2i is set, else its private L2's. The requester is
+        listed whether it holds a copy or not (None when not). Returns
+        (holders, step, the requester's position, t_snoop_done); the step's
+        indexes are positions in `holders`."""
         bus = self.bus
         _, req_done = bus.request.request(t, 8)
-        stacks = self.stacks
-        vector = [I] * len(stacks)
-        mask = self.holders.get(addr // self.block_size, 0)
+        block = addr // self.block_size
+        bits = self.holders.get(block, 0)
+        me = stack.index
+        holders: list[tuple | None] = []
+        states, pos, mask = [], 0, bits
         while mask:
             i = (mask & -mask).bit_length() - 1 >> 1
-            vector[i] = stacks[i].state(addr)
             mask &= ~(3 << 2 * i)
-        step = coherence_step(vector, event, stack.index)
+            pos += i < me
+            holder = self.stacks[i]
+            level = holder.l1d if bits >> 2 * i & 1 else holder.l2_private
+            set_index = block % level.sets
+            way = level.resident[block]
+            holders.append((holder, level, set_index, way))
+            states.append(level.lines[set_index][way].state)
+        if not bits >> 2 * me & 3:  # the requester holds no copy: its I
+            holders.insert(pos, None)
+            states.insert(pos, I)
+        step = coherence_step(states, event, pos)
         _, snoop_done = bus.snoop.request(req_done, 8)
-        return vector, step, snoop_done
+        return holders, step, pos, snoop_done
 
-    def _commit_remotes(self, addr: int, vector: list[str],
+    def _commit_remotes(self, addr: int, holders: list[tuple | None],
                         step: StepResult) -> int:
-        """Commit a transaction's state changes to the other stacks: a copy
-        going to I is dropped, any other change lands on the stack's
-        authoritative line. Only the stacks in the step's `remotes` change,
-        so only those are visited. Returns the dirty words of the
-        invalidated owner (old state M or O), which the requester inherits:
-        ownership moves with the data, or, on an upgrade, an O holder's data
-        already matches the requester's, so only the mask moves."""
+        """Commit a transaction's state changes to the holders in the step's
+        `remotes`, at the lines `_snoop` found: a copy going to I is
+        dropped, any other change lands on the line. Returns the dirty words
+        of the invalidated owner (old state M or O), which the requester
+        inherits: ownership moves with the data, or, on an upgrade, an O
+        holder's data already matches the requester's."""
         inherited = 0
-        for i in step.remotes:
-            new = step.states[i]
-            remote = self.stacks[i]
-            if new == I:
-                if vector[i] in DIRTY_STATES:
-                    level, set_index, way = remote.authoritative(addr)
-                    inherited |= level.lines[set_index][way].dirty_words
-                remote.drop(addr)
-            else:
-                level, set_index, way = remote.authoritative(addr)
-                level.lines[set_index][way].state = new
+        for j in step.remotes:
+            remote, level, set_index, way = holders[j]
+            line = level.lines[set_index][way]
+            if step.states[j] != I:
+                line.state = step.states[j]
+                continue
+            if line.state in DIRTY_STATES:
+                inherited |= line.dirty_words
+            remote.drop(addr // self.block_size)
         return inherited
 
     def _to_m(self, stack: Stack, line: CacheLine, addr: int, t: int) -> int:
@@ -400,9 +410,9 @@ class Cluster:
         if line.state not in (S, O):
             line.state = M
             return t
-        vector, step, t = self._snoop(stack, addr, CORE_WRITE, t)
-        line.dirty_words |= self._commit_remotes(addr, vector, step)
-        line.state = step.states[stack.index]
+        holders, step, me, t = self._snoop(stack, addr, CORE_WRITE, t)
+        line.dirty_words |= self._commit_remotes(addr, holders, step)
+        line.state = step.states[me]
         return t
 
     def _bus_transaction(self, stack: Stack, addr: int, event: str,
@@ -414,28 +424,23 @@ class Cluster:
         data commit now; t_data_ready carries the modeled latency. `data` is
         a copy of the block image, or None with the data log off.
         """
-        vector, step, t = self._snoop(stack, addr, event, t_ready)
+        holders, step, me, t = self._snoop(stack, addr, event, t_ready)
 
         carry = self.data_log is not None
         data: list[int] | None = None
-        supplied = False
         for action in step.actions:
             if action[0] == SUPPLY_OWNER:
-                supplied = True
-                supplier = self.stacks[action[1]]
-                level, set_index, way = supplier.authoritative(addr)
+                supplier, level, set_index, way = holders[action[1]]
                 if carry:
                     data = list(level.lines[set_index][way].data)
                 t = (level.book(set_index, way, READ, t, False)
                      + abs(supplier.core_tier - stack.core_tier) * self._tsv_ps)
-
-        # Commit remote state changes after the supplier's data is captured.
-        inherited_dirty = self._commit_remotes(addr, vector, step)
-
-        if not supplied:
-            # Read down the path below the bus. Every array the read missed
-            # is offered the block on the way back, in path order (`fill`
-            # refuses a worn way), and its dirty victim walks on down.
+                break
+        else:
+            # No owner supplies: read down the path below the bus. Every
+            # array the read missed is offered the block on the way back, in
+            # path order (`fill` refuses a worn way), and its dirty victim
+            # walks on down.
             path = self._path(stack, addr)
             below = path.index(None) + 1
             tier = stack.core_tier
@@ -459,8 +464,11 @@ class Cluster:
                 if victim is not None:
                     self._writeback(victim, path, j, t)
             t += abs(tier - stack.core_tier) * self._tsv_ps
+        # Commit remote state changes after the supplier's data is captured;
+        # the descent below the bus touches no snooped array.
+        inherited_dirty = self._commit_remotes(addr, holders, step)
         _, resp_done = self.bus.response.request(t, self.block_size)
-        return data, step.states[stack.index], resp_done, inherited_dirty
+        return data, step.states[me], resp_done, inherited_dirty
 
     def _fill_l1(self, stack: Stack, rec: TraceRecord, state: str,
                  data: list[int] | None, dirty_words: int, t: int) -> int | None:
@@ -497,8 +505,7 @@ class Cluster:
                     self._core_op(rec, l1.lines[set_index][way].data)
                 return done
         else:
-            set_index, way = l1.probe(addr)
-            l1.count_access(way)
+            set_index, way = l1.demand_write(addr)
         if way is not None:
             line = l1.lines[set_index][way]
             # A bus upgrade first reads the line, without the bank route,

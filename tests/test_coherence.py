@@ -5,9 +5,12 @@ import random
 import pytest
 
 from tiersim import coherence
+from tiersim.arch import preset, spec_from_dict
 from tiersim.coherence import (CORE_READ, CORE_WRITE, INVALIDATE, MEMO_SIZE,
                                SUPPLY_OWNER, CoherenceFault, StepResult,
                                check_invariants, coherence_step)
+from tiersim.system import System
+from tiersim.workload import gen_synthetic_trace
 
 
 def test_cold_read_gets_exclusive_from_memory():
@@ -248,6 +251,35 @@ def test_step_equals_reference_on_every_vector():
     assert legal == sum(2 ** n + 2 * n + n * 2 ** (n - 1) for n in range(1, 5))
 
 
+def _step_on_holders(vector, event, cache):
+    """The step as a bus transaction takes it: on the requester and the
+    caches that hold a copy, in index order, mapped back to full indexes."""
+    held = [i for i, s in enumerate(vector) if i == cache or s != "I"]
+    res = coherence_step([vector[i] for i in held], event, held.index(cache))
+    states = list(vector)
+    for j, i in enumerate(held):
+        states[i] = res.states[j]
+    return StepResult(states=tuple(states),
+                      actions=tuple((act, held[j]) for act, j in res.actions),
+                      remotes=tuple(held[j] for j in res.remotes))
+
+
+def test_step_on_the_holders_alone_equals_the_full_step():
+    # The I of a cache that holds no copy cannot change a transition, so
+    # the snoop may leave it out; an illegal vector stays illegal without it.
+    for vector in _all_vectors(max_n=5):
+        for event in (CORE_READ, CORE_WRITE):
+            for cache in range(len(vector)):
+                try:
+                    want = coherence_step(vector, event, cache)
+                except CoherenceFault:
+                    with pytest.raises(CoherenceFault):
+                        _step_on_holders(vector, event, cache)
+                    continue
+                assert _step_on_holders(vector, event, cache) == want, \
+                    (vector, event, cache)
+
+
 # -- the memo around the transition -------------------------------------------
 
 def test_bad_vector_raises_on_every_call():
@@ -279,3 +311,23 @@ def test_a_shared_result_cannot_be_changed():
         res.states = ("M", "I")
     assert not hasattr(res, "__dict__")
     assert coherence_step(["I", "I"], CORE_READ, 0).states == ("E", "I")
+
+
+def test_shared_data_fits_the_memo():
+    # fig35b with the benchmark's shared-reuse trace shape: each core's hot
+    # set is L1-sized and 60% shared, and half the accesses are writes. The
+    # bus passes only the holders' states, so the distinct inputs fit the
+    # table and none is evicted.
+    config = preset("fig35b")
+    del config["workload"]
+    spec = spec_from_dict(config)
+    system = System(spec, seed=1)
+    system.load_trace(gen_synthetic_trace(
+        cores=spec.total_cores, seed=1, length=200, hot_fraction=0.95,
+        hot_set_bytes=32768, hot_overlap=0.6, read_fraction=0.5,
+        tick_interval=4))
+    coherence._transition.cache_clear()
+    system.run()
+    info = coherence._transition.cache_info()
+    assert info.misses == info.currsize
+    assert info.misses < 100

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import check_coherence, check_norma_isolation, replay_data_log
 
-from tiersim.arch import preset, spec_from_dict, validate_spec
+from tiersim import cli
+from tiersim.arch import PRESET_NAMES, preset, spec_from_dict, validate_spec
+from tiersim.cli import run_experiment
 from tiersim.metrics import LatencyLog, build_report, check_report_invariants
 from tiersim.system import Cluster, System
 from tiersim.workload import (MessageRecord, TraceRecord, gen_message_traffic,
@@ -426,6 +428,47 @@ def test_tied_messages_inject_in_record_order():
         samples.append(list(system.noc.msg_samples))
     assert samples[0] == samples[1]
     assert len(samples[0]) == len(messages)
+
+
+def test_no_preset_or_corpus_run_builds_a_vertical_mesh_link(tmp_path,
+                                                             monkeypatch):
+    """Messages run between cluster homes (c % gx, c // gx, 0), so the mesh
+    never routes along z, even where its dims give it a layer per core
+    tier. Each preset and corpus case runs without its trace, which moves
+    no route: the mesh carries only messages."""
+    from test_corpus import corpus
+    meshes = []
+
+    def build_and_keep(spec, seed=0):
+        system = System(spec, seed=seed)
+        meshes.append(system.noc)
+        return system
+
+    monkeypatch.setattr(cli, "System", build_and_keep)
+    runs = [(preset(name), 0) for name in PRESET_NAMES]
+    runs += [(copy.deepcopy(config), seed) for config, seed in corpus().values()]
+    for config, seed in runs:
+        config["workload"].pop("synthetic")
+        run_experiment(config, seed, str(tmp_path / "report.json"))
+    ports = [port for noc in meshes for _, port in noc._steps]
+    assert ports and not [port for port in ports if port.endswith("z")]
+    # Some of those meshes have more than one layer and carry messages.
+    assert any(noc.topo.dims[2] > 1 and noc.delivered for noc in meshes)
+
+
+def test_tsv_latency_moves_no_message_latency(tmp_path):
+    """`noc.tsv_latency` drives only the TSV delay between tiers inside a
+    cluster: on fig36 it moves the memory latency but not the messages'."""
+    reports = []
+    for tsv in (1, 9):
+        cfg = preset("fig36")
+        cfg["noc"]["tsv_latency"] = tsv
+        cfg["workload"]["synthetic"]["length"] = 100
+        report = run_experiment(cfg, 0, str(tmp_path / "report.json"))
+        reports.append(report["latency"])
+    assert reports[0]["msg"]["count"] > 0
+    assert reports[0]["msg"] == reports[1]["msg"]
+    assert reports[0]["mem"]["mean_ps"] < reports[1]["mem"]["mean_ps"]
 
 
 def mesh_of_one_core_clusters(grid):
