@@ -232,6 +232,10 @@ def _cmd_sweep(args) -> int:
     if len(set(names)) < len(names):
         raise UserError(f"--values: {args.values}: two values share a report "
                         f"directory under {args.out_dir} ({os.sep} becomes _)")
+    threads = os.environ.get("TIERSIM_THREADS", "0")
+    if not threads.strip().isdecimal():
+        raise UserError(f"TIERSIM_THREADS: must be a non-negative integer, "
+                        f"got {threads!r}")
     # Every value passes its preflight before any directory is made.
     configs = [_preflight(args.config, [(args.param, value)]) for value in values]
     jobs = []
@@ -243,8 +247,7 @@ def _cmd_sweep(args) -> int:
             raise UserError(f"--out-dir: {subdir}: {exc.strerror}") from None
         jobs.append((config, sweep_seed(args.seed, index),
                      os.path.join(subdir, "report.json")))
-    workers = int(os.environ.get("TIERSIM_THREADS", "0")) or min(
-        len(jobs), os.cpu_count() or 1)
+    workers = min(int(threads) or os.cpu_count() or 1, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, jobs))

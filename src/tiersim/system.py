@@ -415,61 +415,6 @@ class Cluster:
         line.state = step.states[me]
         return t
 
-    def _bus_transaction(self, stack: Stack, addr: int, event: str,
-                         t_ready: int):
-        """One serialized coherence transaction: request grant, snoop, state
-        commit, and either an owner supply or a descent below the bus.
-
-        Returns (data, fill_state, t_data_ready, inherited_dirty). State and
-        data commit now; t_data_ready carries the modeled latency. `data` is
-        a copy of the block image, or None with the data log off.
-        """
-        holders, step, me, t = self._snoop(stack, addr, event, t_ready)
-
-        carry = self.data_log is not None
-        data: list[int] | None = None
-        for action in step.actions:
-            if action[0] == SUPPLY_OWNER:
-                supplier, level, set_index, way = holders[action[1]]
-                if carry:
-                    data = list(level.lines[set_index][way].data)
-                t = (level.book(set_index, way, READ, t, False)
-                     + abs(supplier.core_tier - stack.core_tier) * self._tsv_ps)
-                break
-        else:
-            # No owner supplies: read down the path below the bus. Every
-            # array the read missed is offered the block on the way back, in
-            # path order (`fill` refuses a worn way), and its dirty victim
-            # walks on down.
-            path = self._path(stack, addr)
-            below = path.index(None) + 1
-            tier = stack.core_tier
-            for k in range(below, len(path)):
-                level = path[k]
-                t += abs(tier - level.tier) * self._tsv_ps
-                tier = level.tier
-                set_index, way = level.demand_read(addr)
-                t = level.book(set_index, way, READ, t, way is not None)
-                if way is not None:
-                    if carry:
-                        data = list(level.lines[set_index][way].data)
-                    break
-            else:
-                k = len(path)
-                _, t = self.memctrl.serve(t, is_write=False)
-                if carry:
-                    data = self.memory.read_block(addr)
-            for j in range(below, k):
-                victim = path[j].fill(addr, state=S, data=data)[2]
-                if victim is not None:
-                    self._writeback(victim, path, j, t)
-            t += abs(tier - stack.core_tier) * self._tsv_ps
-        # Commit remote state changes after the supplier's data is captured;
-        # the descent below the bus touches no snooped array.
-        inherited_dirty = self._commit_remotes(addr, holders, step)
-        _, resp_done = self.bus.response.request(t, self.block_size)
-        return data, step.states[me], resp_done, inherited_dirty
-
     def _fill_l1(self, stack: Stack, rec: TraceRecord, state: str,
                  data: list[int] | None, dirty_words: int, t: int) -> int | None:
         """Allocate the block in L1 in `state` (a write fill charges wear),
@@ -493,6 +438,22 @@ class Cluster:
         return l1.service(t, l1.way_cycles[READ if op == "R" else WRITE][way])[1]
 
     def _do_access(self, stack: Stack, rec: TraceRecord, t0: int) -> int:
+        """Serve `rec` on `stack`'s core from t0 and return its completion
+        time. State and data commit now; the time carries the latency.
+
+        An L1d miss walks the block's path below the L1d. Each array pays
+        the TSV delay from the step before, is read (`demand_read`, so a
+        write counts as a read there) and is booked. A private-L2 hit goes
+        back to the core tier and promotes the block. The bus sits on the
+        core tier: the walk goes back there and snoops, in one serialized
+        transaction. An owner supplies the block from its L1d or private L2
+        across the TSVs between its core's tier and the requester's, not
+        its L2's. With no owner the walk reads on to the first array that
+        holds the block, else the memory controller; each array below the
+        bus that it missed takes the block in S, and the walk goes back to
+        the core tier. The remote states commit, the response channel
+        carries the block, and the L1d takes it (a private L2 keeps a clean
+        duplicate)."""
         addr, op = rec.addr, rec.op
         l1 = stack.l1d
 
@@ -517,20 +478,55 @@ class Cluster:
             l1.write_touch(set_index, way, mask, now_ps=t)
             return l1.book(set_index, way, WRITE, t, not upgrade)
 
-        # L1 miss: try the stack's private L2 before the bus -----------------
+        # L1 miss: walk the block's path down from the L1d -----------------
         _, t = l1.service(t0, l1.way_cycles[READ][0])
-        l2p = stack.l2_private
-        if l2p is not None:
-            set_index, way = l2p.demand_read(addr)
-            tsv = abs(stack.core_tier - l2p.tier) * self._tsv_ps
-            t = l2p.book(set_index, way, READ, t + tsv, way is not None) + tsv
+        path = self._path(stack, addr)
+        tsv_ps = self._tsv_ps
+        core_tier = tier = stack.core_tier
+        below = 0  # the first step below the bus, once the walk crosses it
+        for k in range(1, len(path)):
+            level = path[k]
+            if level is None:
+                t += abs(tier - core_tier) * tsv_ps
+                tier = core_tier
+                below = k + 1
+                holders, step, me, t = self._snoop(
+                    stack, addr, CORE_READ if op == "R" else CORE_WRITE, t)
+                for action in step.actions:
+                    if action[0] == SUPPLY_OWNER:
+                        supplier, level, set_index, way = holders[action[1]]
+                        t = level.book(set_index, way, READ, t, False)
+                        tier = supplier.core_tier
+                        break
+                else:
+                    continue  # no owner supplies: read on below the bus
+                break
+            t += abs(tier - level.tier) * tsv_ps
+            tier = level.tier
+            set_index, way = level.demand_read(addr)
+            t = level.book(set_index, way, READ, t, way is not None)
             if way is not None:
-                return self._promote_from_private(stack, rec, t, set_index, way)
+                break
+        else:
+            k, level = len(path), None
+            _, t = self.memctrl.serve(t, is_write=False)
+        t_back = t + abs(tier - core_tier) * tsv_ps
+        if not below:
+            return self._promote_from_private(stack, rec, t_back, set_index, way)
+        data = (None if self.data_log is None
+                else self.memory.read_block(addr) if level is None
+                else list(level.lines[set_index][way].data))
+        # Each array below the bus that the read missed (none after a
+        # supply) is offered the block (`fill` refuses a worn way) and its
+        # victim walks on down; the remotes commit once the data is taken.
+        for j in range(below, k):
+            victim = path[j].fill(addr, state=S, data=data)[2]
+            if victim is not None:
+                self._writeback(victim, path, j, t)
+        inherited_dirty = self._commit_remotes(addr, holders, step)
+        _, t_data = self.bus.response.request(t_back, self.block_size)
 
-        event = CORE_READ if op == "R" else CORE_WRITE
-        data, fill_state, t_data, inherited_dirty = self._bus_transaction(
-            stack, addr, event, t)
-
+        l2p = stack.l2_private
         if l2p is not None:
             # Keep a demoted clean duplicate in the private L2 so the stack
             # can re-fetch locally after the L1 copy is evicted.
@@ -538,8 +534,8 @@ class Cluster:
             if ev is not None:
                 self._writeback(ev, self._path(stack, ev.addr), 1, t_data)
 
-        done = self._fill_l1(stack, rec, fill_state, data, inherited_dirty,
-                             t_data)
+        done = self._fill_l1(stack, rec, step.states[me], data,
+                             inherited_dirty, t_data)
         if done is not None:
             return done
         # No usable L1 way: serve the op without caching and push a write
@@ -548,7 +544,7 @@ class Cluster:
             full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
             self._writeback(Eviction(
                 addr=addr - addr % self.block_size, dirty_words=full_mask,
-                data=data, state=M), self._path(stack, addr), 0, t_data)
+                data=data, state=M), path, 0, t_data)
         return t_data
 
     def _promote_from_private(self, stack: Stack, rec: TraceRecord, t: int,

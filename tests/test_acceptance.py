@@ -4,6 +4,7 @@ not tuned at runtime.
 """
 
 import copy
+import itertools
 import json
 import random
 import time
@@ -15,7 +16,8 @@ from oracles import check_coherence, replay_data_log
 from tiersim.arch import spec_from_dict, validate_spec
 from tiersim.cache import S, CacheGeometry, CacheLevel
 from tiersim.cli import run_experiment
-from tiersim.interconnect import mean_hop_count
+from tiersim.engine import EventQueue
+from tiersim.interconnect import MeshNetwork, MeshTopology, mean_hop_count, packetize
 from tiersim.memtech import AccessCounters, TechnologyParams, catalog_default, level_energy
 from tiersim.metrics import recompute_level_energy
 from tiersim.system import System
@@ -56,6 +58,44 @@ def test_acceptance_1_hop_count_claim():
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1 PASS: mean hops 8x8x1={float(mean_2d):.4f}, "
           f"4x4x4={float(mean_3d):.4f}, ratio={ratio:.3f} ({elapsed:.2f}s)")
+
+
+def test_acceptance_1_timed_hop_count_claim():
+    # The same claim on the timed mesh, driven directly (the system's
+    # messages stay on layer 0): every ordered pair of distinct nodes sends
+    # one packet, with one packet in flight at a time, so each latency is
+    # the zero-load formula and the mean route is the analytic mean
+    # rescaled to distinct pairs.
+    start = time.time()
+    clock_ps, payload, flits = 1000, 64, packetize(64, 16)
+    means = {}
+    for dims in ((8, 8, 1), (4, 4, 4)):
+        nodes = list(itertools.product(*map(range, dims)))
+        pairs = [(src, dst) for src in nodes for dst in nodes if src != dst]
+        engine = EventQueue()
+        net = MeshNetwork(MeshTopology(dims=dims, link_latency=1, tsv_latency=1,
+                                       router_delay=1, flit_width=16),
+                          engine, clock_ps)
+        gap_ps = 100 * clock_ps  # longer than any packet's latency here
+        engine.schedule_all(((i * gap_ps, pair) for i, pair in enumerate(pairs)),
+                            len(pairs), lambda pair: net.send(*pair, payload))
+        engine.run_until()
+        samples = list(net.msg_samples)
+        assert [t0 for t0, _ in samples] == [i * gap_ps for i in range(len(pairs))]
+        assert all(t1 <= t0 for (_, t1), (t0, _) in zip(samples, samples[1:]))
+        hops = [sum(abs(a - b) for a, b in zip(src, dst)) for src, dst in pairs]
+        assert [t1 - t0 for t0, t1 in samples] == [
+            (h * (1 + 1) + flits) * clock_ps for h in hops]
+        n = len(nodes)
+        means[dims] = Fraction(sum(hops), len(hops))
+        assert means[dims] == mean_hop_count(dims) * n / (n - 1)
+    ratio = means[(8, 8, 1)] / means[(4, 4, 4)]
+    assert ratio == Fraction(7, 5)
+    elapsed = time.time() - start
+    print(f"\nACCEPTANCE 1 (timed) PASS: mean hops over distinct pairs "
+          f"8x8x1={float(means[(8, 8, 1)]):.4f}, "
+          f"4x4x4={float(means[(4, 4, 4)]):.4f}, ratio={float(ratio):.3f} "
+          f"({elapsed:.2f}s)")
 
 
 def test_acceptance_2_energy_equation_exact(tmp_path):

@@ -985,6 +985,19 @@ def test_sweep_of_one_value_runs_in_process_by_default(tmp_path, monkeypatch):
     assert len((out_dir / "summary.csv").read_text().splitlines()) == 2
 
 
+def test_sweep_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
+    # A TIERSIM_THREADS above the job count starts no more processes than
+    # there are values (a fork pool starts all its workers at once), so one
+    # value starts no pool.
+    monkeypatch.setenv("TIERSIM_THREADS", "64")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, quick_cfg()),
+                 "--param", "caches.l1d.tech", "--values", "MRAM",
+                 "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "MRAM" / "report.json").exists()
+
+
 def test_sweep_empty_values_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, quick_cfg())
     assert main(["sweep", "--config", cfg_path, "--param", "caches.l1d.tech",
@@ -1022,6 +1035,21 @@ def test_sweep_bad_later_value_exits_2_before_any_directory(
                  "workload.synthetic.length", "--values", "3,abc",
                  "--out-dir", str(out_dir)]) == 2
     assert ("workload.synthetic.length: must be an integer, got 'abc'"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1", "1.5", ""])
+def test_sweep_bad_thread_count_exits_2_before_any_directory(
+        tmp_path, capsys, monkeypatch, threads):
+    # The pool size is checked before the sweep makes any directory.
+    monkeypatch.setenv("TIERSIM_THREADS", threads)
+    monkeypatch.setattr(cli, "run_experiment", None)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", "fig32", "--param",
+                 "workload.synthetic.length", "--values", "3,4",
+                 "--out-dir", str(out_dir)]) == 2
+    assert (f"TIERSIM_THREADS: must be a non-negative integer, got {threads!r}"
             in capsys.readouterr().err)
     assert not out_dir.exists()
 
