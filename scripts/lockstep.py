@@ -82,7 +82,8 @@ def worker(tree: str, workload: str, seed: int, quick: bool) -> int:
 
     whole = build()
     whole.run()
-    duration = max([c.engine.now for c in whole.clusters] + [whole.engine.now])
+    duration = max([c.snapshot()["now"] for c in whole.clusters]
+                   + [whole.engine.now])
     whole_digest = digest(whole)
     del whole
     system = build()

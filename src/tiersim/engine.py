@@ -31,15 +31,10 @@ while the queue keeps nothing per event of the batch. A caller whose
 events are not in time order sorts them first, stably, which gives the
 order scheduling them one by one in their first order would.
 
-A system keeps one queue per cluster and one for the mesh, because no
-cluster shares state with another or with the messages. A handler may run
-an event in place instead of scheduling it when `runs_next` says it would
-be dispatched next whatever happens: it falls within the current
-`run_until` end and strictly before the heap's head (or the heap is
-empty), which also means no event at `now` is left to dispatch. The
-handler sets `now` to the event's time and goes on, so the order of
-effects is the one scheduling gives. `dispatched` and the counts
-`run_until` returns cover only events that went through a bucket.
+A system runs its mesh on one of these queues. Each cluster runs its own
+cores on a heap of turns in the same (time, seq) order
+(`Cluster.run_until`), because no cluster shares state with another or
+with the messages.
 """
 
 from __future__ import annotations
@@ -68,7 +63,6 @@ class EventQueue:
         self._reserved = 0      # batch events not yet read into a bucket
         self.now = 0
         self.dispatched = 0
-        self._until: int | float = -math.inf   # the current run's end
 
     def schedule(self, time_ps: int, handler: Callable[[Any], None],
                  payload: Any = None) -> None:
@@ -128,14 +122,6 @@ class EventQueue:
 
         self._insert(time_ps, (base, dispatch, payload))
 
-    def runs_next(self, time_ps: int) -> bool:
-        """Whether an event scheduled now at time_ps would be the next one
-        dispatched: it is within the current run's end and strictly before
-        every pending time, `now` included while events at `now` remain,
-        so a handler may run it in place."""
-        times = self._times
-        return time_ps <= self._until and (not times or time_ps < times[0])
-
     def pending(self) -> int:
         """Events scheduled and not yet dispatched, counted between runs."""
         return sum(map(len, self._buckets.values())) + self._reserved
@@ -151,7 +137,6 @@ class EventQueue:
         times = self._times
         buckets = self._buckets
         heappop = heapq.heappop
-        self._until = t_end_ps
         count = 0
         while times and times[0] <= t_end_ps:
             self.now = time_ps = times[0]
@@ -170,7 +155,7 @@ class EventQueue:
                 del bucket[:i]
                 raise
             # The time's last event: the time leaves the heap before it runs,
-            # so its handler's `runs_next` looks past it.
+            # so an event its handler schedules at `now` opens a new bucket.
             heappop(times)
             del buckets[time_ps]
             count += i

@@ -5,7 +5,8 @@ three-channel bus, shared (or per-core distributed) L2 arrays on their cache
 tiers, an optional column-shared L3, and one fixed-latency memory controller
 over a cluster-private backing store. Clusters exchange only message packets
 over the mesh NoC; the bus and the NoC are never bridged. A `Cluster` builds,
-starts and runs itself; `System` adds the mesh and the loaders. The report is
+starts and runs itself, stepping its cores from one heap of their turns;
+`System` adds the mesh, on an `EventQueue`, and the loaders. The report is
 `metrics.build_report` of the clusters' snapshots and the mesh's counts.
 
 Each cluster keeps an exact snoop filter (the exact form of JETTY, Moshovos
@@ -16,10 +17,10 @@ holders' states alone and commits to the lines it found, so a block nobody
 holds costs one dict lookup however many stacks the cluster has.
 
 Coherence state and data commit atomically at bus-serialization points, in
-event-dispatch order; timing comes from one FIFO booking rule,
-`FifoResource.book`, shared by the bus channels, cache array ports, memory
-controllers and NoC links, so latencies show queueing contention while the
-protocol itself stays a linearizable state machine.
+the order the cluster runs its cores' steps; timing comes from one FIFO
+booking rule, `FifoResource.book`, shared by the bus channels, cache array
+ports, memory controllers and NoC links, so latencies show queueing
+contention while the protocol itself stays a linearizable state machine.
 
 Block data images exist only for the data log (`record_log=True`): the
 report never holds a data value, so with the log off no line, victim or
@@ -29,19 +30,20 @@ timing and no report byte.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
 from .cache import (DIRTY_STATES, I, M, O, PSEUDO_RANDOM, S, WORD_SIZE,
                     CacheLevel, CacheLine, Eviction)
 from .coherence import (CORE_READ, CORE_WRITE, SUPPLY_OWNER, StepResult,
                         coherence_step)
-from .engine import EventQueue, FifoResource, substream
+from .engine import EventQueue, FifoResource, SchedulingError, substream
 from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, WRITE
 from .metrics import LatencyLog, build_report
@@ -138,11 +140,13 @@ class Stack:
 
 
 class Cluster:
-    """One coherent domain, simulated on its own event queue `engine`, and
-    the access path through it. It builds all of itself, so no two clusters
-    share a part, and `start` puts a core's records on its queue, so it runs
-    without a `System`. `levels` holds its arrays in build order: each
-    stack's L1i, L1d and private L2, each L2 tier's shared L2 and L2i, the L3.
+    """One coherent domain, and the access path through it. It builds all of
+    itself, so no two clusters share a part, and runs its own cores without
+    a `System`: `turns` is a heap of `(time, seq, stack, rec, stream,
+    t_issue)` core turns, at most one per core, that `start` and
+    `run_until` push and `run_until` pops; seq counts the cluster's pushes.
+    `levels` holds its arrays in build order: each stack's L1i, L1d and
+    private L2, each L2 tier's shared L2 and L2i, the L3.
 
     `holders` is the snoop filter: block number -> bitmask with bit 2i set
     while stack i's L1d holds the block valid and bit 2i+1 while its
@@ -166,7 +170,9 @@ class Cluster:
         self.memctrl = MemoryController(
             latency_ps=int(round(spec.memory_latency_ns * 1000)))
         self.memory = ClusterMemory(self.block_size)
-        self.engine = EventQueue()
+        self.now = 0
+        self.turns: list[tuple] = []
+        self._seqs = count()
         self.mem_samples = mem_samples
         self.data_log: list[tuple[str, int, int]] | None = [] if record_log else None
         self._next_write = index + 1
@@ -228,21 +234,24 @@ class Cluster:
                            or ((*top, *l3),))
 
     def start(self, local: int, stream: Iterator[TraceRecord]) -> None:
-        """Schedule the first record of `stream` on stack `local`'s core,
-        which takes the rest from the stream as it runs; an empty stream
-        starts nothing."""
+        """Push stack `local`'s first turn, on the first record of `stream`,
+        from which the core takes the rest as it runs. An empty stream
+        starts nothing; a first issue before `now` raises SchedulingError."""
         first = next(stream, None)
         if first is not None:
             t_first = first.tick * self._core_ps
-            self.engine.schedule(t_first, self._on_core,
-                                 (self.stacks[local], first, stream, t_first))
+            if t_first < self.now:
+                raise SchedulingError(f"core {local} starts at {t_first} ps, "
+                                      f"before current time {self.now} ps")
+            heapq.heappush(self.turns, (t_first, next(self._seqs),
+                                        self.stacks[local], first, stream, t_first))
 
     def snapshot(self) -> dict:
         """What the report reads of the cluster, as plain values: its
-        queue's time, its arrays' snapshots in `levels` order, its bus
+        clock `now`, its arrays' snapshots in `levels` order, its bus
         channels' grants, and its memory controller's reads and writes."""
         memctrl = self.memctrl
-        return {"now": self.engine.now,
+        return {"now": self.now,
                 "levels": [level.snapshot() for level in self.levels],
                 "bus": {f"{ch}_grants": getattr(self.bus, ch).grants
                         for ch in ("request", "response", "snoop")},
@@ -256,39 +265,44 @@ class Cluster:
 
     # -- the memory access path ---------------------------------------------------
 
-    def _on_core(self, payload) -> None:
-        """A core's event: `(stack, rec, stream, t_issue)` issues `rec` at
-        t_issue, or with `rec` None logs the access issued at t_issue as
-        complete now. The core then goes on through the records it takes
-        from `stream`: a completion is logged at its done time, and the next
-        record issues at max(that time, its tick). Each step runs in place
-        while the queue says it runs next (`EventQueue.runs_next`), with the
-        queue's `now` moved to it; the first that does not is scheduled."""
-        stack, rec, stream, t_issue = payload
-        engine = self.engine
-        runs_next = engine.runs_next
+    def run_until(self, t_end_ps: int | float = math.inf) -> int:
+        """Pop the turns with time <= t_end_ps in (time, seq) order and
+        return how many were popped. A turn is a core's step at its time t:
+        with `rec` it issues rec, and with `rec` None it logs the access
+        issued at t_issue as complete at t and takes the core's next record,
+        to issue at max(t, its tick). The core's next step runs in place
+        while it is within t_end_ps and strictly before the heap's head, and
+        the first that is not is pushed. As `EventQueue.run_until` does, the
+        clock `now` then moves on to a finite t_end_ps."""
+        turns = self.turns
+        heappop, heappush = heapq.heappop, heapq.heappush
+        do_access = self._do_access
         log_start = self.mem_samples.starts.append
         log_end = self.mem_samples.ends.append
         core_ps = self._core_ps
-        while True:
-            if rec is not None:
-                t_done = self._do_access(stack, rec, t_issue)
-                if not runs_next(t_done):
-                    engine.schedule(t_done, self._on_core,
-                                    (stack, None, stream, t_issue))
-                    return
-                engine.now = t_done
-            log_start(t_issue)
-            log_end(engine.now)
-            rec = next(stream, None)
-            if rec is None:
-                return
-            t_issue = max(engine.now, rec.tick * core_ps)
-            if not runs_next(t_issue):
-                engine.schedule(t_issue, self._on_core,
-                                (stack, rec, stream, t_issue))
-                return
-            engine.now = t_issue
+        seqs = self._seqs
+        now = self.now
+        popped = 0
+        while turns and turns[0][0] <= t_end_ps:
+            t, _, stack, rec, stream, t_issue = heappop(turns)
+            popped += 1
+            while True:
+                now = t
+                if rec is None:
+                    log_start(t_issue)
+                    log_end(t)
+                    rec = next(stream, None)
+                    if rec is None:
+                        break
+                    t = t_issue = max(t, rec.tick * core_ps)
+                else:
+                    t = do_access(stack, rec, t)
+                    rec = None
+                if t > t_end_ps or turns and t >= turns[0][0]:
+                    heappush(turns, (t, next(seqs), stack, rec, stream, t_issue))
+                    break
+        self.now = int(t_end_ps) if now < t_end_ps < math.inf else now
+        return popped
 
     def _words_of(self, addr: int, size: int) -> tuple[int, int, int]:
         """(block base, first word index, word count) covered by an access,
@@ -576,10 +590,10 @@ class System:
     """A built, runnable system. Owns all mutable state for one simulation.
 
     `System` makes the clusters, which build themselves, and the mesh,
-    loads the workload, routes each core to its cluster, runs the clusters'
-    queues and then the mesh's, and builds the report as
-    `metrics.build_report` of the clusters' snapshots (`Cluster.snapshot`).
-    Each cluster runs on its own event queue, and the mesh on `engine`.
+    loads the workload, routes each core to its cluster, runs the clusters
+    and then the mesh, and builds the report as `metrics.build_report` of
+    the clusters' snapshots (`Cluster.snapshot`). Each cluster runs its own
+    cores (`Cluster.run_until`), and the mesh runs on the queue `engine`.
     A memory workload comes in one of two ways, and either way each core
     takes its records from its own stream as it runs: `load_trace` checks
     a list of records and starts each core on its share of it, while
@@ -710,10 +724,11 @@ class System:
         self.noc.injected += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:
-        """Run each cluster's queue to t_end_ps in cluster order, then the
-        mesh's, and return the events they dispatched. No cluster shares
-        state with another or with the mesh, so the order moves no result."""
-        return (sum(c.engine.run_until(t_end_ps) for c in self.clusters)
+        """Run each cluster to t_end_ps in cluster order, then the mesh's
+        queue, and return the clusters' popped turns plus the mesh's
+        dispatched events. No cluster shares state with another or with the
+        mesh, so the order moves no result."""
+        return (sum(c.run_until(t_end_ps) for c in self.clusters)
                 + self.engine.run_until(t_end_ps))
 
     def build_report(self) -> dict:

@@ -46,8 +46,8 @@ def replay_data_log(system) -> int:
 
 def check_norma_isolation(system) -> None:
     """Check that no stateful memory-side part belongs to two clusters: a
-    cluster's queue, backing store, memory controller, bus, snoop filter
-    and cache arrays are its own (NORMA: no data path between cluster
+    cluster's heap of turns, backing store, memory controller, bus, snoop
+    filter and cache arrays are its own (NORMA: no data path between cluster
     address spaces). The arrays its paths use must be exactly `levels`,
     in build order, so none escapes the check or the report."""
     owner: dict[int, int] = {}
@@ -61,7 +61,7 @@ def check_norma_isolation(system) -> None:
             f"cluster {cluster.index}: its paths' arrays are not its levels")
         assert {id(a) for s in cluster.stacks for p in s.paths for a in p
                 if a is not None} <= set(map(id, cluster.levels))
-        for part in (cluster.engine, cluster.memory, cluster.memctrl,
+        for part in (cluster.turns, cluster.memory, cluster.memctrl,
                      cluster.bus, cluster.holders, *cluster.levels):
             first = owner.setdefault(id(part), cluster.index)
             assert first == cluster.index, (

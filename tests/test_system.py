@@ -5,12 +5,13 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import check_coherence, check_norma_isolation, replay_data_log
 
 from tiersim import cli
 from tiersim.arch import PRESET_NAMES, preset, spec_from_dict, validate_spec
 from tiersim.cli import run_experiment
+from tiersim.engine import EventQueue, SchedulingError
 from tiersim.metrics import LatencyLog, build_report, check_report_invariants
 from tiersim.system import Cluster, System
 from tiersim.workload import (MessageRecord, TraceRecord, gen_message_traffic,
@@ -187,7 +188,7 @@ def _whole_run(name):
 @pytest.mark.parametrize("name", INDEPENDENCE)
 def test_each_cluster_runs_alone_as_in_the_full_run(name):
     # Clusters share no state with each other or with the mesh, which is
-    # what lets each run on its own queue: a cluster built and started on
+    # what lets each run its own cores: a cluster built and started on
     # its records with no System leaves its state and its latency samples
     # as its part of the full run does, the messages alone give the full
     # run's message samples, and the full run lasts as long as its longest
@@ -209,13 +210,13 @@ def test_each_cluster_runs_alone_as_in_the_full_run(name):
                 per_core.setdefault(rec.core % per_cluster, []).append(rec)
         for local, recs in per_core.items():
             alone.start(local, iter(recs))
-        alone.engine.run_until(math.inf)
+        alone.run_until(math.inf)
         assert _cluster_state(alone) == _cluster_state(cluster), cluster.index
         n = len(samples)
         assert n == len(trace) // spec.n_clusters
         assert Counter(samples) == Counter(full_samples[:n])
         del full_samples[:n]
-        ends.append(alone.engine.now)
+        ends.append(alone.now)
     assert full_samples == []
     mesh = build(cfg, seed=3)
     mesh.load_messages(messages)
@@ -620,8 +621,9 @@ def test_determinism_identical_reports():
     ("fig36", None, 7613, 39)])
 def test_queues_dispatch_a_pinned_number_of_events(name, rate, events,
                                                    mesh_events):
-    # A queue that stops allowing in-place steps moves no report byte, but
-    # it dispatches more events: these are the counts with today's steps.
+    # A cluster that stops allowing in-place steps moves no report byte, but
+    # it pops more turns: these are the counts with today's steps, the
+    # clusters' turns and the mesh's events together.
     cfg = preset(name)
     cfg["workload"]["synthetic"]["length"] = 200
     if rate is not None:
@@ -633,6 +635,148 @@ def test_queues_dispatch_a_pinned_number_of_events(name, rate, events,
     system.load_messages(gen_message_traffic(
         clusters=spec.n_clusters, seed=5, **cfg["workload"]["message_synthetic"]))
     assert (system.run(), system.engine.dispatched) == (events, mesh_events)
+
+
+def stub_cluster(cores):
+    """A one-cluster system's cluster of `cores` cores, whose access path is
+    a stub: the access of `rec` issued at t completes `rec.addr` core
+    cycles later, and appends (its core, t) to `calls`. Returns (cluster,
+    calls, the core cycle in ps)."""
+    system = build(small_cfg(cores_per_cluster=cores))
+    cluster = system.clusters[0]
+    cycle = system.spec.clocks.core_ps
+    calls = []
+
+    def access(stack, rec, t):
+        calls.append((stack.index, t))
+        return t + rec.addr * cycle
+
+    cluster._do_access = access
+    return cluster, calls, cycle
+
+
+def steps_in_place(issues, probe, last, cuts):
+    """The done times d, from the probed core's issue to `last` (in core
+    cycles), at which the probed core's completion runs in place. Core c
+    issues one access at issues[c]; the probed one completes at d, every
+    other 100 cycles after its issue, so each other completion is a turn of
+    its own. The cluster runs to each of `cuts` in turn (core cycles, None
+    for no end), and a completion pushed back is one more popped turn."""
+    seen = []
+    for done in range(issues[probe], last + 1):
+        cluster, calls, cycle = stub_cluster(len(issues))
+        for core, tick in enumerate(issues):
+            latency = done - tick if core == probe else 100
+            cluster.start(core, iter([TraceRecord(tick, core, "R", latency, 8)]))
+        popped = sum(cluster.run_until(math.inf if cut is None else cut * cycle)
+                     for cut in cuts)
+        assert len(calls) == len(issues) and cluster.turns == []
+        assert popped in (2 * len(issues) - 1, 2 * len(issues))
+        if popped == 2 * len(issues) - 1:
+            seen.append(done)
+    return seen
+
+
+def test_a_core_steps_in_place_strictly_before_the_head_and_within_the_run():
+    # Cores issue at 4, 6 and 10; a run ends at 8 (the heads are 6, then
+    # 10), then a run with no end (the head is an other core's completion).
+    assert [steps_in_place((4, 6, 10), probe, 12, (8, None))
+            for probe in range(3)] == [[4, 5], [6, 7, 8], [10, 11, 12]]
+    # `start` runs nothing; a core alone, in a run with no end, takes every
+    # step in place, and the clock stops at its last step.
+    cluster, calls, cycle = stub_cluster(1)
+    cluster.start(0, iter([TraceRecord(t, 0, "R", 2, 8) for t in (0, 1, 5)]))
+    assert calls == [] and len(cluster.turns) == 1
+    assert cluster.run_until() == 1
+    assert calls == [(0, 0), (0, 2 * cycle), (0, 5 * cycle)]
+    assert cluster.now == 7 * cycle
+
+
+@pytest.mark.parametrize("held, expected", [
+    # "b" issues at 5 behind "a", so no completion of "a" runs in place ...
+    (False, [[], [5, 6], [7, 8]]),
+    # ... and "x", issuing at 5 behind "b", holds "b" back as well.
+    (True, [[], [], [5, 6], [7, 8]])])
+def test_a_core_step_waits_for_every_turn_left_at_its_time(held, expected):
+    issues = (5, 5, 5, 7) if held else (5, 5, 7)
+    assert [steps_in_place(issues, probe, 8, (None,))
+            for probe in range(len(issues))] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(cores=st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=1, max_size=6), min_size=1, max_size=4),
+       t_mid=st.one_of(st.none(), st.integers(0, 12)))
+# A completion after a run's end must wait for the next run.
+@example(cores=[[(0, 1)]], t_mid=0)
+def test_a_cluster_runs_in_place_as_a_queue_of_every_step_property(cores, t_mid):
+    """A cluster makes the same access calls, logs the same samples and
+    keeps the same steps pending at a cut, in the same order, as an event
+    queue that schedules every step of its cores: a step run in place only
+    saves a turn. Each core's records are (tick gap, latency) pairs in core
+    cycles, so cores tie often."""
+    cluster, calls, cycle = stub_cluster(len(cores))
+    records = []
+    for core, steps in enumerate(cores):
+        tick, recs = 0, []
+        for gap, latency in steps:
+            tick += gap
+            recs.append(TraceRecord(tick, core, "R", latency, 8))
+        records.append(recs)
+        cluster.start(core, iter(recs))
+
+    q = EventQueue()
+    ref_calls, ref_log = [], []
+    pending = Counter()      # the times of the steps scheduled on `q`
+
+    def schedule(t, handler, payload):
+        pending[t] += 1
+        q.schedule(t, handler, payload)
+
+    def issue(payload):
+        core, rec, stream = payload
+        pending[q.now] -= 1
+        ref_calls.append((core, q.now))
+        schedule(q.now + rec.addr * cycle, complete, (core, q.now, stream))
+
+    def complete(payload):
+        core, t_issue, stream = payload
+        pending[q.now] -= 1
+        ref_log.append((t_issue, q.now))
+        rec = next(stream, None)
+        if rec is not None:
+            schedule(max(q.now, rec.tick * cycle), issue, (core, rec, stream))
+
+    for core, recs in enumerate(records):
+        stream = iter(recs)
+        first = next(stream)
+        schedule(first.tick * cycle, issue, (core, first, stream))
+
+    popped = 0
+    for cut in ([] if t_mid is None else [t_mid * cycle]) + [math.inf]:
+        popped += cluster.run_until(cut)
+        q.run_until(cut)
+        assert calls == ref_calls
+        assert list(cluster.mem_samples) == ref_log
+        assert cluster.now == q.now
+        assert sorted(t for t, *_ in cluster.turns) == sorted(pending.elements())
+    assert cluster.turns == [] and q.pending() == 0
+    assert len(ref_log) == sum(map(len, cores))
+    assert popped <= q.dispatched
+
+
+def test_a_core_started_before_the_cluster_time_is_refused():
+    system = build(small_cfg())
+    system.load_trace([TraceRecord(10, 0, "R", 0, 8)])
+    system.run(10**6)
+    cluster = system.clusters[0]
+    assert cluster.now == 10**6 and len(system.mem_samples) == 1
+    with pytest.raises(SchedulingError, match="core 1 starts at 999000 ps, "
+                       "before current time 1000000 ps"):
+        cluster.start(1, iter([TraceRecord(999, 1, "R", 64, 8)]))
+    assert cluster.turns == []
+    cluster.start(1, iter([TraceRecord(1000, 1, "R", 64, 8)]))
+    assert system.run() == 1 and len(system.mem_samples) == 2
 
 
 def test_tier_area_conserved_across_region_refactor():
@@ -779,7 +923,7 @@ def test_snoop_filter_equals_a_probe_of_every_stack(cores, endurance, l2_tech,
     cluster = system.clusters[0]
     core_ps = system.spec.clocks.core_ps
     for core, write, block in steps:
-        tick = cluster.engine.now // core_ps + 1
+        tick = cluster.now // core_ps + 1
         system.load_trace([TraceRecord(tick, core % cores, "W" if write else "R",
                                        block * 64, 8)])
         system.run()
