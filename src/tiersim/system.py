@@ -429,28 +429,6 @@ class Cluster:
         line.state = step.states[me]
         return t
 
-    def _fill_l1(self, stack: Stack, rec: TraceRecord, state: str,
-                 data: list[int] | None, dirty_words: int, t: int) -> int | None:
-        """Allocate the block in L1 in `state` (a write fill charges wear),
-        write back the dirty victim, and serve the core op on the new line,
-        which takes over `dirty_words`. Returns the op's completion time, or
-        None when L1 has no usable way for the block: its way is worn out,
-        or every way of its set is."""
-        l1 = stack.l1d
-        op, addr, size = rec.op, rec.addr, rec.size
-        set_index, way, ev = l1.fill(
-            addr, state=state, data=data,
-            write_fill_words=self._words_of(addr, size)[2] if op == "W" else 0,
-            now_ps=t)
-        if ev is not None:
-            self._writeback(ev, self._path(stack, ev.addr), 0, t)
-        if way is None:
-            return None
-        line = l1.lines[set_index][way]
-        # A write's wear was already charged by the write fill.
-        line.dirty_words |= dirty_words | self._core_op(rec, line.data)
-        return l1.service(t, l1.way_cycles[READ if op == "R" else WRITE][way])[1]
-
     def _do_access(self, stack: Stack, rec: TraceRecord, t0: int) -> int:
         """Serve `rec` on `stack`'s core from t0 and return its completion
         time. State and data commit now; the time carries the latency.
@@ -458,16 +436,22 @@ class Cluster:
         An L1d miss walks the block's path below the L1d. Each array pays
         the TSV delay from the step before, is read (`demand_read`, so a
         write counts as a read there) and is booked. A private-L2 hit goes
-        back to the core tier and promotes the block. The bus sits on the
-        core tier: the walk goes back there and snoops, in one serialized
-        transaction. An owner supplies the block from its L1d or private L2
-        across the TSVs between its core's tier and the requester's, not
-        its L2's. With no owner the walk reads on to the first array that
-        holds the block, else the memory controller; each array below the
-        bus that it missed takes the block in S, and the walk goes back to
-        the core tier. The remote states commit, the response channel
-        carries the block, and the L1d takes it (a private L2 keeps a clean
-        duplicate)."""
+        back to the core tier, and a write there first takes M, over the bus
+        from S or O. The bus sits on the core tier: the walk goes back there
+        and snoops, in one serialized transaction. An owner supplies the
+        block from its L1d or private L2 across the TSVs between its core's
+        tier and the requester's, not its L2's. With no owner the walk reads
+        on to the first array that holds the block, else the memory
+        controller; each array below the bus that it missed takes the block
+        in S, and the walk goes back to the core tier. The remote states
+        commit, and the response channel carries the block.
+
+        Either way the L1d then takes the block, and a private L2 keeps or
+        becomes a clean duplicate. When the L1d has no usable way for it
+        (its way is worn out, or every way of its set is), the op is served
+        without caching: after a private-L2 hit the L2 line serves it, and
+        otherwise a write goes down as a whole-block M victim. Known
+        defect: no array counts the write an L2 line serves."""
         addr, op = rec.addr, rec.op
         l1 = stack.l1d
 
@@ -525,64 +509,59 @@ class Cluster:
             k, level = len(path), None
             _, t = self.memctrl.serve(t, is_write=False)
         t_back = t + abs(tier - core_tier) * tsv_ps
-        if not below:
-            return self._promote_from_private(stack, rec, t_back, set_index, way)
-        data = (None if self.data_log is None
-                else self.memory.read_block(addr) if level is None
-                else list(level.lines[set_index][way].data))
-        # Each array below the bus that the read missed (none after a
-        # supply) is offered the block (`fill` refuses a worn way) and its
-        # victim walks on down; the remotes commit once the data is taken.
-        for j in range(below, k):
-            victim = path[j].fill(addr, state=S, data=data)[2]
-            if victim is not None:
-                self._writeback(victim, path, j, t)
-        inherited_dirty = self._commit_remotes(addr, holders, step)
-        _, t_data = self.bus.response.request(t_back, self.block_size)
-
         l2p = stack.l2_private
-        if l2p is not None:
-            # Keep a demoted clean duplicate in the private L2 so the stack
-            # can re-fetch locally after the L1 copy is evicted.
-            ev = l2p.fill(addr, state=S, data=data)[2]
-            if ev is not None:
-                self._writeback(ev, self._path(stack, ev.addr), 1, t_data)
+        served = None  # the private-L2 line that served the access
+        if below:
+            data = (None if self.data_log is None
+                    else self.memory.read_block(addr) if level is None
+                    else list(level.lines[set_index][way].data))
+            # Each array below the bus that the read missed (none after a
+            # supply) is offered the block (`fill` refuses a worn way) at
+            # the walk's time, and its victim walks on down; the remotes
+            # commit once the data is taken.
+            for j in range(below, k):
+                victim = path[j].fill(addr, state=S, data=data)[2]
+                if victim is not None:
+                    self._writeback(victim, path, j, t)
+            dirty = self._commit_remotes(addr, holders, step)
+            state = step.states[me]
+            _, t = self.bus.response.request(t_back, self.block_size)
+            if l2p is not None:
+                victim = l2p.fill(addr, state=S, data=data)[2]
+                if victim is not None:
+                    self._writeback(victim, self._path(stack, victim.addr), 1, t)
+        else:
+            served = l2p.lines[set_index][way]
+            t = t_back if op == "R" else self._to_m(stack, served, addr, t_back)
+            state, data, dirty = served.state, served.data, served.dirty_words
 
-        done = self._fill_l1(stack, rec, step.states[me], data,
-                             inherited_dirty, t_data)
-        if done is not None:
-            return done
-        # No usable L1 way: serve the op without caching and push a write
-        # straight down as a whole-block victim.
-        if self._core_op(rec, data):
+        # The L1d takes the block (a write fill charges wear) ---------------
+        l1_set, l1_way, victim = l1.fill(
+            addr, state=state, data=data,
+            write_fill_words=self._words_of(addr, rec.size)[2] if op == "W" else 0,
+            now_ps=t)
+        if victim is not None:
+            self._writeback(victim, self._path(stack, victim.addr), 0, t)
+        if l1_way is not None:
+            line = l1.lines[l1_set][l1_way]
+            # A write's wear was already charged by the write fill.
+            line.dirty_words |= dirty | self._core_op(rec, line.data)
+            if served is not None:
+                served.state = S
+                served.dirty_words = 0
+            return l1.service(
+                t, l1.way_cycles[READ if op == "R" else WRITE][l1_way])[1]
+        # No usable L1 way: serve the op without caching, on the private-L2
+        # line that served it, else pushing a write straight down as a
+        # whole-block victim.
+        mask = self._core_op(rec, data)
+        if mask and served is not None:
+            l2p.write_touch(set_index, way, mask, now_ps=t)
+        elif mask:
             full_mask = (1 << (self.block_size // WORD_SIZE)) - 1
             self._writeback(Eviction(
                 addr=addr - addr % self.block_size, dirty_words=full_mask,
-                data=data, state=M), path, 0, t_data)
-        return t_data
-
-    def _promote_from_private(self, stack: Stack, rec: TraceRecord, t: int,
-                              l2_set: int, l2_way: int) -> int:
-        """Stack hit in the private L2, already read at t: move the
-        authoritative copy up to L1 (the L2 keeps a demoted clean
-        duplicate). A write first takes M, over the bus from S or O."""
-        addr, op = rec.addr, rec.op
-        l2p = stack.l2_private
-        line = l2p.lines[l2_set][l2_way]
-        if op == "W":
-            t = self._to_m(stack, line, addr, t)
-
-        done = self._fill_l1(stack, rec, line.state, line.data,
-                             line.dirty_words, t)
-        if done is not None:
-            line.state = S
-            line.dirty_words = 0
-            return done
-        # No usable L1 way: the private L2 line keeps authority and serves
-        # the op itself.
-        mask = self._core_op(rec, line.data)
-        if mask:
-            l2p.write_touch(l2_set, l2_way, mask, now_ps=t)
+                data=data, state=M), path, 0, t)
         return t
 
 

@@ -226,6 +226,13 @@ def test_acceptance_4_lru_oracle():
           f"stack model ({elapsed:.2f}s)")
 
 
+# Acceptance 5's loads: message rates per cluster per cycle, a 32-flit
+# payload (the 0.02 point saturates the 8x8 mesh's center), and the seeds.
+CONGESTION_RATES = (0.001, 0.002, 0.005, 0.01, 0.02)
+CONGESTION_PAYLOAD = 496
+CONGESTION_SEEDS = (1, 2, 3)
+
+
 def test_acceptance_5_congestion_property():
     start = time.time()
     cfg = {
@@ -239,9 +246,7 @@ def test_acceptance_5_congestion_property():
                     "tech": "SRAM"},
         },
     }
-    rates = (0.001, 0.002, 0.005, 0.01, 0.02)
-    payload = 496  # 32 flits: the 0.02 point saturates the mesh center
-    seeds = (1, 2, 3)
+    rates, payload, seeds = CONGESTION_RATES, CONGESTION_PAYLOAD, CONGESTION_SEEDS
     curves = []
     for seed in seeds:
         lat = []
@@ -265,6 +270,53 @@ def test_acceptance_5_congestion_property():
     print("ACCEPTANCE 5 PASS: mean latency (cycles) "
           + ", ".join(f"{r}:{l / 1000:.0f}" for r, l in zip(rates, mean_curve))
           + f"; saturation/base={saturation_ratio:.1f}x ({elapsed:.2f}s)")
+
+
+def test_acceptance_5_congestion_on_8x8x1_and_4x4x4():
+    # Acceptance 5's loads on the timed mesh, driven directly (the system's
+    # messages stay on layer 0), on the 2D shape and on the 3D one of the
+    # same 64 nodes: cluster c sits at (c % gx, c // gx % gy, c // (gx*gy)).
+    # Each shape's mean latency must rise with load; the curves are printed
+    # as evidence, and 3D is not gated against 2D.
+    start = time.time()
+    curves = {}
+    for dims in ((8, 8, 1), (4, 4, 4)):
+        gx, gy, _ = dims
+        nodes = [(c % gx, c // gx % gy, c // (gx * gy)) for c in range(64)]
+        per_seed = []
+        for seed in CONGESTION_SEEDS:
+            lat = []
+            for rate in CONGESTION_RATES:
+                msgs = gen_message_traffic(64, 2000, rate, CONGESTION_PAYLOAD,
+                                           seed=seed)
+                engine = EventQueue()
+                net = MeshNetwork(MeshTopology(dims=dims, link_latency=1,
+                                               tsv_latency=1, router_delay=1,
+                                               flit_width=16), engine, 1000)
+                engine.schedule_all(
+                    ((rec.tick * 1000, rec) for rec in msgs), len(msgs),
+                    lambda rec: net.send(nodes[rec.src_cluster],
+                                         nodes[rec.dst_cluster], rec.bytes))
+                engine.run_until()
+                assert net.delivered == len(msgs)
+                samples = [t1 - t0 for t0, t1 in net.msg_samples]
+                lat.append(sum(samples) / len(samples))
+            per_seed.append(lat)
+        curve = curves[dims] = [sum(c[i] for c in per_seed) / len(per_seed)
+                                for i in range(len(CONGESTION_RATES))]
+        for i in range(len(CONGESTION_RATES) - 1):
+            assert curve[i + 1] >= curve[i] * 0.95, \
+                f"{dims}: latency fell from {CONGESTION_RATES[i]} to " \
+                f"{CONGESTION_RATES[i + 1]}: {curve}"
+        assert curve[-1] > curve[0], f"{dims}: latency did not rise: {curve}"
+    elapsed = time.time() - start
+    print("\nACCEPTANCE 5 (2D and 3D) PASS: mean latency (cycles) "
+          + "; ".join("x".join(map(str, dims)) + " "
+                      + ", ".join(f"{r}:{lat / 1000:.0f}"
+                                  for r, lat in zip(CONGESTION_RATES, curve))
+                      + f" ({curve[-1] / curve[0]:.1f}x)"
+                      for dims, curve in curves.items())
+          + f" ({elapsed:.2f}s)")
 
 
 def test_acceptance_6_endurance_scaled():

@@ -567,6 +567,34 @@ def test_worn_l1_way_bypasses_but_stays_correct():
     assert report["levels"]["l1d"]["wear"]["worn_lines"] == 1
 
 
+def test_block_the_l1d_refuses_keeps_its_writes_in_the_private_l2():
+    # Four writes wear out the L1d's only way. The write to 0x40 then
+    # misses the private L2 and goes down as a whole-block victim, which
+    # merges into the L2's clean duplicate; the write to 0x48 hits the
+    # private L2, whose line serves it in place. No read of 0x0: the write
+    # that wore its way out strands that block's data.
+    cfg = small_cfg(cores_per_cluster=1)
+    cfg["caches"]["l1d"] = {"capacity": 64, "block_size": 64,
+                            "associativity": 1, "tech": "PCRAM"}
+    cfg["caches"]["l2"]["topology"] = "distributed"
+    cfg["tech_overrides"] = {"PCRAM": {"endurance": 3}}
+    system = build(cfg, record_log=True)
+    records = [TraceRecord(i, 0, "W", 0x0, 8) for i in range(4)]
+    records += [TraceRecord(4, 0, "W", 0x40, 8), TraceRecord(5, 0, "W", 0x48, 8),
+                TraceRecord(6, 0, "R", 0x40, 8), TraceRecord(7, 0, "R", 0x48, 8)]
+    system.load_trace(records)
+    system.run()
+    assert replay_data_log(system) == 2
+    check_coherence(system, [0x0, 0x40])
+    stack = system.clusters[0].stacks[0]
+    assert stack.l1d.worn_lines == 1
+    assert stack.l1d.probe(0x40)[1] is None
+    set_index, way = stack.l2_private.probe(0x40)
+    line = stack.l2_private.lines[set_index][way]
+    # The victim's merge and the write served in place each wear the line.
+    assert (line.state, line.write_count) == ("M", 2)
+
+
 @pytest.mark.xfail(strict=True, reason="an L1d write hit that wears its line "
                    "out leaves the dirty words in the worn way, and nothing "
                    "writes them back; the fix moves report digests")
