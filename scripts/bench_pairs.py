@@ -3,19 +3,23 @@
     python3 scripts/bench_pairs.py BASE HEAD --workload W --seed S --pairs N
 
 Extracts both commits with `git archive` into a temporary directory, then
-runs `perfbench/run.py --workload W --seed S --rep timed` from each tree in
-a fresh process, N times per side. Pair i runs BASE first when i is even
-and HEAD first when it is odd, so neither side always runs on a machine
-the other has just warmed or loaded.
+runs the whole benchmark, `perfbench/run.py --workload W --seed S --seconds
+T` with T the `run_seconds` of `BENCHMARK.json`, from each tree in a fresh
+process, N times per side. Pair i runs BASE first when i is even and HEAD
+first when it is odd, so neither side always runs on a machine the other
+has just warmed or loaded. Each run's figures are what it writes to its
+tree's `perfbench/results/W-seedS-trace0.json`: the medians of the four
+end-to-end metrics (`setup_s`, `wall_s`, `requests_per_s`, `peak_rss_mb`)
+over its repetitions, its report digest, and whether it was correct and
+how many requests failed. So a pair compares two runs as the benchmark
+makes them, and only `perfbench/measure.py` computes a metric.
 
-Prints each pair, then for each of the four end-to-end metrics (`setup_s`,
-`wall_s`, `requests_per_s`, `peak_rss_mb`, computed as `perfbench/measure.py`
-computes them from one repetition) each side's median and quartiles, the
-relative change of the medians and the pairs each side won (ties count for
-neither). Last come both sides' report digests. Exits 1 when the digests
-differ or a repetition fails, else 0. It writes nothing under the
-repository: the trees and everything they write live in the temporary
-directory, which is removed at the end.
+Prints each pair, then for each metric each side's median and quartiles
+over the runs, the relative change of the medians and the pairs each side
+won (ties count for neither). Last come both sides' report digests. Exits
+1 when the digests differ or a run is not correct or fails a request,
+else 0. It writes nothing under the repository: the trees and everything
+they write live in the temporary directory, which is removed at the end.
 """
 
 from __future__ import annotations
@@ -51,23 +55,24 @@ def extract(commit: str, dest: Path) -> str:
     return full
 
 
-def run_rep(tree: Path, workload: str, seed: int) -> dict:
-    """One timed repetition in a fresh process: its metrics and digest."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One whole benchmark run in a fresh process: the metrics and digest
+    of the result file it writes."""
+    result = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    result.unlink(missing_ok=True)
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", str(seed), "--rep", "timed"],
+         workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{tree.name}: repetition exited with code "
-                           f"{proc.returncode}\n{proc.stderr}")
-    rep = json.loads(lines[-1])
-    if rep.get("problems") or rep.get("digest") is None:
-        raise RuntimeError(f"{tree.name}: {rep.get('problems')}")
-    return {"setup_s": rep["setup_s"], "wall_s": rep["wall_s"],
-            "requests_per_s": rep["completed"] / rep["run_s"],
-            "peak_rss_mb": rep["maxrss_kb"] / 1024.0,
-            "digest": rep["digest"]}
+    if not result.is_file():
+        raise RuntimeError(f"{tree.name}: benchmark exited with code "
+                           f"{proc.returncode} and wrote no result\n{proc.stderr}")
+    res = json.loads(result.read_text())
+    if not res["correct"] or res["failed"]:
+        raise RuntimeError(f"{tree.name}: {res['failed']} requests failed: "
+                           f"{res['problems']}")
+    return {**{m: res["metrics"][m] for m, _, _ in METRICS},
+            "digest": res["digest"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -107,6 +112,7 @@ def main(argv: list[str]) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     pairs: list[tuple[dict, dict]] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         try:
@@ -115,10 +121,11 @@ def main(argv: list[str]) -> int:
                 trees[side] = Path(tmp) / side
                 print(f"{side} {extract(commit, trees[side])}")
             print(f"workload {args.workload} seed {args.seed} "
-                  f"pairs {args.pairs}")
+                  f"seconds {seconds} pairs {args.pairs}")
             for i in range(args.pairs):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                reps = {side: run_rep(trees[side], args.workload, args.seed)
+                reps = {side: run_bench(trees[side], args.workload,
+                                        args.seed, seconds)
                         for side in order}
                 pairs.append((reps["base"], reps["head"]))
                 print(f"pair {i + 1:2d} ({order[0]} first): " + "  ".join(

@@ -35,8 +35,6 @@ ALLOWED = {
     ("cli.py", "return EXIT_FAULT"): "the fault handler",
     ("cli.py", "sys.exit(main())"):
         "the __main__ guard: tests call main() in-process",
-    ("system.py", "return {level.tier: level for level in self.l2_homes}"):
-        "Cluster.l2_shared: perfbench/measure.py is its only reader",
 }
 
 

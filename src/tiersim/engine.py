@@ -11,10 +11,8 @@ a FIFO bucket of `(seq, handler, payload)` entries in seq order, where
 already has a bucket is appended to it, so a run whose events share
 their times pays one heap push and pop per time, not per event.
 `run_until` takes the heap's least time and dispatches its bucket from
-the front, including events scheduled at `now` while the bucket runs.
-The time stays on the heap until its bucket's last event is taken, so
-while events at `now` remain, `now` is the heap's head; an event
-scheduled at `now` after that opens a new bucket. `seq` is unique per
+the front until it is empty, then pops the time, so an event that a
+handler schedules at `now` joins the live bucket. `seq` is unique per
 queue, so neither the heap nor a bucket ever compares a handler or
 payload.
 
@@ -60,7 +58,6 @@ class EventQueue:
         self._times: list[int] = []     # heap of the times that have a bucket
         self._buckets: dict[int, list[tuple[int, Callable[[Any], None], Any]]] = {}
         self._seq = 0
-        self._reserved = 0      # batch events not yet read into a bucket
         self.now = 0
         self.dispatched = 0
 
@@ -105,7 +102,6 @@ class EventQueue:
                 f"event scheduled at {time_ps} ps, before current time {self.now} ps")
         base = self._seq
         self._seq += count
-        self._reserved += count - 1
         rest = zip(range(base + 1, base + count), events)
 
         def dispatch(payload: Any) -> None:
@@ -116,15 +112,10 @@ class EventQueue:
                     raise SchedulingError(
                         f"batch event at {time_ps} ps comes after one at "
                         f"{self.now} ps")
-                self._reserved -= 1
                 self._insert(time_ps, (seq, dispatch, next_payload))
             handler(payload)
 
         self._insert(time_ps, (base, dispatch, payload))
-
-    def pending(self) -> int:
-        """Events scheduled and not yet dispatched, counted between runs."""
-        return sum(map(len, self._buckets.values())) + self._reserved
 
     def run_until(self, t_end_ps: int | float = math.inf) -> int:
         """Dispatch every event with time <= t_end_ps in (time, seq) order
@@ -143,23 +134,17 @@ class EventQueue:
             bucket = buckets[time_ps]
             i = 0
             try:
-                while True:
-                    _, handler, payload = bucket[i]
+                for _, handler, payload in bucket:
                     i += 1
-                    if i == len(bucket):
-                        break
                     handler(payload)
             except BaseException:
                 # A handler raised: the events its time has dispatched leave
                 # the bucket, so the rest stay pending.
                 del bucket[:i]
                 raise
-            # The time's last event: the time leaves the heap before it runs,
-            # so an event its handler schedules at `now` opens a new bucket.
             heappop(times)
             del buckets[time_ps]
             count += i
-            handler(payload)
         if t_end_ps != math.inf and t_end_ps > self.now:
             self.now = int(t_end_ps)
         self.dispatched += count

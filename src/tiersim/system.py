@@ -100,8 +100,9 @@ class Stack:
     """One core's private slice of the hierarchy: the unit that snoops.
     `snooped` holds the arrays its cluster snoops: the L1d, then the
     private L2 when the stack has one. `paths` holds the stack's way down,
-    `(l1d, l2p?, None, home?, l3?)`: one path per shared-L2 home in tier
-    order, or a single path when the cluster has no shared L2."""
+    `(l1d, l2p?, None, home?, l3?)`: one path per shared L2 in its
+    cluster's `l2_shared`, in tier order, or a single path when that is
+    empty."""
 
     index: int            # within the cluster
     core_tier: int
@@ -146,7 +147,9 @@ class Cluster:
     t_issue)` core turns, at most one per core, that `start` and
     `run_until` push and `run_until` pops; seq counts the cluster's pushes.
     `levels` holds its arrays in build order: each stack's L1i, L1d and
-    private L2, each L2 tier's shared L2 and L2i, the L3.
+    private L2, each L2 tier's shared L2 and L2i, the L3. `l2_shared` and
+    `l2i` map each L2 tier to its shared L2 and its L2i, in tier order;
+    `l2_shared` is empty when the L2 is distributed.
 
     `holders` is the snoop filter: block number -> bitmask with bit 2i set
     while stack i's L1d holds the block valid and bit 2i+1 while its
@@ -214,23 +217,21 @@ class Cluster:
                        if distributed and l2_tier is not None else None)
                 self.stacks.append(Stack(index=local, core_tier=core_tier,
                                          l1i=l1i, l1d=l1d, l2_private=l2p))
-        homes = []
+        self.l2_shared: dict[int, CacheLevel] = {}
         self.l2i: dict[int, CacheLevel] = {}
         for tier, kind in enumerate(spec.tier_stack):
             if kind != L2_SPLIT_ID or spec.caches.l2 is None:
                 continue
             if not distributed:
-                homes.append(array("l2", tier, tier))
+                self.l2_shared[tier] = array("l2", tier, tier)
             self.l2i[tier] = array("l2i", tier, tier)
-        # Each shared L2 in tier order; none when distributed.
-        self.l2_homes: tuple[CacheLevel, ...] = tuple(homes)
         l3_tier = spec.l3_tier()
-        l3 = ((array("l3", l3_tier, l3_tier),)
-              if l3_tier is not None and spec.caches.l3 is not None else ())
-        self.l3 = l3[0] if l3 else None
+        self.l3 = (array("l3", l3_tier, l3_tier)
+                   if l3_tier is not None and spec.caches.l3 is not None else None)
+        l3 = () if self.l3 is None else (self.l3,)
         for stack in self.stacks:
             top = (*stack.snooped, None)
-            stack.paths = (tuple((*top, home, *l3) for home in homes)
+            stack.paths = (tuple((*top, l2, *l3) for l2 in self.l2_shared.values())
                            or ((*top, *l3),))
 
     def start(self, local: int, stream: Iterator[TraceRecord]) -> None:
@@ -257,11 +258,6 @@ class Cluster:
                         for ch in ("request", "response", "snoop")},
                 "memory_controller": {"reads": memctrl.port.grants - memctrl.writes,
                                       "writes": memctrl.writes}}
-
-    @property
-    def l2_shared(self) -> dict[int, CacheLevel]:
-        """The shared L2 arrays by tier: a view of `l2_homes`."""
-        return {level.tier: level for level in self.l2_homes}
 
     # -- the memory access path ---------------------------------------------------
 

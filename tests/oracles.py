@@ -54,8 +54,8 @@ def check_norma_isolation(system) -> None:
     for cluster in system.clusters:
         used = [a for s in cluster.stacks
                 for a in (s.l1i, s.l1d, s.l2_private)]
-        homes = cluster.l2_homes or (None,) * len(cluster.l2i)
-        used += [a for pair in zip(homes, cluster.l2i.values()) for a in pair]
+        used += [a for tier, l2i in cluster.l2i.items()
+                 for a in (cluster.l2_shared.get(tier), l2i)]
         used = [a for a in (*used, cluster.l3) if a is not None]
         assert list(map(id, used)) == list(map(id, cluster.levels)), (
             f"cluster {cluster.index}: its paths' arrays are not its levels")

@@ -20,11 +20,6 @@ from tiersim.workload import (LATEST_START_PS, NUMBER_KINDS, MessageRecord,
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def pending(system) -> int:
-    """Events waiting on the mesh's queue and turns on every cluster's heap."""
-    return system.engine.pending() + sum(len(c.turns) for c in system.clusters)
-
-
 def test_all_presets_validate_clean():
     for name in PRESET_NAMES:
         spec = spec_from_dict(preset(name))
@@ -187,7 +182,7 @@ def test_fig36_stack_shape_and_warning():
     # each cluster: 16 stacks, two shared L2 arrays (one per l2 tier), one L3
     cluster = system.clusters[0]
     assert len(cluster.stacks) == 16
-    assert [l2.tier for l2 in cluster.l2_homes] == [1, 3]
+    assert [(t, l2.tier) for t, l2 in cluster.l2_shared.items()] == [(1, 1), (3, 3)]
     assert cluster.l3 is not None and cluster.l3.tier == 2
     assert {path[-1] for s in cluster.stacks for path in s.paths} == {
         cluster.l3}
@@ -219,7 +214,7 @@ def test_negative_ticks_rejected_at_load():
     with pytest.raises(WorkloadError, match="negative"):
         system.load_messages([MessageRecord(0, 0, 1, 64),
                               MessageRecord(-3, 0, 1, 64)])
-    assert pending(system) == 0 and system.noc.injected == 0
+    assert system.run() == 0 and system.noc.injected == 0
 
 
 def test_ticks_past_the_latency_columns_rejected_at_load():
@@ -235,7 +230,7 @@ def test_ticks_past_the_latency_columns_rejected_at_load():
     with pytest.raises(WorkloadError, match=f"message tick {noc_tick} starts"):
         system.load_messages([MessageRecord(0, 0, 1, 64),
                               MessageRecord(noc_tick, 0, 1, 64)])
-    assert pending(system) == 0 and system.noc.injected == 0
+    assert system.run() == 0 and system.noc.injected == 0
     system.load_trace([TraceRecord(core_tick - 1, 1, "R", 0x80, 8)])
     system.load_messages([MessageRecord(noc_tick - 1, 0, 1, 64)])
     system.run()
@@ -252,7 +247,7 @@ def test_first_bad_message_named_and_nothing_scheduled():
         system.load_messages([MessageRecord(0, 0, 1, 64),
                               MessageRecord(2, 1, 9, 64),
                               MessageRecord(-1, 0, 1, 64)])
-    assert pending(system) == 0 and system.noc.injected == 0
+    assert system.run() == 0 and system.noc.injected == 0
 
 
 def test_access_size_outside_the_block_rejected_at_load():
@@ -260,7 +255,7 @@ def test_access_size_outside_the_block_rejected_at_load():
     for size in (0, -8, 65):
         with pytest.raises(WorkloadError, match=f"access size {size} outside 1..64"):
             system.load_trace([TraceRecord(0, 0, "R", 0x40, size)])
-    assert pending(system) == 0
+    assert system.run() == 0
 
 
 def test_access_crossing_a_block_boundary_rejected_at_load():
@@ -268,9 +263,9 @@ def test_access_crossing_a_block_boundary_rejected_at_load():
     with pytest.raises(WorkloadError, match="core 0 tick 0: access of 8 bytes "
                        "at 0x3c crosses a 64-byte block boundary"):
         system.load_trace([TraceRecord(0, 0, "W", 0x3c, 8)])
-    assert pending(system) == 0
+    assert system.run() == 0
     system.load_trace([TraceRecord(0, 0, "W", 0x38, 8)])  # ends on the boundary
-    assert pending(system) == 1
+    assert system.run() == 1
 
 
 def test_unknown_preset():

@@ -85,7 +85,8 @@ def test_conservation_scheduled_equals_dispatched_plus_pending():
     for t in range(10):
         q.schedule(t * 10, lambda _: None)
     dispatched = q.run_until(45)
-    assert dispatched + q.pending() == 10
+    assert dispatched == q.dispatched == 5
+    assert dispatched + q.run_until() == q.dispatched == 10
 
 
 def test_cycles_for_latency_examples():
@@ -171,13 +172,15 @@ def test_dispatch_is_a_stable_sort_by_time_property(initial, children, t_mid):
     handler = Uncomparable(on_event)
     for op in initial:
         push(op, 0)
+    cut = 0
     if t_mid is not None:
-        q.run_until(t_mid)
+        cut = q.run_until(t_mid)
         assert all(t <= t_mid for t, _ in dispatched)
-        assert q.dispatched + q.pending() == len(scheduled)
-    q.run_until()
+        assert cut == q.dispatched == len(dispatched)
+    rest = q.run_until()
     assert dispatched == sorted(scheduled)
-    assert q.dispatched == len(scheduled) and q.pending() == 0
+    assert cut + rest == q.dispatched == len(scheduled)
+    assert q.run_until() == 0
 
 
 def in_time_order(times, first=0):
@@ -194,11 +197,10 @@ def test_schedule_all_rejects_a_past_time_up_front():
     q.run_until()
     with pytest.raises(SchedulingError):
         q.schedule_all(iter([(9, "C"), (11, "D"), (12, "B")]), 3, order.append)
-    assert q.pending() == 0
+    assert q.run_until() == 0
     q.schedule_all(iter([(10, "F"), (11, "E"), (11, "G")]), 3, order.append)
     q.schedule(10, order.append, "H")
-    assert q.pending() == 4
-    q.run_until()
+    assert q.run_until() == 4
     assert order == ["A", "F", "H", "E", "G"]
 
 
@@ -234,8 +236,7 @@ def test_schedule_all_dispatches_as_single_schedules(times, expected):
             for i, t in enumerate(times):
                 q.schedule(t, order.append, i)
         q.schedule(3, order.append, "after")
-        assert q.pending() == len(times) + 2
-        q.run_until()
+        assert q.run_until() == len(times) + 2
         return order
 
     assert dispatch_order(batched=True) == dispatch_order(batched=False) == expected
@@ -246,10 +247,11 @@ def test_dispatched_plus_pending_is_conserved_across_a_cut_run(t_mid):
     # Shared times, a batch whose later events are still unread at the
     # cut, and handlers that schedule at `now` and later.
     q = EventQueue()
-    scheduled = 0
+    scheduled = ran = 0
 
     def spawn(depth):
-        nonlocal scheduled
+        nonlocal scheduled, ran
+        ran += 1
         if depth < 2:
             q.schedule(q.now, spawn, depth + 1)
             q.schedule(q.now + 3, spawn, depth + 1)
@@ -259,11 +261,10 @@ def test_dispatched_plus_pending_is_conserved_across_a_cut_run(t_mid):
         q.schedule(t, spawn, 0)
     q.schedule_all(iter([(0, 0), (4, 0), (4, 1)]), 3, spawn)
     scheduled += 6
-    q.run_until(t_mid)
-    assert q.dispatched > 0
-    assert q.dispatched + q.pending() == scheduled
-    q.run_until()
-    assert q.dispatched == scheduled and q.pending() == 0
+    cut = q.run_until(t_mid)
+    assert 0 < cut == q.dispatched == ran < scheduled
+    assert cut + q.run_until() == q.dispatched == ran == scheduled
+    assert q.run_until() == 0
 
 
 def test_a_handler_that_raises_leaves_the_events_after_it_pending():
@@ -278,6 +279,25 @@ def test_a_handler_that_raises_leaves_the_events_after_it_pending():
     q.schedule(6, order.append, "c")
     with pytest.raises(ValueError):
         q.run_until()
-    assert q.pending() == 2
-    q.run_until()
+    assert q.run_until() == 2
     assert order == ["b", "c"]
+
+
+def test_a_handler_that_raises_at_its_times_last_event_leaves_nothing_pending():
+    # The raising event was the last at its time: the emptied time runs
+    # nothing, the clock stays, and the time takes new events.
+    q = EventQueue()
+    order = []
+
+    def fail(_):
+        raise ValueError("handler failed")
+
+    q.schedule(5, order.append, "a")
+    q.schedule(5, fail)
+    with pytest.raises(ValueError):
+        q.run_until()
+    assert order == ["a"] and q.now == 5
+    assert q.run_until() == 0 and q.now == 5
+    q.schedule(5, order.append, "b")
+    assert q.run_until() == 1
+    assert order == ["a", "b"] and q.now == 5

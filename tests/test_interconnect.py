@@ -205,6 +205,15 @@ def test_zero_load_latency_with_slow_tsv_and_router():
 def test_packets_conserved_mid_run():
     t = topo((4, 4, 1))
     engine = EventQueue()
+    scheduled = 20           # the injected batch: one event per packet
+    schedule = engine.schedule
+
+    def counted(*event):
+        nonlocal scheduled
+        scheduled += 1
+        schedule(*event)
+
+    engine.schedule = counted
     net = MeshNetwork(t, engine, clock_period_ps=1000)
     inject(net, *zip(*[(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
                        for i in range(20)]))
@@ -213,8 +222,9 @@ def test_packets_conserved_mid_run():
     assert net.injected == net.delivered + net.in_flight
     assert net.in_flight > 0
     # each packet in flight, injected or not yet, has exactly one event pending
-    assert engine.pending() == net.in_flight
+    assert scheduled - engine.dispatched == net.in_flight
     engine.run_until()
+    assert engine.dispatched == scheduled
     assert net.injected == net.delivered == 20
     assert net.in_flight == 0
 
@@ -233,7 +243,7 @@ def test_bad_message_refused_before_anything_is_scheduled(bad, error):
     _, src, dst, nbytes = bad
     with pytest.raises(ValueError, match=error):
         net.send(src, dst, nbytes)
-    assert engine.pending() == 0 and net.injected == 0
+    assert engine.run_until() == 0 and net.injected == 0
     assert all(link.grants == 0 for link, _ in net._steps.values())
 
 
