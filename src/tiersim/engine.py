@@ -1,153 +1,131 @@
 """Deterministic discrete-event kernel.
 
-Time is unsigned integer picoseconds. Events with equal timestamps dispatch
-in insertion order, so a run is a pure function of (configuration, seed).
-The kernel is strictly single-threaded; parallelism only ever exists across
-independent simulations.
+Time is unsigned integer picoseconds, and a run is a pure function of
+(configuration, seed). The kernel is strictly single-threaded; parallelism
+only ever exists across independent simulations.
 
-The queue keeps a heap of the distinct pending times, and for each time
-a FIFO bucket of `(seq, handler, payload)` entries in seq order, where
-`seq` counts the events a queue has been given. An event at a time that
-already has a bucket is appended to it, so a run whose events share
-their times pays one heap push and pop per time, not per event.
-`run_until` takes the heap's least time and dispatches its bucket from
-the front until it is empty, then pops the time, so an event that a
-handler schedules at `now` joins the live bucket. `seq` is unique per
-queue, so neither the heap nor a bucket ever compares a handler or
-payload.
+`EventQueue` is the mesh's queue: every event is a payload for its one
+handler, the mesh's router step. It rests on two facts of the mesh. No hop
+is scheduled at the current time, because every router, link and TSV delay
+is at least one cycle; so `schedule` refuses a time at or before `now`.
+And every message's injection time is known when it is loaded; so the
+injections come from one feed of `(time, payload)` pairs in time order,
+which the queue reads one ahead, and at each time it injects every fed
+record first, in feed order, and then dispatches the hop arrivals, in the
+order they were scheduled. For the hops it keeps a heap of the distinct
+pending times and a FIFO list of payloads for each, so hops that share a
+time pay one heap push and pop.
 
-`schedule_all` schedules a batch of n events that an iterator yields in
-time order, and reads each from the iterator only when the one before it
-is dispatched. It reserves the seqs `base ... base+n-1` that n successive
-`schedule` calls in that order would take, and advances the counter past
-them, so every event scheduled later gets a larger seq. Only the batch's
-earliest undispatched event sits in a bucket; its dispatch reads the
-batch's next event and inserts it into its time's bucket at its seq's
-place, which may be the bucket being dispatched, before calling the
-handler. The dispatch order is exactly the one eager scheduling gives,
-while the queue keeps nothing per event of the batch. A caller whose
-events are not in time order sorts them first, stably, which gives the
-order scheduling them one by one in their first order would.
-
-A system runs its mesh on one of these queues. Each cluster runs its own
-cores on a heap of turns in the same (time, seq) order
+Each cluster runs its own cores on a heap of turns in (time, seq) order
 (`Cluster.run_until`), because no cluster shares state with another or
 with the messages.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import heapq
 import math
 import random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterator
 
 
 class SchedulingError(RuntimeError):
-    """Raised when an event is scheduled in the simulated past."""
+    """Raised when an event is scheduled before the clock allows."""
 
 
 class EventQueue:
-    """Events ordered by (time, insertion sequence): a heap of the distinct
-    pending times, and for each a FIFO bucket of `(seq, handler, payload)`
-    entries in seq order."""
+    """The mesh's events: injections from one feed in time order, and hop
+    arrivals in a heap of their distinct times with a FIFO list of
+    payloads each, all dispatched to one handler."""
 
-    def __init__(self) -> None:
-        self._times: list[int] = []     # heap of the times that have a bucket
-        self._buckets: dict[int, list[tuple[int, Callable[[Any], None], Any]]] = {}
-        self._seq = 0
+    def __init__(self, handler: Callable[[Any], None]) -> None:
+        self._handler = handler
+        self._times: list[int] = []     # heap of the times that have a list
+        self._buckets: dict[int, list[Any]] = {}
+        self._feed: Iterator[tuple[int, Any]] = iter(())
+        self._head: tuple[int, Any] | None = None   # the feed's next pair
         self.now = 0
         self.dispatched = 0
 
-    def schedule(self, time_ps: int, handler: Callable[[Any], None],
-                 payload: Any = None) -> None:
-        if time_ps < self.now:
+    def schedule(self, time_ps: int, payload: Any) -> None:
+        """Dispatch payload at time_ps, after the injections at that time
+        and the payloads scheduled there before it."""
+        if time_ps <= self.now:
             raise SchedulingError(
-                f"event scheduled at {time_ps} ps, before current time {self.now} ps")
+                f"event scheduled at {time_ps} ps, at or before current "
+                f"time {self.now} ps")
         bucket = self._buckets.get(time_ps)
         if bucket is None:
-            self._buckets[time_ps] = [(self._seq, handler, payload)]
+            self._buckets[time_ps] = [payload]
             heapq.heappush(self._times, time_ps)
         else:
-            bucket.append((self._seq, handler, payload))
-        self._seq += 1
+            bucket.append(payload)
 
-    def _insert(self, time_ps: int, entry: tuple) -> None:
-        """Put a batch event into its time's bucket at its seq's place."""
-        bucket = self._buckets.get(time_ps)
-        if bucket is None:
-            self._buckets[time_ps] = [entry]
-            heapq.heappush(self._times, time_ps)
-        else:
-            bisect.insort(bucket, entry)
-
-    def schedule_all(self, events: Iterable[tuple[int, Any]], count: int,
-                     handler: Callable[[Any], None]) -> None:
-        """Schedule `handler(payload)` at `time` for each of the `count`
-        `(time, payload)` pairs of `events`, whose times never decrease, as
-        `count` successive `schedule` calls would: the i-th takes seq
-        base + i. Each pair is read when the one before it is dispatched,
-        so only the batch's earliest undispatched event is in a bucket. A
-        first time in the past raises SchedulingError before anything is
-        scheduled, and a time before the one ahead of it raises it when it
-        is read."""
-        if count == 0:
-            return
-        events = iter(events)
-        time_ps, payload = next(events)
-        if time_ps < self.now:
+    def feed(self, events: Iterator[tuple[int, Any]]) -> None:
+        """Make `events`, `(time, payload)` pairs whose times never
+        decrease, the injections, in place of any feed left. The queue
+        reads each pair when the one before it is injected; a first time
+        before `now` raises SchedulingError and sets nothing, and a time
+        before the one ahead of it raises it when it is reached."""
+        head = next(events, None)
+        if head is not None and head[0] < self.now:
             raise SchedulingError(
-                f"event scheduled at {time_ps} ps, before current time {self.now} ps")
-        base = self._seq
-        self._seq += count
-        rest = zip(range(base + 1, base + count), events)
-
-        def dispatch(payload: Any) -> None:
-            entry = next(rest, None)
-            if entry is not None:
-                seq, (time_ps, next_payload) = entry
-                if time_ps < self.now:
-                    raise SchedulingError(
-                        f"batch event at {time_ps} ps comes after one at "
-                        f"{self.now} ps")
-                self._insert(time_ps, (seq, dispatch, next_payload))
-            handler(payload)
-
-        self._insert(time_ps, (base, dispatch, payload))
+                f"injection at {head[0]} ps, before current time {self.now} ps")
+        self._feed, self._head = events, head
 
     def run_until(self, t_end_ps: int | float = math.inf) -> int:
-        """Dispatch every event with time <= t_end_ps in (time, seq) order
-        and return how many were dispatched.
+        """Dispatch every event with time <= t_end_ps, each time's
+        injections before its hop arrivals, and return how many were
+        dispatched. An event whose handler raises has left the queue and
+        counts, and the events after it stay pending.
 
         The simulated clock never decreases; when the queue drains early the
         clock still advances to t_end_ps (if finite) so that consecutive runs
         compose: run_until(t1); run_until(t2) == run_until(t2).
         """
-        times = self._times
-        buckets = self._buckets
+        times, buckets, handler = self._times, self._buckets, self._handler
+        feed, head = self._feed, self._head
         heappop = heapq.heappop
-        count = 0
-        while times and times[0] <= t_end_ps:
-            self.now = time_ps = times[0]
-            bucket = buckets[time_ps]
-            i = 0
-            try:
-                for _, handler, payload in bucket:
-                    i += 1
+        count = i = 0
+        try:
+            while True:
+                if head is not None and (not times or head[0] <= times[0]):
+                    time_ps = head[0]
+                    if time_ps < self.now:
+                        raise SchedulingError(
+                            f"injection at {time_ps} ps comes after one at "
+                            f"{self.now} ps")
+                elif times:
+                    time_ps = times[0]
+                else:
+                    break
+                if time_ps > t_end_ps:
+                    break
+                self.now = time_ps
+                while head is not None and head[0] == time_ps:
+                    payload = head[1]
+                    head = next(feed, None)
+                    count += 1
                     handler(payload)
-            except BaseException:
-                # A handler raised: the events its time has dispatched leave
-                # the bucket, so the rest stay pending.
+                if times and times[0] == time_ps:
+                    bucket = buckets[time_ps]
+                    for payload in bucket:
+                        i += 1
+                        handler(payload)
+                    heappop(times)
+                    del buckets[time_ps]
+                    count += i
+                    i = 0
+        finally:
+            if i:
+                # A hop's handler raised: the arrivals its list has
+                # dispatched leave it, so the rest stay pending.
                 del bucket[:i]
-                raise
-            heappop(times)
-            del buckets[time_ps]
-            count += i
+            self._head = head
+            self.dispatched += count + i
         if t_end_ps != math.inf and t_end_ps > self.now:
             self.now = int(t_end_ps)
-        self.dispatched += count
         return count
 
 

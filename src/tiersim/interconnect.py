@@ -114,30 +114,35 @@ def packetize(payload_bytes: int, flit_width: int) -> int:
 
 
 class MeshNetwork:
-    """Packet-level timed mesh on the shared event queue.
+    """Packet-level timed mesh on its own event queue, `engine`, whose one
+    handler is the router step `_at_router`.
 
-    A message becomes a packet when `send` puts it on its source router,
-    and the mesh keeps nothing per message beyond its packet in flight.
-    `injected` counts the messages loaded onto the queue, sent or not, and
-    `delivered` those delivered. Each distinct (src, dst) pair has one XYZ
-    route, built by `_route` when the first of its packets is sent: a tuple
-    of `(link, hop_ps)` steps, one per directed link, shared by every route
-    that crosses the link. `_steps` keeps the step of each link
-    `(node, port)`. Its link is a `FifoResource`, created when the first
-    route that crosses it is built and booked like the bus channels, cache
-    arrays and memory controllers: it is held for one cycle per flit of
-    each packet. A packet is the plain tuple `(steps, hold_ps, t_inject)`,
-    with `steps` an iterator over its route; it is built when it is sent
-    and reused from hop to hop. The head flit advances router by router, so
-    queueing delay is the only congestion effect (unbounded input buffers,
-    no drops). `msg_samples` logs each delivered message's injection and
-    delivery times, in delivery order.
+    A message becomes a packet when `packet` builds it; `load_messages`
+    feeds the packets to the queue, which hands each to `_at_router` on its
+    source router at its injection time, and the mesh keeps nothing per
+    message beyond its packet in flight. `injected` counts the messages
+    loaded onto the queue, sent or not, and `delivered` those delivered.
+    Each distinct (src, dst) pair has one XYZ route, built by `_route` when
+    the first of its packets is built: a tuple of `(link, hop_ps)` steps,
+    one per directed link, shared by every route that crosses the link.
+    `_steps` keeps the step of each link `(node, port)`. Its link is a
+    `FifoResource`, created when the first route that crosses it is built
+    and booked like the bus channels, cache arrays and memory controllers:
+    it is held for one cycle per flit of each packet. A packet is the plain
+    tuple `(steps, hold_ps, t_inject)`, with `steps` an iterator over its
+    route, reused from hop to hop. The head flit advances router by router,
+    so queueing delay is the only congestion effect (unbounded input
+    buffers, no drops); every delay is at least one cycle, so no hop lands
+    at the current time. `msg_samples` logs each delivered message's
+    injection and delivery times, in delivery order.
     """
 
-    def __init__(self, topo: MeshTopology, engine: EventQueue,
-                 clock_period_ps: int = 1000):
+    def __init__(self, topo: MeshTopology, clock_period_ps: int = 1000):
+        for name in ("router_delay", "link_latency", "tsv_latency"):
+            if getattr(topo, name) < 1:
+                raise ValueError(f"mesh {name} must be at least 1 cycle")
         self.topo = topo
-        self.engine = engine
+        self.engine = EventQueue(self._at_router)
         self.clock_period_ps = clock_period_ps
         self._routes: dict[tuple[Coord, Coord], tuple[Step, ...]] = {}
         self._steps: dict[tuple[Coord, str], Step] = {}
@@ -151,11 +156,12 @@ class MeshNetwork:
     def in_flight(self) -> int:
         return self.injected - self.delivered
 
-    def send(self, src: Coord, dst: Coord, payload_bytes: int) -> None:
-        """Put a packet of payload_bytes from src to dst on src's router
-        now. The pair's route is built, and both nodes checked, when its
-        first packet is sent, and each payload size's link hold time (one
-        cycle per flit) is worked out when it is first sent."""
+    def packet(self, src: Coord, dst: Coord, payload_bytes: int,
+               t_inject: int) -> tuple[Iterator[Step], int, int]:
+        """A packet of payload_bytes from src to dst, injected at t_inject.
+        The pair's route is built, and both nodes checked, when its first
+        packet is built, and each payload size's link hold time (one cycle
+        per flit) is worked out when it is first seen."""
         pair = (src, dst)
         route = self._routes.get(pair)
         if route is None:
@@ -167,7 +173,7 @@ class MeshNetwork:
             hold_ps = self._hold_ps[payload_bytes] = (
                 packetize(payload_bytes, self.topo.flit_width)
                 * self.clock_period_ps)
-        self._at_router((iter(route), hold_ps, self.engine.now))
+        return iter(route), hold_ps, t_inject
 
     def _route(self, src: Coord, dst: Coord) -> tuple[Step, ...]:
         """XYZ dimension-order routing: the steps that correct x, then y,
@@ -201,4 +207,4 @@ class MeshNetwork:
             return
         link, hop_ps = step
         depart, _ = link.book(engine.now + self._router_ps, hold_ps)
-        engine.schedule(depart + hop_ps, self._at_router, pkt)
+        engine.schedule(depart + hop_ps, pkt)

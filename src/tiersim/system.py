@@ -6,8 +6,9 @@ tiers, an optional column-shared L3, and one fixed-latency memory controller
 over a cluster-private backing store. Clusters exchange only message packets
 over the mesh NoC; the bus and the NoC are never bridged. A `Cluster` builds,
 starts and runs itself, stepping its cores from one heap of their turns;
-`System` adds the mesh, on an `EventQueue`, and the loaders. The report is
-`metrics.build_report` of the clusters' snapshots and the mesh's counts.
+`System` adds the mesh, which runs on its own `EventQueue`, and the
+loaders. The report is `metrics.build_report` of the clusters' snapshots
+and the mesh's counts.
 
 Each cluster keeps an exact snoop filter (the exact form of JETTY, Moshovos
 et al., HPCA 2001), which the arrays maintain where their block index
@@ -43,7 +44,7 @@ from .cache import (DIRTY_STATES, I, M, O, PSEUDO_RANDOM, S, WORD_SIZE,
                     CacheLevel, CacheLine, Eviction)
 from .coherence import (CORE_READ, CORE_WRITE, SUPPLY_OWNER, StepResult,
                         coherence_step)
-from .engine import EventQueue, FifoResource, SchedulingError, substream
+from .engine import FifoResource, SchedulingError, substream
 from .interconnect import ClusterBus, MeshNetwork
 from .memtech import READ, WRITE
 from .metrics import LatencyLog, build_report
@@ -268,7 +269,7 @@ class Cluster:
         issued at t_issue as complete at t and takes the core's next record,
         to issue at max(t, its tick). The core's next step runs in place
         while it is within t_end_ps and strictly before the heap's head, and
-        the first that is not is pushed. As `EventQueue.run_until` does, the
+        the first that is not is pushed. As the mesh's queue does, the
         clock `now` then moves on to a finite t_end_ps."""
         turns = self.turns
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -575,17 +576,17 @@ class System:
     `start_cores` starts cores on streams that are known to be good, such
     as generated ones, without reading them first. `load_messages` checks
     its records and leaves them in place; the mesh's queue reads each one
-    when it injects it. `mem_samples` logs each memory access's issue and
-    completion times when it completes, one cluster's run after another,
-    and the mesh's `msg_samples` logs each message when it is delivered,
-    so a run stopped early counts only what finished."""
+    when the one before it is injected. `mem_samples` logs each memory
+    access's issue and completion times when it completes, one cluster's
+    run after another, and the mesh's `msg_samples` logs each message when
+    it is delivered, so a run stopped early counts only what finished."""
 
     def __init__(self, spec: SystemSpec, seed: int = 0, record_log: bool = False):
         self.spec = spec
         self.seed = seed
-        self.engine = EventQueue()
         self.block_size = spec.caches.l1d.block_size
-        self.noc = MeshNetwork(spec.noc, self.engine, spec.clocks.noc_ps)
+        self.noc = MeshNetwork(spec.noc, spec.clocks.noc_ps)
+        self.engine = self.noc.engine
         self.mem_samples = LatencyLog()
         self.clusters = [Cluster(spec, i, seed, self.mem_samples, record_log)
                          for i in range(spec.n_clusters)]
@@ -648,20 +649,24 @@ class System:
         self.trace_records += count
 
     def load_messages(self, records: list[MessageRecord]) -> None:
-        """Check every record, then schedule each to be sent from its
-        cluster's home node to the other's. A record must name two clusters
-        of the system and a non-negative tick that starts before
-        LATEST_START_PS; the first one that does not raises WorkloadError,
-        and then nothing is scheduled.
+        """Check every record, then feed each to the mesh's queue, to be
+        sent from its cluster's home node to the other's at its tick. A
+        record must name two clusters of the system and a non-negative tick
+        that starts before LATEST_START_PS; the first one that does not
+        raises WorkloadError, and then nothing is fed. Messages load once:
+        a second non-empty load raises WorkloadError too.
 
         The checks read the tick column and the set of cluster ids, which
-        are dropped before anything is scheduled; only when one fails are
-        the records walked one by one to name the first bad one. The mesh's
-        queue then reads each record when the one before it is sent, in a
-        stable sort by tick, so `records` must stay as it is until the run
-        is over."""
+        are dropped before anything is fed; only when one fails are the
+        records walked one by one to name the first bad one. The queue
+        then reads each record, in a stable sort by tick, when the one
+        before it is injected, and injects the records at each time before
+        the hops that arrive then, so `records` must stay as it is until
+        the run is over."""
         if not records:
             return
+        if self.noc.injected:
+            raise WorkloadError("messages already loaded")
         n_clusters = self.spec.n_clusters
         if n_clusters < 2:
             raise WorkloadError("message workload requires at least two clusters")
@@ -689,13 +694,15 @@ class System:
             records = sorted(records, key=tick_of)
         gx = self.spec.cluster_grid[0]
         homes = [(c % gx, c // gx, 0) for c in range(n_clusters)]
-        send = self.noc.send
+        packet = self.noc.packet
 
-        def inject(rec: MessageRecord) -> None:
-            send(homes[rec.src_cluster], homes[rec.dst_cluster], rec.bytes)
+        def injections() -> Iterator[tuple[int, tuple]]:
+            for rec in records:
+                t = rec.tick * noc_ps
+                yield t, packet(homes[rec.src_cluster], homes[rec.dst_cluster],
+                                rec.bytes, t)
 
-        self.engine.schedule_all(((rec.tick * noc_ps, rec) for rec in records),
-                                 len(records), inject)
+        self.engine.feed(injections())
         self.noc.injected += len(records)
 
     def run(self, t_end_ps: int | float = math.inf) -> int:

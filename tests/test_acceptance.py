@@ -16,7 +16,6 @@ from oracles import check_coherence, replay_data_log
 from tiersim.arch import spec_from_dict, validate_spec
 from tiersim.cache import S, CacheGeometry, CacheLevel
 from tiersim.cli import run_experiment
-from tiersim.engine import EventQueue
 from tiersim.interconnect import MeshNetwork, MeshTopology, mean_hop_count, packetize
 from tiersim.memtech import AccessCounters, TechnologyParams, catalog_default, level_energy
 from tiersim.metrics import recompute_level_energy
@@ -72,14 +71,12 @@ def test_acceptance_1_timed_hop_count_claim():
     for dims in ((8, 8, 1), (4, 4, 4)):
         nodes = list(itertools.product(*map(range, dims)))
         pairs = [(src, dst) for src in nodes for dst in nodes if src != dst]
-        engine = EventQueue()
         net = MeshNetwork(MeshTopology(dims=dims, link_latency=1, tsv_latency=1,
-                                       router_delay=1, flit_width=16),
-                          engine, clock_ps)
+                                       router_delay=1, flit_width=16), clock_ps)
         gap_ps = 100 * clock_ps  # longer than any packet's latency here
-        engine.schedule_all(((i * gap_ps, pair) for i, pair in enumerate(pairs)),
-                            len(pairs), lambda pair: net.send(*pair, payload))
-        engine.run_until()
+        net.engine.feed((i * gap_ps, net.packet(*pair, payload, i * gap_ps))
+                        for i, pair in enumerate(pairs))
+        net.engine.run_until()
         samples = list(net.msg_samples)
         assert [t0 for t0, _ in samples] == [i * gap_ps for i in range(len(pairs))]
         assert all(t1 <= t0 for (_, t1), (t0, _) in zip(samples, samples[1:]))
@@ -289,15 +286,15 @@ def test_acceptance_5_congestion_on_8x8x1_and_4x4x4():
             for rate in CONGESTION_RATES:
                 msgs = gen_message_traffic(64, 2000, rate, CONGESTION_PAYLOAD,
                                            seed=seed)
-                engine = EventQueue()
                 net = MeshNetwork(MeshTopology(dims=dims, link_latency=1,
                                                tsv_latency=1, router_delay=1,
-                                               flit_width=16), engine, 1000)
-                engine.schedule_all(
-                    ((rec.tick * 1000, rec) for rec in msgs), len(msgs),
-                    lambda rec: net.send(nodes[rec.src_cluster],
-                                         nodes[rec.dst_cluster], rec.bytes))
-                engine.run_until()
+                                               flit_width=16), 1000)
+                net.engine.feed(
+                    (rec.tick * 1000,
+                     net.packet(nodes[rec.src_cluster], nodes[rec.dst_cluster],
+                                rec.bytes, rec.tick * 1000))
+                    for rec in msgs)
+                net.engine.run_until()
                 assert net.delivered == len(msgs)
                 samples = [t1 - t0 for t0, t1 in net.msg_samples]
                 lat.append(sum(samples) / len(samples))

@@ -250,6 +250,22 @@ def test_first_bad_message_named_and_nothing_scheduled():
     assert system.run() == 0 and system.noc.injected == 0
 
 
+def test_a_second_message_load_is_refused():
+    # Messages load once: a second non-empty load is refused and feeds
+    # nothing, before and after a run, while an empty one changes nothing.
+    system = build_system(spec_from_dict(preset("fig33")), seed=0)
+    system.load_messages([MessageRecord(5, 2, 3, 64), MessageRecord(0, 0, 1, 64)])
+    with pytest.raises(WorkloadError, match="^messages already loaded$"):
+        system.load_messages([MessageRecord(1, 1, 2, 64)])
+    system.load_messages([])
+    assert system.noc.injected == 2
+    system.run()
+    assert system.noc.delivered == 2
+    with pytest.raises(WorkloadError, match="^messages already loaded$"):
+        system.load_messages([MessageRecord(10**6, 1, 2, 64)])
+    assert system.run() == 0 and system.noc.injected == system.noc.delivered == 2
+
+
 def test_access_size_outside_the_block_rejected_at_load():
     system = build_system(spec_from_dict(preset("fig32")), seed=0)
     for size in (0, -8, 65):

@@ -8,7 +8,7 @@ from tiersim.arch import preset, spec_from_dict, validate_spec
 from tiersim.cache import (LRU, PSEUDO_RANDOM, WORD_SIZE, CacheGeometry,
                            CacheLevel, CacheLine, I, M, Region, S, check_wear,
                            compose_address)
-from tiersim.engine import EventQueue, FifoResource, cycles_for_latency
+from tiersim.engine import FifoResource, cycles_for_latency
 from tiersim.interconnect import BusChannel, MeshNetwork, MeshTopology, packetize
 from tiersim.memtech import READ, WRITE, catalog_default
 from tiersim.system import MemoryController
@@ -587,13 +587,12 @@ def book_mesh_link(requests, period):
     windows are read back from delivery times in that order."""
     t = MeshTopology(dims=(2, 1, 1), link_latency=2, router_delay=1,
                      flit_width=16)
-    engine = EventQueue()
-    net = MeshNetwork(t, engine, clock_period_ps=period)
+    net = MeshNetwork(t, clock_period_ps=period)
     sent = [(arrival, (0, 0, 0), (1, 0, 0), cycles * 16)
             for arrival, cycles in bookings(requests)]
     if sent:
         inject(net, *zip(*sent))
-    engine.run_until()
+    net.engine.run_until()
     windows = []
     in_order = sorted(sent, key=lambda m: m[0])   # stable: dispatch order
     assert len(net.msg_samples) == len(in_order)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiersim.arch import preset, spec_from_dict, validate_spec
-from tiersim.engine import EventQueue
 from tiersim.interconnect import (BusChannel, ClusterBus, MeshNetwork,
                                   MeshTopology, mean_hop_count, packetize)
 
@@ -23,15 +23,14 @@ _PORT_DELTA = {
 
 
 def inject(net, times, srcs, dsts, sizes):
-    """Schedule message i from srcs[i] to dsts[i] at times[i], carrying
-    sizes[i] bytes, on the mesh's queue as `System.load_messages` does:
-    counted as injected now, and sent in a stable sort by time, each read
-    when the one before it is sent."""
+    """Feed message i from srcs[i] to dsts[i] at times[i], carrying
+    sizes[i] bytes, to the mesh's queue as `System.load_messages` does:
+    counted as injected now, and sent in a stable sort by time, each packet
+    built when the one before it is injected."""
     order = sorted(range(len(times)), key=times.__getitem__)
     net.injected += len(order)
-    net.engine.schedule_all(
-        ((times[i], (srcs[i], dsts[i], sizes[i])) for i in order),
-        len(order), lambda msg: net.send(*msg))
+    net.engine.feed((times[i], net.packet(srcs[i], dsts[i], sizes[i], times[i]))
+                    for i in order)
 
 
 def route_next_hop(current, dst):
@@ -174,10 +173,9 @@ def test_cluster_bus_has_three_independent_channels():
 
 
 def zero_load_latency(t, src, dst, payload):
-    engine = EventQueue()
-    net = MeshNetwork(t, engine, clock_period_ps=1000)
+    net = MeshNetwork(t, clock_period_ps=1000)
     inject(net, [0], [src], [dst], [payload])
-    engine.run_until()
+    net.engine.run_until()
     [(t_inject, t_deliver)] = net.msg_samples
     return (t_deliver - t_inject) // 1000
 
@@ -204,8 +202,9 @@ def test_zero_load_latency_with_slow_tsv_and_router():
 
 def test_packets_conserved_mid_run():
     t = topo((4, 4, 1))
-    engine = EventQueue()
-    scheduled = 20           # the injected batch: one event per packet
+    net = MeshNetwork(t, clock_period_ps=1000)
+    engine = net.engine
+    scheduled = 20           # the fed injections: one event per packet
     schedule = engine.schedule
 
     def counted(*event):
@@ -214,7 +213,6 @@ def test_packets_conserved_mid_run():
         schedule(*event)
 
     engine.schedule = counted
-    net = MeshNetwork(t, engine, clock_period_ps=1000)
     inject(net, *zip(*[(i * 500, (i % 4, 0, 0), (3 - i % 4, 3, 0), 64)
                        for i in range(20)]))
     assert net.injected == 20 and net.delivered == 0
@@ -236,47 +234,45 @@ def test_packets_conserved_mid_run():
 ])
 def test_bad_message_refused_before_anything_is_scheduled(bad, error):
     # A packet's nodes are checked when its pair's route is first built,
-    # and its size when that size is first sent; either refusal comes
+    # and its size when that size is first seen; either refusal comes
     # before the packet books a link or schedules a hop.
-    engine = EventQueue()
-    net = MeshNetwork(topo((2, 2, 1)), engine, clock_period_ps=1000)
-    _, src, dst, nbytes = bad
+    net = MeshNetwork(topo((2, 2, 1)), clock_period_ps=1000)
+    t_inject, src, dst, nbytes = bad
     with pytest.raises(ValueError, match=error):
-        net.send(src, dst, nbytes)
-    assert engine.run_until() == 0 and net.injected == 0
+        net.packet(src, dst, nbytes, t_inject)
+    assert net.engine.run_until() == 0 and net.injected == 0
     assert all(link.grants == 0 for link, _ in net._steps.values())
 
 
 def reference_walk(t, clock_ps, packets):
     """`(t_inject, t_deliver)` of `packets` ((t_inject, src, dst, flits)
     tuples) in the order they are delivered, and the final link bookings,
-    walked hop by hop with route_next_hop/step_toward. Every packet is
-    scheduled up front, one `schedule` call each, in list order.
+    walked hop by hop with route_next_hop/step_toward on a plain heap of
+    `(time, seq, packet, node)` events. Every packet is scheduled up front,
+    in list order, so at each time the injections go before the hops.
 
     Every directed link (node, port) is a FIFO: a head flit that is ready
     after the router delay departs when the link frees, holds it for one
     cycle per flit and arrives after the link or TSV latency."""
-    engine = EventQueue()
+    seqs = itertools.count()
+    events = [(t_inject, next(seqs), i, src)
+              for i, (t_inject, src, _, _) in enumerate(packets)]
+    heapq.heapify(events)
     link_free = {}
     delivered = []
-
-    def hop(payload):
-        i, node = payload
+    while events:
+        now, _, i, node = heapq.heappop(events)
         t_inject, _, dst, flits = packets[i]
         port = route_next_hop(node, dst)
         if port == LOCAL:
-            delivered.append((t_inject, engine.now + flits * clock_ps))
-            return
+            delivered.append((t_inject, now + flits * clock_ps))
+            continue
         latency = t.tsv_latency if port in ("+z", "-z") else t.link_latency
-        ready = engine.now + t.router_delay * clock_ps
+        ready = now + t.router_delay * clock_ps
         depart = max(ready, link_free.get((node, port), 0))
         link_free[(node, port)] = depart + flits * clock_ps
-        engine.schedule(depart + latency * clock_ps, hop,
-                        (i, step_toward(node, port)))
-
-    for i, (t_inject, src, _, _) in enumerate(packets):
-        engine.schedule(t_inject, hop, (i, src))
-    engine.run_until()
+        heapq.heappush(events, (depart + latency * clock_ps, next(seqs), i,
+                                step_toward(node, port)))
     return delivered, link_free
 
 
@@ -306,10 +302,9 @@ def test_mesh_matches_reference_walk_property(traffic):
     every link the same, on 3D meshes whose TSVs are slower or faster than
     their links, under contention."""
     t, clock_ps, packets = traffic
-    engine = EventQueue()
-    net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
+    net = MeshNetwork(t, clock_period_ps=clock_ps)
     inject(net, *zip(*packets))
-    engine.run_until()
+    net.engine.run_until()
     expected, link_free = reference_walk(
         t, clock_ps, [(t_inject, src, dst, packetize(nbytes, t.flit_width))
                       for t_inject, src, dst, nbytes in packets])
@@ -327,12 +322,11 @@ def test_mesh_run_split_anywhere_matches_one_run_property(traffic, data):
     t, clock_ps, packets = traffic
     runs = []
     for stops in ([], [data.draw(st.integers(0, 40 * clock_ps), label="t")]):
-        engine = EventQueue()
-        net = MeshNetwork(t, engine, clock_period_ps=clock_ps)
+        net = MeshNetwork(t, clock_period_ps=clock_ps)
         inject(net, *zip(*packets))
         for stop in stops:
-            engine.run_until(stop)
-        engine.run_until()
+            net.engine.run_until(stop)
+        net.engine.run_until()
         runs.append((list(net.msg_samples), net.delivered,
                      {k: link.free_at_ps for k, (link, _) in net._steps.items()}))
     assert runs[0] == runs[1]
@@ -356,11 +350,10 @@ def test_router_handler_runs_once_per_hop_and_once_to_deliver(monkeypatch):
               ((2, 2, 0), (2, 2, 1)), ((3, 0, 1), (0, 2, 0)),
               ((0, 2, 1), (3, 0, 0))]
     for src, dst in routes:
-        engine = EventQueue()
-        net = MeshNetwork(topo((4, 3, 2)), engine, clock_period_ps=1000)
+        net = MeshNetwork(topo((4, 3, 2)), clock_period_ps=1000)
         calls.clear()
         inject(net, [0, 0], [src, src], [dst, dst], [64, 0])
-        engine.run_until()
+        net.engine.run_until()
         assert len(calls) == 2 * (manhattan(src, dst) + 1), (src, dst)
         assert net.delivered == 2
 
@@ -377,6 +370,17 @@ def test_topology_violations():
     assert violations(dims=[0, 4, 1]) == ["noc.dims[0]: must be >= 1, got 0"]
     assert violations(router_delay=0) == [
         "noc.router_delay: must be >= 1, got 0"]
+
+
+@pytest.mark.parametrize("field", ["router_delay", "link_latency", "tsv_latency"])
+def test_a_mesh_refuses_a_delay_below_one_cycle(field):
+    # The mesh's queue never schedules a hop at the current time, which
+    # holds only while every delay is at least a cycle; validate_spec
+    # refuses such a topology first, and the mesh refuses it when driven
+    # directly.
+    with pytest.raises(ValueError, match=f"mesh {field} must be at least 1 cycle"):
+        MeshNetwork(topo((2, 2, 1), **{field: 0}))
+    MeshNetwork(topo((2, 2, 1), **{field: 1}))
 
 
 def test_dimension_order_channel_dependencies_acyclic():

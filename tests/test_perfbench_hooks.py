@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 from tiersim import cache, engine, interconnect, system
+from tiersim.arch import preset, spec_from_dict
+from tiersim.workload import gen_message_traffic
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,3 +48,27 @@ def test_instrument_wraps_and_restores_every_hook():
     # Functions compare by identity, so equal dicts hold the originals.
     for owner, old in zip(OWNERS, before):
         assert dict(vars(owner)) == old, f"{owner} not restored"
+
+
+def test_the_mesh_hooks_count_every_hop_and_event():
+    # The benchmark reads `noc.hops` from the `noc.hop` spans and
+    # `engine.events` from the queue's `dispatched`. Were `schedule` or
+    # `_at_router` inlined, their wrappers would read 0 and no run would
+    # fail, so each count is checked here against the messages' routes.
+    spans = _load_spans()
+    cfg = preset("fig33")
+    cfg["cluster_grid"] = [2, 1]
+    messages = gen_message_traffic(2, 200, 0.05, 64, seed=1)
+    rec = spans.SpanRecorder()
+    with spans.instrument(rec):
+        built = system.System(spec_from_dict(cfg), seed=0)
+        built.load_messages(messages)
+        returned = built.run()
+    calls = {name: n for name, (n, _) in rec.self_times().items()}
+    # Cluster c's home is (c, 0, 0), so each message crosses one link.
+    hops = len(messages)
+    assert built.noc.delivered == len(messages) > 10
+    assert calls["engine.schedule"] == hops
+    assert calls["noc.hop"] == built.engine.dispatched == len(messages) + hops
+    # Nothing but the mesh runs: there is no trace.
+    assert built.engine.dispatched == returned
