@@ -151,6 +151,8 @@ class MeshNetwork:
         self.injected = 0
         self.delivered = 0
         self.msg_samples = LatencyLog()
+        self._log_start = self.msg_samples.starts.append
+        self._log_end = self.msg_samples.ends.append
 
     @property
     def in_flight(self) -> int:
@@ -203,7 +205,8 @@ class MeshNetwork:
         engine = self.engine
         if step is None:
             self.delivered += 1
-            self.msg_samples.append(t_inject, engine.now + hold_ps)
+            self._log_start(t_inject)
+            self._log_end(engine.now + hold_ps)
             return
         link, hop_ps = step
         depart, _ = link.book(engine.now + self._router_ps, hold_ps)

@@ -26,20 +26,16 @@ LEVEL_COUNTERS = ("hits", "fills", "evictions", "writebacks", "invalidations")
 
 
 class LatencyLog:
-    """One latency sample per request, in the order they are appended, kept
-    as two int64 columns: request i started at `starts[i]` and completed at
-    `ends[i]`, in ps. A sample takes 16 bytes, where a `(start, end)` tuple
-    in a list takes about 120."""
+    """One latency sample per request, kept as two int64 columns to which
+    each sample's start and then its end are appended: request i started at
+    `starts[i]` and completed at `ends[i]`, in ps. A sample takes 16 bytes,
+    where a `(start, end)` tuple in a list takes about 120."""
 
     __slots__ = ("starts", "ends")
 
     def __init__(self) -> None:
         self.starts = array("q")
         self.ends = array("q")
-
-    def append(self, start_ps: int, end_ps: int) -> None:
-        self.starts.append(start_ps)
-        self.ends.append(end_ps)
 
     def __len__(self) -> int:
         return len(self.starts)

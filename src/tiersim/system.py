@@ -37,7 +37,7 @@ import operator
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import count, islice, repeat
+from itertools import count, repeat
 
 from .arch import DISTRIBUTED, L2_SPLIT_ID, SystemSpec
 from .cache import (DIRTY_STATES, I, M, O, PSEUDO_RANDOM, S, WORD_SIZE,
@@ -575,11 +575,13 @@ class System:
     a list of records and starts each core on its share of it, while
     `start_cores` starts cores on streams that are known to be good, such
     as generated ones, without reading them first. `load_messages` checks
-    its records and leaves them in place; the mesh's queue reads each one
-    when the one before it is injected. `mem_samples` logs each memory
-    access's issue and completion times when it completes, one cluster's
-    run after another, and the mesh's `msg_samples` logs each message when
-    it is delivered, so a run stopped early counts only what finished."""
+    its records in one walk, and leaves them in place when their ticks
+    never fall or else copies them in tick order; the mesh's queue reads
+    each one when the one before it is injected. `mem_samples` logs each
+    memory access's issue and completion times when it completes, one
+    cluster's run after another, and the mesh's `msg_samples` logs each
+    message when it is delivered, so a run stopped early counts only what
+    finished."""
 
     def __init__(self, spec: SystemSpec, seed: int = 0, record_log: bool = False):
         self.spec = spec
@@ -656,13 +658,12 @@ class System:
         raises WorkloadError, and then nothing is fed. Messages load once:
         a second non-empty load raises WorkloadError too.
 
-        The checks read the tick column and the set of cluster ids, which
-        are dropped before anything is fed; only when one fails are the
-        records walked one by one to name the first bad one. The queue
-        then reads each record, in a stable sort by tick, when the one
-        before it is injected, and injects the records at each time before
-        the hops that arrive then, so `records` must stay as it is until
-        the run is over."""
+        One walk checks each record's source cluster, destination cluster
+        and tick, in that order, and notes whether the ticks ever fall;
+        only then are the records copied, in a stable sort by tick. The
+        queue reads each record when the one before it is injected, and
+        injects the records at each time before the hops that arrive then,
+        so `records` must stay as it is until the run is over."""
         if not records:
             return
         if self.noc.injected:
@@ -671,27 +672,25 @@ class System:
         if n_clusters < 2:
             raise WorkloadError("message workload requires at least two clusters")
         noc_ps = self.spec.clocks.noc_ps
-        tick_of = operator.attrgetter("tick")
-        ticks = list(map(tick_of, records))
-        in_order = all(map(operator.le, ticks, islice(ticks, 1, None)))
-        first, last = min(ticks), max(ticks)
-        del ticks
-        used = set(map(operator.attrgetter("src_cluster"), records))
-        used.update(map(operator.attrgetter("dst_cluster"), records))
-        if (first < 0 or last * noc_ps >= LATEST_START_PS
-                or min(used) < 0 or max(used) >= n_clusters):
-            for rec in records:
-                for cid in (rec.src_cluster, rec.dst_cluster):
-                    if not 0 <= cid < n_clusters:
-                        raise WorkloadError(f"cluster {cid} outside the "
-                                            f"{n_clusters}-cluster system")
-                if rec.tick < 0:
-                    raise WorkloadError(f"message tick {rec.tick} is negative")
-                if rec.tick * noc_ps >= LATEST_START_PS:
-                    raise WorkloadError(f"message tick {rec.tick} starts at or "
-                                        f"after {LATEST_START_PS} ps")
+        late = -(-LATEST_START_PS // noc_ps)   # the first tick that starts too late
+        outside = f"outside the {n_clusters}-cluster system"
+        in_order, prev = True, 0
+        for rec in records:
+            src, dst, tick = rec.src_cluster, rec.dst_cluster, rec.tick
+            if not 0 <= src < n_clusters:
+                raise WorkloadError(f"cluster {src} {outside}")
+            if not 0 <= dst < n_clusters:
+                raise WorkloadError(f"cluster {dst} {outside}")
+            if tick < 0:
+                raise WorkloadError(f"message tick {tick} is negative")
+            if tick >= late:
+                raise WorkloadError(f"message tick {tick} starts at or "
+                                    f"after {LATEST_START_PS} ps")
+            if tick < prev:
+                in_order = False
+            prev = tick
         if not in_order:
-            records = sorted(records, key=tick_of)
+            records = sorted(records, key=operator.attrgetter("tick"))
         gx = self.spec.cluster_grid[0]
         homes = [(c % gx, c // gx, 0) for c in range(n_clusters)]
         packet = self.noc.packet

@@ -25,23 +25,50 @@ def check_coherence(system, addrs: list[int]) -> None:
                     f"stacks hold {probed:#b}")
 
 
-def replay_data_log(system) -> int:
+# ROADMAP item 8: a write that wears a line out strands its dirty words, so
+# later reads of them return stale data. These are the (stale, reads) counts
+# of count_stale_reads on the corpus and golden cases that show it, with the
+# data log on; every other case reads clean. Item 8's fix empties this.
+STALE_READS = {
+    "case00": (48, 2080), "case07": (54, 1178), "case09": (296, 4376),
+    "case17": (24, 1304), "case18": (136, 5440), "case21": (3, 220),
+    "worn-l1": (10, 479), "distributed-worn": (13, 474),
+}
+
+
+def _replayed_reads(system):
     """Replay each cluster's data log on a sequential memory of its own, in
-    which a word reads 0 until it is written. Asserts that every read
-    returns the last value written to its word, and returns the number of
-    reads."""
-    reads = 0
+    which a word reads 0 until it is written. Yields each read as
+    `(cluster, word, value, expected)`, expected being the last value
+    written to the word."""
     for cluster in system.clusters:
         memory: dict[int, int] = {}
         for kind, word, value in cluster.data_log:
             if kind == "w":
                 memory[word] = value
             else:
-                reads += 1
-                assert memory.get(word, 0) == value, (
-                    f"cluster {cluster.index} read {value} at {word:#x}, "
-                    f"expected {memory.get(word, 0)}")
+                yield cluster.index, word, value, memory.get(word, 0)
+
+
+def replay_data_log(system) -> int:
+    """Asserts that every read of the replayed data logs returns the last
+    value written to its word, and returns the number of reads."""
+    reads = 0
+    for index, word, value, expected in _replayed_reads(system):
+        reads += 1
+        assert value == expected, (
+            f"cluster {index} read {value} at {word:#x}, expected {expected}")
     return reads
+
+
+def count_stale_reads(system) -> tuple[int, int]:
+    """(stale, reads): how many reads of the replayed data logs did not
+    return the last value written to their word, of how many reads."""
+    stale = reads = 0
+    for _, _, value, expected in _replayed_reads(system):
+        reads += 1
+        stale += value != expected
+    return stale, reads
 
 
 def check_norma_isolation(system) -> None:

@@ -250,6 +250,15 @@ def test_first_bad_message_named_and_nothing_scheduled():
     assert system.run() == 0 and system.noc.injected == 0
 
 
+def test_a_message_that_breaks_every_rule_is_named_by_its_source():
+    # The rules run in order: source cluster, destination cluster, tick.
+    system = build_system(spec_from_dict(preset("fig33")), seed=0)
+    with pytest.raises(WorkloadError,
+                       match="^cluster 4 outside the 4-cluster system$"):
+        system.load_messages([MessageRecord(-1, 4, -1, 64)])
+    assert system.run() == 0 and system.noc.injected == 0
+
+
 def test_a_second_message_load_is_refused():
     # Messages load once: a second non-empty load is refused and feeds
     # nothing, before and after a run, while an empty one changes nothing.

@@ -643,18 +643,24 @@ def test_record_file_line_that_does_not_parse_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_record_the_system_refuses_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("name, workload, line, message", [
+    ("fig32", "trace", "0,99,R,0x40,8", "core 99 outside the 8-core system"),
+    ("fig33", "messages", "0,9,0,64", "cluster 9 outside the 4-cluster system")],
+    ids=["trace", "messages"])
+def test_record_the_system_refuses_exits_2(tmp_path, capsys, name, workload,
+                                           line, message):
     # A record that parses but that the system cannot run is refused by
     # the system's load, as a user error.
-    records = tmp_path / "trace.csv"
-    records.write_text("tick,core,op,addr,size\n0,99,R,0x40,8\n")
-    cfg = preset("fig32")
-    cfg["workload"] = {"trace": str(records)}
+    header = {"trace": "tick,core,op,addr,size",
+              "messages": "tick,src_cluster,dst_cluster,bytes"}[workload]
+    records = tmp_path / "records.csv"
+    records.write_text(f"{header}\n{line}\n")
+    cfg = preset(name)
+    cfg["workload"] = {workload: str(records)}
     out = tmp_path / "r.json"
     assert main(["run", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: core 99 outside the 8-core system"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 

@@ -13,6 +13,8 @@ import functools
 import hashlib
 import json
 
+from oracles import STALE_READS, count_stale_reads
+
 from tiersim import cli
 from tiersim.arch import PRESET_NAMES, preset
 from tiersim.cli import run_experiment
@@ -221,9 +223,11 @@ def test_t_end_report_and_latency_dump_hashes(tmp_path):
 
 def test_data_log_changes_no_report_byte(tmp_path, monkeypatch):
     # Block data images exist only for the data log, so turning it on must
-    # leave every digest as GOLDEN pins it for the log off. With it off, no
-    # line of any array holds an image and no backing store holds a block;
-    # the extra cases, built to reach what the presets do not, check that.
+    # leave every digest as GOLDEN pins it for the log off, and each log,
+    # replayed on a flat memory, reads stale data only where STALE_READS
+    # says. With it off, no line of any array holds an image and no backing
+    # store holds a block; the extra cases, built to reach what the presets
+    # do not, check that.
     built: list[System] = []
 
     def system_with_log(record_log):
@@ -235,8 +239,11 @@ def test_data_log_changes_no_report_byte(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "System", system_with_log(True))
     for name in CASES:
         assert _digest(_report(name, tmp_path)) == GOLDEN[name], name
-        logged = any(c.data_log for c in built.pop().clusters)
+        system = built.pop()
+        logged = any(c.data_log for c in system.clusters)
         assert logged == (name != "dense-mesh"), name
+        stale, reads = count_stale_reads(system)
+        assert (stale, reads) == STALE_READS.get(name, (0, reads)), name
     monkeypatch.setattr(cli, "System", system_with_log(False))
     for name in set(CASES) - set(PRESET_NAMES):
         _report(name, tmp_path)

